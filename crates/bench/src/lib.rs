@@ -271,6 +271,9 @@ pub struct ObddConstructionPoint {
     /// Construction time with the concatenation-based ConOBDD builder.
     pub conobdd_time: Duration,
     /// Construction time with the synthesis-only builder (CUDD stand-in).
+    /// Its fold is level-ordered (`ObddManager::dnf`), linear on this
+    /// width-1 diagram — not the arrival-order `O(clauses · variables)`
+    /// synthesis the paper's Figure 8 timed.
     pub synthesis_time: Duration,
     /// `true` when both constructions produced diagrams of the same size
     /// (canonicity check, as in Section 5.2).
@@ -735,11 +738,11 @@ impl ShardedPoint {
 /// whose name matches %f000d%`, one fragment per 100-aid advisor band) have
 /// lineages of several hundred clauses spanning hundreds of components. The
 /// heavy queries (`%f000%` / `%f001%`, each a 1000-aid advisor band) reach
-/// thousands of clauses — the regime where folding one monolithic OBDD on
-/// the full manager thrashes its computed table on every evaluation, while
-/// the per-shard managers stay small enough to evaluate their slice in
-/// milliseconds. Returns `(stream, distinct)`; the distinct list drives the
-/// exactness check against the oracle.
+/// thousands of clauses over about a thousand index blocks — the largest
+/// diagrams and slices the online path builds, at a cost linear in both,
+/// so the shards gain on them what they gain everywhere: one core each.
+/// Returns `(stream, distinct)`; the distinct list drives the exactness
+/// check against the oracle.
 pub fn sharded_workload(
     data: &DblpDataset,
     num_distinct_point: usize,
@@ -780,8 +783,8 @@ pub const SHARDED_BROAD_STRIDE: usize = 256;
 /// Heavy-query stride of the sustained sharded campaign: one
 /// thousand-component name-selection query per this many queries. Rare
 /// enough to leave the tail percentiles point-query-shaped, frequent
-/// enough that the monolithic baseline pays its computed-table thrashing
-/// on every occurrence.
+/// enough that a super-linear synthesis or slice assembly would show as a
+/// superlinear campaign speedup (the CI canary).
 pub const SHARDED_HEAVY_STRIDE: usize = 10_240;
 
 /// The sustained-throughput experiment of the scale-out sharding layer:
@@ -2093,24 +2096,37 @@ pub fn serve_soak(
         .map(|q| engine.probability(q).expect("oracle probability"))
         .collect();
 
-    // Capacity calibration on the warmed engine: the second pass is timed
-    // so plan compilation and index warmup don't deflate the estimate.
+    // Capacity calibration the way a server worker serves: one long-lived
+    // context on the unsharded engine. (`ShardedEngine::probability` pays a
+    // shard fan-out per call, several service times; 1.5x a capacity
+    // calibrated on it is an offer the workers absorb without queueing.)
+    // The second pass is timed so plan compilation and index warmup don't
+    // deflate the estimate.
     let num_workers = 2usize;
-    let t0 = Instant::now();
-    for q in &distinct {
-        engine.probability(q).expect("calibration probability");
-    }
-    let mean_service = t0.elapsed().div_f64(distinct.len() as f64);
+    let mean_service = {
+        use mv_core::backend::Backend;
+        let ctx = engine.full().context();
+        let exact = MvIndexBackend::default();
+        let mut timed = Duration::ZERO;
+        for _pass in 0..2 {
+            let t0 = Instant::now();
+            for q in &distinct {
+                exact.probability(q, &ctx).expect("calibration probability");
+            }
+            timed = t0.elapsed();
+        }
+        timed.div_f64(distinct.len() as f64)
+    };
     let capacity_qps = num_workers as f64 / secs(mean_service).max(1e-9);
     let offered_qps = 1.5 * capacity_qps;
 
     // Deadline: scaled to the worst-case drain of the whole burst at
-    // *degraded* service cost (degraded answers run tens of exact service
-    // times each), so the gate is machine-independent. The soak's latency
-    // gate (p99 <= deadline) checks that the backlog stays bounded, not
-    // that individual evaluations are fast.
+    // *degraded* service cost (a degraded answer measures ~70 warm exact
+    // service times), with a 4x margin, so the gate is machine-independent.
+    // The soak's latency gate (p99 <= deadline) checks that the backlog
+    // stays bounded, not that individual evaluations are fast.
     let deadline = mean_service
-        .mul_f64(30.0 * num_queries as f64)
+        .mul_f64(150.0 * num_queries as f64)
         .max(Duration::from_secs(2));
 
     // At DBLP scale the monolithic bounded-exact synthesis must rebuild

@@ -594,8 +594,16 @@ mod tests {
         MvdbEngine::compile(&b.build().unwrap()).unwrap()
     }
 
+    /// Chaos rules are process-global: a test that expects *no* injection
+    /// holds the campaign lock (with an empty rule set) so a sibling test's
+    /// faults cannot land on its ladder.
+    fn no_chaos() -> chaos::ChaosGuard {
+        chaos::install(ChaosConfig::new(0))
+    }
+
     #[test]
     fn clean_runs_answer_on_the_exact_rung() {
+        let _quiet = no_chaos();
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
@@ -652,6 +660,7 @@ mod tests {
 
     #[test]
     fn entry_rung_starts_the_ladder_lower() {
+        let _quiet = no_chaos();
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
@@ -680,6 +689,7 @@ mod tests {
 
     #[test]
     fn semantic_errors_stop_the_ladder() {
+        let _quiet = no_chaos();
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- Unknown(x)").unwrap();
@@ -720,6 +730,7 @@ mod tests {
 
     #[test]
     fn tiny_deadlines_degrade_instead_of_hanging() {
+        let _quiet = no_chaos();
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();

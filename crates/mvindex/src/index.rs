@@ -74,6 +74,9 @@ struct Block {
     prob_not_w: f64,
     /// Tuple variables appearing in the block.
     variables: BTreeSet<TupleId>,
+    /// Level range of the diagram (structure only: `reweight` keeps it), so
+    /// multi-block queries check level separation without walking blocks.
+    levels: Option<(u32, u32)>,
 }
 
 /// The compiled MV-index for a helper query `W`.
@@ -166,12 +169,14 @@ impl MvIndex {
             for &v in &variables {
                 inter.insert(v, block_index);
             }
+            let levels = negated.obdd().level_range();
             blocks.push(Block {
                 key,
                 negated,
                 layout,
                 prob_not_w: p,
                 variables,
+                levels,
             });
         }
 
@@ -358,32 +363,29 @@ impl MvIndex {
             return Ok((p, touched));
         }
 
-        // Several blocks are touched: combine their ¬W_k diagrams into one
-        // slice (blocks are variable-disjoint, and usually level-disjoint so
-        // the combination is a linear concatenation; the slice lives in the
-        // shared index arena and is memoised there, so repeating queries hit
-        // the concat/apply memo instead of rebuilding).
-        let mut slice: Option<Obdd> = None;
-        let mut indices: Vec<usize> = touched.iter().copied().collect();
-        indices.sort_by_key(|&i| {
-            self.blocks[i]
-                .negated
-                .obdd()
-                .level_range()
-                .map(|(lo, _)| lo)
-                .unwrap_or(u32::MAX)
-        });
-        for i in indices {
-            let next = self.blocks[i].negated.obdd();
-            slice = Some(match slice {
-                None => next.clone(),
-                Some(acc) => match acc.concat_and(next) {
-                    Ok(r) => r,
-                    Err(_) => acc.apply_and(next).map_err(crate::MvIndexError::from)?,
-                },
-            });
-        }
-        let slice = slice.expect("touched is non-empty");
+        // Several blocks are touched: chain their ¬W_k diagrams into one
+        // slice. Blocks are variable-disjoint; when they are level-disjoint
+        // too the chain is one n-ary concatenation that rebuilds each
+        // touched block once, so the shared index arena grows by the size
+        // of the slice (and by nothing when the query repeats — every
+        // rebuilt node is already hash-consed).
+        let mut parts: Vec<_> = touched
+            .iter()
+            .map(|&i| (self.blocks[i].negated.obdd(), self.blocks[i].levels))
+            .collect();
+        parts.sort_by_key(|(_, levels)| levels.map_or(u32::MAX, |(lo, _)| lo));
+        let slice = match Obdd::concat_many(self.order(), &parts, true) {
+            Ok(chained) => chained,
+            // Interleaved levels: synthesis, deepest block first.
+            Err(_) => {
+                let mut deepest_first = parts.iter().rev().map(|(block, _)| *block);
+                let mut acc = deepest_first.next().expect("touched is non-empty").clone();
+                for block in deepest_first {
+                    acc = block.apply_and(&acc)?;
+                }
+                acc
+            }
+        };
         let slice_aug = AugmentedObdd::new(slice, prob_of);
         let p = match algo {
             IntersectAlgorithm::MvIntersect => mv_intersect(&slice_aug, &q_view, prob_of),
@@ -526,30 +528,20 @@ fn merge_overlapping(raw: Vec<RawBlock>) -> Result<Vec<RawBlock>> {
     }
     let mut out: Vec<(usize, RawBlock)> = singles;
     for members in merged_groups {
-        let mut acc: Option<Obdd> = None;
-        let mut vars = BTreeSet::new();
-        let mut key = None;
         let first = *members.iter().min().expect("non-empty group");
-        for i in members {
-            let (k, obdd, v) = raw_opt[i].take().expect("present");
-            vars.extend(v);
-            key.get_or_insert(k);
-            acc = Some(match acc {
-                None => obdd,
-                Some(a) => match a.concat_or(&obdd) {
-                    Ok(r) => r,
-                    Err(_) => a.apply_or(&obdd).map_err(crate::MvIndexError::from)?,
-                },
-            });
+        let mut group: Vec<RawBlock> = members
+            .into_iter()
+            .map(|i| raw_opt[i].take().expect("present"))
+            .collect();
+        // Members share a variable, hence a level: concatenation can never
+        // apply, so this is the synthesis fold.
+        let mut merged = group[0].1.clone();
+        for (_, obdd, _) in &group[1..] {
+            merged = merged.apply_or(obdd)?;
         }
-        out.push((
-            first,
-            (
-                key.expect("at least one member"),
-                acc.expect("at least one member"),
-                vars,
-            ),
-        ));
+        let vars = group.iter().flat_map(|(_, _, v)| v).copied().collect();
+        let key = group.swap_remove(0).0;
+        out.push((first, (key, merged, vars)));
     }
     // Keep a deterministic order (by original position of the first member).
     out.sort_by_key(|(i, _)| *i);
@@ -681,6 +673,57 @@ mod tests {
                 "{q_text}: {via_cc} vs {expected}"
             );
         }
+    }
+
+    #[test]
+    fn a_multi_block_slice_grows_the_arena_by_its_size_once() {
+        // 40 separator values = 40 blocks; the scan touches them all.
+        let blocks = 40;
+        let mut b = InDbBuilder::new();
+        let r = b.probabilistic_relation("R", &["x"]).unwrap();
+        let s = b.probabilistic_relation("S", &["x", "y"]).unwrap();
+        let nv = b.probabilistic_relation("NV", &["x"]).unwrap();
+        for x in 0..blocks {
+            b.insert_weighted(r, row([x]), Weight::new(1.5)).unwrap();
+            for y in 0..3 {
+                b.insert_weighted(s, row([x, y]), Weight::new(0.5 + y as f64))
+                    .unwrap();
+            }
+            b.insert_translated(nv, row([x]), Weight::new(-0.75))
+                .unwrap();
+        }
+        let indb = b.build();
+        let w = w_query();
+        let index = MvIndex::compile(&indb, &w).unwrap();
+        assert_eq!(index.num_blocks(), blocks as usize);
+        let lin_q = lineage(&parse_ucq("Q() :- R(x), S(x, y)").unwrap(), &indb).unwrap();
+
+        let before = index.manager().num_nodes();
+        let p = index
+            .prob_q_and_not_w(&lin_q, &indb, IntersectAlgorithm::CcMvIntersect)
+            .unwrap();
+        let grown = index.manager().num_nodes() - before;
+        assert!(grown > 0, "the slice is assembled in the index arena");
+        assert!(
+            grown <= 2 * index.size(),
+            "slice of {} block nodes grew the arena by {grown}",
+            index.size()
+        );
+        // P0(Q ∧ ¬W) = P0(Q ∨ W) − P0(W), by plain synthesis.
+        let lin_w = lineage(&w, &indb).unwrap();
+        let q_or_w = index.query_obdd(&lin_q.or(&lin_w)).unwrap();
+        let expected = q_or_w.probability(|t| indb.probability(t)) - index.prob_w();
+        assert!((p - expected).abs() < 1e-9 * expected.abs().max(1.0));
+
+        let settled = index.manager().num_nodes();
+        for algo in [
+            IntersectAlgorithm::CcMvIntersect,
+            IntersectAlgorithm::MvIntersect,
+        ] {
+            let again = index.prob_q_and_not_w(&lin_q, &indb, algo).unwrap();
+            assert!((again - p).abs() < 1e-9 * p.abs().max(1.0));
+        }
+        assert_eq!(index.manager().num_nodes(), settled, "repeats add no nodes");
     }
 
     #[test]

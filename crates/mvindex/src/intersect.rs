@@ -12,17 +12,20 @@
 //!   visited (Proposition 3).
 //! * [`cc_mv_intersect`] — **CC-MVIntersect**: the same computation over a
 //!   cache-conscious layout: the index nodes are flattened into a DFS-ordered
-//!   vector and the memo table is a dense array indexed by
-//!   `(flat index position, compact query position)`, avoiding hash-map
-//!   lookups and pointer chasing.
+//!   vector carrying `probUnder` and the variable probability inline, so the
+//!   traversal takes no lock and chases no arena pointers.
+//!
+//! Both memoise on the pairs they actually visit — `O(|slice| + |query|)`
+//! for the width-1 diagrams of inversion-free queries — never on the
+//! `|index| × |query|` product, and by *presence*, not by a sentinel value:
+//! translated probabilities overflow to NaN by construction, and a NaN pair
+//! that is not memoised is re-expanded on every path that reaches it.
 //!
 //! Query diagrams live in shared [`mv_obdd::ObddManager`] arenas whose node
 //! ids are global, so both algorithms consume a [`QueryView`] — a compact,
 //! reachable-only flattening of the query OBDD with per-node sub-diagram
-//! probabilities. Building one is linear in the query diagram and keeps the
-//! dense memo of the cache-conscious path sized by
-//! `|index slice| × |query|`, independent of how many other diagrams share
-//! the arena.
+//! probabilities. Building one is linear in the query diagram, independent
+//! of how many other diagrams share the arena.
 
 use fxhash::FxHashMap;
 use mv_obdd::obdd::{FALSE, TRUE};
@@ -206,25 +209,20 @@ pub fn mv_intersect(
     while let Some(frame) = stack.pop() {
         match frame {
             Frame::Expand(u, v) => {
-                if let Some(&p) = memo.get(&(u, v)) {
-                    results.push(p);
-                    continue;
-                }
-                // Terminal shortcuts.
+                // Terminal shortcuts: a lookup each, not worth a memo entry.
                 if v == QV_FALSE || u == FALSE {
-                    memo.insert((u, v), 0.0);
                     results.push(0.0);
                     continue;
                 }
                 if v == QV_TRUE {
-                    let p = index.prob_under(u);
-                    memo.insert((u, v), p);
-                    results.push(p);
+                    results.push(index.prob_under(u));
                     continue;
                 }
                 if u == TRUE {
-                    let p = query.prob(v);
-                    memo.insert((u, v), p);
+                    results.push(query.prob(v));
+                    continue;
+                }
+                if let Some(&p) = memo.get(&(u, v)) {
                     results.push(p);
                     continue;
                 }
@@ -332,8 +330,8 @@ impl CcLayout {
 
 /// Computes `P0(index ∧ query)` over a cache-conscious layout
 /// (the CC-MVIntersect algorithm). Both operands are pre-flattened, so the
-/// traversal touches no locks and no hash maps — the memo is a dense
-/// `|layout| × |query|` array.
+/// traversal touches no locks and no arena; the memo holds the visited
+/// `(layout position, query position)` pairs only.
 pub fn cc_mv_intersect(layout: &CcLayout, query: &QueryView) -> f64 {
     // Constant index diagrams.
     if layout.is_empty() {
@@ -350,10 +348,7 @@ pub fn cc_mv_intersect(layout: &CcLayout, query: &QueryView) -> f64 {
             0.0
         };
     }
-    let q_size = query.len();
-    // Dense memo: rows are flattened index positions, columns compact query
-    // positions.
-    let mut memo = vec![f64::NAN; layout.len() * q_size];
+    let mut memo: FxHashMap<(u32, u32), f64> = FxHashMap::default();
 
     enum Frame {
         Expand(u32, u32),
@@ -377,10 +372,8 @@ pub fn cc_mv_intersect(layout: &CcLayout, query: &QueryView) -> f64 {
                     results.push(un.prob_under);
                     continue;
                 }
-                let slot = u as usize * q_size + v as usize;
-                let cached = memo[slot];
-                if !cached.is_nan() {
-                    results.push(cached);
+                if let Some(&p) = memo.get(&(u, v)) {
+                    results.push(p);
                     continue;
                 }
                 let vn = query.node(v);
@@ -406,10 +399,40 @@ pub fn cc_mv_intersect(layout: &CcLayout, query: &QueryView) -> f64 {
                 let p1 = results.pop().expect("hi probability available");
                 let p0 = results.pop().expect("lo probability available");
                 let p = (1.0 - p_var) * p0 + p_var * p1;
-                memo[u as usize * q_size + v as usize] = p;
+                memo.insert((u, v), p);
                 results.push(p);
             }
         }
     }
     results.pop().expect("intersection produces a probability")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mv_obdd::{ObddManager, VarOrder};
+    use std::sync::Arc;
+
+    #[test]
+    fn nan_pairs_are_memoised_by_presence() {
+        // Q = ⋁ᵢ x₂ᵢ x₂ᵢ₊₁ against ¬Q: two width-1 chains in which every
+        // pair of nodes is reached along two paths. Translated
+        // probabilities overflow to NaN by construction; with the deepest
+        // variable NaN every pair above it is NaN too, and a memo that
+        // reads NaN as "vacant" re-expands each pair along both paths into
+        // it — 2⁶⁴ expansions here.
+        let clauses = 64u32;
+        let deepest = 2 * clauses - 1;
+        let prob_of = |t: TupleId| if t.0 == deepest { f64::NAN } else { 0.5 };
+        let order = Arc::new(VarOrder::from_tuples((0..=deepest).map(TupleId)));
+        let lineage: Vec<Vec<TupleId>> = (0..clauses)
+            .map(|i| vec![TupleId(2 * i), TupleId(2 * i + 1)])
+            .collect();
+        let q_obdd = ObddManager::new(order).dnf(&lineage).unwrap();
+        let index = AugmentedObdd::new(q_obdd.negate(), prob_of);
+        let query = QueryView::new(&q_obdd, prob_of);
+        let layout = CcLayout::new(&index, prob_of);
+        assert!(cc_mv_intersect(&layout, &query).is_nan());
+        assert!(mv_intersect(&index, &query, prob_of).is_nan());
+    }
 }

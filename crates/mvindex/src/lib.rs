@@ -16,7 +16,8 @@
 //! * [`intersect`] — the two intersection algorithms of Section 4.3:
 //!   [`intersect::mv_intersect`] (pointer-based, memoised on node pairs) and
 //!   [`intersect::cc_mv_intersect`] (cache-conscious: nodes flattened into a
-//!   DFS-ordered vector with a dense memo table).
+//!   DFS-ordered vector with their annotations inline), both memoised on
+//!   the node pairs they visit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1241,8 +1241,17 @@ impl ObddManager {
     /// **one** lock acquisition. For lineages of many small clauses (the
     /// per-query hot path), per-clause locking costs more than the fold
     /// itself; batch builders (`SynthesisBuilder::from_lineage`, the
-    /// microbenchmark) should prefer this entry point. Produces exactly the
-    /// diagram the clause-by-clause fold produces.
+    /// microbenchmark) should prefer this entry point.
+    ///
+    /// The clauses are folded bottom-up — by descending level vector, the
+    /// clause with the deepest top variable first — whatever order they
+    /// arrive in. Canonicity makes the root the one any other fold order
+    /// reaches; the order only decides the cost: each `apply` rebuilds the
+    /// part of the accumulator above the incoming clause's last level, so a
+    /// lineage whose diagram has width `w` costs `O(w · Σ|clause span|)`
+    /// nodes — linear in the lineage for the width-1 diagrams of
+    /// inversion-free queries, where an arbitrary order costs
+    /// `O(clauses · variables)`.
     pub fn dnf<C: AsRef<[TupleId]>>(&self, clauses: &[C]) -> Result<Obdd> {
         self.dnf_with_budget(clauses, usize::MAX)
     }
@@ -1272,10 +1281,16 @@ impl ObddManager {
         if let Some(b) = &budget {
             b.check()?;
         }
-        let levels: Vec<Vec<u32>> = clauses
+        let mut levels: Vec<Vec<u32>> = clauses
             .iter()
             .map(|c| self.clause_levels(c.as_ref()))
             .collect::<Result<_>>()?;
+        // Deepest top level first: every later clause then starts at or
+        // above the accumulator's root, so an apply descends only as far as
+        // that clause's own last level instead of walking the whole
+        // accumulator down to it (which made the fold quadratic on the
+        // width-1 lineages of broad selections).
+        levels.sort_unstable_by(|a, b| b.cmp(a));
         let mut store = self.write();
         let start = store.nodes.len();
         // Install the in-apply guard only when something can trip it, so
@@ -1505,10 +1520,10 @@ impl fmt::Debug for ObddManager {
     }
 }
 
-/// The one place the sink special cases of concatenation live (both
-/// `concat_or` and `concat_and` route through it): `None` means real
-/// rebuilding is required.
-pub(crate) fn concat_trivial(and: bool, a: NodeId, b: NodeId) -> Option<NodeId> {
+/// The one place the sink special cases of concatenation live (binary and
+/// n-ary, both operators, all through [`ObddManager::concat_roots`]): `None`
+/// means real rebuilding is required.
+fn concat_trivial(and: bool, a: NodeId, b: NodeId) -> Option<NodeId> {
     let (identity, absorbing) = if and { (TRUE, FALSE) } else { (FALSE, TRUE) };
     if a == identity {
         // false ∨ b = b, true ∧ b = b.

@@ -12,11 +12,11 @@
 //! * [`Obdd::apply_or`] / [`Obdd::apply_and`] — classical synthesis, running
 //!   in `O(|G1| · |G2|)` and memoised persistently in the manager;
 //! * [`Obdd::concat_or`] / [`Obdd::concat_and`] and the n-ary
-//!   [`Obdd::concat_many_or`] — the *concatenation* operation of Section 4.2
-//!   for diagrams over disjoint, level-separated variable ranges: edges to
-//!   the `0`-sink (resp. `1`-sink) of the first diagram are redirected to
-//!   the root of the second. Linear in the *first* diagram only — the
-//!   second diagram's nodes are reused in place;
+//!   [`Obdd::concat_many_or`] / [`Obdd::concat_many`] — the *concatenation*
+//!   operation of Section 4.2 for diagrams over disjoint, level-separated
+//!   variable ranges: edges to the `0`-sink (resp. `1`-sink) of the first
+//!   diagram are redirected to the root of the second. Linear in the
+//!   *first* diagram only — the second diagram's nodes are reused in place;
 //! * [`Obdd::negate`] — swaps the sinks (memoised involution);
 //! * [`Obdd::probability`] — Shannon-expansion probability, computed
 //!   bottom-up without recursion so that very deep (concatenated) diagrams
@@ -34,7 +34,7 @@ use std::sync::Arc;
 use mv_pdb::TupleId;
 
 use crate::error::ObddError;
-use crate::manager::{concat_trivial, BoolOp, NodeProbs, ObddManager, ObddNodes};
+use crate::manager::{BoolOp, NodeProbs, ObddManager, ObddNodes};
 use crate::order::VarOrder;
 use crate::Result;
 
@@ -293,17 +293,37 @@ impl Obdd {
     /// and no nodes are copied; otherwise a fresh manager over `order` is
     /// populated by import.
     pub fn concat_many_or(order: Arc<VarOrder>, parts: &[Obdd]) -> Result<Obdd> {
-        for part in parts {
+        let ranged: Vec<_> = parts.iter().map(|p| (p, p.level_range())).collect();
+        Obdd::concat_many(order, &ranged, false)
+    }
+
+    /// The n-ary concatenation behind [`Obdd::concat_many_or`], for either
+    /// operator (`and = true` conjoins) and with the level range of every
+    /// part supplied by the caller, so a caller that keeps its diagrams
+    /// around (the MV-index blocks) pays the reachability walk once, not
+    /// per combination. Each range must be what [`Obdd::level_range`]
+    /// returns for its part (checked in debug builds).
+    ///
+    /// The parts are chained back to front: every part is rebuilt exactly
+    /// once, with its `0`-sink (`1`-sink for `and`) redirected to the
+    /// already finished tail. A front-to-back fold of binary concatenations
+    /// rebuilds the growing prefix at every step instead — quadratic in the
+    /// number of parts.
+    pub fn concat_many(
+        order: Arc<VarOrder>,
+        parts: &[(&Obdd, Option<(u32, u32)>)],
+        and: bool,
+    ) -> Result<Obdd> {
+        // Level separation must hold across *all* pairs; walking back to
+        // front with a running minimum handles constant parts in between.
+        let mut min_later = u32::MAX;
+        for (part, range) in parts.iter().rev() {
             let po = part.order();
             if !(Arc::ptr_eq(po, &order) || **po == *order) {
                 return Err(ObddError::OrderMismatch);
             }
-        }
-        // Level separation must hold across *all* pairs; walking back to
-        // front with a running minimum handles constant parts in between.
-        let mut min_later = u32::MAX;
-        for part in parts.iter().rev() {
-            if let Some((lo, hi)) = part.level_range() {
+            debug_assert_eq!(*range, part.level_range(), "stale level range");
+            if let Some((lo, hi)) = *range {
                 if hi >= min_later {
                     return Err(ObddError::OrderMismatch);
                 }
@@ -311,23 +331,21 @@ impl Obdd {
             }
         }
         let manager = match parts.first() {
-            Some(first) if parts.iter().all(|p| first.manager.same_store(&p.manager)) => {
+            Some((first, _))
+                if parts
+                    .iter()
+                    .all(|(p, _)| first.manager.same_store(&p.manager)) =>
+            {
                 first.manager.clone()
             }
             _ => ObddManager::new(Arc::clone(&order)),
         };
-        let mut tail = FALSE;
-        for part in parts.iter().rev() {
+        // The operator's identity; an absorbing part (`true` under ∨,
+        // `false` under ∧) resets the tail through `concat_roots`.
+        let mut tail = if and { TRUE } else { FALSE };
+        for (part, _) in parts.iter().rev() {
             let root = manager.import_root(&part.manager, part.root);
-            if root == TRUE {
-                // X ∨ true = true, whatever the later parts contributed.
-                tail = TRUE;
-                continue;
-            }
-            tail = match concat_trivial(false, root, tail) {
-                Some(t) => t,
-                None => manager.concat_roots(false, root, tail),
-            };
+            tail = manager.concat_roots(and, root, tail);
         }
         Ok(Obdd::from_parts(manager, tail))
     }

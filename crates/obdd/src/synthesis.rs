@@ -2,11 +2,18 @@
 //!
 //! [`SynthesisBuilder`] constructs the OBDD of a query by computing its DNF
 //! lineage and folding the clauses together with the classical `apply`
-//! synthesis — exactly what a generic OBDD package does when handed a Boolean
+//! synthesis — what a generic OBDD package does when handed a Boolean
 //! formula. It produces the same reduced diagram as the ConOBDD construction
-//! (canonicity of reduced OBDDs under a fixed order), but each `apply` step
-//! costs `O(|G1| · |G2|)`, which is what Figure 8 of the paper measures
-//! against the concatenation-based construction.
+//! (canonicity of reduced OBDDs under a fixed order). A single `apply` is
+//! `O(|G1| · |G2|)` in general; the fold ([`ObddManager::dnf`]) takes the
+//! clauses deepest top variable first, so each step rebuilds only the part
+//! of the accumulator above the incoming clause's last level: linear in
+//! the lineage when the diagram has constant width (inversion-free
+//! queries, every online lineage of the MV-index path), and as large as the
+//! diagram itself when it does not — the pairing functions of the bounded
+//! entry point's tests stay exponential under any fold order. Figure 8 of
+//! the paper measures the arrival-order fold, `O(clauses · variables)` even
+//! at width 1, against the concatenation-based construction.
 
 use std::sync::Arc;
 
@@ -55,8 +62,8 @@ impl SynthesisBuilder {
     }
 
     /// Builds the OBDD of a DNF lineage by synthesising one clause at a
-    /// time — through [`ObddManager::dnf`], so the whole fold runs under a
-    /// single manager-lock acquisition.
+    /// time — through [`ObddManager::dnf`], so the whole fold runs in level
+    /// order under a single manager-lock acquisition.
     pub fn from_lineage(&self, lineage: &Lineage) -> Result<Obdd> {
         if lineage.is_true() {
             return Ok(self.manager.constant(true));

@@ -346,19 +346,25 @@ pub(crate) struct JoinStep {
 }
 
 /// Computes the join order both evaluators execute: greedy
-/// most-bound-terms-first, ties broken by original position, probing the
-/// first bound column of each chosen atom. The choice depends only on which
-/// atoms have been processed (never on the values bound), so fixing it up
-/// front is exact — and sharing this one function between the legacy
-/// evaluator and the plan compiler makes their enumeration orders identical
-/// by construction, not by parallel maintenance.
+/// most-bound-terms-first, probing the first bound column of each chosen
+/// atom. Among atoms with equally many bound terms, one that grounds a
+/// comparison (all of the comparison's variables are bound once the atom
+/// is) goes first — the filter then prunes before the other atoms fan out,
+/// and a selection such as `n like '%f00%'` starts from the filtered atom
+/// instead of scanning whichever atom was written first; remaining ties go
+/// to the original position. The choice depends only on which atoms have
+/// been processed (never on the values bound), so fixing it up front is
+/// exact — and sharing this one function between the legacy evaluator and
+/// the plan compiler makes their enumeration orders identical by
+/// construction, not by parallel maintenance.
 pub(crate) fn static_join_order(cq: &ConjunctiveQuery) -> Vec<JoinStep> {
     let n = cq.atoms.len();
     let mut used = vec![false; n];
     let mut bound: std::collections::HashSet<&str> = std::collections::HashSet::new();
     let mut order = Vec::with_capacity(n);
     for _ in 0..n {
-        let mut best: Option<(usize, usize)> = None;
+        // (atom, bound terms, grounds a comparison)
+        let mut best: Option<(usize, usize, bool)> = None;
         for (i, atom) in cq.atoms.iter().enumerate() {
             if used[i] {
                 continue;
@@ -371,11 +377,18 @@ pub(crate) fn static_join_order(cq: &ConjunctiveQuery) -> Vec<JoinStep> {
                     Term::Var(v) => bound.contains(v.as_str()),
                 })
                 .count();
-            if best.map(|(_, b)| count > b).unwrap_or(true) {
-                best = Some((i, count));
+            let filters = cq.comparisons.iter().any(|cmp| {
+                let grounded = |v: &str| bound.contains(v) || atom.variables().any(|a| a == v);
+                cmp.variables().any(|v| !bound.contains(v)) && cmp.variables().all(grounded)
+            });
+            if best
+                .map(|(_, c, f)| (count, filters) > (c, f))
+                .unwrap_or(true)
+            {
+                best = Some((i, count, filters));
             }
         }
-        let (atom_idx, _) = best.expect("there is at least one unused atom");
+        let (atom_idx, ..) = best.expect("there is at least one unused atom");
         used[atom_idx] = true;
         let atom = &cq.atoms[atom_idx];
         let probe = atom.terms.iter().position(|t| match t {
@@ -636,12 +649,11 @@ pub fn evaluate_ucq_with(ucq: &Ucq, ctx: &EvalContext<'_>) -> Result<Vec<Answer>
 /// executor (and as the baseline of the `query_vectorized` microbenchmark).
 pub fn evaluate_ucq_compiled_with(ucq: &Ucq, ctx: &EvalContext<'_>) -> Result<Vec<Answer>> {
     let plan = ctx.compile(ucq)?;
-    let db = ctx.database();
-    let interner = db.interner();
+    let interner = ctx.database().interner();
     let mut seen = fxhash::FxHashSet::default();
     let mut answers = Vec::new();
     for disjunct in plan.disjuncts() {
-        disjunct.for_each_match::<()>(db, |regs, _| {
+        disjunct.for_each_match::<()>(ctx, |regs, _| {
             let row = disjunct.decode_head(regs, interner);
             if seen.insert(row.clone()) {
                 answers.push(Answer { row });
@@ -847,6 +859,60 @@ mod tests {
         let answers = evaluate_ucq(&q, &db).unwrap();
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].row, row([1i64]));
+    }
+
+    /// The static join order of a query, as `(atom, probed column)` steps.
+    fn join_order(text: &str) -> Vec<(usize, Option<usize>)> {
+        static_join_order(&parse_query(text).unwrap())
+            .iter()
+            .map(|step| (step.atom, step.probe))
+            .collect()
+    }
+
+    #[test]
+    fn the_join_order_starts_from_the_atom_a_comparison_filters() {
+        // The Figure 2 name selection: scan the `like`-filtered `Author`
+        // atom and probe outwards from the few advisors it keeps, instead
+        // of scanning every `Student` and filtering last.
+        assert_eq!(
+            join_order(
+                "Q() :- Student(aid, year), Advisor(aid, aid1), Author(aid, n), \
+                 Author(aid1, n1), n1 like '%f00%'"
+            ),
+            vec![(3, None), (1, Some(1)), (0, Some(0)), (2, Some(0))]
+        );
+        // Without a comparison, ties still go to the original position.
+        assert_eq!(
+            join_order(
+                "Q() :- Student(aid, year), Advisor(aid, aid1), Author(aid, n), Author(aid1, n1)"
+            ),
+            vec![(0, None), (1, Some(0)), (2, Some(0)), (3, Some(0))]
+        );
+        // More bound terms outrank a filter: the constant probe goes first,
+        // then the filtered scan, then the unfiltered one.
+        assert_eq!(
+            join_order("Q() :- R(x), S(7, y), T(z), z > 3"),
+            vec![(1, Some(0)), (2, None), (0, None)]
+        );
+        // A comparison across two atoms filters the one that completes it.
+        assert_eq!(
+            join_order("Q() :- R(x), S(a, y), S(b, z), y <> x"),
+            vec![(0, None), (1, None), (2, None)]
+        );
+    }
+
+    #[test]
+    fn only_the_tuple_at_a_time_loop_builds_hash_indexes() {
+        let db = db();
+        let ctx = EvalContext::new(&db);
+        let q = parse_ucq("Q(x, y) :- R(x), S(x, y)").unwrap();
+        assert_eq!(evaluate_ucq_with(&q, &ctx).unwrap().len(), 3);
+        assert!(
+            ctx.code_indexes.borrow().is_empty(),
+            "the vectorized executor probes CSR indexes only"
+        );
+        assert_eq!(evaluate_ucq_compiled_with(&q, &ctx).unwrap().len(), 3);
+        assert_eq!(ctx.code_indexes.borrow().len(), 1);
     }
 
     #[test]

@@ -234,10 +234,9 @@ fn collect_clauses_compiled(
         }
     }
     let plan = ctx.compile(ucq)?;
-    let db = ctx.database();
     let mut seen: FxHashSet<Clause> = FxHashSet::default();
     for disjunct in plan.disjuncts() {
-        let certainly_true = disjunct.for_each_match(db, |_, matched| {
+        let certainly_true = disjunct.for_each_match(ctx, |_, matched| {
             let mut clause: Clause = matched
                 .iter()
                 .filter_map(|&(rel, row_index)| indb.tuple_id(rel, row_index))
@@ -386,11 +385,10 @@ pub fn answer_lineages_compiled_with(
     ctx: &EvalContext<'_>,
 ) -> Result<BTreeMap<Row, Lineage>> {
     let plan = ctx.compile(ucq)?;
-    let db = ctx.database();
-    let interner = db.interner();
+    let interner = ctx.database().interner();
     let mut per_answer: BTreeMap<Row, FxHashSet<Clause>> = BTreeMap::new();
     for disjunct in plan.disjuncts() {
-        disjunct.for_each_match::<()>(db, |regs, matched| {
+        disjunct.for_each_match::<()>(ctx, |regs, matched| {
             let row = disjunct.decode_head(regs, interner);
             let mut clause: Clause = matched
                 .iter()

@@ -12,16 +12,18 @@
 //!   hashing, no `Value` clones, no per-row allocation on the hot path);
 //! * the atom order is fixed once through the join-order function both
 //!   evaluators share ([`crate::eval::static_join_order`]: greedy
-//!   most-bound-terms-first) — the choice depends only on *which* atoms
-//!   were processed, never on the values bound, so fixing it statically is
-//!   exact and the two evaluators enumerate matches in the same order by
-//!   construction;
+//!   most-bound-terms-first, then atoms a comparison filters) — the choice
+//!   depends only on *which* atoms were processed, never on the values
+//!   bound, so fixing it statically is exact and the two evaluators
+//!   enumerate matches in the same order by construction;
 //! * each atom gets a fixed access path: a full **scan**, or a **probe** of
 //!   a hash index `code → row positions` on its first bound column. The
 //!   indexes for exactly the probed `(relation, column)` pairs are built in
-//!   one pass over the columnar code arrays at compile time (and shared
-//!   across plans through the [`EvalContext`]); probing returns a borrowed
-//!   posting list — nothing is cloned per probe;
+//!   one pass over the columnar code arrays when this loop first runs (and
+//!   shared across plans through the [`EvalContext`]) — not at compile
+//!   time: the vectorized executor compiles the same plans and probes CSR
+//!   indexes instead, so it never pays for a hash index it does not read;
+//!   probing returns a borrowed posting list — nothing is cloned per probe;
 //! * query constants are interned once; a constant that appears nowhere in
 //!   the database marks the plan as *never matching*;
 //! * comparison predicates are attached to the earliest step at which all
@@ -159,9 +161,10 @@ impl std::ops::Add for PlanStats {
 #[derive(Debug)]
 pub struct PhysicalPlan {
     pub(crate) steps: Vec<Step>,
-    /// The shared column indexes this plan probes ([`Access::Probe::index`]
-    /// points into this vector).
-    pub(crate) indexes: Vec<Rc<CodeIndex>>,
+    /// The `(relation, column)` pairs this plan probes ([`Access::Probe::index`]
+    /// points into this vector); [`PhysicalPlan::for_each_match`] fetches
+    /// their hash indexes from the context when it runs.
+    pub(crate) indexes: Vec<(RelId, usize)>,
     pub(crate) head: Vec<HeadTerm>,
     pub(crate) num_slots: usize,
     pub(crate) num_atoms: usize,
@@ -267,7 +270,7 @@ impl PhysicalPlan {
                         Some(&i) => i,
                         None => {
                             let i = plan.indexes.len() as u16;
-                            plan.indexes.push(ctx.code_index(rel, col));
+                            plan.indexes.push((rel, col));
                             index_slot.insert((rel, col), i);
                             i
                         }
@@ -406,7 +409,7 @@ impl PhysicalPlan {
     /// iterators, one per join step, over borrowed posting lists.
     pub fn for_each_match<B>(
         &self,
-        db: &Database,
+        ctx: &EvalContext<'_>,
         mut on_match: impl FnMut(&[u32], &[(RelId, usize)]) -> ControlFlow<B>,
     ) -> Option<B> {
         if self.never_matches {
@@ -419,10 +422,16 @@ impl PhysicalPlan {
                 ControlFlow::Continue(()) => None,
             };
         }
+        let db = ctx.database();
+        let indexes: Vec<Rc<CodeIndex>> = self
+            .indexes
+            .iter()
+            .map(|&(rel, col)| ctx.code_index(rel, col))
+            .collect();
         let mut regs: Vec<u32> = vec![UNBOUND; self.num_slots];
         let mut matched: Vec<(RelId, usize)> = vec![(RelId(0), 0); self.num_atoms];
         let mut iters: Vec<StepIter<'_>> = Vec::with_capacity(self.steps.len());
-        iters.push(self.candidates(0, &regs));
+        iters.push(self.candidates(0, &regs, &indexes));
         loop {
             let depth = iters.len() - 1;
             let Some(row) = iters[depth].next() else {
@@ -442,14 +451,19 @@ impl PhysicalPlan {
                     return Some(b);
                 }
             } else {
-                let next = self.candidates(depth + 1, &regs);
+                let next = self.candidates(depth + 1, &regs, &indexes);
                 iters.push(next);
             }
         }
     }
 
     /// The candidate rows of a step under the current registers.
-    fn candidates(&self, depth: usize, regs: &[u32]) -> StepIter<'_> {
+    fn candidates<'i>(
+        &self,
+        depth: usize,
+        regs: &[u32],
+        indexes: &'i [Rc<CodeIndex>],
+    ) -> StepIter<'i> {
         match self.steps[depth].access {
             Access::Scan { rows } => StepIter::Scan(0..rows),
             Access::Probe { index, key, .. } => {
@@ -457,7 +471,7 @@ impl PhysicalPlan {
                     Key::Const(c) => c,
                     Key::Slot(s) => regs[usize::from(s)],
                 };
-                match self.indexes[usize::from(index)].get(&code) {
+                match indexes[usize::from(index)].get(&code) {
                     Some(posting) => StepIter::Posting(posting.iter()),
                     None => StepIter::Scan(0..0),
                 }

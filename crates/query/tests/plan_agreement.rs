@@ -123,6 +123,11 @@ fn queries() -> Vec<&'static str> {
         "Q() :- S(1, 2), S(2, 1)",
         "Q(x) :- R(x), S(2, 2)",
         "Q() :- R(1), R(1) ; Q() :- S(2, 2)",
+        // A comparison on a later atom: the shared join order starts from
+        // the first atom it filters (`S(x, y)`, then `S(y, z)`) and probes
+        // back towards `R`, in the second query on the second column.
+        "Q() :- R(x), S(x, y), T(y), y >= 2",
+        "Q(x) :- R(x), S(x, y), S(y, z), z like '%1%'",
     ]
 }
 

@@ -47,6 +47,29 @@ proptest! {
     }
 
     #[test]
+    fn dnf_root_does_not_depend_on_the_clause_order(
+        clauses in dnf_strategy(7),
+        keys in proptest::collection::vec(0u32..u32::MAX, 6),
+        probs in prob_strategy(7),
+    ) {
+        // `dnf` folds in its own (level) order; whatever permutation the
+        // clauses arrive in, one manager must hand back one root.
+        let clauses: Vec<Vec<TupleId>> =
+            clauses.iter().map(|c| c.iter().map(|&i| TupleId(i)).collect()).collect();
+        let mut permuted: Vec<(u32, Vec<TupleId>)> =
+            keys.iter().copied().zip(clauses.iter().cloned()).collect();
+        permuted.sort();
+        let permuted: Vec<Vec<TupleId>> = permuted.into_iter().map(|(_, c)| c).collect();
+        let manager = ObddManager::new(Arc::new(VarOrder::from_tuples((0..7).map(TupleId))));
+        let as_given = manager.dnf(&clauses).unwrap();
+        prop_assert_eq!(as_given.root(), manager.dnf(&permuted).unwrap().root());
+        prop_assert_eq!(manager.canonicity_violation(), None);
+        let prob_of = |t: TupleId| probs[t.index()];
+        let via_brute = brute_force_probability_with(&Lineage::from_clauses(clauses), &prob_of);
+        prop_assert!((as_given.probability(prob_of) - via_brute).abs() < 1e-8);
+    }
+
+    #[test]
     fn obdd_semantics_match_the_lineage_on_all_assignments(
         clauses in dnf_strategy(6),
     ) {

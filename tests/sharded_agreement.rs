@@ -101,3 +101,32 @@ proptest! {
         }
     }
 }
+
+/// The name selection that matches *every* advisor — at 2 000 authors about
+/// 9 000 clauses over every block of the index, the shape that ran out of
+/// memory at 10 000 authors while the online path was quadratic. It must
+/// evaluate, agree sharded and unsharded, and stay on the exact rung.
+#[test]
+fn the_all_advisors_selection_is_exact_sharded_and_unsharded() {
+    use markoviews::core::backend::{ResilienceConfig, ResilientBackend, Rung};
+
+    let data = DblpDataset::generate(DblpConfig::with_authors(2000)).unwrap();
+    let q = markoviews::dblp::queries::students_of_advisor_named("f00")
+        .unwrap()
+        .boolean();
+    let oracle = MvdbEngine::compile(&data.mvdb).unwrap();
+    let lineage = oracle.context().lineage(&q).unwrap();
+    assert!(lineage.num_clauses() > 4 * data.stats.advisor / 5);
+    let reference = oracle.probability(&q).unwrap();
+    assert!((0.0..=1.0).contains(&reference), "{reference}");
+
+    let sharded = ShardedEngine::from_engine(oracle.clone(), 4).unwrap();
+    let p = sharded.probability(&q).unwrap();
+    assert!((p - reference).abs() < 1e-12, "{p} vs {reference}");
+
+    let ladder = ResilientBackend::new(ResilienceConfig::default());
+    assert_eq!(ladder.config().node_budget, 1 << 18);
+    let outcome = ladder.evaluate(&q, &oracle.context());
+    assert_eq!(outcome.rung, Some(Rung::Exact), "{:?}", outcome.fault);
+    assert!((outcome.probability.unwrap() - reference).abs() < 1e-12);
+}
