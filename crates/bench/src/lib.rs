@@ -1511,10 +1511,10 @@ pub fn microbench_query_vectorized(
     }
 
     // Timed phases, each path through a context of its own. One untimed
-    // pass through each context first: plan lowering and CSR/zone-map
-    // construction happen once per context and would otherwise be smeared
-    // over a handful of repetitions, drowning the steady-state signal the
-    // repetitions are meant to measure.
+    // pass through each context first: plan compilation and lowering (and
+    // the tuple-at-a-time loop's hash indexes) happen once per context and
+    // would otherwise be smeared over a handful of repetitions, drowning
+    // the steady-state signal the repetitions are meant to measure.
     let compiled_ctx = QueryEvalContext::new(db);
     let vectorized_ctx = QueryEvalContext::new(db);
     for q in &boolean_queries {

@@ -60,9 +60,11 @@ const MIN_NOT_W: f64 = 1e-300;
 /// MVDB: the translated tuple-independent database, the helper query `W`,
 /// and — when the offline phase ran — the compiled MV-index.
 ///
-/// The context owns a per-database [`mv_query::eval::EvalContext`], so the
-/// lazily built column indexes are shared by every lineage computation made
-/// through it.
+/// The context owns a [`mv_query::eval::EvalContext`], so compiled plans are
+/// shared by every lineage computation made through it. The join indexes and
+/// zone maps those plans probe belong to the translated store's relations
+/// and are shared by *every* context over the same snapshot: making a
+/// context per call, per worker or per shard costs an empty plan cache.
 pub struct EvalContext<'a> {
     translated: &'a TranslatedIndb,
     index: Option<&'a MvIndex>,

@@ -329,8 +329,8 @@ struct ServerShared {
     /// update.
     engine: RwLock<Arc<ShardedEngine>>,
     /// Bumped after each published snapshot swap. Workers poll it
-    /// between requests to know when to re-pin the engine and rebuild
-    /// their per-snapshot evaluation state.
+    /// between requests to know when to re-pin the engine and make a new
+    /// evaluation context on it.
     engine_version: AtomicU64,
     /// Serializes update batches: single writer, many readers.
     writer: Mutex<()>,
@@ -695,11 +695,15 @@ fn worker_loop(
     // compaction safe) and a private ladder whose `W` memo persists across
     // requests and compactions. The outer loop pins one engine snapshot;
     // when `submit_update` publishes a new one the worker finishes its
-    // current request on the pinned snapshot, then re-pins and rebuilds
-    // its context and ladder (the memoized `W` belongs to the old
-    // snapshot). The version is read *before* the engine so a swap racing
-    // this re-pin costs at most one redundant rebuild, never a stale
-    // snapshot served past the next check.
+    // current request on the pinned snapshot, then re-pins and makes a new
+    // context and ladder: what is lost is this worker's plan cache, its
+    // query-side manager and the memoized `W` (all belong to the old
+    // snapshot). The store's join indexes and zone maps are not the
+    // worker's — relations the update left alone carry theirs into the new
+    // snapshot, and a rewritten relation's are built once by whichever
+    // worker asks first. The version is read *before* the engine so a swap
+    // racing this re-pin costs at most one redundant context, never a
+    // stale snapshot served past the next check.
     loop {
         let snapshot = shared.engine_version.load(Ordering::Acquire);
         let engine = Arc::clone(&rlock(&shared.engine));

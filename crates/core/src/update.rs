@@ -175,7 +175,7 @@ pub struct UpdateOutcome {
     pub kind: UpdateKind,
     /// The store version stamp after the update (see
     /// [`Database::version`](mv_pdb::Database::version)). Weight-only
-    /// updates keep the stamp — version-keyed structural caches stay warm.
+    /// updates keep the stamp (and the store, with its access paths).
     pub version: u64,
     /// Possible tuples newly inserted.
     pub tuples_inserted: usize,

@@ -18,8 +18,8 @@ use crate::{PdbError, Result};
 
 /// Process-wide source of store version stamps. Every mutation of any
 /// [`Database`] draws a fresh stamp, so two databases with different contents
-/// can never share a version — derived caches (compiled plans, CSR indexes,
-/// zone maps) key on the stamp and survive cloning but not mutation.
+/// can never share a version. (Derived access paths need no stamp: they live
+/// in the [`Relation`] instance they describe.)
 static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_version() -> u64 {
@@ -33,7 +33,9 @@ fn fresh_version() -> u64 {
 /// Relations and the interner sit behind [`Arc`]s: cloning a database for a
 /// new snapshot is O(#relations), and a mutation copies only the relation it
 /// touches (copy-on-write). The interner is append-only, so codes taken
-/// against an old snapshot never dangle in a newer one.
+/// against an old snapshot never dangle in a newer one. The derived access
+/// paths live inside each [`Relation`], so every snapshot sharing a relation
+/// shares its indexes and zone maps too.
 #[derive(Debug, Clone)]
 pub struct Database {
     schema: Schema,
@@ -42,16 +44,14 @@ pub struct Database {
     /// Store version stamp: equal stamps imply equal content (the converse
     /// does not hold — clones share a stamp until one side mutates).
     version: u64,
+    /// Access paths built by the relations of this store and of every
+    /// snapshot cloned from it.
+    path_builds: Arc<AtomicU64>,
 }
 
 impl Default for Database {
     fn default() -> Self {
-        Database {
-            schema: Schema::default(),
-            relations: Vec::new(),
-            interner: Arc::new(ValueInterner::new()),
-            version: fresh_version(),
-        }
+        Database::with_schema(Schema::default())
     }
 }
 
@@ -63,30 +63,38 @@ impl Database {
 
     /// Creates a database over an existing schema, with empty instances.
     pub fn with_schema(schema: Schema) -> Self {
+        let path_builds = Arc::<AtomicU64>::default();
         let relations = schema
             .relations()
-            .map(|(id, _)| Arc::new(Relation::new(id)))
+            .map(|(id, _)| Arc::new(Relation::counted_by(id, Arc::clone(&path_builds))))
             .collect();
         Database {
             schema,
             relations,
             interner: Arc::new(ValueInterner::new()),
             version: fresh_version(),
+            path_builds,
         }
     }
 
     /// The store version stamp. Bumped (to a globally fresh value) by every
     /// mutation that changes content; stable across clones and reads.
-    /// Derived structures cache against this stamp.
     pub fn version(&self) -> u64 {
         self.version
     }
 
     /// Restamps this database with a globally fresh version. Called by every
     /// content mutation; public so owners embedding a `Database` in a larger
-    /// versioned store can force invalidation of version-keyed caches.
+    /// versioned store can mark a change of their own.
     pub fn touch(&mut self) {
         self.version = fresh_version();
+    }
+
+    /// How many derived access paths (CSR and pair indexes, zone maps,
+    /// distinct counts) the relations of this store and of every snapshot
+    /// cloned from it have built. Queries that find theirs do not move it.
+    pub fn access_path_builds(&self) -> u64 {
+        self.path_builds.load(Ordering::Relaxed)
     }
 
     /// The schema of this database.
@@ -104,7 +112,9 @@ impl Database {
     /// Adds a relation to the schema and returns its id.
     pub fn add_relation(&mut self, name: &str, attributes: &[&str]) -> Result<RelId> {
         let id = self.schema.add_relation(name, attributes)?;
-        self.relations.push(Arc::new(Relation::new(id)));
+        let builds = Arc::clone(&self.path_builds);
+        self.relations
+            .push(Arc::new(Relation::counted_by(id, builds)));
         self.touch();
         Ok(id)
     }
@@ -125,14 +135,15 @@ impl Database {
                 actual: row.len(),
             });
         }
-        let relation = Arc::make_mut(&mut self.relations[rel.index()]);
-        let before = relation.len();
-        let index = relation.insert(row, Arc::make_mut(&mut self.interner));
-        if relation.len() != before {
-            // Only an actual growth changes content; a duplicate insert must
-            // not invalidate version-keyed caches.
-            self.touch();
+        // A duplicate changes nothing: look before `make_mut`, which would
+        // deep-copy a shared relation and interner (and drop the copy's
+        // access paths) for a row that is already there.
+        if let Some(index) = self.relations[rel.index()].position(&row) {
+            return Ok(index);
         }
+        let relation = Arc::make_mut(&mut self.relations[rel.index()]);
+        let index = relation.push_new(row, Arc::make_mut(&mut self.interner));
+        self.touch();
         Ok(index)
     }
 
@@ -309,6 +320,50 @@ mod tests {
         let idx = db.insert(r, row([1i64])).unwrap();
         assert_eq!(idx, 0);
         assert_eq!(db.version(), before);
+    }
+
+    #[test]
+    fn duplicate_insert_into_a_clone_copies_nothing() {
+        // Regression: `make_mut` ran before the duplicate check, deep-copying
+        // the shared relation and interner for a row that was already there.
+        let db = sample();
+        let s = db.relation_id("S").unwrap();
+        let zones = db.relation(s).zones();
+        let mut dup = db.clone();
+        assert_eq!(dup.insert(s, row([2i64, 20])).unwrap(), 1);
+        assert!(Arc::ptr_eq(&db.relation_arc(s), &dup.relation_arc(s)));
+        assert!(Arc::ptr_eq(&db.interner, &dup.interner));
+        assert!(Arc::ptr_eq(&dup.relation(s).zones(), &zones));
+        assert_eq!(dup.version(), db.version());
+        // A new row does copy — the written relation only — and restamps.
+        dup.insert(s, row([3i64, 40])).unwrap();
+        assert!(!Arc::ptr_eq(&db.relation_arc(s), &dup.relation_arc(s)));
+        let r = db.relation_id("R").unwrap();
+        assert!(Arc::ptr_eq(&db.relation_arc(r), &dup.relation_arc(r)));
+        assert_ne!(dup.version(), db.version());
+        assert_eq!(db.rows(s).len(), 3);
+    }
+
+    #[test]
+    fn access_path_builds_count_once_per_relation_instance() {
+        let db = sample();
+        let s = db.relation_id("S").unwrap();
+        assert_eq!(db.access_path_builds(), 0);
+        for _ in 0..3 {
+            db.relation(s).csr_index(0);
+            db.relation(s).pair_index(0, 1);
+            db.relation(s).zones();
+            db.relation(s).distinct_count(1);
+        }
+        assert_eq!(db.access_path_builds(), 4);
+        // A snapshot shares the instances, so it shares the counter too.
+        let mut dup = db.clone();
+        dup.relation(s).csr_index(0);
+        assert_eq!(dup.access_path_builds(), 4);
+        dup.insert(s, row([9i64, 9])).unwrap();
+        dup.relation(s).csr_index(0);
+        assert_eq!(dup.access_path_builds(), 5);
+        assert_eq!(db.access_path_builds(), 5);
     }
 
     #[test]

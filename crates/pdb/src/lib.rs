@@ -8,6 +8,8 @@
 //! * [`Relation`], [`Database`] — in-memory deterministic instances with
 //!   duplicate elimination and simple scan/lookup access paths, each row
 //!   stored twice: row-major `Value`s and column-major dictionary codes.
+//! * [`CsrIndex`], [`PairIndex`], [`RelationZones`] — the derived access
+//!   paths over those codes, owned by the [`Relation`] instance they index.
 //! * [`ValueInterner`] — the database-wide dictionary (`Value` ↔ dense
 //!   `u32` code) behind the columnar store; join keys compare and hash as
 //!   integers in the compiled query evaluator.
@@ -25,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod access;
 pub mod database;
 pub mod error;
 pub mod indb;
@@ -36,6 +39,7 @@ pub mod weight;
 pub mod worlds;
 pub mod zonemap;
 
+pub use access::{CsrIndex, PairIndex};
 pub use database::Database;
 pub use error::PdbError;
 pub use indb::{InDb, InDbBuilder, PossibleTuple, TupleId};

@@ -13,12 +13,28 @@
 //! and compares — integer loads instead of `Value` hashing and cloning.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
+use crate::access::{AccessPaths, CsrIndex, PairIndex};
 use crate::interner::ValueInterner;
 use crate::schema::RelId;
 use crate::value::{Row, Value};
+use crate::zonemap::RelationZones;
 
 /// One relation instance: an ordered, duplicate-free multiset of rows.
+///
+/// The instance also owns its *derived access paths* — the CSR join index
+/// and distinct-code count of each column, the composite index of each
+/// column pair, the zone maps ([`Relation::csr_index`] and friends) — the way
+/// an index belongs to its table and not to whoever is querying it. Each is
+/// built at most once per instance, by whichever context or thread asks
+/// first, and handed out as an `Arc` every later caller shares: snapshots
+/// that share the `Arc<Relation>` (a [`Database`](crate::Database) clone, a
+/// copy-on-write engine clone, every session and server worker) share the
+/// structures with it. [`Relation::insert`] of a new row empties them and
+/// `Clone` never copies them, so a structure reachable from a relation
+/// always describes exactly that relation's rows.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     rel: Option<RelId>,
@@ -27,16 +43,22 @@ pub struct Relation {
     /// Column-major dictionary codes: `columns[c][i]` is the interner code of
     /// `rows[i][c]`. Sized lazily from the first inserted row.
     columns: Vec<Vec<u32>>,
+    paths: AccessPaths,
 }
 
 impl Relation {
     /// Creates an empty relation instance for the given relation id.
     pub fn new(rel: RelId) -> Self {
+        Relation::counted_by(rel, Arc::default())
+    }
+
+    /// Like [`Relation::new`], reporting access-path builds to the owning
+    /// store's counter.
+    pub(crate) fn counted_by(rel: RelId, builds: Arc<AtomicU64>) -> Self {
         Relation {
             rel: Some(rel),
-            rows: Vec::new(),
-            index: HashMap::new(),
-            columns: Vec::new(),
+            paths: AccessPaths::counted_by(builds),
+            ..Relation::default()
         }
     }
 
@@ -51,9 +73,16 @@ impl Relation {
     /// store. Inserting a duplicate row returns the index of the existing
     /// copy.
     pub fn insert(&mut self, row: Row, interner: &mut ValueInterner) -> usize {
-        if let Some(&i) = self.index.get(&row) {
-            return i;
+        match self.position(&row) {
+            Some(i) => i,
+            None => self.push_new(row, interner),
         }
+    }
+
+    /// Appends a row the caller has checked is absent, emptying the derived
+    /// access paths.
+    pub(crate) fn push_new(&mut self, row: Row, interner: &mut ValueInterner) -> usize {
+        self.paths.clear();
         if self.columns.is_empty() && !row.is_empty() {
             self.columns = vec![Vec::new(); row.len()];
         }
@@ -103,6 +132,45 @@ impl Relation {
     /// row is inserted — the columnar store is sized lazily).
     pub fn num_columns(&self) -> usize {
         self.columns.len()
+    }
+
+    /// The CSR join index of a column, built on first use (an empty index
+    /// for a column the relation does not have).
+    pub fn csr_index(&self, column: usize) -> Arc<CsrIndex> {
+        let build = || Arc::new(CsrIndex::build(self.column_codes(column)));
+        match self.paths.cells(self.columns.len()).csr.get(column) {
+            Some(cell) => self.paths.once(cell, build),
+            None => build(),
+        }
+    }
+
+    /// The composite join index of an ordered column pair, built on first
+    /// use. Panics when either column is out of range.
+    pub fn pair_index(&self, col_a: usize, col_b: usize) -> Arc<PairIndex> {
+        let (a, b) = (&self.columns[col_a], &self.columns[col_b]);
+        let arity = self.columns.len();
+        let cell = &self.paths.cells(arity).pairs[col_a * arity + col_b];
+        self.paths.once(cell, || Arc::new(PairIndex::build(a, b)))
+    }
+
+    /// The zone maps of the relation, built on first use.
+    pub fn zones(&self) -> Arc<RelationZones> {
+        let cell = &self.paths.cells(self.columns.len()).zones;
+        self.paths
+            .once(cell, || Arc::new(RelationZones::build(self)))
+    }
+
+    /// Number of distinct codes in a column, counted on first use — a
+    /// selectivity estimate (more distinct codes → shorter expected posting
+    /// lists). Zero for a column the relation does not have.
+    pub fn distinct_count(&self, column: usize) -> usize {
+        let cells = self.paths.cells(self.columns.len());
+        let count =
+            || fxhash::FxHashSet::from_iter(self.column_codes(column).iter().copied()).len();
+        cells
+            .distinct
+            .get(column)
+            .map_or(0, |cell| self.paths.once(cell, count))
     }
 
     /// Number of rows.
@@ -218,6 +286,67 @@ mod tests {
         rel.insert(row([1i64, 20]), &mut interner);
         assert_eq!(rel.column_values(0), vec![Value::int(1), Value::int(2)]);
         assert_eq!(rel.column_values(1), vec![Value::int(10), Value::int(20)]);
+    }
+
+    #[test]
+    fn access_paths_are_built_once_emptied_on_insert_and_never_cloned() {
+        let mut interner = ValueInterner::new();
+        let mut rel = Relation::new(RelId(0));
+        // Before the first row there are no columns: nothing is cached.
+        assert!(rel.csr_index(0).probe(0).is_empty());
+        assert_eq!(rel.distinct_count(0), 0);
+        assert_eq!(rel.zones().num_blocks(), 0);
+        for i in 0..10i64 {
+            rel.insert(row([i % 3, i]), &mut interner);
+        }
+        let csr = rel.csr_index(0);
+        assert_eq!(csr.probe(rel.code_at(0, 0)), &[0, 3, 6, 9]);
+        assert!(Arc::ptr_eq(&csr, &rel.csr_index(0)));
+        assert!(!Arc::ptr_eq(&csr, &rel.csr_index(1)));
+        let pair = rel.pair_index(0, 1);
+        assert_eq!(pair.probe(rel.code_at(4, 0), rel.code_at(4, 1)), &[4]);
+        assert!(Arc::ptr_eq(&pair, &rel.pair_index(0, 1)));
+        assert!(!Arc::ptr_eq(&pair, &rel.pair_index(1, 0)));
+        assert!(Arc::ptr_eq(&rel.zones(), &rel.zones()));
+        assert_eq!((rel.distinct_count(0), rel.distinct_count(1)), (3, 10));
+        // Out-of-range columns read as empty, like `column_codes`.
+        assert!(rel.csr_index(7).probe(0).is_empty());
+        assert_eq!(rel.distinct_count(7), 0);
+
+        // A clone starts without them; a duplicate insert keeps them; a new
+        // row empties them, and the rebuilt ones see it.
+        assert!(!Arc::ptr_eq(&csr, &rel.clone().csr_index(0)));
+        rel.insert(row([0i64, 0]), &mut interner);
+        assert!(Arc::ptr_eq(&csr, &rel.csr_index(0)));
+        rel.insert(row([0i64, 10]), &mut interner);
+        assert!(!Arc::ptr_eq(&csr, &rel.csr_index(0)));
+        assert_eq!(rel.csr_index(0).probe(rel.code_at(0, 0)), &[0, 3, 6, 9, 10]);
+        assert_eq!(rel.distinct_count(1), 11);
+        assert_eq!(rel.zones().column_range(1).unwrap().1, rel.code_at(10, 1));
+        // The handle taken earlier still describes the rows it was built on.
+        assert_eq!(csr.probe(rel.code_at(0, 0)), &[0, 3, 6, 9]);
+    }
+
+    #[test]
+    fn racing_first_uses_build_one_instance() {
+        let mut interner = ValueInterner::new();
+        let mut rel = Relation::new(RelId(0));
+        for i in 0..1000i64 {
+            rel.insert(row([i % 17, i]), &mut interner);
+        }
+        let barrier = std::sync::Barrier::new(8);
+        let handles: Vec<Arc<CsrIndex>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        rel.csr_index(0)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert!(handles.iter().all(|h| Arc::ptr_eq(h, &handles[0])));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! *can this block possibly contain a given code (or any code from a given
 //! range)?* — answered without touching the block itself.
 //!
-//! The vectorized query executor in `mv-query` builds one `RelationZones`
-//! per relation (cached in its evaluation context) and consults it before
+//! A relation builds its `RelationZones` once ([`Relation::zones`]); the
+//! vectorized query executor in `mv-query` consults them before
 //! scanning, so equality constants and join-key bounds skip whole blocks in
 //! the style of provenance-based data skipping: only blocks that can
 //! contribute a satisfying assignment (and hence a lineage clause) are read.

@@ -113,13 +113,11 @@ impl CmpOp {
             CmpOp::Ge => left >= right,
             CmpOp::Eq => left == right,
             CmpOp::Ne => left != right,
-            CmpOp::Like => {
-                let pattern = match right {
-                    Value::Str(s) => s.trim_matches('%').to_string(),
-                    Value::Int(i) => i.to_string(),
-                };
-                left.contains(&pattern)
-            }
+            // Runs once per filtered row: the string pattern is borrowed.
+            CmpOp::Like => match right {
+                Value::Str(s) => left.contains(s.trim_matches('%')),
+                Value::Int(i) => left.contains(&i.to_string()),
+            },
         }
     }
 }
@@ -623,6 +621,32 @@ mod tests {
         assert!(CmpOp::Ne.eval(&Value::str("a"), &Value::str("b")));
         assert!(CmpOp::Like.eval(&Value::str("Sam Madden"), &Value::str("%Madden%")));
         assert!(!CmpOp::Like.eval(&Value::str("Dan Suciu"), &Value::str("%Madden%")));
+    }
+
+    #[test]
+    fn like_is_substring_match_whatever_the_percent_signs() {
+        let like = |l: Value, r: Value| CmpOp::Like.eval(&l, &r);
+        for pattern in ["%add%", "add%", "%add", "add", "%%add%%"] {
+            assert!(
+                like(Value::str("Sam Madden"), Value::str(pattern)),
+                "{pattern}"
+            );
+            assert!(
+                !like(Value::str("Dan Suciu"), Value::str(pattern)),
+                "{pattern}"
+            );
+        }
+        // `%` is only trimmed at the ends; the empty pattern matches all.
+        assert!(!like(Value::str("Sam Madden"), Value::str("%a%d%")));
+        assert!(like(Value::str("a%d"), Value::str("%a%d%")));
+        assert!(like(Value::str("anything"), Value::str("%")));
+        // An `Int` left operand is matched on its decimal text, against a
+        // string pattern or an `Int` one.
+        assert!(like(Value::int(12345), Value::str("%234%")));
+        assert!(!like(Value::int(12345), Value::str("%24%")));
+        assert!(like(Value::int(12345), Value::int(34)));
+        assert!(!like(Value::int(12345), Value::int(6)));
+        assert!(like(Value::str("room 101"), Value::int(101)));
     }
 
     #[test]

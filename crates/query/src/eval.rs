@@ -18,23 +18,24 @@
 //!   tests and the `query_eval` microbenchmark compare against (the role
 //!   `RefManager` plays for the OBDD manager).
 //!
-//! Plans and the column hash indexes they probe are cached in the
-//! [`EvalContext`]; reusing a context across queries amortises both, which
-//! the MV-index compilation driver, the `mv-core` backends and the batch
-//! sessions all rely on.
+//! Compiled plans are cached in the [`EvalContext`]; reusing a context
+//! across queries amortises plan compilation (the MV-index compilation
+//! driver, the `mv-core` backends and the batch sessions do). The CSR and
+//! pair indexes, zone maps and distinct counts the production plans probe
+//! belong to the snapshot's [`mv_pdb::Relation`] instances instead: built
+//! once per instance, shared by every context — a fresh context is ~free.
 
 use std::cell::{Cell, RefCell};
 use std::ops::ControlFlow;
 use std::rc::Rc;
 
 use fxhash::FxHashMap;
-use mv_pdb::zonemap::RelationZones;
 use mv_pdb::{Database, RelId, Row, Value};
 
 use crate::ast::{Atom, ConjunctiveQuery, Term, Ucq};
 use crate::error::QueryError;
 use crate::plan::{CodeIndex, CompiledUcq, PlanStats};
-use crate::vec_exec::{CsrIndex, ExecStats, PairIndex, VecCompiledUcq};
+use crate::vec_exec::{ExecStats, VecCompiledUcq};
 use crate::Result;
 
 /// One answer of a non-Boolean query.
@@ -59,39 +60,25 @@ type LegacyIndex = FxHashMap<Value, Vec<usize>>;
 /// another query) stays safe.
 type ColumnIndexes = FxHashMap<(RelId, usize), Rc<LegacyIndex>>;
 
-/// Per-database evaluation context: compiled-plan cache, shared
-/// code-indexes for the compiled evaluator, and the legacy evaluator's
-/// `Value`-keyed indexes.
+/// Evaluation context over one immutable database snapshot: the
+/// compiled-plan cache, plus the hash indexes of the two oracle evaluators
+/// (code-keyed for the tuple-at-a-time loop, `Value`-keyed for the legacy
+/// search).
 ///
-/// Reusing a context across queries amortises plan compilation and index
-/// construction; the MV-index compilation and the benchmark harness both
-/// take advantage of it.
+/// A context borrows its snapshot for its whole life, so a plan — which
+/// bakes in interned constants and `Arc`s of the snapshot's access paths —
+/// can never meet a different store version; to query a newer snapshot,
+/// make a new context.
 pub struct EvalContext<'a> {
-    /// The database snapshot the caches below were built against. Swappable
-    /// via [`EvalContext::rebind`]: derived structures are invalidated by
-    /// comparing the incoming [`Database::version`] against `stamp`.
-    db: Cell<&'a Database>,
-    /// The store version every cached index/zone-map below was built at.
-    stamp: Cell<u64>,
+    db: &'a Database,
     /// Legacy-path indexes (`Value`-keyed).
     indexes: RefCell<ColumnIndexes>,
     /// Compiled-path indexes (code-keyed), shared across plans.
     code_indexes: RefCell<FxHashMap<(RelId, usize), Rc<CodeIndex>>>,
-    /// Compiled plans, keyed by `(store version, canonical query text)`: a
-    /// plan bakes in interned constants and access-path choices, so it is
-    /// only valid against the version it was compiled at.
-    plans: RefCell<FxHashMap<(u64, String), Rc<CompiledUcq>>>,
+    /// Compiled plans, keyed by canonical query text.
+    plans: RefCell<FxHashMap<String, Rc<CompiledUcq>>>,
     /// Vectorized plans lowered from the compiled plans (same cache key).
-    vec_plans: RefCell<FxHashMap<(u64, String), Rc<VecCompiledUcq>>>,
-    /// CSR join indexes of the vectorized executor, shared across plans.
-    csr_indexes: RefCell<FxHashMap<(RelId, usize), Rc<CsrIndex>>>,
-
-    pair_indexes: RefCell<FxHashMap<(RelId, usize, usize), Rc<PairIndex>>>,
-    /// Per-relation zone maps consulted for block skipping.
-    zone_maps: RefCell<FxHashMap<RelId, Rc<RelationZones>>>,
-    /// Distinct-code counts per `(rel, column)` — the probe-key selectivity
-    /// estimate of the vectorized lowering.
-    distinct_counts: RefCell<FxHashMap<(RelId, usize), usize>>,
+    vec_plans: RefCell<FxHashMap<String, Rc<VecCompiledUcq>>>,
     /// Executor counters accumulated across every vectorized run.
     exec: Cell<ExecStats>,
     /// Cooperative budget consulted at batch boundaries by the lineage and
@@ -103,16 +90,11 @@ impl<'a> EvalContext<'a> {
     /// Creates a context for the given database.
     pub fn new(db: &'a Database) -> Self {
         EvalContext {
-            db: Cell::new(db),
-            stamp: Cell::new(db.version()),
+            db,
             indexes: RefCell::new(FxHashMap::default()),
             code_indexes: RefCell::new(FxHashMap::default()),
             plans: RefCell::new(FxHashMap::default()),
             vec_plans: RefCell::new(FxHashMap::default()),
-            csr_indexes: RefCell::new(FxHashMap::default()),
-            pair_indexes: RefCell::new(FxHashMap::default()),
-            zone_maps: RefCell::new(FxHashMap::default()),
-            distinct_counts: RefCell::new(FxHashMap::default()),
             exec: Cell::new(ExecStats::default()),
             budget: RefCell::new(None),
         }
@@ -134,47 +116,15 @@ impl<'a> EvalContext<'a> {
 
     /// The underlying database.
     pub fn database(&self) -> &'a Database {
-        self.db.get()
-    }
-
-    /// The store version this context's derived caches were built at.
-    pub fn version_stamp(&self) -> u64 {
-        self.stamp.get()
-    }
-
-    /// Points the context at (a possibly newer snapshot of) its database.
-    /// When the incoming snapshot's [`Database::version`] differs from the
-    /// version the cached structures were built at, every structural cache —
-    /// CSR/pair/code/legacy indexes, zone maps, distinct counts — is
-    /// dropped so it rebuilds lazily against the new snapshot. Compiled
-    /// plans are keyed by version and need no clearing: stale entries are
-    /// simply never hit again (a long-lived context re-compiles per
-    /// version, which is the snapshot-correctness the update path needs).
-    ///
-    /// Rebinding to a snapshot with the *same* version (e.g. a clone) is
-    /// free and keeps every cache.
-    pub fn rebind(&self, db: &'a Database) {
-        self.db.set(db);
-        if db.version() != self.stamp.get() {
-            self.indexes.borrow_mut().clear();
-            self.code_indexes.borrow_mut().clear();
-            self.csr_indexes.borrow_mut().clear();
-            self.pair_indexes.borrow_mut().clear();
-            self.zone_maps.borrow_mut().clear();
-            self.distinct_counts.borrow_mut().clear();
-            self.stamp.set(db.version());
-        }
+        self.db
     }
 
     /// Compiles `ucq` into a physical plan, or returns the cached plan if
-    /// this context has compiled the same query before *at the current
-    /// store version*. The cache key pairs the version stamp with the
-    /// query's canonical display form: syntactically identical queries
-    /// share one plan per context and per version — a plan compiled against
-    /// version N's interned constants and access paths is never replayed
-    /// against version N+1.
+    /// this context has compiled the same query before. The cache key is
+    /// the query's canonical display form: syntactically identical queries
+    /// share one plan per context.
     pub fn compile(&self, ucq: &Ucq) -> Result<Rc<CompiledUcq>> {
-        let key = (self.stamp.get(), ucq.to_string());
+        let key = ucq.to_string();
         if let Some(plan) = self.plans.borrow().get(&key) {
             return Ok(Rc::clone(plan));
         }
@@ -200,74 +150,14 @@ impl<'a> EvalContext<'a> {
     /// Lowers `ucq` into a vectorized plan (compiling it first if needed),
     /// or returns the cached lowering. Shares the compiled-plan cache key.
     pub fn compile_vec(&self, ucq: &Ucq) -> Result<Rc<VecCompiledUcq>> {
-        let key = (self.stamp.get(), ucq.to_string());
+        let key = ucq.to_string();
         if let Some(plan) = self.vec_plans.borrow().get(&key) {
             return Ok(Rc::clone(plan));
         }
         let base = self.compile(ucq)?;
-        let plan = Rc::new(VecCompiledUcq::lower(&base, self));
+        let plan = Rc::new(VecCompiledUcq::lower(&base, self.db));
         self.vec_plans.borrow_mut().insert(key, Rc::clone(&plan));
         Ok(plan)
-    }
-
-    /// The shared CSR join index of `(rel, column)`, flattened from the
-    /// dictionary-encoded column on first use.
-    pub(crate) fn csr_index(&self, rel: RelId, column: usize) -> Rc<CsrIndex> {
-        if let Some(index) = self.csr_indexes.borrow().get(&(rel, column)) {
-            return Rc::clone(index);
-        }
-        let index = Rc::new(CsrIndex::build(
-            self.db.get().relation(rel).column_codes(column),
-        ));
-        self.csr_indexes
-            .borrow_mut()
-            .insert((rel, column), Rc::clone(&index));
-        index
-    }
-
-    /// The shared composite join index of `(rel, col_a, col_b)`, built on
-    /// first use for probe steps that arrive with both columns bound.
-    pub(crate) fn pair_index(&self, rel: RelId, col_a: usize, col_b: usize) -> Rc<PairIndex> {
-        if let Some(index) = self.pair_indexes.borrow().get(&(rel, col_a, col_b)) {
-            return Rc::clone(index);
-        }
-        let relation = self.db.get().relation(rel);
-        let index = Rc::new(PairIndex::build(
-            relation.column_codes(col_a),
-            relation.column_codes(col_b),
-        ));
-        self.pair_indexes
-            .borrow_mut()
-            .insert((rel, col_a, col_b), Rc::clone(&index));
-        index
-    }
-
-    /// Distinct codes in `(rel, column)`, counted once and cached — the
-    /// selectivity score the vectorized lowering ranks candidate probe keys
-    /// by (more distinct codes → shorter expected posting lists).
-    pub(crate) fn distinct_count(&self, rel: RelId, column: usize) -> usize {
-        if let Some(&count) = self.distinct_counts.borrow().get(&(rel, column)) {
-            return count;
-        }
-        let codes = self.db.get().relation(rel).column_codes(column);
-        let mut seen: fxhash::FxHashSet<u32> = fxhash::FxHashSet::default();
-        seen.reserve(codes.len());
-        seen.extend(codes.iter().copied());
-        let count = seen.len();
-        self.distinct_counts
-            .borrow_mut()
-            .insert((rel, column), count);
-        count
-    }
-
-    /// The shared zone maps of a relation, built on first use.
-    pub(crate) fn zone_map(&self, rel: RelId) -> Rc<RelationZones> {
-        if let Some(zones) = self.zone_maps.borrow().get(&rel) {
-            return Rc::clone(zones);
-        }
-        let zones = Rc::new(RelationZones::build(self.db.get().relation(rel)));
-        self.zone_maps.borrow_mut().insert(rel, Rc::clone(&zones));
-        zones
     }
 
     /// Executor counters accumulated across every vectorized run on this
@@ -287,7 +177,7 @@ impl<'a> EvalContext<'a> {
         if let Some(index) = self.code_indexes.borrow().get(&(rel, column)) {
             return Rc::clone(index);
         }
-        let codes = self.db.get().relation(rel).column_codes(column);
+        let codes = self.db.relation(rel).column_codes(column);
         let mut map: CodeIndex = FxHashMap::default();
         map.reserve(codes.len());
         for (i, &code) in codes.iter().enumerate() {
@@ -308,7 +198,7 @@ impl<'a> EvalContext<'a> {
             return Rc::clone(index);
         }
         let mut index: LegacyIndex = FxHashMap::default();
-        for (i, row) in self.db.get().relation(rel).iter() {
+        for (i, row) in self.db.relation(rel).iter() {
             index.entry(row[column].clone()).or_default().push(i);
         }
         let index = Rc::new(index);
@@ -993,68 +883,102 @@ mod tests {
         assert_eq!(stats.slots, 2);
     }
 
-    #[test]
-    fn rebind_refreshes_structural_caches_after_mutation() {
-        // Regression: CSR join indexes, zone maps and code indexes used to
-        // be built once per context and never invalidated, so a mutated
-        // relation silently served stale postings and skipped live blocks.
-        let base = db();
-        let ctx = EvalContext::new(&base);
-        let q = parse_ucq("Q(x, y) :- R(x), S(x, y)").unwrap();
-        // Query once: indexes and zone maps are built for version N.
-        assert_eq!(evaluate_ucq_with(&q, &ctx).unwrap().len(), 3);
-        // Mutate into a new snapshot (copy-on-write leaves `base` intact).
-        let mut v2 = base.clone();
-        let r = v2.relation_id("R").unwrap();
-        let s = v2.relation_id("S").unwrap();
-        v2.insert(r, row([3i64])).unwrap();
-        v2.insert(s, row([3i64, 40])).unwrap();
-        // Re-query through the same context against the new snapshot.
-        ctx.rebind(&v2);
-        let mut answers: Vec<Row> = evaluate_ucq_with(&q, &ctx)
+    /// The sorted answer rows of `text` through a fresh context on `db`.
+    fn fresh_answers(text: &str, db: &Database) -> Vec<Row> {
+        let ctx = EvalContext::new(db);
+        let mut rows: Vec<Row> = evaluate_ucq_with(&parse_ucq(text).unwrap(), &ctx)
             .unwrap()
             .into_iter()
             .map(|a| a.row)
             .collect();
-        answers.sort();
-        assert_eq!(
-            answers,
-            vec![
-                row([1i64, 10]),
-                row([1i64, 20]),
-                row([2i64, 30]),
-                row([3i64, 30]),
-                row([3i64, 40]),
-            ]
-        );
-        // The old snapshot still evaluates correctly after rebinding back.
-        ctx.rebind(&base);
-        assert_eq!(evaluate_ucq_with(&q, &ctx).unwrap().len(), 3);
+        rows.sort();
+        rows
     }
 
     #[test]
-    fn plan_cache_is_version_keyed_across_insertions() {
-        // Regression: the compiled-plan cache was keyed by canonical query
-        // text only, so a plan proven empty at version N (constant absent
-        // from the dictionary) was replayed against version N+1 where the
-        // constant exists.
+    fn a_mutated_snapshot_gets_fresh_access_paths_and_the_base_keeps_its_own() {
+        // Regression (was `rebind_refreshes_…`): CSR join indexes and zone
+        // maps used to be built once and never invalidated, so a mutated
+        // relation silently served stale postings and skipped live blocks.
+        // They now belong to the relation instance: a copy-on-write clone
+        // that inserts gets an instance without them.
+        use std::sync::Arc;
         let base = db();
-        let ctx = EvalContext::new(&base);
-        let q = parse_ucq("Q(y) :- S(99, y)").unwrap();
-        // 99 appears nowhere: the plan is proven empty at compile time.
-        assert!(evaluate_ucq_with(&q, &ctx).unwrap().is_empty());
+        let join = "Q(x, y) :- R(x), S(x, y)";
+        let through_t = "Q(a) :- T(b), S(a, b)";
+        let old = vec![row([1i64, 10]), row([1i64, 20]), row([2i64, 30])];
+        // Query once: the access paths of R, S and T are built on `base`.
+        let base_ctx = EvalContext::new(&base);
+        assert_eq!(fresh_answers(join, &base), old);
+        assert_eq!(fresh_answers(through_t, &base).len(), 2);
+        assert_eq!(
+            evaluate_ucq_with(&parse_ucq(join).unwrap(), &base_ctx)
+                .unwrap()
+                .len(),
+            3
+        );
+        let built = base.access_path_builds();
+        assert!(built > 0);
+
+        // Mutate a clone (copy-on-write leaves `base` intact).
         let mut v2 = base.clone();
-        let s = v2.relation_id("S").unwrap();
-        v2.insert(s, row([99i64, 7])).unwrap();
-        ctx.rebind(&v2);
-        let answers = evaluate_ucq_with(&q, &ctx).unwrap();
-        assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0].row, row([7i64]));
-        // Distinct plans exist for the two versions; the old one still hits.
-        assert_eq!(ctx.compiled_plans(), 2);
-        ctx.rebind(&base);
-        assert!(evaluate_ucq_with(&q, &ctx).unwrap().is_empty());
-        assert_eq!(ctx.compiled_plans(), 2);
+        let (r, s, t) = (RelId(0), RelId(1), RelId(2));
+        v2.insert(r, row([3i64])).unwrap();
+        v2.insert(s, row([3i64, 40])).unwrap();
+        let mut new = old.clone();
+        new.extend([row([3i64, 30]), row([3i64, 40])]);
+        assert_eq!(fresh_answers(join, &v2), new);
+        let rebuilt = v2.access_path_builds();
+        assert!(rebuilt > built, "the copies of R and S build their own");
+        // The base snapshot — through its long-lived context too — still
+        // answers from its own rows, without rebuilding anything.
+        assert_eq!(fresh_answers(join, &base), old);
+        assert_eq!(
+            evaluate_ucq_with(&parse_ucq(join).unwrap(), &base_ctx)
+                .unwrap()
+                .len(),
+            3
+        );
+        assert_eq!(base.access_path_builds(), rebuilt);
+        // Untouched `T` is one instance in both snapshots, access paths
+        // included; the written relations are copies with paths of their own.
+        assert!(Arc::ptr_eq(&base.relation_arc(t), &v2.relation_arc(t)));
+        assert!(Arc::ptr_eq(
+            &base.relation(t).csr_index(0),
+            &v2.relation(t).csr_index(0)
+        ));
+        assert!(Arc::ptr_eq(
+            &base.relation(t).zones(),
+            &v2.relation(t).zones()
+        ));
+        assert!(!Arc::ptr_eq(
+            &base.relation(s).csr_index(0),
+            &v2.relation(s).csr_index(0)
+        ));
+        assert!(!Arc::ptr_eq(
+            &base.relation(r).zones(),
+            &v2.relation(r).zones()
+        ));
+    }
+
+    #[test]
+    fn a_plan_proven_empty_on_one_snapshot_is_not_replayed_on_the_next() {
+        // Regression (was `plan_cache_is_version_keyed_…`): a plan proven
+        // empty because its constant is absent from the dictionary must not
+        // answer for a snapshot where the constant exists. A context borrows
+        // one snapshot for life, so the plan cache needs no version key.
+        let base = db();
+        let absent = "Q(y) :- S(99, y)";
+        let base_ctx = EvalContext::new(&base);
+        let q = parse_ucq(absent).unwrap();
+        assert!(evaluate_ucq_with(&q, &base_ctx).unwrap().is_empty());
+        let mut v2 = base.clone();
+        v2.insert(RelId(1), row([99i64, 7])).unwrap();
+        assert_eq!(fresh_answers(absent, &v2), vec![row([7i64])]);
+        // The old snapshot's context still holds (and hits) its empty plan.
+        assert!(evaluate_ucq_with(&q, &base_ctx).unwrap().is_empty());
+        assert_eq!(base_ctx.compiled_plans(), 1);
+        assert!(fresh_answers(absent, &base).is_empty());
     }
 
     #[test]

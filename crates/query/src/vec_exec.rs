@@ -13,16 +13,10 @@
 //!   stack, its `enum` dispatch and the per-candidate hash probes of the
 //!   tuple-at-a-time loop disappear; the inner loop is array loads and
 //!   integer compares over the columnar store.
-//! * **CSR join index with a robust hybrid fallback.** Probes run against a
-//!   [`CsrIndex`]: posting lists flattened into `offsets` plus one dense
-//!   `Vec<u32>` of row positions. When the code domain is small relative to
-//!   the build side, `offsets` is indexed *directly by code* — a probe is
-//!   two array loads, no hashing at all. When the domain exceeds the dense
-//!   budget, the build side is hash-partitioned instead, growing the
-//!   partition count (robust-join style) until every partition's key list
-//!   fits a cache-friendly budget; a probe hashes its key **once**, picks
-//!   the partition from that hash and scans the short key list — the probe
-//!   stream is never re-hashed.
+//! * **CSR join index with a robust hybrid fallback.** Probes run against
+//!   the probed relation's [`CsrIndex`] (dense and code-indexed, or
+//!   hash-partitioned for sparse domains; see `mv_pdb::access`) through an
+//!   `Arc` taken at lowering time.
 //! * **Zone-map block skipping.** Scans consult the per-block
 //!   [`RelationZones`] of `mv-pdb` before touching rows: blocks whose
 //!   min/max/Bloom summaries cannot contain the plan's interned equality
@@ -39,31 +33,20 @@
 //! filled depth-first.
 
 use std::ops::ControlFlow;
-use std::rc::Rc;
+use std::sync::Arc;
 
-use fxhash::FxHashMap;
 use mv_pdb::interner::ValueInterner;
 use mv_pdb::zonemap::RelationZones;
+pub use mv_pdb::{CsrIndex, PairIndex};
 use mv_pdb::{Database, RelId, Row};
 
 use crate::ast::CmpOp;
-use crate::eval::EvalContext;
 use crate::plan::{
     resolve_operand, Access, CmpOperand, ColOp, CompiledCmp, HeadTerm, Key, PhysicalPlan, UNBOUND,
 };
 
 /// Maximum entries per batch of partial matches.
 pub const BATCH_ROWS: usize = 1024;
-
-/// Dense-layout budget of [`CsrIndex::build`]: the offsets array may be
-/// directly code-indexed as long as the code domain is at most this factor
-/// of the build side (plus slack for small relations).
-const DENSE_DOMAIN_FACTOR: usize = 8;
-const DENSE_DOMAIN_SLACK: usize = 4096;
-
-/// Partitioned-layout budget: maximum distinct keys per partition before the
-/// partition count doubles.
-const PARTITION_KEY_BUDGET: usize = 48;
 
 /// Composite-probe threshold: a probe step with two bound columns upgrades
 /// from the best single-column CSR index to a [`PairIndex`] only when the
@@ -75,8 +58,8 @@ const PARTITION_KEY_BUDGET: usize = 48;
 const PAIR_MIN_EXPECTED_POSTINGS: usize = 8;
 
 /// Runtime counters of the vectorized executor, accumulated per
-/// [`EvalContext`] and surfaced through the `query_vectorized` and
-/// `session` figure series.
+/// [`EvalContext`](crate::eval::EvalContext) and surfaced through the
+/// `query_vectorized` and `session` figure series.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Zone-map blocks whose rows were scanned.
@@ -101,267 +84,6 @@ impl std::ops::Add for ExecStats {
     }
 }
 
-#[inline]
-fn mix(code: u32) -> u32 {
-    code.wrapping_mul(0x9E37_79B9)
-}
-
-/// A join index over one dictionary-encoded column with posting lists
-/// flattened into CSR form: `offsets` plus one dense `Vec<u32>` of row
-/// positions, ascending within each key.
-#[derive(Debug)]
-pub struct CsrIndex {
-    kind: CsrKind,
-}
-
-#[derive(Debug)]
-enum CsrKind {
-    /// `offsets` is indexed directly by code: the postings of `code` are
-    /// `rows[offsets[code]..offsets[code + 1]]`. Probing is two array loads.
-    Dense { offsets: Vec<u32>, rows: Vec<u32> },
-    /// Hash-partitioned fallback for sparse code domains. `part_offsets`
-    /// groups `keys` (and the parallel `key_offsets`) by partition; a probe
-    /// hashes once, picks `hash >> shift` and scans that partition's short
-    /// key list.
-    Partitioned {
-        shift: u32,
-        part_offsets: Vec<u32>,
-        keys: Vec<u32>,
-        key_offsets: Vec<u32>,
-        rows: Vec<u32>,
-    },
-}
-
-impl CsrIndex {
-    /// Builds the index over a column's code array with the production
-    /// budgets.
-    pub fn build(codes: &[u32]) -> CsrIndex {
-        CsrIndex::build_with_budgets(
-            codes,
-            DENSE_DOMAIN_FACTOR
-                .saturating_mul(codes.len())
-                .saturating_add(DENSE_DOMAIN_SLACK),
-            PARTITION_KEY_BUDGET,
-        )
-    }
-
-    /// Builds the index with explicit budgets (tests exercise the
-    /// partitioned fallback and its growth loop through small budgets).
-    pub(crate) fn build_with_budgets(
-        codes: &[u32],
-        dense_domain_budget: usize,
-        partition_key_budget: usize,
-    ) -> CsrIndex {
-        let max_code = codes.iter().copied().max();
-        let domain = max_code.map_or(0, |m| m as usize + 1);
-        if domain <= dense_domain_budget {
-            return CsrIndex::build_dense(codes, domain);
-        }
-        CsrIndex::build_partitioned(codes, partition_key_budget.max(1))
-    }
-
-    /// Stable counting sort of row positions by code: rows stay ascending
-    /// within each key, so probe enumeration order matches the hash-map
-    /// posting lists of the tuple-at-a-time path.
-    fn build_dense(codes: &[u32], domain: usize) -> CsrIndex {
-        let mut offsets = vec![0u32; domain + 1];
-        for &c in codes {
-            offsets[c as usize + 1] += 1;
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursor = offsets.clone();
-        let mut rows = vec![0u32; codes.len()];
-        for (i, &c) in codes.iter().enumerate() {
-            let slot = &mut cursor[c as usize];
-            rows[*slot as usize] = i as u32;
-            *slot += 1;
-        }
-        CsrIndex {
-            kind: CsrKind::Dense { offsets, rows },
-        }
-    }
-
-    fn build_partitioned(codes: &[u32], partition_key_budget: usize) -> CsrIndex {
-        // Distinct keys in first-appearance order, with posting counts.
-        let mut key_slot: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut key_codes: Vec<u32> = Vec::new();
-        let mut key_counts: Vec<u32> = Vec::new();
-        for &c in codes {
-            match key_slot.get(&c) {
-                Some(&k) => key_counts[k as usize] += 1,
-                None => {
-                    key_slot.insert(c, key_codes.len() as u32);
-                    key_codes.push(c);
-                    key_counts.push(1);
-                }
-            }
-        }
-        let num_keys = key_codes.len();
-
-        // Grow the partition count until every partition's key list fits the
-        // budget (or growth stops helping: keys sharing a full hash can
-        // never be split apart).
-        let mut partitions: usize = 1;
-        let cap = num_keys.next_power_of_two().max(1) * 2;
-        let part_of = |code: u32, shift: u32| -> usize {
-            if shift >= 32 {
-                0
-            } else {
-                (mix(code) >> shift) as usize
-            }
-        };
-        let (shift, bucket_counts) = loop {
-            let shift = 32u32.saturating_sub(partitions.trailing_zeros());
-            let mut buckets = vec![0u32; partitions];
-            for &code in &key_codes {
-                buckets[part_of(code, shift)] += 1;
-            }
-            let worst = buckets.iter().copied().max().unwrap_or(0) as usize;
-            if worst <= partition_key_budget || partitions >= cap {
-                break (shift, buckets);
-            }
-            partitions *= 2;
-        };
-
-        // Group keys by partition (stable), then lay the postings out in
-        // key-group order; rows stay ascending within each key.
-        let mut part_offsets = vec![0u32; partitions + 1];
-        for (p, &count) in bucket_counts.iter().enumerate() {
-            part_offsets[p + 1] = part_offsets[p] + count;
-        }
-        let mut key_position = vec![0u32; num_keys];
-        let mut keys = vec![0u32; num_keys];
-        let mut part_cursor = part_offsets.clone();
-        for (k, &code) in key_codes.iter().enumerate() {
-            let p = part_of(code, shift);
-            let j = part_cursor[p];
-            part_cursor[p] += 1;
-            keys[j as usize] = code;
-            key_position[k] = j;
-        }
-        let mut key_offsets = vec![0u32; num_keys + 1];
-        for (k, &count) in key_counts.iter().enumerate() {
-            key_offsets[key_position[k] as usize + 1] = count;
-        }
-        for i in 1..key_offsets.len() {
-            key_offsets[i] += key_offsets[i - 1];
-        }
-        let mut cursor = key_offsets.clone();
-        let mut rows = vec![0u32; codes.len()];
-        for (i, &c) in codes.iter().enumerate() {
-            let j = key_position[key_slot[&c] as usize] as usize;
-            rows[cursor[j] as usize] = i as u32;
-            cursor[j] += 1;
-        }
-        CsrIndex {
-            kind: CsrKind::Partitioned {
-                shift,
-                part_offsets,
-                keys,
-                key_offsets,
-                rows,
-            },
-        }
-    }
-
-    /// The row positions holding `code`, ascending. Empty for absent codes.
-    #[inline]
-    pub fn probe(&self, code: u32) -> &[u32] {
-        match &self.kind {
-            CsrKind::Dense { offsets, rows } => {
-                let c = code as usize;
-                if c + 1 >= offsets.len() {
-                    return &[];
-                }
-                &rows[offsets[c] as usize..offsets[c + 1] as usize]
-            }
-            CsrKind::Partitioned {
-                shift,
-                part_offsets,
-                keys,
-                key_offsets,
-                rows,
-            } => {
-                let p = if *shift >= 32 {
-                    0
-                } else {
-                    (mix(code) >> shift) as usize
-                };
-                let lo = part_offsets[p] as usize;
-                let hi = part_offsets[p + 1] as usize;
-                for (j, &key) in keys[lo..hi].iter().enumerate() {
-                    if key == code {
-                        let j = lo + j;
-                        return &rows[key_offsets[j] as usize..key_offsets[j + 1] as usize];
-                    }
-                }
-                &[]
-            }
-        }
-    }
-
-    /// `true` when the index fell back to the hash-partitioned layout.
-    pub fn is_partitioned(&self) -> bool {
-        matches!(self.kind, CsrKind::Partitioned { .. })
-    }
-}
-
-/// A composite join index over an ordered pair of dictionary-encoded
-/// columns. When a probe step arrives with *two* columns already bound, a
-/// single-column CSR probe must scan the postings of one key and filter on
-/// the other — one scattered column read per posting. The pair index folds
-/// both codes into one `u64` key, so the probe is a single hash lookup and
-/// only true matches are ever touched. Postings stay ascending within each
-/// key (rows are appended in scan order), preserving the enumeration-order
-/// contract with the tuple-at-a-time oracle.
-#[derive(Debug)]
-pub struct PairIndex {
-    /// `(a_code << 32 | b_code)` → `(start, len)` into `rows`.
-    map: FxHashMap<u64, (u32, u32)>,
-    rows: Vec<u32>,
-}
-
-impl PairIndex {
-    /// Builds the index over two parallel code arrays of one relation.
-    pub fn build(a: &[u32], b: &[u32]) -> PairIndex {
-        assert_eq!(a.len(), b.len(), "pair index needs parallel columns");
-        let key = |i: usize| (u64::from(a[i]) << 32) | u64::from(b[i]);
-        // Counting-sort build: tally per key, carve disjoint ranges, then
-        // fill in row order so postings ascend within each key.
-        let mut map: FxHashMap<u64, (u32, u32)> = FxHashMap::default();
-        map.reserve(a.len());
-        for i in 0..a.len() {
-            map.entry(key(i)).or_insert((0, 0)).1 += 1;
-        }
-        let mut start = 0u32;
-        for entry in map.values_mut() {
-            entry.0 = start;
-            start += entry.1;
-            entry.1 = 0;
-        }
-        let mut rows = vec![0u32; a.len()];
-        for i in 0..a.len() {
-            let entry = map.get_mut(&key(i)).expect("tallied above");
-            rows[(entry.0 + entry.1) as usize] = i as u32;
-            entry.1 += 1;
-        }
-        PairIndex { map, rows }
-    }
-
-    /// The row positions holding `a_code` and `b_code` in the indexed
-    /// column pair, ascending. Empty for absent combinations.
-    #[inline]
-    pub fn probe(&self, a_code: u32, b_code: u32) -> &[u32] {
-        let key = (u64::from(a_code) << 32) | u64::from(b_code);
-        match self.map.get(&key) {
-            Some(&(start, len)) => &self.rows[start as usize..(start + len) as usize],
-            None => &[],
-        }
-    }
-}
-
 /// A comparison lowered to raw dictionary codes. Exact for `=` and `<>`
 /// because the interner is bijective: equal codes ⇔ equal values.
 #[derive(Debug, Clone, Copy)]
@@ -377,12 +99,13 @@ enum CodeCmp {
 enum VecAccess {
     /// Scan the relation block-at-a-time, consulting the zone maps.
     Scan,
-    /// Probe a shared CSR index.
-    Probe { csr: Rc<CsrIndex>, key: Key },
-    /// Probe a shared composite pair index on two bound columns (`key_a`
-    /// keys the lower-numbered column).
+    /// Probe the relation's CSR index (a handle taken at lowering time, so
+    /// the probe loop touches no lock).
+    Probe { csr: Arc<CsrIndex>, key: Key },
+    /// Probe the relation's composite pair index on two bound columns
+    /// (`key_a` keys the lower-numbered column).
     Probe2 {
-        pair: Rc<PairIndex>,
+        pair: Arc<PairIndex>,
         key_a: Key,
         key_b: Key,
     },
@@ -398,7 +121,7 @@ struct VecStep {
     code_cmps: Vec<CodeCmp>,
     value_cmps: Vec<CompiledCmp>,
     /// Zone maps of the scanned relation (scan steps only).
-    zones: Option<Rc<RelationZones>>,
+    zones: Option<Arc<RelationZones>>,
     /// Block-skip predicates: the block must possibly contain `code` in
     /// column `col` (equality constants of this step).
     skip_consts: Vec<(u16, u32)>,
@@ -408,7 +131,8 @@ struct VecStep {
 }
 
 /// The vectorized plan of one conjunctive query, lowered from a
-/// [`PhysicalPlan`] against the same context.
+/// [`PhysicalPlan`] against the same snapshot; it holds `Arc`s of the
+/// relations' access paths it probes.
 #[derive(Debug)]
 pub struct VecPlan {
     steps: Vec<VecStep>,
@@ -427,12 +151,12 @@ pub struct VecCompiledUcq {
 }
 
 impl VecCompiledUcq {
-    pub(crate) fn lower(base: &crate::plan::CompiledUcq, ctx: &EvalContext<'_>) -> VecCompiledUcq {
+    pub(crate) fn lower(base: &crate::plan::CompiledUcq, db: &Database) -> VecCompiledUcq {
         VecCompiledUcq {
             disjuncts: base
                 .disjuncts()
                 .iter()
-                .map(|p| VecPlan::lower(p, ctx))
+                .map(|p| VecPlan::lower(p, db))
                 .collect(),
         }
     }
@@ -499,8 +223,8 @@ impl VecPlan {
     /// Lowers a compiled plan: probes get CSR indexes, scans get zone maps
     /// and block-skip predicates, `=`/`<>` comparisons over interned
     /// operands drop to raw code compares.
-    fn lower(plan: &PhysicalPlan, ctx: &EvalContext<'_>) -> VecPlan {
-        let interner = ctx.database().interner();
+    fn lower(plan: &PhysicalPlan, db: &Database) -> VecPlan {
+        let interner = db.interner();
         let mut never_matches = plan.never_matches;
         let mut atom_rels = vec![RelId(0); plan.num_atoms];
         for step in &plan.steps {
@@ -513,6 +237,7 @@ impl VecPlan {
         // `CheckSlot` op. Feeds the join-key block bounds below.
         let mut slot_eqs: Vec<(usize, u16, RelId, u16)> = Vec::new();
         for (step_idx, step) in plan.steps.iter().enumerate() {
+            let relation = db.relation(step.rel);
             let mut ops = step.ops.clone();
             // Slots first bound by this step; a `CheckSlot` on one of them is
             // an in-atom variable repetition, not an equality with an
@@ -555,15 +280,14 @@ impl VecPlan {
                     // Stable sort: on equal selectivity the planner's key
                     // stays in front.
                     candidates.sort_by_key(|&(c, _, _)| {
-                        std::cmp::Reverse(ctx.distinct_count(step.rel, usize::from(c)))
+                        std::cmp::Reverse(relation.distinct_count(usize::from(c)))
                     });
                     let (best_col, best_key, _) = candidates[0];
                     // The composite upgrade only pays once the best single
                     // key's postings get long; a short-postings dense-CSR
                     // probe is two array loads and beats any hash lookup.
-                    let rows = ctx.database().relation(step.rel).len();
                     let expected_postings =
-                        rows / ctx.distinct_count(step.rel, usize::from(best_col)).max(1);
+                        relation.len() / relation.distinct_count(usize::from(best_col)).max(1);
                     let second = if expected_postings >= PAIR_MIN_EXPECTED_POSTINGS {
                         candidates[1..]
                             .iter()
@@ -602,17 +326,13 @@ impl VecPlan {
                                 (sec_col, sec_key, best_col, best_key)
                             };
                             VecAccess::Probe2 {
-                                pair: ctx.pair_index(
-                                    step.rel,
-                                    usize::from(col_a),
-                                    usize::from(col_b),
-                                ),
+                                pair: relation.pair_index(usize::from(col_a), usize::from(col_b)),
                                 key_a,
                                 key_b,
                             }
                         }
                         None => VecAccess::Probe {
-                            csr: ctx.csr_index(step.rel, usize::from(best_col)),
+                            csr: relation.csr_index(usize::from(best_col)),
                             key: best_key,
                         },
                     }
@@ -659,7 +379,7 @@ impl VecPlan {
                             }
                         }
                     }
-                    (Some(ctx.zone_map(step.rel)), consts)
+                    (Some(relation.zones()), consts)
                 }
                 VecAccess::Probe { .. } | VecAccess::Probe2 { .. } => (None, Vec::new()),
             };
@@ -681,7 +401,7 @@ impl VecPlan {
         // only needs the blocks whose code range intersects the equated
         // column's.
         for (eq_idx, key_slot, rel, col) in slot_eqs {
-            let Some((min, max)) = ctx.zone_map(rel).column_range(usize::from(col)) else {
+            let Some((min, max)) = db.relation(rel).zones().column_range(usize::from(col)) else {
                 continue;
             };
             for earlier in steps[..eq_idx].iter_mut() {
@@ -1122,16 +842,17 @@ fn lower_cmp(cmp: &CompiledCmp, interner: &ValueInterner) -> LoweredCmp {
     }
 }
 
-/// Convenience used by tests: evaluates `value` probes against a scratch
-/// CSR index built over `codes`, comparing dense and partitioned layouts.
-#[cfg(test)]
-fn postings_of(index: &CsrIndex, code: u32) -> Vec<u32> {
-    index.probe(code).to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::EvalContext;
+    use fxhash::FxHashMap;
+
+    // `CsrIndex` and `PairIndex` now live in `mv-pdb`; their tests stayed,
+    // reaching them through this module's re-export.
+    fn postings_of(index: &CsrIndex, code: u32) -> Vec<u32> {
+        index.probe(code).to_vec()
+    }
 
     #[test]
     fn dense_and_partitioned_csr_agree_with_reference_postings() {
@@ -1225,6 +946,89 @@ mod tests {
         assert!(idx.probe(u32::MAX, 0).is_empty());
         let empty = PairIndex::build(&[], &[]);
         assert!(empty.probe(0, 0).is_empty());
+    }
+
+    /// An 8×8 key grid in `S` (long postings: the self-join lowers to a pair
+    /// probe) beside unary `R`.
+    fn grid() -> mv_pdb::InDb {
+        use mv_pdb::{InDbBuilder, Value, Weight};
+        let mut b = InDbBuilder::new();
+        let r = b.probabilistic_relation("R", &["a"]).unwrap();
+        let s = b.probabilistic_relation("S", &["a", "b"]).unwrap();
+        for i in 0..8i64 {
+            b.insert_weighted(r, vec![Value::int(i)], Weight::ONE)
+                .unwrap();
+        }
+        for i in 0..64i64 {
+            b.insert_weighted(s, vec![Value::int(i % 8), Value::int(i / 8)], Weight::ONE)
+                .unwrap();
+        }
+        b.build()
+    }
+
+    /// What one fresh context sees: the addresses of every CSR index, pair
+    /// index and zone map its lowered plans hold, and the join's answers.
+    fn handles_and_answers(db: &Database) -> (Vec<usize>, Vec<Row>) {
+        let ctx = EvalContext::new(db);
+        let mut handles = Vec::new();
+        for text in ["Q(x, y) :- R(x), S(x, y)", "Q() :- S(x, y), S(y, x)"] {
+            let plan = ctx.compile_vec(&crate::parse_ucq(text).unwrap()).unwrap();
+            for step in &plan.disjuncts()[0].steps {
+                handles.push(match &step.access {
+                    VecAccess::Scan => Arc::as_ptr(step.zones.as_ref().unwrap()) as usize,
+                    VecAccess::Probe { csr, .. } => Arc::as_ptr(csr) as usize,
+                    VecAccess::Probe2 { pair, .. } => Arc::as_ptr(pair) as usize,
+                });
+            }
+        }
+        let join = crate::parse_ucq("Q(x, y) :- R(x), S(x, y)").unwrap();
+        let answers = crate::eval::evaluate_ucq_with(&join, &ctx).unwrap();
+        (handles, answers.into_iter().map(|a| a.row).collect())
+    }
+
+    #[test]
+    fn every_context_and_thread_shares_one_instance_of_each_access_path() {
+        let indb = grid();
+        let db = indb.database();
+        // Two contexts, then two more on other threads: the same handles —
+        // a scan's zones, a CSR probe, a pair probe — and nothing rebuilt.
+        let first = handles_and_answers(db);
+        assert_eq!(first.0.len(), 4);
+        assert_eq!(first.1.len(), 64);
+        let built = db.access_path_builds();
+        assert_eq!(handles_and_answers(db), first);
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| handles_and_answers(db)))
+                .collect();
+            for t in threads {
+                assert_eq!(t.join().unwrap(), first);
+            }
+        });
+        assert_eq!(db.access_path_builds(), built);
+
+        // Eight threads racing the *first* use on a fresh store: one
+        // instance each, identical answers, as many builds as one context.
+        let raced = grid();
+        let db = raced.database();
+        assert_eq!(db.access_path_builds(), 0);
+        let barrier = std::sync::Barrier::new(8);
+        let seen: Vec<_> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        handles_and_answers(db)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for other in &seen[1..] {
+            assert_eq!(other, &seen[0]);
+        }
+        assert_eq!(seen[0].1, first.1);
+        assert_eq!(db.access_path_builds(), built);
     }
 
     #[test]
