@@ -9,11 +9,11 @@
 //! | Fig. 4 | lineage size of `W` vs `aid` domain | [`fig4_lineage_size`] |
 //! | Fig. 5 | Alchemy (MC-SAT) vs augmented OBDD vs MV-index, *advisor of a student* | [`fig5_advisor_of_student`] |
 //! | Fig. 6 | same comparison, *students of an advisor* | [`fig6_students_of_advisor`] |
-//! | Fig. 7 | OBDD size of V2 vs `aid1` domain | [`fig7_obdd_size`] |
-//! | Fig. 8 | OBDD construction: synthesis (CUDD stand-in) vs concatenation | [`fig8_obdd_construction`] |
+//! | Fig. 7 | OBDD size of V2 vs `aid1` domain | [`fig7_fig8_obdd_construction`] |
+//! | Fig. 8 | OBDD construction: synthesis (CUDD stand-in) vs concatenation | [`fig7_fig8_obdd_construction`] |
 //! | Fig. 9 | MVIntersect vs CC-MVIntersect, worst-case query | [`fig9_intersection`] |
-//! | Fig. 10 | per-query time, *students of an advisor*, full dataset | [`fig10_students_full`] |
-//! | Fig. 11 | per-query time, *affiliations of an author*, full dataset | [`fig11_affiliation_full`] |
+//! | Fig. 10 | per-query time, *students of an advisor*, full dataset | [`fig10_fig11_full_dataset`] |
+//! | Fig. 11 | per-query time, *affiliations of an author*, full dataset | [`fig10_fig11_full_dataset`] |
 //!
 //! The same routines back both the `figures` binary (which prints the series
 //! the paper plots) and the Criterion benches under `benches/`.
@@ -108,10 +108,10 @@ pub fn fig4_lineage_size(num_authors: usize) -> LineageSizePoint {
     }
 }
 
-/// Wall-clock time of one [`Backend`] over a workload.
+/// Wall-clock time of one [`Backend`](mv_core::Backend) over a workload.
 #[derive(Debug, Clone)]
 pub struct BackendTiming {
-    /// The backend's [`Backend::name`].
+    /// The backend's [`Backend::name`](mv_core::Backend::name).
     pub name: &'static str,
     /// Total time over the workload.
     pub total: Duration,
@@ -837,12 +837,15 @@ pub fn sharded_throughput(
         .expect("single-shard batch");
     let single_time = t0.elapsed();
 
+    // The ladder over the same exact backend: identical answers on a clean
+    // run, plus each query's service latency in its outcome.
     let session = engine.session();
     let t1 = Instant::now();
-    let (_, mut latencies) = session
-        .probabilities_with_latencies(&queries, backend)
-        .expect("sharded batch");
+    let outcomes =
+        session.resilient_probabilities(&queries, &mv_core::ResilienceConfig::with_inner(backend));
     let sharded_time = t1.elapsed();
+    assert!(outcomes.iter().all(|o| o.answered()), "sharded batch");
+    let mut latencies: Vec<Duration> = outcomes.iter().map(|o| o.elapsed).collect();
     latencies.sort();
 
     ShardedPoint {
@@ -1048,8 +1051,8 @@ pub fn hotpath_prob(num_vars: usize) -> impl Fn(TupleId) -> f64 + Copy {
     move |t: TupleId| 0.05 + 0.9 * (f64::from(t.0) / num_vars.max(1) as f64)
 }
 
-/// Builds every workload diagram in one shared [`ObddManager`] (OR-fold of
-/// the clauses), then negates every other diagram — the compile-shaped half
+/// Builds every workload diagram in one shared [`mv_obdd::ObddManager`]
+/// (OR-fold of the clauses), then negates every other diagram — the compile-shaped half
 /// of the hot path. Returns the manager and all roots (negations included).
 pub fn manager_hotpath_build(
     order: &std::sync::Arc<mv_obdd::VarOrder>,
@@ -1768,10 +1771,9 @@ pub struct RungCounts {
 pub type InjectionRow = (String, mv_core::chaos::Fault, u64, u64);
 
 /// One run of the resilience campaign: a sustained sharded batch evaluated
-/// through [`ShardedSession::resilient_probabilities`]
-/// (`mv_core::sharded::ShardedSession`) twice — once clean, once under a
-/// seeded fault-injection campaign — with the chaos run's degradation,
-/// retry and exactness accounting.
+/// through [`mv_core::ShardedSession::resilient_probabilities`] twice —
+/// once clean, once under a seeded fault-injection campaign — with the
+/// chaos run's degradation, retry and exactness accounting.
 #[derive(Debug, Clone)]
 pub struct ResiliencePoint {
     /// The `aid` domain.

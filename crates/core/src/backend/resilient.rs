@@ -24,7 +24,6 @@
 //! wall-clock per query is `rungs × deadline`.
 
 use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use mv_index::IntersectAlgorithm;
@@ -33,7 +32,7 @@ use mv_query::approx::ApproxConfig;
 use mv_query::lineage::Lineage;
 use mv_query::{EvalBudget, Ucq};
 
-use crate::backend::{theorem1, EngineBackend, EvalContext, MonteCarlo};
+use crate::backend::{theorem1, Backend, EngineBackend, EvalContext, MonteCarlo};
 use crate::chaos::{self, sites};
 use crate::error::CoreError;
 use crate::Result;
@@ -174,18 +173,6 @@ impl QueryOutcome {
             )
     }
 
-    fn answered_on(rung: Rung, p: f64, started: Instant, fault: Option<QueryFault>) -> Self {
-        QueryOutcome {
-            probability: Some(p),
-            rung: Some(rung),
-            epsilon: None,
-            retries: 0,
-            fallback: false,
-            elapsed: started.elapsed(),
-            fault,
-        }
-    }
-
     /// A lost outcome carrying the terminal (or first degradable) fault.
     pub(crate) fn lost(fault: QueryFault, started: Instant) -> Self {
         QueryOutcome {
@@ -211,6 +198,59 @@ impl QueryOutcome {
             fault: Some(QueryFault {
                 kind: FaultKind::Panic,
                 message: format!("worker panicked at isolation site `{site}`"),
+            }),
+        }
+    }
+}
+
+/// A ladder result with the typed terminal error kept beside the public
+/// record: `error` is `Some` exactly when the query is lost. The batch
+/// pipeline carries this pair so that a plain batch can return the lost
+/// query's [`CoreError`] itself, not a rendering of it.
+#[derive(Debug)]
+pub(crate) struct Tracked {
+    pub(crate) outcome: QueryOutcome,
+    pub(crate) error: Option<CoreError>,
+}
+
+impl Tracked {
+    /// An answer produced on `rung`; `fault` is why the ladder got there.
+    pub(crate) fn answered_on(
+        rung: Rung,
+        p: f64,
+        elapsed: Duration,
+        fault: Option<QueryFault>,
+    ) -> Self {
+        Tracked {
+            outcome: QueryOutcome {
+                probability: Some(p),
+                rung: Some(rung),
+                epsilon: None,
+                retries: 0,
+                fallback: false,
+                elapsed,
+                fault,
+            },
+            error: None,
+        }
+    }
+
+    /// A lost query: `error` is both the recorded fault and the typed error.
+    pub(crate) fn lost(error: CoreError, started: Instant) -> Self {
+        Tracked {
+            outcome: QueryOutcome::lost(QueryFault::of(&error), started),
+            error: Some(error),
+        }
+    }
+
+    /// The plain-batch view: the answer, or the typed error that lost it.
+    pub(crate) fn into_result(self) -> Result<f64> {
+        match (self.outcome.probability, self.error) {
+            (Some(p), _) => Ok(p),
+            (None, Some(e)) => Err(e),
+            (None, None) => Err(CoreError::WorkerPanicked {
+                site: "batch_join",
+                message: "query lost without a recorded error".to_string(),
             }),
         }
     }
@@ -288,7 +328,7 @@ impl ResilienceConfig {
 
 /// What a ladder run evaluates.
 #[derive(Clone, Copy)]
-enum Target<'q> {
+pub(crate) enum Target<'q> {
     Query(&'q Ucq),
     Lineage(&'q Lineage),
 }
@@ -319,21 +359,64 @@ struct WBuild {
 
 /// The degradation ladder over an inner exact backend. Cheap to construct
 /// per worker; see the module docs for the rung semantics.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ResilientBackend {
     config: ResilienceConfig,
+    /// `config.inner`, instantiated once per ladder (and again by
+    /// [`ResilientBackend::set_config`] only when the selector changed).
+    inner: Box<dyn Backend>,
+    /// The plain-evaluation ladder: rung 1 is the only rung, every failure
+    /// is terminal, and no chaos site is drawn — a plain batch crosses no
+    /// injection site, whatever campaign is installed.
+    exact_only: bool,
     /// See [`WBuild`]. Per-ladder (not shared): each session worker owns
     /// its ladder, so a plain `RefCell` suffices.
     w_build: RefCell<Option<WBuild>>,
+}
+
+impl Clone for ResilientBackend {
+    fn clone(&self) -> Self {
+        ResilientBackend {
+            config: self.config.clone(),
+            inner: self.config.inner.instantiate(),
+            exact_only: self.exact_only,
+            w_build: self.w_build.clone(),
+        }
+    }
 }
 
 impl ResilientBackend {
     /// A ladder under the given configuration.
     pub fn new(config: ResilienceConfig) -> Self {
         ResilientBackend {
+            inner: config.inner.instantiate(),
             config,
+            exact_only: false,
             w_build: RefCell::new(None),
         }
+    }
+
+    /// Plain evaluation as a ladder: the exact rung alone, unbudgeted, no
+    /// retries and no chaos draws. What `probabilities` and
+    /// `probabilities_with_backend` run the batch pipeline with.
+    pub(crate) fn exact_only(inner: EngineBackend) -> Self {
+        ResilientBackend {
+            exact_only: true,
+            ..Self::new(ResilienceConfig {
+                max_retries: 0,
+                ..ResilienceConfig::with_inner(inner)
+            })
+        }
+    }
+
+    /// Draws (and applies) the chaos site, unless this is the exact-only
+    /// ladder. The pipeline's own sites go through here too, so one flag
+    /// decides for every site a batch can cross.
+    pub(crate) fn chaos(&self, site: &'static str) -> Result<()> {
+        if self.exact_only {
+            return Ok(());
+        }
+        chaos::apply(site)
     }
 
     /// The ladder configuration.
@@ -347,38 +430,47 @@ impl ResilientBackend {
     /// survives as long as its own cache keys (manager, generation, node
     /// budget) are unchanged.
     pub fn set_config(&mut self, config: ResilienceConfig) {
+        if config.inner != self.config.inner {
+            self.inner = config.inner.instantiate();
+        }
         self.config = config;
     }
 
     /// Runs the ladder for a Boolean query. Never panics; always returns
     /// a [`QueryOutcome`].
     pub fn evaluate(&self, q: &Ucq, ctx: &EvalContext<'_>) -> QueryOutcome {
-        self.run(ctx, Target::Query(q))
+        self.run(ctx, Target::Query(q)).outcome
     }
 
     /// Runs the ladder for a precomputed (e.g. per-shard localized)
     /// lineage. When the inner backend cannot evaluate lineages directly,
     /// the ladder starts at the bounded-exact rung.
     pub fn evaluate_lineage(&self, lineage: &Lineage, ctx: &EvalContext<'_>) -> QueryOutcome {
-        self.run(ctx, Target::Lineage(lineage))
+        self.run(ctx, Target::Lineage(lineage)).outcome
     }
 
     /// [`ResilientBackend::evaluate`] plus retry-with-backoff for
     /// transient (panic) losses — the oracle entry point the sessions use
     /// for quarantined queries.
     pub fn evaluate_with_retries(&self, q: &Ucq, ctx: &EvalContext<'_>) -> QueryOutcome {
-        let mut outcome = self.evaluate(q, ctx);
-        let mut retries = 0;
-        while outcome.transient() && retries < self.config.max_retries {
-            retries += 1;
-            std::thread::sleep(self.config.retry_backoff * retries);
-            outcome = self.evaluate(q, ctx);
-        }
-        outcome.retries = retries;
-        outcome
+        self.run_with_retries(q, ctx).outcome
     }
 
-    fn run(&self, ctx: &EvalContext<'_>, target: Target<'_>) -> QueryOutcome {
+    /// [`ResilientBackend::evaluate_with_retries`], keeping the typed error.
+    pub(crate) fn run_with_retries(&self, q: &Ucq, ctx: &EvalContext<'_>) -> Tracked {
+        let mut tracked = self.run(ctx, Target::Query(q));
+        let mut retries = 0;
+        while tracked.outcome.transient() && retries < self.config.max_retries {
+            retries += 1;
+            std::thread::sleep(self.config.retry_backoff * retries);
+            tracked = self.run(ctx, Target::Query(q));
+        }
+        tracked.outcome.retries = retries;
+        tracked
+    }
+
+    /// One pass down the ladder.
+    pub(crate) fn run(&self, ctx: &EvalContext<'_>, target: Target<'_>) -> Tracked {
         let started = Instant::now();
         let mut fault: Option<QueryFault> = None;
 
@@ -391,17 +483,19 @@ impl ResilientBackend {
                 Target::Lineage(_) => self.config.inner.evaluates_lineage(),
             };
         if try_exact {
-            let inner = self.config.inner.instantiate();
             let exact = self.rung(ctx, sites::EXACT_RUNG, || match target {
-                Target::Query(q) => inner.probability(q, ctx),
-                Target::Lineage(l) => inner
+                Target::Query(q) => self.inner.probability(q, ctx),
+                Target::Lineage(l) => self
+                    .inner
                     .lineage_probability(l, ctx)
                     .expect("evaluates_lineage() admitted this backend"),
             });
             match exact {
-                Ok(p) => return QueryOutcome::answered_on(Rung::Exact, p, started, None),
-                Err(e) if e.is_degradable() => fault = Some(QueryFault::of(&e)),
-                Err(e) => return QueryOutcome::lost(QueryFault::of(&e), started),
+                Ok(p) => return Tracked::answered_on(Rung::Exact, p, started.elapsed(), None),
+                Err(e) if self.exact_only || !e.is_degradable() => {
+                    return Tracked::lost(e, started);
+                }
+                Err(e) => fault = Some(QueryFault::of(&e)),
             }
         }
 
@@ -421,12 +515,12 @@ impl ResilientBackend {
             });
             match bounded {
                 Ok(p) => {
-                    return QueryOutcome::answered_on(Rung::BoundedExact, p, started, fault);
+                    return Tracked::answered_on(Rung::BoundedExact, p, started.elapsed(), fault)
                 }
                 Err(e) if e.is_degradable() => {
                     fault.get_or_insert_with(|| QueryFault::of(&e));
                 }
-                Err(e) => return QueryOutcome::lost(QueryFault::of(&e), started),
+                Err(e) => return Tracked::lost(e, started),
             }
         }
 
@@ -444,14 +538,23 @@ impl ResilientBackend {
         });
         match approx {
             Ok(answer) => {
-                let mut outcome =
-                    QueryOutcome::answered_on(Rung::MonteCarlo, answer.clamped(), started, fault);
-                outcome.epsilon = Some(answer.half_width);
-                outcome
+                let mut tracked = Tracked::answered_on(
+                    Rung::MonteCarlo,
+                    answer.clamped(),
+                    started.elapsed(),
+                    fault,
+                );
+                tracked.outcome.epsilon = Some(answer.half_width);
+                tracked
             }
             Err(e) => {
-                let terminal = QueryFault::of(&e);
-                QueryOutcome::lost(fault.unwrap_or(terminal), started)
+                // The record keeps the first fault on the way down; the
+                // typed error is the terminal one.
+                let mut tracked = Tracked::lost(e, started);
+                if fault.is_some() {
+                    tracked.outcome.fault = fault;
+                }
+                tracked
             }
         }
     }
@@ -466,15 +569,12 @@ impl ResilientBackend {
         body: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
         ctx.set_budget(self.config.rung_budget());
-        let out = catch_unwind(AssertUnwindSafe(|| {
-            chaos::apply(site)?;
+        let out = CoreError::trap(site, || {
+            self.chaos(site)?;
             body()
-        }));
+        });
         ctx.set_budget(None);
-        match out {
-            Ok(result) => result,
-            Err(payload) => Err(CoreError::from_panic(site, payload.as_ref())),
-        }
+        out
     }
 
     /// Theorem 1 over bounded synthesis: builds `Q ∨ W` and `W` diagrams
@@ -594,16 +694,9 @@ mod tests {
         MvdbEngine::compile(&b.build().unwrap()).unwrap()
     }
 
-    /// Chaos rules are process-global: a test that expects *no* injection
-    /// holds the campaign lock (with an empty rule set) so a sibling test's
-    /// faults cannot land on its ladder.
-    fn no_chaos() -> chaos::ChaosGuard {
-        chaos::install(ChaosConfig::new(0))
-    }
-
     #[test]
     fn clean_runs_answer_on_the_exact_rung() {
-        let _quiet = no_chaos();
+        let _quiet = chaos::quiet();
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
@@ -660,7 +753,7 @@ mod tests {
 
     #[test]
     fn entry_rung_starts_the_ladder_lower() {
-        let _quiet = no_chaos();
+        let _quiet = chaos::quiet();
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
@@ -689,7 +782,7 @@ mod tests {
 
     #[test]
     fn semantic_errors_stop_the_ladder() {
-        let _quiet = no_chaos();
+        let _quiet = chaos::quiet();
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- Unknown(x)").unwrap();
@@ -730,7 +823,7 @@ mod tests {
 
     #[test]
     fn tiny_deadlines_degrade_instead_of_hanging() {
-        let _quiet = no_chaos();
+        let _quiet = chaos::quiet();
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();

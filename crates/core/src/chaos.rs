@@ -304,6 +304,14 @@ pub fn install(config: ChaosConfig) -> ChaosGuard {
     }
 }
 
+/// The empty campaign, for tests that expect *no* injection: chaos rules are
+/// process-global, so such a test holds the campaign lock (with no rules)
+/// to keep a sibling test's faults off its evaluations.
+#[cfg(test)]
+pub(crate) fn quiet() -> ChaosGuard {
+    install(ChaosConfig::new(0))
+}
+
 /// Message prefix of every chaos-injected panic; the install-scoped panic
 /// hook uses it to keep injected panics out of stderr.
 const PANIC_PREFIX: &str = "chaos: injected panic";

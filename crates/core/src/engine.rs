@@ -265,7 +265,7 @@ impl MvdbEngine {
     /// sampling, returning the full `(estimate, half_width)` confidence
     /// interval. This is the fallback for queries whose exact OBDD
     /// synthesis is refused or intractable; see
-    /// [`MonteCarlo`](crate::backend::MonteCarlo) for the estimator design
+    /// [`MonteCarlo`] for the estimator design
     /// and [`MvdbSession`](crate::MvdbSession) for batch and multi-worker
     /// variants.
     pub fn approx_probability(&self, query: &Ucq, config: &ApproxConfig) -> Result<ApproxAnswer> {

@@ -42,8 +42,9 @@ pub enum CoreError {
     /// The query passed to the engine was not Boolean where a Boolean query
     /// was required.
     NotBoolean(String),
-    /// An index-backed backend was invoked with an [`EvalContext`]
-    /// (`crate::backend::EvalContext`) that carries no compiled MV-index.
+    /// An index-backed backend was invoked with an
+    /// [`EvalContext`](crate::backend::EvalContext) that carries no compiled
+    /// MV-index.
     MissingIndex,
     /// The evaluation's wall-clock deadline passed before an answer was
     /// produced. Degradable: the resilience ladder may still answer the
@@ -103,6 +104,16 @@ impl CoreError {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_string());
         CoreError::WorkerPanicked { site, message }
+    }
+
+    /// Runs `body` inside an isolation boundary: a panic comes back as the
+    /// typed [`CoreError::WorkerPanicked`] of `site`.
+    pub(crate) fn trap<T>(
+        site: &'static str,
+        body: impl FnOnce() -> crate::Result<T>,
+    ) -> crate::Result<T> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(body))
+            .unwrap_or_else(|payload| Err(CoreError::from_panic(site, payload.as_ref())))
     }
 
     /// `true` for errors that mean "this rung of evaluation gave up",

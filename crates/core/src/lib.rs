@@ -25,16 +25,19 @@
 //!   compiles `W` into an MV-index offline and answers queries online via
 //!   `P(Q) = (P0(Q ∨ W) − P0(W)) / (1 − P0(W))`, dispatching every
 //!   evaluation through the [`Backend`] trait.
-//! * [`session`] — [`MvdbSession`]: batch evaluation of many queries over
-//!   one engine, sequentially through a shared evaluation context (query
-//!   diagrams hash-consed across the batch) or in parallel with scoped
-//!   threads and per-worker OBDD-manager shards.
-//! * [`sharded`] — [`ShardedEngine`] and [`ShardedSession`]: scale-out
-//!   evaluation over component-partitioned sub-stores. Tuples are sharded
-//!   along the connected components of `W`'s lineage, each shard owns its
-//!   own MV-index and OBDD manager, and per-shard conditionals are
-//!   combined exactly by independence (`1 − ∏ (1 − q_s)`); queries whose
-//!   lineage spans shards fall back to the unsharded oracle.
+//! * [`session`] and [`sharded`] — the two batch front-ends of **one**
+//!   pipeline (the crate-private `batch` module): route each query's
+//!   lineage, evaluate it through the resilience ladder, combine, rescue.
+//!   [`ShardedEngine`] shards tuples along the connected components of
+//!   `W`'s lineage; each shard owns its own MV-index and OBDD manager,
+//!   per-shard conditionals are combined exactly by independence
+//!   (`1 − ∏ (1 − q_s)`), and queries whose lineage spans shards fall back
+//!   to the unsharded oracle. [`ShardedSession`] runs the pipeline with
+//!   one worker per shard; [`MvdbSession`] is its no-shard case, striped
+//!   over `threads` workers with a private OBDD manager each. On both,
+//!   `probabilities` is the ladder's exact rung alone and returns the first
+//!   lost query's typed error; `resilient_probabilities` is the full
+//!   ladder and returns one [`QueryOutcome`] per query.
 //! * [`update`] — [`UpdateBatch`] and [`MvdbEngine::apply`]
 //!   (`crate::MvdbEngine::apply`): live updates under snapshot semantics.
 //!   Weighted-tuple inserts/deletes and MLN weight changes mutate a
@@ -53,6 +56,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+mod batch;
 pub mod chaos;
 pub mod engine;
 pub mod error;

@@ -1,37 +1,38 @@
 //! Batch evaluation sessions: many queries, shared state, optional threads.
 //!
 //! [`MvdbSession`] (created by [`MvdbEngine::session`]) evaluates a slice of
-//! Boolean queries against one compiled engine:
+//! Boolean queries against one compiled engine. It is the no-shard case of
+//! the batch pipeline that also serves
+//! [`ShardedSession`](crate::ShardedSession): every query is evaluated on
+//! the full store by the worker that holds its stripe, so the pipeline's
+//! first phase is the whole batch.
 //!
-//! * **sequentially** (`threads <= 1`) through a single shared
-//!   [`EvalContext`], so every query reuses the same query-side
-//!   [`ObddManager`](mv_obdd::ObddManager) shard — nodes, apply-memo entries
-//!   and cached probabilities accumulate across the batch;
-//! * **in parallel** (`threads >= 2`) with [`std::thread::scope`]: the
-//!   immutable engine (translated database + compiled MV-index, whose
-//!   manager is behind an `Arc`'d lock) is shared by reference, while each
-//!   worker owns a private `EvalContext` — and therefore a private manager
-//!   shard — so query-side construction never contends across threads.
-//!   Queries are assigned to workers in **stripes** (round-robin: worker `w`
-//!   takes queries `w`, `w + workers`, `w + 2·workers`, …) rather than
-//!   contiguous chunks, so a run of expensive queries at one end of the
-//!   batch — common when callers sort workloads by key or size — is spread
-//!   across all workers instead of serialising one of them.
+//! Queries are assigned to the `threads` workers in **stripes**
+//! (round-robin: worker `w` takes queries `w`, `w + workers`,
+//! `w + 2·workers`, …) rather than contiguous chunks, so a run of expensive
+//! queries at one end of the batch — common when callers sort workloads by
+//! key or size — is spread across all workers instead of serialising one of
+//! them. The calling thread is worker 0; a single-threaded session spawns
+//! nothing. The immutable engine (translated database + compiled MV-index,
+//! whose manager is behind an `Arc`'d lock) is shared by reference, while
+//! each worker owns a private [`EvalContext`](crate::EvalContext) — and
+//! therefore a private query-side [`ObddManager`](mv_obdd::ObddManager) —
+//! so nodes, apply-memo entries and cached probabilities accumulate across
+//! a worker's stripe and query-side construction never contends across
+//! threads.
 //!
-//! Parallel results are **identical** to sequential ones (the same
-//! deterministic per-query computation runs either way; only the shard a
-//! query's diagram lives in differs, and canonicity makes that
-//! unobservable). The agreement suite asserts equality within 1e-9.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! Results are **identical** at every thread count (the same deterministic
+//! per-query computation runs either way; only the manager a query's
+//! diagram lives in differs, and canonicity makes that unobservable). The
+//! agreement suite asserts equality within 1e-9.
 
 use mv_obdd::ManagerStats;
 use mv_query::approx::{derive_seed, ApproxAccumulator, ApproxAnswer, ApproxConfig};
 use mv_query::{ExecStats, PlanStats, Ucq};
 
-use crate::backend::resilient::{QueryFault, QueryOutcome, ResilienceConfig, ResilientBackend};
-use crate::backend::{Backend, EngineBackend, EvalContext, MonteCarlo};
-use crate::chaos::{self, sites};
+use crate::backend::resilient::{QueryOutcome, ResilienceConfig};
+use crate::backend::{EngineBackend, MonteCarlo};
+use crate::batch::{fan_out, striped, Pipeline};
 use crate::engine::MvdbEngine;
 use crate::error::CoreError;
 use crate::Result;
@@ -58,34 +59,16 @@ impl std::ops::Add for QueryStats {
     }
 }
 
-/// The typed error for a query slot no stripe worker filled. The striping
-/// invariant (every index is covered by exactly one worker, and a joined
-/// stripe fills all of its slots — on panic, with quarantine errors) makes
-/// this unreachable; a supervision bug must still surface as a per-query
-/// error, never a batch-wide panic.
-fn unfilled_slot() -> CoreError {
-    CoreError::WorkerPanicked {
-        site: "session_join",
-        message: "query slot left unfilled by its stripe worker".to_string(),
-    }
-}
-
 /// A batch-evaluation session over a compiled [`MvdbEngine`].
 #[derive(Debug)]
 pub struct MvdbSession<'e> {
-    engine: &'e MvdbEngine,
-    threads: usize,
-    stats: std::cell::Cell<ManagerStats>,
-    query_stats: std::cell::Cell<QueryStats>,
+    pipeline: Pipeline<'e>,
 }
 
 impl<'e> MvdbSession<'e> {
     pub(crate) fn new(engine: &'e MvdbEngine) -> Self {
         MvdbSession {
-            engine,
-            threads: 1,
-            stats: std::cell::Cell::new(ManagerStats::default()),
-            query_stats: std::cell::Cell::new(QueryStats::default()),
+            pipeline: Pipeline::unsharded(engine),
         }
     }
 
@@ -93,34 +76,35 @@ impl<'e> MvdbSession<'e> {
     /// is striped round-robin over the workers, so neighbouring (often
     /// similarly expensive) queries land on different threads.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.pipeline.workers = threads.max(1);
         self
     }
 
     /// The configured worker-thread count.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pipeline.workers
     }
 
     /// The engine this session evaluates against.
     pub fn engine(&self) -> &'e MvdbEngine {
-        self.engine
+        self.pipeline.full
     }
 
-    /// Manager counters attributable to the most recent batch alone: the sum
-    /// of every worker's (batch-fresh) query-shard stats plus the *delta*
-    /// the batch added to the shared index manager — compile-time work and
-    /// earlier batches on the same engine are excluded. `peak_nodes` is the
+    /// Manager counters attributable to the most recent batch alone — also
+    /// when that batch returned an error: the sum of every worker's
+    /// (batch-fresh) query-side manager stats plus the *delta* the batch
+    /// added to the shared index manager — compile-time work and earlier
+    /// batches on the same engine are excluded. `peak_nodes` is the
     /// largest single arena touched. Zero before the first batch.
     pub fn last_manager_stats(&self) -> ManagerStats {
-        self.stats.get()
+        self.pipeline.last().manager
     }
 
     /// Query-layer counters of the most recent batch: plan shapes plus the
     /// vectorized executor's zone-map skipping and CSR-probe counters,
     /// summed over every worker's context. Zero before the first batch.
     pub fn last_query_stats(&self) -> QueryStats {
-        self.query_stats.get()
+        self.pipeline.last().query
     }
 
     /// Evaluates every query's Boolean probability with the engine's default
@@ -129,39 +113,22 @@ impl<'e> MvdbSession<'e> {
     pub fn probabilities(&self, queries: &[Ucq]) -> Result<Vec<f64>> {
         self.probabilities_with_backend(
             queries,
-            EngineBackend::MvIndex(self.engine.intersect_algorithm()),
+            EngineBackend::MvIndex(self.engine().intersect_algorithm()),
         )
     }
 
     /// Evaluates every query's Boolean probability through an explicit
-    /// backend selector.
+    /// backend selector: the exact rung of the resilience ladder alone, no
+    /// budget, no retries. The first query that cannot be answered makes
+    /// the batch an error — its own typed error, or
+    /// [`CoreError::WorkerPanicked`] when the backend panicked on it, at
+    /// every thread count.
     pub fn probabilities_with_backend(
         &self,
         queries: &[Ucq],
         selector: EngineBackend,
     ) -> Result<Vec<f64>> {
-        let workers = self.threads.min(queries.len()).max(1);
-        if workers <= 1 {
-            return self.run_sequential(queries, selector);
-        }
-        self.run_parallel(queries, selector, workers)
-    }
-
-    fn run_sequential(&self, queries: &[Ucq], selector: EngineBackend) -> Result<Vec<f64>> {
-        let index_before = self.engine.index().manager_stats();
-        let backend = selector.instantiate();
-        let ctx = self.engine.context();
-        let mut out = Vec::with_capacity(queries.len());
-        for q in queries {
-            out.push(backend.probability(&q.boolean(), &ctx)?);
-        }
-        let index_delta = self.engine.index().manager_stats().since(&index_before);
-        self.stats.set(ctx.query_manager_stats() + index_delta);
-        self.query_stats.set(QueryStats {
-            plan: ctx.query_plan_stats(),
-            exec: ctx.query_exec_stats(),
-        });
-        Ok(out)
+        self.pipeline.plain(queries, selector)
     }
 
     /// Estimates every query's probability by Monte Carlo sampling,
@@ -178,63 +145,28 @@ impl<'e> MvdbSession<'e> {
         queries: &[Ucq],
         config: &ApproxConfig,
     ) -> Result<Vec<ApproxAnswer>> {
-        let workers = self.threads.min(queries.len()).max(1);
-        let estimate_one = |ctx: &EvalContext<'_>, index: usize, q: &Ucq| -> Result<ApproxAnswer> {
-            let per_query = ApproxConfig {
-                seed: derive_seed(config.seed, index as u64),
-                ..*config
-            };
-            MonteCarlo::new(per_query).approx(&q.boolean(), ctx)
-        };
-        if workers <= 1 {
-            let ctx = self.engine.context();
-            return queries
-                .iter()
-                .enumerate()
-                .map(|(i, q)| estimate_one(&ctx, i, q))
-                .collect();
-        }
-        let mut results: Vec<Option<Result<ApproxAnswer>>> =
-            (0..queries.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let engine = self.engine;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let ctx = engine.context();
-                        queries
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, q)| estimate_one(&ctx, i, q))
-                            .collect::<Vec<_>>()
+        let engine = self.engine();
+        let (answers, _) = striped(
+            queries.len(),
+            self.threads(),
+            |stripe| {
+                let ctx = engine.context();
+                let answers: Vec<Result<ApproxAnswer>> = stripe
+                    .map(|i| {
+                        let per_query = ApproxConfig {
+                            seed: derive_seed(config.seed, i as u64),
+                            ..*config
+                        };
+                        MonteCarlo::new(per_query).approx(&queries[i].boolean(), &ctx)
                     })
-                })
-                .collect();
-            for (w, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok(stripe) => {
-                        for (j, value) in stripe.into_iter().enumerate() {
-                            results[w + j * workers] = Some(value);
-                        }
-                    }
-                    // A worker-level panic poisons only its own stripe: the
-                    // join propagates the outcome as a typed error instead
-                    // of aborting the whole batch.
-                    Err(payload) => {
-                        for i in (w..queries.len()).step_by(workers) {
-                            results[i] =
-                                Some(Err(CoreError::from_panic("session_join", payload.as_ref())));
-                        }
-                    }
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| slot.unwrap_or_else(|| Err(unfilled_slot())))
-            .collect()
+                    .collect();
+                (answers, ())
+            },
+            // A worker-level panic poisons only its own stripe: the outcome
+            // is a typed error instead of an aborted batch.
+            Err,
+        );
+        answers.into_iter().collect()
     }
 
     /// Estimates one query's probability with the sample budget **split
@@ -249,13 +181,13 @@ impl<'e> MvdbSession<'e> {
     /// interval reported here is computed from the *merged* sums, so the
     /// target may be overshot slightly but never trusted blindly.
     pub fn approx_probability(&self, query: &Ucq, config: &ApproxConfig) -> Result<ApproxAnswer> {
-        let workers = self.threads.max(1);
+        let workers = self.threads();
         let q = query.boolean();
         // The sampler is compiled once (lineage collection, variable
         // classification, component pruning) and shared by reference: it
         // only borrows the translated database, so worker threads run its
         // tight sampling loop without per-worker recompilation.
-        let ctx = self.engine.context();
+        let ctx = self.engine().context();
         let backend = MonteCarlo::new(*config);
         let lin_q = ctx.lineage(&q)?;
         let sampler = backend.sampler(&lin_q, &q, &ctx)?;
@@ -274,108 +206,13 @@ impl<'e> MvdbSession<'e> {
             target_half_width: config.target_half_width * (workers as f64).sqrt(),
             ..*config
         };
-        let partials: Result<Vec<ApproxAccumulator>> = std::thread::scope(|scope| {
-            let sampler = &sampler;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| scope.spawn(move || sampler.collect(&worker_config(w))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .map_err(|p| CoreError::from_panic("session_split_join", p.as_ref()))
-                })
-                .collect()
-        });
-        let partials = partials?;
         let mut merged = ApproxAccumulator::default();
-        for partial in &partials {
-            merged.merge(partial);
+        for partial in fan_out(workers, |w| sampler.collect(&worker_config(w))) {
+            let partial =
+                partial.map_err(|p| CoreError::from_panic("session_split_join", p.as_ref()))?;
+            merged.merge(&partial);
         }
         Ok(sampler.answer_from(&merged, config))
-    }
-
-    fn run_parallel(
-        &self,
-        queries: &[Ucq],
-        selector: EngineBackend,
-        workers: usize,
-    ) -> Result<Vec<f64>> {
-        let index_before = self.engine.index().manager_stats();
-        let mut results: Vec<Option<Result<f64>>> = (0..queries.len()).map(|_| None).collect();
-        let mut stats: Vec<ManagerStats> = Vec::with_capacity(workers);
-        let mut query_stats: Vec<QueryStats> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let engine = self.engine;
-            // Striped (round-robin) assignment: worker `w` evaluates queries
-            // `w, w + workers, …`, so a contiguous run of heavy queries is
-            // spread over all workers instead of serialising one of them.
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        // Per-worker backend and context: the context's lazy
-                        // query manager is this worker's private shard.
-                        let backend: Box<dyn Backend> = selector.instantiate();
-                        let ctx: EvalContext<'_> = engine.context();
-                        // Per-query panic trap: one pathological query
-                        // becomes a typed `WorkerPanicked` error in its own
-                        // slot while the rest of the stripe completes.
-                        let stripe: Vec<Result<f64>> = queries
-                            .iter()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|q| {
-                                catch_unwind(AssertUnwindSafe(|| {
-                                    backend.probability(&q.boolean(), &ctx)
-                                }))
-                                .unwrap_or_else(|p| {
-                                    Err(CoreError::from_panic(sites::SESSION_EVAL, p.as_ref()))
-                                })
-                            })
-                            .collect();
-                        // Only this worker's shard; the shared index
-                        // manager's stats are added once below.
-                        let worker_query_stats = QueryStats {
-                            plan: ctx.query_plan_stats(),
-                            exec: ctx.query_exec_stats(),
-                        };
-                        (stripe, ctx.query_manager_stats(), worker_query_stats)
-                    })
-                })
-                .collect();
-            for (w, handle) in handles.into_iter().enumerate() {
-                match handle.join() {
-                    Ok((stripe, stat, query_stat)) => {
-                        for (j, value) in stripe.into_iter().enumerate() {
-                            results[w + j * workers] = Some(value);
-                        }
-                        stats.push(stat);
-                        query_stats.push(query_stat);
-                    }
-                    // Stripe-level quarantine: the panicking worker's
-                    // queries surface as typed errors, the other workers'
-                    // results (and stats) are kept.
-                    Err(payload) => {
-                        for i in (w..queries.len()).step_by(workers) {
-                            results[i] =
-                                Some(Err(CoreError::from_panic("session_join", payload.as_ref())));
-                        }
-                    }
-                }
-            }
-        });
-        let shard_total: ManagerStats = stats.into_iter().sum();
-        let index_delta = self.engine.index().manager_stats().since(&index_before);
-        self.stats.set(shard_total + index_delta);
-        self.query_stats.set(
-            query_stats
-                .into_iter()
-                .fold(QueryStats::default(), |a, b| a + b),
-        );
-        results
-            .into_iter()
-            .map(|slot| slot.unwrap_or_else(|| Err(unfilled_slot())))
-            .collect()
     }
 
     /// Evaluates every query through the resilience ladder: each query is
@@ -389,120 +226,7 @@ impl<'e> MvdbSession<'e> {
         queries: &[Ucq],
         config: &ResilienceConfig,
     ) -> Vec<QueryOutcome> {
-        let workers = self.threads.min(queries.len()).max(1);
-        let index_before = self.engine.index().manager_stats();
-        let mut results: Vec<Option<QueryOutcome>> = (0..queries.len()).map(|_| None).collect();
-        let mut stats: Vec<ManagerStats> = Vec::with_capacity(workers);
-        let mut query_stats: Vec<QueryStats> = Vec::with_capacity(workers);
-        if workers <= 1 {
-            let ladder = ResilientBackend::new(config.clone());
-            let ctx = self.engine.context();
-            for (slot, q) in results.iter_mut().zip(queries) {
-                *slot = Some(Self::resilient_one(&ladder, q, &ctx));
-            }
-            stats.push(ctx.query_manager_stats());
-            query_stats.push(QueryStats {
-                plan: ctx.query_plan_stats(),
-                exec: ctx.query_exec_stats(),
-            });
-        } else {
-            std::thread::scope(|scope| {
-                let engine = self.engine;
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let ladder = ResilientBackend::new(config.clone());
-                            let ctx = engine.context();
-                            let stripe: Vec<QueryOutcome> = queries
-                                .iter()
-                                .skip(w)
-                                .step_by(workers)
-                                .map(|q| Self::resilient_one(&ladder, q, &ctx))
-                                .collect();
-                            let worker_query_stats = QueryStats {
-                                plan: ctx.query_plan_stats(),
-                                exec: ctx.query_exec_stats(),
-                            };
-                            (stripe, ctx.query_manager_stats(), worker_query_stats)
-                        })
-                    })
-                    .collect();
-                // Safety net for a whole-worker panic (per-query work is
-                // already trapped, so this is bookkeeping-bug territory):
-                // re-evaluate the lost stripe on a main-thread ladder.
-                let mut rescue: Option<(ResilientBackend, EvalContext<'_>)> = None;
-                for (w, handle) in handles.into_iter().enumerate() {
-                    match handle.join() {
-                        Ok((stripe, stat, query_stat)) => {
-                            for (j, value) in stripe.into_iter().enumerate() {
-                                results[w + j * workers] = Some(value);
-                            }
-                            stats.push(stat);
-                            query_stats.push(query_stat);
-                        }
-                        Err(_) => {
-                            let (ladder, ctx) = rescue.get_or_insert_with(|| {
-                                (ResilientBackend::new(config.clone()), engine.context())
-                            });
-                            for i in (w..queries.len()).step_by(workers) {
-                                let mut outcome =
-                                    ladder.evaluate_with_retries(&queries[i].boolean(), ctx);
-                                outcome.retries = outcome.retries.saturating_add(1);
-                                results[i] = Some(outcome);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        let shard_total: ManagerStats = stats.into_iter().sum();
-        let index_delta = self.engine.index().manager_stats().since(&index_before);
-        self.stats.set(shard_total + index_delta);
-        self.query_stats.set(
-            query_stats
-                .into_iter()
-                .fold(QueryStats::default(), |a, b| a + b),
-        );
-        results
-            .into_iter()
-            .map(|slot| slot.unwrap_or_else(|| QueryOutcome::poisoned("session_join")))
-            .collect()
-    }
-
-    /// One isolated resilient evaluation: the `session_eval` chaos site
-    /// wraps the whole ladder, so an injected (or genuine) panic above the
-    /// rung traps quarantines to a retried ladder pass instead of tearing
-    /// down the stripe.
-    fn resilient_one(ladder: &ResilientBackend, q: &Ucq, ctx: &EvalContext<'_>) -> QueryOutcome {
-        let q = q.boolean();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            chaos::apply(sites::SESSION_EVAL).map(|()| ladder.evaluate(&q, ctx))
-        }));
-        match caught {
-            Ok(Ok(outcome)) if outcome.transient() => {
-                // The ladder lost the query to panics; give it the oracle
-                // retry treatment before conceding.
-                let mut outcome = ladder.evaluate_with_retries(&q, ctx);
-                outcome.retries = outcome.retries.saturating_add(1);
-                outcome
-            }
-            Ok(Ok(outcome)) => outcome,
-            // Injected deadline/budget pressure at the session site: the
-            // evaluation "timed out" above the ladder — run a retried
-            // ladder pass and keep the fault on the record.
-            Ok(Err(e)) => {
-                let mut outcome = ladder.evaluate_with_retries(&q, ctx);
-                outcome.fault.get_or_insert_with(|| QueryFault::of(&e));
-                outcome
-            }
-            Err(payload) => {
-                let e = CoreError::from_panic(sites::SESSION_EVAL, payload.as_ref());
-                let mut outcome = ladder.evaluate_with_retries(&q, ctx);
-                outcome.retries = outcome.retries.saturating_add(1);
-                outcome.fault.get_or_insert_with(|| QueryFault::of(&e));
-                outcome
-            }
-        }
+        self.pipeline.resilient(queries, config)
     }
 }
 
@@ -741,6 +465,7 @@ mod tests {
 
     #[test]
     fn resilient_sessions_match_the_exact_path_without_chaos() {
+        let _quiet = crate::chaos::quiet();
         let mvdb = sample_mvdb();
         let engine = MvdbEngine::compile(&mvdb).unwrap();
         let queries = workload();

@@ -40,19 +40,20 @@
 //!
 //!    exactly — a pure product/complement combination, no re-synthesis.
 //!
-//! [`ShardedSession`] evaluates batches with one worker thread per touched
-//! shard. Every [`EngineBackend`] flows through the sharded path:
-//! lineage-capable backends (MV-index, Shannon, brute force, Monte Carlo)
-//! evaluate the remapped per-shard lineage directly; structural backends
-//! (safe plans, per-query OBDDs) re-evaluate the query syntactically on
-//! each touched shard's sub-store — sound whenever every clause contains a
-//! W-homed tuple, because then a clause materializes exactly on its home
-//! shard (W-free tuples are present everywhere, foreign W-homed tuples
-//! nowhere); queries outside that regime fall back to the oracle.
-
-use std::cell::{Cell, RefCell};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+//! [`ShardedSession`] is the batch pipeline (`crate::batch`, shared with the
+//! unsharded [`MvdbSession`](crate::MvdbSession)) run over an engine's
+//! shards: route on the full store, evaluate on one worker per touched
+//! shard, combine, and rescue on the oracle what a shard lost. Every
+//! evaluation goes through the resilience ladder — plain `probabilities`
+//! is the ladder's exact rung alone — and every [`EngineBackend`] flows
+//! through the sharded path: lineage-capable backends (MV-index, Shannon,
+//! brute force, Monte Carlo) evaluate the remapped per-shard lineage
+//! directly; structural backends (safe plans, per-query OBDDs) re-evaluate
+//! the query syntactically on each touched shard's sub-store — sound
+//! whenever every clause contains a W-homed tuple, because then a clause
+//! materializes exactly on its home shard (W-free tuples are present
+//! everywhere, foreign W-homed tuples nowhere); queries outside that regime
+//! fall back to the oracle.
 
 use fxhash::{FxHashMap, FxHashSet};
 use mv_index::MvIndex;
@@ -60,14 +61,12 @@ use mv_obdd::ManagerStats;
 use mv_pdb::{InDb, RelId, Row, TupleId};
 use mv_query::components::connected_components;
 use mv_query::lineage::{Clause, Lineage};
-use mv_query::partition::{ComponentPartitioner, Partition, RoutedLineage};
+use mv_query::partition::{ComponentPartitioner, Partition};
 use mv_query::Ucq;
 
-use crate::backend::resilient::{
-    QueryFault, QueryOutcome, ResilienceConfig, ResilientBackend, Rung,
-};
-use crate::backend::{Backend, EngineBackend, EvalContext};
-use crate::chaos::{self, sites};
+use crate::backend::resilient::{QueryOutcome, ResilienceConfig};
+use crate::backend::EngineBackend;
+use crate::batch::{fan_out, Pipeline};
 use crate::engine::MvdbEngine;
 use crate::error::CoreError;
 use crate::mvdb::Mvdb;
@@ -113,9 +112,9 @@ fn schema_names(indb: &InDb) -> Vec<String> {
 /// dependency-graph components, with its own compiled MV-index (and thus
 /// its own OBDD manager).
 #[derive(Debug, Clone)]
-struct Shard {
-    translated: TranslatedIndb,
-    index: MvIndex,
+pub(crate) struct Shard {
+    pub(crate) translated: TranslatedIndb,
+    pub(crate) index: MvIndex,
     /// Global tuple id → local tuple id ([`NOT_LOCAL`] when foreign).
     global_to_local: Vec<u32>,
     /// Whether the global→local renaming is strictly increasing, so a
@@ -126,6 +125,49 @@ struct Shard {
 }
 
 impl Shard {
+    /// Builds shard `s` of `partition`: the projection of `translated`
+    /// onto the shard's own W-homed tuples plus every W-free (replicated)
+    /// tuple, with its own compiled MV-index.
+    fn build(translated: &TranslatedIndb, partition: &Partition, s: usize) -> Result<Shard> {
+        let (sub, local_to_global) =
+            translated.restrict(|t| partition.home_of(t).is_none_or(|h| h == s));
+        let index = match sub.w() {
+            Some(w) => MvIndex::compile(sub.indb(), w)?,
+            None => MvIndex::empty(sub.indb()),
+        };
+        if !index.is_consistent() {
+            return Err(CoreError::InconsistentViews);
+        }
+        let mut global_to_local = vec![NOT_LOCAL; translated.indb().num_tuples()];
+        for (local, g) in local_to_global.iter().enumerate() {
+            global_to_local[g.0 as usize] = local as u32;
+        }
+        let monotone = local_to_global.windows(2).all(|w| w[0] < w[1]);
+        Ok(Shard {
+            translated: sub,
+            index,
+            global_to_local,
+            monotone,
+        })
+    }
+
+    /// Builds the shards named by `which`, in that order — one job each,
+    /// shard compilation is embarrassingly parallel.
+    fn build_all(
+        translated: &TranslatedIndb,
+        partition: &Partition,
+        which: &[usize],
+    ) -> Result<Vec<Shard>> {
+        fan_out(which.len(), |job| {
+            Shard::build(translated, partition, which[job])
+        })
+        .into_iter()
+        .map(|built| {
+            built.unwrap_or_else(|p| Err(CoreError::from_panic("shard_compile", p.as_ref())))
+        })
+        .collect()
+    }
+
     /// Rewrites clauses over global tuple ids onto this shard's local ids.
     ///
     /// The renaming is injective, so the clauses stay pairwise distinct
@@ -134,7 +176,7 @@ impl Shard {
     /// monotone. Panics if a clause mentions a tuple the shard does not
     /// own — the router only sends a clause to the shard owning all its
     /// variables.
-    fn localize(&self, clauses: &[Clause]) -> Lineage {
+    pub(crate) fn localize(&self, clauses: &[Clause]) -> Lineage {
         let mapped = clauses
             .iter()
             .map(|clause| {
@@ -160,7 +202,7 @@ impl Shard {
     /// inserted later exist only in the full store and in rebuilt shards —
     /// a routed group touching one must fall back to the unsharded oracle
     /// instead of being localized here.
-    fn owns(&self, clauses: &[Clause]) -> bool {
+    pub(crate) fn owns(&self, clauses: &[Clause]) -> bool {
         clauses.iter().flatten().all(|t| {
             self.global_to_local
                 .get(t.0 as usize)
@@ -174,9 +216,9 @@ impl Shard {
 /// exact oracle (and cross-shard fallback).
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
-    full: MvdbEngine,
-    partition: Partition,
-    shards: Vec<Shard>,
+    pub(crate) full: MvdbEngine,
+    pub(crate) partition: Partition,
+    pub(crate) shards: Vec<Shard>,
 }
 
 impl ShardedEngine {
@@ -202,49 +244,12 @@ impl ShardedEngine {
         let num_tuples = full.translated().indb().num_tuples();
         let partition =
             ComponentPartitioner::new(num_tuples, w_lineage.clauses()).partition(num_shards);
-        let translated = full.translated();
-        let shards: Result<Vec<Shard>> = std::thread::scope(|scope| {
-            let partition = &partition;
-            let handles: Vec<_> = (0..partition.num_shards())
-                .map(|s| {
-                    scope.spawn(move || -> Result<Shard> {
-                        // The shard's own W-homed tuples plus every W-free
-                        // (replicated) tuple.
-                        let (sub, local_to_global) =
-                            translated.restrict(|t| partition.home_of(t).is_none_or(|h| h == s));
-                        let index = match sub.w() {
-                            Some(w) => MvIndex::compile(sub.indb(), w)?,
-                            None => MvIndex::empty(sub.indb()),
-                        };
-                        if !index.is_consistent() {
-                            return Err(CoreError::InconsistentViews);
-                        }
-                        let mut global_to_local = vec![NOT_LOCAL; num_tuples];
-                        for (local, g) in local_to_global.iter().enumerate() {
-                            global_to_local[g.0 as usize] = local as u32;
-                        }
-                        let monotone = local_to_global.windows(2).all(|w| w[0] < w[1]);
-                        Ok(Shard {
-                            translated: sub,
-                            index,
-                            global_to_local,
-                            monotone,
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|p| Err(CoreError::from_panic("shard_compile", p.as_ref())))
-                })
-                .collect()
-        });
+        let all: Vec<usize> = (0..partition.num_shards()).collect();
+        let shards = Shard::build_all(full.translated(), &partition, &all)?;
         Ok(ShardedEngine {
             full,
             partition,
-            shards: shards?,
+            shards,
         })
     }
 
@@ -468,52 +473,13 @@ impl ShardedEngine {
             .map(|s| schema_changed || new_clause_sets[s] != old_clause_sets[s])
             .collect();
 
-        // Rebuild dirty shards in parallel — the same recipe as
-        // `from_engine`, restricted to the shards that need it.
-        let rebuilt: Result<Vec<(usize, Shard)>> = std::thread::scope(|scope| {
-            let partition = &partition;
-            let handles: Vec<_> = (0..num_shards)
-                .filter(|&s| dirty[s])
-                .map(|s| {
-                    scope.spawn(move || -> Result<(usize, Shard)> {
-                        let (sub, local_to_global) =
-                            translated.restrict(|t| partition.home_of(t).is_none_or(|h| h == s));
-                        let index = match sub.w() {
-                            Some(w) => MvIndex::compile(sub.indb(), w)?,
-                            None => MvIndex::empty(sub.indb()),
-                        };
-                        if !index.is_consistent() {
-                            return Err(CoreError::InconsistentViews);
-                        }
-                        let mut global_to_local = vec![NOT_LOCAL; num_tuples];
-                        for (local, g) in local_to_global.iter().enumerate() {
-                            global_to_local[g.0 as usize] = local as u32;
-                        }
-                        let monotone = local_to_global.windows(2).all(|w| w[0] < w[1]);
-                        Ok((
-                            s,
-                            Shard {
-                                translated: sub,
-                                index,
-                                global_to_local,
-                                monotone,
-                            },
-                        ))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|p| Err(CoreError::from_panic("shard_compile", p.as_ref())))
-                })
-                .collect()
-        });
-        let rebuilt = rebuilt?;
+        // Rebuild dirty shards in parallel — the recipe of `from_engine`,
+        // restricted to the shards that need it.
+        let dirty_ids: Vec<usize> = (0..num_shards).filter(|&s| dirty[s]).collect();
+        let rebuilt = Shard::build_all(translated, &partition, &dirty_ids)?;
         outcome.shards_rebuilt = rebuilt.len();
         outcome.shards_reused = num_shards - rebuilt.len();
-        for (s, shard) in rebuilt {
+        for (s, shard) in dirty_ids.into_iter().zip(rebuilt) {
             self.shards[s] = shard;
         }
 
@@ -557,156 +523,33 @@ impl ShardedEngine {
     }
 }
 
-/// Where one query of a batch went.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Route {
-    /// Constant lineage — answered during routing, no shard touched.
-    Constant,
-    /// Clauses routed to (one or more) shards; combined by independence.
-    Sharded,
-    /// Some clause group had no home shard (or the backend cannot evaluate
-    /// the routed form soundly); evaluated on the unsharded oracle.
-    Fallback,
-}
-
-/// One unit of per-shard work.
-enum ShardItem {
-    /// A localized per-shard lineage, for a lineage-capable backend.
-    Lineage(Lineage),
-    /// Syntactic evaluation of the (full) query on the shard's sub-store,
-    /// for structural backends. Only enqueued when every clause of the
-    /// query contains a W-homed tuple, so the sub-store yields exactly
-    /// this shard's clause group.
-    Structural,
-}
-
-/// How one query resolved during routing.
-enum Outcome {
-    /// Constant lineage, answered during routing.
-    Constant(f64),
-    /// Clauses enqueued for per-shard evaluation.
-    Sharded,
-    /// No sound routing: evaluated on the unsharded oracle by the routing
-    /// worker itself.
-    Fallback(f64),
-}
-
-/// What one shard worker produced in phase 2: the shard id, the
-/// `(query index, per-shard probability, evaluation time)` of every item
-/// in its queue, and the worker's manager / query-layer counters.
-type ShardOutcome = (
-    usize,
-    Vec<(usize, Result<f64>, Duration)>,
-    ManagerStats,
-    QueryStats,
-);
-
-/// What one routing worker produced for its stripe of the batch.
-#[derive(Default)]
-struct RoutedStripe {
-    /// `(query index, outcome, routing + fallback time)`.
-    outcomes: Vec<(usize, Outcome, Duration)>,
-    /// `(shard, query index, work item)` feeding phase 2.
-    items: Vec<(usize, usize, ShardItem)>,
-    stats: ManagerStats,
-    query_stats: QueryStats,
-}
-
-/// What one *resilient* routing worker produced for its stripe.
-#[derive(Default)]
-struct ResilientStripe {
-    /// Queries fully resolved during routing (constants, oracle
-    /// fallbacks, semantic losses): `(query index, outcome, time)`.
-    done: Vec<(usize, QueryOutcome, Duration)>,
-    /// Queries pending per-shard evaluation: `(query index, route time)`.
-    pending: Vec<(usize, Duration)>,
-    /// `(shard, query index, work item)` feeding phase 2.
-    items: Vec<(usize, usize, ShardItem)>,
-    stats: ManagerStats,
-    query_stats: QueryStats,
-}
-
-/// Per-query accumulator of the resilient independence combination.
-struct Combine {
-    one_minus: f64,
-    rung: Rung,
-    epsilon: f64,
-    has_epsilon: bool,
-    fault: Option<QueryFault>,
-    retries: u32,
-    /// Some per-shard item was lost — reroute the query to the oracle.
-    lost: bool,
-}
-
-impl Combine {
-    fn new() -> Self {
-        Combine {
-            one_minus: 1.0,
-            rung: Rung::Exact,
-            epsilon: 0.0,
-            has_epsilon: false,
-            fault: None,
-            retries: 0,
-            lost: false,
-        }
-    }
-
-    /// Folds one per-shard item outcome in.
-    fn add(&mut self, item: QueryOutcome) {
-        self.retries = self.retries.saturating_add(item.retries);
-        if self.fault.is_none() {
-            self.fault = item.fault.clone();
-        }
-        match item.probability {
-            Some(p) => {
-                self.one_minus *= 1.0 - p;
-                // The combined answer is only as good as its weakest item.
-                self.rung = self.rung.max(item.rung.unwrap_or(Rung::Exact));
-                if let Some(eps) = item.epsilon {
-                    // First-order error propagation through
-                    // `1 − ∏(1 − q_s)`: the half-widths add (the factors
-                    // `∏_{t≠s}(1 − q_t)` only shrink each term).
-                    self.epsilon += eps;
-                    self.has_epsilon = true;
-                }
-            }
-            None => self.lost = true,
-        }
-    }
-}
-
 /// A batch-evaluation session over a [`ShardedEngine`].
 ///
-/// Each batch runs in three phases: **route** (striped across one worker
-/// per shard: compute every query's lineage on the full store, group its
-/// clauses per home shard, and evaluate oracle fallbacks in place),
-/// **evaluate** (one worker thread per touched shard, each owning its
-/// shard's index manager and a private query-side manager — no shared
-/// mutable state at all), and **combine** (`1 − ∏_s (1 − q_s)` per
-/// query).
+/// A batch runs the three phases of the batch pipeline (`route` striped
+/// over one worker per shard on the full store, `evaluate` on one worker
+/// per touched shard, `combine` + `rescue` on the calling thread) — the
+/// same pipeline an unsharded [`MvdbSession`](crate::MvdbSession) runs
+/// without the middle phase. The calling thread is worker 0 of each phase,
+/// so a batch that touches one shard spawns no thread.
 ///
-/// Per-query service latencies (routing + per-shard evaluation + fallback
-/// time) and per-shard/fallback counters are recorded for every batch;
-/// manager and query-layer statistics are merged across the routing
-/// context, every shard worker and the fallback path, so the session-level
-/// aggregate stays complete under sharding.
+/// Per-query service latencies ([`QueryOutcome::elapsed`]: routing +
+/// per-shard evaluation + rescue time, queue wait excluded) and
+/// per-shard/fallback counters are recorded for every batch; manager and
+/// query-layer statistics are merged across the routing contexts, every
+/// shard worker and the rescue path, so the session-level aggregate stays
+/// complete under sharding. The `last_*` accessors describe the most
+/// recent batch whether or not it returned an error.
 #[derive(Debug)]
 pub struct ShardedSession<'e> {
     engine: &'e ShardedEngine,
-    stats: Cell<ManagerStats>,
-    query_stats: Cell<QueryStats>,
-    shard_queries: RefCell<Vec<u64>>,
-    fallbacks: Cell<u64>,
+    pipeline: Pipeline<'e>,
 }
 
 impl<'e> ShardedSession<'e> {
     fn new(engine: &'e ShardedEngine) -> Self {
         ShardedSession {
             engine,
-            stats: Cell::new(ManagerStats::default()),
-            query_stats: Cell::new(QueryStats::default()),
-            shard_queries: RefCell::new(vec![0; engine.num_shards()]),
-            fallbacks: Cell::new(0),
+            pipeline: Pipeline::sharded(engine),
         }
     }
 
@@ -715,32 +558,32 @@ impl<'e> ShardedSession<'e> {
         self.engine
     }
 
-    /// Merged manager counters of the most recent batch: every shard
-    /// worker's query-side manager plus the delta each shard's (and the
-    /// fallback path's) index manager accumulated during the batch. Zero
-    /// before the first batch.
+    /// Merged manager counters of the most recent batch: every worker's
+    /// query-side manager plus the delta each shard's (and the full
+    /// store's) index manager accumulated during the batch. Zero before
+    /// the first batch.
     pub fn last_manager_stats(&self) -> ManagerStats {
-        self.stats.get()
+        self.pipeline.last().manager
     }
 
     /// Query-layer counters of the most recent batch, merged over the
-    /// routing context and every shard worker. Zero before the first batch.
+    /// routing contexts and every shard worker. Zero before the first batch.
     pub fn last_query_stats(&self) -> QueryStats {
-        self.query_stats.get()
+        self.pipeline.last().query
     }
 
     /// Per-shard counts of sub-queries evaluated in the most recent batch
     /// (a query touching `k` shards contributes 1 to each of the `k`).
     pub fn last_shard_queries(&self) -> Vec<u64> {
-        self.shard_queries.borrow().clone()
+        self.pipeline.last().shard_queries.clone()
     }
 
-    /// Number of queries of the most recent batch that degraded to the
-    /// unsharded oracle — because some clause group drew W-homed tuples
-    /// from two shards, or because a structural backend met a clause with
-    /// no W-homed tuple at all.
+    /// Number of queries of the most recent batch that were answered by
+    /// the unsharded oracle — because some clause group drew W-homed tuples
+    /// from two shards, because a structural backend met a clause with no
+    /// W-homed tuple at all, or because a shard item was lost.
     pub fn last_fallbacks(&self) -> u64 {
-        self.fallbacks.get()
+        self.pipeline.last().fallbacks
     }
 
     /// Evaluates every query's Boolean probability with the engine's
@@ -753,295 +596,18 @@ impl<'e> ShardedSession<'e> {
         )
     }
 
-    /// Evaluates every query through an explicit backend selector.
+    /// Evaluates every query through an explicit backend selector: the
+    /// exact rung of the resilience ladder alone, no budget, no retries. A
+    /// shard item that fails does not fail its query — the query is
+    /// rerouted to the unsharded oracle, exactly like a cross-shard
+    /// lineage; only a query the oracle cannot answer either makes the
+    /// batch an error, with that query's own typed error.
     pub fn probabilities_with_backend(
         &self,
         queries: &[Ucq],
         selector: EngineBackend,
     ) -> Result<Vec<f64>> {
-        Ok(self.probabilities_with_latencies(queries, selector)?.0)
-    }
-
-    /// Evaluates every query and additionally reports each query's service
-    /// latency: the time spent routing its lineage plus the time every
-    /// shard worker (or the oracle fallback) spent evaluating it. Queue
-    /// wait is excluded, so the percentiles reflect per-query work, not
-    /// batch position.
-    pub fn probabilities_with_latencies(
-        &self,
-        queries: &[Ucq],
-        selector: EngineBackend,
-    ) -> Result<(Vec<f64>, Vec<Duration>)> {
-        let engine = self.engine;
-        let num_shards = engine.shards.len();
-        let boolean: Vec<Ucq> = queries.iter().map(Ucq::boolean).collect();
-        let index_before = engine.full.index().manager_stats();
-        let lineage_capable = selector.evaluates_lineage();
-
-        // Phase 1: route, with one striped worker per shard (the workers a
-        // deployment of this size owns), each holding a private context on
-        // the full store. Constants are answered on the spot; sharded
-        // queries yield one item per touched shard; queries with no home
-        // are evaluated on the unsharded oracle right here, inside the
-        // worker that routed them.
-        let route_workers = num_shards.min(boolean.len()).max(1);
-        let stripes: Vec<Result<RoutedStripe>> = std::thread::scope(|scope| {
-            let boolean = &boolean;
-            let handles: Vec<_> = (0..route_workers)
-                .map(|w| {
-                    scope.spawn(move || -> Result<RoutedStripe> {
-                        let ctx = engine.full.context();
-                        let backend: Box<dyn Backend> = selector.instantiate();
-                        let mut stripe = RoutedStripe::default();
-                        for (i, q) in boolean.iter().enumerate().skip(w).step_by(route_workers) {
-                            let started = Instant::now();
-                            let lineage = ctx.lineage(q)?;
-                            let outcome = if lineage.is_true() {
-                                Outcome::Constant(1.0)
-                            } else if lineage.is_false() {
-                                Outcome::Constant(0.0)
-                            } else {
-                                match engine.partition.route(&lineage) {
-                                    RoutedLineage::Sharded {
-                                        groups,
-                                        structural_ok,
-                                    } if (lineage_capable || structural_ok)
-                                        && groups
-                                            .iter()
-                                            .all(|(s, c)| engine.shards[*s].owns(c)) =>
-                                    {
-                                        for (shard, clauses) in groups {
-                                            let item = if lineage_capable {
-                                                ShardItem::Lineage(
-                                                    engine.shards[shard].localize(&clauses),
-                                                )
-                                            } else {
-                                                ShardItem::Structural
-                                            };
-                                            stripe.items.push((shard, i, item));
-                                        }
-                                        Outcome::Sharded
-                                    }
-                                    RoutedLineage::Sharded { .. } | RoutedLineage::CrossShard => {
-                                        Outcome::Fallback(backend.probability(q, &ctx)?)
-                                    }
-                                }
-                            };
-                            stripe.outcomes.push((i, outcome, started.elapsed()));
-                        }
-                        stripe.stats = ctx.query_manager_stats();
-                        stripe.query_stats = QueryStats {
-                            plan: ctx.query_plan_stats(),
-                            exec: ctx.query_exec_stats(),
-                        };
-                        Ok(stripe)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|p| Err(CoreError::from_panic("route_join", p.as_ref())))
-                })
-                .collect()
-        });
-
-        let mut results = vec![0.0f64; queries.len()];
-        let mut latencies = vec![Duration::ZERO; queries.len()];
-        let mut routes = vec![Route::Constant; queries.len()];
-        let mut one_minus = vec![1.0f64; queries.len()];
-        let mut queues: Vec<Vec<(usize, ShardItem)>> =
-            (0..num_shards).map(|_| Vec::new()).collect();
-        let mut num_fallbacks = 0u64;
-        let mut merged_stats = ManagerStats::default();
-        let mut merged_query_stats = QueryStats::default();
-        let mut first_error: Option<CoreError> = None;
-        for stripe in stripes {
-            let stripe = match stripe {
-                Ok(stripe) => stripe,
-                Err(e) => {
-                    first_error = first_error.or(Some(e));
-                    continue;
-                }
-            };
-            merged_stats = merged_stats + stripe.stats;
-            merged_query_stats = merged_query_stats + stripe.query_stats;
-            for (i, outcome, elapsed) in stripe.outcomes {
-                latencies[i] = elapsed;
-                match outcome {
-                    Outcome::Constant(p) => results[i] = p,
-                    Outcome::Sharded => routes[i] = Route::Sharded,
-                    Outcome::Fallback(p) => {
-                        routes[i] = Route::Fallback;
-                        results[i] = p;
-                        num_fallbacks += 1;
-                    }
-                }
-            }
-            for (shard, i, item) in stripe.items {
-                queues[shard].push((i, item));
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-
-        // Phase 2: evaluate, one worker per touched shard. Each worker owns
-        // its shard's index manager outright and builds query diagrams in a
-        // private query-side manager; nothing is shared across workers.
-        let mut shard_counts = vec![0u64; num_shards];
-        let outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-            let boolean = &boolean;
-            let handles: Vec<_> = queues
-                .into_iter()
-                .enumerate()
-                .filter(|(_, queue)| !queue.is_empty())
-                .map(|(s, queue)| {
-                    // The queue's query indices, kept on this side of the
-                    // join: if the whole worker dies, exactly its items are
-                    // poisoned, not the batch.
-                    let indices: Vec<usize> = queue.iter().map(|(qi, _)| *qi).collect();
-                    let handle = scope.spawn(move || {
-                        let shard = &engine.shards[s];
-                        let backend: Box<dyn Backend> = selector.instantiate();
-                        let ctx = EvalContext::with_index(&shard.translated, &shard.index);
-                        let shard_before = shard.index.manager_stats();
-                        let items: Vec<(usize, Result<f64>, Duration)> = queue
-                            .into_iter()
-                            .map(|(qi, item)| {
-                                let started = Instant::now();
-                                // Per-item panic trap: a pathological item
-                                // yields a typed error in its own slot (and
-                                // is rerouted to the oracle in phase 3).
-                                let p = catch_unwind(AssertUnwindSafe(|| match &item {
-                                    ShardItem::Lineage(lineage) => backend
-                                        .lineage_probability(lineage, &ctx)
-                                        .unwrap_or_else(|| {
-                                            // The selector claimed lineage
-                                            // support; a refusal here routes
-                                            // to the fallback path instead
-                                            // of panicking the worker.
-                                            Err(CoreError::WorkerPanicked {
-                                                site: sites::SHARD_EVAL,
-                                                message: "backend refused direct lineage \
-                                                          evaluation despite evaluates_lineage()"
-                                                    .to_string(),
-                                            })
-                                        }),
-                                    ShardItem::Structural => {
-                                        backend.probability(&boolean[qi], &ctx)
-                                    }
-                                }))
-                                .unwrap_or_else(|payload| {
-                                    Err(CoreError::from_panic(sites::SHARD_EVAL, payload.as_ref()))
-                                });
-                                (qi, p, started.elapsed())
-                            })
-                            .collect();
-                        let stats = ctx.query_manager_stats()
-                            + shard.index.manager_stats().since(&shard_before);
-                        let query_stats = QueryStats {
-                            plan: ctx.query_plan_stats(),
-                            exec: ctx.query_exec_stats(),
-                        };
-                        (s, items, stats, query_stats)
-                    });
-                    (s, indices, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(s, indices, h)| {
-                    h.join().unwrap_or_else(|payload| {
-                        let poisoned = indices
-                            .into_iter()
-                            .map(|qi| {
-                                (
-                                    qi,
-                                    Err(CoreError::from_panic("shard_join", payload.as_ref())),
-                                    Duration::ZERO,
-                                )
-                            })
-                            .collect();
-                        (s, poisoned, ManagerStats::default(), QueryStats::default())
-                    })
-                })
-                .collect()
-        });
-
-        // Phase 3: combine by independence. An item that errored (backend
-        // refusal, typed budget error, quarantined panic) does not poison
-        // its query: the query is rerouted to the unsharded oracle below,
-        // exactly like a cross-shard lineage would have been.
-        let mut shard_failed: Vec<Option<CoreError>> = Vec::new();
-        shard_failed.resize_with(queries.len(), || None);
-        for (s, items, stats, query_stats) in outcomes {
-            shard_counts[s] += items.len() as u64;
-            merged_stats = merged_stats + stats;
-            merged_query_stats = merged_query_stats + query_stats;
-            for (qi, p, elapsed) in items {
-                latencies[qi] += elapsed;
-                match p {
-                    Ok(q_s) => one_minus[qi] *= 1.0 - q_s,
-                    Err(e) => {
-                        if shard_failed[qi].is_none() {
-                            shard_failed[qi] = Some(e);
-                        }
-                    }
-                }
-            }
-        }
-        let mut oracle: Option<(Box<dyn Backend>, EvalContext<'_>)> = None;
-        for (i, route) in routes.iter_mut().enumerate() {
-            if *route != Route::Sharded {
-                continue;
-            }
-            match shard_failed[i].take() {
-                None => results[i] = 1.0 - one_minus[i],
-                // Cross-shard fallback for failed sharded items: one more
-                // exact evaluation on the full store. Only an oracle
-                // failure surfaces as the batch error.
-                Some(shard_error) => {
-                    let started = Instant::now();
-                    let (backend, ctx) = oracle
-                        .get_or_insert_with(|| (selector.instantiate(), engine.full.context()));
-                    match backend.probability(&boolean[i], ctx) {
-                        Ok(p) => {
-                            results[i] = p;
-                            *route = Route::Fallback;
-                            num_fallbacks += 1;
-                        }
-                        Err(oracle_error) => {
-                            first_error = first_error.or(Some(shard_error));
-                            first_error = first_error.or(Some(oracle_error));
-                        }
-                    }
-                    latencies[i] += started.elapsed();
-                }
-            }
-        }
-        if let Some((_, ctx)) = &oracle {
-            merged_stats = merged_stats + ctx.query_manager_stats();
-            merged_query_stats = merged_query_stats
-                + QueryStats {
-                    plan: ctx.query_plan_stats(),
-                    exec: ctx.query_exec_stats(),
-                };
-        }
-        // The routing workers' query-side counters were merged above; the
-        // shared full-index manager (used by routing and any fallback) is
-        // attributed by delta, like `MvdbSession` does.
-        merged_stats = merged_stats + engine.full.index().manager_stats().since(&index_before);
-
-        self.stats.set(merged_stats);
-        self.query_stats.set(merged_query_stats);
-        *self.shard_queries.borrow_mut() = shard_counts;
-        self.fallbacks.set(num_fallbacks);
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        Ok((results, latencies))
+        self.pipeline.plain(queries, selector)
     }
 
     /// Evaluates every query through the resilience ladder on the sharded
@@ -1056,342 +622,14 @@ impl<'e> ShardedSession<'e> {
         queries: &[Ucq],
         config: &ResilienceConfig,
     ) -> Vec<QueryOutcome> {
-        let engine = self.engine;
-        let num_shards = engine.shards.len();
-        let boolean: Vec<Ucq> = queries.iter().map(Ucq::boolean).collect();
-        let index_before = engine.full.index().manager_stats();
-        let lineage_capable = config.inner.evaluates_lineage();
-
-        let mut results: Vec<Option<QueryOutcome>> = (0..queries.len()).map(|_| None).collect();
-        let mut combines: Vec<Option<Combine>> = (0..queries.len()).map(|_| None).collect();
-        let mut latencies = vec![Duration::ZERO; queries.len()];
-        let mut queues: Vec<Vec<(usize, ShardItem)>> =
-            (0..num_shards).map(|_| Vec::new()).collect();
-        let mut merged_stats = ManagerStats::default();
-        let mut merged_query_stats = QueryStats::default();
-
-        // Phase 1: route, panic-isolated per query. Cross-shard queries,
-        // routing faults and injected `route` chaos resolve through the
-        // oracle ladder inside the routing worker.
-        let route_workers = num_shards.min(boolean.len()).max(1);
-        let stripes: Vec<std::thread::Result<ResilientStripe>> = std::thread::scope(|scope| {
-            let boolean = &boolean;
-            let handles: Vec<_> = (0..route_workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let ctx = engine.full.context();
-                        let ladder = ResilientBackend::new(config.clone());
-                        let mut stripe = ResilientStripe::default();
-                        for (i, q) in boolean.iter().enumerate().skip(w).step_by(route_workers) {
-                            let started = Instant::now();
-                            let plan = catch_unwind(AssertUnwindSafe(|| -> Result<RoutePlan> {
-                                chaos::apply(sites::ROUTE)?;
-                                let lineage = ctx.lineage(q)?;
-                                Ok(if lineage.is_true() {
-                                    RoutePlan::Constant(1.0)
-                                } else if lineage.is_false() {
-                                    RoutePlan::Constant(0.0)
-                                } else {
-                                    match engine.partition.route(&lineage) {
-                                        RoutedLineage::Sharded {
-                                            groups,
-                                            structural_ok,
-                                        } if (lineage_capable || structural_ok)
-                                            && groups
-                                                .iter()
-                                                .all(|(s, c)| engine.shards[*s].owns(c)) =>
-                                        {
-                                            RoutePlan::Items(
-                                                groups
-                                                    .into_iter()
-                                                    .map(|(shard, clauses)| {
-                                                        let item = if lineage_capable {
-                                                            ShardItem::Lineage(
-                                                                engine.shards[shard]
-                                                                    .localize(&clauses),
-                                                            )
-                                                        } else {
-                                                            ShardItem::Structural
-                                                        };
-                                                        (shard, item)
-                                                    })
-                                                    .collect(),
-                                            )
-                                        }
-                                        RoutedLineage::Sharded { .. }
-                                        | RoutedLineage::CrossShard => RoutePlan::Oracle,
-                                    }
-                                })
-                            }));
-                            match plan {
-                                Ok(Ok(RoutePlan::Constant(p))) => {
-                                    let outcome = QueryOutcome {
-                                        probability: Some(p),
-                                        rung: Some(Rung::Exact),
-                                        epsilon: None,
-                                        retries: 0,
-                                        fallback: false,
-                                        elapsed: Duration::ZERO,
-                                        fault: None,
-                                    };
-                                    stripe.done.push((i, outcome, started.elapsed()));
-                                }
-                                Ok(Ok(RoutePlan::Items(items))) => {
-                                    for (shard, item) in items {
-                                        stripe.items.push((shard, i, item));
-                                    }
-                                    stripe.pending.push((i, started.elapsed()));
-                                }
-                                Ok(Ok(RoutePlan::Oracle)) => {
-                                    let outcome = oracle_rescue(&ladder, q, &ctx);
-                                    stripe.done.push((i, outcome, started.elapsed()));
-                                }
-                                Ok(Err(e)) if e.is_degradable() => {
-                                    let fault = QueryFault::of(&e);
-                                    let mut outcome = oracle_rescue(&ladder, q, &ctx);
-                                    outcome.fault.get_or_insert(fault);
-                                    stripe.done.push((i, outcome, started.elapsed()));
-                                }
-                                Ok(Err(e)) => {
-                                    let outcome = QueryOutcome::lost(QueryFault::of(&e), started);
-                                    stripe.done.push((i, outcome, started.elapsed()));
-                                }
-                                Err(_) => {
-                                    let mut outcome = oracle_rescue(&ladder, q, &ctx);
-                                    outcome.retries = outcome.retries.saturating_add(1);
-                                    stripe.done.push((i, outcome, started.elapsed()));
-                                }
-                            }
-                        }
-                        stripe.stats = ctx.query_manager_stats();
-                        stripe.query_stats = QueryStats {
-                            plan: ctx.query_plan_stats(),
-                            exec: ctx.query_exec_stats(),
-                        };
-                        stripe
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        for stripe in stripes {
-            // A dead routing worker leaves its whole stripe unresolved;
-            // those slots stay `None` and are rescued on the oracle below.
-            let Ok(stripe) = stripe else { continue };
-            merged_stats = merged_stats + stripe.stats;
-            merged_query_stats = merged_query_stats + stripe.query_stats;
-            for (i, outcome, elapsed) in stripe.done {
-                latencies[i] = elapsed;
-                results[i] = Some(outcome);
-            }
-            for (i, elapsed) in stripe.pending {
-                latencies[i] = elapsed;
-                combines[i] = Some(Combine::new());
-            }
-            for (shard, i, item) in stripe.items {
-                queues[shard].push((i, item));
-            }
-        }
-
-        // Phase 2: evaluate, one isolated ladder per item on one worker
-        // per touched shard.
-        let mut shard_counts = vec![0u64; num_shards];
-        type ResilientShardOutcome = (
-            usize,
-            Vec<(usize, QueryOutcome, Duration)>,
-            ManagerStats,
-            QueryStats,
-        );
-        let outcomes: Vec<ResilientShardOutcome> = std::thread::scope(|scope| {
-            let boolean = &boolean;
-            let handles: Vec<_> = queues
-                .into_iter()
-                .enumerate()
-                .filter(|(_, queue)| !queue.is_empty())
-                .map(|(s, queue)| {
-                    let indices: Vec<usize> = queue.iter().map(|(qi, _)| *qi).collect();
-                    let handle = scope.spawn(move || {
-                        let shard = &engine.shards[s];
-                        let ladder = ResilientBackend::new(config.clone());
-                        let ctx = EvalContext::with_index(&shard.translated, &shard.index);
-                        let shard_before = shard.index.manager_stats();
-                        let items: Vec<(usize, QueryOutcome, Duration)> = queue
-                            .into_iter()
-                            .map(|(qi, item)| {
-                                let started = Instant::now();
-                                let caught = catch_unwind(AssertUnwindSafe(|| {
-                                    chaos::apply(sites::SHARD_EVAL).map(|()| match &item {
-                                        ShardItem::Lineage(lineage) => {
-                                            ladder.evaluate_lineage(lineage, &ctx)
-                                        }
-                                        ShardItem::Structural => {
-                                            ladder.evaluate(&boolean[qi], &ctx)
-                                        }
-                                    })
-                                }));
-                                let outcome = match caught {
-                                    Ok(Ok(outcome)) => outcome,
-                                    Ok(Err(e)) => QueryOutcome::lost(QueryFault::of(&e), started),
-                                    Err(_) => QueryOutcome::poisoned(sites::SHARD_EVAL),
-                                };
-                                (qi, outcome, started.elapsed())
-                            })
-                            .collect();
-                        let stats = ctx.query_manager_stats()
-                            + shard.index.manager_stats().since(&shard_before);
-                        let query_stats = QueryStats {
-                            plan: ctx.query_plan_stats(),
-                            exec: ctx.query_exec_stats(),
-                        };
-                        (s, items, stats, query_stats)
-                    });
-                    (s, indices, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|(s, indices, h)| {
-                    h.join().unwrap_or_else(|_| {
-                        let poisoned = indices
-                            .into_iter()
-                            .map(|qi| {
-                                (
-                                    qi,
-                                    QueryOutcome::poisoned(sites::SHARD_EVAL),
-                                    Duration::ZERO,
-                                )
-                            })
-                            .collect();
-                        (s, poisoned, ManagerStats::default(), QueryStats::default())
-                    })
-                })
-                .collect()
-        });
-
-        // Phase 3: combine by independence; lost items (and dead stripes)
-        // reroute their queries to the oracle ladder with retries.
-        for (s, items, stats, query_stats) in outcomes {
-            shard_counts[s] += items.len() as u64;
-            merged_stats = merged_stats + stats;
-            merged_query_stats = merged_query_stats + query_stats;
-            for (qi, outcome, elapsed) in items {
-                latencies[qi] += elapsed;
-                if let Some(combine) = combines[qi].as_mut() {
-                    combine.add(outcome);
-                }
-            }
-        }
-        let mut oracle: Option<(ResilientBackend, EvalContext<'_>)> = None;
-        let mut num_fallbacks = 0u64;
-        for qi in 0..boolean.len() {
-            if results[qi].is_some() {
-                continue;
-            }
-            let mut rescue_oracle =
-                |qi: usize,
-                 extra_retries: u32,
-                 fault: Option<QueryFault>,
-                 latencies: &mut Vec<Duration>| {
-                    let started = Instant::now();
-                    let (ladder, ctx) = oracle.get_or_insert_with(|| {
-                        (ResilientBackend::new(config.clone()), engine.full.context())
-                    });
-                    let mut outcome = oracle_rescue(ladder, &boolean[qi], ctx);
-                    outcome.retries = outcome.retries.saturating_add(extra_retries);
-                    if outcome.fault.is_none() {
-                        outcome.fault = fault;
-                    }
-                    latencies[qi] += started.elapsed();
-                    outcome
-                };
-            let outcome = match combines[qi].take() {
-                // Never routed (routing worker died): straight to the
-                // oracle, the join panic counting as the first retry.
-                None => rescue_oracle(qi, 1, None, &mut latencies),
-                Some(combine) if combine.lost => {
-                    rescue_oracle(qi, combine.retries, combine.fault, &mut latencies)
-                }
-                Some(combine) => QueryOutcome {
-                    probability: Some(1.0 - combine.one_minus),
-                    rung: Some(combine.rung),
-                    epsilon: combine.has_epsilon.then_some(combine.epsilon),
-                    retries: combine.retries,
-                    fallback: false,
-                    elapsed: Duration::ZERO,
-                    fault: combine.fault,
-                },
-            };
-            results[qi] = Some(outcome);
-        }
-        if let Some((_, ctx)) = &oracle {
-            merged_stats = merged_stats + ctx.query_manager_stats();
-            merged_query_stats = merged_query_stats
-                + QueryStats {
-                    plan: ctx.query_plan_stats(),
-                    exec: ctx.query_exec_stats(),
-                };
-        }
-        merged_stats = merged_stats + engine.full.index().manager_stats().since(&index_before);
-
-        // Every phase fills its slots (combine covers routed queries,
-        // rescue covers failures), so an empty slot is a phasing bug — it
-        // surfaces as a per-query poisoned outcome, never a batch panic.
-        let mut outcomes: Vec<QueryOutcome> = results
-            .into_iter()
-            .map(|slot| slot.unwrap_or_else(|| QueryOutcome::poisoned("shard_join")))
-            .collect();
-        for (qi, outcome) in outcomes.iter_mut().enumerate() {
-            outcome.elapsed = latencies[qi];
-            if outcome.fallback {
-                num_fallbacks += 1;
-            }
-        }
-        self.stats.set(merged_stats);
-        self.query_stats.set(merged_query_stats);
-        *self.shard_queries.borrow_mut() = shard_counts;
-        self.fallbacks.set(num_fallbacks);
-        outcomes
+        self.pipeline.resilient(queries, config)
     }
-}
-
-/// What the resilient routing pass decided for one query.
-enum RoutePlan {
-    /// Constant lineage: answered exactly, no shard touched.
-    Constant(f64),
-    /// `(shard, item)` work units for phase 2.
-    Items(Vec<(usize, ShardItem)>),
-    /// Cross-shard (or structurally unroutable): oracle ladder.
-    Oracle,
-}
-
-/// One quarantined oracle evaluation: the `oracle` chaos site wraps a
-/// retried ladder pass on the full store; injected faults at the site are
-/// themselves absorbed by one more ladder pass, keeping the fault on the
-/// record.
-fn oracle_rescue(ladder: &ResilientBackend, q: &Ucq, ctx: &EvalContext<'_>) -> QueryOutcome {
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        chaos::apply(sites::ORACLE).map(|()| ladder.evaluate_with_retries(q, ctx))
-    }));
-    let mut outcome = match caught {
-        Ok(Ok(outcome)) => outcome,
-        Ok(Err(e)) => {
-            let mut outcome = ladder.evaluate_with_retries(q, ctx);
-            outcome.fault.get_or_insert_with(|| QueryFault::of(&e));
-            outcome
-        }
-        Err(_) => {
-            let mut outcome = ladder.evaluate_with_retries(q, ctx);
-            outcome.retries = outcome.retries.saturating_add(1);
-            outcome
-        }
-    };
-    outcome.fallback = true;
-    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos;
     use crate::mvdb::MvdbBuilder;
     use mv_query::parse_ucq;
 
@@ -1505,15 +743,10 @@ mod tests {
         let queries = workload();
         let session = engine.session();
         assert_eq!(session.last_manager_stats(), ManagerStats::default());
-        let (probs, latencies) = session
-            .probabilities_with_latencies(
-                &queries,
-                EngineBackend::MvIndex(engine.full().intersect_algorithm()),
-            )
-            .unwrap();
-        assert_eq!(probs.len(), queries.len());
-        assert_eq!(latencies.len(), queries.len());
-        assert!(latencies.iter().all(|d| *d > Duration::ZERO));
+        let outcomes = session.resilient_probabilities(&queries, &ResilienceConfig::default());
+        assert_eq!(outcomes.len(), queries.len());
+        // Every query reports its own service latency.
+        assert!(outcomes.iter().all(|o| !o.elapsed.is_zero()));
         // Both shards evaluated sub-queries, and the merged counters saw
         // the workers' query-side managers.
         let per_shard = session.last_shard_queries();
@@ -1610,6 +843,7 @@ mod tests {
 
     #[test]
     fn resilient_sharded_matches_the_oracle_without_chaos() {
+        let _quiet = chaos::quiet();
         let mvdb = sample_mvdb();
         let queries = workload();
         let oracle = MvdbEngine::compile(&mvdb).unwrap();

@@ -13,7 +13,7 @@
 //! readers pinned to the old snapshot drain undisturbed.
 //!
 //! Every batch is classified before anything is touched
-//! ([`classify`]), so validation errors (unknown relation or view, arity
+//! (`classify`), so validation errors (unknown relation or view, arity
 //! mismatch, invalid weight, deterministic target) reject the whole batch
 //! without applying any of it:
 //!

@@ -21,7 +21,7 @@
 //! * [`synthesis`] — [`SynthesisBuilder`], the generic bottom-up builder that
 //!   synthesises an OBDD from a DNF lineage clause by clause. This is the
 //!   stand-in for native CUDD used as the baseline of Figure 8.
-//! * [`reference`] — [`RefManager`], a deliberately unoptimised recursive
+//! * [`mod@reference`] — [`RefManager`], a deliberately unoptimised recursive
 //!   implementation with SipHash hash-map caches: the agreement oracle for
 //!   the manager's iterative hot paths and the baseline the
 //!   `manager_hotpath` microbenchmark measures speedups against.

@@ -5,7 +5,7 @@
 //! given `(level, lo, hi)` triple exists at most once per manager, so
 //! structurally identical sub-diagrams are shared by **every** diagram built
 //! in the manager — across views, across blocks of the MV-index, and across
-//! queries. An [`Obdd`](crate::Obdd) is just a cheap `{manager, root}`
+//! queries. An [`Obdd`] is just a cheap `{manager, root}`
 //! handle; cloning one never copies nodes.
 //!
 //! # Cache architecture
@@ -1143,7 +1143,7 @@ impl ObddManager {
     }
 
     /// Compacts the arena down to the nodes reachable from the registered
-    /// roots (see [`Store::compact`]'s contract: fresh unique table, reset
+    /// roots (see `Store::compact`'s contract: fresh unique table, reset
     /// computed / negate / probability caches, generation and weight epoch
     /// bumped, registered roots remapped). Callers must be quiescent: any
     /// raw [`NodeId`] or unregistered [`Obdd`] taken before the call is

@@ -3,7 +3,7 @@
 //! An [`Obdd`] is a reduced, ordered binary decision diagram over the tuple
 //! variables of a probabilistic database. Since the manager refactor it is a
 //! cheap `{manager, root}` handle into a shared, hash-consed
-//! [`ObddManager`](crate::ObddManager) arena: cloning a diagram, combining
+//! [`ObddManager`] arena: cloning a diagram, combining
 //! two diagrams, or keeping thousands of per-view diagrams alive never
 //! duplicates node storage.
 //!

@@ -8,7 +8,7 @@
 //! Alongside the row-major `Vec<Row>` store, every relation keeps
 //! *dictionary-encoded columns*: one `Vec<u32>` of interner codes per
 //! attribute, filled through the database-wide
-//! [`ValueInterner`](crate::interner::ValueInterner) at insert time. The
+//! [`ValueInterner`] at insert time. The
 //! columnar code arrays are what the compiled query evaluator scans, probes
 //! and compares — integer loads instead of `Value` hashing and cloning.
 

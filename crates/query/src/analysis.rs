@@ -286,7 +286,7 @@ pub fn independent_atom_components(cq: &ConjunctiveQuery) -> Vec<Vec<usize>> {
     groups.into_values().collect()
 }
 
-/// Conservative inversion-freeness test (Section 4.2 / [15]).
+/// Conservative inversion-freeness test (Section 4.2 / \[15\]).
 ///
 /// A UCQ is inversion-free when there exists a choice of per-relation
 /// attribute permutations `π` such that the `ConOBDD` construction performs

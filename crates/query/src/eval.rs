@@ -8,7 +8,7 @@
 //! Two evaluators live side by side:
 //!
 //! * the **compiled** evaluator ([`crate::plan`]): [`EvalContext::compile`]
-//!   lowers a query once into a slot-based [`PhysicalPlan`] over the
+//!   lowers a query once into a slot-based [`PhysicalPlan`](crate::plan::PhysicalPlan) over the
 //!   dictionary-encoded columnar store, and every production entry point
 //!   ([`evaluate_ucq`], [`evaluate_boolean`], the lineage functions) runs
 //!   the plan's iterative operator loop;

@@ -11,7 +11,7 @@
 //!   environment is a register file of `u32` dictionary codes (no string
 //!   hashing, no `Value` clones, no per-row allocation on the hot path);
 //! * the atom order is fixed once through the join-order function both
-//!   evaluators share ([`crate::eval::static_join_order`]: greedy
+//!   evaluators share (`crate::eval::static_join_order`: greedy
 //!   most-bound-terms-first, then atoms a comparison filters) — the choice
 //!   depends only on *which* atoms were processed, never on the values
 //!   bound, so fixing it statically is exact and the two evaluators

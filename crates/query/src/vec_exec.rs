@@ -519,7 +519,7 @@ impl VecPlan {
         }
     }
 
-    /// [`Self::for_each_batch`] under a cooperative [`EvalBudget`]: before
+    /// [`Self::for_each_batch`] under a cooperative [`EvalBudget`](crate::EvalBudget): before
     /// every batch is handed to `on_batch`, the batch's rows are charged as
     /// budget steps and the deadline is polled — a trip abandons the run
     /// and surfaces as `Err` instead of enumerating further. With no
