@@ -2377,9 +2377,10 @@ pub struct UpdateStats {
     pub weight_only: u64,
     /// Applied batches that re-translated (structural).
     pub structural: u64,
-    /// Shards rebuilt across applied batches.
+    /// Sum of `UpdateOutcome::shards_rebuilt` over applied batches: home
+    /// shards of index blocks whose key or shape a batch changed.
     pub shards_rebuilt: u64,
-    /// Shards that kept their compiled state across applied batches.
+    /// Sum of `UpdateOutcome::shards_reused` over applied batches.
     pub shards_reused: u64,
 }
 
@@ -2437,10 +2438,10 @@ pub fn update_chaos_config(seed: u64) -> mv_core::chaos::ChaosConfig {
 
 /// Builds the update schedule of the soak over the generated MVDB:
 /// batches alternate between weight-only nudges of existing probabilistic
-/// base tuples (the fast path — no re-translation, every shard reused)
-/// and structural inserts of fresh rows modelled on existing ones (full
-/// re-translation; the fresh `aid` values are outside the generator's
-/// domain, so they join no `W` clause and dirty no shard).
+/// base tuples (the fast path — no re-translation) and structural
+/// inserts of fresh rows modelled on existing ones (full re-translation;
+/// the fresh `aid` values are outside the generator's domain, so they
+/// join no `W` clause and change no index block).
 pub fn update_batches(mvdb: &mv_core::Mvdb, count: usize) -> Vec<mv_core::UpdateBatch> {
     use mv_core::{UpdateBatch, UpdateOp};
 
@@ -2913,7 +2914,7 @@ mod tests {
             );
         }
         // The clean writer lands every batch: half fast-path, half
-        // structural, and the fresh W-free rows dirty no shard.
+        // structural, and the fresh W-free rows change no index block.
         let u = &p.live_updates;
         assert_eq!(u.applied, 6, "clean writer failed batches: {u:?}");
         assert_eq!(u.failed, 0, "{u:?}");

@@ -17,6 +17,7 @@
 //! every comparison harness and agreement test picks it up through
 //! [`EngineBackend::comparison_suite`].
 
+use std::borrow::Cow;
 use std::cell::{OnceCell, RefCell};
 use std::fmt;
 use std::sync::Arc;
@@ -69,7 +70,10 @@ pub struct EvalContext<'a> {
     translated: &'a TranslatedIndb,
     index: Option<&'a MvIndex>,
     query_ctx: QueryEvalContext<'a>,
-    w_lineage: OnceCell<Lineage>,
+    /// `W`'s lineage: borrowed where someone already holds it (the copy
+    /// the index kept from its compile, a shard's `W_s`), otherwise
+    /// evaluated on first use.
+    w_lineage: OnceCell<Cow<'a, Lineage>>,
     scalars: RefCell<FxHashMap<&'static str, f64>>,
     query_manager: OnceCell<ObddManager>,
     budget: RefCell<Option<mv_query::EvalBudget>>,
@@ -121,12 +125,22 @@ impl<'a> EvalContext<'a> {
         }
     }
 
-    /// A context carrying the compiled MV-index.
+    /// A context carrying the compiled MV-index (and borrowing the lineage
+    /// of `W` the index was compiled from).
     pub fn with_index(translated: &'a TranslatedIndb, index: &'a MvIndex) -> Self {
         EvalContext {
             index: Some(index),
+            w_lineage: OnceCell::from(Cow::Borrowed(index.w_lineage())),
             ..Self::new(translated)
         }
+    }
+
+    /// This context with `w` standing in for `W`'s lineage: a shard worker
+    /// evaluates against its shard's `W_s`, whose complement is all of `¬W`
+    /// the shard's clause groups can depend on.
+    pub(crate) fn with_w_lineage(mut self, w: &'a Lineage) -> Self {
+        self.w_lineage = OnceCell::from(Cow::Borrowed(w));
+        self
     }
 
     /// The translated tuple-independent database.
@@ -164,8 +178,9 @@ impl<'a> EvalContext<'a> {
         Ok(answer_lineages_with(query, self.indb(), &self.query_ctx)?)
     }
 
-    /// The lineage of the helper query `W`, computed once per context
-    /// (`None` when the MVDB has no views). Backends that evaluate many
+    /// The lineage of the helper query `W` (`None` when the MVDB has no
+    /// views): borrowed from the compiled index when the context has one,
+    /// otherwise evaluated once per context. Backends that evaluate many
     /// lineages against the same context — the per-answer loop of
     /// [`Backend::answers`] — must not recompute this join every time.
     pub fn w_lineage(&self) -> Result<Option<&Lineage>> {
@@ -174,9 +189,9 @@ impl<'a> EvalContext<'a> {
         };
         if self.w_lineage.get().is_none() {
             let lineage = self.lineage(w)?;
-            let _ = self.w_lineage.set(lineage);
+            let _ = self.w_lineage.set(Cow::Owned(lineage));
         }
-        Ok(self.w_lineage.get())
+        Ok(self.w_lineage.get().map(|lineage| &**lineage))
     }
 
     /// The context's query-side [`ObddManager`] *shard*, created lazily over
@@ -225,7 +240,8 @@ impl<'a> EvalContext<'a> {
     /// Counters of the vectorized batch executor accumulated on this
     /// context: zone-map blocks scanned and skipped, CSR probes, batches.
     /// Every lineage and answer computation made through this context —
-    /// including the `W`-lineage join — contributes.
+    /// including the `W`-lineage join of an index-free context —
+    /// contributes.
     pub fn query_exec_stats(&self) -> mv_query::ExecStats {
         self.query_ctx.exec_stats()
     }
@@ -362,8 +378,8 @@ impl EngineBackend {
     /// Whether the named backend implements [`Backend::lineage_probability`]
     /// — i.e. can evaluate a precomputed lineage directly instead of
     /// re-deriving it from the bound query. The sharded session routes on
-    /// this: lineage-capable backends receive per-shard localized lineages,
-    /// the others are dispatched syntactically per shard (kept in sync by
+    /// this: lineage-capable backends receive per-shard clause groups, the
+    /// others answer on the full store (kept in sync by
     /// `sharded::tests::evaluates_lineage_matches_backend_behaviour`).
     pub fn evaluates_lineage(&self) -> bool {
         !matches!(self, EngineBackend::ObddPerQuery | EngineBackend::SafePlan)

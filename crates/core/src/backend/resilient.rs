@@ -413,10 +413,17 @@ impl ResilientBackend {
     /// ladder. The pipeline's own sites go through here too, so one flag
     /// decides for every site a batch can cross.
     pub(crate) fn chaos(&self, site: &'static str) -> Result<()> {
+        self.draw(site)
+            .map_or(Ok(()), |fault| chaos::raise(site, fault))
+    }
+
+    /// The draw of [`ResilientBackend::chaos`] alone; the caller raises
+    /// the fault.
+    pub(crate) fn draw(&self, site: &'static str) -> Option<chaos::Fault> {
         if self.exact_only {
-            return Ok(());
+            return None;
         }
-        chaos::apply(site)
+        chaos::inject(site)
     }
 
     /// The ladder configuration.

@@ -10,8 +10,9 @@
 //!    on the full store by the worker that routed it (the *oracle*).
 //!    Without shards every query takes that last branch, so an unsharded
 //!    session is this phase alone.
-//! 2. **Evaluate**, one worker per touched shard, each owning its shard's
-//!    index manager and a private query-side manager.
+//! 2. **Evaluate**, one worker per touched shard: a context over the full
+//!    store and index with a private query-side manager and the shard's
+//!    `W_s` in place of `W`'s lineage.
 //! 3. **Combine** `1 − ∏_s (1 − q_s)` per query, then **rescue**: a query
 //!    that lost a shard item, or whose routing worker died, is evaluated on
 //!    the full store.
@@ -23,12 +24,13 @@
 //! that [`MvdbSession`](crate::MvdbSession) and
 //! [`ShardedSession`](crate::ShardedSession) expose.
 
+use std::borrow::Cow;
 use std::cell::{Ref, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use mv_obdd::ManagerStats;
-use mv_query::lineage::{Clause, Lineage};
+use mv_query::lineage::Lineage;
 use mv_query::partition::RoutedLineage;
 use mv_query::Ucq;
 
@@ -36,7 +38,7 @@ use crate::backend::resilient::{
     QueryFault, QueryOutcome, ResilienceConfig, ResilientBackend, Rung, Target, Tracked,
 };
 use crate::backend::{EngineBackend, EvalContext};
-use crate::chaos::sites;
+use crate::chaos::{self, sites, Fault};
 use crate::engine::MvdbEngine;
 use crate::error::CoreError;
 use crate::session::QueryStats;
@@ -137,26 +139,16 @@ fn worker_stats(ctx: &EvalContext<'_>) -> WorkerStats {
     (ctx.query_manager_stats(), query)
 }
 
-/// One unit of per-shard work.
-enum ShardItem {
-    /// A localized per-shard lineage, for a lineage-capable backend.
-    Lineage(Lineage),
-    /// Syntactic evaluation of the (full) query on the shard's sub-store,
-    /// for structural backends. Only enqueued when every clause of the
-    /// query contains a W-homed tuple, so the sub-store yields exactly
-    /// this shard's clause group.
-    Structural,
-}
-
 /// Where one query of the batch stands.
 enum Slot {
     /// Resolved by its routing worker (constant, full-store evaluation,
     /// semantic loss).
     Done(Tracked),
-    /// Pending on one item per touched shard: `items` moves into the shard
-    /// queues after phase 1, `combine` folds their outcomes in phase 3.
+    /// Pending on one clause group per touched shard: `items` moves into
+    /// the shard queues after phase 1, `combine` folds their outcomes in
+    /// phase 3.
     Sharded {
-        items: Vec<(usize, ShardItem)>,
+        items: Vec<(usize, Lineage)>,
         combine: Combine,
     },
     /// Its routing worker died: rescued in phase 3.
@@ -262,16 +254,13 @@ fn route(
     ctx: &EvalContext<'_>,
     started: Instant,
 ) -> Slot {
-    let lineage_capable = ladder.config().inner.evaluates_lineage();
-    let item = |shard: usize, clauses: &[Clause]| {
-        if lineage_capable {
-            ShardItem::Lineage(engine.shards[shard].localize(clauses))
-        } else {
-            ShardItem::Structural
-        }
-    };
     let routed = CoreError::trap(sites::ROUTE, || {
         ladder.chaos(sites::ROUTE)?;
+        // A structural backend evaluates queries, not clause groups: it
+        // answers on the full store, like a cross-shard lineage.
+        if !ladder.config().inner.evaluates_lineage() {
+            return Ok(Slot::Done(quarantined(ladder, sites::ORACLE, q, ctx)));
+        }
         let lineage = ctx.lineage(q)?;
         if lineage.is_true() || lineage.is_false() {
             // Constant lineage: answered exactly, no shard touched.
@@ -280,22 +269,14 @@ fn route(
             return Ok(Slot::Done(answer));
         }
         Ok(match engine.partition.route(&lineage) {
-            RoutedLineage::Sharded {
-                groups,
-                structural_ok,
-            } if (lineage_capable || structural_ok)
-                && groups.iter().all(|(s, c)| engine.shards[*s].owns(c)) =>
-            {
-                Slot::Sharded {
-                    items: groups.iter().map(|(s, c)| (*s, item(*s, c))).collect(),
-                    combine: Combine::new(),
-                }
-            }
-            // Cross-shard, structurally unroutable, or touching a tuple its
-            // home shard does not own: evaluated on the full store.
-            RoutedLineage::Sharded { .. } | RoutedLineage::CrossShard => {
-                Slot::Done(quarantined(ladder, sites::ORACLE, q, ctx))
-            }
+            RoutedLineage::Sharded { groups } => Slot::Sharded {
+                items: groups
+                    .into_iter()
+                    .map(|(shard, clauses)| (shard, Lineage::from_distinct_clauses(clauses)))
+                    .collect(),
+                combine: Combine::new(),
+            },
+            RoutedLineage::CrossShard => Slot::Done(quarantined(ladder, sites::ORACLE, q, ctx)),
         })
     });
     match routed {
@@ -338,9 +319,9 @@ impl<'e> Pipeline<'e> {
         Pipeline {
             full: &engine.full,
             sharded: Some(engine),
-            workers: engine.shards.len(),
+            workers: engine.num_shards(),
             last: RefCell::new(BatchStats {
-                shard_queries: vec![0; engine.shards.len()],
+                shard_queries: vec![0; engine.num_shards()],
                 ..BatchStats::default()
             }),
         }
@@ -381,11 +362,20 @@ impl<'e> Pipeline<'e> {
     /// projection.
     fn run(&self, queries: &[Ucq], ladder: &(dyn Fn() -> ResilientBackend + Sync)) -> Vec<Tracked> {
         let (full, sharded) = (self.full, self.sharded);
-        let shards = sharded.map_or(&[][..], |engine| &engine.shards[..]);
-        let boolean: Vec<Ucq> = queries.iter().map(Ucq::boolean).collect();
+        let w_shards = sharded.map_or(&[][..], |engine| &engine.w_shards[..]);
+        let boolean: Vec<Cow<'_, Ucq>> = queries
+            .iter()
+            .map(|q| {
+                if q.is_boolean() {
+                    Cow::Borrowed(q)
+                } else {
+                    Cow::Owned(q.boolean())
+                }
+            })
+            .collect();
         let index_before = full.index().manager_stats();
         let mut stats = BatchStats {
-            shard_queries: vec![0; shards.len()],
+            shard_queries: vec![0; w_shards.len()],
             ..BatchStats::default()
         };
 
@@ -418,47 +408,46 @@ impl<'e> Pipeline<'e> {
         );
         route_stats.into_iter().for_each(|s| stats.add(s));
         let (mut slots, mut elapsed): (Vec<Slot>, Vec<Duration>) = routed.into_iter().unzip();
-        let mut queues: Vec<Vec<(usize, ShardItem)>> = shards.iter().map(|_| Vec::new()).collect();
+        // The calling thread's ladder: it draws the `shard_eval` faults and
+        // runs the rescues. An item's fault is drawn here, in (query, shard)
+        // order, and raised by the worker around the item: the seed decides
+        // which items fault, not how the workers happen to interleave.
+        let own = ladder();
+        let mut queues: Vec<Vec<(usize, Lineage, Option<Fault>)>> =
+            w_shards.iter().map(|_| Vec::new()).collect();
         for (qi, slot) in slots.iter_mut().enumerate() {
             if let Slot::Sharded { items, .. } = slot {
                 for (shard, item) in items.drain(..) {
-                    queues[shard].push((qi, item));
+                    queues[shard].push((qi, item, own.draw(sites::SHARD_EVAL)));
                 }
             }
         }
 
         // Phase 2: evaluate, one isolated ladder pass per item on one
-        // worker per touched shard. Nothing is shared across workers.
-        let touched: Vec<(usize, Vec<(usize, ShardItem)>)> = queues
+        // worker per touched shard. Workers share the (read-mostly) store
+        // and index; each has its own context, ladder and query manager.
+        let touched: Vec<_> = queues
             .into_iter()
             .enumerate()
             .filter(|(_, queue)| !queue.is_empty())
             .collect();
         let evaluated = fan_out(touched.len(), |job| {
             let (s, queue) = &touched[job];
-            let shard = &shards[*s];
             let ladder = ladder();
-            let ctx = EvalContext::with_index(&shard.translated, &shard.index);
-            let shard_before = shard.index.manager_stats();
+            let ctx = full.context().with_w_lineage(&w_shards[*s]);
             let items: Vec<(QueryOutcome, Duration)> = queue
                 .iter()
-                .map(|(qi, item)| {
+                .map(|(_, lineage, fault)| {
                     let started = Instant::now();
-                    let target = match item {
-                        ShardItem::Lineage(lineage) => Target::Lineage(lineage),
-                        ShardItem::Structural => Target::Query(&boolean[*qi]),
-                    };
                     let outcome = CoreError::trap(sites::SHARD_EVAL, || {
-                        ladder.chaos(sites::SHARD_EVAL)?;
-                        Ok(ladder.run(&ctx, target).outcome)
+                        fault.map_or(Ok(()), |f| chaos::raise(sites::SHARD_EVAL, f))?;
+                        Ok(ladder.run(&ctx, Target::Lineage(lineage)).outcome)
                     })
                     .unwrap_or_else(|e| QueryOutcome::lost(QueryFault::of(&e), started));
                     (outcome, started.elapsed())
                 })
                 .collect();
-            let (manager, query) = worker_stats(&ctx);
-            let index_delta = shard.index.manager_stats().since(&shard_before);
-            (items, (manager + index_delta, query))
+            (items, worker_stats(&ctx))
         });
 
         // Phase 3: combine by independence, in shard order. A lost item
@@ -476,24 +465,24 @@ impl<'e> Pipeline<'e> {
             match evaluated {
                 Ok((items, worker)) => {
                     stats.add(worker);
-                    for ((qi, _), (item, spent)) in queue.iter().zip(items) {
+                    for ((qi, ..), (item, spent)) in queue.iter().zip(items) {
                         fold(*qi, item, spent);
                     }
                 }
                 Err(payload) => {
                     let died = CoreError::from_panic(sites::SHARD_EVAL, payload.as_ref());
                     let lost = QueryOutcome::lost(QueryFault::of(&died), Instant::now());
-                    for (qi, _) in queue {
+                    for (qi, ..) in queue {
                         fold(*qi, lost.clone(), Duration::ZERO);
                     }
                 }
             }
         }
-        let mut rescuer: Option<(ResilientBackend, EvalContext<'_>)> = None;
+        let mut rescuer: Option<EvalContext<'_>> = None;
         let mut rescue = |qi: usize, retries: u32, fault: Option<QueryFault>| {
             let started = Instant::now();
-            let (ladder, ctx) = rescuer.get_or_insert_with(|| (ladder(), full.context()));
-            let mut tracked = quarantined(ladder, full_site, &boolean[qi], ctx);
+            let ctx = rescuer.get_or_insert_with(|| full.context());
+            let mut tracked = quarantined(&own, full_site, &boolean[qi], ctx);
             tracked.outcome.retries = tracked.outcome.retries.saturating_add(retries);
             if tracked.outcome.fault.is_none() {
                 tracked.outcome.fault = fault;
@@ -516,11 +505,11 @@ impl<'e> Pipeline<'e> {
             stats.fallbacks += u64::from(tracked.outcome.fallback);
             out.push(tracked);
         }
-        if let Some((_, ctx)) = &rescuer {
+        if let Some(ctx) = &rescuer {
             stats.add(worker_stats(ctx));
         }
-        // Every context's query-side counters are in; the shared full-store
-        // index manager (routing, oracle, rescue) is attributed by delta.
+        // Every context's query-side counters are in; the one index manager
+        // every phase intersected against is attributed by delta.
         stats.manager = stats.manager + full.index().manager_stats().since(&index_before);
         self.last.replace(stats);
         out

@@ -369,13 +369,19 @@ pub fn inject(site: &str) -> Option<Fault> {
 /// matching degradable [`CoreError`](crate::CoreError) for deadline/budget
 /// pressure. `Ok(())` when nothing fires.
 pub fn apply(site: &'static str) -> crate::Result<()> {
-    match inject(site) {
-        None => Ok(()),
-        Some(Fault::Panic) => panic!("chaos: injected panic at site `{site}`"),
-        Some(Fault::Deadline) => Err(crate::CoreError::DeadlineExceeded {
+    inject(site).map_or(Ok(()), |fault| raise(site, fault))
+}
+
+/// Applies a fault that [`inject`] drew for `site` earlier (see
+/// [`apply`]) — for a site whose draws must happen in a fixed order while
+/// its faults fire on worker threads.
+pub(crate) fn raise(site: &'static str, fault: Fault) -> crate::Result<()> {
+    match fault {
+        Fault::Panic => panic!("chaos: injected panic at site `{site}`"),
+        Fault::Deadline => Err(crate::CoreError::DeadlineExceeded {
             elapsed: std::time::Duration::ZERO,
         }),
-        Some(Fault::Budget) => Err(crate::CoreError::BudgetExceeded { steps: 0, limit: 0 }),
+        Fault::Budget => Err(crate::CoreError::BudgetExceeded { steps: 0, limit: 0 }),
     }
 }
 

@@ -479,6 +479,23 @@ mod tests {
     }
 
     #[test]
+    fn contexts_with_an_index_borrow_the_compiled_w_lineage() {
+        let engine = MvdbEngine::compile(&advisors()).unwrap();
+        let ctx = engine.context();
+        let w = ctx.w_lineage().unwrap().expect("the MVDB has views");
+        assert!(std::ptr::eq(w, engine.index().w_lineage()));
+        assert_eq!(
+            ctx.query_exec_stats().batches,
+            0,
+            "W must not reach the executor when the index holds its lineage"
+        );
+        // A context without an index evaluates W — to the same lineage.
+        let bare = EvalContext::new(engine.translated());
+        assert_eq!(bare.w_lineage().unwrap(), Some(w));
+        assert!(bare.query_exec_stats().batches > 0);
+    }
+
+    #[test]
     fn inconsistent_hard_constraints_are_detected() {
         let mut b = MvdbBuilder::new();
         b.deterministic_relation("D", &["x"]).unwrap();

@@ -28,8 +28,9 @@
 //! * [`session`] and [`sharded`] — the two batch front-ends of **one**
 //!   pipeline (the crate-private `batch` module): route each query's
 //!   lineage, evaluate it through the resilience ladder, combine, rescue.
-//!   [`ShardedEngine`] shards tuples along the connected components of
-//!   `W`'s lineage; each shard owns its own MV-index and OBDD manager,
+//!   [`ShardedEngine`] places the connected components of `W`'s lineage
+//!   on shards — a shard is a set of blocks of the one compiled MV-index
+//!   plus its share `W_s` of `W`'s clauses, not a second store or index —
 //!   per-shard conditionals are combined exactly by independence
 //!   (`1 − ∏ (1 − q_s)`), and queries whose lineage spans shards fall back
 //!   to the unsharded oracle. [`ShardedSession`] runs the pipeline with
@@ -43,8 +44,8 @@
 //!   Weighted-tuple inserts/deletes and MLN weight changes mutate a
 //!   compiled engine in place; weight-only batches ride the
 //!   `bump_weight_epoch` fast path (no re-translation or re-synthesis),
-//!   structural batches re-translate and recompile, and sharded engines
-//!   rebuild only the shards whose `W`-clauses changed.
+//!   structural batches re-translate and recompile the one index, after
+//!   which a sharded engine re-runs its placement step.
 //! * [`serve`] — [`MvdbServer`]: the always-on serving layer. Bounded
 //!   admission with explicit backpressure, per-request deadlines, an
 //!   overload controller that degrades onto cheaper resilience rungs

@@ -23,6 +23,11 @@
 //!    deadline passed while queued replies `DeadlineExceeded` without
 //!    evaluating.
 //!
+//! **Dispatch.** A worker that just served a request polls the queue for a
+//! short, fixed stretch (yielding the CPU between looks) before it parks
+//! on the condition variable: a request that follows closely is picked up
+//! without a futex round trip, an idle server parks and burns nothing.
+//!
 //! **Supervision.** Workers tick a heartbeat each loop. A supervisor
 //! thread respawns workers whose threads died (panics escape at the
 //! `dispatch`/`heartbeat` chaos sites by design) and quarantines *wedged*
@@ -683,6 +688,17 @@ fn heartbeat(shared: &ServerShared, beat: &AtomicU64, quarantine: &AtomicBool) -
     !quarantine.load(Ordering::SeqCst)
 }
 
+/// How long a worker that just served a request keeps looking into the
+/// inbox before it parks on the condition variable. A request that follows
+/// closely is picked up without a futex round trip, and at a steady few
+/// thousand requests per second the worker's core is only ever halted
+/// briefly, which is the cheaper wake-up on a virtual machine (measured
+/// with the repository benchmark's `serve_rw`: median read 48.5 µs → 42.5 µs
+/// when submitter and worker sit on different cores, 35.5 µs unchanged when
+/// they share one). One bounded stretch per served request, so an idle
+/// server burns nothing.
+const IDLE_POLL: Duration = Duration::from_micros(100);
+
 fn worker_loop(
     shared: &Arc<ServerShared>,
     worker_id: usize,
@@ -704,6 +720,7 @@ fn worker_loop(
     // worker asks first. The version is read *before* the engine so a swap
     // racing this re-pin costs at most one redundant context, never a
     // stale snapshot served past the next check.
+    let mut poll_until = Instant::now();
     loop {
         let snapshot = shared.engine_version.load(Ordering::Acquire);
         let engine = Arc::clone(&rlock(&shared.engine));
@@ -713,21 +730,33 @@ fn worker_loop(
             if !heartbeat(shared, beat, quarantine) {
                 return; // quarantined: a replacement owns this slot now
             }
-            if shared.engine_version.load(Ordering::Acquire) != snapshot {
-                break; // a new snapshot was published: re-pin
-            }
-            let popped = {
-                let mut queue = lock(&shared.inbox.queue);
-                match queue.pop_front() {
-                    Some(req) => Some(req),
-                    None if shared.shutdown.load(Ordering::SeqCst) => return, // drained
-                    None => {
-                        let (mut queue, _) = shared
-                            .inbox
-                            .cv
-                            .wait_timeout(queue, shared.config.heartbeat_interval)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        queue.pop_front()
+            // Every look into the inbox happens under its lock and reads the
+            // version first: `submit` pushes under the same lock, so a
+            // request submitted after `submit_update` returned is never
+            // started on the snapshot from before — the worker re-pins and
+            // finds it still queued.
+            let stale = || shared.engine_version.load(Ordering::Acquire) != snapshot;
+            let popped = match poll_inbox(shared, snapshot, poll_until) {
+                Some(req) => Some(req),
+                None => {
+                    let mut queue = lock(&shared.inbox.queue);
+                    if stale() {
+                        break; // a new snapshot was published: re-pin
+                    }
+                    match queue.pop_front() {
+                        Some(req) => Some(req),
+                        None if shared.shutdown.load(Ordering::SeqCst) => return, // drained
+                        None => {
+                            let (mut queue, _) = shared
+                                .inbox
+                                .cv
+                                .wait_timeout(queue, shared.config.heartbeat_interval)
+                                .unwrap_or_else(PoisonError::into_inner);
+                            if stale() {
+                                break; // woken by the publisher (or beside it)
+                            }
+                            queue.pop_front()
+                        }
                     }
                 }
             };
@@ -763,8 +792,30 @@ fn worker_loop(
                 }
             }
             maybe_compact(shared, &ctx);
+            poll_until = Instant::now() + IDLE_POLL;
         }
     }
+}
+
+/// Looks into the inbox until `until`, giving the CPU away between looks
+/// so that a submitter sharing the worker's core is never held up (a look
+/// can therefore come a whole time slice after the one before it). Returns
+/// nothing once a snapshot other than `snapshot` is published — the request
+/// stays queued for after the re-pin. A held or poisoned lock counts as an
+/// empty look; the parking path that follows deals with both.
+fn poll_inbox(shared: &ServerShared, snapshot: u64, until: Instant) -> Option<Request> {
+    while Instant::now() < until {
+        if let Ok(mut queue) = shared.inbox.queue.try_lock() {
+            if shared.engine_version.load(Ordering::Acquire) != snapshot {
+                return None;
+            }
+            if let Some(req) = queue.pop_front() {
+                return Some(req);
+            }
+        }
+        std::thread::yield_now();
+    }
+    None
 }
 
 fn process(
@@ -1035,6 +1086,51 @@ mod tests {
         ticket
             .wait_timeout(Duration::from_secs(60))
             .unwrap_or_else(|t| panic!("request {} did not resolve in 60s", t.id()))
+    }
+
+    #[test]
+    fn polling_takes_what_is_queued_and_never_waits_for_the_lock() {
+        let shared = ServerShared {
+            engine: RwLock::new(engine()),
+            engine_version: AtomicU64::new(0),
+            writer: Mutex::new(()),
+            config: quick_config(),
+            inbox: Inbox {
+                queue: Mutex::new(VecDeque::new()),
+                cv: Condvar::new(),
+            },
+            shutdown: AtomicBool::new(false),
+            ewma_service_ns: AtomicU64::new(0),
+            counters: Counters::default(),
+        };
+        let (reply, _receiver) = sync_channel(1);
+        let now = Instant::now();
+        let request = |id| Request {
+            id,
+            query: queries().remove(0),
+            admitted_at: now,
+            deadline_at: now + Duration::from_secs(10),
+            entry: Rung::Exact,
+            epsilon: 0.0,
+            requeues: 0,
+            answered: Arc::new(AtomicBool::new(false)),
+            reply: reply.clone(),
+        };
+        let far = now + Duration::from_secs(3600);
+        lock(&shared.inbox.queue).extend([request(7), request(8)]);
+        // A past deadline does not look at all; an open one takes the front.
+        assert!(poll_inbox(&shared, 0, now).is_none());
+        assert_eq!(poll_inbox(&shared, 0, far).map(|r| r.id), Some(7));
+        // A held lock is an empty look, not a wait: the poll runs out.
+        let held = lock(&shared.inbox.queue);
+        assert!(poll_inbox(&shared, 0, Instant::now() + Duration::from_millis(2)).is_none());
+        drop(held);
+        // A published snapshot ends the poll with the request left queued:
+        // it must be served on the new snapshot, after the re-pin.
+        shared.engine_version.store(1, Ordering::Release);
+        assert!(poll_inbox(&shared, 0, far).is_none());
+        assert_eq!(poll_inbox(&shared, 1, far).map(|r| r.id), Some(8));
+        assert!(lock(&shared.inbox.queue).is_empty());
     }
 
     #[test]

@@ -1,27 +1,24 @@
 //! Scale-out sharded inference: component-partitioned evaluation with
-//! per-shard managers and exact independence combination.
+//! per-worker query managers and exact independence combination.
 //!
 //! The Theorem 1 conditional factorises over the connected components of
 //! the dependency graph induced by `W`'s lineage clauses: tuples in
 //! different components are independent, and `¬W = ∧_s ¬W_s` splits into
 //! per-component factors. [`ShardedEngine`] promotes that observation —
 //! which the Monte Carlo sampler already uses as a prune
-//! ([`mv_query::components`]) — into a first-class sharding layer:
+//! ([`mv_query::components`]) — into a first-class sharding layer. A shard
+//! is *placement*, not storage: a set of components (hence of blocks of the
+//! one compiled MV-index) and the clauses `W_s` of `W`'s lineage they
+//! carry. There is one translated store and one index, the full engine's.
 //!
 //! 1. **Partition.** [`mv_query::ComponentPartitioner`] assigns every
 //!    *W-homed* tuple (one mentioned by some `W` clause) to exactly one of
 //!    `num_shards` shards, packing whole components greedily by size.
-//!    Because components never split, no `W` clause spans shards. W-free
-//!    tuples are independent of `W` and have no home — they are replicated
-//!    into every shard's sub-store.
-//! 2. **Per-shard sub-stores.** Each shard owns a projection of the
-//!    translated database ([`TranslatedIndb::restrict`]): the full schema,
-//!    every deterministic row and every W-free tuple, but only the shard's
-//!    own W-homed tuples — with its own interned columnar store, zone maps
-//!    and code indexes, and its own compiled [`MvIndex`] (hence its own
-//!    [`mv_obdd::ObddManager`], touched by exactly one worker — no lock
-//!    contention, no cross-shard imports).
-//! 3. **Routing.** A query's lineage `Φ_Q = ∨ C_i` is computed once on the
+//!    Because components never split, no `W` clause — and no index block —
+//!    spans shards. W-free tuples are independent of `W` and have no home.
+//!    The clauses come from the lineage the index compile kept
+//!    ([`mv_index::MvIndex::w_lineage`]); `W` is not evaluated again.
+//! 2. **Routing.** A query's lineage `Φ_Q = ∨ C_i` is computed once on the
 //!    full store and grouped by shared variables
 //!    ([`mv_query::Partition::route`]): each group binds to the unique
 //!    shard holding its W-homed variables (all-free groups are pinned
@@ -29,6 +26,12 @@
 //!    the whole query fall back to the unsharded engine (the exact
 //!    oracle), so the sharded path never answers a query it cannot answer
 //!    exactly.
+//! 3. **Per-shard evaluation.** One worker per touched shard evaluates the
+//!    shard's clause groups, global tuple ids and all, in a context over
+//!    the full store and index with a private query-side manager and `W_s`
+//!    in place of `W`'s lineage — so backends that expand `W` (Shannon,
+//!    brute force, Monte Carlo, the bounded rung) expand only the shard's
+//!    share of it.
 //! 4. **Independence combination.** With `φ_s` the clauses routed to shard
 //!    `s` and `q_s = P0(φ_s ∧ ¬W_s) / P0(¬W_s)` the per-shard conditional,
 //!    the per-shard disjuncts touch disjoint independent variables (shared
@@ -42,183 +45,73 @@
 //!
 //! [`ShardedSession`] is the batch pipeline (`crate::batch`, shared with the
 //! unsharded [`MvdbSession`](crate::MvdbSession)) run over an engine's
-//! shards: route on the full store, evaluate on one worker per touched
-//! shard, combine, and rescue on the oracle what a shard lost. Every
-//! evaluation goes through the resilience ladder — plain `probabilities`
-//! is the ladder's exact rung alone — and every [`EngineBackend`] flows
-//! through the sharded path: lineage-capable backends (MV-index, Shannon,
-//! brute force, Monte Carlo) evaluate the remapped per-shard lineage
-//! directly; structural backends (safe plans, per-query OBDDs) re-evaluate
-//! the query syntactically on each touched shard's sub-store — sound
-//! whenever every clause contains a W-homed tuple, because then a clause
-//! materializes exactly on its home shard (W-free tuples are present
-//! everywhere, foreign W-homed tuples nowhere); queries outside that regime
-//! fall back to the oracle.
+//! shards: route, evaluate on one worker per touched shard, combine, and
+//! rescue on the oracle what a shard lost. Every evaluation goes through
+//! the resilience ladder — plain `probabilities` is the ladder's exact rung
+//! alone. Lineage-capable backends (MV-index, Shannon, brute force, Monte
+//! Carlo) take the sharded path; structural backends (safe plans, per-query
+//! OBDDs) evaluate a *query*, not a clause group, so they answer on the
+//! full store.
 
-use fxhash::{FxHashMap, FxHashSet};
+use std::sync::Arc;
+
+use fxhash::FxHashMap;
 use mv_index::MvIndex;
 use mv_obdd::ManagerStats;
-use mv_pdb::{InDb, RelId, Row, TupleId};
-use mv_query::components::connected_components;
-use mv_query::lineage::{Clause, Lineage};
+use mv_pdb::Value;
+use mv_query::lineage::Lineage;
 use mv_query::partition::{ComponentPartitioner, Partition};
 use mv_query::Ucq;
 
 use crate::backend::resilient::{QueryOutcome, ResilienceConfig};
 use crate::backend::EngineBackend;
-use crate::batch::{fan_out, Pipeline};
+use crate::batch::Pipeline;
 use crate::engine::MvdbEngine;
-use crate::error::CoreError;
 use crate::mvdb::Mvdb;
 use crate::session::QueryStats;
-use crate::translate::TranslatedIndb;
 use crate::update::{self, UpdateBatch, UpdateKind, UpdateOutcome};
 use crate::Result;
 
-/// Sentinel for "this global tuple does not live in this shard".
-const NOT_LOCAL: u32 = u32::MAX;
-
-/// Interns `(relation, row)` content keys to dense ids. Tuple ids are
-/// snapshot-relative — inserting a row shifts the ids of every later
-/// relation's tuples across a re-translation — so the update path compares
-/// pre- and post-update `W` clauses through one shared interner, where
-/// identical content is guaranteed identical ids.
-#[derive(Default)]
-struct ContentIds {
-    ids: FxHashMap<(RelId, Row), u32>,
-}
-
-impl ContentIds {
-    /// The content id of a tuple in `indb`, assigned on first sight.
-    fn id_of(&mut self, indb: &InDb, t: TupleId) -> u32 {
-        let key = (indb.tuple(t).rel, indb.tuple_row(t).clone());
-        let next = self.ids.len() as u32;
-        *self.ids.entry(key).or_insert(next)
-    }
-}
-
-/// Relation names in schema order — the schema fingerprint of the update
-/// path. A changed schema (a view crossing the denial boundary adds or
-/// removes its `NV` relation) shifts `RelId`s, so content keys from before
-/// and after the update stop lining up and every shard must rebuild.
-fn schema_names(indb: &InDb) -> Vec<String> {
-    indb.schema()
-        .relations()
-        .map(|(_, r)| r.name().to_string())
-        .collect()
-}
-
-/// One shard: a projection of the translated database onto a union of
-/// dependency-graph components, with its own compiled MV-index (and thus
-/// its own OBDD manager).
-#[derive(Debug, Clone)]
-pub(crate) struct Shard {
-    pub(crate) translated: TranslatedIndb,
-    pub(crate) index: MvIndex,
-    /// Global tuple id → local tuple id ([`NOT_LOCAL`] when foreign).
-    global_to_local: Vec<u32>,
-    /// Whether the global→local renaming is strictly increasing, so a
-    /// sorted global clause stays sorted after renaming. Sub-stores are
-    /// interned in global id order per relation, which makes this the
-    /// common case; clauses only need re-sorting when it fails.
-    monotone: bool,
-}
-
-impl Shard {
-    /// Builds shard `s` of `partition`: the projection of `translated`
-    /// onto the shard's own W-homed tuples plus every W-free (replicated)
-    /// tuple, with its own compiled MV-index.
-    fn build(translated: &TranslatedIndb, partition: &Partition, s: usize) -> Result<Shard> {
-        let (sub, local_to_global) =
-            translated.restrict(|t| partition.home_of(t).is_none_or(|h| h == s));
-        let index = match sub.w() {
-            Some(w) => MvIndex::compile(sub.indb(), w)?,
-            None => MvIndex::empty(sub.indb()),
-        };
-        if !index.is_consistent() {
-            return Err(CoreError::InconsistentViews);
-        }
-        let mut global_to_local = vec![NOT_LOCAL; translated.indb().num_tuples()];
-        for (local, g) in local_to_global.iter().enumerate() {
-            global_to_local[g.0 as usize] = local as u32;
-        }
-        let monotone = local_to_global.windows(2).all(|w| w[0] < w[1]);
-        Ok(Shard {
-            translated: sub,
-            index,
-            global_to_local,
-            monotone,
-        })
-    }
-
-    /// Builds the shards named by `which`, in that order — one job each,
-    /// shard compilation is embarrassingly parallel.
-    fn build_all(
-        translated: &TranslatedIndb,
-        partition: &Partition,
-        which: &[usize],
-    ) -> Result<Vec<Shard>> {
-        fan_out(which.len(), |job| {
-            Shard::build(translated, partition, which[job])
-        })
-        .into_iter()
-        .map(|built| {
-            built.unwrap_or_else(|p| Err(CoreError::from_panic("shard_compile", p.as_ref())))
-        })
-        .collect()
-    }
-
-    /// Rewrites clauses over global tuple ids onto this shard's local ids.
-    ///
-    /// The renaming is injective, so the clauses stay pairwise distinct
-    /// and internally duplicate-free — no hash-based re-normalisation is
-    /// needed, only a per-clause re-sort when the renaming is not
-    /// monotone. Panics if a clause mentions a tuple the shard does not
-    /// own — the router only sends a clause to the shard owning all its
-    /// variables.
-    pub(crate) fn localize(&self, clauses: &[Clause]) -> Lineage {
-        let mapped = clauses
-            .iter()
-            .map(|clause| {
-                let mut local: Clause = clause
-                    .iter()
-                    .map(|t| {
-                        let local = self.global_to_local[t.0 as usize];
-                        debug_assert_ne!(local, NOT_LOCAL, "clause routed to foreign shard");
-                        mv_pdb::TupleId(local)
-                    })
-                    .collect();
-                if !self.monotone {
-                    local.sort_unstable();
-                }
-                local
-            })
-            .collect();
-        Lineage::from_distinct_clauses(mapped)
-    }
-
-    /// `true` when every tuple of every clause is materialized in this
-    /// shard's sub-store. After a structural update reuses a shard, tuples
-    /// inserted later exist only in the full store and in rebuilt shards —
-    /// a routed group touching one must fall back to the unsharded oracle
-    /// instead of being localized here.
-    pub(crate) fn owns(&self, clauses: &[Clause]) -> bool {
-        clauses.iter().flatten().all(|t| {
-            self.global_to_local
-                .get(t.0 as usize)
-                .is_some_and(|&l| l != NOT_LOCAL)
-        })
-    }
-}
-
-/// A compiled MVDB split into component-disjoint shards, each with its own
-/// sub-store and MV-index, plus the unsharded [`MvdbEngine`] kept as the
-/// exact oracle (and cross-shard fallback).
+/// A compiled MVDB with its `W`-components placed on shards: the unsharded
+/// [`MvdbEngine`] (the one store and index, and the cross-shard oracle),
+/// the tuple → shard assignment, and each shard's share `W_s` of `W`'s
+/// lineage.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine {
     pub(crate) full: MvdbEngine,
     pub(crate) partition: Partition,
-    pub(crate) shards: Vec<Shard>,
+    /// Per shard, the clauses of `W`'s lineage homed there.
+    pub(crate) w_shards: Arc<[Lineage]>,
+}
+
+/// The placement step: packs the components of `W`'s lineage — the copy
+/// the engine's index kept — onto `num_shards` shards and splits the
+/// lineage along them.
+fn place(full: &MvdbEngine, num_shards: usize) -> (Partition, Arc<[Lineage]>) {
+    let w = full.index().w_lineage();
+    let partition = ComponentPartitioner::new(full.translated().num_tuples(), w.clauses())
+        .partition(num_shards);
+    let mut w_shards = vec![Vec::new(); partition.num_shards()];
+    for clause in w.clauses() {
+        // A compiled engine is consistent, so no clause of `W` is empty.
+        let home = partition
+            .home_of(clause[0])
+            .expect("every W-clause member is homed");
+        w_shards[home].push(clause.clone());
+    }
+    let w_shards = w_shards
+        .into_iter()
+        .map(Lineage::from_distinct_clauses)
+        .collect();
+    (partition, w_shards)
+}
+
+/// `(clause count, variable count)` of a block.
+fn block_shape(index: &MvIndex, block: usize) -> (usize, usize) {
+    (
+        index.block_clauses(block),
+        index.block_variables(block).count(),
+    )
 }
 
 impl ShardedEngine {
@@ -228,34 +121,24 @@ impl ShardedEngine {
         Self::from_engine(MvdbEngine::compile(mvdb)?, num_shards)
     }
 
-    /// Shards an already-compiled engine: partitions the possible tuples
-    /// along the components of `W`'s lineage and compiles one MV-index per
-    /// shard (in parallel — shard compilation is embarrassingly parallel).
+    /// Shards an already-compiled engine: places the components of `W`'s
+    /// lineage on `num_shards` shards. Nothing is compiled or copied — the
+    /// shards evaluate against the engine's own store and index.
     ///
     /// `num_shards` is clamped to at least 1; shards may be empty when the
     /// database has fewer components than shards.
     pub fn from_engine(full: MvdbEngine, num_shards: usize) -> Result<Self> {
-        let w_lineage = {
-            let ctx = full.context();
-            ctx.w_lineage()?
-                .cloned()
-                .unwrap_or_else(Lineage::constant_false)
-        };
-        let num_tuples = full.translated().indb().num_tuples();
-        let partition =
-            ComponentPartitioner::new(num_tuples, w_lineage.clauses()).partition(num_shards);
-        let all: Vec<usize> = (0..partition.num_shards()).collect();
-        let shards = Shard::build_all(full.translated(), &partition, &all)?;
+        let (partition, w_shards) = place(&full, num_shards);
         Ok(ShardedEngine {
             full,
             partition,
-            shards,
+            w_shards,
         })
     }
 
     /// Number of shards (including empty ones).
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.w_shards.len()
     }
 
     /// The unsharded engine — the exact oracle and cross-shard fallback.
@@ -282,243 +165,53 @@ impl ShardedEngine {
             .remove(0))
     }
 
-    /// Applies an update batch in place, invalidating as few shards as the
-    /// update allows.
+    /// Applies an update batch in place: [`MvdbEngine::apply`] on the full
+    /// engine, then — after a structural batch, whose re-translation
+    /// renumbers tuples and recompiles the one index — the placement step
+    /// of [`ShardedEngine::from_engine`] again. A weight-only batch keeps
+    /// tuple ids, blocks and `W`'s clauses, hence the placement.
     ///
-    /// Weight-only batches keep the partition and every shard's sub-store
-    /// and compiled diagrams: local weights are re-synced from the full
-    /// store and each shard's index is re-annotated (the
-    /// `bump_weight_epoch` fast path, per shard). Structural batches
-    /// re-translate the full store, then compare each shard's `W`-clause
-    /// set before and after, content-keyed because tuple ids shift across
-    /// re-translation while rows do not: a shard whose clause set is
-    /// unchanged keeps its sub-store and compiled index and only rebinds
-    /// its global-id maps to the new store; only shards whose clause set
-    /// changed recompile. Components that existed before the update stay
-    /// on their old shard, so updates never invalidate unrelated shards.
+    /// [`UpdateOutcome::shards_rebuilt`] reports how far a structural batch
+    /// reached: the number of distinct home shards of blocks whose key is
+    /// new or whose clause or variable count changed (every shard when the
+    /// helper query `W` itself changed, as when a view crosses the denial
+    /// boundary).
     ///
-    /// Reused shards do **not** absorb freshly inserted tuples (appending
-    /// would invalidate their compiled variable orders): a query whose
-    /// routed lineage touches a tuple its home shard does not own falls
-    /// back to the unsharded oracle — exact, just not scaled out — until
-    /// a later structural apply rebuilds that shard.
-    ///
-    /// Like [`MvdbEngine::apply`], a batch failing validation leaves the
-    /// engine untouched. An error *during* a structural apply can leave
-    /// shards behind the full store, so callers needing snapshot semantics
-    /// apply to a clone and publish it on success — what
-    /// [`MvdbServer::submit_update`](crate::MvdbServer::submit_update)
-    /// does.
+    /// Like [`MvdbEngine::apply`], a batch that fails — in validation or in
+    /// recompilation — leaves the engine untouched.
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<UpdateOutcome> {
-        match update::classify(self.full.mvdb(), self.full.translated(), batch)? {
-            UpdateKind::NoOp => Ok(UpdateOutcome {
-                kind: UpdateKind::NoOp,
-                version: self.full.version(),
-                tuples_inserted: 0,
-                weights_changed: 0,
-                views_changed: 0,
-                shards_rebuilt: 0,
-                shards_reused: self.shards.len(),
-            }),
-            UpdateKind::WeightOnly => self.apply_weight_only(batch),
-            UpdateKind::Structural => self.apply_structural(batch),
+        let num_shards = self.num_shards();
+        if update::classify(self.full.mvdb(), self.full.translated(), batch)?
+            != UpdateKind::Structural
+        {
+            let mut outcome = self.full.apply(batch)?;
+            outcome.shards_reused = num_shards;
+            return Ok(outcome);
         }
-    }
-
-    /// Weight-only apply: update the oracle, then re-sync every shard's
-    /// local weights and re-annotate its compiled diagrams in place.
-    fn apply_weight_only(&mut self, batch: &UpdateBatch) -> Result<UpdateOutcome> {
-        let mut outcome = self.full.apply(batch)?;
-        let indb = self.full.translated().indb();
-        for shard in &mut self.shards {
-            let locals: Vec<(u32, u32)> = shard
-                .global_to_local
-                .iter()
-                .enumerate()
-                .filter(|(_, &l)| l != NOT_LOCAL)
-                .map(|(g, &l)| (g as u32, l))
-                .collect();
-            for (g, l) in locals {
-                let w = indb.weight(TupleId(g));
-                shard.translated.indb_mut().set_weight(TupleId(l), w);
-            }
-            let sub = &shard.translated;
-            shard.index.reweight(|t| sub.indb().probability(t));
-            if !shard.index.is_consistent() {
-                return Err(CoreError::InconsistentViews);
-            }
-        }
-        outcome.shards_reused = self.shards.len();
-        Ok(outcome)
-    }
-
-    /// Structural apply: re-translate the oracle, then rebuild exactly the
-    /// shards whose content-keyed `W`-clause set changed and rebind the
-    /// rest.
-    fn apply_structural(&mut self, batch: &UpdateBatch) -> Result<UpdateOutcome> {
-        let num_shards = self.shards.len();
-        let mut content = ContentIds::default();
-
-        // Pre-update capture: per-shard clause fingerprints and per-tuple
-        // homes, content-keyed.
-        let (old_clause_sets, old_home_of, old_schema) = {
-            let w = {
-                let ctx = self.full.context();
-                ctx.w_lineage()?
-                    .cloned()
-                    .unwrap_or_else(Lineage::constant_false)
-            };
-            let indb = self.full.translated().indb();
-            let mut sets: Vec<FxHashSet<Vec<u32>>> =
-                (0..num_shards).map(|_| FxHashSet::default()).collect();
-            let mut homes: FxHashMap<u32, usize> = FxHashMap::default();
-            for clause in w.clauses() {
-                let home = self
-                    .partition
-                    .home_of(clause[0])
-                    .expect("every W-clause member is homed");
-                let mut key: Vec<u32> = clause.iter().map(|&t| content.id_of(indb, t)).collect();
-                key.sort_unstable();
-                for &c in &key {
-                    homes.insert(c, home);
-                }
-                sets[home].insert(key);
-            }
-            (sets, homes, schema_names(indb))
-        };
-
-        // Mutate the retained MVDB, re-translate, recompile the oracle.
-        let mut outcome = self.full.apply(batch)?;
-
-        let new_w = {
-            let ctx = self.full.context();
-            ctx.w_lineage()?
-                .cloned()
-                .unwrap_or_else(Lineage::constant_false)
-        };
-        let translated = self.full.translated();
-        let indb = translated.indb();
-        let num_tuples = indb.num_tuples();
-        let schema_changed = schema_names(indb) != old_schema;
-
-        // Stable home assignment: a component whose members all lived on
-        // one shard before the update stays there; new or changed
-        // components are packed greedily onto the least-loaded shards.
-        let comps = connected_components(num_tuples, new_w.clauses());
-        let mut in_w = vec![false; num_tuples];
-        for clause in new_w.clauses() {
-            for &t in clause {
-                in_w[t.0 as usize] = true;
-            }
-        }
-        let mut homes: Vec<Option<usize>> = vec![None; num_tuples];
-        let mut load = vec![0usize; num_shards];
-        let mut pending: Vec<usize> = Vec::new();
-        for c in 0..comps.len() {
-            let members = comps.members(c);
-            // Clause-induced components are all-W or all-free; free tuples
-            // are replicated and have no home.
-            if !in_w[members[0].0 as usize] {
-                continue;
-            }
-            let mut stable: Option<usize> = None;
-            let ok = !schema_changed
-                && members
-                    .iter()
-                    .all(|&t| match old_home_of.get(&content.id_of(indb, t)) {
-                        Some(&h) => match stable {
-                            None => {
-                                stable = Some(h);
-                                true
-                            }
-                            Some(prev) => prev == h,
-                        },
-                        None => false,
-                    });
-            match (ok, stable) {
-                (true, Some(h)) => {
-                    for &t in members {
-                        homes[t.0 as usize] = Some(h);
-                    }
-                    load[h] += members.len();
-                }
-                _ => pending.push(c),
-            }
-        }
-        // Deterministic greedy fill, largest components first (ties by
-        // component id, which is itself a pure function of the clause set).
-        pending.sort_by_key(|&c| (std::cmp::Reverse(comps.size(c)), c));
-        for c in pending {
-            let s = (0..num_shards)
-                .min_by_key(|&s| (load[s], s))
-                .expect("at least one shard");
-            for &t in comps.members(c) {
-                homes[t.0 as usize] = Some(s);
-            }
-            load[s] += comps.size(c);
-        }
-        let partition = Partition::from_homes(&homes, num_shards, comps.len());
-
-        // Post-update fingerprints; a shard is dirty iff its clause set
-        // changed (or the schema shifted under it).
-        let mut new_clause_sets: Vec<FxHashSet<Vec<u32>>> =
-            (0..num_shards).map(|_| FxHashSet::default()).collect();
-        for clause in new_w.clauses() {
-            let home = homes[clause[0].0 as usize].expect("W-clause members are homed");
-            let mut key: Vec<u32> = clause.iter().map(|&t| content.id_of(indb, t)).collect();
-            key.sort_unstable();
-            new_clause_sets[home].insert(key);
-        }
-        let dirty: Vec<bool> = (0..num_shards)
-            .map(|s| schema_changed || new_clause_sets[s] != old_clause_sets[s])
+        // Block shapes by key, and the helper query, from before the apply:
+        // keys are separator values, which survive a re-translation (tuple
+        // ids do not).
+        let old = self.full.index();
+        let old_shapes: FxHashMap<Value, (usize, usize)> = (0..old.num_blocks())
+            .map(|b| (old.block_key(b).clone(), block_shape(old, b)))
             .collect();
+        let old_w = self.full.translated().w().cloned();
 
-        // Rebuild dirty shards in parallel — the recipe of `from_engine`,
-        // restricted to the shards that need it.
-        let dirty_ids: Vec<usize> = (0..num_shards).filter(|&s| dirty[s]).collect();
-        let rebuilt = Shard::build_all(translated, &partition, &dirty_ids)?;
-        outcome.shards_rebuilt = rebuilt.len();
-        outcome.shards_reused = num_shards - rebuilt.len();
-        for (s, shard) in dirty_ids.into_iter().zip(rebuilt) {
-            self.shards[s] = shard;
-        }
+        let mut outcome = self.full.apply(batch)?;
+        (self.partition, self.w_shards) = place(&self.full, num_shards);
 
-        // Rebind clean shards to the new store: remap local→global ids by
-        // content (sound because the deterministic store is append-only
-        // and UCQ view outputs are monotone, so every old row persists;
-        // vanishing NV rows only arise from denial/independence boundary
-        // crossings, which dirty the schema or the home shard's clause
-        // set), then re-sync weights and re-annotate.
-        for (s, _) in dirty.iter().enumerate().filter(|&(_, &d)| !d) {
-            let shard = &mut self.shards[s];
-            let sub_n = shard.translated.indb().num_tuples();
-            let mut local_to_global: Vec<u32> = Vec::with_capacity(sub_n);
-            for l in 0..sub_n {
-                let lid = TupleId(l as u32);
-                let rel = shard.translated.indb().tuple(lid).rel;
-                let row = shard.translated.indb().tuple_row(lid);
-                let g = indb
-                    .tuple_id_by_values(rel, row)
-                    .expect("old rows persist across structural updates");
-                local_to_global.push(g.0);
-            }
-            let mut global_to_local = vec![NOT_LOCAL; num_tuples];
-            for (l, &g) in local_to_global.iter().enumerate() {
-                global_to_local[g as usize] = l as u32;
-            }
-            shard.monotone = local_to_global.windows(2).all(|w| w[0] < w[1]);
-            shard.global_to_local = global_to_local;
-            for (l, &g) in local_to_global.iter().enumerate() {
-                let w = indb.weight(TupleId(g));
-                shard.translated.indb_mut().set_weight(TupleId(l as u32), w);
-            }
-            let sub = &shard.translated;
-            shard.index.reweight(|t| sub.indb().probability(t));
-            if !shard.index.is_consistent() {
-                return Err(CoreError::InconsistentViews);
+        let index = self.full.index();
+        let mut dirty = vec![old_w.as_ref() != self.full.translated().w(); num_shards];
+        for b in 0..index.num_blocks() {
+            if old_shapes.get(index.block_key(b)) != Some(&block_shape(index, b)) {
+                let home = index
+                    .block_variables(b)
+                    .find_map(|t| self.partition.home_of(t));
+                dirty[home.expect("a block's variables are W-homed")] = true;
             }
         }
-        self.partition = partition;
+        outcome.shards_rebuilt = dirty.iter().filter(|&&d| d).count();
+        outcome.shards_reused = num_shards - outcome.shards_rebuilt;
         Ok(outcome)
     }
 }
@@ -526,8 +219,8 @@ impl ShardedEngine {
 /// A batch-evaluation session over a [`ShardedEngine`].
 ///
 /// A batch runs the three phases of the batch pipeline (`route` striped
-/// over one worker per shard on the full store, `evaluate` on one worker
-/// per touched shard, `combine` + `rescue` on the calling thread) — the
+/// over one worker per shard, `evaluate` on one worker per touched shard,
+/// `combine` + `rescue` on the calling thread) — the
 /// same pipeline an unsharded [`MvdbSession`](crate::MvdbSession) runs
 /// without the middle phase. The calling thread is worker 0 of each phase,
 /// so a batch that touches one shard spawns no thread.
@@ -559,9 +252,8 @@ impl<'e> ShardedSession<'e> {
     }
 
     /// Merged manager counters of the most recent batch: every worker's
-    /// query-side manager plus the delta each shard's (and the full
-    /// store's) index manager accumulated during the batch. Zero before
-    /// the first batch.
+    /// query-side manager plus the delta the index manager accumulated
+    /// during the batch. Zero before the first batch.
     pub fn last_manager_stats(&self) -> ManagerStats {
         self.pipeline.last().manager
     }
@@ -580,8 +272,8 @@ impl<'e> ShardedSession<'e> {
 
     /// Number of queries of the most recent batch that were answered by
     /// the unsharded oracle — because some clause group drew W-homed tuples
-    /// from two shards, because a structural backend met a clause with no
-    /// W-homed tuple at all, or because a shard item was lost.
+    /// from two shards, because the backend is structural (it evaluates
+    /// queries, not clause groups), or because a shard item was lost.
     pub fn last_fallbacks(&self) -> u64 {
         self.pipeline.last().fallbacks
     }
@@ -672,8 +364,11 @@ mod tests {
             .map(|q| oracle.probability(q).unwrap())
             .collect();
         for num_shards in [1, 2, 3, 5] {
-            let engine = ShardedEngine::compile(&mvdb, num_shards).unwrap();
+            // Sharding is placement: no block is compiled a second time.
+            let nodes = oracle.index().manager().num_nodes();
+            let engine = ShardedEngine::from_engine(oracle.clone(), num_shards).unwrap();
             assert_eq!(engine.num_shards(), num_shards);
+            assert_eq!(engine.full().index().manager().num_nodes(), nodes);
             for selector in EngineBackend::comparison_suite() {
                 let batch = engine
                     .session()
@@ -772,9 +467,9 @@ mod tests {
     }
 
     #[test]
-    fn w_free_tuples_are_replicated_and_ride_along() {
-        // `T` appears in no view, so its tuples are W-free: replicated
-        // into every shard and pinned per query instead of owning a home.
+    fn w_free_tuples_ride_along_with_their_clause_group() {
+        // `T` appears in no view, so its tuples are W-free: they have no
+        // home shard and are pinned per query.
         let mut b = MvdbBuilder::new();
         b.relation("R", &["x"]).unwrap();
         b.relation("T", &["x"]).unwrap();
@@ -800,13 +495,13 @@ mod tests {
             let reference = oracle.probability(q).unwrap();
             assert!((p - reference).abs() < 1e-12, "{q}: {p} vs {reference}");
         }
-        // A structural backend cannot evaluate all-W-free clauses per
-        // shard (they would materialize everywhere); it falls back on
-        // `Q() :- T(x)` but still answers exactly.
+        // A structural backend evaluates queries, not clause groups: every
+        // query is answered on the full store, exactly.
         let probs = session
             .probabilities_with_backend(&queries, EngineBackend::ObddPerQuery)
             .unwrap();
-        assert!(session.last_fallbacks() > 0);
+        assert_eq!(session.last_fallbacks(), queries.len() as u64);
+        assert_eq!(session.last_shard_queries().iter().sum::<u64>(), 0);
         for (q, p) in queries.iter().zip(&probs) {
             let reference = oracle.probability(q).unwrap();
             assert!((p - reference).abs() < 1e-12, "{q}: {p} vs {reference}");
@@ -974,9 +669,8 @@ mod tests {
     fn sharded_structural_updates_rebuild_only_dirty_shards() {
         let mvdb = sample_mvdb();
         let queries = workload();
-        // Three W components over three shards: touching only the "a"
-        // component must leave the "b" and "c" shards' compiled state
-        // untouched.
+        // Three W components over three shards. The batch adds one
+        // component, "a2": one block with a new key, on one home shard.
         let mut engine = ShardedEngine::compile(&mvdb, 3).unwrap();
         let out = engine
             .apply(
@@ -986,23 +680,29 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.kind, UpdateKind::Structural);
-        assert!(
-            out.shards_rebuilt >= 1,
-            "the new component needs a home: {out:?}"
-        );
-        assert!(
-            out.shards_reused >= 1,
-            "untouched components must keep their shards: {out:?}"
-        );
-        assert_eq!(out.shards_rebuilt + out.shards_reused, 3);
+        assert_eq!((out.shards_rebuilt, out.shards_reused), (1, 2), "{out:?}");
         assert_sharded_matches_rebuild(&engine, &queries);
-        // The reused shards still answer their own components exactly.
         let local = vec![
             parse_ucq("Q() :- R('b'), S('b')").unwrap(),
             parse_ucq("Q() :- R('c'), S('c')").unwrap(),
             parse_ucq("Q() :- R('a2'), S('a2')").unwrap(),
         ];
         assert_sharded_matches_rebuild(&engine, &local);
+        // A block that grows (same key, more clauses) counts as well; the
+        // blocks beside it do not.
+        let mut b = MvdbBuilder::new();
+        b.relation("R", &["x"]).unwrap();
+        b.relation("S", &["x", "y"]).unwrap();
+        for x in ["a", "b", "c"] {
+            b.weighted_tuple("R", &[x], 2.0).unwrap();
+            b.weighted_tuple("S", &[x, "1"], 0.5).unwrap();
+        }
+        b.marko_view("V(x)[0.5] :- R(x), S(x, y)").unwrap();
+        let mut engine = ShardedEngine::compile(&b.build().unwrap(), 3).unwrap();
+        let grow = UpdateBatch::new().insert("S", vec![Value::str("b"), Value::str("2")], 1.5);
+        let out = engine.apply(&grow).unwrap();
+        assert_eq!((out.shards_rebuilt, out.shards_reused), (1, 2), "{out:?}");
+        assert_sharded_matches_rebuild(&engine, &[parse_ucq("Q() :- R(x), S(x, y)").unwrap()]);
     }
 
     #[test]
@@ -1017,38 +717,46 @@ mod tests {
         assert_eq!(out.kind, UpdateKind::WeightOnly);
         assert_eq!(out.shards_rebuilt, 0);
         assert_sharded_matches_rebuild(&engine, &queries);
-        // Flipping to a denial weight restructures W everywhere.
+        // Flipping to a denial weight drops the NV atom from W itself:
+        // every shard is reported.
         let out = engine
             .apply(&UpdateBatch::new().set_view_weight("V", 0.0))
             .unwrap();
         assert_eq!(out.kind, UpdateKind::Structural);
+        assert_eq!((out.shards_rebuilt, out.shards_reused), (2, 0), "{out:?}");
         assert_sharded_matches_rebuild(&engine, &queries);
     }
 
     #[test]
-    fn fresh_w_free_tuples_fall_back_to_the_oracle_exactly() {
+    fn fresh_tuples_are_answered_sharded_without_fallback() {
         let mvdb = sample_mvdb();
         let mut engine = ShardedEngine::compile(&mvdb, 2).unwrap();
-        // `R(z)` has no `S(z)` partner: it joins no view output, so the
-        // W-clause sets (and hence every shard) are unchanged — but the
-        // reused shards' sub-stores predate the tuple. Queries touching
-        // it must route to the unsharded oracle, not answer stale.
+        // `R(z)` has no `S(z)` partner: it joins no view output, so `W`'s
+        // lineage — and every block — is unchanged. The shards evaluate on
+        // the one re-translated store, so the new tuple is simply there.
         let out = engine
             .apply(&UpdateBatch::new().insert("R", vec![Value::str("z")], 5.0))
             .unwrap();
         assert_eq!(out.kind, UpdateKind::Structural);
-        assert_eq!(out.shards_reused, 2, "W unchanged: no shard is dirty");
+        assert_eq!((out.shards_rebuilt, out.shards_reused), (0, 2), "{out:?}");
         let touching = vec![parse_ucq("Q() :- R('z')").unwrap()];
         let session = engine.session();
         let probs = session.probabilities(&touching).unwrap();
-        assert!(
-            session.last_fallbacks() > 0,
-            "a tuple unknown to the reused shards must fall back"
-        );
+        assert_eq!(session.last_fallbacks(), 0, "no sub-store to be stale");
+        assert_eq!(session.last_shard_queries().iter().sum::<u64>(), 1);
         let reference = engine.full().probability(&touching[0]).unwrap();
         assert!((probs[0] - reference).abs() < 1e-12);
         assert!((probs[0] - (5.0 / 6.0)).abs() < 1e-9, "P(R(z)) = w/(1+w)");
-        // Queries avoiding the fresh tuple still answer sharded.
+        // So is a tuple that does join a view.
+        engine
+            .apply(&UpdateBatch::new().insert("S", vec![Value::str("z")], 0.5))
+            .unwrap();
+        let joined = vec![parse_ucq("Q() :- R('z'), S('z')").unwrap()];
+        let session = engine.session();
+        let probs = session.probabilities(&joined).unwrap();
+        assert_eq!(session.last_fallbacks(), 0);
+        assert_sharded_matches_rebuild(&engine, &joined);
+        assert!(probs[0] > 0.0);
         assert_sharded_matches_rebuild(&engine, &workload());
     }
 }

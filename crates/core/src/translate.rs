@@ -14,6 +14,11 @@
 //! Boolean query `Q`, where `P0` is the tuple-independent probability on the
 //! translated database.
 //!
+//! The translated store is the only copy of the data a compiled engine
+//! evaluates on: the MV-index is compiled from it, every context — shard
+//! workers included — reads it, and an update either writes weights into it
+//! in place or replaces it by a fresh translation.
+//!
 //! Two simplifications from the paper are applied: denial views (`w = 0`)
 //! yield deterministic `NV` tuples, so the `NV_i` atom is dropped from `W_i`
 //! entirely (end of Section 3.2), and output tuples with weight exactly `1`
@@ -122,29 +127,6 @@ impl TranslatedIndb {
     /// The helper query `W`, or `None` when the MVDB has no MarkoViews.
     pub fn w(&self) -> Option<&Ucq> {
         self.w.as_ref()
-    }
-
-    /// Restricts the translated database to the possible tuples selected by
-    /// `keep`, returning the sub-store together with the local→global tuple
-    /// id map (see [`mv_pdb::InDb::project`]).
-    ///
-    /// The restriction keeps the full schema (so [`RelId`]s carry over),
-    /// every deterministic row, and the *same* helper query `W`: evaluating
-    /// `W` syntactically on the sub-store yields exactly the clauses of
-    /// `W`'s lineage whose tuples were all kept — which is the whole
-    /// per-shard `W_s` when `keep` selects a union of dependency-graph
-    /// connected components, the invariant the sharding layer builds on.
-    pub fn restrict(&self, keep: impl Fn(TupleId) -> bool) -> (TranslatedIndb, Vec<TupleId>) {
-        let (indb, local_to_global) = self.indb.project(keep);
-        (
-            TranslatedIndb {
-                indb,
-                w: self.w.clone(),
-                nv_relations: self.nv_relations.clone(),
-                nv_rel_ids: self.nv_rel_ids.clone(),
-            },
-            local_to_global,
-        )
     }
 
     /// The name of the `NV` relation of the `i`-th view.

@@ -28,9 +28,10 @@
 //! * **Structural** — some op changes the possible-tuple set (a new row, or
 //!   a view weight crossing `0`, `1` or `∞`, which changes the translated
 //!   `NV` tuple set or schema). The store is re-translated and the index
-//!   recompiled; the deterministic [`Database`](mv_pdb::Database) stays
-//!   append-only, so row indices — and content-keyed identities — carry
-//!   over to the new version.
+//!   recompiled (a sharded engine then places `W`'s components again; it
+//!   has no per-shard state to rebuild); the deterministic
+//!   [`Database`](mv_pdb::Database) stays append-only, so row indices —
+//!   and content-keyed identities — carry over to the new version.
 
 use mv_pdb::{Row, TupleId, Weight};
 
@@ -183,9 +184,15 @@ pub struct UpdateOutcome {
     pub weights_changed: usize,
     /// View weights changed.
     pub views_changed: usize,
-    /// Shards rebuilt by a sharded apply (0 for unsharded engines).
+    /// How many shards a sharded structural apply reached: the distinct
+    /// home shards of index blocks whose key is new or whose clause or
+    /// variable count changed (every shard when the helper query `W`
+    /// itself changed). 0 for weight-only batches, for structural batches
+    /// that leave `W`'s lineage alone, and for unsharded engines. A report
+    /// — there is one index, recompiled as a whole; nothing per shard is
+    /// rebuilt and correctness never depends on this number.
     pub shards_rebuilt: usize,
-    /// Shards that kept their sub-store, manager and compiled diagrams.
+    /// The other shards of a sharded apply: `num_shards − shards_rebuilt`.
     pub shards_reused: usize,
 }
 

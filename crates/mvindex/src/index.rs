@@ -2,13 +2,25 @@
 //!
 //! An [`MvIndex`] is compiled once from the helper query `W` (the union of
 //! the MarkoView queries joined with their `NV` relations, Theorem 1). It
-//! stores one augmented OBDD per independent *block* of `W` — typically one
-//! per separator value, exactly the "set of augmented OBDDs, each associated
+//! stores one augmented OBDD per independent *block* of `W` — one per
+//! separator value, exactly the "set of augmented OBDDs, each associated
 //! with a particular key" of Section 4.1 — plus
 //!
-//! * the `InterBddIndex`: a map from tuple variable to the block containing
-//!   it, and
-//! * per block, the `IntraBddIndex` (inside [`AugmentedObdd`]).
+//! * the `InterBddIndex`: a dense table from tuple variable to the block
+//!   containing it,
+//! * per block, the `IntraBddIndex` (inside [`AugmentedObdd`]), and
+//! * the lineage of `W` the blocks were folded from, which every consumer
+//!   of "the clauses of `W`" (evaluation contexts, the shard partitioner)
+//!   borrows instead of evaluating `W` again.
+//!
+//! Compilation is set-at-a-time: `W` is rewritten with its separator
+//! variable as head and evaluated *once* by the vectorized executor, which
+//! yields the clauses of `W` grouped by separator value; each group is
+//! folded into the shared arena by one level-ordered
+//! [`ObddManager::dnf`]. Canonicity makes the result the diagram the
+//! paper's recursive `ConOBDD(π, W_k)` construction
+//! ([`mv_obdd::ConObddBuilder`]) reaches value by value — same manager and
+//! order, same root id — which `tests/compile_equivalence.rs` pins.
 //!
 //! At query time, only the blocks mentioned by the query lineage are
 //! intersected with the query OBDD; all other blocks contribute their
@@ -16,17 +28,15 @@
 //! running times of Figures 10–11 in the millisecond range regardless of the
 //! total index size.
 
-use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use mv_obdd::conobdd::{ConObddBuilder, ConstructionStats};
-use mv_obdd::obdd::FALSE;
-use mv_obdd::{ManagerStats, Obdd, ObddManager, PiOrder, SynthesisBuilder, VarOrder};
+use mv_obdd::conobdd::ConObddBuilder;
+use mv_obdd::{ManagerStats, NodeId, Obdd, ObddManager, PiOrder, SynthesisBuilder, VarOrder};
 use mv_pdb::{InDb, TupleId, Value};
 use mv_query::analysis::find_separator_over;
-use mv_query::lineage::Lineage;
-use mv_query::rewrite::separator_domain;
-use mv_query::{ConjunctiveQuery, Ucq};
+use mv_query::eval::EvalContext;
+use mv_query::lineage::{answer_lineages_with, lineage_with, Clause, Lineage};
+use mv_query::{Term, Ucq};
 
 use crate::augmented::AugmentedObdd;
 use crate::intersect::{cc_mv_intersect, mv_intersect, CcLayout, QueryView};
@@ -52,28 +62,27 @@ pub struct IndexStats {
     pub max_block_nodes: usize,
     /// Number of distinct tuple variables constrained by `W`.
     pub num_variables: usize,
-    /// Counters from the ConOBDD construction.
-    pub construction: ConstructionStats,
 }
 
-/// An un-negated, un-augmented part of `W` produced during compilation:
-/// its key, its (positive) OBDD and the tuple variables it mentions.
-type RawBlock = (Value, Obdd, BTreeSet<TupleId>);
+/// `inter` entry of a tuple no block constrains.
+const NO_BLOCK: u32 = u32::MAX;
 
-/// One independent block of the compiled index.
+/// One row of the block table: an independent part `W_k` of `W`.
 #[derive(Debug, Clone)]
 struct Block {
     /// The key associated with the block (the separator value, or a synthetic
     /// key when `W` has no separator).
     key: Value,
+    /// Number of lineage clauses `W_k` was folded from.
+    num_clauses: usize,
+    /// Tuple variables of those clauses, sorted.
+    variables: Vec<TupleId>,
     /// The augmented OBDD of `¬W_k`.
     negated: AugmentedObdd,
     /// Cache-conscious layout of the same diagram.
     layout: CcLayout,
     /// `P0(¬W_k)`.
     prob_not_w: f64,
-    /// Tuple variables appearing in the block.
-    variables: BTreeSet<TupleId>,
     /// Level range of the diagram (structure only: `reweight` keeps it), so
     /// multi-block queries check level separation without walking blocks.
     levels: Option<(u32, u32)>,
@@ -82,15 +91,18 @@ struct Block {
 /// The compiled MV-index for a helper query `W`.
 ///
 /// All block diagrams are handles into one shared [`ObddManager`] arena, so
-/// structure common to several blocks is stored once and negation/merging
-/// never copies node stores. The manager is read-mostly after compilation
+/// structure common to several blocks is stored once and negation never
+/// copies node stores. The manager is read-mostly after compilation
 /// (multi-block queries append slice diagrams to it at query time) and can
 /// be shared across evaluation threads.
 #[derive(Debug, Clone)]
 pub struct MvIndex {
     manager: ObddManager,
     blocks: Vec<Block>,
-    inter: HashMap<TupleId, usize>,
+    /// Tuple id → block index ([`NO_BLOCK`] for tuples `W` does not mention).
+    inter: Vec<u32>,
+    /// The lineage of `W`: the union of every block's clauses.
+    w_lineage: Arc<Lineage>,
     prob_not_w: f64,
     stats: IndexStats,
 }
@@ -105,92 +117,58 @@ impl MvIndex {
 
     /// Compiles the index for `W` under an explicit `π`.
     pub fn compile_with_pi(indb: &InDb, w: &Ucq, pi: &PiOrder) -> Result<MvIndex> {
-        let mut builder = ConObddBuilder::new(indb, pi);
-        let manager = builder.manager().clone();
+        let manager = ObddManager::new(Arc::new(pi.tuple_order(indb)));
         let prob_of = |t: TupleId| indb.probability(t);
-        let boolean_w = w.boolean();
 
-        // Split W into per-separator-value parts when possible.
-        let is_prob = |name: &str| {
-            indb.schema()
-                .relation_id(name)
-                .map(|r| !indb.is_deterministic(r))
-                .unwrap_or(false)
-        };
-        let parts: Vec<(Value, Vec<ConjunctiveQuery>)> =
-            match find_separator_over(&boolean_w, &is_prob) {
-                Some(sep) => {
-                    let domain = separator_domain(&boolean_w, &sep.per_disjunct, indb);
-                    domain
-                        .into_iter()
-                        .map(|value| {
-                            let grounded: Vec<ConjunctiveQuery> = boolean_w
-                                .disjuncts
-                                .iter()
-                                .zip(&sep.per_disjunct)
-                                .map(|(d, v)| d.substitute(v, &value))
-                                .collect();
-                            (value, grounded)
-                        })
-                        .collect()
-                }
-                None => vec![(Value::str("W"), boolean_w.disjuncts.clone())],
-            };
-
-        // Build the (positive) OBDD of every part.
-        let mut raw: Vec<RawBlock> = Vec::new();
-        for (key, disjuncts) in parts {
-            let ucq = Ucq::new("w_part", disjuncts);
-            let obdd = builder.build(&ucq)?;
-            if obdd.root() == FALSE {
-                continue; // W_k is unsatisfiable: ¬W_k is vacuous.
-            }
-            let variables: BTreeSet<TupleId> = obdd
-                .reachable_ids()
-                .into_iter()
-                .filter_map(|id| obdd.tuple_of(id))
-                .collect();
-            raw.push((key, obdd, variables));
-        }
-
-        // Merge parts that (unexpectedly) share variables, so that blocks are
-        // guaranteed independent.
-        let merged = merge_overlapping(raw)?;
-
-        let mut blocks = Vec::with_capacity(merged.len());
-        let mut inter = HashMap::new();
+        let mut blocks: Vec<Block> = Vec::new();
+        let mut inter = vec![NO_BLOCK; indb.num_tuples()];
+        let mut all_clauses: Vec<Clause> = Vec::new();
         let mut prob_not_w = 1.0;
-        for (key, w_obdd, variables) in merged {
+        for (key, group) in keyed_lineages(indb, &w.boolean())? {
+            // `dnf` folds an empty clause to TRUE, so a `W_k` satisfied by
+            // deterministic tuples alone becomes a block with `P0(¬W_k) = 0`.
+            let w_obdd = manager.dnf(group.clauses())?;
+            let mut variables: Vec<TupleId> = group.clauses().iter().flatten().copied().collect();
+            variables.sort_unstable();
+            variables.dedup();
+            for &v in &variables {
+                // Every tuple carries one separator value at the position
+                // fixed for its relation, so groups cannot share a variable.
+                assert_eq!(
+                    inter[v.0 as usize], NO_BLOCK,
+                    "tuple {v} appears under two separator values of W"
+                );
+                inter[v.0 as usize] = blocks.len() as u32;
+            }
             let negated = AugmentedObdd::new(w_obdd.negate(), prob_of);
             let layout = CcLayout::new(&negated, prob_of);
             let p = negated.probability();
             prob_not_w *= p;
-            let block_index = blocks.len();
-            for &v in &variables {
-                inter.insert(v, block_index);
-            }
             let levels = negated.obdd().level_range();
             blocks.push(Block {
                 key,
+                num_clauses: group.num_clauses(),
+                variables,
                 negated,
                 layout,
                 prob_not_w: p,
-                variables,
                 levels,
             });
+            all_clauses.extend_from_slice(group.clauses());
         }
 
         let stats = IndexStats {
             num_blocks: blocks.len(),
             total_nodes: blocks.iter().map(|b| b.negated.size()).sum(),
             max_block_nodes: blocks.iter().map(|b| b.negated.size()).max().unwrap_or(0),
-            num_variables: inter.len(),
-            construction: builder.stats(),
+            num_variables: blocks.iter().map(|b| b.variables.len()).sum(),
         };
         Ok(MvIndex {
             manager,
             blocks,
             inter,
+            // Groups are variable-disjoint, so their clauses are distinct.
+            w_lineage: Arc::new(Lineage::from_distinct_clauses(all_clauses)),
             prob_not_w,
             stats,
         })
@@ -202,14 +180,14 @@ impl MvIndex {
         MvIndex {
             manager: ObddManager::new(order),
             blocks: Vec::new(),
-            inter: HashMap::new(),
+            inter: Vec::new(),
+            w_lineage: Arc::new(Lineage::constant_false()),
             prob_not_w: 1.0,
             stats: IndexStats {
                 num_blocks: 0,
                 total_nodes: 0,
                 max_block_nodes: 0,
                 num_variables: 0,
-                construction: ConstructionStats::default(),
             },
         }
     }
@@ -292,7 +270,10 @@ impl MvIndex {
 
     /// The block containing a tuple variable, if any (the `InterBddIndex`).
     pub fn block_of(&self, tuple: TupleId) -> Option<usize> {
-        self.inter.get(&tuple).copied()
+        match self.inter.get(tuple.0 as usize) {
+            Some(&block) if block != NO_BLOCK => Some(block as usize),
+            _ => None,
+        }
     }
 
     /// The key associated with a block.
@@ -300,9 +281,32 @@ impl MvIndex {
         &self.blocks[block].key
     }
 
-    /// The tuple variables constrained by a block.
+    /// The tuple variables constrained by a block, ascending.
     pub fn block_variables(&self, block: usize) -> impl Iterator<Item = TupleId> + '_ {
         self.blocks[block].variables.iter().copied()
+    }
+
+    /// Number of lineage clauses a block was folded from.
+    pub fn block_clauses(&self, block: usize) -> usize {
+        self.blocks[block].num_clauses
+    }
+
+    /// `P0(¬W_k)` of a block.
+    pub fn block_prob_not_w(&self, block: usize) -> f64 {
+        self.blocks[block].prob_not_w
+    }
+
+    /// Root of a block's `¬W_k` diagram in [`MvIndex::manager`] — what the
+    /// differential tests hold against the recursive construction.
+    #[doc(hidden)]
+    pub fn block_root(&self, block: usize) -> NodeId {
+        self.blocks[block].negated.obdd().root()
+    }
+
+    /// The lineage of `W` the index was compiled from (constant `false`
+    /// for [`MvIndex::empty`]): the union of every block's clauses.
+    pub fn w_lineage(&self) -> &Lineage {
+        &self.w_lineage
     }
 
     /// A fresh query-side manager *shard* over the index's variable order.
@@ -336,7 +340,7 @@ impl MvIndex {
         lineage: &Lineage,
         indb: &InDb,
         algo: IntersectAlgorithm,
-    ) -> Result<(f64, BTreeSet<usize>)> {
+    ) -> Result<(f64, Vec<usize>)> {
         let prob_of = |t: TupleId| indb.probability(t);
         let q_obdd = self.query_obdd_in(qman, lineage)?;
         // The shard's probability cache is keyed to the database weights, so
@@ -344,23 +348,28 @@ impl MvIndex {
         let q_view = QueryView::new_cached(&q_obdd, prob_of);
 
         // Which blocks does the query touch?
-        let touched: BTreeSet<usize> = lineage
-            .variables()
-            .into_iter()
-            .filter_map(|t| self.block_of(t))
+        let mut touched: Vec<usize> = lineage
+            .clauses()
+            .iter()
+            .flatten()
+            .filter_map(|&t| self.block_of(t))
             .collect();
+        touched.sort_unstable();
+        touched.dedup();
 
-        if touched.is_empty() {
-            return Ok((q_view.root_prob(), touched));
-        }
-
-        if touched.len() == 1 {
-            let block = &self.blocks[*touched.iter().next().unwrap()];
-            let p = match algo {
-                IntersectAlgorithm::MvIntersect => mv_intersect(&block.negated, &q_view, prob_of),
-                IntersectAlgorithm::CcMvIntersect => cc_mv_intersect(&block.layout, &q_view),
-            };
-            return Ok((p, touched));
+        match touched[..] {
+            [] => return Ok((q_view.root_prob(), touched)),
+            [one] => {
+                let block = &self.blocks[one];
+                let p = match algo {
+                    IntersectAlgorithm::MvIntersect => {
+                        mv_intersect(&block.negated, &q_view, prob_of)
+                    }
+                    IntersectAlgorithm::CcMvIntersect => cc_mv_intersect(&block.layout, &q_view),
+                };
+                return Ok((p, touched));
+            }
+            _ => {}
         }
 
         // Several blocks are touched: chain their ¬W_k diagrams into one
@@ -427,7 +436,7 @@ impl MvIndex {
         let (intersected, touched) = self.intersect_touched(qman, lineage, indb, algo)?;
         let mut p = intersected;
         for (i, block) in self.blocks.iter().enumerate() {
-            if !touched.contains(&i) {
+            if touched.binary_search(&i).is_err() {
                 p *= block.prob_not_w;
             }
         }
@@ -483,69 +492,41 @@ impl MvIndex {
     }
 }
 
-/// Merges parts that share tuple variables, so that the final blocks are
-/// pairwise independent.
-fn merge_overlapping(raw: Vec<RawBlock>) -> Result<Vec<RawBlock>> {
-    let n = raw.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let r = find(parent, parent[i]);
-            parent[i] = r;
-        }
-        parent[i]
-    }
-    let mut owner: HashMap<TupleId, usize> = HashMap::new();
-    for (i, (_, _, vars)) in raw.iter().enumerate() {
-        for &v in vars {
-            match owner.get(&v) {
-                Some(&j) => {
-                    let a = find(&mut parent, i);
-                    let b = find(&mut parent, j);
-                    parent[a] = b;
-                }
-                None => {
-                    owner.insert(v, i);
-                }
-            }
-        }
-    }
-    let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-    for i in 0..n {
-        let r = find(&mut parent, i);
-        groups.entry(r).or_default().push(i);
-    }
-    let mut singles: Vec<(usize, RawBlock)> = Vec::new();
-    let mut merged_groups: Vec<Vec<usize>> = Vec::new();
-    let mut raw_opt: Vec<Option<RawBlock>> = raw.into_iter().map(Some).collect();
-    for (_, members) in groups {
-        if members.len() == 1 {
-            let i = members[0];
-            singles.push((i, raw_opt[i].take().expect("present")));
+/// The clauses of (Boolean) `W` grouped by separator value, keys ascending:
+/// every disjunct gets its separator variable as head and the keyed query
+/// runs once through the vectorized executor. Without a separator the whole
+/// lineage is one group under a synthetic key.
+fn keyed_lineages(indb: &InDb, w: &Ucq) -> Result<Vec<(Value, Lineage)>> {
+    let is_prob = |name: &str| {
+        indb.schema()
+            .relation_id(name)
+            .is_some_and(|r| !indb.is_deterministic(r))
+    };
+    let ctx = EvalContext::new(indb.database());
+    let Some(separator) = find_separator_over(w, &is_prob) else {
+        let lineage = lineage_with(w, indb, &ctx)?;
+        return Ok(if lineage.is_false() {
+            Vec::new() // ¬W is vacuous
         } else {
-            merged_groups.push(members);
-        }
-    }
-    let mut out: Vec<(usize, RawBlock)> = singles;
-    for members in merged_groups {
-        let first = *members.iter().min().expect("non-empty group");
-        let mut group: Vec<RawBlock> = members
-            .into_iter()
-            .map(|i| raw_opt[i].take().expect("present"))
-            .collect();
-        // Members share a variable, hence a level: concatenation can never
-        // apply, so this is the synthesis fold.
-        let mut merged = group[0].1.clone();
-        for (_, obdd, _) in &group[1..] {
-            merged = merged.apply_or(obdd)?;
-        }
-        let vars = group.iter().flat_map(|(_, _, v)| v).copied().collect();
-        let key = group.swap_remove(0).0;
-        out.push((first, (key, merged, vars)));
-    }
-    // Keep a deterministic order (by original position of the first member).
-    out.sort_by_key(|(i, _)| *i);
-    Ok(out.into_iter().map(|(_, b)| b).collect())
+            vec![(Value::str("W"), lineage)]
+        });
+    };
+    let disjuncts = w
+        .disjuncts
+        .iter()
+        .zip(&separator.per_disjunct)
+        .map(|(disjunct, var)| {
+            let mut keyed = disjunct.clone();
+            keyed.head = vec![Term::var(var)];
+            keyed
+        })
+        .collect();
+    let keyed = Ucq::new(w.name.as_str(), disjuncts);
+    let groups = answer_lineages_with(&keyed, indb, &ctx)?;
+    Ok(groups
+        .into_iter()
+        .map(|(mut key, lineage)| (key.swap_remove(0), lineage))
+        .collect())
 }
 
 #[cfg(test)]

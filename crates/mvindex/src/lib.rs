@@ -9,10 +9,11 @@
 //! * [`augmented`] — [`AugmentedObdd`]: an OBDD whose nodes carry
 //!   `probUnder` (probability of the sub-diagram) and `reachability`
 //!   (probability mass of all root-to-node paths).
-//! * [`index`] — [`MvIndex`]: block construction from a UCQ via the ConOBDD
-//!   builder, the `InterBddIndex` (tuple → block) and `IntraBddIndex`
-//!   (tuple → nodes) lookup structures, and the query-time entry points
-//!   `prob_w`, `prob_q_and_not_w`, `prob_q_or_w`.
+//! * [`index`] — [`MvIndex`]: the block table, compiled set-at-a-time (one
+//!   keyed evaluation of `W`, one DNF fold per separator value), the
+//!   `InterBddIndex` (tuple → block) and `IntraBddIndex` (tuple → nodes)
+//!   lookup structures, and the query-time entry points `prob_w`,
+//!   `prob_q_and_not_w`, `prob_q_or_w`.
 //! * [`intersect`] — the two intersection algorithms of Section 4.3:
 //!   [`intersect::mv_intersect`] (pointer-based, memoised on node pairs) and
 //!   [`intersect::cc_mv_intersect`] (cache-conscious: nodes flattened into a

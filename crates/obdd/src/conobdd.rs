@@ -15,8 +15,17 @@
 //! ([`ConstructionStats`]), which the benchmarks report. When the query is
 //! inversion-free and `π` puts the separator attributes first, only
 //! concatenations are performed and the resulting diagram has constant width
-//! (Proposition 2) — this is what makes the construction two orders of
-//! magnitude faster than generic synthesis in Figure 8.
+//! (Proposition 2).
+//!
+//! This is the paper's construction, kept faithful: it grounds one
+//! separator value at a time by substituting into the query AST, which
+//! makes it a tuple-at-a-time interpreter — measurably *slower* on this
+//! code base than evaluating the query's lineage set-at-a-time and folding
+//! it level by level ([`ObddManager::dnf`]), which is how `mv-index`
+//! compiles `W`. It serves the `ObddPerQuery` baseline, Figures 7–8, and
+//! as the differential oracle of the index compile: canonicity makes both
+//! routes reach the same node of a shared manager
+//! (`tests/compile_equivalence.rs`).
 
 use std::sync::Arc;
 

@@ -139,55 +139,6 @@ impl InDb {
             .map(|(i, t)| (TupleId(i as u32), t))
     }
 
-    /// Projects the database onto a subset of its possible tuples: the
-    /// result keeps the full schema (same relations in the same order, so
-    /// [`RelId`]s carry over), every deterministic row, and exactly the
-    /// probabilistic tuples selected by `keep` — re-inserted with their
-    /// weights verbatim, negative weights included.
-    ///
-    /// The sub-store is a fresh [`InDb`] with its own interned columnar
-    /// relations, dictionary, and dense tuple ids. The returned vector maps
-    /// each local [`TupleId`] back to the tuple it came from; tuples are
-    /// visited in relation-then-row order, which on stores built by a
-    /// single pass (one relation at a time) makes the mapping increasing.
-    ///
-    /// This is the substrate of the scale-out sharding layer: each shard
-    /// evaluates queries against its own projection, with per-shard zone
-    /// maps and code indexes built over only the data it owns.
-    pub fn project(&self, keep: impl Fn(TupleId) -> bool) -> (InDb, Vec<TupleId>) {
-        let mut builder = InDbBuilder::new();
-        let mut local_to_global = Vec::new();
-        for (rel_id, schema) in self.schema().relations() {
-            let attrs: Vec<&str> = schema.attributes().iter().map(String::as_str).collect();
-            if self.is_deterministic(rel_id) {
-                let new_rel = builder
-                    .deterministic_relation(schema.name(), &attrs)
-                    .expect("projected schema copies a valid schema");
-                for row in self.database.rows(rel_id) {
-                    builder
-                        .insert_fact(new_rel, row.clone())
-                        .expect("projected fact copies a valid row");
-                }
-            } else {
-                let new_rel = builder
-                    .probabilistic_relation(schema.name(), &attrs)
-                    .expect("projected schema copies a valid schema");
-                for (row_index, row) in self.database.relation(rel_id).iter() {
-                    let id = self
-                        .tuple_id(rel_id, row_index)
-                        .expect("probabilistic rows have tuple ids");
-                    if keep(id) {
-                        builder
-                            .insert_translated(new_rel, row.clone(), self.weight(id))
-                            .expect("projected tuple copies a valid row");
-                        local_to_global.push(id);
-                    }
-                }
-            }
-        }
-        (builder.build(), local_to_global)
-    }
-
     /// Sets the weight of an existing possible tuple in place. Any weight is
     /// accepted (the MarkoView translation writes negative `NV` weights);
     /// callers updating *base* tuples validate with
@@ -486,40 +437,6 @@ mod tests {
         assert_eq!(db.tuple_id_by_values(r, &row(["a"])), Some(TupleId(0)));
         assert_eq!(db.tuple_id_by_values(r, &row(["b"])), None);
         assert_eq!(db.tuple_row(TupleId(0)), &row(["a"]));
-    }
-
-    #[test]
-    fn projection_keeps_schema_facts_and_selected_tuples() {
-        let mut b = InDbBuilder::new();
-        let d = b.deterministic_relation("D", &["x"]).unwrap();
-        let r = b.probabilistic_relation("R", &["x"]).unwrap();
-        let nv = b.probabilistic_relation("NV", &["x"]).unwrap();
-        b.insert_fact(d, row(["k"])).unwrap();
-        let r_a = b.insert_weighted(r, row(["a"]), Weight::new(3.0)).unwrap();
-        let r_b = b.insert_weighted(r, row(["b"]), Weight::new(1.0)).unwrap();
-        let nv_a = b
-            .insert_translated(nv, row(["a"]), Weight::new(-0.75))
-            .unwrap();
-        let db = b.build();
-
-        let (sub, local_to_global) = db.project(|t| t == r_b || t == nv_a);
-        // Same relations in the same order, so RelIds carry over.
-        assert_eq!(sub.schema().relation_id("D"), db.schema().relation_id("D"));
-        assert_eq!(sub.schema().relation_id("R"), db.schema().relation_id("R"));
-        // All deterministic rows, only the selected probabilistic tuples.
-        let sub_d = sub.schema().relation_id("D").unwrap();
-        assert_eq!(sub.database().rows(sub_d).len(), 1);
-        assert_eq!(sub.num_tuples(), 2);
-        assert_eq!(local_to_global, vec![r_b, nv_a]);
-        // Weights survive verbatim, negative translated weights included.
-        assert_eq!(sub.weight(TupleId(0)).value(), 1.0);
-        assert_eq!(sub.weight(TupleId(1)).value(), -0.75);
-        assert!(db.project(|t| t == r_a).0.num_tuples() == 1);
-        // Empty selection still keeps the deterministic substrate.
-        let (empty, map) = db.project(|_| false);
-        assert_eq!(empty.num_tuples(), 0);
-        assert!(map.is_empty());
-        assert_eq!(empty.database().rows(sub_d).len(), 1);
     }
 
     #[test]

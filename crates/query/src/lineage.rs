@@ -73,10 +73,10 @@ impl Lineage {
 
     /// Builds a lineage from clauses that are already individually sorted,
     /// deduplicated and pairwise distinct — the compiled matcher maintains
-    /// this while collecting, and any injective variable renaming of an
-    /// existing lineage preserves it (re-sorting each clause first when the
-    /// renaming is not monotone). Only the final clause ordering remains;
-    /// callers are on the hook for the per-clause invariants.
+    /// this while collecting, and any subset of an existing lineage's
+    /// clauses (a routed clause group, a shard's `W_s`) inherits it. Only
+    /// the final clause ordering remains; callers are on the hook for the
+    /// per-clause invariants.
     pub fn from_distinct_clauses(mut clauses: Vec<Clause>) -> Self {
         debug_assert!(clauses.iter().all(|c| c.windows(2).all(|w| w[0] < w[1])));
         if clauses.iter().any(Vec::is_empty) {

@@ -8,8 +8,7 @@
 //! `¬W = ∧_s ¬W_s` with the per-shard `W_s` over disjoint, independent
 //! variables: `P0(¬W) = ∏_s P0(¬W_s)` exactly. Tuples mentioned by no `W`
 //! clause (*W-free*) are independent of `W` and of each other, so they have
-//! no home at all: the sharding layer replicates them into every shard's
-//! sub-store, and [`Partition::route`] pins each of them to one shard *per
+//! no home at all: [`Partition::route`] pins each of them to one shard *per
 //! query*.
 //!
 //! Routing a query lineage `Φ_Q = ∨ C_j` ([`Partition::route`]) groups the
@@ -37,7 +36,7 @@ use crate::components::{connected_components, Components, UnionFind};
 use crate::lineage::{Clause, Lineage};
 use mv_pdb::TupleId;
 
-/// Sentinel in `Partition::home_of` for W-free (replicated) tuples.
+/// Sentinel in `Partition::home_of` for W-free tuples.
 const FREE: u16 = u16::MAX;
 
 /// Splits a possible-tuple universe into shards along the connected
@@ -116,7 +115,7 @@ impl ComponentPartitioner {
 }
 
 /// A home-shard assignment for the W-homed tuples of a universe (W-free
-/// tuples are replicated everywhere and have no home).
+/// tuples have no home).
 #[derive(Debug, Clone)]
 pub struct Partition {
     home_of: Vec<u16>,
@@ -133,13 +132,6 @@ pub enum RoutedLineage {
     Sharded {
         /// `(shard, clauses homed there)` for every non-empty shard.
         groups: Vec<(usize, Vec<Clause>)>,
-        /// `true` when every clause contains at least one W-homed tuple.
-        /// Then *syntactic* evaluation of the query against a shard's
-        /// sub-store (W-homed tuples of that shard plus all replicated
-        /// W-free tuples) yields exactly that shard's clause group, so
-        /// backends without lineage-level entry points can still be
-        /// dispatched per shard.
-        structural_ok: bool,
     },
     /// Some clause group draws W-homed tuples from two different shards;
     /// the query must be evaluated against the unsharded store.
@@ -147,38 +139,6 @@ pub enum RoutedLineage {
 }
 
 impl Partition {
-    /// Builds a partition from an explicit per-tuple home assignment
-    /// (`None` = W-free / replicated), e.g. the stability-aware
-    /// re-partitioning of the update path, which keeps unchanged components
-    /// on their old shards instead of re-packing from scratch.
-    ///
-    /// `num_shards` is clamped to at least 1; every assigned home must lie
-    /// below it.
-    pub fn from_homes(
-        homes: &[Option<usize>],
-        num_shards: usize,
-        num_components: usize,
-    ) -> Partition {
-        let num_shards = num_shards.max(1);
-        let mut shard_sizes = vec![0usize; num_shards];
-        let mut home_of = vec![FREE; homes.len()];
-        for (i, home) in homes.iter().enumerate() {
-            if let Some(s) = *home {
-                assert!(
-                    s < num_shards,
-                    "home {s} out of range for {num_shards} shards"
-                );
-                shard_sizes[s] += 1;
-                home_of[i] = s as u16;
-            }
-        }
-        Partition {
-            home_of,
-            shard_sizes,
-            num_components,
-        }
-    }
-
     /// Number of shards (including empty ones).
     pub fn num_shards(&self) -> usize {
         self.shard_sizes.len()
@@ -190,14 +150,13 @@ impl Partition {
         self.num_components
     }
 
-    /// Number of W-homed tuples assigned to each shard (replicated W-free
-    /// tuples are not counted).
+    /// Number of W-homed tuples assigned to each shard (W-free tuples are
+    /// not counted).
     pub fn shard_sizes(&self) -> &[usize] {
         &self.shard_sizes
     }
 
-    /// The home shard of a W-homed tuple, or `None` for a W-free
-    /// (replicated) tuple.
+    /// The home shard of a W-homed tuple, or `None` for a W-free tuple.
     ///
     /// Panics if `t` lies outside the universe the partition was built
     /// over.
@@ -221,7 +180,6 @@ impl Partition {
         }
         // Fold each clause's W-homed tuples into its group's home shard.
         let mut group_shard: FxHashMap<usize, Option<usize>> = FxHashMap::default();
-        let mut structural_ok = true;
         for clause in clauses {
             let Some(&first) = clause.first() else {
                 // An empty clause is constant true; constants are the
@@ -230,19 +188,13 @@ impl Partition {
             };
             let root = uf.find_id(first);
             let entry = group_shard.entry(root).or_insert(None);
-            let mut clause_homed = false;
-            for &t in clause {
-                let Some(shard) = self.home_of(t) else {
-                    continue;
-                };
-                clause_homed = true;
+            for shard in clause.iter().filter_map(|&t| self.home_of(t)) {
                 match *entry {
                     None => *entry = Some(shard),
                     Some(prev) if prev != shard => return RoutedLineage::CrossShard,
                     Some(_) => {}
                 }
             }
-            structural_ok &= clause_homed;
         }
         // Pin all-W-free groups deterministically and bucket the clauses.
         let mut buckets: Vec<Vec<Clause>> = vec![Vec::new(); self.num_shards()];
@@ -258,7 +210,6 @@ impl Partition {
                 .enumerate()
                 .filter(|(_, clauses)| !clauses.is_empty())
                 .collect(),
-            structural_ok,
         }
     }
 }
@@ -272,12 +223,9 @@ mod tests {
         TupleId(id)
     }
 
-    fn sharded_groups(routed: RoutedLineage) -> (Vec<(usize, Vec<Clause>)>, bool) {
+    fn sharded_groups(routed: RoutedLineage) -> Vec<(usize, Vec<Clause>)> {
         match routed {
-            RoutedLineage::Sharded {
-                groups,
-                structural_ok,
-            } => (groups, structural_ok),
+            RoutedLineage::Sharded { groups } => groups,
             RoutedLineage::CrossShard => panic!("expected a sharded routing"),
         }
     }
@@ -291,7 +239,7 @@ mod tests {
         assert_eq!(p.home_of(t(2)), p.home_of(t(3)));
         assert_eq!(p.home_of(t(3)), p.home_of(t(4)));
         assert_eq!(p.home_of(t(5)), p.home_of(t(6)));
-        // Tuple 7 appears in no W clause: replicated, no home.
+        // Tuple 7 appears in no W clause: no home.
         assert_eq!(p.home_of(t(7)), None);
         assert_eq!(p.shard_sizes().iter().sum::<usize>(), 7);
     }
@@ -338,9 +286,8 @@ mod tests {
         // Two independent groups, each homed by its W tuple; the W-free
         // tuple 4 rides along with tuple 0's group.
         let routed = p.route(&Lineage::from_clauses([vec![t(0), t(4)], vec![t(2), t(3)]]));
-        let (groups, structural_ok) = sharded_groups(routed);
+        let groups = sharded_groups(routed);
         assert_eq!(groups.len(), 2);
-        assert!(structural_ok);
         assert!(groups
             .iter()
             .any(|(s, clauses)| *s == s0 && clauses == &vec![vec![t(0), t(4)]]));
@@ -360,10 +307,9 @@ mod tests {
         let w = vec![vec![t(0), t(1)]];
         let p = ComponentPartitioner::new(5, &w).partition(2);
         // Clauses over W-free tuples only: still routable (pinned by first
-        // variable id), but not safe for syntactic per-shard evaluation.
+        // variable id).
         let routed = p.route(&Lineage::from_clauses([vec![t(2), t(3)], vec![t(4)]]));
-        let (groups, structural_ok) = sharded_groups(routed.clone());
-        assert!(!structural_ok);
+        let groups = sharded_groups(routed.clone());
         assert_eq!(
             groups.iter().map(|(_, c)| c.len()).sum::<usize>(),
             2,
