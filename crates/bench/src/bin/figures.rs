@@ -331,6 +331,8 @@ fn sharded(opts: &Options) -> Json {
         ("fallbacks", Json::from(p.fallbacks)),
         ("plan_steps", Json::from(p.query.plan.steps)),
         ("batches", Json::from(p.query.exec.batches)),
+        ("index_nodes_compiled", Json::from(p.index_nodes.0)),
+        ("index_nodes_after", Json::from(p.index_nodes.1)),
     ]);
     row.push(
         "per_shard_queries",

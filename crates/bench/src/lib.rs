@@ -716,10 +716,14 @@ pub struct ShardedPoint {
     /// Queries that degraded to the unsharded oracle.
     pub fallbacks: u64,
     /// Merged manager counters of the sharded batch (every shard worker's
-    /// query-side manager plus each shard index's delta).
+    /// query side plus the index's delta).
     pub manager: ManagerStats,
     /// Merged query-layer counters of the sharded batch.
     pub query: mv_core::QueryStats,
+    /// Nodes in the index arena (sinks included) when the compile finished
+    /// and after the whole campaign: readers never write the index, so the
+    /// two must be equal.
+    pub index_nodes: (usize, usize),
 }
 
 impl ShardedPoint {
@@ -811,6 +815,7 @@ pub fn sharded_throughput(
         Some(SHARDED_HEAVY_STRIDE),
     );
     let engine = ShardedEngine::compile(&data.mvdb, num_shards).expect("sharded engine compiles");
+    let index_nodes_compiled = engine.full().index().manager().num_nodes();
     let single =
         ShardedEngine::from_engine(engine.full().clone(), 1).expect("single-shard engine compiles");
 
@@ -863,6 +868,10 @@ pub fn sharded_throughput(
         fallbacks: session.last_fallbacks(),
         manager: session.last_manager_stats(),
         query: session.last_query_stats(),
+        index_nodes: (
+            index_nodes_compiled,
+            engine.full().index().manager().num_nodes(),
+        ),
     }
 }
 

@@ -4,7 +4,11 @@
 //! [`MvdbEngine::compile`](crate::MvdbEngine::compile), which then passes
 //! the index to every [`EvalContext`] it creates). Online, the probability
 //! of a query reduces to intersecting the query's small lineage OBDD with
-//! only the index blocks the lineage touches.
+//! only the index blocks the lineage touches — in the context's
+//! [`QueryScratch`](mv_index::QueryScratch): the lineage is folded and
+//! annotated in the worker's own flat buffers and walked against the
+//! compiled layouts of those blocks, so the rung takes no lock, shares
+//! nothing with other queries and leaves the index as compiled.
 
 use mv_index::IntersectAlgorithm;
 use mv_query::lineage::Lineage;
@@ -55,15 +59,13 @@ impl Backend for MvIndexBackend {
     }
 
     /// One intersection per lineage — this is what makes `answers` a fast
-    /// path: no per-answer query re-evaluation. Query diagrams are built in
-    /// the context's manager shard, so the per-answer loop (and any batch
-    /// session reusing the context) shares nodes and memo entries across
-    /// lineages.
+    /// path: no per-answer query re-evaluation, and the per-answer loop (or
+    /// a batch session reusing the context) reuses the kernel's buffers.
     fn lineage_probability(&self, lineage: &Lineage, ctx: &EvalContext<'_>) -> Option<Result<f64>> {
         Some(match ctx.index().ok_or(CoreError::MissingIndex) {
             Ok(index) => index
-                .conditional_probability_in(
-                    ctx.query_manager(),
+                .conditional_probability_with(
+                    &mut ctx.scratch(),
                     lineage,
                     ctx.indb(),
                     self.algorithm,
@@ -71,5 +73,87 @@ impl Backend for MvIndexBackend {
                 .map_err(Into::into),
             Err(e) => Err(e),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    use crate::backend::{FaultKind, QueryFault};
+    use crate::engine::MvdbEngine;
+    use crate::mvdb::MvdbBuilder;
+    use mv_obdd::ObddError;
+    use mv_query::{parse_ucq, BudgetError, EvalBudget};
+
+    /// Ten independent `R(x) ∧ S(x)` pairs under one view.
+    fn engine() -> MvdbEngine {
+        let mut b = MvdbBuilder::new();
+        b.relation("R", &["x"]).unwrap();
+        b.relation("S", &["x"]).unwrap();
+        for i in 0..10 {
+            let x = format!("a{i}");
+            b.weighted_tuple("R", &[x.as_str()], 1.0 + i as f64)
+                .unwrap();
+            b.weighted_tuple("S", &[x.as_str()], 2.0).unwrap();
+        }
+        b.marko_view("V(x)[0.5] :- R(x), S(x)").unwrap();
+        MvdbEngine::compile(&b.build().unwrap()).unwrap()
+    }
+
+    /// A trip inside the query kernel is the typed, degradable error the
+    /// same trip is in the manager-backed rungs — not an index error the
+    /// ladder would take for a semantic one.
+    #[test]
+    fn kernel_trips_surface_as_degradable_typed_errors() {
+        let engine = engine();
+        let ctx = engine.context();
+        let backend = MvIndexBackend::default();
+        let lineage = ctx
+            .lineage(&parse_ucq("Q() :- R(x), S(x)").unwrap())
+            .unwrap();
+        let run = || backend.lineage_probability(&lineage, &ctx).unwrap();
+        let exact = run().unwrap();
+        let stats = ctx.query_manager_stats();
+        assert!(
+            stats.nodes_allocated >= 20 && stats.apply_cache_misses > 0,
+            "{stats:?}"
+        );
+
+        ctx.set_budget(Some(EvalBudget::with_deadline(Duration::ZERO)));
+        let e = run().unwrap_err();
+        assert!(matches!(
+            e,
+            CoreError::Obdd(ObddError::Budget(BudgetError::DeadlineExceeded { .. }))
+        ));
+        assert!(e.is_degradable());
+        assert_eq!(QueryFault::of(&e).kind, FaultKind::Deadline);
+
+        ctx.set_budget(Some(EvalBudget::unlimited().with_step_limit(5)));
+        let e = run().unwrap_err();
+        assert!(matches!(
+            e,
+            CoreError::Obdd(ObddError::Budget(BudgetError::StepBudgetExceeded {
+                limit: 5,
+                ..
+            }))
+        ));
+        assert!(e.is_degradable());
+        assert_eq!(QueryFault::of(&e).kind, FaultKind::Budget);
+
+        ctx.set_budget(None);
+        ctx.scratch().set_node_cap(5);
+        let e = run().unwrap_err();
+        assert!(matches!(
+            e,
+            CoreError::Obdd(ObddError::NodeBudgetExceeded { budget: 5, .. })
+        ));
+        assert!(e.is_degradable());
+        assert_eq!(QueryFault::of(&e).kind, FaultKind::Budget);
+
+        // Clearing the limits clears them: same context, same answer.
+        ctx.scratch().set_node_cap(usize::MAX);
+        assert_eq!(run().unwrap().to_bits(), exact.to_bits());
     }
 }

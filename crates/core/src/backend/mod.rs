@@ -18,12 +18,12 @@
 //! [`EngineBackend::comparison_suite`].
 
 use std::borrow::Cow;
-use std::cell::{OnceCell, RefCell};
+use std::cell::{OnceCell, RefCell, RefMut};
 use std::fmt;
 use std::sync::Arc;
 
 use fxhash::FxHashMap;
-use mv_index::{IntersectAlgorithm, MvIndex};
+use mv_index::{IntersectAlgorithm, MvIndex, QueryScratch};
 use mv_obdd::{ManagerStats, ObddManager, PiOrder};
 use mv_pdb::{InDb, Row};
 use mv_query::eval::EvalContext as QueryEvalContext;
@@ -76,6 +76,9 @@ pub struct EvalContext<'a> {
     w_lineage: OnceCell<Cow<'a, Lineage>>,
     scalars: RefCell<FxHashMap<&'static str, f64>>,
     query_manager: OnceCell<ObddManager>,
+    /// The kernel the exact rung runs in. It is this context's, like the
+    /// plan cache: a context made for a new snapshot starts a new one.
+    scratch: RefCell<QueryScratch>,
     budget: RefCell<Option<mv_query::EvalBudget>>,
 }
 
@@ -89,6 +92,7 @@ impl<'a> EvalContext<'a> {
             w_lineage: OnceCell::new(),
             scalars: RefCell::new(FxHashMap::default()),
             query_manager: OnceCell::new(),
+            scratch: RefCell::new(QueryScratch::new()),
             budget: RefCell::new(None),
         }
     }
@@ -96,16 +100,17 @@ impl<'a> EvalContext<'a> {
     /// Installs (or clears) a cooperative [`mv_query::EvalBudget`] on this
     /// context. The budget propagates to every layer the context drives:
     /// the vectorized lineage executor polls it at batch boundaries, the
-    /// lazy query-side [`ObddManager`] polls it in its synthesis/apply
-    /// folds, and sampling backends poll it between batches. Budgets are
-    /// per-query in session use — install a fresh one before each query.
-    /// The shared index manager is never budgeted, so one worker's
-    /// deadline cannot cancel a sibling's evaluation.
+    /// query kernel and the lazy query-side [`ObddManager`] poll it in
+    /// their synthesis/apply folds, and sampling backends poll it between
+    /// batches. Budgets are per-query in session use — install a fresh one
+    /// before each query. The shared index is never budgeted, so one
+    /// worker's deadline cannot cancel a sibling's evaluation.
     pub fn set_budget(&self, budget: Option<mv_query::EvalBudget>) {
         self.query_ctx.set_budget(budget.clone());
         if let Some(manager) = self.query_manager.get() {
             manager.set_budget(budget.clone());
         }
+        self.scratch.borrow_mut().set_budget(budget.clone());
         *self.budget.borrow_mut() = budget;
     }
 
@@ -194,13 +199,21 @@ impl<'a> EvalContext<'a> {
         Ok(self.w_lineage.get().map(|lineage| &**lineage))
     }
 
+    /// The context's query kernel: where the MV-index backend folds,
+    /// annotates and intersects a lineage. Each context (hence each session
+    /// or server worker) owns one, so the exact rung takes no lock and
+    /// leaves nothing behind but counters.
+    pub fn scratch(&self) -> RefMut<'_, QueryScratch> {
+        self.scratch.borrow_mut()
+    }
+
     /// The context's query-side [`ObddManager`] *shard*, created lazily over
     /// the index's variable order (or the identity `π` order when no index
-    /// was compiled). Every query diagram built through this context shares
-    /// it, so repeated lineages hit the unique table and apply memo instead
-    /// of rebuilding — and each context (hence each session worker thread)
-    /// owns its own shard, so parallel evaluation never contends on
-    /// query-side writes.
+    /// was compiled). Every query *diagram* built through this context —
+    /// the bounded-exact rung's `Q` and `W`, [`ObddPerQuery`] — shares it,
+    /// so repeated lineages hit the unique table and apply memo instead of
+    /// rebuilding, and each context owns its own shard, so parallel
+    /// evaluation never contends on query-side writes.
     pub fn query_manager(&self) -> &ObddManager {
         self.query_manager.get_or_init(|| {
             let manager = match self.index {
@@ -214,13 +227,11 @@ impl<'a> EvalContext<'a> {
         })
     }
 
-    /// Counters of this context's query-side manager shard alone (zero when
-    /// no query diagram was built yet).
+    /// Counters of this context's query side alone: its kernel plus its
+    /// manager shard (zero when nothing was evaluated yet).
     pub fn query_manager_stats(&self) -> ManagerStats {
-        self.query_manager
-            .get()
-            .map(ObddManager::stats)
-            .unwrap_or_default()
+        let shard = self.query_manager.get().map(ObddManager::stats);
+        self.scratch.borrow().stats() + shard.unwrap_or_default()
     }
 
     /// Combined manager counters attributable to this context: its own

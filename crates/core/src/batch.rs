@@ -268,7 +268,7 @@ fn route(
             let answer = Tracked::answered_on(Rung::Exact, p, Duration::ZERO, None);
             return Ok(Slot::Done(answer));
         }
-        Ok(match engine.partition.route(&lineage) {
+        Ok(match engine.partition.route_owned(lineage) {
             RoutedLineage::Sharded { groups } => Slot::Sharded {
                 items: groups
                     .into_iter()

@@ -207,8 +207,15 @@ impl From<mv_obdd::ObddError> for CoreError {
 }
 
 impl From<mv_index::MvIndexError> for CoreError {
+    /// An OBDD- or query-level error raised inside the index is that error:
+    /// a budget trip in the index's query kernel must read as the same
+    /// degradable trip it is in any other layer.
     fn from(e: mv_index::MvIndexError) -> Self {
-        CoreError::Index(e)
+        match e {
+            mv_index::MvIndexError::Obdd(e) => CoreError::Obdd(e),
+            mv_index::MvIndexError::Query(e) => CoreError::Query(e),
+            other => CoreError::Index(other),
+        }
     }
 }
 

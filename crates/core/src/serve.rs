@@ -39,8 +39,10 @@
 //! worker more than [`ServeConfig::max_requeues`] times is *reported* lost
 //! with a typed outcome instead of cycling respawns forever.
 //!
-//! **Arena GC.** Long-lived workers would otherwise grow their append-only
-//! query-side [`ObddManager`](mv_obdd::ObddManager) arenas without bound.
+//! **Arena GC.** Exact answers run in the worker's query kernel and leave
+//! nothing behind; the degraded rungs build diagrams in the worker's
+//! query-side [`ObddManager`](mv_obdd::ObddManager), whose append-only
+//! arena a long-lived worker would otherwise grow without bound.
 //! After each request, a worker whose arena crossed
 //! [`ServeConfig::compact_watermark`] compacts it: live registered roots
 //! (the ladder registers its memoized `W` diagram) are rebuilt into a
@@ -713,8 +715,8 @@ fn worker_loop(
     // when `submit_update` publishes a new one the worker finishes its
     // current request on the pinned snapshot, then re-pins and makes a new
     // context and ladder: what is lost is this worker's plan cache, its
-    // query-side manager and the memoized `W` (all belong to the old
-    // snapshot). The store's join indexes and zone maps are not the
+    // query kernel and query-side manager and the memoized `W` (all belong
+    // to the old snapshot). The store's join indexes and zone maps are not the
     // worker's — relations the update left alone carry theirs into the new
     // snapshot, and a rewritten relation's are built once by whichever
     // worker asks first. The version is read *before* the engine so a swap

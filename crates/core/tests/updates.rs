@@ -5,7 +5,7 @@
 //! rejected batch must change nothing at all.
 
 use mv_core::sharded::ShardedEngine;
-use mv_core::{Mvdb, MvdbBuilder, MvdbEngine, UpdateBatch, UpdateOp};
+use mv_core::{EngineBackend, Mvdb, MvdbBuilder, MvdbEngine, UpdateBatch, UpdateOp};
 use mv_pdb::Value;
 use mv_query::{parse_ucq, Ucq};
 use proptest::prelude::*;
@@ -63,6 +63,55 @@ fn arb_op() -> impl Strategy<Value = UpdateOp> {
             weight: [0.25f64, 0.5, 2.0, 4.0][i],
         }),
     ]
+}
+
+/// The query kernel keeps nothing of the snapshot it ran against: a
+/// context made after a structural update (new tuples, new levels, a new
+/// block) answers queries over exactly those tuples, sharded or not.
+#[test]
+fn a_context_made_after_a_structural_apply_sees_the_new_tuples() {
+    let mvdb = base_mvdb();
+    let mut engine = MvdbEngine::compile(&mvdb).unwrap();
+    let mut sharded = ShardedEngine::compile(&mvdb, 2).unwrap();
+    let new_rows = parse_ucq("Q() :- R('e'), S('e')").unwrap();
+    let all_rows = parse_ucq("Q() :- R(x), S(x)").unwrap();
+    // Warm the pre-update contexts over the old order.
+    assert_eq!(engine.probability(&new_rows).unwrap(), 0.0);
+    assert_eq!(
+        sharded
+            .session()
+            .probabilities(std::slice::from_ref(&new_rows))
+            .unwrap(),
+        [0.0]
+    );
+
+    let insert = |relation: &str, weight| UpdateOp::InsertTuple {
+        relation: relation.to_string(),
+        row: vec![Value::str("e")],
+        weight,
+    };
+    let batch = to_batch(&[insert("R", 1.5), insert("S", 0.7)]);
+    engine.apply(&batch).unwrap();
+    sharded.apply(&batch).unwrap();
+
+    let rebuilt = MvdbEngine::compile(engine.mvdb()).unwrap();
+    for q in [&new_rows, &all_rows] {
+        let fresh = rebuilt.probability(q).unwrap();
+        assert!(fresh > 0.0);
+        let ctx = engine.context();
+        for backend in EngineBackend::comparison_suite() {
+            let p = backend.instantiate().probability(q, &ctx).unwrap();
+            assert!(
+                (p - fresh).abs() < 1e-9,
+                "{backend:?} on {q}: {p} vs {fresh}"
+            );
+        }
+        let p = sharded
+            .session()
+            .probabilities(std::slice::from_ref(q))
+            .unwrap()[0];
+        assert!((p - fresh).abs() < 1e-9, "sharded {q}: {p} vs {fresh}");
+    }
 }
 
 fn to_batch(ops: &[UpdateOp]) -> UpdateBatch {

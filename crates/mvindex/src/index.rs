@@ -23,10 +23,17 @@
 //! order, same root id — which `tests/compile_equivalence.rs` pins.
 //!
 //! At query time, only the blocks mentioned by the query lineage are
-//! intersected with the query OBDD; all other blocks contribute their
-//! precomputed `P0(¬W_k)` as a constant factor. This is what keeps the
-//! running times of Figures 10–11 in the millisecond range regardless of the
-//! total index size.
+//! intersected with the query OBDD; all other blocks cancel out of the
+//! quotient of Theorem 1. This is what keeps the running times of
+//! Figures 10–11 in the millisecond range regardless of the total index
+//! size. The compiled index is something readers never write: a query is
+//! folded, annotated and intersected in a [`QueryScratch`] owned by its
+//! evaluation context, which walks the touched blocks' compiled layouts as
+//! a chain in level order (see [`crate::kernel`] and
+//! [`crate::intersect`]) — no slice `⋀ₖ ¬W_k` is assembled, in the arena or
+//! anywhere else, the arena's write lock is never taken after the compile,
+//! and the arena holds after any number of queries exactly the nodes it
+//! held when [`MvIndex::compile`] returned.
 
 use std::sync::Arc;
 
@@ -39,7 +46,8 @@ use mv_query::lineage::{answer_lineages_with, lineage_with, Clause, Lineage};
 use mv_query::{Term, Ucq};
 
 use crate::augmented::AugmentedObdd;
-use crate::intersect::{cc_mv_intersect, mv_intersect, CcLayout, QueryView};
+use crate::intersect::CcLayout;
+use crate::kernel::QueryScratch;
 use crate::Result;
 
 /// Which intersection algorithm to use at query time (Section 4.3 / Fig. 9).
@@ -69,7 +77,7 @@ const NO_BLOCK: u32 = u32::MAX;
 
 /// One row of the block table: an independent part `W_k` of `W`.
 #[derive(Debug, Clone)]
-struct Block {
+pub(crate) struct Block {
     /// The key associated with the block (the separator value, or a synthetic
     /// key when `W` has no separator).
     key: Value,
@@ -78,27 +86,29 @@ struct Block {
     /// Tuple variables of those clauses, sorted.
     variables: Vec<TupleId>,
     /// The augmented OBDD of `¬W_k`.
-    negated: AugmentedObdd,
+    pub(crate) negated: AugmentedObdd,
     /// Cache-conscious layout of the same diagram.
-    layout: CcLayout,
+    pub(crate) layout: CcLayout,
     /// `P0(¬W_k)`.
-    prob_not_w: f64,
+    pub(crate) prob_not_w: f64,
     /// Level range of the diagram (structure only: `reweight` keeps it), so
-    /// multi-block queries check level separation without walking blocks.
-    levels: Option<(u32, u32)>,
+    /// multi-block queries chain the blocks in level order without walking
+    /// them.
+    pub(crate) levels: Option<(u32, u32)>,
 }
 
 /// The compiled MV-index for a helper query `W`.
 ///
 /// All block diagrams are handles into one shared [`ObddManager`] arena, so
 /// structure common to several blocks is stored once and negation never
-/// copies node stores. The manager is read-mostly after compilation
-/// (multi-block queries append slice diagrams to it at query time) and can
-/// be shared across evaluation threads.
+/// copies node stores. After compilation the arena is read-only: queries
+/// run in a [`QueryScratch`] of their own and at most take the arena's
+/// shared lock ([`IntersectAlgorithm::MvIntersect`]), so any number of
+/// evaluation threads share one index.
 #[derive(Debug, Clone)]
 pub struct MvIndex {
     manager: ObddManager,
-    blocks: Vec<Block>,
+    pub(crate) blocks: Vec<Block>,
     /// Tuple id → block index ([`NO_BLOCK`] for tuples `W` does not mention).
     inter: Vec<u32>,
     /// The lineage of `W`: the union of every block's clauses.
@@ -117,14 +127,30 @@ impl MvIndex {
 
     /// Compiles the index for `W` under an explicit `π`.
     pub fn compile_with_pi(indb: &InDb, w: &Ucq, pi: &PiOrder) -> Result<MvIndex> {
-        let manager = ObddManager::new(Arc::new(pi.tuple_order(indb)));
-        let prob_of = |t: TupleId| indb.probability(t);
+        let groups = keyed_lineages(indb, &w.boolean())?;
+        Self::from_groups(
+            Arc::new(pi.tuple_order(indb)),
+            indb.num_tuples(),
+            groups,
+            |t| indb.probability(t),
+        )
+    }
+
+    /// The block table over the clauses of `W` grouped by key: one block
+    /// per group, in the given order, folded into one arena over `order`.
+    pub(crate) fn from_groups(
+        order: Arc<VarOrder>,
+        num_tuples: usize,
+        groups: Vec<(Value, Lineage)>,
+        prob_of: impl Fn(TupleId) -> f64 + Copy,
+    ) -> Result<MvIndex> {
+        let manager = ObddManager::new(order);
 
         let mut blocks: Vec<Block> = Vec::new();
-        let mut inter = vec![NO_BLOCK; indb.num_tuples()];
+        let mut inter = vec![NO_BLOCK; num_tuples];
         let mut all_clauses: Vec<Clause> = Vec::new();
         let mut prob_not_w = 1.0;
-        for (key, group) in keyed_lineages(indb, &w.boolean())? {
+        for (key, group) in groups {
             // `dnf` folds an empty clause to TRUE, so a `W_k` satisfied by
             // deterministic tuples alone becomes a block with `P0(¬W_k) = 0`.
             let w_obdd = manager.dnf(group.clauses())?;
@@ -309,10 +335,10 @@ impl MvIndex {
         &self.w_lineage
     }
 
-    /// A fresh query-side manager *shard* over the index's variable order.
-    /// Give one to each evaluation context (or worker thread) and pass it to
-    /// the `_in` methods below so query diagrams are hash-consed and
-    /// memo-cached across queries without contending on the index arena.
+    /// A fresh query-side manager over the index's variable order, for
+    /// callers that want query *diagrams* ([`MvIndex::query_obdd_in`], the
+    /// bounded-exact rung, the figures). Probabilities do not need one: see
+    /// [`MvIndex::conditional_probability_with`].
     pub fn query_manager(&self) -> ObddManager {
         ObddManager::new(self.order())
     }
@@ -330,117 +356,20 @@ impl MvIndex {
         Ok(SynthesisBuilder::with_manager(manager.clone()).from_lineage(lineage)?)
     }
 
-    /// Computes `P0(Q ∧ ⋀_{k ∈ touched} ¬W_k)` restricted to the blocks the
-    /// query lineage actually mentions, and returns it together with the set
-    /// of touched block indices. Untouched blocks are not included in the
-    /// product (their contribution is handled by the callers).
-    fn intersect_touched(
-        &self,
-        qman: &ObddManager,
-        lineage: &Lineage,
-        indb: &InDb,
-        algo: IntersectAlgorithm,
-    ) -> Result<(f64, Vec<usize>)> {
-        let prob_of = |t: TupleId| indb.probability(t);
-        let q_obdd = self.query_obdd_in(qman, lineage)?;
-        // The shard's probability cache is keyed to the database weights, so
-        // sub-diagrams shared with earlier queries are not re-expanded.
-        let q_view = QueryView::new_cached(&q_obdd, prob_of);
-
-        // Which blocks does the query touch?
-        let mut touched: Vec<usize> = lineage
-            .clauses()
-            .iter()
-            .flatten()
-            .filter_map(|&t| self.block_of(t))
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-
-        match touched[..] {
-            [] => return Ok((q_view.root_prob(), touched)),
-            [one] => {
-                let block = &self.blocks[one];
-                let p = match algo {
-                    IntersectAlgorithm::MvIntersect => {
-                        mv_intersect(&block.negated, &q_view, prob_of)
-                    }
-                    IntersectAlgorithm::CcMvIntersect => cc_mv_intersect(&block.layout, &q_view),
-                };
-                return Ok((p, touched));
-            }
-            _ => {}
-        }
-
-        // Several blocks are touched: chain their ¬W_k diagrams into one
-        // slice. Blocks are variable-disjoint; when they are level-disjoint
-        // too the chain is one n-ary concatenation that rebuilds each
-        // touched block once, so the shared index arena grows by the size
-        // of the slice (and by nothing when the query repeats — every
-        // rebuilt node is already hash-consed).
-        let mut parts: Vec<_> = touched
-            .iter()
-            .map(|&i| (self.blocks[i].negated.obdd(), self.blocks[i].levels))
-            .collect();
-        parts.sort_by_key(|(_, levels)| levels.map_or(u32::MAX, |(lo, _)| lo));
-        let slice = match Obdd::concat_many(self.order(), &parts, true) {
-            Ok(chained) => chained,
-            // Interleaved levels: synthesis, deepest block first.
-            Err(_) => {
-                let mut deepest_first = parts.iter().rev().map(|(block, _)| *block);
-                let mut acc = deepest_first.next().expect("touched is non-empty").clone();
-                for block in deepest_first {
-                    acc = block.apply_and(&acc)?;
-                }
-                acc
-            }
-        };
-        let slice_aug = AugmentedObdd::new(slice, prob_of);
-        let p = match algo {
-            IntersectAlgorithm::MvIntersect => mv_intersect(&slice_aug, &q_view, prob_of),
-            IntersectAlgorithm::CcMvIntersect => {
-                let layout = CcLayout::new(&slice_aug, prob_of);
-                cc_mv_intersect(&layout, &q_view)
-            }
-        };
-        Ok((p, touched))
-    }
-
-    /// `P0(Q ∧ ¬W)` for a Boolean query given by its lineage.
+    /// `P0(Q ∧ ¬W)` for a Boolean query given by its lineage:
+    /// [`MvIndex::conditional_probability`] times `P0(¬W)`.
     ///
     /// On translated databases with many blocks this value can have a very
     /// large magnitude (it is a product of per-block values that are not
-    /// genuine probabilities, Section 3.3); prefer
-    /// [`MvIndex::conditional_probability`], where the untouched blocks
-    /// cancel analytically.
+    /// genuine probabilities, Section 3.3); prefer the conditional
+    /// probability, which never forms that product.
     pub fn prob_q_and_not_w(
         &self,
         lineage: &Lineage,
         indb: &InDb,
         algo: IntersectAlgorithm,
     ) -> Result<f64> {
-        self.prob_q_and_not_w_in(&self.query_manager(), lineage, indb, algo)
-    }
-
-    /// [`MvIndex::prob_q_and_not_w`] with an explicit query-manager shard.
-    pub fn prob_q_and_not_w_in(
-        &self,
-        qman: &ObddManager,
-        lineage: &Lineage,
-        indb: &InDb,
-        algo: IntersectAlgorithm,
-    ) -> Result<f64> {
-        if lineage.is_false() {
-            return Ok(0.0);
-        }
-        let (intersected, touched) = self.intersect_touched(qman, lineage, indb, algo)?;
-        let mut p = intersected;
-        for (i, block) in self.blocks.iter().enumerate() {
-            if touched.binary_search(&i).is_err() {
-                p *= block.prob_not_w;
-            }
-        }
-        Ok(p)
+        Ok(self.conditional_probability(lineage, indb, algo)? * self.prob_not_w)
     }
 
     /// `P0(Q ∨ W) = P0(W) + P0(Q ∧ ¬W)`.
@@ -454,25 +383,22 @@ impl MvIndex {
     }
 
     /// The conditional probability `P0(Q | ¬W) = P0(Q ∧ ¬W) / P0(¬W)`, which
-    /// by Theorem 1 equals the MVDB probability of `Q`.
-    ///
-    /// The blocks not mentioned by the query cancel between the numerator and
-    /// the denominator, so only the touched blocks are evaluated — this keeps
-    /// the computation numerically stable even when the per-block values have
-    /// large magnitudes (negative probabilities, Section 3.3).
+    /// by Theorem 1 equals the MVDB probability of `Q` (in a throwaway
+    /// kernel; see [`MvIndex::conditional_probability_with`]).
     pub fn conditional_probability(
         &self,
         lineage: &Lineage,
         indb: &InDb,
         algo: IntersectAlgorithm,
     ) -> Result<f64> {
-        self.conditional_probability_in(&self.query_manager(), lineage, indb, algo)
+        self.conditional_probability_with(&mut QueryScratch::new(), lineage, indb, algo)
     }
 
-    /// [`MvIndex::conditional_probability`] with an explicit query-manager
-    /// shard — the production entry point: per-context (or per-thread)
-    /// shards make the per-answer loop and batch sessions reuse query-side
-    /// nodes and memo entries across lineages.
+    /// [`MvIndex::conditional_probability`] for a caller that holds a
+    /// query-manager shard: the shard's cooperative budget bounds the
+    /// evaluation. The diagram is not built in the shard — hand the
+    /// evaluation context's kernel to
+    /// [`MvIndex::conditional_probability_with`] instead where there is one.
     pub fn conditional_probability_in(
         &self,
         qman: &ObddManager,
@@ -480,15 +406,31 @@ impl MvIndex {
         indb: &InDb,
         algo: IntersectAlgorithm,
     ) -> Result<f64> {
+        let mut scratch = QueryScratch::new();
+        scratch.set_budget(qman.budget());
+        self.conditional_probability_with(&mut scratch, lineage, indb, algo)
+    }
+
+    /// `P0(Q | ¬W)` in the given kernel — the production entry point: the
+    /// lineage is folded, annotated and intersected in the kernel's reusable
+    /// buffers against the compiled layouts of the blocks it mentions, which
+    /// are read in place. The blocks it does not mention cancel between the
+    /// numerator and the denominator; each one it does mention is divided
+    /// out where the traversal enters it, so the result stays at the
+    /// magnitude of a probability however many blocks are touched and
+    /// whatever magnitude their `P0(¬W_k)` have (negative probabilities,
+    /// Section 3.3). Neither the index nor its arena is written.
+    pub fn conditional_probability_with(
+        &self,
+        scratch: &mut QueryScratch,
+        lineage: &Lineage,
+        indb: &InDb,
+        algo: IntersectAlgorithm,
+    ) -> Result<f64> {
         if lineage.is_false() {
             return Ok(0.0);
         }
-        let (intersected, touched) = self.intersect_touched(qman, lineage, indb, algo)?;
-        let mut denominator = 1.0;
-        for &i in &touched {
-            denominator *= self.blocks[i].prob_not_w;
-        }
-        Ok(intersected / denominator)
+        Ok(scratch.conditional_probability(self, lineage, |t| indb.probability(t), algo)?)
     }
 }
 
@@ -656,10 +598,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_multi_block_slice_grows_the_arena_by_its_size_once() {
-        // 40 separator values = 40 blocks; the scan touches them all.
-        let blocks = 40;
+    /// `blocks` separator values = `blocks` blocks of one `R`, three `S`
+    /// and one `NV` tuple each.
+    fn many_blocks_db(blocks: i64) -> InDb {
         let mut b = InDbBuilder::new();
         let r = b.probabilistic_relation("R", &["x"]).unwrap();
         let s = b.probabilistic_relation("S", &["x", "y"]).unwrap();
@@ -673,38 +614,59 @@ mod tests {
             b.insert_translated(nv, row([x]), Weight::new(-0.75))
                 .unwrap();
         }
-        let indb = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn multi_block_lineages_leave_the_index_arena_as_compiled() {
+        let blocks = 40;
+        let indb = many_blocks_db(blocks);
         let w = w_query();
         let index = MvIndex::compile(&indb, &w).unwrap();
         assert_eq!(index.num_blocks(), blocks as usize);
-        let lin_q = lineage(&parse_ucq("Q() :- R(x), S(x, y)").unwrap(), &indb).unwrap();
+        let compiled = index.manager().num_nodes();
 
-        let before = index.manager().num_nodes();
-        let p = index
-            .prob_q_and_not_w(&lin_q, &indb, IntersectAlgorithm::CcMvIntersect)
-            .unwrap();
-        let grown = index.manager().num_nodes() - before;
-        assert!(grown > 0, "the slice is assembled in the index arena");
-        assert!(
-            grown <= 2 * index.size(),
-            "slice of {} block nodes grew the arena by {grown}",
-            index.size()
-        );
-        // P0(Q ∧ ¬W) = P0(Q ∨ W) − P0(W), by plain synthesis.
+        // The scan touches every block: P0(Q ∧ ¬W) = P0(Q ∨ W) − P0(W), by
+        // plain synthesis.
+        let lin_q = lineage(&parse_ucq("Q() :- R(x), S(x, y)").unwrap(), &indb).unwrap();
         let lin_w = lineage(&w, &indb).unwrap();
         let q_or_w = index.query_obdd(&lin_q.or(&lin_w)).unwrap();
         let expected = q_or_w.probability(|t| indb.probability(t)) - index.prob_w();
-        assert!((p - expected).abs() < 1e-9 * expected.abs().max(1.0));
-
-        let settled = index.manager().num_nodes();
         for algo in [
             IntersectAlgorithm::CcMvIntersect,
             IntersectAlgorithm::MvIntersect,
         ] {
-            let again = index.prob_q_and_not_w(&lin_q, &indb, algo).unwrap();
-            assert!((again - p).abs() < 1e-9 * p.abs().max(1.0));
+            let p = index.prob_q_and_not_w(&lin_q, &indb, algo).unwrap();
+            assert!((p - expected).abs() < 1e-9 * expected.abs().max(1.0));
         }
-        assert_eq!(index.manager().num_nodes(), settled, "repeats add no nodes");
+
+        // 10 000 distinct two-block lineages R(x₁)S(x₁,y₁) ∨ S(x₂,y₂)
+        // through one kernel.
+        let r = indb.schema().relation_id("R").unwrap();
+        let s = indb.schema().relation_id("S").unwrap();
+        let r_of = |x: i64| indb.tuple_id_by_values(r, &row([x])).unwrap();
+        let s_of = |x: i64, y: i64| indb.tuple_id_by_values(s, &row([x, y])).unwrap();
+        let mut scratch = QueryScratch::new();
+        let mut seen = std::collections::BTreeSet::new();
+        for i in 0..10_000i64 {
+            let x1 = i % blocks;
+            let x2 = (x1 + 1 + (i / blocks) % (blocks - 1)) % blocks;
+            let pairs = blocks * (blocks - 1);
+            let (y1, y2) = ((i / pairs) % 3, (i / (3 * pairs)) % 3);
+            let lin = Lineage::from_clauses([vec![r_of(x1), s_of(x1, y1)], vec![s_of(x2, y2)]]);
+            let p = index
+                .conditional_probability_with(
+                    &mut scratch,
+                    &lin,
+                    &indb,
+                    IntersectAlgorithm::CcMvIntersect,
+                )
+                .unwrap();
+            assert!((0.0..=1.0).contains(&p), "lineage {i}: {p}");
+            seen.insert(lin.into_clauses());
+        }
+        assert_eq!(seen.len(), 10_000);
+        assert_eq!(index.manager().num_nodes(), compiled);
     }
 
     #[test]

@@ -2,30 +2,40 @@
 //!
 //! Both algorithms compute `P0(Φ_W' ∧ Φ_Q)` where `Φ_W'` is (part of) the
 //! compiled `¬W` diagram and `Φ_Q` is the (small) query diagram, built over
-//! the same variable order:
+//! the same variable order, by **one** guided traversal (`Walk::intersect`)
+//! memoised on the node pairs it visits, with the `probUnder` shortcut: as
+//! soon as the query side reaches its `1`-sink the precomputed probability
+//! of the remaining index sub-diagram is used, so only the slice of the
+//! index between the first and last query variable is visited
+//! (Proposition 3). What differs is where the index side is read from
+//! (`IndexBlock`) — which is all Fig. 9 compares:
 //!
-//! * [`mv_intersect`] — **MVIntersect**: a guided traversal of the index
-//!   diagram, memoised on `(index node, query node)` pairs, with the
-//!   `probUnder` shortcut: as soon as the query side reaches its `1`-sink the
-//!   precomputed probability of the remaining index sub-diagram is used, so
-//!   only the slice of the index between the first and last query variable is
-//!   visited (Proposition 3).
-//! * [`cc_mv_intersect`] — **CC-MVIntersect**: the same computation over a
-//!   cache-conscious layout: the index nodes are flattened into a DFS-ordered
-//!   vector carrying `probUnder` and the variable probability inline, so the
+//! * [`mv_intersect`] — **MVIntersect**: `ArenaBlock`, the pointer-based
+//!   form: nodes in the shared arena behind a read guard, `probUnder` in the
+//!   sparse per-diagram map of an [`AugmentedObdd`];
+//! * [`cc_mv_intersect`] — **CC-MVIntersect**: [`CcLayout`], the
+//!   cache-conscious form: the block flattened into a DFS-ordered vector
+//!   carrying `probUnder` and the variable probability inline, so the
 //!   traversal takes no lock and chases no arena pointers.
 //!
-//! Both memoise on the pairs they actually visit — `O(|slice| + |query|)`
-//! for the width-1 diagrams of inversion-free queries — never on the
+//! The traversal walks a *chain* of blocks in level order rather than one
+//! diagram: a query that touches several blocks of the index continues from
+//! one block's `1`-sink at the next block's root, dividing by each block's
+//! own `P0(¬W_k)` where it enters it, so the slice `⋀ₖ ¬W_k` is never
+//! assembled and no product over the touched blocks is ever formed (see
+//! [`crate::kernel`] for the query side of that path). The two public
+//! functions are the one-block case.
+//!
+//! The memo holds the visited pairs only — `O(|slice| + |query|)` for the
+//! width-1 diagrams of inversion-free queries — never the
 //! `|index| × |query|` product, and by *presence*, not by a sentinel value:
 //! translated probabilities overflow to NaN by construction, and a NaN pair
 //! that is not memoised is re-expanded on every path that reaches it.
 //!
-//! Query diagrams live in shared [`mv_obdd::ObddManager`] arenas whose node
-//! ids are global, so both algorithms consume a [`QueryView`] — a compact,
-//! reachable-only flattening of the query OBDD with per-node sub-diagram
-//! probabilities. Building one is linear in the query diagram, independent
-//! of how many other diagrams share the arena.
+//! The query side is a flat slice of [`QvNode`]s: the kernel folds a
+//! lineage straight into one, and [`QueryView`] flattens the reachable part
+//! of an [`Obdd`] from a shared [`mv_obdd::ObddManager`] arena (whose node
+//! ids are global) for callers that hold a diagram.
 
 use fxhash::FxHashMap;
 use mv_obdd::obdd::{FALSE, TRUE};
@@ -65,11 +75,19 @@ fn flatten_pre_order(
     (visited, position)
 }
 
-/// Maps an arena id to its compact position (sinks to the shared markers).
-fn compact_of(id: NodeId, position: &FxHashMap<NodeId, u32>) -> u32 {
+/// Renames the arena's sinks to the shared markers.
+fn marker_of(id: NodeId) -> u32 {
     match id {
         TRUE => QV_TRUE,
         FALSE => QV_FALSE,
+        other => other,
+    }
+}
+
+/// Maps an arena id to its compact position (sinks to the shared markers).
+fn compact_of(id: NodeId, position: &FxHashMap<NodeId, u32>) -> u32 {
+    match id {
+        TRUE | FALSE => marker_of(id),
         other => position[&other],
     }
 }
@@ -89,6 +107,17 @@ pub struct QvNode {
     pub prob: f64,
 }
 
+/// The probability of the sub-diagram at a position of a flattened query
+/// diagram (sink markers included).
+#[inline]
+pub(crate) fn prob_at(nodes: &[QvNode], v: u32) -> f64 {
+    match v {
+        QV_TRUE => 1.0,
+        QV_FALSE => 0.0,
+        other => nodes[other as usize].prob,
+    }
+}
+
 /// A compact, reachable-only flattening of a query OBDD, annotated with
 /// variable and sub-diagram probabilities. Build once per lineage, reuse
 /// across every index block the query touches.
@@ -103,31 +132,14 @@ impl QueryView {
     /// and computes the per-node Shannon-expansion probabilities from
     /// scratch.
     pub fn new(query: &Obdd, prob_of: impl Fn(TupleId) -> f64 + Copy) -> QueryView {
-        let probs = query.node_probabilities(prob_of);
-        Self::build(query, &probs, prob_of)
-    }
-
-    /// Like [`QueryView::new`], but per-node probabilities are served from
-    /// the query manager's weight-epoch cache — sub-diagrams shared with
-    /// earlier queries of the same shard are not re-expanded. `prob_of`
-    /// must be the weight function the manager's current epoch stands for.
-    pub fn new_cached(query: &Obdd, prob_of: impl Fn(TupleId) -> f64 + Copy) -> QueryView {
-        let probs = query.node_probabilities_cached(prob_of);
-        Self::build(query, &probs, prob_of)
-    }
-
-    fn build(
-        query: &Obdd,
-        probs: &mv_obdd::NodeProbs,
-        prob_of: impl Fn(TupleId) -> f64 + Copy,
-    ) -> QueryView {
         let root = query.root();
         if root == TRUE || root == FALSE {
             return QueryView {
                 nodes: Vec::new(),
-                root: if root == TRUE { QV_TRUE } else { QV_FALSE },
+                root: marker_of(root),
             };
         }
+        let probs = query.node_probabilities(prob_of);
         let arena = query.nodes();
         let order = query.order();
         let (visited, position) = flatten_pre_order(root, &arena);
@@ -163,11 +175,7 @@ impl QueryView {
     /// The probability of the sub-diagram at a compact position (sink
     /// markers included).
     pub fn prob(&self, v: u32) -> f64 {
-        match v {
-            QV_TRUE => 1.0,
-            QV_FALSE => 0.0,
-            other => self.nodes[other as usize].prob,
-        }
+        prob_at(&self.nodes, v)
     }
 
     /// The probability of the whole query diagram.
@@ -186,88 +194,16 @@ impl QueryView {
     }
 }
 
-/// Computes `P0(index ∧ query)` by guided traversal with hash-map
-/// memoisation (the MVIntersect algorithm).
-pub fn mv_intersect(
-    index: &AugmentedObdd,
-    query: &QueryView,
-    prob_of: impl Fn(TupleId) -> f64 + Copy,
-) -> f64 {
-    let w = index.obdd();
-    let w_arena = w.nodes();
-    let order = w.order();
-    let mut memo: FxHashMap<(NodeId, u32), f64> = FxHashMap::default();
-
-    // Iterative two-phase traversal (expand / combine) to support very deep
-    // index diagrams without recursion.
-    enum Frame {
-        Expand(NodeId, u32),
-        Combine(NodeId, u32, f64),
-    }
-    let mut stack = vec![Frame::Expand(w.root(), query.root())];
-    let mut results: Vec<f64> = Vec::new();
-    while let Some(frame) = stack.pop() {
-        match frame {
-            Frame::Expand(u, v) => {
-                // Terminal shortcuts: a lookup each, not worth a memo entry.
-                if v == QV_FALSE || u == FALSE {
-                    results.push(0.0);
-                    continue;
-                }
-                if v == QV_TRUE {
-                    results.push(index.prob_under(u));
-                    continue;
-                }
-                if u == TRUE {
-                    results.push(query.prob(v));
-                    continue;
-                }
-                if let Some(&p) = memo.get(&(u, v)) {
-                    results.push(p);
-                    continue;
-                }
-                let un = w_arena.node(u);
-                let vn = query.node(v);
-                let m = un.level.min(vn.level);
-                let (u0, u1) = if un.level == m {
-                    (un.lo, un.hi)
-                } else {
-                    (u, u)
-                };
-                let (v0, v1) = if vn.level == m {
-                    (vn.lo, vn.hi)
-                } else {
-                    (v, v)
-                };
-                let p_var = if vn.level == m {
-                    vn.p_var
-                } else {
-                    prob_of(order.tuple_at(m))
-                };
-                stack.push(Frame::Combine(u, v, p_var));
-                stack.push(Frame::Expand(u1, v1));
-                stack.push(Frame::Expand(u0, v0));
-            }
-            Frame::Combine(u, v, p_var) => {
-                let p1 = results.pop().expect("hi probability available");
-                let p0 = results.pop().expect("lo probability available");
-                let p = (1.0 - p_var) * p0 + p_var * p1;
-                memo.insert((u, v), p);
-                results.push(p);
-            }
-        }
-    }
-    results.pop().expect("intersection produces a probability")
-}
-
-/// A node of the cache-conscious flattened index.
+/// One internal node of a flattened index-side block: structure plus both
+/// annotations inline. Children are compact positions of the same block or
+/// the [`QV_FALSE`] / [`QV_TRUE`] markers.
 #[derive(Debug, Clone, Copy)]
-struct CcNode {
+struct IndexNode {
     /// Level of the node's variable.
     level: u32,
-    /// Flat position of the 0-child, or the sink markers below.
+    /// Position of the 0-child, or a sink marker.
     lo: u32,
-    /// Flat position of the 1-child, or the sink markers below.
+    /// Position of the 1-child, or a sink marker.
     hi: u32,
     /// `probUnder` of the node.
     prob_under: f64,
@@ -275,12 +211,58 @@ struct CcNode {
     p_var: f64,
 }
 
+/// Where the traversal reads an index-side block from. The two
+/// implementations are the two algorithms of Section 4.3: `ArenaBlock`
+/// chases the shared arena and the sparse `probUnder` map of an
+/// [`AugmentedObdd`] (MVIntersect), [`CcLayout`] reads one flat vector
+/// (CC-MVIntersect). The annotations are asked for apart from the structure
+/// because only the pointer-based form pays for each separately.
+pub(crate) trait IndexBlock {
+    /// Position of the block's root (a sink marker for a constant block).
+    fn root(&self) -> u32;
+    /// `(level, lo, hi)` of the internal node at a position.
+    fn node(&self, u: u32) -> (u32, u32, u32);
+    /// `probUnder` of that node.
+    fn prob_under(&self, u: u32) -> f64;
+    /// Probability of the variable that node tests, the one at `level`.
+    fn p_var(&self, u: u32, level: u32) -> f64;
+}
+
+/// An [`AugmentedObdd`] read in place: arena ids are the positions, the
+/// sinks are renamed to the shared markers on the way out.
+pub(crate) struct ArenaBlock<'a, F> {
+    pub(crate) index: &'a AugmentedObdd,
+    /// A guard over the manager `index` lives in; one guard serves every
+    /// block of a chain.
+    pub(crate) arena: &'a mv_obdd::ObddNodes<'a>,
+    pub(crate) prob_of: F,
+}
+
+impl<F: Fn(TupleId) -> f64> IndexBlock for ArenaBlock<'_, F> {
+    fn root(&self) -> u32 {
+        marker_of(self.index.obdd().root())
+    }
+
+    fn node(&self, u: u32) -> (u32, u32, u32) {
+        let node = self.arena.node(u);
+        (node.level, marker_of(node.lo), marker_of(node.hi))
+    }
+
+    fn prob_under(&self, u: u32) -> f64 {
+        self.index.prob_under(u)
+    }
+
+    fn p_var(&self, _: u32, level: u32) -> f64 {
+        (self.prob_of)(self.index.obdd().order().tuple_at(level))
+    }
+}
+
 /// A flattened, DFS-ordered copy of an augmented OBDD, ready for
-/// cache-conscious intersection. Build it once per index slice and reuse it
-/// across queries.
+/// cache-conscious intersection. Built once per index block at compile (or
+/// reweight) time and read by every query that touches the block.
 #[derive(Debug, Clone)]
 pub struct CcLayout {
-    nodes: Vec<CcNode>,
+    nodes: Vec<IndexNode>,
     root: u32,
 }
 
@@ -291,7 +273,7 @@ impl CcLayout {
         if w.root() == TRUE || w.root() == FALSE {
             return CcLayout {
                 nodes: Vec::new(),
-                root: if w.root() == TRUE { QV_TRUE } else { QV_FALSE },
+                root: marker_of(w.root()),
             };
         }
         let arena = w.nodes();
@@ -302,7 +284,7 @@ impl CcLayout {
             .map(|&id| {
                 let node = arena.node(id);
                 let tuple = order.tuple_at(node.level);
-                CcNode {
+                IndexNode {
                     level: node.level,
                     lo: compact_of(node.lo, &position),
                     hi: compact_of(node.hi, &position),
@@ -328,83 +310,317 @@ impl CcLayout {
     }
 }
 
-/// Computes `P0(index ∧ query)` over a cache-conscious layout
-/// (the CC-MVIntersect algorithm). Both operands are pre-flattened, so the
-/// traversal touches no locks and no arena; the memo holds the visited
-/// `(layout position, query position)` pairs only.
-pub fn cc_mv_intersect(layout: &CcLayout, query: &QueryView) -> f64 {
-    // Constant index diagrams.
-    if layout.is_empty() {
-        return if layout.root == QV_TRUE {
-            query.root_prob()
-        } else {
-            0.0
-        };
+impl IndexBlock for &CcLayout {
+    fn root(&self) -> u32 {
+        self.root
     }
-    if query.is_empty() {
-        return if query.root() == QV_TRUE {
-            layout.nodes[layout.root as usize].prob_under
-        } else {
-            0.0
-        };
-    }
-    let mut memo: FxHashMap<(u32, u32), f64> = FxHashMap::default();
 
-    enum Frame {
-        Expand(u32, u32),
-        Combine(u32, u32, f64),
+    fn node(&self, u: u32) -> (u32, u32, u32) {
+        let node = &self.nodes[u as usize];
+        (node.level, node.lo, node.hi)
     }
-    let mut stack = vec![Frame::Expand(layout.root, query.root())];
-    let mut results: Vec<f64> = Vec::new();
-    while let Some(frame) = stack.pop() {
-        match frame {
-            Frame::Expand(u, v) => {
-                if v == QV_FALSE || u == QV_FALSE {
-                    results.push(0.0);
-                    continue;
-                }
-                if u == QV_TRUE {
-                    results.push(query.prob(v));
-                    continue;
-                }
-                let un = layout.nodes[u as usize];
-                if v == QV_TRUE {
-                    results.push(un.prob_under);
-                    continue;
-                }
-                if let Some(&p) = memo.get(&(u, v)) {
-                    results.push(p);
-                    continue;
-                }
-                let vn = query.node(v);
-                let m = un.level.min(vn.level);
-                let (u0, u1) = if un.level == m {
-                    (un.lo, un.hi)
-                } else {
-                    (u, u)
-                };
-                let (v0, v1) = if vn.level == m {
-                    (vn.lo, vn.hi)
-                } else {
-                    (v, v)
-                };
-                // The branching variable's probability is stored on
-                // whichever flattened side owns the level.
-                let p_var = if un.level == m { un.p_var } else { vn.p_var };
-                stack.push(Frame::Combine(u, v, p_var));
-                stack.push(Frame::Expand(u1, v1));
-                stack.push(Frame::Expand(u0, v0));
+
+    fn prob_under(&self, u: u32) -> f64 {
+        self.nodes[u as usize].prob_under
+    }
+
+    fn p_var(&self, u: u32, _: u32) -> f64 {
+        self.nodes[u as usize].p_var
+    }
+}
+
+/// An open-addressed `[u32; 3] → V` table that is emptied in O(1): every
+/// slot carries the stamp of the generation that wrote it, and
+/// [`StampedMap::reset`] starts a new generation. The per-lineage tables of
+/// the query kernel (unique table, apply memo, intersection memo) are reset
+/// thousands of times a second and mostly hold a few dozen entries; a table
+/// left large by one broad query halves on every reset that finds it nearly
+/// empty, so the point queries after it probe a cache-sized table again.
+#[derive(Debug, Clone)]
+pub(crate) struct StampedMap<V> {
+    slots: Vec<StampedSlot<V>>,
+    stamp: u32,
+    len: usize,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct StampedSlot<V> {
+    /// Generation that wrote the slot; 0 is never a live generation.
+    stamp: u32,
+    key: [u32; 3],
+    value: V,
+}
+
+impl<V: Copy + Default> StampedMap<V> {
+    const MIN_SLOTS: usize = 64;
+
+    /// An empty table; the slots are allocated by the first insert, so a
+    /// context that never reaches the exact rung pays nothing for its
+    /// kernel.
+    pub(crate) fn new() -> Self {
+        StampedMap {
+            slots: Vec::new(),
+            stamp: 1,
+            len: 0,
+        }
+    }
+
+    /// Forgets every entry.
+    pub(crate) fn reset(&mut self) {
+        if self.len * 8 < self.slots.len() && self.slots.len() > Self::MIN_SLOTS {
+            // No entry is live past this point, so any prefix is a table.
+            self.slots.truncate(self.slots.len() / 2);
+        }
+        self.len = 0;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slots.fill(StampedSlot::default());
+            self.stamp = 1;
+        }
+    }
+
+    #[inline]
+    fn slot_of(&self, key: [u32; 3]) -> usize {
+        let ab = (u64::from(key[0]) << 32 | u64::from(key[1])).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let h = (ab.rotate_left(29) ^ u64::from(key[2])).wrapping_mul(0x517c_c1b7_2722_0a95);
+        (h >> 32) as usize & (self.slots.len() - 1)
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, key: [u32; 3]) -> Option<V> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.slot_of(key);
+        loop {
+            let slot = &self.slots[i];
+            if slot.stamp != self.stamp {
+                return None;
             }
-            Frame::Combine(u, v, p_var) => {
-                let p1 = results.pop().expect("hi probability available");
-                let p0 = results.pop().expect("lo probability available");
-                let p = (1.0 - p_var) * p0 + p_var * p1;
-                memo.insert((u, v), p);
-                results.push(p);
+            if slot.key == key {
+                return Some(slot.value);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Stores `value` under `key` (replacing an entry of the same key).
+    #[inline]
+    pub(crate) fn insert(&mut self, key: [u32; 3], value: V) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = self.slot_of(key);
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.stamp {
+                self.len += 1;
+            } else if slot.key != key {
+                i = (i + 1) & mask;
+                continue;
+            }
+            *slot = StampedSlot {
+                stamp: self.stamp,
+                key,
+                value,
+            };
+            return;
+        }
+    }
+
+    fn grow(&mut self) {
+        let doubled = vec![StampedSlot::default(); (self.slots.len() * 2).max(Self::MIN_SLOTS)];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.len = 0;
+        for slot in old {
+            if slot.stamp == self.stamp {
+                self.insert(slot.key, slot.value);
             }
         }
     }
-    results.pop().expect("intersection produces a probability")
+}
+
+/// The reusable state of one traversal: the memo of visited
+/// `(block, index position, query position)` triples and the explicit
+/// stacks. Owned by the query kernel so the hot path allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct Walk {
+    memo: StampedMap<f64>,
+    stack: Vec<Frame>,
+    results: Vec<f64>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Frame {
+    /// Continue the query position at the root of block `.0`.
+    Enter(u32, u32),
+    /// Intersect index position `.1` of block `.0` with query position `.2`.
+    Expand(u32, u32, u32),
+    /// Combine the two child results of a triple under `p_var`.
+    Combine(u32, u32, u32, f64),
+    /// Divide the result on top by the entered block's own probability.
+    Scale(f64),
+}
+
+impl Walk {
+    pub(crate) fn new() -> Self {
+        Walk {
+            memo: StampedMap::new(),
+            stack: Vec::new(),
+            results: Vec::new(),
+        }
+    }
+
+    /// The one traversal behind both algorithms, over a *chain* of `len`
+    /// index-side blocks on ascending, pairwise disjoint level ranges
+    /// (`block(k)` hands out the `k`-th one and the value entering it
+    /// divides by): computes
+    ///
+    /// ```text
+    /// P0(query ∧ ⋀ₖ blockₖ) / ∏ₖ divisorₖ
+    /// ```
+    ///
+    /// The conjunction of the blocks is never materialised: a block's
+    /// `1`-sink continues at the next block's root, its `0`-sink is the
+    /// chain's. Every block after the first must be divided by its own
+    /// probability — that is what lets `probUnder` of a node stand for the
+    /// whole rest of the chain once the query side reaches its `1`-sink, and
+    /// what keeps every intermediate value at the magnitude of one block
+    /// whatever the number of blocks (translated probabilities are not
+    /// bounded by one, Section 3.3). A single block with divisor `1` is the
+    /// plain `P0(block ∧ query)` of Section 4.3.
+    ///
+    /// Memoised on the visited triples only, by presence (a NaN is a value
+    /// like any other); iterative, so deep chains cannot overflow the
+    /// thread stack.
+    pub(crate) fn intersect<B: IndexBlock>(
+        &mut self,
+        len: usize,
+        block: impl Fn(usize) -> (B, f64),
+        query: &[QvNode],
+        query_root: u32,
+    ) -> f64 {
+        self.memo.reset();
+        self.stack.clear();
+        self.results.clear();
+        self.stack.push(Frame::Enter(0, query_root));
+        // The block the walk is in: consecutive frames rarely change it.
+        let mut entered: Option<(u32, B)> = None;
+        while let Some(frame) = self.stack.pop() {
+            match frame {
+                Frame::Enter(mut k, v) => loop {
+                    if k as usize == len {
+                        self.results.push(prob_at(query, v));
+                        break;
+                    }
+                    let (next, divisor) = block(k as usize);
+                    match next.root() {
+                        QV_FALSE => {
+                            self.results.push(0.0);
+                            break;
+                        }
+                        // A constant-true block constrains nothing.
+                        QV_TRUE => k += 1,
+                        root => {
+                            self.stack.push(Frame::Scale(divisor));
+                            self.stack.push(Frame::Expand(k, root, v));
+                            break;
+                        }
+                    }
+                },
+                Frame::Expand(k, u, v) => {
+                    // Terminal shortcuts: a lookup each, not worth a memo entry.
+                    if v == QV_FALSE || u == QV_FALSE {
+                        self.results.push(0.0);
+                        continue;
+                    }
+                    if u == QV_TRUE {
+                        if v == QV_TRUE {
+                            self.results.push(1.0);
+                        } else {
+                            self.stack.push(Frame::Enter(k + 1, v));
+                        }
+                        continue;
+                    }
+                    if entered.as_ref().map(|(at, _)| *at) != Some(k) {
+                        entered = Some((k, block(k as usize).0));
+                    }
+                    let index = &entered.as_ref().expect("entered above").1;
+                    if v == QV_TRUE {
+                        // probUnder: the rest of this block; the blocks
+                        // after it cancel against their own divisors.
+                        self.results.push(index.prob_under(u));
+                        continue;
+                    }
+                    if let Some(p) = self.memo.get([k, u, v]) {
+                        self.results.push(p);
+                        continue;
+                    }
+                    let (level, lo, hi) = index.node(u);
+                    let vn = query[v as usize];
+                    let m = level.min(vn.level);
+                    let (u0, u1) = if level == m { (lo, hi) } else { (u, u) };
+                    let (v0, v1) = if vn.level == m {
+                        (vn.lo, vn.hi)
+                    } else {
+                        (v, v)
+                    };
+                    // The branching variable's probability is stored on
+                    // whichever side owns the level.
+                    let p_var = if vn.level == m {
+                        vn.p_var
+                    } else {
+                        index.p_var(u, level)
+                    };
+                    self.stack.push(Frame::Combine(k, u, v, p_var));
+                    self.stack.push(Frame::Expand(k, u1, v1));
+                    self.stack.push(Frame::Expand(k, u0, v0));
+                }
+                Frame::Combine(k, u, v, p_var) => {
+                    let p1 = self.results.pop().expect("hi probability available");
+                    let p0 = self.results.pop().expect("lo probability available");
+                    let p = (1.0 - p_var) * p0 + p_var * p1;
+                    self.memo.insert([k, u, v], p);
+                    self.results.push(p);
+                }
+                Frame::Scale(divisor) => {
+                    let p = self.results.pop().expect("block probability available");
+                    self.results.push(p / divisor);
+                }
+            }
+        }
+        self.results
+            .pop()
+            .expect("intersection produces a probability")
+    }
+}
+
+/// Computes `P0(index ∧ query)` by guided traversal of the arena-backed
+/// diagram (the MVIntersect algorithm).
+pub fn mv_intersect(
+    index: &AugmentedObdd,
+    query: &QueryView,
+    prob_of: impl Fn(TupleId) -> f64 + Copy,
+) -> f64 {
+    let arena = &index.obdd().nodes();
+    let block = |_| {
+        let block = ArenaBlock {
+            index,
+            arena,
+            prob_of,
+        };
+        (block, 1.0)
+    };
+    Walk::new().intersect(1, block, &query.nodes, query.root)
+}
+
+/// Computes `P0(index ∧ query)` over a cache-conscious layout (the
+/// CC-MVIntersect algorithm): the same traversal, but both operands are
+/// flat vectors, so it touches no lock and no arena.
+pub fn cc_mv_intersect(layout: &CcLayout, query: &QueryView) -> f64 {
+    Walk::new().intersect(1, |_| (layout, 1.0), &query.nodes, query.root)
 }
 
 #[cfg(test)]
@@ -434,5 +650,90 @@ mod tests {
         let layout = CcLayout::new(&index, prob_of);
         assert!(cc_mv_intersect(&layout, &query).is_nan());
         assert!(mv_intersect(&index, &query, prob_of).is_nan());
+    }
+
+    #[test]
+    fn a_chain_is_the_conjunction_of_its_blocks_divided_block_by_block() {
+        // Blocks ¬(x₀x₁) and ¬(x₃x₄) on disjoint level ranges, constants in
+        // between; Q = x₁x₂ ∨ x₄x₅ reaches into both.
+        let prob_of = |t: TupleId| [0.5, -2.0, 0.25, 3.0, 0.5, 0.75][t.index()];
+        let manager = ObddManager::new(Arc::new(VarOrder::from_tuples((0..6).map(TupleId))));
+        let layout_of = |diagram: mv_obdd::Obdd| {
+            let augmented = AugmentedObdd::new(diagram, prob_of);
+            (CcLayout::new(&augmented, prob_of), augmented.probability())
+        };
+        let clause = |a, b| manager.clause(&[TupleId(a), TupleId(b)]).unwrap();
+        let (first, p_first) = layout_of(clause(0, 1).negate());
+        let (second, p_second) = layout_of(clause(3, 4).negate());
+        let (top, _) = layout_of(manager.constant(true));
+        let (bottom, _) = layout_of(manager.constant(false));
+        let q = clause(1, 2).apply_or(&clause(4, 5)).unwrap();
+        let query = QueryView::new(&q, prob_of);
+        let walk = |chain: &[(&CcLayout, f64)]| {
+            Walk::new().intersect(chain.len(), |k| chain[k], &query.nodes, query.root)
+        };
+
+        let conjunction = q
+            .apply_and(&clause(0, 1).negate())
+            .unwrap()
+            .apply_and(&clause(3, 4).negate())
+            .unwrap();
+        let expected = conjunction.probability(prob_of) / (p_first * p_second);
+        let chained = walk(&[(&first, p_first), (&second, p_second)]);
+        assert!(
+            (chained - expected).abs() < 1e-12,
+            "{chained} vs {expected}"
+        );
+        // A constant-true block constrains nothing, wherever it sits.
+        for chain in [
+            [(&top, 1.0), (&first, p_first), (&second, p_second)],
+            [(&first, p_first), (&top, 1.0), (&second, p_second)],
+            [(&first, p_first), (&second, p_second), (&top, 1.0)],
+        ] {
+            assert_eq!(walk(&chain).to_bits(), chained.to_bits());
+        }
+        // A constant-false block leaves nothing, and divides nothing.
+        assert_eq!(
+            walk(&[(&first, p_first), (&bottom, 0.0), (&second, p_second)]),
+            0.0
+        );
+        assert_eq!(walk(&[(&bottom, 0.0)]), 0.0);
+        // No block at all: the query's own probability.
+        assert_eq!(walk(&[]).to_bits(), q.probability(prob_of).to_bits());
+        // The first block's divisor is the caller's to choose.
+        let undivided = walk(&[(&first, 1.0), (&second, p_second)]);
+        assert!((undivided - expected * p_first).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stamped_map_resets_in_place_and_decays() {
+        let mut map: StampedMap<u32> = StampedMap::new();
+        for round in 0..3u32 {
+            assert_eq!(map.get([1, 2, 3]), None);
+            for i in 0..1_000u32 {
+                map.insert([i, i ^ 7, round], i + round);
+            }
+            map.insert([5, 2, round], 99); // replaces
+            assert_eq!(map.len, 1_000);
+            assert!((0..1_000u32)
+                .all(|i| map.get([i, i ^ 7, round]) == Some(if i == 5 { 99 } else { i + round })));
+            assert_eq!(map.get([5, 2, round + 1]), None);
+            map.reset();
+        }
+        // Nearly empty generations give the slots back, one halving each.
+        let grown = map.slots.len();
+        assert!(grown >= 2_000);
+        for _ in 0..16 {
+            map.insert([1, 1, 1], 1);
+            map.reset();
+        }
+        assert_eq!(map.slots.len(), StampedMap::<u32>::MIN_SLOTS);
+        // A wrapped stamp cannot revive an entry of 2³² generations ago.
+        map.insert([4, 4, 4], 4);
+        map.stamp = u32::MAX;
+        map.insert([9, 9, 9], 9);
+        map.reset();
+        assert_eq!(map.stamp, 1);
+        assert_eq!(map.get([4, 4, 4]), None);
     }
 }

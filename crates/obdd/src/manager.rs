@@ -878,69 +878,6 @@ impl Store {
         out
     }
 
-    /// Like [`Store::node_probs`] but served from / stamped into the dense
-    /// weight-epoch probability cache. Callers must pass the probability
-    /// function the current epoch stands for. Every reachable node lands in
-    /// the returned map (cache hits included — the traversal descends
-    /// through hits instead of pruning at them), so the result is a
-    /// complete per-diagram annotation.
-    fn node_probs_cached(
-        &mut self,
-        order: &VarOrder,
-        root: NodeId,
-        prob_of: &dyn Fn(TupleId) -> f64,
-    ) -> FxHashMap<NodeId, f64> {
-        let stamp = self.epoch_stamp();
-        let mut out: FxHashMap<NodeId, f64> = FxHashMap::default();
-        out.insert(FALSE, 0.0);
-        out.insert(TRUE, 1.0);
-        let mut stack = vec![root];
-        while let Some(&id) = stack.last() {
-            if out.contains_key(&id) {
-                stack.pop();
-                continue;
-            }
-            let node = self.node(id);
-            let slot = self.prob_cache[id as usize];
-            if slot.stamp == stamp {
-                self.stats.prob_cache_hits += 1;
-                out.insert(id, slot.value);
-                stack.pop();
-                // Completeness: descendants must appear in the map too.
-                // Their slots carry the same stamp (a node is only stamped
-                // after its children), so each costs one O(1) cache hit.
-                if !out.contains_key(&node.hi) {
-                    stack.push(node.hi);
-                }
-                if !out.contains_key(&node.lo) {
-                    stack.push(node.lo);
-                }
-                continue;
-            }
-            let lo = out.get(&node.lo).copied();
-            let hi = out.get(&node.hi).copied();
-            match (lo, hi) {
-                (Some(lo), Some(hi)) => {
-                    let p = prob_of(order.tuple_at(node.level));
-                    let value = (1.0 - p) * lo + p * hi;
-                    self.stats.prob_cache_misses += 1;
-                    self.prob_cache[id as usize] = ProbSlot { stamp, value };
-                    out.insert(id, value);
-                    stack.pop();
-                }
-                (lo, hi) => {
-                    if hi.is_none() {
-                        stack.push(node.hi);
-                    }
-                    if lo.is_none() {
-                        stack.push(node.lo);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// The cached probability of `id` for the current epoch: `None` when it
     /// has to be computed first. Sinks are constant.
     #[inline]
@@ -956,8 +893,8 @@ impl Store {
     }
 
     /// The probability of the diagram rooted at `root` alone, served from /
-    /// stamped into the epoch cache. Unlike [`Store::node_probs_cached`]
-    /// this prunes at cache hits and allocates **no per-call map** — the
+    /// stamped into the epoch cache. It prunes at cache hits and allocates
+    /// **no per-call map** — the
     /// dense epoch cache itself is the traversal state, so a warm root is a
     /// single array probe and a cold pass is straight `Vec` arithmetic.
     /// This is what makes bulk probability over a cached workload fast.
@@ -1458,15 +1395,6 @@ impl ObddManager {
         prob_of: &dyn Fn(TupleId) -> f64,
     ) -> FxHashMap<NodeId, f64> {
         self.read().node_probs(&self.shared.order, root, prob_of)
-    }
-
-    pub(crate) fn node_probs_cached_of(
-        &self,
-        root: NodeId,
-        prob_of: &dyn Fn(TupleId) -> f64,
-    ) -> FxHashMap<NodeId, f64> {
-        self.write()
-            .node_probs_cached(&self.shared.order, root, prob_of)
     }
 
     pub(crate) fn root_prob_cached_of(

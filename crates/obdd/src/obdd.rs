@@ -12,7 +12,7 @@
 //! * [`Obdd::apply_or`] / [`Obdd::apply_and`] — classical synthesis, running
 //!   in `O(|G1| · |G2|)` and memoised persistently in the manager;
 //! * [`Obdd::concat_or`] / [`Obdd::concat_and`] and the n-ary
-//!   [`Obdd::concat_many_or`] / [`Obdd::concat_many`] — the *concatenation*
+//!   [`Obdd::concat_many_or`] — the *concatenation*
 //!   operation of Section 4.2 for diagrams over disjoint, level-separated
 //!   variable ranges: edges to the `0`-sink (resp. `1`-sink) of the first
 //!   diagram are redirected to the root of the second. Linear in the
@@ -292,38 +292,21 @@ impl Obdd {
     /// part sizes. When all parts share one manager the result lives there
     /// and no nodes are copied; otherwise a fresh manager over `order` is
     /// populated by import.
-    pub fn concat_many_or(order: Arc<VarOrder>, parts: &[Obdd]) -> Result<Obdd> {
-        let ranged: Vec<_> = parts.iter().map(|p| (p, p.level_range())).collect();
-        Obdd::concat_many(order, &ranged, false)
-    }
-
-    /// The n-ary concatenation behind [`Obdd::concat_many_or`], for either
-    /// operator (`and = true` conjoins) and with the level range of every
-    /// part supplied by the caller, so a caller that keeps its diagrams
-    /// around (the MV-index blocks) pays the reachability walk once, not
-    /// per combination. Each range must be what [`Obdd::level_range`]
-    /// returns for its part (checked in debug builds).
     ///
     /// The parts are chained back to front: every part is rebuilt exactly
-    /// once, with its `0`-sink (`1`-sink for `and`) redirected to the
-    /// already finished tail. A front-to-back fold of binary concatenations
-    /// rebuilds the growing prefix at every step instead — quadratic in the
-    /// number of parts.
-    pub fn concat_many(
-        order: Arc<VarOrder>,
-        parts: &[(&Obdd, Option<(u32, u32)>)],
-        and: bool,
-    ) -> Result<Obdd> {
+    /// once, with its `0`-sink redirected to the already finished tail. A
+    /// front-to-back fold of binary concatenations rebuilds the growing
+    /// prefix at every step instead — quadratic in the number of parts.
+    pub fn concat_many_or(order: Arc<VarOrder>, parts: &[Obdd]) -> Result<Obdd> {
         // Level separation must hold across *all* pairs; walking back to
         // front with a running minimum handles constant parts in between.
         let mut min_later = u32::MAX;
-        for (part, range) in parts.iter().rev() {
+        for part in parts.iter().rev() {
             let po = part.order();
             if !(Arc::ptr_eq(po, &order) || **po == *order) {
                 return Err(ObddError::OrderMismatch);
             }
-            debug_assert_eq!(*range, part.level_range(), "stale level range");
-            if let Some((lo, hi)) = *range {
+            if let Some((lo, hi)) = part.level_range() {
                 if hi >= min_later {
                     return Err(ObddError::OrderMismatch);
                 }
@@ -331,21 +314,17 @@ impl Obdd {
             }
         }
         let manager = match parts.first() {
-            Some((first, _))
-                if parts
-                    .iter()
-                    .all(|(p, _)| first.manager.same_store(&p.manager)) =>
-            {
+            Some(first) if parts.iter().all(|p| first.manager.same_store(&p.manager)) => {
                 first.manager.clone()
             }
             _ => ObddManager::new(Arc::clone(&order)),
         };
-        // The operator's identity; an absorbing part (`true` under ∨,
-        // `false` under ∧) resets the tail through `concat_roots`.
-        let mut tail = if and { TRUE } else { FALSE };
-        for (part, _) in parts.iter().rev() {
+        // `false` is the identity; a `true` part resets the tail through
+        // `concat_roots`.
+        let mut tail = FALSE;
+        for part in parts.iter().rev() {
             let root = manager.import_root(&part.manager, part.root);
-            tail = manager.concat_roots(and, root, tail);
+            tail = manager.concat_roots(false, root, tail);
         }
         Ok(Obdd::from_parts(manager, tail))
     }
@@ -390,13 +369,6 @@ impl Obdd {
     pub fn node_probabilities(&self, prob_of: impl Fn(TupleId) -> f64) -> NodeProbs {
         self.assert_current_generation();
         NodeProbs::from_map(self.manager.node_probs_of(self.root, &prob_of))
-    }
-
-    /// Cached variant of [`Obdd::node_probabilities`]; the same epoch
-    /// contract as [`Obdd::probability_cached`] applies.
-    pub fn node_probabilities_cached(&self, prob_of: impl Fn(TupleId) -> f64) -> NodeProbs {
-        self.assert_current_generation();
-        NodeProbs::from_map(self.manager.node_probs_cached_of(self.root, &prob_of))
     }
 }
 

@@ -13,7 +13,6 @@
 
 use std::collections::HashMap;
 
-use fxhash::FxHashMap;
 use mv_pdb::{InDb, RelId, TupleId, Value};
 
 /// The per-relation attribute permutations `π`.
@@ -91,14 +90,18 @@ fn lex_prefix_cmp(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
     a.len().cmp(&b.len())
 }
 
+/// `level_of` entry of a tuple the order does not contain.
+const NO_LEVEL: u32 = u32::MAX;
+
 /// A total order over tuple variables: the mapping between OBDD levels and
 /// [`TupleId`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VarOrder {
     by_level: Vec<TupleId>,
-    /// `tuple → level`; FxHash-keyed because clause construction probes it
-    /// once per literal.
-    level_of: FxHashMap<TupleId, u32>,
+    /// `tuple id → level` ([`NO_LEVEL`] for tuples outside the order).
+    /// Tuple ids are dense, and clause construction — the index compile and
+    /// every query — probes this once per literal: an array read, no hash.
+    level_of: Vec<u32>,
 }
 
 impl VarOrder {
@@ -106,11 +109,11 @@ impl VarOrder {
     /// last.
     pub fn from_tuples(tuples: impl IntoIterator<Item = TupleId>) -> Self {
         let by_level: Vec<TupleId> = tuples.into_iter().collect();
-        let level_of = by_level
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i as u32))
-            .collect();
+        let len = by_level.iter().map(|t| t.index() + 1).max().unwrap_or(0);
+        let mut level_of = vec![NO_LEVEL; len];
+        for (level, &t) in by_level.iter().enumerate() {
+            level_of[t.index()] = level as u32;
+        }
         VarOrder { by_level, level_of }
     }
 
@@ -136,7 +139,10 @@ impl VarOrder {
 
     /// The level of a tuple, if it is part of the order.
     pub fn level_of(&self, tuple: TupleId) -> Option<u32> {
-        self.level_of.get(&tuple).copied()
+        match self.level_of.get(tuple.index()) {
+            Some(&level) if level != NO_LEVEL => Some(level),
+            _ => None,
+        }
     }
 
     /// All tuples from the top level down.

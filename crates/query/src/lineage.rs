@@ -91,6 +91,11 @@ impl Lineage {
         &self.clauses
     }
 
+    /// The clauses of the DNF, by value.
+    pub fn into_clauses(self) -> Vec<Clause> {
+        self.clauses
+    }
+
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
         self.clauses.len()

@@ -172,6 +172,19 @@ impl Partition {
     /// mixes W-homed tuples from two shards.
     pub fn route(&self, lineage: &Lineage) -> RoutedLineage {
         let clauses = lineage.clauses();
+        self.bucket(self.shard_per_clause(clauses), clauses.iter().cloned())
+    }
+
+    /// [`Partition::route`] for a caller that is done with the lineage: the
+    /// clauses move into their shard's group instead of being cloned there.
+    pub fn route_owned(&self, lineage: Lineage) -> RoutedLineage {
+        let shards = self.shard_per_clause(lineage.clauses());
+        self.bucket(shards, lineage.into_clauses())
+    }
+
+    /// The shard of every clause, in clause order; `None` when some clause
+    /// group has no single home.
+    fn shard_per_clause(&self, clauses: &[Clause]) -> Option<Vec<usize>> {
         // Clauses sharing any variable must land on the same shard (their
         // disjuncts are not independent): union them into groups first.
         let mut uf = UnionFind::default();
@@ -181,28 +194,44 @@ impl Partition {
         // Fold each clause's W-homed tuples into its group's home shard.
         let mut group_shard: FxHashMap<usize, Option<usize>> = FxHashMap::default();
         for clause in clauses {
-            let Some(&first) = clause.first() else {
-                // An empty clause is constant true; constants are the
-                // caller's short-circuit, not a routable lineage.
-                return RoutedLineage::CrossShard;
-            };
+            // An empty clause is constant true; constants are the caller's
+            // short-circuit, not a routable lineage.
+            let &first = clause.first()?;
             let root = uf.find_id(first);
             let entry = group_shard.entry(root).or_insert(None);
             for shard in clause.iter().filter_map(|&t| self.home_of(t)) {
                 match *entry {
                     None => *entry = Some(shard),
-                    Some(prev) if prev != shard => return RoutedLineage::CrossShard,
+                    Some(prev) if prev != shard => return None,
                     Some(_) => {}
                 }
             }
         }
-        // Pin all-W-free groups deterministically and bucket the clauses.
+        // Pin all-W-free groups deterministically.
+        Some(
+            clauses
+                .iter()
+                .map(|clause| {
+                    let root = uf.find_id(clause[0]);
+                    let entry = group_shard.get_mut(&root).expect("group registered above");
+                    *entry.get_or_insert(clause[0].0 as usize % self.num_shards())
+                })
+                .collect(),
+        )
+    }
+
+    /// Buckets the clauses by their shard, keeping clause order per bucket.
+    fn bucket(
+        &self,
+        shards: Option<Vec<usize>>,
+        clauses: impl IntoIterator<Item = Clause>,
+    ) -> RoutedLineage {
+        let Some(shards) = shards else {
+            return RoutedLineage::CrossShard;
+        };
         let mut buckets: Vec<Vec<Clause>> = vec![Vec::new(); self.num_shards()];
-        for clause in clauses {
-            let root = uf.find_id(clause[0]);
-            let entry = group_shard.get_mut(&root).expect("group registered above");
-            let shard = *entry.get_or_insert(clause[0].0 as usize % self.num_shards());
-            buckets[shard].push(clause.clone());
+        for (shard, clause) in shards.into_iter().zip(clauses) {
+            buckets[shard].push(clause);
         }
         RoutedLineage::Sharded {
             groups: buckets
@@ -319,5 +348,24 @@ mod tests {
             p.route(&Lineage::from_clauses([vec![t(2), t(3)], vec![t(4)]])),
             routed
         );
+    }
+
+    #[test]
+    fn the_consuming_form_routes_like_the_borrowing_one() {
+        let w = vec![vec![t(0), t(1)], vec![t(2), t(3)]];
+        let p = ComponentPartitioner::new(8, &w).partition(2);
+        for clauses in [
+            vec![
+                vec![t(0), t(4)],
+                vec![t(2), t(3)],
+                vec![t(5)],
+                vec![t(1), t(6)],
+            ],
+            vec![vec![t(0), t(4)], vec![t(2), t(4)]],
+            vec![vec![t(6)], vec![t(7)]],
+        ] {
+            let lineage = Lineage::from_clauses(clauses);
+            assert_eq!(p.route_owned(lineage.clone()), p.route(&lineage));
+        }
     }
 }
