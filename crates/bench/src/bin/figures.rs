@@ -211,8 +211,6 @@ fn main() {
     }
     if wants("microbench") {
         report.add("microbench", microbench(&opts));
-        report.add("query_eval", query_eval(&opts));
-        report.add("query_vectorized", query_vectorized(&opts));
     }
     if wants("approx") {
         report.add("approx", approx(&opts));
@@ -264,7 +262,6 @@ fn session(opts: &Options) -> Json {
             ("plan_steps", Json::from(p.query.plan.steps)),
             ("plan_probe_steps", Json::from(p.query.plan.probe_steps)),
             ("blocks_scanned", Json::from(p.query.exec.blocks_scanned)),
-            ("blocks_skipped", Json::from(p.query.exec.blocks_skipped)),
             ("csr_probe_steps", Json::from(p.query.exec.csr_probe_steps)),
             ("batches", Json::from(p.query.exec.batches)),
         ]);
@@ -445,152 +442,6 @@ fn microbench(opts: &Options) -> Json {
     ]);
     row.push("manager", manager_stats_json(&p.manager));
     Json::arr([row])
-}
-
-/// The `query_eval` microbenchmark: the Figure 5/6 workload (plus the
-/// helper query `W`) evaluated through the compiled slot-based plans and
-/// through the legacy backtracking evaluator, with the speedups and the
-/// interner/plan statistics recorded in the report. Results are asserted
-/// identical inside the harness before anything is timed.
-fn query_eval(opts: &Options) -> Json {
-    println!("== Microbench: query evaluation (compiled slot plans vs legacy backtracking) ==");
-    println!(
-        "{:>10} {:>8} {:>14} {:>14} {:>14} {:>14} {:>9} {:>9} {:>9}",
-        "aid domain",
-        "queries",
-        "legacy lin(s)",
-        "plan lin(s)",
-        "legacy ans(s)",
-        "plan ans(s)",
-        "lin x",
-        "ans x",
-        "total x"
-    );
-    let mut rows = Vec::new();
-    for (num_authors, num_queries, reps) in query_eval_scale(opts.quick) {
-        let p = microbench_query_eval(num_authors, num_queries, reps);
-        println!(
-            "{:>10} {:>8} {:>14.6} {:>14.6} {:>14.6} {:>14.6} {:>8.2}x {:>8.2}x {:>8.2}x",
-            p.num_authors,
-            p.num_boolean_queries + p.num_answer_queries,
-            secs(p.legacy_lineage),
-            secs(p.compiled_lineage),
-            secs(p.legacy_answers),
-            secs(p.compiled_answers),
-            p.speedup_lineage(),
-            p.speedup_answers(),
-            p.speedup_total()
-        );
-        println!(
-            "             interner: {} values; plans: {} compiled, {} steps ({} probe / {} scan), {} slots",
-            p.interner_values,
-            p.plans_compiled,
-            p.plan.steps,
-            p.plan.probe_steps,
-            p.plan.scan_steps,
-            p.plan.slots,
-        );
-        rows.push(Json::obj([
-            ("num_authors", Json::from(p.num_authors)),
-            ("num_boolean_queries", Json::from(p.num_boolean_queries)),
-            ("num_answer_queries", Json::from(p.num_answer_queries)),
-            ("reps", Json::from(p.reps)),
-            ("legacy_lineage_s", Json::from(secs(p.legacy_lineage))),
-            ("compiled_lineage_s", Json::from(secs(p.compiled_lineage))),
-            ("legacy_answers_s", Json::from(secs(p.legacy_answers))),
-            ("compiled_answers_s", Json::from(secs(p.compiled_answers))),
-            ("query_speedup_lineage", Json::from(p.speedup_lineage())),
-            ("query_speedup_answers", Json::from(p.speedup_answers())),
-            ("query_speedup_total", Json::from(p.speedup_total())),
-            ("interner_values", Json::from(p.interner_values)),
-            ("plans_compiled", Json::from(p.plans_compiled)),
-            ("plan_steps", Json::from(p.plan.steps)),
-            ("plan_probe_steps", Json::from(p.plan.probe_steps)),
-            ("plan_scan_steps", Json::from(p.plan.scan_steps)),
-            ("plan_slots", Json::from(p.plan.slots)),
-            ("plan_never_matching", Json::from(p.plan.never_matching)),
-        ]));
-    }
-    println!();
-    Json::arr(rows)
-}
-
-/// The `query_vectorized` microbenchmark: the Figure 5/6 workload (plus
-/// the helper query `W` and the selection-shaped zone-map probes) through
-/// the vectorized batch executor and through the tuple-at-a-time compiled
-/// plans it replaced as the production path, with the speedups and the
-/// zone-map/CSR work counters recorded in the report. Results are asserted
-/// identical inside the harness before anything is timed.
-fn query_vectorized(opts: &Options) -> Json {
-    println!("== Microbench: query evaluation (vectorized batches vs tuple-at-a-time plans) ==");
-    println!(
-        "{:>10} {:>8} {:>14} {:>14} {:>14} {:>14} {:>9} {:>9} {:>9}",
-        "aid domain",
-        "queries",
-        "plan lin(s)",
-        "vec lin(s)",
-        "plan ans(s)",
-        "vec ans(s)",
-        "lin x",
-        "ans x",
-        "total x"
-    );
-    let mut rows = Vec::new();
-    for (num_authors, num_queries, reps) in query_vectorized_scale(opts.quick) {
-        let p = microbench_query_vectorized(num_authors, num_queries, reps);
-        println!(
-            "{:>10} {:>8} {:>14.6} {:>14.6} {:>14.6} {:>14.6} {:>8.2}x {:>8.2}x {:>8.2}x",
-            p.num_authors,
-            p.num_boolean_queries + p.num_answer_queries,
-            secs(p.compiled_lineage),
-            secs(p.vectorized_lineage),
-            secs(p.compiled_answers),
-            secs(p.vectorized_answers),
-            p.speedup_lineage(),
-            p.speedup_answers(),
-            p.speedup_total()
-        );
-        println!(
-            "             zone maps: {} blocks scanned, {} skipped; {} CSR probes, {} batches",
-            p.exec.blocks_scanned, p.exec.blocks_skipped, p.exec.csr_probe_steps, p.exec.batches,
-        );
-        rows.push(Json::obj([
-            ("num_authors", Json::from(p.num_authors)),
-            ("num_boolean_queries", Json::from(p.num_boolean_queries)),
-            ("num_answer_queries", Json::from(p.num_answer_queries)),
-            ("reps", Json::from(p.reps)),
-            ("compiled_lineage_s", Json::from(secs(p.compiled_lineage))),
-            (
-                "vectorized_lineage_s",
-                Json::from(secs(p.vectorized_lineage)),
-            ),
-            ("compiled_answers_s", Json::from(secs(p.compiled_answers))),
-            (
-                "vectorized_answers_s",
-                Json::from(secs(p.vectorized_answers)),
-            ),
-            (
-                "vectorized_speedup_lineage",
-                Json::from(p.speedup_lineage()),
-            ),
-            (
-                "vectorized_speedup_answers",
-                Json::from(p.speedup_answers()),
-            ),
-            ("vectorized_speedup_total", Json::from(p.speedup_total())),
-            ("interner_values", Json::from(p.interner_values)),
-            ("plan_steps", Json::from(p.plan.steps)),
-            ("plan_probe_steps", Json::from(p.plan.probe_steps)),
-            ("plan_scan_steps", Json::from(p.plan.scan_steps)),
-            ("plan_slots", Json::from(p.plan.slots)),
-            ("blocks_scanned", Json::from(p.exec.blocks_scanned)),
-            ("blocks_skipped", Json::from(p.exec.blocks_skipped)),
-            ("csr_probe_steps", Json::from(p.exec.csr_probe_steps)),
-            ("batches", Json::from(p.exec.batches)),
-        ]));
-    }
-    println!();
-    Json::arr(rows)
 }
 
 /// The `approx` series: the Monte Carlo backend on the Figure 5/6 workload

@@ -62,10 +62,10 @@ const MIN_NOT_W: f64 = 1e-300;
 /// and — when the offline phase ran — the compiled MV-index.
 ///
 /// The context owns a [`mv_query::eval::EvalContext`], so compiled plans are
-/// shared by every lineage computation made through it. The join indexes and
-/// zone maps those plans probe belong to the translated store's relations
-/// and are shared by *every* context over the same snapshot: making a
-/// context per call, per worker or per shard costs an empty plan cache.
+/// shared by every lineage computation made through it. The join indexes
+/// those plans probe belong to the translated store's relations and are
+/// shared by *every* context over the same snapshot: making a context per
+/// call, per worker or per shard costs an empty plan cache.
 pub struct EvalContext<'a> {
     translated: &'a TranslatedIndb,
     index: Option<&'a MvIndex>,
@@ -249,7 +249,7 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Counters of the vectorized batch executor accumulated on this
-    /// context: zone-map blocks scanned and skipped, CSR probes, batches.
+    /// context: blocks scanned, CSR probes, batches.
     /// Every lineage and answer computation made through this context —
     /// including the `W`-lineage join of an index-free context —
     /// contributes.

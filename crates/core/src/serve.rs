@@ -716,8 +716,8 @@ fn worker_loop(
     // current request on the pinned snapshot, then re-pins and makes a new
     // context and ladder: what is lost is this worker's plan cache, its
     // query kernel and query-side manager and the memoized `W` (all belong
-    // to the old snapshot). The store's join indexes and zone maps are not the
-    // worker's — relations the update left alone carry theirs into the new
+    // to the old snapshot). The store's join indexes are not the worker's —
+    // relations the update left alone carry theirs into the new
     // snapshot, and a rewritten relation's are built once by whichever
     // worker asks first. The version is read *before* the engine so a swap
     // racing this re-pin costs at most one redundant context, never a

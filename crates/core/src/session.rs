@@ -38,9 +38,9 @@ use crate::error::CoreError;
 use crate::Result;
 
 /// Query-layer counters of one session batch: the shape of every compiled
-/// plan plus the vectorized executor's behaviour (zone-map blocks scanned
-/// and skipped, CSR probes, batches). Summed over every worker context, so
-/// skipping effectiveness is visible at `threads > 1` too.
+/// plan plus the vectorized executor's work (blocks scanned, CSR probes,
+/// batches). Summed over every worker context, so the counters are
+/// complete at `threads > 1` too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Shape statistics of the plans compiled by the batch's contexts.
@@ -101,8 +101,8 @@ impl<'e> MvdbSession<'e> {
     }
 
     /// Query-layer counters of the most recent batch: plan shapes plus the
-    /// vectorized executor's zone-map skipping and CSR-probe counters,
-    /// summed over every worker's context. Zero before the first batch.
+    /// vectorized executor's scan and CSR-probe counters, summed over every
+    /// worker's context. Zero before the first batch.
     pub fn last_query_stats(&self) -> QueryStats {
         self.pipeline.last().query
     }
@@ -333,8 +333,8 @@ mod tests {
             session.probabilities(&queries).unwrap();
             let stats = session.last_query_stats();
             // Every worker compiled plans and drove the vectorized executor:
-            // the workload's joins probe CSR indexes and its scans touch
-            // zone-map blocks.
+            // the workload's joins probe CSR indexes and its scans read
+            // blocks of rows.
             assert!(stats.plan.disjuncts > 0, "{threads} threads");
             assert!(stats.plan.steps > 0, "{threads} threads");
             assert!(stats.exec.csr_probe_steps > 0, "{threads} threads");

@@ -17,8 +17,6 @@ use std::sync::{Arc, OnceLock};
 
 use fxhash::FxHashMap;
 
-use crate::zonemap::RelationZones;
-
 /// Dense-layout budget of [`CsrIndex::build`]: the offsets array may be
 /// directly code-indexed as long as the code domain is at most this factor
 /// of the build side (plus slack for small relations).
@@ -89,8 +87,8 @@ impl CsrIndex {
     }
 
     /// Stable counting sort of row positions by code: rows stay ascending
-    /// within each key, so probe enumeration order matches the hash-map
-    /// posting lists of the tuple-at-a-time path.
+    /// within each key, so a probe enumerates its rows in the order a scan
+    /// filtering on the key would.
     fn build_dense(codes: &[u32], domain: usize) -> CsrIndex {
         let mut offsets = vec![0u32; domain + 1];
         for &c in codes {
@@ -242,8 +240,8 @@ impl CsrIndex {
 /// the other — one scattered column read per posting. The pair index folds
 /// both codes into one `u64` key, so the probe is a single hash lookup and
 /// only true matches are ever touched. Postings stay ascending within each
-/// key (rows are appended in scan order), preserving the enumeration-order
-/// contract with the tuple-at-a-time oracle.
+/// key (rows are appended in scan order), preserving the enumeration order
+/// of a filtering scan.
 #[derive(Debug)]
 pub struct PairIndex {
     /// `(a_code << 32 | b_code)` → `(start, len)` into `rows`.
@@ -306,7 +304,6 @@ pub(crate) struct AccessPaths {
 
 #[derive(Debug)]
 pub(crate) struct Cells {
-    pub(crate) zones: OnceLock<Arc<RelationZones>>,
     /// Per column.
     pub(crate) csr: Vec<OnceLock<Arc<CsrIndex>>>,
     /// Distinct codes per column.
@@ -341,7 +338,6 @@ impl AccessPaths {
             std::iter::repeat_with(OnceLock::new).take(n).collect()
         }
         self.cells.get_or_init(|| Cells {
-            zones: OnceLock::new(),
             csr: cells(arity),
             distinct: cells(arity),
             pairs: cells(arity * arity),

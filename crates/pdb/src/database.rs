@@ -35,7 +35,7 @@ fn fresh_version() -> u64 {
 /// touches (copy-on-write). The interner is append-only, so codes taken
 /// against an old snapshot never dangle in a newer one. The derived access
 /// paths live inside each [`Relation`], so every snapshot sharing a relation
-/// shares its indexes and zone maps too.
+/// shares its indexes too.
 #[derive(Debug, Clone)]
 pub struct Database {
     schema: Schema,
@@ -90,8 +90,8 @@ impl Database {
         self.version = fresh_version();
     }
 
-    /// How many derived access paths (CSR and pair indexes, zone maps,
-    /// distinct counts) the relations of this store and of every snapshot
+    /// How many derived access paths (CSR and pair indexes, distinct
+    /// counts) the relations of this store and of every snapshot
     /// cloned from it have built. Queries that find theirs do not move it.
     pub fn access_path_builds(&self) -> u64 {
         self.path_builds.load(Ordering::Relaxed)
@@ -205,21 +205,7 @@ impl Database {
     /// separator-domain computations (safe plans, the ConOBDD construction)
     /// never hash or clone per row.
     pub fn column_domain(&self, rel: RelId, column: usize) -> Vec<Value> {
-        let relation = &self.relations[rel.index()];
-        let codes = relation.column_codes(column);
-        if codes.len() != relation.len() {
-            // Zero-arity or out-of-range column: fall back to the row store.
-            let mut vals = relation.column_values(column);
-            vals.sort();
-            return vals;
-        }
-        let mut distinct = codes.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut vals: Vec<Value> = distinct
-            .into_iter()
-            .map(|c| self.interner.value(c).clone())
-            .collect();
+        let mut vals = self.relations[rel.index()].column_values(column, &self.interner);
         // Code order is first-appearance order, not value order.
         vals.sort();
         vals
@@ -328,12 +314,12 @@ mod tests {
         // the shared relation and interner for a row that was already there.
         let db = sample();
         let s = db.relation_id("S").unwrap();
-        let zones = db.relation(s).zones();
+        let csr = db.relation(s).csr_index(0);
         let mut dup = db.clone();
         assert_eq!(dup.insert(s, row([2i64, 20])).unwrap(), 1);
         assert!(Arc::ptr_eq(&db.relation_arc(s), &dup.relation_arc(s)));
         assert!(Arc::ptr_eq(&db.interner, &dup.interner));
-        assert!(Arc::ptr_eq(&dup.relation(s).zones(), &zones));
+        assert!(Arc::ptr_eq(&dup.relation(s).csr_index(0), &csr));
         assert_eq!(dup.version(), db.version());
         // A new row does copy — the written relation only — and restamps.
         dup.insert(s, row([3i64, 40])).unwrap();
@@ -352,18 +338,17 @@ mod tests {
         for _ in 0..3 {
             db.relation(s).csr_index(0);
             db.relation(s).pair_index(0, 1);
-            db.relation(s).zones();
             db.relation(s).distinct_count(1);
         }
-        assert_eq!(db.access_path_builds(), 4);
+        assert_eq!(db.access_path_builds(), 3);
         // A snapshot shares the instances, so it shares the counter too.
         let mut dup = db.clone();
         dup.relation(s).csr_index(0);
-        assert_eq!(dup.access_path_builds(), 4);
+        assert_eq!(dup.access_path_builds(), 3);
         dup.insert(s, row([9i64, 9])).unwrap();
         dup.relation(s).csr_index(0);
-        assert_eq!(dup.access_path_builds(), 5);
-        assert_eq!(db.access_path_builds(), 5);
+        assert_eq!(dup.access_path_builds(), 4);
+        assert_eq!(db.access_path_builds(), 4);
     }
 
     #[test]

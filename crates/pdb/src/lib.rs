@@ -8,8 +8,8 @@
 //! * [`Relation`], [`Database`] — in-memory deterministic instances with
 //!   duplicate elimination and simple scan/lookup access paths, each row
 //!   stored twice: row-major `Value`s and column-major dictionary codes.
-//! * [`CsrIndex`], [`PairIndex`], [`RelationZones`] — the derived access
-//!   paths over those codes, owned by the [`Relation`] instance they index.
+//! * [`CsrIndex`], [`PairIndex`] — the derived access paths over those
+//!   codes, owned by the [`Relation`] instance they index.
 //! * [`ValueInterner`] — the database-wide dictionary (`Value` ↔ dense
 //!   `u32` code) behind the columnar store; join keys compare and hash as
 //!   integers in the compiled query evaluator.
@@ -37,7 +37,6 @@ pub mod schema;
 pub mod value;
 pub mod weight;
 pub mod worlds;
-pub mod zonemap;
 
 pub use access::{CsrIndex, PairIndex};
 pub use database::Database;
@@ -49,7 +48,6 @@ pub use schema::{RelId, RelationSchema, Schema};
 pub use value::{Row, Value};
 pub use weight::Weight;
 pub use worlds::{PossibleWorld, WorldIter};
-pub use zonemap::{ColumnZone, RelationZones, ZONE_BLOCK_ROWS};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, PdbError>;

@@ -20,13 +20,12 @@ use crate::access::{AccessPaths, CsrIndex, PairIndex};
 use crate::interner::ValueInterner;
 use crate::schema::RelId;
 use crate::value::{Row, Value};
-use crate::zonemap::RelationZones;
 
 /// One relation instance: an ordered, duplicate-free multiset of rows.
 ///
 /// The instance also owns its *derived access paths* — the CSR join index
-/// and distinct-code count of each column, the composite index of each
-/// column pair, the zone maps ([`Relation::csr_index`] and friends) — the way
+/// and distinct-code count of each column and the composite index of each
+/// column pair ([`Relation::csr_index`] and friends) — the way
 /// an index belongs to its table and not to whoever is querying it. Each is
 /// built at most once per instance, by whichever context or thread asks
 /// first, and handed out as an `Arc` every later caller shares: snapshots
@@ -153,13 +152,6 @@ impl Relation {
         self.paths.once(cell, || Arc::new(PairIndex::build(a, b)))
     }
 
-    /// The zone maps of the relation, built on first use.
-    pub fn zones(&self) -> Arc<RelationZones> {
-        let cell = &self.paths.cells(self.columns.len()).zones;
-        self.paths
-            .once(cell, || Arc::new(RelationZones::build(self)))
-    }
-
     /// Number of distinct codes in a column, counted on first use — a
     /// selectivity estimate (more distinct codes → shorter expected posting
     /// lists). Zero for a column the relation does not have.
@@ -193,44 +185,21 @@ impl Relation {
     /// codes — no `Value` is hashed or cloned. Empty when the column has no
     /// codes (zero-arity or out-of-range columns).
     pub fn distinct_codes(&self, column: usize) -> Vec<u32> {
-        let codes = self.column_codes(column);
-        let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for &code in codes {
-            if seen.insert(code) {
-                out.push(code);
-            }
-        }
-        out
+        let mut seen = fxhash::FxHashSet::default();
+        self.column_codes(column)
+            .iter()
+            .copied()
+            .filter(|&code| seen.insert(code))
+            .collect()
     }
 
-    /// All distinct values appearing in the given column, in row order.
-    ///
-    /// Deduplicates on the dictionary codes ([`Relation::distinct_codes`])
-    /// and clones only the surviving values; the slow `Value`-hashing path
-    /// remains only for columns without a code array (zero-arity relations).
-    pub fn column_values(&self, column: usize) -> Vec<Value> {
-        let codes = self.column_codes(column);
-        if codes.len() == self.rows.len() && !self.rows.is_empty() {
-            let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
-            let mut out = Vec::new();
-            for (i, &code) in codes.iter().enumerate() {
-                if seen.insert(code) {
-                    out.push(self.rows[i][column].clone());
-                }
-            }
-            return out;
-        }
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for r in &self.rows {
-            if let Some(v) = r.get(column) {
-                if seen.insert(v.clone()) {
-                    out.push(v.clone());
-                }
-            }
-        }
-        out
+    /// All distinct values appearing in the given column, in row order:
+    /// [`Relation::distinct_codes`] decoded through the store's `interner`.
+    pub fn column_values(&self, column: usize, interner: &ValueInterner) -> Vec<Value> {
+        self.distinct_codes(column)
+            .into_iter()
+            .map(|code| interner.value(code).clone())
+            .collect()
     }
 }
 
@@ -284,8 +253,14 @@ mod tests {
         rel.insert(row([1i64, 10]), &mut interner);
         rel.insert(row([2i64, 10]), &mut interner);
         rel.insert(row([1i64, 20]), &mut interner);
-        assert_eq!(rel.column_values(0), vec![Value::int(1), Value::int(2)]);
-        assert_eq!(rel.column_values(1), vec![Value::int(10), Value::int(20)]);
+        assert_eq!(
+            rel.column_values(0, &interner),
+            vec![Value::int(1), Value::int(2)]
+        );
+        assert_eq!(
+            rel.column_values(1, &interner),
+            vec![Value::int(10), Value::int(20)]
+        );
     }
 
     #[test]
@@ -295,7 +270,6 @@ mod tests {
         // Before the first row there are no columns: nothing is cached.
         assert!(rel.csr_index(0).probe(0).is_empty());
         assert_eq!(rel.distinct_count(0), 0);
-        assert_eq!(rel.zones().num_blocks(), 0);
         for i in 0..10i64 {
             rel.insert(row([i % 3, i]), &mut interner);
         }
@@ -307,7 +281,6 @@ mod tests {
         assert_eq!(pair.probe(rel.code_at(4, 0), rel.code_at(4, 1)), &[4]);
         assert!(Arc::ptr_eq(&pair, &rel.pair_index(0, 1)));
         assert!(!Arc::ptr_eq(&pair, &rel.pair_index(1, 0)));
-        assert!(Arc::ptr_eq(&rel.zones(), &rel.zones()));
         assert_eq!((rel.distinct_count(0), rel.distinct_count(1)), (3, 10));
         // Out-of-range columns read as empty, like `column_codes`.
         assert!(rel.csr_index(7).probe(0).is_empty());
@@ -322,7 +295,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&csr, &rel.csr_index(0)));
         assert_eq!(rel.csr_index(0).probe(rel.code_at(0, 0)), &[0, 3, 6, 9, 10]);
         assert_eq!(rel.distinct_count(1), 11);
-        assert_eq!(rel.zones().column_range(1).unwrap().1, rel.code_at(10, 1));
         // The handle taken earlier still describes the rows it was built on.
         assert_eq!(csr.probe(rel.code_at(0, 0)), &[0, 3, 6, 9]);
     }

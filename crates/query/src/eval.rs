@@ -5,25 +5,25 @@
 //! match enumeration driving [`crate::lineage`] — the satisfying
 //! assignments that become Boolean provenance.
 //!
-//! Two evaluators live side by side:
+//! One executor and one oracle live here:
 //!
-//! * the **compiled** evaluator ([`crate::plan`]): [`EvalContext::compile`]
-//!   lowers a query once into a slot-based [`PhysicalPlan`](crate::plan::PhysicalPlan) over the
-//!   dictionary-encoded columnar store, and every production entry point
-//!   ([`evaluate_ucq`], [`evaluate_boolean`], the lineage functions) runs
-//!   the plan's iterative operator loop;
+//! * the **vectorized** executor ([`crate::vec_exec`]): [`EvalContext::compile_vec`]
+//!   compiles a query once into slot-based plans over the
+//!   dictionary-encoded columnar store ([`crate::plan`]) and lowers them to
+//!   batch plans; every production entry point ([`evaluate_ucq`],
+//!   [`evaluate_boolean`], the lineage functions) runs those;
 //! * the **legacy** backtracking evaluator ([`for_each_match`]): `String`
-//!   → [`Value`] bindings, greedy per-call atom ranking, recursive search.
-//!   It is retained as the independently-implemented oracle the agreement
-//!   tests and the `query_eval` microbenchmark compare against (the role
-//!   `RefManager` plays for the OBDD manager).
+//!   → [`Value`] bindings, `Value`-keyed hash indexes, recursive search.
+//!   It shares only the join order with the executor and is retained as
+//!   the independently-implemented oracle the agreement tests compare
+//!   against (the role `RefManager` plays for the OBDD manager).
 //!
-//! Compiled plans are cached in the [`EvalContext`]; reusing a context
-//! across queries amortises plan compilation (the MV-index compilation
-//! driver, the `mv-core` backends and the batch sessions do). The CSR and
-//! pair indexes, zone maps and distinct counts the production plans probe
-//! belong to the snapshot's [`mv_pdb::Relation`] instances instead: built
-//! once per instance, shared by every context — a fresh context is ~free.
+//! Plans are cached in the [`EvalContext`]; reusing a context across
+//! queries amortises plan compilation (the MV-index compilation driver,
+//! the `mv-core` backends and the batch sessions do). The CSR and pair
+//! indexes and distinct counts the plans probe belong to the snapshot's
+//! [`mv_pdb::Relation`] instances instead: built once per instance, shared
+//! by every context — a fresh context is ~free.
 
 use std::cell::{Cell, RefCell};
 use std::ops::ControlFlow;
@@ -34,7 +34,7 @@ use mv_pdb::{Database, RelId, Row, Value};
 
 use crate::ast::{Atom, ConjunctiveQuery, Term, Ucq};
 use crate::error::QueryError;
-use crate::plan::{CodeIndex, CompiledUcq, PlanStats};
+use crate::plan::PlanStats;
 use crate::vec_exec::{ExecStats, VecCompiledUcq};
 use crate::Result;
 
@@ -46,7 +46,7 @@ pub struct Answer {
 }
 
 /// A variable binding environment of the legacy evaluator (FxHash-keyed;
-/// the compiled evaluator replaces this with a register file of codes).
+/// compiled plans replace this with a register file of codes).
 pub type Bindings = FxHashMap<String, Value>;
 
 /// One `Value`-keyed column index of the legacy evaluator
@@ -60,10 +60,8 @@ type LegacyIndex = FxHashMap<Value, Vec<usize>>;
 /// another query) stays safe.
 type ColumnIndexes = FxHashMap<(RelId, usize), Rc<LegacyIndex>>;
 
-/// Evaluation context over one immutable database snapshot: the
-/// compiled-plan cache, plus the hash indexes of the two oracle evaluators
-/// (code-keyed for the tuple-at-a-time loop, `Value`-keyed for the legacy
-/// search).
+/// Evaluation context over one immutable database snapshot: the plan
+/// cache, plus the `Value`-keyed hash indexes of the legacy oracle.
 ///
 /// A context borrows its snapshot for its whole life, so a plan — which
 /// bakes in interned constants and `Arc`s of the snapshot's access paths —
@@ -73,12 +71,8 @@ pub struct EvalContext<'a> {
     db: &'a Database,
     /// Legacy-path indexes (`Value`-keyed).
     indexes: RefCell<ColumnIndexes>,
-    /// Compiled-path indexes (code-keyed), shared across plans.
-    code_indexes: RefCell<FxHashMap<(RelId, usize), Rc<CodeIndex>>>,
-    /// Compiled plans, keyed by canonical query text.
-    plans: RefCell<FxHashMap<String, Rc<CompiledUcq>>>,
-    /// Vectorized plans lowered from the compiled plans (same cache key).
-    vec_plans: RefCell<FxHashMap<String, Rc<VecCompiledUcq>>>,
+    /// Compiled-and-lowered plans, keyed by canonical query text.
+    plans: RefCell<FxHashMap<String, Rc<VecCompiledUcq>>>,
     /// Executor counters accumulated across every vectorized run.
     exec: Cell<ExecStats>,
     /// Cooperative budget consulted at batch boundaries by the lineage and
@@ -92,9 +86,7 @@ impl<'a> EvalContext<'a> {
         EvalContext {
             db,
             indexes: RefCell::new(FxHashMap::default()),
-            code_indexes: RefCell::new(FxHashMap::default()),
             plans: RefCell::new(FxHashMap::default()),
-            vec_plans: RefCell::new(FxHashMap::default()),
             exec: Cell::new(ExecStats::default()),
             budget: RefCell::new(None),
         }
@@ -119,16 +111,16 @@ impl<'a> EvalContext<'a> {
         self.db
     }
 
-    /// Compiles `ucq` into a physical plan, or returns the cached plan if
+    /// Compiles `ucq` into vectorized plans, or returns the cached plans if
     /// this context has compiled the same query before. The cache key is
     /// the query's canonical display form: syntactically identical queries
     /// share one plan per context.
-    pub fn compile(&self, ucq: &Ucq) -> Result<Rc<CompiledUcq>> {
+    pub fn compile_vec(&self, ucq: &Ucq) -> Result<Rc<VecCompiledUcq>> {
         let key = ucq.to_string();
         if let Some(plan) = self.plans.borrow().get(&key) {
             return Ok(Rc::clone(plan));
         }
-        let plan = Rc::new(CompiledUcq::compile(ucq, self)?);
+        let plan = Rc::new(VecCompiledUcq::compile(ucq, self.db)?);
         self.plans.borrow_mut().insert(key, Rc::clone(&plan));
         Ok(plan)
     }
@@ -147,21 +139,8 @@ impl<'a> EvalContext<'a> {
             .fold(PlanStats::default(), |a, b| a + b)
     }
 
-    /// Lowers `ucq` into a vectorized plan (compiling it first if needed),
-    /// or returns the cached lowering. Shares the compiled-plan cache key.
-    pub fn compile_vec(&self, ucq: &Ucq) -> Result<Rc<VecCompiledUcq>> {
-        let key = ucq.to_string();
-        if let Some(plan) = self.vec_plans.borrow().get(&key) {
-            return Ok(Rc::clone(plan));
-        }
-        let base = self.compile(ucq)?;
-        let plan = Rc::new(VecCompiledUcq::lower(&base, self.db));
-        self.vec_plans.borrow_mut().insert(key, Rc::clone(&plan));
-        Ok(plan)
-    }
-
     /// Executor counters accumulated across every vectorized run on this
-    /// context (block skipping, CSR probes, batches).
+    /// context (blocks scanned, CSR probes, batches).
     pub fn exec_stats(&self) -> ExecStats {
         self.exec.get()
     }
@@ -169,25 +148,6 @@ impl<'a> EvalContext<'a> {
     /// Folds one run's counters into the context totals.
     pub(crate) fn record_exec(&self, stats: ExecStats) {
         self.exec.set(self.exec.get() + stats);
-    }
-
-    /// The shared code index of `(rel, column)`, built in one pass over the
-    /// dictionary-encoded column on first use.
-    pub(crate) fn code_index(&self, rel: RelId, column: usize) -> Rc<CodeIndex> {
-        if let Some(index) = self.code_indexes.borrow().get(&(rel, column)) {
-            return Rc::clone(index);
-        }
-        let codes = self.db.relation(rel).column_codes(column);
-        let mut map: CodeIndex = FxHashMap::default();
-        map.reserve(codes.len());
-        for (i, &code) in codes.iter().enumerate() {
-            map.entry(code).or_default().push(i as u32);
-        }
-        let index = Rc::new(map);
-        self.code_indexes
-            .borrow_mut()
-            .insert((rel, column), Rc::clone(&index));
-        index
     }
 
     /// The legacy `Value`-keyed index of `(rel, column)`, built on first
@@ -301,8 +261,8 @@ pub(crate) fn static_join_order(cq: &ConjunctiveQuery) -> Vec<JoinStep> {
 /// Returning [`ControlFlow::Break`] from the callback stops the enumeration.
 ///
 /// This is the **legacy** backtracking evaluator, retained as the test
-/// oracle for the compiled plans of [`crate::plan`]; production callers go
-/// through [`EvalContext::compile`] (the lineage and answer functions do so
+/// oracle for the vectorized executor; production callers go through
+/// [`EvalContext::compile_vec`] (the lineage and answer functions do so
 /// internally).
 pub fn for_each_match<B>(
     cq: &ConjunctiveQuery,
@@ -497,14 +457,12 @@ pub fn evaluate_ucq(ucq: &Ucq, db: &Database) -> Result<Vec<Answer>> {
 }
 
 /// Like [`evaluate_ucq`] but reuses an existing [`EvalContext`] (and hence
-/// its compiled-plan, lowered-plan and index caches).
+/// its plan cache).
 ///
-/// This is the vectorized production path: each disjunct's batch plan is
-/// driven batch-at-a-time, answers are deduplicated on raw head codes
-/// before any `Value` is decoded (exact — the interner is bijective), and
-/// only the per-disjunct-distinct survivors reach the global row set. The
-/// tuple-at-a-time plan loop remains available as
-/// [`evaluate_ucq_compiled_with`] (the exact-equality oracle).
+/// Each disjunct's batch plan is driven batch-at-a-time, answers are
+/// deduplicated on raw head codes before any `Value` is decoded (exact —
+/// the interner is bijective), and only the per-disjunct-distinct
+/// survivors reach the global row set.
 pub fn evaluate_ucq_with(ucq: &Ucq, ctx: &EvalContext<'_>) -> Result<Vec<Answer>> {
     let plan = ctx.compile_vec(ucq)?;
     let db = ctx.database();
@@ -531,26 +489,6 @@ pub fn evaluate_ucq_with(ucq: &Ucq, ctx: &EvalContext<'_>) -> Result<Vec<Answer>
         });
     }
     ctx.record_exec(stats);
-    Ok(answers)
-}
-
-/// [`evaluate_ucq`] through the tuple-at-a-time compiled plan loop — the
-/// PR-4 path, preserved as the exact-equality oracle for the vectorized
-/// executor (and as the baseline of the `query_vectorized` microbenchmark).
-pub fn evaluate_ucq_compiled_with(ucq: &Ucq, ctx: &EvalContext<'_>) -> Result<Vec<Answer>> {
-    let plan = ctx.compile(ucq)?;
-    let interner = ctx.database().interner();
-    let mut seen = fxhash::FxHashSet::default();
-    let mut answers = Vec::new();
-    for disjunct in plan.disjuncts() {
-        disjunct.for_each_match::<()>(ctx, |regs, _| {
-            let row = disjunct.decode_head(regs, interner);
-            if seen.insert(row.clone()) {
-                answers.push(Answer { row });
-            }
-            ControlFlow::Continue(())
-        });
-    }
     Ok(answers)
 }
 
@@ -792,20 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn only_the_tuple_at_a_time_loop_builds_hash_indexes() {
-        let db = db();
-        let ctx = EvalContext::new(&db);
-        let q = parse_ucq("Q(x, y) :- R(x), S(x, y)").unwrap();
-        assert_eq!(evaluate_ucq_with(&q, &ctx).unwrap().len(), 3);
-        assert!(
-            ctx.code_indexes.borrow().is_empty(),
-            "the vectorized executor probes CSR indexes only"
-        );
-        assert_eq!(evaluate_ucq_compiled_with(&q, &ctx).unwrap().len(), 3);
-        assert_eq!(ctx.code_indexes.borrow().len(), 1);
-    }
-
-    #[test]
     fn for_each_match_reports_matched_rows_per_atom() {
         let db = db();
         let ctx = EvalContext::new(&db);
@@ -839,7 +763,7 @@ mod tests {
         );
         let ctx = EvalContext::new(&db);
         assert!(matches!(
-            ctx.compile(&Ucq::from_cq(cq)),
+            ctx.compile_vec(&Ucq::from_cq(cq)),
             Err(QueryError::UnboundComparisonVariable(v)) if v == "y"
         ));
     }
@@ -870,8 +794,8 @@ mod tests {
         let db = db();
         let ctx = EvalContext::new(&db);
         let q = parse_ucq("Q(x, y) :- R(x), S(x, y)").unwrap();
-        let p1 = ctx.compile(&q).unwrap();
-        let p2 = ctx.compile(&q).unwrap();
+        let p1 = ctx.compile_vec(&q).unwrap();
+        let p2 = ctx.compile_vec(&q).unwrap();
         assert!(Rc::ptr_eq(&p1, &p2));
         assert_eq!(ctx.compiled_plans(), 1);
         let stats = ctx.plan_stats();
@@ -897,11 +821,10 @@ mod tests {
 
     #[test]
     fn a_mutated_snapshot_gets_fresh_access_paths_and_the_base_keeps_its_own() {
-        // Regression (was `rebind_refreshes_…`): CSR join indexes and zone
-        // maps used to be built once and never invalidated, so a mutated
-        // relation silently served stale postings and skipped live blocks.
-        // They now belong to the relation instance: a copy-on-write clone
-        // that inserts gets an instance without them.
+        // Regression (was `rebind_refreshes_…`): CSR join indexes used to be
+        // built once and never invalidated, so a mutated relation silently
+        // served stale postings. They now belong to the relation instance:
+        // a copy-on-write clone that inserts gets an instance without them.
         use std::sync::Arc;
         let base = db();
         let join = "Q(x, y) :- R(x), S(x, y)";
@@ -947,17 +870,9 @@ mod tests {
             &base.relation(t).csr_index(0),
             &v2.relation(t).csr_index(0)
         ));
-        assert!(Arc::ptr_eq(
-            &base.relation(t).zones(),
-            &v2.relation(t).zones()
-        ));
         assert!(!Arc::ptr_eq(
             &base.relation(s).csr_index(0),
             &v2.relation(s).csr_index(0)
-        ));
-        assert!(!Arc::ptr_eq(
-            &base.relation(r).zones(),
-            &v2.relation(r).zones()
         ));
     }
 
@@ -994,6 +909,8 @@ mod tests {
             "Q() :- R(x), S(x, y), T(y)",
             "Q(b) :- T(b), S(a, b), R(a)",
             "Q(x) :- S(x, 30), T(30)",
+            // An equality constant written as a comparison: a probe.
+            "Q(y) :- S(x, y), x = 1",
         ] {
             let q = parse_ucq(text).unwrap();
             let mut compiled: Vec<Row> = evaluate_ucq_with(&q, &ctx)

@@ -9,17 +9,14 @@
 //! * [`parser`] — a datalog-style parser: `Q(x) :- R(x, y), S(y), y > 5`.
 //! * [`eval`] — evaluation of (unions of) conjunctive queries over
 //!   deterministic [`mv_pdb::Database`] instances: the [`eval::EvalContext`]
-//!   with its compiled-plan cache, plus the legacy backtracking evaluator
-//!   kept as the agreement oracle.
-//! * [`plan`] — the compile→execute split: slot-based physical plans over
-//!   the dictionary-encoded columnar store (static atom order, scan/probe
-//!   access paths, register files of `u32` codes, iterative operator loop).
-//! * [`vec_exec`] — the vectorized batch executor the production entry
-//!   points run: fixed-size batches of partial matches over the code
-//!   columns, CSR join indexes with a spill-aware hybrid hash fallback,
-//!   and zone-map block skipping driven by the plan's interned constants
-//!   and join-key bounds. The tuple-at-a-time plan loop stays as the
-//!   exact-equality oracle.
+//!   with its plan cache, plus the legacy backtracking evaluator kept as
+//!   the one agreement oracle.
+//! * [`plan`] — the compile stage: slot-based plans over the
+//!   dictionary-encoded columnar store (static atom order, scan/probe
+//!   access paths, register files of `u32` codes).
+//! * [`vec_exec`] — the one executor the production entry points run:
+//!   fixed-size batches of partial matches over the code columns, CSR and
+//!   pair join indexes, code-level `=`/`<>` comparisons.
 //! * [`lineage`] — lineage computation: the Boolean provenance formula
 //!   `Φ_Q` of a Boolean query over an [`mv_pdb::InDb`], in DNF over
 //!   [`mv_pdb::TupleId`] variables.
@@ -76,7 +73,7 @@ pub use eval::{evaluate_boolean, evaluate_ucq, Answer};
 pub use lineage::{Clause, Lineage};
 pub use parser::{parse_query, parse_ucq};
 pub use partition::{ComponentPartitioner, Partition, RoutedLineage};
-pub use plan::{CompiledUcq, PhysicalPlan, PlanStats};
+pub use plan::PlanStats;
 pub use rewrite::{separator_domain, simplify_cq, SimplifiedCq};
 pub use safe_plan::{safe_probability, SafePlanError};
 pub use shannon::{shannon_probability, shannon_query_probability_with};

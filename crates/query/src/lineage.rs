@@ -6,12 +6,12 @@
 //! contributes one clause containing the probabilistic tuples it used;
 //! deterministic tuples contribute nothing (they are always present).
 //!
-//! Clause collection runs through the compiled slot-based matcher of
-//! [`crate::plan`], with hash-based duplicate elimination (each clause is
-//! sorted, then deduplicated through an `FxHashSet`) instead of a `BTreeSet`
-//! — the clause set is only ordered once, at the end, to keep the canonical
-//! sorted form. The legacy backtracking evaluator remains reachable through
-//! [`lineage_legacy_with`] as the agreement-test oracle.
+//! Clause collection runs through the vectorized executor of
+//! [`crate::vec_exec`], with hash-based duplicate elimination (each clause
+//! is sorted, then deduplicated through an `FxHashSet`) instead of a
+//! `BTreeSet` — the clause set is only ordered once, at the end, to keep the
+//! canonical sorted form. The legacy backtracking evaluator remains
+//! reachable through [`lineage_legacy_with`] as the agreement-test oracle.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -72,7 +72,7 @@ impl Lineage {
     }
 
     /// Builds a lineage from clauses that are already individually sorted,
-    /// deduplicated and pairwise distinct — the compiled matcher maintains
+    /// deduplicated and pairwise distinct — clause collection maintains
     /// this while collecting, and any subset of an existing lineage's
     /// clauses (a routed clause group, a shard's `W_s`) inherits it. Only
     /// the final clause ordering remains; callers are on the hook for the
@@ -226,45 +226,10 @@ fn collect_clauses(ucq: &Ucq, indb: &InDb, ctx: &EvalContext<'_>) -> Result<Opti
     Ok(Some(seen.into_iter().collect()))
 }
 
-/// [`collect_clauses`] through the tuple-at-a-time compiled plan loop —
-/// the PR-4 path, preserved as the exact-equality oracle.
-fn collect_clauses_compiled(
-    ucq: &Ucq,
-    indb: &InDb,
-    ctx: &EvalContext<'_>,
-) -> Result<Option<Vec<Clause>>> {
-    for disjunct in &ucq.disjuncts {
-        if !disjunct.is_boolean() {
-            return Err(QueryError::NotBoolean(disjunct.name.clone()));
-        }
-    }
-    let plan = ctx.compile(ucq)?;
-    let mut seen: FxHashSet<Clause> = FxHashSet::default();
-    for disjunct in plan.disjuncts() {
-        let certainly_true = disjunct.for_each_match(ctx, |_, matched| {
-            let mut clause: Clause = matched
-                .iter()
-                .filter_map(|&(rel, row_index)| indb.tuple_id(rel, row_index))
-                .collect();
-            clause.sort_unstable();
-            clause.dedup();
-            if clause.is_empty() {
-                return ControlFlow::Break(());
-            }
-            seen.insert(clause);
-            ControlFlow::Continue(())
-        });
-        if certainly_true.is_some() {
-            return Ok(None);
-        }
-    }
-    Ok(Some(seen.into_iter().collect()))
-}
-
 /// Computes the lineage of a Boolean UCQ over the tuple-independent database.
 ///
 /// The query is evaluated against the instance of *possible* tuples
-/// (`indb.database()`) through a compiled physical plan; each satisfying
+/// (`indb.database()`) through the vectorized executor; each satisfying
 /// assignment contributes the clause of probabilistic tuples it matched.
 pub fn lineage(ucq: &Ucq, indb: &InDb) -> Result<Lineage> {
     let ctx = EvalContext::new(indb.database());
@@ -280,18 +245,8 @@ pub fn lineage_with(ucq: &Ucq, indb: &InDb, ctx: &EvalContext<'_>) -> Result<Lin
     })
 }
 
-/// [`lineage_with`] through the tuple-at-a-time compiled plan loop — the
-/// PR-4 path, kept as the exact-equality oracle for the vectorized
-/// executor (and as the baseline of the `query_vectorized` microbenchmark).
-pub fn lineage_compiled_with(ucq: &Ucq, indb: &InDb, ctx: &EvalContext<'_>) -> Result<Lineage> {
-    Ok(match collect_clauses_compiled(ucq, indb, ctx)? {
-        None => Lineage::constant_true(),
-        Some(clauses) => Lineage::from_distinct_clauses(clauses),
-    })
-}
-
 /// [`lineage`] through the legacy backtracking evaluator — the agreement
-/// oracle for the compiled path.
+/// oracle for the vectorized executor.
 pub fn lineage_legacy(ucq: &Ucq, indb: &InDb) -> Result<Lineage> {
     let ctx = EvalContext::new(indb.database());
     lineage_legacy_with(ucq, indb, &ctx)
@@ -372,39 +327,6 @@ pub fn answer_lineages_with(
         }
     }
     ctx.record_exec(stats);
-    Ok(per_answer
-        .into_iter()
-        .map(|(row, clauses)| {
-            let lineage = Lineage::from_distinct_clauses(clauses.into_iter().collect());
-            (row, lineage)
-        })
-        .collect())
-}
-
-/// [`answer_lineages_with`] through the tuple-at-a-time compiled plan loop
-/// — the PR-4 path, kept as the exact-equality oracle for the vectorized
-/// executor.
-pub fn answer_lineages_compiled_with(
-    ucq: &Ucq,
-    indb: &InDb,
-    ctx: &EvalContext<'_>,
-) -> Result<BTreeMap<Row, Lineage>> {
-    let plan = ctx.compile(ucq)?;
-    let interner = ctx.database().interner();
-    let mut per_answer: BTreeMap<Row, FxHashSet<Clause>> = BTreeMap::new();
-    for disjunct in plan.disjuncts() {
-        disjunct.for_each_match::<()>(ctx, |regs, matched| {
-            let row = disjunct.decode_head(regs, interner);
-            let mut clause: Clause = matched
-                .iter()
-                .filter_map(|&(rel, row_index)| indb.tuple_id(rel, row_index))
-                .collect();
-            clause.sort_unstable();
-            clause.dedup();
-            per_answer.entry(row).or_default().insert(clause);
-            ControlFlow::Continue(())
-        });
-    }
     Ok(per_answer
         .into_iter()
         .map(|(row, clauses)| {

@@ -1,49 +1,43 @@
-//! Vectorized batch execution over the dictionary-encoded columns.
+//! Vectorized batch execution over the dictionary-encoded columns — the
+//! one executor behind every production entry point of [`crate::eval`] and
+//! [`crate::lineage`].
 //!
-//! This module is the batch counterpart of the tuple-at-a-time operator
-//! loop in [`crate::plan`]: the production entry points of [`crate::eval`]
-//! and [`crate::lineage`] lower every [`PhysicalPlan`] into a [`VecPlan`]
-//! and drive it batch-at-a-time, while the PR-4 loop stays reachable as the
-//! exact-equality oracle (`*_compiled_with`). Three ideas carry the speedup:
+//! Each disjunct is compiled by [`crate::plan`], lowered into a [`VecPlan`]
+//! and driven batch-at-a-time:
 //!
 //! * **Batches instead of rows.** Each join step consumes a batch of up to
 //!   [`BATCH_ROWS`] partial matches (a register file of `u32` codes plus the
 //!   matched row per atom, both stored entry-major) and appends the
-//!   surviving extensions to the next depth's batch. The per-row iterator
-//!   stack, its `enum` dispatch and the per-candidate hash probes of the
-//!   tuple-at-a-time loop disappear; the inner loop is array loads and
-//!   integer compares over the columnar store.
-//! * **CSR join index with a robust hybrid fallback.** Probes run against
-//!   the probed relation's [`CsrIndex`] (dense and code-indexed, or
-//!   hash-partitioned for sparse domains; see `mv_pdb::access`) through an
-//!   `Arc` taken at lowering time.
-//! * **Zone-map block skipping.** Scans consult the per-block
-//!   [`RelationZones`] of `mv-pdb` before touching rows: blocks whose
-//!   min/max/Bloom summaries cannot contain the plan's interned equality
-//!   constants, or whose code range misses the join-key bounds of a later
-//!   probe, are skipped wholesale — the provenance-driven skipping of the
-//!   lineage pass. Equality and inequality comparisons whose operands are
-//!   interned are additionally evaluated on raw codes (the interner is
-//!   bijective), so the dominant `aid2 <> aid3` self-join filter never
-//!   decodes a `Value`.
+//!   surviving extensions to the next depth's batch; the inner loop is
+//!   array loads and integer compares over the columnar store.
+//! * **CSR join indexes.** Probes run against the probed relation's
+//!   [`CsrIndex`] (dense and code-indexed, or hash-partitioned for sparse
+//!   domains; see `mv_pdb::access`) — or, with two bound columns and long
+//!   postings, its [`PairIndex`] — through an `Arc` taken at lowering time.
+//!   A scan whose `=` comparison pins a column it binds to a constant
+//!   (`Advisor(aid1, aid2), aid1 = c`) becomes a probe on that constant.
+//! * **Code-level comparisons.** `=` and `<>` whose operands are interned
+//!   are evaluated on raw codes (the interner is bijective), so the
+//!   dominant `aid2 <> aid3` self-join filter never decodes a `Value`.
 //!
-//! Everything here preserves the enumeration order of the tuple-at-a-time
-//! loop by construction: the join order is shared, CSR posting lists keep
-//! rows ascending within each key (stable counting sort), and batches are
-//! filled depth-first.
+//! Any other scan reads every row. Lowering preserves the enumeration order
+//! of the legacy oracle by construction: the join order is shared, posting
+//! lists keep rows ascending within each key (stable counting sort), and
+//! batches are filled depth-first.
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use mv_pdb::interner::ValueInterner;
-use mv_pdb::zonemap::RelationZones;
 pub use mv_pdb::{CsrIndex, PairIndex};
 use mv_pdb::{Database, RelId, Row};
 
-use crate::ast::CmpOp;
+use crate::ast::{CmpOp, Ucq};
 use crate::plan::{
-    resolve_operand, Access, CmpOperand, ColOp, CompiledCmp, HeadTerm, Key, PhysicalPlan, UNBOUND,
+    resolve_operand, Access, CmpOperand, ColOp, CompiledCmp, HeadTerm, Key, PhysicalPlan,
+    PlanStats, UNBOUND,
 };
+use crate::Result;
 
 /// Maximum entries per batch of partial matches.
 pub const BATCH_ROWS: usize = 1024;
@@ -59,12 +53,13 @@ const PAIR_MIN_EXPECTED_POSTINGS: usize = 8;
 
 /// Runtime counters of the vectorized executor, accumulated per
 /// [`EvalContext`](crate::eval::EvalContext) and surfaced through the
-/// `query_vectorized` and `session` figure series.
+/// `session` figure series and the repository benchmark.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Zone-map blocks whose rows were scanned.
+    /// Row blocks scanned: ⌈rows / [`BATCH_ROWS`]⌉ per scan step per run.
     pub blocks_scanned: u64,
-    /// Zone-map blocks skipped without touching a row.
+    /// Always 0 — no scan skips a block. Kept for the readers of all four
+    /// counters (the repository benchmark's `query.exec.blocks_skipped`).
     pub blocks_skipped: u64,
     /// CSR index probes (one per partial match entering a probe step).
     pub csr_probe_steps: u64,
@@ -97,7 +92,7 @@ enum CodeCmp {
 /// How a vectorized step enumerates candidates.
 #[derive(Debug)]
 enum VecAccess {
-    /// Scan the relation block-at-a-time, consulting the zone maps.
+    /// Scan every row of the relation.
     Scan,
     /// Probe the relation's CSR index (a handle taken at lowering time, so
     /// the probe loop touches no lock).
@@ -120,19 +115,11 @@ struct VecStep {
     ops: Vec<ColOp>,
     code_cmps: Vec<CodeCmp>,
     value_cmps: Vec<CompiledCmp>,
-    /// Zone maps of the scanned relation (scan steps only).
-    zones: Option<Arc<RelationZones>>,
-    /// Block-skip predicates: the block must possibly contain `code` in
-    /// column `col` (equality constants of this step).
-    skip_consts: Vec<(u16, u32)>,
-    /// Block-skip bounds: the block's `col` range must intersect
-    /// `[min, max]` (join-key bounds of later probes fed by this step).
-    skip_ranges: Vec<(u16, u32, u32)>,
 }
 
-/// The vectorized plan of one conjunctive query, lowered from a
-/// [`PhysicalPlan`] against the same snapshot; it holds `Arc`s of the
-/// relations' access paths it probes.
+/// The vectorized plan of one conjunctive query, lowered from its compiled
+/// plan against the same snapshot; it holds `Arc`s of the relations' access
+/// paths it probes.
 #[derive(Debug)]
 pub struct VecPlan {
     steps: Vec<VecStep>,
@@ -148,22 +135,32 @@ pub struct VecPlan {
 #[derive(Debug)]
 pub struct VecCompiledUcq {
     disjuncts: Vec<VecPlan>,
+    stats: PlanStats,
 }
 
 impl VecCompiledUcq {
-    pub(crate) fn lower(base: &crate::plan::CompiledUcq, db: &Database) -> VecCompiledUcq {
-        VecCompiledUcq {
-            disjuncts: base
-                .disjuncts()
-                .iter()
-                .map(|p| VecPlan::lower(p, db))
-                .collect(),
-        }
+    /// Compiles every disjunct of `ucq` against `db` and lowers it.
+    pub(crate) fn compile(ucq: &Ucq, db: &Database) -> Result<VecCompiledUcq> {
+        let disjuncts: Vec<VecPlan> = ucq
+            .disjuncts
+            .iter()
+            .map(|cq| Ok(VecPlan::lower(&PhysicalPlan::compile(cq, db)?, db)))
+            .collect::<Result<_>>()?;
+        let stats = disjuncts
+            .iter()
+            .map(VecPlan::stats)
+            .fold(PlanStats::default(), |a, b| a + b);
+        Ok(VecCompiledUcq { disjuncts, stats })
     }
 
     /// The per-disjunct vectorized plans, in query order.
     pub fn disjuncts(&self) -> &[VecPlan] {
         &self.disjuncts
+    }
+
+    /// Aggregate shape statistics of the lowered plans.
+    pub fn stats(&self) -> PlanStats {
+        self.stats
     }
 }
 
@@ -220,9 +217,9 @@ impl MatchBatch {
 }
 
 impl VecPlan {
-    /// Lowers a compiled plan: probes get CSR indexes, scans get zone maps
-    /// and block-skip predicates, `=`/`<>` comparisons over interned
-    /// operands drop to raw code compares.
+    /// Lowers a compiled plan: probes get CSR or pair indexes, a scan
+    /// pinned to a constant by an `=` comparison becomes a probe, and
+    /// `=`/`<>` comparisons over interned operands drop to code compares.
     fn lower(plan: &PhysicalPlan, db: &Database) -> VecPlan {
         let interner = db.interner();
         let mut never_matches = plan.never_matches;
@@ -232,27 +229,58 @@ impl VecPlan {
         }
 
         let mut steps: Vec<VecStep> = Vec::with_capacity(plan.steps.len());
-        // Every column equality a step enforces against an already-bound
-        // slot, as `(step, slot, relation, column)` — the probe key plus any
-        // `CheckSlot` op. Feeds the join-key block bounds below.
-        let mut slot_eqs: Vec<(usize, u16, RelId, u16)> = Vec::new();
-        for (step_idx, step) in plan.steps.iter().enumerate() {
+        for step in &plan.steps {
             let relation = db.relation(step.rel);
             let mut ops = step.ops.clone();
-            // Slots first bound by this step; a `CheckSlot` on one of them is
-            // an in-atom variable repetition, not an equality with an
-            // already-bound key.
-            let bound_here: Vec<u16> = ops
-                .iter()
-                .filter_map(|op| match *op {
-                    ColOp::Bind { slot, .. } => Some(slot),
-                    _ => None,
-                })
-                .collect();
+
+            let mut code_cmps = Vec::new();
+            let mut value_cmps = Vec::new();
+            for cmp in &step.cmps {
+                match lower_cmp(cmp, interner) {
+                    LoweredCmp::Code(c) => code_cmps.push(c),
+                    LoweredCmp::AlwaysTrue => {}
+                    LoweredCmp::NeverMatches => never_matches = true,
+                    LoweredCmp::Value => value_cmps.push(cmp.clone()),
+                }
+            }
 
             let access = match step.access {
-                Access::Scan { .. } => VecAccess::Scan,
-                Access::Probe { col, key, .. } => {
+                Access::Scan => {
+                    // `x = c` on a column this scan binds is the key of a
+                    // probe on `c`: its postings are exactly the rows the
+                    // filter keeps, ascending, so the comparison is consumed
+                    // and the enumeration order is unchanged.
+                    let pinned = code_cmps.iter().enumerate().find_map(|(i, cmp)| {
+                        let CodeCmp::EqConst(slot, code) = *cmp else {
+                            return None;
+                        };
+                        ops.iter().find_map(|op| match *op {
+                            ColOp::Bind { col, slot: s } if s == slot => Some((i, col, code)),
+                            _ => None,
+                        })
+                    });
+                    match pinned {
+                        Some((i, col, code)) => {
+                            code_cmps.remove(i);
+                            VecAccess::Probe {
+                                csr: relation.csr_index(usize::from(col)),
+                                key: Key::Const(code),
+                            }
+                        }
+                        None => VecAccess::Scan,
+                    }
+                }
+                Access::Probe { col, key } => {
+                    // Slots first bound by this step; a `CheckSlot` on one of
+                    // them is an in-atom variable repetition, not an equality
+                    // with an already-bound key.
+                    let bound_here: Vec<u16> = ops
+                        .iter()
+                        .filter_map(|op| match *op {
+                            ColOp::Bind { slot, .. } => Some(slot),
+                            _ => None,
+                        })
+                        .collect();
                     // Key re-selection and widening: the planner probes the
                     // first bound column, but every other bound column (a
                     // `CheckSlot` / `CheckConst` op) is an equally valid
@@ -264,7 +292,7 @@ impl VecPlan {
                     // plus-filter into one exact hash lookup. Whatever is
                     // probed, surviving rows come out in ascending row
                     // order, so the match enumeration stays bit-identical
-                    // to the oracles.
+                    // to the oracle.
                     let mut candidates: Vec<(u16, Key, Option<usize>)> = vec![(col, key, None)];
                     for (i, op) in ops.iter().enumerate() {
                         match *op {
@@ -313,11 +341,6 @@ impl VecPlan {
                             Key::Slot(slot) => ColOp::CheckSlot { col, slot },
                         });
                     }
-                    for &(c, k, _) in &used {
-                        if let Key::Slot(s) = k {
-                            slot_eqs.push((step_idx, s, step.rel, c));
-                        }
-                    }
                     match second {
                         Some((sec_col, sec_key, _)) => {
                             let (col_a, key_a, col_b, key_b) = if best_col <= sec_col {
@@ -338,51 +361,6 @@ impl VecPlan {
                     }
                 }
             };
-            for op in &ops {
-                if let ColOp::CheckSlot { col, slot } = *op {
-                    if !bound_here.contains(&slot) {
-                        slot_eqs.push((step_idx, slot, step.rel, col));
-                    }
-                }
-            }
-
-            let mut code_cmps = Vec::new();
-            let mut value_cmps = Vec::new();
-            for cmp in &step.cmps {
-                match lower_cmp(cmp, interner) {
-                    LoweredCmp::Code(c) => code_cmps.push(c),
-                    LoweredCmp::AlwaysTrue => {}
-                    LoweredCmp::NeverMatches => never_matches = true,
-                    LoweredCmp::Value => value_cmps.push(cmp.clone()),
-                }
-            }
-
-            let (zones, skip_consts) = match access {
-                VecAccess::Scan => {
-                    let mut consts: Vec<(u16, u32)> = ops
-                        .iter()
-                        .filter_map(|op| match *op {
-                            ColOp::CheckConst { col, code } => Some((col, code)),
-                            _ => None,
-                        })
-                        .collect();
-                    // Equality constants lowered from comparisons bind to the
-                    // column this step's `Bind` writes the slot from.
-                    for cc in &code_cmps {
-                        if let CodeCmp::EqConst(slot, code) = *cc {
-                            for op in &ops {
-                                if let ColOp::Bind { col, slot: s } = *op {
-                                    if s == slot {
-                                        consts.push((col, code));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    (Some(relation.zones()), consts)
-                }
-                VecAccess::Probe { .. } | VecAccess::Probe2 { .. } => (None, Vec::new()),
-            };
 
             steps.push(VecStep {
                 atom: step.atom,
@@ -391,31 +369,7 @@ impl VecPlan {
                 ops,
                 code_cmps,
                 value_cmps,
-                zones,
-                skip_consts,
-                skip_ranges: Vec::new(),
             });
-        }
-
-        // Join-key bounds: a scan feeding a later equality through a slot
-        // only needs the blocks whose code range intersects the equated
-        // column's.
-        for (eq_idx, key_slot, rel, col) in slot_eqs {
-            let Some((min, max)) = db.relation(rel).zones().column_range(usize::from(col)) else {
-                continue;
-            };
-            for earlier in steps[..eq_idx].iter_mut() {
-                if !matches!(earlier.access, VecAccess::Scan) {
-                    continue;
-                }
-                for op in earlier.ops.clone() {
-                    if let ColOp::Bind { col, slot } = op {
-                        if slot == key_slot {
-                            earlier.skip_ranges.push((col, min, max));
-                        }
-                    }
-                }
-            }
         }
 
         VecPlan {
@@ -425,6 +379,23 @@ impl VecPlan {
             num_slots: plan.num_slots,
             num_atoms: plan.num_atoms,
             never_matches,
+        }
+    }
+
+    /// Shape statistics of this plan, as lowered.
+    fn stats(&self) -> PlanStats {
+        let scan_steps = self
+            .steps
+            .iter()
+            .filter(|s| matches!(s.access, VecAccess::Scan))
+            .count();
+        PlanStats {
+            disjuncts: 1,
+            steps: self.steps.len(),
+            probe_steps: self.steps.len() - scan_steps,
+            scan_steps,
+            slots: self.num_slots,
+            never_matching: usize::from(self.never_matches),
         }
     }
 
@@ -439,7 +410,8 @@ impl VecPlan {
     }
 
     /// Decodes the head tuple from an entry's register file. Panics on head
-    /// variables no atom binds (parity with both row-at-a-time evaluators).
+    /// variables no atom binds (parity with the legacy evaluator, which
+    /// fails at enumeration time).
     pub fn decode_head(&self, regs: &[u32], interner: &ValueInterner) -> Row {
         self.head
             .iter()
@@ -467,8 +439,8 @@ impl VecPlan {
 
     /// Drives the plan batch-at-a-time, calling `on_batch` for every batch
     /// of complete matches (depth-first, so enumeration order equals the
-    /// tuple-at-a-time loop's). Returning [`ControlFlow::Break`] stops the
-    /// run. Skipping/probe counters accumulate into `stats`.
+    /// legacy oracle's). Returning [`ControlFlow::Break`] stops the run.
+    /// Scan/probe counters accumulate into `stats`.
     pub fn for_each_batch<B>(
         &self,
         db: &Database,
@@ -492,16 +464,11 @@ impl VecPlan {
             };
         }
 
-        // Block-skip decisions are value-independent; make them once per run
-        // and reuse the surviving row ranges for every partial match.
-        let scan_ranges: Vec<Option<Vec<std::ops::Range<u32>>>> = self
-            .steps
-            .iter()
-            .map(|step| match step.access {
-                VecAccess::Scan => Some(self.pruned_ranges(step, db, stats)),
-                VecAccess::Probe { .. } | VecAccess::Probe2 { .. } => None,
-            })
-            .collect();
+        for step in &self.steps {
+            if matches!(step.access, VecAccess::Scan) {
+                stats.blocks_scanned += db.relation(step.rel).len().div_ceil(BATCH_ROWS) as u64;
+            }
+        }
 
         let mut root = MatchBatch::new(self.num_slots, self.num_atoms);
         root.len = 1;
@@ -513,7 +480,7 @@ impl VecPlan {
         let mut pool: Vec<MatchBatch> = (0..self.steps.len())
             .map(|_| MatchBatch::new(self.num_slots, self.num_atoms))
             .collect();
-        match self.descend(db, stats, &scan_ranges, 0, &mut pool, &root, &mut on_batch) {
+        match self.descend(db, stats, 0, &mut pool, &root, &mut on_batch) {
             ControlFlow::Break(b) => Some(b),
             ControlFlow::Continue(()) => None,
         }
@@ -552,59 +519,12 @@ impl VecPlan {
         }
     }
 
-    /// The surviving row ranges of a scan step after zone-map skipping,
-    /// with adjacent surviving blocks merged.
-    fn pruned_ranges(
-        &self,
-        step: &VecStep,
-        db: &Database,
-        stats: &mut ExecStats,
-    ) -> Vec<std::ops::Range<u32>> {
-        let rows = db.relation(step.rel).len() as u32;
-        let full = |r: u32| std::iter::once(0..r).collect::<Vec<_>>();
-        let Some(zones) = step.zones.as_deref() else {
-            return full(rows);
-        };
-        let num_blocks = zones.num_blocks();
-        if num_blocks == 0 {
-            return Vec::new();
-        }
-        if step.skip_consts.is_empty() && step.skip_ranges.is_empty() {
-            stats.blocks_scanned += num_blocks as u64;
-            return full(rows);
-        }
-        let mut ranges: Vec<std::ops::Range<u32>> = Vec::new();
-        for block in 0..num_blocks {
-            let survives = step
-                .skip_consts
-                .iter()
-                .all(|&(col, code)| zones.column(block, usize::from(col)).might_contain(code))
-                && step.skip_ranges.iter().all(|&(col, min, max)| {
-                    zones.column(block, usize::from(col)).intersects(min, max)
-                });
-            if !survives {
-                stats.blocks_skipped += 1;
-                continue;
-            }
-            stats.blocks_scanned += 1;
-            let r = zones.block_rows(block);
-            let (start, end) = (r.start as u32, r.end as u32);
-            match ranges.last_mut() {
-                Some(last) if last.end == start => last.end = end,
-                _ => ranges.push(start..end),
-            }
-        }
-        ranges
-    }
-
     /// Extends every entry of `parent` through step `depth`, flushing full
     /// batches downward (or to `on_batch` at the last depth).
-    #[allow(clippy::too_many_arguments)]
     fn descend<B>(
         &self,
         db: &Database,
         stats: &mut ExecStats,
-        scan_ranges: &[Option<Vec<std::ops::Range<u32>>>],
         depth: usize,
         pool: &mut [MatchBatch],
         parent: &MatchBatch,
@@ -652,15 +572,7 @@ impl VecPlan {
                     if depth + 1 == self.steps.len() {
                         on_batch(&*out)?;
                     } else {
-                        self.descend(
-                            db,
-                            stats,
-                            scan_ranges,
-                            depth + 1,
-                            &mut *pool_rest,
-                            &*out,
-                            on_batch,
-                        )?;
+                        self.descend(db, stats, depth + 1, &mut *pool_rest, &*out, on_batch)?;
                     }
                     out.clear();
                 }
@@ -754,15 +666,7 @@ impl VecPlan {
                     if depth + 1 == self.steps.len() {
                         on_batch(out)?;
                     } else {
-                        self.descend(
-                            db,
-                            stats,
-                            scan_ranges,
-                            depth + 1,
-                            &mut *pool_rest,
-                            out,
-                            on_batch,
-                        )?;
+                        self.descend(db, stats, depth + 1, &mut *pool_rest, out, on_batch)?;
                     }
                     out.clear();
                 }
@@ -771,10 +675,8 @@ impl VecPlan {
 
             match &step.access {
                 VecAccess::Scan => {
-                    for range in scan_ranges[depth].as_ref().expect("scan step has ranges") {
-                        for row in range.clone() {
-                            try_row(row, &mut *out, &mut scratch, stats)?;
-                        }
+                    for row in 0..relation.len() as u32 {
+                        try_row(row, &mut *out, &mut scratch, stats)?;
                     }
                 }
                 VecAccess::Probe { csr, key } => {
@@ -966,19 +868,19 @@ mod tests {
         b.build()
     }
 
-    /// What one fresh context sees: the addresses of every CSR index, pair
-    /// index and zone map its lowered plans hold, and the join's answers.
+    /// What one fresh context sees: the addresses of every CSR and pair
+    /// index its lowered plans hold, and the join's answers.
     fn handles_and_answers(db: &Database) -> (Vec<usize>, Vec<Row>) {
         let ctx = EvalContext::new(db);
         let mut handles = Vec::new();
         for text in ["Q(x, y) :- R(x), S(x, y)", "Q() :- S(x, y), S(y, x)"] {
             let plan = ctx.compile_vec(&crate::parse_ucq(text).unwrap()).unwrap();
             for step in &plan.disjuncts()[0].steps {
-                handles.push(match &step.access {
-                    VecAccess::Scan => Arc::as_ptr(step.zones.as_ref().unwrap()) as usize,
-                    VecAccess::Probe { csr, .. } => Arc::as_ptr(csr) as usize,
-                    VecAccess::Probe2 { pair, .. } => Arc::as_ptr(pair) as usize,
-                });
+                match &step.access {
+                    VecAccess::Scan => {}
+                    VecAccess::Probe { csr, .. } => handles.push(Arc::as_ptr(csr) as usize),
+                    VecAccess::Probe2 { pair, .. } => handles.push(Arc::as_ptr(pair) as usize),
+                }
             }
         }
         let join = crate::parse_ucq("Q(x, y) :- R(x), S(x, y)").unwrap();
@@ -991,9 +893,9 @@ mod tests {
         let indb = grid();
         let db = indb.database();
         // Two contexts, then two more on other threads: the same handles —
-        // a scan's zones, a CSR probe, a pair probe — and nothing rebuilt.
+        // a CSR probe, a pair probe — and nothing rebuilt.
         let first = handles_and_answers(db);
-        assert_eq!(first.0.len(), 4);
+        assert_eq!(first.0.len(), 2);
         assert_eq!(first.1.len(), 64);
         let built = db.access_path_builds();
         assert_eq!(handles_and_answers(db), first);
@@ -1029,6 +931,49 @@ mod tests {
         }
         assert_eq!(seen[0].1, first.1);
         assert_eq!(db.access_path_builds(), built);
+    }
+
+    #[test]
+    fn an_equality_constant_on_a_scanned_column_lowers_to_a_probe() {
+        let indb = grid();
+        let db = indb.database();
+        let ctx = EvalContext::new(db);
+        for (text, probes) in [
+            ("Q(y) :- S(x, y), x = 3", true),
+            ("Q(x) :- S(x, y), y = 3", true),
+            ("Q(y) :- S(x, y), x <> 3", false),
+            ("Q(y) :- S(x, y), x = 99", false),
+        ] {
+            let q = crate::parse_ucq(text).unwrap();
+            let plan = ctx.compile_vec(&q).unwrap();
+            let step = &plan.disjuncts()[0].steps[0];
+            assert_eq!(
+                matches!(
+                    step.access,
+                    VecAccess::Probe {
+                        key: Key::Const(_),
+                        ..
+                    }
+                ),
+                probes,
+                "{text}"
+            );
+            // The probe consumes the comparison it came from.
+            assert!(!probes || step.code_cmps.is_empty(), "{text}");
+            let mut rows: Vec<Row> = crate::eval::evaluate_ucq_with(&q, &ctx)
+                .unwrap()
+                .into_iter()
+                .map(|a| a.row)
+                .collect();
+            let mut legacy: Vec<Row> = crate::eval::evaluate_ucq_legacy_with(&q, &ctx)
+                .unwrap()
+                .into_iter()
+                .map(|a| a.row)
+                .collect();
+            rows.sort();
+            legacy.sort();
+            assert_eq!(rows, legacy, "{text}");
+        }
     }
 
     #[test]

@@ -1,20 +1,20 @@
-//! Vectorized / compiled / legacy evaluator agreement.
+//! Vectorized / legacy evaluator agreement.
 //!
-//! Three independently-implemented evaluators are pinned against each
-//! other over random databases and a fixed family of queries covering
-//! joins, unions, constants (present and absent), self-joins, repeated
-//! variables (within one atom and across a whole body), atoms shared
-//! across disjuncts, all-constant atoms and every comparison kind:
+//! Two independently-implemented evaluators are pinned against each other
+//! over random databases and a fixed family of queries covering joins,
+//! unions, constants (present and absent, in atoms and in comparisons),
+//! self-joins, repeated variables (within one atom and across a whole
+//! body), atoms shared across disjuncts, all-constant atoms and every
+//! comparison kind:
 //!
 //! * the **vectorized** batch executor (`mv_query::vec_exec`) behind the
-//!   production entry points — CSR join indexes, zone-map block skipping,
-//!   code-level `=`/`<>` comparisons;
-//! * the **compiled** tuple-at-a-time plan loop (`*_compiled_with`), the
-//!   PR-4 production path kept as the exact-equality oracle;
-//! * the **legacy** String-keyed backtracking evaluator.
+//!   production entry points — CSR and pair join indexes, code-level
+//!   `=`/`<>` comparisons;
+//! * the **legacy** String-keyed backtracking evaluator, which shares only
+//!   the join order with it.
 //!
 //! All deterministic comparisons are **exact**: set equality of answers and
-//! equality of canonical lineages — not approximate agreement. A fourth
+//! equality of canonical lineages — not approximate agreement. A third
 //! implementation joins the differential loop: the Monte Carlo estimator of
 //! `mv_query::approx`, checked *statistically* — the brute-force lineage
 //! probability must fall inside its high-confidence interval (seeds are
@@ -24,12 +24,9 @@
 use mv_pdb::{InDbBuilder, Row, Value, Weight};
 use mv_query::approx::{approx_lineage_probability, ApproxConfig};
 use mv_query::brute::brute_force_lineage_probability;
-use mv_query::eval::{
-    evaluate_ucq_compiled_with, evaluate_ucq_legacy_with, evaluate_ucq_with, EvalContext,
-};
+use mv_query::eval::{evaluate_ucq_legacy_with, evaluate_ucq_with, EvalContext};
 use mv_query::lineage::{
-    answer_lineages, answer_lineages_compiled_with, answer_lineages_legacy, lineage_compiled_with,
-    lineage_legacy_with, lineage_with,
+    answer_lineages, answer_lineages_legacy, lineage_legacy_with, lineage_with,
 };
 use mv_query::parse_ucq;
 use proptest::prelude::*;
@@ -176,20 +173,15 @@ proptest! {
         for text in queries() {
             let q = parse_ucq(text).unwrap();
 
-            // Answer sets agree exactly (deterministic evaluation) across
-            // all three evaluators.
+            // Answer sets agree exactly (deterministic evaluation).
             let vectorized = sorted_rows(evaluate_ucq_with(&q, &ctx).unwrap());
-            let compiled = sorted_rows(evaluate_ucq_compiled_with(&q, &ctx).unwrap());
             let legacy = sorted_rows(evaluate_ucq_legacy_with(&q, &ctx).unwrap());
-            prop_assert_eq!(&vectorized, &compiled, "vectorized answers diverge on {}", text);
-            prop_assert_eq!(&compiled, &legacy, "answers diverge on {}", text);
+            prop_assert_eq!(&vectorized, &legacy, "answers diverge on {}", text);
 
             // Lineages agree exactly (canonical form) for Boolean queries.
             if q.is_boolean() {
                 let lin_compiled = lineage_with(&q, &indb, &ctx).unwrap();
-                let lin_oracle = lineage_compiled_with(&q, &indb, &ctx).unwrap();
                 let lin_legacy = lineage_legacy_with(&q, &indb, &ctx).unwrap();
-                prop_assert_eq!(&lin_compiled, &lin_oracle, "vectorized lineage diverges on {}", text);
                 prop_assert_eq!(&lin_compiled, &lin_legacy, "lineage diverges on {}", text);
 
                 // The Monte Carlo estimator agrees statistically: the exact
@@ -207,13 +199,8 @@ proptest! {
             } else {
                 // Per-answer lineages agree exactly, including the key set.
                 let per_vectorized = answer_lineages(&q, &indb).unwrap();
-                let per_compiled = answer_lineages_compiled_with(&q, &indb, &ctx).unwrap();
                 let per_legacy = answer_lineages_legacy(&q, &indb).unwrap();
-                prop_assert_eq!(
-                    &per_vectorized, &per_compiled,
-                    "vectorized answer lineages diverge on {}", text
-                );
-                prop_assert_eq!(&per_compiled, &per_legacy, "answer lineages diverge on {}", text);
+                prop_assert_eq!(&per_vectorized, &per_legacy, "answer lineages diverge on {}", text);
             }
         }
     }
@@ -252,17 +239,10 @@ fn compiled_plans_agree_on_handwritten_edge_cases() {
     ] {
         let q = parse_ucq(text).unwrap();
         let vectorized = sorted_rows(evaluate_ucq_with(&q, &ctx).unwrap());
-        let compiled = sorted_rows(evaluate_ucq_compiled_with(&q, &ctx).unwrap());
         let legacy = sorted_rows(evaluate_ucq_legacy_with(&q, &ctx).unwrap());
-        assert_eq!(vectorized, compiled, "vectorized answers diverge on {text}");
-        assert_eq!(compiled, legacy, "answers diverge on {text}");
+        assert_eq!(vectorized, legacy, "answers diverge on {text}");
         if q.is_boolean() {
             let lin = lineage_with(&q, &indb, &ctx).unwrap();
-            assert_eq!(
-                lin,
-                lineage_compiled_with(&q, &indb, &ctx).unwrap(),
-                "vectorized lineage diverges on {text}"
-            );
             assert_eq!(
                 lin,
                 lineage_legacy_with(&q, &indb, &ctx).unwrap(),
@@ -277,7 +257,7 @@ fn compiled_plans_agree_on_handwritten_edge_cases() {
 /// index (64 `S`-rows over an 8x8 key grid put the expected postings of
 /// each column exactly at the upgrade threshold). The upgraded plans must
 /// agree exactly — answers, per-answer lineages and canonical Boolean
-/// lineages — with both the tuple-at-a-time and the legacy oracle.
+/// lineages — with the legacy oracle.
 #[test]
 fn composite_pair_probes_agree_with_both_oracles() {
     let mut b = InDbBuilder::new();
@@ -312,27 +292,18 @@ fn composite_pair_probes_agree_with_both_oracles() {
     ] {
         let q = parse_ucq(text).unwrap();
         let vectorized = sorted_rows(evaluate_ucq_with(&q, &ctx).unwrap());
-        let compiled = sorted_rows(evaluate_ucq_compiled_with(&q, &ctx).unwrap());
         let legacy = sorted_rows(evaluate_ucq_legacy_with(&q, &ctx).unwrap());
-        assert_eq!(vectorized, compiled, "vectorized answers diverge on {text}");
-        assert_eq!(compiled, legacy, "answers diverge on {text}");
+        assert_eq!(vectorized, legacy, "answers diverge on {text}");
         let bq = q.boolean();
-        let lin = lineage_with(&bq, &indb, &ctx).unwrap();
         assert_eq!(
-            lin,
-            lineage_compiled_with(&bq, &indb, &ctx).unwrap(),
-            "vectorized lineage diverges on {text}"
-        );
-        assert_eq!(
-            lin,
+            lineage_with(&bq, &indb, &ctx).unwrap(),
             lineage_legacy_with(&bq, &indb, &ctx).unwrap(),
             "lineage diverges on {text}"
         );
         if !q.is_boolean() {
-            let per_vectorized = answer_lineages(&q, &indb).unwrap();
-            let per_compiled = answer_lineages_compiled_with(&q, &indb, &ctx).unwrap();
             assert_eq!(
-                per_vectorized, per_compiled,
+                answer_lineages(&q, &indb).unwrap(),
+                answer_lineages_legacy(&q, &indb).unwrap(),
                 "answer lineages diverge on {text}"
             );
         }
@@ -341,10 +312,10 @@ fn composite_pair_probes_agree_with_both_oracles() {
 
 /// Batch-boundary sizes: relations of exactly 0, 1, 1023, 1024 and 1025
 /// rows, so runs end one row short of a batch, exactly on a batch, and one
-/// row past it — plus sizes crossing zone-map block boundaries (256 rows
-/// per block). The vectorized executor must agree exactly with the
-/// tuple-at-a-time oracle on answers and canonical lineages at every size,
-/// including all-constant and never-matching plans.
+/// row past it — plus 255, 256 and 257 rows around a quarter batch. The
+/// vectorized executor must agree exactly with the legacy oracle on answers
+/// and canonical lineages at every size, including all-constant and
+/// never-matching plans.
 #[test]
 fn batch_boundary_sizes_agree_with_the_compiled_oracle() {
     for n in [0usize, 1, 255, 256, 257, 1023, 1024, 1025] {
@@ -369,8 +340,8 @@ fn batch_boundary_sizes_agree_with_the_compiled_oracle() {
             "Q(x, y) :- R(x), S(x, y)",
             // Break-on-first through a complete batch.
             "Q() :- R(x), S(x, y)",
-            // Equality constant lowered to a code compare on a scan
-            // (present at every size > 0, and in the first block only).
+            // Equality constant written as a comparison, lowered to a
+            // probe (present at every size > 0, in the first row only).
             "Q(x) :- R(x), x = 0",
             // Constant in the last row: present only at the largest sizes.
             "Q(x) :- R(x), x = 1024",
@@ -383,25 +354,14 @@ fn batch_boundary_sizes_agree_with_the_compiled_oracle() {
         ] {
             let q = parse_ucq(text).unwrap();
             let vectorized = sorted_rows(evaluate_ucq_with(&q, &ctx).unwrap());
-            let compiled = sorted_rows(evaluate_ucq_compiled_with(&q, &ctx).unwrap());
-            assert_eq!(vectorized, compiled, "answers diverge on {text} at n={n}");
+            let legacy = sorted_rows(evaluate_ucq_legacy_with(&q, &ctx).unwrap());
+            assert_eq!(vectorized, legacy, "answers diverge on {text} at n={n}");
             let bq = q.boolean();
             assert_eq!(
                 lineage_with(&bq, &indb, &ctx).unwrap(),
-                lineage_compiled_with(&bq, &indb, &ctx).unwrap(),
+                lineage_legacy_with(&bq, &indb, &ctx).unwrap(),
                 "lineage diverges on {text} at n={n}"
             );
-        }
-        // The legacy oracle joins at the sizes where it stays affordable.
-        if n <= 257 {
-            for text in ["Q(x) :- R(x)", "Q(x, y) :- R(x), S(x, y)"] {
-                let q = parse_ucq(text).unwrap();
-                assert_eq!(
-                    sorted_rows(evaluate_ucq_with(&q, &ctx).unwrap()),
-                    sorted_rows(evaluate_ucq_legacy_with(&q, &ctx).unwrap()),
-                    "legacy answers diverge on {text} at n={n}"
-                );
-            }
         }
     }
 }

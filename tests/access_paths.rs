@@ -1,6 +1,6 @@
 //! Access paths belong to the store snapshot: a fresh evaluation context —
 //! which is what every `MvdbEngine::answers` call makes — finds the CSR
-//! indexes, zone maps and distinct counts its relations already built, so
+//! indexes and distinct counts its relations already built, so
 //! it builds none and answers exactly like a long-lived context. Counts and
 //! identities only; no wall clock.
 
