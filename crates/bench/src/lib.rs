@@ -1873,7 +1873,7 @@ fn paced_pass(
 
     let server = MvdbServer::start(std::sync::Arc::clone(engine), config.clone());
 
-    // Warm every worker (per-context plan caches, query manager) before
+    // Warm every worker (resolved templates, query manager) before
     // pacing starts, so the soak measures steady-state serving.
     let warmups: Vec<_> = (0..config.workers * 2)
         .filter_map(|i| server.submit(distinct[i % distinct.len()].clone()).ok())

@@ -61,11 +61,12 @@ const MIN_NOT_W: f64 = 1e-300;
 /// MVDB: the translated tuple-independent database, the helper query `W`,
 /// and — when the offline phase ran — the compiled MV-index.
 ///
-/// The context owns a [`mv_query::eval::EvalContext`], so compiled plans are
-/// shared by every lineage computation made through it. The join indexes
-/// those plans probe belong to the translated store's relations and are
-/// shared by *every* context over the same snapshot: making a context per
-/// call, per worker or per shard costs an empty plan cache.
+/// The context owns a [`mv_query::eval::EvalContext`] that resolves query
+/// templates through the translated store's [`mv_query::PlanCache`]: a
+/// query shape is compiled once per snapshot, whichever context, worker or
+/// shard meets it first. The join indexes those plans probe belong to the
+/// store's relations and are shared the same way, so making a context per
+/// call, per worker or per shard costs an empty map of resolved templates.
 pub struct EvalContext<'a> {
     translated: &'a TranslatedIndb,
     index: Option<&'a MvIndex>,
@@ -76,8 +77,8 @@ pub struct EvalContext<'a> {
     w_lineage: OnceCell<Cow<'a, Lineage>>,
     scalars: RefCell<FxHashMap<&'static str, f64>>,
     query_manager: OnceCell<ObddManager>,
-    /// The kernel the exact rung runs in. It is this context's, like the
-    /// plan cache: a context made for a new snapshot starts a new one.
+    /// The kernel the exact rung runs in. It is this context's: a context
+    /// made for a new snapshot starts a new one.
     scratch: RefCell<QueryScratch>,
     budget: RefCell<Option<mv_query::EvalBudget>>,
 }
@@ -88,7 +89,10 @@ impl<'a> EvalContext<'a> {
         EvalContext {
             translated,
             index: None,
-            query_ctx: QueryEvalContext::new(translated.indb().database()),
+            query_ctx: QueryEvalContext::with_plan_cache(
+                translated.indb().database(),
+                translated.plan_cache(),
+            ),
             w_lineage: OnceCell::new(),
             scalars: RefCell::new(FxHashMap::default()),
             query_manager: OnceCell::new(),
@@ -169,16 +173,16 @@ impl<'a> EvalContext<'a> {
     }
 
     /// The lineage of `query` over the translated database, computed by the
-    /// compiled slot-based matcher. Physical plans and the column indexes
-    /// they probe are cached in this context, so a workload query is
-    /// compiled once per context no matter how many times the harnesses or
-    /// a batch session evaluate it.
+    /// compiled slot-based matcher. Plans are templates shared through the
+    /// store's plan cache, so a query shape is compiled once per snapshot
+    /// no matter how many instances the harnesses, sessions or workers
+    /// evaluate.
     pub fn lineage(&self, query: &Ucq) -> Result<Lineage> {
         Ok(lineage_with(query, self.indb(), &self.query_ctx)?)
     }
 
-    /// The per-answer lineages of a non-Boolean query, through this
-    /// context's compiled-plan cache (one compilation per distinct query).
+    /// The per-answer lineages of a non-Boolean query, through the store's
+    /// plan cache (one compilation per query shape).
     pub fn answer_lineages(&self, query: &Ucq) -> Result<std::collections::BTreeMap<Row, Lineage>> {
         Ok(answer_lineages_with(query, self.indb(), &self.query_ctx)?)
     }
@@ -242,8 +246,9 @@ impl<'a> EvalContext<'a> {
         self.query_manager_stats() + index
     }
 
-    /// Shape statistics of every query plan compiled through this context
-    /// (disjuncts, scan/probe steps, slots).
+    /// Shape statistics of the query templates this context resolved
+    /// (disjuncts, scan/probe steps, slots), each counted once — not the
+    /// whole shared cache.
     pub fn query_plan_stats(&self) -> mv_query::PlanStats {
         self.query_ctx.plan_stats()
     }

@@ -305,6 +305,7 @@ mod tests {
     use crate::view::MarkoView;
     use mv_pdb::Value;
     use mv_query::parse_ucq;
+    use std::sync::Arc;
 
     fn example1(view_weight: f64) -> Mvdb {
         let mut b = MvdbBuilder::new();
@@ -622,6 +623,35 @@ mod tests {
             .unwrap();
         assert!((after - before).abs() > 1e-6, "the new weight must move P");
         assert_matches_rebuild(&engine, &["Q() :- R(x), S(x)", "Q() :- R(x)"]);
+    }
+
+    #[test]
+    fn plans_live_as_long_as_the_store_snapshot() {
+        let queries = ["Q() :- R('a'), S('a')", "Q() :- R(x)"];
+        let mut engine = MvdbEngine::compile(&example1(0.5)).unwrap();
+        for q in queries {
+            engine.probability(&parse_ucq(q).unwrap()).unwrap();
+        }
+        let cache = Arc::clone(engine.translated().plan_cache());
+        assert_eq!(cache.len(), 2);
+        // A clone shares the cache; a weight-only apply keeps it, and the
+        // cached plans answer like a rebuild.
+        let mut clone = engine.clone();
+        clone
+            .apply(&UpdateBatch::new().set_weight("R", vec![Value::str("a")], 7.0))
+            .unwrap();
+        assert!(Arc::ptr_eq(clone.translated().plan_cache(), &cache));
+        assert_matches_rebuild(&clone, &queries);
+        assert_eq!(cache.len(), 2, "no query shape was compiled again");
+        // A structural apply re-translates: a fresh store, a fresh cache —
+        // and the snapshot it came from keeps its own.
+        engine
+            .apply(&UpdateBatch::new().insert("R", vec![Value::str("b")], 2.0))
+            .unwrap();
+        assert!(!Arc::ptr_eq(engine.translated().plan_cache(), &cache));
+        assert!(engine.translated().plan_cache().is_empty());
+        assert_matches_rebuild(&engine, &queries);
+        assert!(Arc::ptr_eq(clone.translated().plan_cache(), &cache));
     }
 
     #[test]

@@ -714,11 +714,12 @@ fn worker_loop(
     // requests and compactions. The outer loop pins one engine snapshot;
     // when `submit_update` publishes a new one the worker finishes its
     // current request on the pinned snapshot, then re-pins and makes a new
-    // context and ladder: what is lost is this worker's plan cache, its
-    // query kernel and query-side manager and the memoized `W` (all belong
-    // to the old snapshot). The store's join indexes are not the worker's —
-    // relations the update left alone carry theirs into the new
-    // snapshot, and a rewritten relation's are built once by whichever
+    // context and ladder: what is lost is this worker's query kernel and
+    // query-side manager and the memoized `W` (all belong to the old
+    // snapshot). The store's join indexes and query plans are not the
+    // worker's — relations the update left alone carry their indexes into
+    // the new snapshot, a weight-only snapshot keeps the plan cache, and
+    // what a structural update invalidated is rebuilt once by whichever
     // worker asks first. The version is read *before* the engine so a swap
     // racing this re-pin costs at most one redundant context, never a
     // stale snapshot served past the next check.

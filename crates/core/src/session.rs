@@ -37,13 +37,15 @@ use crate::engine::MvdbEngine;
 use crate::error::CoreError;
 use crate::Result;
 
-/// Query-layer counters of one session batch: the shape of every compiled
-/// plan plus the vectorized executor's work (blocks scanned, CSR probes,
-/// batches). Summed over every worker context, so the counters are
-/// complete at `threads > 1` too.
+/// Query-layer counters of one session batch: the shape of every query
+/// template the batch's contexts resolved plus the vectorized executor's
+/// work (blocks scanned, CSR probes, batches). Summed over every worker
+/// context, so the counters are complete at `threads > 1` too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Shape statistics of the plans compiled by the batch's contexts.
+    /// Shape statistics of the templates the batch's contexts resolved:
+    /// each context counts each template it met once, whether it compiled
+    /// the template or found it in the store's shared cache.
     pub plan: PlanStats,
     /// Vectorized-executor counters accumulated by the batch's contexts.
     pub exec: ExecStats,

@@ -17,27 +17,36 @@
 //! The translated store is the only copy of the data a compiled engine
 //! evaluates on: the MV-index is compiled from it, every context — shard
 //! workers included — reads it, and an update either writes weights into it
-//! in place or replaces it by a fresh translation.
+//! in place or replaces it by a fresh translation. The query plans compiled
+//! against it live beside it, in one [`PlanCache`] every context shares: a
+//! weight write leaves the tuples, hence the plans, as they are, and a fresh
+//! translation starts a fresh cache.
 //!
 //! Two simplifications from the paper are applied: denial views (`w = 0`)
 //! yield deterministic `NV` tuples, so the `NV_i` atom is dropped from `W_i`
 //! entirely (end of Section 3.2), and output tuples with weight exactly `1`
 //! (independence) are skipped because their translated weight is `0`.
 
+use std::sync::Arc;
+
 use mv_pdb::{InDb, InDbBuilder, RelId, TupleId, Weight};
-use mv_query::{Atom, ConjunctiveQuery, Ucq};
+use mv_query::{Atom, ConjunctiveQuery, PlanCache, Ucq};
 
 use crate::mvdb::Mvdb;
 use crate::Result;
 
 /// The tuple-independent database associated to an MVDB, together with the
-/// helper query `W`.
+/// helper query `W` and the query templates compiled against it.
+///
+/// A clone shares the plan cache: clones hold the same tuples until one is
+/// re-translated, and weight writes do not touch plans.
 #[derive(Debug, Clone)]
 pub struct TranslatedIndb {
     indb: InDb,
     w: Option<Ucq>,
     nv_relations: Vec<String>,
     nv_rel_ids: Vec<RelId>,
+    plan_cache: Arc<PlanCache>,
 }
 
 impl TranslatedIndb {
@@ -105,6 +114,7 @@ impl TranslatedIndb {
             Some(Ucq::new("W", disjuncts))
         };
         Ok(TranslatedIndb {
+            plan_cache: Arc::new(PlanCache::new(indb.database())),
             indb,
             w,
             nv_relations,
@@ -119,9 +129,15 @@ impl TranslatedIndb {
 
     /// Mutable access to the translated store, for the update subsystem's
     /// in-place weight writes (the tuple set itself is only ever changed by
-    /// re-translation).
+    /// re-translation, so the plan cache stays valid).
     pub(crate) fn indb_mut(&mut self) -> &mut InDb {
         &mut self.indb
+    }
+
+    /// The query templates compiled against this store, shared by every
+    /// evaluation context over it and by every clone of it.
+    pub fn plan_cache(&self) -> &Arc<PlanCache> {
+        &self.plan_cache
     }
 
     /// The helper query `W`, or `None` when the MVDB has no MarkoViews.

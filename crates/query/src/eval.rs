@@ -18,16 +18,22 @@
 //!   the independently-implemented oracle the agreement tests compare
 //!   against (the role `RefManager` plays for the OBDD manager).
 //!
-//! Plans are cached in the [`EvalContext`]; reusing a context across
-//! queries amortises plan compilation (the MV-index compilation driver,
-//! the `mv-core` backends and the batch sessions do). The CSR and pair
-//! indexes and distinct counts the plans probe belong to the snapshot's
-//! [`mv_pdb::Relation`] instances instead: built once per instance, shared
-//! by every context — a fresh context is ~free.
+//! A plan is a *template*: it is compiled once per query shape, with the
+//! atom constants as parameters ([`crate::template`]), so every point query
+//! of one shape runs the same plan. The templates a store snapshot has
+//! compiled live in its [`PlanCache`], which every context over the
+//! snapshot can share ([`EvalContext::with_plan_cache`] — the `mv-core`
+//! contexts all do); each context keeps the templates it resolved in a map
+//! of its own in front of it, so a hit takes no lock. A context made with
+//! [`EvalContext::new`] has only that map. The CSR and pair indexes and
+//! distinct counts the plans probe belong to the snapshot's
+//! [`mv_pdb::Relation`] instances: built once per instance, shared by every
+//! context — a fresh context is ~free.
 
 use std::cell::{Cell, RefCell};
 use std::ops::ControlFlow;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use fxhash::FxHashMap;
 use mv_pdb::{Database, RelId, Row, Value};
@@ -35,6 +41,7 @@ use mv_pdb::{Database, RelId, Row, Value};
 use crate::ast::{Atom, ConjunctiveQuery, Term, Ucq};
 use crate::error::QueryError;
 use crate::plan::PlanStats;
+use crate::template::{shape_hash, PlanCache, Templates};
 use crate::vec_exec::{ExecStats, VecCompiledUcq};
 use crate::Result;
 
@@ -60,19 +67,21 @@ type LegacyIndex = FxHashMap<Value, Vec<usize>>;
 /// another query) stays safe.
 type ColumnIndexes = FxHashMap<(RelId, usize), Rc<LegacyIndex>>;
 
-/// Evaluation context over one immutable database snapshot: the plan
-/// cache, plus the `Value`-keyed hash indexes of the legacy oracle.
+/// Evaluation context over one immutable database snapshot: the templates
+/// it resolved, plus the `Value`-keyed hash indexes of the legacy oracle.
 ///
-/// A context borrows its snapshot for its whole life, so a plan — which
-/// bakes in interned constants and `Arc`s of the snapshot's access paths —
-/// can never meet a different store version; to query a newer snapshot,
-/// make a new context.
+/// A context borrows its snapshot — and the snapshot's [`PlanCache`], if it
+/// shares one — for its whole life, so a plan, which bakes in `Arc`s of the
+/// snapshot's access paths, can never meet a different store version; to
+/// query a newer snapshot, make a new context.
 pub struct EvalContext<'a> {
     db: &'a Database,
+    /// The snapshot's shared templates, if this context uses them.
+    shared: Option<&'a PlanCache>,
     /// Legacy-path indexes (`Value`-keyed).
     indexes: RefCell<ColumnIndexes>,
-    /// Compiled-and-lowered plans, keyed by canonical query text.
-    plans: RefCell<FxHashMap<String, Rc<VecCompiledUcq>>>,
+    /// The templates this context resolved.
+    plans: RefCell<Templates>,
     /// Executor counters accumulated across every vectorized run.
     exec: Cell<ExecStats>,
     /// Cooperative budget consulted at batch boundaries by the lineage and
@@ -81,14 +90,35 @@ pub struct EvalContext<'a> {
 }
 
 impl<'a> EvalContext<'a> {
-    /// Creates a context for the given database.
+    /// Creates a context for the given database, with a template map of
+    /// its own and no shared cache.
     pub fn new(db: &'a Database) -> Self {
         EvalContext {
             db,
+            shared: None,
             indexes: RefCell::new(FxHashMap::default()),
-            plans: RefCell::new(FxHashMap::default()),
+            plans: RefCell::new(Templates::default()),
             exec: Cell::new(ExecStats::default()),
             budget: RefCell::new(None),
+        }
+    }
+
+    /// Creates a context that resolves templates through `cache`, the
+    /// snapshot's shared cache: a template any context compiled is compiled
+    /// once.
+    ///
+    /// # Panics
+    ///
+    /// When `cache` was made for a different store version than `db`.
+    pub fn with_plan_cache(db: &'a Database, cache: &'a PlanCache) -> Self {
+        assert_eq!(
+            cache.version(),
+            db.version(),
+            "a plan cache serves only the store version it was made for"
+        );
+        EvalContext {
+            shared: Some(cache),
+            ..EvalContext::new(db)
         }
     }
 
@@ -111,32 +141,37 @@ impl<'a> EvalContext<'a> {
         self.db
     }
 
-    /// Compiles `ucq` into vectorized plans, or returns the cached plans if
-    /// this context has compiled the same query before. The cache key is
-    /// the query's canonical display form: syntactically identical queries
-    /// share one plan per context.
-    pub fn compile_vec(&self, ucq: &Ucq) -> Result<Rc<VecCompiledUcq>> {
-        let key = ucq.to_string();
-        if let Some(plan) = self.plans.borrow().get(&key) {
-            return Ok(Rc::clone(plan));
+    /// The template `ucq` is an instance of: from this context's map, else
+    /// from the shared cache, else compiled (and kept in both). Run it on
+    /// `ucq` through [`VecCompiledUcq::instances`].
+    pub fn compile_vec(&self, ucq: &Ucq) -> Result<Arc<VecCompiledUcq>> {
+        let hash = shape_hash(ucq);
+        if let Some(plan) = self.plans.borrow().get(hash, ucq) {
+            return Ok(Arc::clone(plan));
         }
-        let plan = Rc::new(VecCompiledUcq::compile(ucq, self.db)?);
-        self.plans.borrow_mut().insert(key, Rc::clone(&plan));
+        let plan = match self.shared.and_then(|cache| cache.get(hash, ucq)) {
+            Some(plan) => plan,
+            None => {
+                let plan = Arc::new(VecCompiledUcq::compile(ucq, self.db)?);
+                match self.shared {
+                    Some(cache) => cache.insert(hash, plan),
+                    None => plan,
+                }
+            }
+        };
+        self.plans.borrow_mut().insert(hash, Arc::clone(&plan));
         Ok(plan)
     }
 
-    /// Number of distinct plans this context has compiled.
+    /// Number of distinct templates this context has resolved.
     pub fn compiled_plans(&self) -> usize {
         self.plans.borrow().len()
     }
 
-    /// Aggregate shape statistics over every cached plan.
+    /// Aggregate shape statistics over the templates this context has
+    /// resolved (each counted once, however many instances ran it).
     pub fn plan_stats(&self) -> PlanStats {
-        self.plans
-            .borrow()
-            .values()
-            .map(|p| p.stats())
-            .fold(PlanStats::default(), |a, b| a + b)
+        self.plans.borrow().stats()
     }
 
     /// Executor counters accumulated across every vectorized run on this
@@ -470,10 +505,10 @@ pub fn evaluate_ucq_with(ucq: &Ucq, ctx: &EvalContext<'_>) -> Result<Vec<Answer>
     let mut stats = crate::vec_exec::ExecStats::default();
     let mut seen = fxhash::FxHashSet::default();
     let mut answers = Vec::new();
-    for disjunct in plan.disjuncts() {
+    for (disjunct, params) in plan.instances(ucq, interner) {
         let head_slots = disjunct.head_slots();
         let mut code_seen: fxhash::FxHashSet<Vec<u32>> = fxhash::FxHashSet::default();
-        disjunct.for_each_batch::<()>(db, &mut stats, |batch| {
+        disjunct.for_each_batch::<()>(db, &mut stats, &params, |batch| {
             for entry in 0..batch.len() {
                 let regs = batch.regs(entry);
                 let key: Vec<u32> = head_slots.iter().map(|&s| regs[usize::from(s)]).collect();
@@ -532,11 +567,12 @@ pub fn evaluate_boolean_with(ucq: &Ucq, ctx: &EvalContext<'_>) -> Result<bool> {
         }
     }
     let plan = ctx.compile_vec(ucq)?;
+    let db = ctx.database();
     let mut stats = crate::vec_exec::ExecStats::default();
     let mut hit = false;
-    for disjunct in plan.disjuncts() {
+    for (disjunct, params) in plan.instances(ucq, db.interner()) {
         if disjunct
-            .for_each_batch(ctx.database(), &mut stats, |_| ControlFlow::Break(()))
+            .for_each_batch(db, &mut stats, &params, |_| ControlFlow::Break(()))
             .is_some()
         {
             hit = true;
@@ -622,7 +658,7 @@ mod tests {
     #[test]
     fn constants_absent_from_the_database_yield_no_answers() {
         let db = db();
-        // 99 appears nowhere: the plan is proven empty at compile time.
+        // 99 appears nowhere: the instance is skipped when it is bound.
         let q = parse_ucq("Q(y) :- S(99, y)").unwrap();
         assert!(evaluate_ucq(&q, &db).unwrap().is_empty());
         assert!(!evaluate_boolean(&parse_ucq("Q() :- S(99, y)").unwrap(), &db).unwrap());
@@ -796,7 +832,7 @@ mod tests {
         let q = parse_ucq("Q(x, y) :- R(x), S(x, y)").unwrap();
         let p1 = ctx.compile_vec(&q).unwrap();
         let p2 = ctx.compile_vec(&q).unwrap();
-        assert!(Rc::ptr_eq(&p1, &p2));
+        assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(ctx.compiled_plans(), 1);
         let stats = ctx.plan_stats();
         assert_eq!(stats.disjuncts, 1);
@@ -805,6 +841,55 @@ mod tests {
         assert_eq!(stats.scan_steps, 1);
         assert_eq!(stats.probe_steps, 1);
         assert_eq!(stats.slots, 2);
+    }
+
+    #[test]
+    fn contexts_sharing_a_plan_cache_compile_each_shape_once() {
+        let db = db();
+        let cache = PlanCache::new(&db);
+        let first = EvalContext::with_plan_cache(&db, &cache);
+        let one = parse_ucq("Q(y) :- S(1, y)").unwrap();
+        let a = first.compile_vec(&one).unwrap();
+        // Another context — on another thread — resolves the same shape to
+        // the same plan, and runs it on its own instance's constants.
+        let b = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let second = EvalContext::with_plan_cache(&db, &cache);
+                    assert_eq!(second.compiled_plans(), 0);
+                    let two = parse_ucq("Q(y) :- S(2, y)").unwrap();
+                    let plan = second.compile_vec(&two).unwrap();
+                    let rows: Vec<Row> = evaluate_ucq_with(&two, &second)
+                        .unwrap()
+                        .into_iter()
+                        .map(|a| a.row)
+                        .collect();
+                    assert_eq!(rows, vec![row([30i64])]);
+                    assert_eq!(second.compiled_plans(), 1);
+                    plan
+                })
+                .join()
+                .unwrap()
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(cache.len(), 1);
+        // A context reports what it resolved, not the whole cache.
+        let join = parse_ucq("Q(x, y) :- R(x), S(x, y)").unwrap();
+        EvalContext::with_plan_cache(&db, &cache)
+            .compile_vec(&join)
+            .unwrap();
+        assert_eq!((cache.len(), first.compiled_plans()), (2, 1));
+        assert_eq!(first.plan_stats().disjuncts, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "store version")]
+    fn a_plan_cache_refuses_another_store_version() {
+        let db = db();
+        let cache = PlanCache::new(&db);
+        let mut v2 = db.clone();
+        v2.insert(RelId(0), row([9i64])).unwrap();
+        let _ = EvalContext::with_plan_cache(&v2, &cache);
     }
 
     /// The sorted answer rows of `text` through a fresh context on `db`.
@@ -825,7 +910,6 @@ mod tests {
         // built once and never invalidated, so a mutated relation silently
         // served stale postings. They now belong to the relation instance:
         // a copy-on-write clone that inserts gets an instance without them.
-        use std::sync::Arc;
         let base = db();
         let join = "Q(x, y) :- R(x), S(x, y)";
         let through_t = "Q(a) :- T(b), S(a, b)";
@@ -878,10 +962,11 @@ mod tests {
 
     #[test]
     fn a_plan_proven_empty_on_one_snapshot_is_not_replayed_on_the_next() {
-        // Regression (was `plan_cache_is_version_keyed_…`): a plan proven
-        // empty because its constant is absent from the dictionary must not
-        // answer for a snapshot where the constant exists. A context borrows
-        // one snapshot for life, so the plan cache needs no version key.
+        // Regression (was `plan_cache_is_version_keyed_…`): an instance that
+        // is empty because its constant is absent from the dictionary must
+        // not answer for a snapshot where the constant exists. Absence is
+        // decided when an instance is bound, never baked into a template,
+        // and a context borrows one snapshot for life.
         let base = db();
         let absent = "Q(y) :- S(99, y)";
         let base_ctx = EvalContext::new(&base);

@@ -9,11 +9,14 @@
 //! * [`parser`] — a datalog-style parser: `Q(x) :- R(x, y), S(y), y > 5`.
 //! * [`eval`] — evaluation of (unions of) conjunctive queries over
 //!   deterministic [`mv_pdb::Database`] instances: the [`eval::EvalContext`]
-//!   with its plan cache, plus the legacy backtracking evaluator kept as
-//!   the one agreement oracle.
+//!   and the templates it resolves, plus the legacy backtracking evaluator
+//!   kept as the one agreement oracle.
 //! * [`plan`] — the compile stage: slot-based plans over the
 //!   dictionary-encoded columnar store (static atom order, scan/probe
-//!   access paths, register files of `u32` codes).
+//!   access paths, register files of `u32` codes, atom constants as
+//!   parameters).
+//! * [`template`] — one plan per query shape: the constant-blind template
+//!   key and the per-snapshot [`PlanCache`] every context can share.
 //! * [`vec_exec`] — the one executor the production entry points run:
 //!   fixed-size batches of partial matches over the code columns, CSR and
 //!   pair join indexes, code-level `=`/`<>` comparisons.
@@ -58,6 +61,7 @@ pub mod plan;
 pub mod rewrite;
 pub mod safe_plan;
 pub mod shannon;
+pub mod template;
 pub mod vec_exec;
 
 pub use analysis::QueryAnalysis;
@@ -77,6 +81,7 @@ pub use plan::PlanStats;
 pub use rewrite::{separator_domain, simplify_cq, SimplifiedCq};
 pub use safe_plan::{safe_probability, SafePlanError};
 pub use shannon::{shannon_probability, shannon_query_probability_with};
+pub use template::PlanCache;
 pub use vec_exec::{CsrIndex, ExecStats, VecCompiledUcq, BATCH_ROWS};
 
 /// Result alias used throughout the crate.

@@ -181,14 +181,14 @@ fn collect_clauses(ucq: &Ucq, indb: &InDb, ctx: &EvalContext<'_>) -> Result<Opti
     // dropped without ever being cloned) and moved out at the end.
     let mut seen: FxHashSet<Clause> = FxHashSet::default();
     let mut buf: Clause = Vec::new();
-    for disjunct in plan.disjuncts() {
+    for (disjunct, params) in plan.instances(ucq, db.interner()) {
         let tid_cols: Vec<&[u32]> = disjunct
             .atom_rels()
             .iter()
             .map(|&rel| indb.tuple_id_column(rel))
             .collect();
         let certainly_true =
-            disjunct.for_each_batch_budgeted(db, &mut stats, budget.as_ref(), |batch| {
+            disjunct.for_each_batch_budgeted(db, &mut stats, &params, budget.as_ref(), |batch| {
                 for entry in 0..batch.len() {
                     buf.clear();
                     for (atom, &row) in batch.atom_rows(entry).iter().enumerate() {
@@ -295,14 +295,18 @@ pub fn answer_lineages_with(
     let mut stats = ExecStats::default();
     let mut per_answer: BTreeMap<Row, FxHashSet<Clause>> = BTreeMap::new();
     let mut buf: Clause = Vec::new();
-    for disjunct in plan.disjuncts() {
+    for (disjunct, params) in plan.instances(ucq, interner) {
         let tid_cols: Vec<&[u32]> = disjunct
             .atom_rels()
             .iter()
             .map(|&rel| indb.tuple_id_column(rel))
             .collect();
-        let run =
-            disjunct.for_each_batch_budgeted::<()>(db, &mut stats, budget.as_ref(), |batch| {
+        let run = disjunct.for_each_batch_budgeted::<()>(
+            db,
+            &mut stats,
+            &params,
+            budget.as_ref(),
+            |batch| {
                 for entry in 0..batch.len() {
                     let row = disjunct.decode_head(batch.regs(entry), interner);
                     buf.clear();
@@ -320,7 +324,8 @@ pub fn answer_lineages_with(
                     }
                 }
                 ControlFlow::Continue(())
-            });
+            },
+        );
         if let Err(e) = run {
             ctx.record_exec(stats);
             return Err(e.into());

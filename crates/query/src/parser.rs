@@ -3,7 +3,8 @@
 //! Grammar (informal):
 //!
 //! ```text
-//! ucq       := rule ( (";" | newline)+ rule )*
+//! ucq       := rule ( (";" | newline)+ rule )*   -- a newline separates only
+//!                                                before a line holding `head :-`
 //! rule      := head [ "[" annotation "]" ] ":-" literal ("," literal)*
 //! head      := ident "(" [ term ("," term)* ] ")"
 //! literal   := atom | comparison
@@ -70,18 +71,52 @@ pub fn parse_rule_with_annotation(input: &str) -> Result<(ConjunctiveQuery, Opti
     Parser::new(input).parse_rule()
 }
 
-/// Splits an input into rule chunks at `;` and blank-line boundaries, keeping
-/// rules that span multiple lines together (a rule ends where the next line
-/// starts a new `Head(...) :-`).
-fn split_rules(input: &str) -> Vec<&str> {
+/// Splits an input into rule chunks at every `;` outside a quoted string
+/// and at every line break followed by a line that opens a new rule, so a
+/// rule may span several lines and a string constant may hold a `;`.
+fn split_rules<'a>(input: &'a str) -> Vec<&'a str> {
     let mut rules = Vec::new();
-    for chunk in input.split(';') {
+    let mut push = |chunk: &'a str| {
         let chunk = chunk.trim();
         if !chunk.is_empty() {
             rules.push(chunk);
         }
+    };
+    let mut start = 0;
+    let mut quoted = false;
+    for (i, c) in input.char_indices() {
+        let split = match c {
+            '\'' => {
+                quoted = !quoted;
+                false
+            }
+            ';' => !quoted,
+            '\n' => !quoted && opens_rule(&input[i + 1..]),
+            _ => false,
+        };
+        if split {
+            push(&input[start..i]);
+            start = i + 1;
+        }
     }
+    push(&input[start..]);
     rules
+}
+
+/// `true` when the first line of `rest` opens a rule: a `:-` outside quotes
+/// with a head before it. A line starting with `:-` continues the rule
+/// whose head is on the line above.
+fn opens_rule(rest: &str) -> bool {
+    let line = rest.split('\n').next().unwrap_or_default();
+    let mut quoted = false;
+    for (i, c) in line.char_indices() {
+        match c {
+            '\'' => quoted = !quoted,
+            ':' if !quoted && line[i..].starts_with(":-") => return !line[..i].trim().is_empty(),
+            _ => {}
+        }
+    }
+    false
 }
 
 struct Parser<'a> {
@@ -439,6 +474,36 @@ mod tests {
         assert!(parse_query("Q() :- R(x").is_err());
         assert!(parse_query("").is_err());
         assert!(parse_ucq("   ").is_err());
+    }
+
+    #[test]
+    fn semicolons_inside_string_constants_do_not_split_rules() {
+        let u = parse_ucq("Q() :- A(a, 'x;y')").unwrap();
+        assert_eq!(u.disjuncts.len(), 1);
+        assert_eq!(u.disjuncts[0].atoms[0].terms[1], Term::constant("x;y"));
+        let u = parse_ucq("Q(a) :- A(a, n), n like '%a;b%' ; Q(a) :- B(a)").unwrap();
+        assert_eq!(u.disjuncts.len(), 2);
+        assert_eq!(u.disjuncts[0].comparisons[0].right, Term::constant("%a;b%"));
+        // An unterminated string is reported as such, `;` or not.
+        assert!(matches!(
+            parse_ucq("Q() :- A(a, 'x;y)"),
+            Err(QueryError::Parse { message, .. }) if message.contains("unterminated")
+        ));
+    }
+
+    #[test]
+    fn rules_may_be_separated_by_line_breaks_and_may_span_lines() {
+        let u = parse_ucq("Q() :- R(x)\nQ() :- S(x)").unwrap();
+        assert_eq!(u.disjuncts.len(), 2);
+        assert_eq!(u.disjuncts[1].atoms[0].relation, "S");
+        // A body continued on the next line stays one rule, and so does a
+        // head whose `:-` starts the next line.
+        let u = parse_ucq("Q() :- R(x),\n    S(x, y)\nQ() :- T(y) ;\nQ()\n  :- U(z)").unwrap();
+        let atoms: Vec<usize> = u.disjuncts.iter().map(|d| d.atoms.len()).collect();
+        assert_eq!(atoms, vec![2, 1, 1]);
+        // A `:-` inside a string on a continuation line opens nothing.
+        let u = parse_ucq("Q() :- R(x),\n  A(x, ':- not a rule')").unwrap();
+        assert_eq!(u.disjuncts.len(), 1);
     }
 
     #[test]

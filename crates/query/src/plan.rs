@@ -2,12 +2,21 @@
 //! the compile stage of the production evaluator.
 //!
 //! `PhysicalPlan::compile` turns one conjunctive query into the plan that
-//! [`crate::vec_exec`] lowers and runs. Compilation resolves everything the
-//! legacy backtracking evaluator re-derives per recursive call:
+//! [`crate::vec_exec`] lowers and runs. A plan is a function of the query's
+//! *shape*, not of its atom constants: it is a **template** that every
+//! instance of the shape shares (see [`crate::template`]).
+//! Compilation resolves everything the legacy backtracking evaluator
+//! re-derives per recursive call:
 //!
-//! * every variable becomes a dense `u16` **slot**; the runtime binding
-//!   environment is a register file of `u32` dictionary codes (no string
-//!   hashing, no `Value` clones, no per-row allocation on the hot path);
+//! * every atom-term constant becomes a **parameter**: registers `0..k`,
+//!   numbered walking the atoms in query order (terms left to right), are
+//!   seeded with the instance's constant codes before the first step
+//!   (`bind_params`), so a constant compiles to the same register check
+//!   or probe key as an already-bound variable;
+//! * every variable becomes a dense `u16` **slot** after the parameters;
+//!   the runtime binding environment is a register file of `u32` dictionary
+//!   codes (no string hashing, no `Value` clones, no per-row allocation on
+//!   the hot path);
 //! * the atom order is fixed once through the join-order function both
 //!   evaluators share (`crate::eval::static_join_order`: greedy
 //!   most-bound-terms-first, then atoms a comparison filters) — the choice
@@ -16,10 +25,12 @@
 //!   enumerate matches in the same order by construction;
 //! * each atom gets a fixed access path: a full **scan**, or a **probe** on
 //!   its first bound column (the lowering picks the index that answers it);
-//! * query constants are interned once; a constant that appears nowhere in
-//!   the database marks the plan as *never matching*;
-//! * comparison predicates are attached to the earliest step at which all
-//!   their variables are bound.
+//! * comparison predicates — whose constants stay literal in the template —
+//!   are attached to the earliest step at which all their variables are
+//!   bound.
+//!
+//! A constant absent from the dictionary can match no row; `bind_params`
+//! reports it and the caller skips that disjunct of the instance.
 //!
 //! The legacy evaluator ([`crate::eval::for_each_match`]) shares only the
 //! join order with this stage and stays as the independently-implemented
@@ -39,22 +50,14 @@ use crate::Result;
 /// `Vec<Option<u32>>`.
 pub(crate) const UNBOUND: u32 = u32::MAX;
 
-/// Where a probe key comes from at runtime.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Key {
-    /// A query constant, interned at compile time.
-    Const(u32),
-    /// A register bound by an earlier step.
-    Slot(u16),
-}
-
 /// How a step enumerates its candidate rows.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Access {
     /// Scan the whole relation.
     Scan,
-    /// Probe column `col` with a key.
-    Probe { col: u16, key: Key },
+    /// Probe column `col` with the code in register `slot` (a parameter or
+    /// a variable bound by an earlier step).
+    Probe { col: u16, slot: u16 },
 }
 
 /// One per-column operation applied to a candidate row, in column order.
@@ -63,10 +66,9 @@ pub(crate) enum Access {
 pub(crate) enum ColOp {
     /// First occurrence of a variable: write the row's code into a register.
     Bind { col: u16, slot: u16 },
-    /// Later occurrence of a variable: compare codes.
+    /// A bound register — a parameter, or a later occurrence of a
+    /// variable: compare codes.
     CheckSlot { col: u16, slot: u16 },
-    /// A constant term: compare against its interned code.
-    CheckConst { col: u16, code: u32 },
 }
 
 /// One side of a compiled comparison.
@@ -106,7 +108,8 @@ pub(crate) enum HeadTerm {
 }
 
 /// Aggregate shape statistics of lowered plans, as the executor runs them
-/// (reported per context through `EvalContext::plan_stats`).
+/// (reported per context through `EvalContext::plan_stats`: one count per
+/// template the context resolved, not per query instance).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Compiled conjunctive-query plans.
@@ -117,10 +120,12 @@ pub struct PlanStats {
     pub probe_steps: usize,
     /// Steps scanning a whole relation.
     pub scan_steps: usize,
-    /// Register-file slots across all plans.
+    /// Register-file slots (parameters included) across all plans.
     pub slots: usize,
-    /// Plans proven empty at compile time (unknown constants, false
-    /// comparisons).
+    /// Plans proven empty when compiled (a false ground comparison, or an
+    /// `=` against a constant absent from the dictionary). An absent *atom*
+    /// constant is a property of one instance, not of the template, and is
+    /// not counted here.
     pub never_matching: usize,
 }
 
@@ -138,30 +143,55 @@ impl std::ops::Add for PlanStats {
     }
 }
 
-/// The physical plan of one conjunctive query.
+/// The physical plan of one conjunctive query shape.
 #[derive(Debug)]
 pub(crate) struct PhysicalPlan {
     pub(crate) steps: Vec<Step>,
     pub(crate) head: Vec<HeadTerm>,
+    /// Parameter registers (`0..num_params`), one per atom-term constant.
+    pub(crate) num_params: usize,
+    /// Registers in all: parameters, then variables.
     pub(crate) num_slots: usize,
     pub(crate) num_atoms: usize,
+    /// A ground comparison is false: no instance matches anything.
     pub(crate) never_matches: bool,
 }
 
 impl PhysicalPlan {
-    /// Compiles one conjunctive query against `db`: fixes the atom order,
-    /// assigns slots, resolves access paths and interns constants.
+    /// Compiles one conjunctive query shape against `db`'s schema: fixes
+    /// the atom order, numbers the parameters, assigns slots and resolves
+    /// access paths.
     pub(crate) fn compile(cq: &ConjunctiveQuery, db: &Database) -> Result<PhysicalPlan> {
-        let interner = db.interner();
         let rels: Vec<RelId> = cq
             .atoms
             .iter()
             .map(|a| resolve_atom(db, a))
             .collect::<Result<_>>()?;
 
+        // The parameter register of every atom-term constant, numbered in
+        // the order `bind_params` reads an instance's constants.
+        let mut num_params = 0u16;
+        let param_of: Vec<Vec<Option<u16>>> = cq
+            .atoms
+            .iter()
+            .map(|atom| {
+                atom.terms
+                    .iter()
+                    .map(|t| {
+                        t.as_const().map(|_| {
+                            num_params += 1;
+                            num_params - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let num_params = usize::from(num_params);
+
         let mut plan = PhysicalPlan {
             steps: Vec::with_capacity(cq.atoms.len()),
             head: Vec::new(),
+            num_params,
             num_slots: 0,
             num_atoms: cq.atoms.len(),
             never_matches: false,
@@ -178,18 +208,6 @@ impl PhysicalPlan {
         }
 
         let mut slot_of: FxHashMap<&str, u16> = FxHashMap::default();
-        // Interning a query constant; unknown constants can never match any
-        // row of any relation.
-        let intern_const = |plan: &mut PhysicalPlan, value: &Value| -> u32 {
-            match interner.code_of(value) {
-                Some(code) => code,
-                None => {
-                    plan.never_matches = true;
-                    UNBOUND
-                }
-            }
-        };
-
         let mut bound: fxhash::FxHashSet<&str> = fxhash::FxHashSet::default();
 
         // The atom order and per-atom probe columns come from the one
@@ -200,17 +218,18 @@ impl PhysicalPlan {
             let atom_idx = join_step.atom;
             let atom = &cq.atoms[atom_idx];
             let rel = rels[atom_idx];
+            let params = &param_of[atom_idx];
 
             let probe_col = join_step.probe;
             let access = match probe_col {
                 Some(col) => {
-                    let key = match &atom.terms[col] {
-                        Term::Const(c) => Key::Const(intern_const(&mut plan, c)),
-                        Term::Var(v) => Key::Slot(ensure_slot(&mut slot_of, v)),
+                    let slot = match &atom.terms[col] {
+                        Term::Const(_) => params[col].expect("constants are parameters"),
+                        Term::Var(v) => ensure_slot(&mut slot_of, num_params, v),
                     };
                     Access::Probe {
                         col: col as u16,
-                        key,
+                        slot,
                     }
                 }
                 None => Access::Scan,
@@ -220,35 +239,30 @@ impl PhysicalPlan {
             // guarantees its equality).
             let mut ops = Vec::with_capacity(atom.terms.len());
             for (col, t) in atom.terms.iter().enumerate() {
+                if Some(col) == probe_col {
+                    continue;
+                }
                 match t {
-                    Term::Const(c) => {
-                        if Some(col) != probe_col {
-                            let code = intern_const(&mut plan, c);
-                            ops.push(ColOp::CheckConst {
-                                col: col as u16,
-                                code,
-                            });
-                        }
-                    }
+                    Term::Const(_) => ops.push(ColOp::CheckSlot {
+                        col: col as u16,
+                        slot: params[col].expect("constants are parameters"),
+                    }),
                     Term::Var(v) => {
                         let known = slot_of.contains_key(v.as_str());
-                        let slot = ensure_slot(&mut slot_of, v);
+                        let slot = ensure_slot(&mut slot_of, num_params, v);
                         let already_bound = bound.contains(v.as_str())
                             || (known && atom.terms[..col].iter().any(|u| u.as_var() == Some(v)));
-                        if Some(col) == probe_col {
-                            continue; // key equality enforced by the probe
-                        }
-                        if already_bound {
-                            ops.push(ColOp::CheckSlot {
+                        ops.push(if already_bound {
+                            ColOp::CheckSlot {
                                 col: col as u16,
                                 slot,
-                            });
+                            }
                         } else {
-                            ops.push(ColOp::Bind {
+                            ColOp::Bind {
                                 col: col as u16,
                                 slot,
-                            });
-                        }
+                            }
+                        });
                     }
                 }
             }
@@ -303,9 +317,23 @@ impl PhysicalPlan {
                 },
             })
             .collect();
-        plan.num_slots = slot_of.len();
+        plan.num_slots = num_params + slot_of.len();
         Ok(plan)
     }
+}
+
+/// The parameter codes of one instance of a template: the dictionary code
+/// of every atom-term constant of `cq`, in the order
+/// [`PhysicalPlan::compile`] numbered them (atoms in query order, terms left
+/// to right). `None` when a constant is absent from the dictionary: no row
+/// holds it, so the disjunct matches nothing.
+pub(crate) fn bind_params(cq: &ConjunctiveQuery, interner: &ValueInterner) -> Option<Vec<u32>> {
+    cq.atoms
+        .iter()
+        .flat_map(|atom| &atom.terms)
+        .filter_map(Term::as_const)
+        .map(|c| interner.code_of(c))
+        .collect()
 }
 
 fn compile_operand(term: &Term, slot_of: &FxHashMap<&str, u16>) -> CmpOperand {
@@ -331,9 +359,10 @@ pub(crate) fn resolve_operand<'v>(
     }
 }
 
-/// Assigns (or retrieves) the dense slot of a variable.
-fn ensure_slot<'q>(slots: &mut FxHashMap<&'q str, u16>, name: &'q str) -> u16 {
-    debug_assert!(slots.len() < usize::from(u16::MAX), "slot space exhausted");
-    let next = slots.len() as u16;
-    *slots.entry(name).or_insert(next)
+/// Assigns (or retrieves) the dense slot of a variable; variable slots
+/// follow the `num_params` parameter registers.
+fn ensure_slot<'q>(slots: &mut FxHashMap<&'q str, u16>, num_params: usize, name: &'q str) -> u16 {
+    let next = num_params + slots.len();
+    debug_assert!(next < usize::from(u16::MAX), "slot space exhausted");
+    *slots.entry(name).or_insert(next as u16)
 }

@@ -3,7 +3,10 @@
 //! [`crate::lineage`].
 //!
 //! Each disjunct is compiled by [`crate::plan`], lowered into a [`VecPlan`]
-//! and driven batch-at-a-time:
+//! and driven batch-at-a-time. A lowered plan is a *template*: its atom
+//! constants are parameter registers, which [`VecPlan::for_each_batch`]
+//! seeds from the instance's codes before the first step, so one plan
+//! serves every instance of a query shape ([`VecCompiledUcq::instances`]).
 //!
 //! * **Batches instead of rows.** Each join step consumes a batch of up to
 //!   [`BATCH_ROWS`] partial matches (a register file of `u32` codes plus the
@@ -34,7 +37,7 @@ use mv_pdb::{Database, RelId, Row};
 
 use crate::ast::{CmpOp, Ucq};
 use crate::plan::{
-    resolve_operand, Access, CmpOperand, ColOp, CompiledCmp, HeadTerm, Key, PhysicalPlan,
+    bind_params, resolve_operand, Access, CmpOperand, ColOp, CompiledCmp, HeadTerm, PhysicalPlan,
     PlanStats, UNBOUND,
 };
 use crate::Result;
@@ -89,6 +92,16 @@ enum CodeCmp {
     NeConst(u16, u32),
 }
 
+/// Where a probe key comes from at runtime.
+#[derive(Debug, Clone, Copy)]
+enum Key {
+    /// A comparison constant (`x = c` pinning a scanned column), interned
+    /// at lowering.
+    Const(u32),
+    /// A register: a parameter, or a slot bound by an earlier step.
+    Slot(u16),
+}
+
 /// How a vectorized step enumerates candidates.
 #[derive(Debug)]
 enum VecAccess {
@@ -117,29 +130,33 @@ struct VecStep {
     value_cmps: Vec<CompiledCmp>,
 }
 
-/// The vectorized plan of one conjunctive query, lowered from its compiled
-/// plan against the same snapshot; it holds `Arc`s of the relations' access
-/// paths it probes.
+/// The vectorized plan of one conjunctive query shape, lowered from its
+/// compiled plan against the same snapshot; it holds `Arc`s of the
+/// relations' access paths it probes.
 #[derive(Debug)]
 pub struct VecPlan {
     steps: Vec<VecStep>,
     head: Vec<HeadTerm>,
     /// Relation of each original atom position (for lineage collection).
     atom_rels: Vec<RelId>,
+    /// Parameter registers, seeded per run from the instance's constants.
+    num_params: usize,
     num_slots: usize,
     num_atoms: usize,
     never_matches: bool,
 }
 
-/// A compiled-and-lowered UCQ: one [`VecPlan`] per disjunct.
+/// A compiled-and-lowered UCQ template: one [`VecPlan`] per disjunct, plus
+/// the instance it was compiled from (the representative of its shape).
 #[derive(Debug)]
 pub struct VecCompiledUcq {
+    shape: Ucq,
     disjuncts: Vec<VecPlan>,
     stats: PlanStats,
 }
 
 impl VecCompiledUcq {
-    /// Compiles every disjunct of `ucq` against `db` and lowers it.
+    /// Compiles every disjunct of `ucq`'s shape against `db` and lowers it.
     pub(crate) fn compile(ucq: &Ucq, db: &Database) -> Result<VecCompiledUcq> {
         let disjuncts: Vec<VecPlan> = ucq
             .disjuncts
@@ -150,12 +167,37 @@ impl VecCompiledUcq {
             .iter()
             .map(VecPlan::stats)
             .fold(PlanStats::default(), |a, b| a + b);
-        Ok(VecCompiledUcq { disjuncts, stats })
+        Ok(VecCompiledUcq {
+            shape: ucq.clone(),
+            disjuncts,
+            stats,
+        })
+    }
+
+    /// The query this template was compiled from. Any query of the same
+    /// shape — equal up to its atom constants — is an instance.
+    pub(crate) fn shape(&self) -> &Ucq {
+        &self.shape
     }
 
     /// The per-disjunct vectorized plans, in query order.
     pub fn disjuncts(&self) -> &[VecPlan] {
         &self.disjuncts
+    }
+
+    /// Each disjunct plan with its parameter codes in `ucq`, an instance of
+    /// this template. A disjunct with a constant absent from the
+    /// dictionary matches nothing and is left out.
+    pub fn instances<'p>(
+        &'p self,
+        ucq: &'p Ucq,
+        interner: &'p ValueInterner,
+    ) -> impl Iterator<Item = (&'p VecPlan, Vec<u32>)> + 'p {
+        debug_assert!(crate::template::same_shape(&self.shape, ucq));
+        self.disjuncts
+            .iter()
+            .zip(&ucq.disjuncts)
+            .filter_map(|(plan, cq)| Some((plan, bind_params(cq, interner)?)))
     }
 
     /// Aggregate shape statistics of the lowered plans.
@@ -270,7 +312,7 @@ impl VecPlan {
                         None => VecAccess::Scan,
                     }
                 }
-                Access::Probe { col, key } => {
+                Access::Probe { col, slot: key } => {
                     // Slots first bound by this step; a `CheckSlot` on one of
                     // them is an in-atom variable repetition, not an equality
                     // with an already-bound key.
@@ -283,8 +325,9 @@ impl VecPlan {
                         .collect();
                     // Key re-selection and widening: the planner probes the
                     // first bound column, but every other bound column (a
-                    // `CheckSlot` / `CheckConst` op) is an equally valid
-                    // key. Rank candidates by distinct codes — shortest
+                    // `CheckSlot` on a parameter or an earlier step's slot)
+                    // is an equally valid key. Rank candidates by distinct
+                    // codes — shortest
                     // expected posting list first. With one usable column
                     // the step probes the single-column CSR index on the
                     // best; with two distinct bound columns it probes the
@@ -293,12 +336,10 @@ impl VecPlan {
                     // probed, surviving rows come out in ascending row
                     // order, so the match enumeration stays bit-identical
                     // to the oracle.
-                    let mut candidates: Vec<(u16, Key, Option<usize>)> = vec![(col, key, None)];
+                    let mut candidates: Vec<(u16, Key, Option<usize>)> =
+                        vec![(col, Key::Slot(key), None)];
                     for (i, op) in ops.iter().enumerate() {
                         match *op {
-                            ColOp::CheckConst { col: c, code } => {
-                                candidates.push((c, Key::Const(code), Some(i)));
-                            }
                             ColOp::CheckSlot { col: c, slot } if !bound_here.contains(&slot) => {
                                 candidates.push((c, Key::Slot(slot), Some(i)));
                             }
@@ -336,10 +377,7 @@ impl VecPlan {
                         ops.remove(i);
                     }
                     if used.iter().all(|&(_, _, i)| i.is_some()) {
-                        ops.push(match key {
-                            Key::Const(code) => ColOp::CheckConst { col, code },
-                            Key::Slot(slot) => ColOp::CheckSlot { col, slot },
-                        });
+                        ops.push(ColOp::CheckSlot { col, slot: key });
                     }
                     match second {
                         Some((sec_col, sec_key, _)) => {
@@ -376,6 +414,7 @@ impl VecPlan {
             steps,
             head: plan.head.clone(),
             atom_rels,
+            num_params: plan.num_params,
             num_slots: plan.num_slots,
             num_atoms: plan.num_atoms,
             never_matches,
@@ -437,14 +476,17 @@ impl VecPlan {
             .collect()
     }
 
-    /// Drives the plan batch-at-a-time, calling `on_batch` for every batch
-    /// of complete matches (depth-first, so enumeration order equals the
-    /// legacy oracle's). Returning [`ControlFlow::Break`] stops the run.
-    /// Scan/probe counters accumulate into `stats`.
+    /// Drives the plan batch-at-a-time for the instance whose parameter
+    /// codes are `params` (from [`VecCompiledUcq::instances`]), calling
+    /// `on_batch` for every batch of complete matches (depth-first, so
+    /// enumeration order equals the legacy oracle's). Returning
+    /// [`ControlFlow::Break`] stops the run. Scan/probe counters accumulate
+    /// into `stats`.
     pub fn for_each_batch<B>(
         &self,
         db: &Database,
         stats: &mut ExecStats,
+        params: &[u32],
         mut on_batch: impl FnMut(&MatchBatch) -> ControlFlow<B>,
     ) -> Option<B> {
         if self.never_matches {
@@ -473,6 +515,7 @@ impl VecPlan {
         let mut root = MatchBatch::new(self.num_slots, self.num_atoms);
         root.len = 1;
         root.regs.resize(self.num_slots, UNBOUND);
+        root.regs[..self.num_params].copy_from_slice(params);
         root.rows.resize(self.num_atoms, 0);
         // One output batch per depth, reused across every descend call at
         // that depth: buffers grow to their high-water mark once and tiny
@@ -495,15 +538,16 @@ impl VecPlan {
         &self,
         db: &Database,
         stats: &mut ExecStats,
+        params: &[u32],
         budget: Option<&crate::budget::EvalBudget>,
         mut on_batch: impl FnMut(&MatchBatch) -> ControlFlow<B>,
     ) -> std::result::Result<Option<B>, crate::budget::BudgetError> {
         let Some(budget) = budget else {
-            return Ok(self.for_each_batch(db, stats, on_batch));
+            return Ok(self.for_each_batch(db, stats, params, on_batch));
         };
         budget.check()?;
         let mut trip: Option<crate::budget::BudgetError> = None;
-        let out = self.for_each_batch(db, stats, |batch| {
+        let out = self.for_each_batch(db, stats, params, |batch| {
             if let Err(e) = budget.charge(batch.len() as u64) {
                 trip = Some(e);
                 return ControlFlow::Break(None);
@@ -544,7 +588,6 @@ impl VecPlan {
         enum RowOp<'a> {
             Bind { codes: &'a [u32], slot: u16 },
             CheckSlot { codes: &'a [u32], slot: u16 },
-            CheckConst { codes: &'a [u32], code: u32 },
         }
         let row_ops: Vec<RowOp<'_>> = step
             .ops
@@ -557,10 +600,6 @@ impl VecPlan {
                 ColOp::CheckSlot { col, slot } => RowOp::CheckSlot {
                     codes: relation.column_codes(usize::from(col)),
                     slot,
-                },
-                ColOp::CheckConst { col, code } => RowOp::CheckConst {
-                    codes: relation.column_codes(usize::from(col)),
-                    code,
                 },
             })
             .collect();
@@ -611,12 +650,6 @@ impl VecPlan {
                         }
                         RowOp::CheckSlot { codes, slot } => {
                             if codes[row_idx] != reg(scratch, slot) {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        RowOp::CheckConst { codes, code } => {
-                            if codes[row_idx] != code {
                                 ok = false;
                                 break;
                             }

@@ -14,7 +14,10 @@
 //!   the join order with it.
 //!
 //! All deterministic comparisons are **exact**: set equality of answers and
-//! equality of canonical lineages — not approximate agreement. A third
+//! equality of canonical lineages — not approximate agreement. Plans are
+//! templates with the atom constants as parameters, so the template tests
+//! compile a shape through one instance and run the others through the
+//! cached plan, each against the oracle. A third
 //! implementation joins the differential loop: the Monte Carlo estimator of
 //! `mv_query::approx`, checked *statistically* — the brute-force lineage
 //! probability must fall inside its high-confidence interval (seeds are
@@ -26,9 +29,10 @@ use mv_query::approx::{approx_lineage_probability, ApproxConfig};
 use mv_query::brute::brute_force_lineage_probability;
 use mv_query::eval::{evaluate_ucq_legacy_with, evaluate_ucq_with, EvalContext};
 use mv_query::lineage::{
-    answer_lineages, answer_lineages_legacy, lineage_legacy_with, lineage_with,
+    answer_lineages, answer_lineages_legacy, answer_lineages_with, lineage_legacy_with,
+    lineage_with,
 };
-use mv_query::parse_ucq;
+use mv_query::{parse_ucq, Atom, ConjunctiveQuery, QueryError, Term, Ucq};
 use proptest::prelude::*;
 
 /// A random tuple-independent database over R(a), S(a, b), T(b) with a
@@ -315,7 +319,7 @@ fn composite_pair_probes_agree_with_both_oracles() {
 /// row past it — plus 255, 256 and 257 rows around a quarter batch. The
 /// vectorized executor must agree exactly with the legacy oracle on answers
 /// and canonical lineages at every size, including all-constant and
-/// never-matching plans.
+/// never-matching instances.
 #[test]
 fn batch_boundary_sizes_agree_with_the_compiled_oracle() {
     for n in [0usize, 1, 255, 256, 257, 1023, 1024, 1025] {
@@ -347,7 +351,7 @@ fn batch_boundary_sizes_agree_with_the_compiled_oracle() {
             "Q(x) :- R(x), x = 1024",
             // Inequality keeps nearly every row: maximal batch churn.
             "Q(x) :- R(x), x <> 0",
-            // All-constant and never-matching plans.
+            // All-constant and never-matching instances.
             "Q() :- S(0, 0)",
             "Q() :- R(123456789)",
             "Q(y) :- S(123456789, y)",
@@ -362,6 +366,164 @@ fn batch_boundary_sizes_agree_with_the_compiled_oracle() {
                 lineage_legacy_with(&bq, &indb, &ctx).unwrap(),
                 "lineage diverges on {text} at n={n}"
             );
+        }
+    }
+}
+
+/// One instance through `ctx` — whose cached template it may reuse —
+/// against the legacy oracle: answers, then the canonical lineage of a
+/// Boolean query or the per-answer lineages of a non-Boolean one (so the
+/// instance resolves exactly one template).
+fn assert_instance_agrees(q: &Ucq, indb: &mv_pdb::InDb, ctx: &EvalContext<'_>) {
+    let vectorized = sorted_rows(evaluate_ucq_with(q, ctx).unwrap());
+    let legacy = sorted_rows(evaluate_ucq_legacy_with(q, ctx).unwrap());
+    assert_eq!(vectorized, legacy, "answers diverge on {q}");
+    if q.is_boolean() {
+        assert_eq!(
+            lineage_with(q, indb, ctx).unwrap(),
+            lineage_legacy_with(q, indb, ctx).unwrap(),
+            "lineage diverges on {q}"
+        );
+    } else {
+        assert_eq!(
+            answer_lineages_with(q, indb, ctx).unwrap(),
+            answer_lineages_legacy(q, indb).unwrap(),
+            "answer lineages diverge on {q}"
+        );
+    }
+}
+
+/// A fixed database over R(a), S(a, b), T(b) with values 0..4; 99 is
+/// absent everywhere.
+fn fixed_db() -> mv_pdb::InDb {
+    build(&RandomDb {
+        r_rows: vec![0, 1, 2, 3],
+        s_rows: vec![(0, 0), (1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (0, 2)],
+        t_rows: vec![1, 2, 4],
+    })
+}
+
+/// Each group is one shape: the first instance compiles the template, the
+/// others must run through it (one template per group) and agree with the
+/// oracle instance by instance.
+#[test]
+fn template_instances_agree_with_the_oracle_through_one_cached_plan() {
+    let indb = fixed_db();
+    let ctx = EvalContext::new(indb.database());
+    let groups: &[&[&str]] = &[
+        // The constant repeated, then two distinct constants.
+        &[
+            "Q() :- S(1, 1)",
+            "Q() :- S(1, 2)",
+            "Q() :- S(3, 3)",
+            "Q() :- S(2, 0)",
+        ],
+        // The constant as the probe key of the first step…
+        &["Q(y) :- S(1, y)", "Q(y) :- S(2, y)", "Q(y) :- S(4, y)"],
+        // …and as a checked column of a later step.
+        &[
+            "Q() :- S(1, y), S(y, 2)",
+            "Q() :- S(0, y), S(y, 1)",
+            "Q() :- S(2, y), S(y, 3)",
+        ],
+        // An absent constant: lineage `false`, before and after a hit.
+        &[
+            "Q() :- S(99, y), T(y)",
+            "Q() :- S(1, y), T(y)",
+            "Q() :- S(2, 99)",
+        ],
+        // Two disjuncts, one of whose constants is absent.
+        &[
+            "Q() :- S(1, y) ; Q() :- T(99)",
+            "Q() :- S(99, y) ; Q() :- T(1)",
+            "Q() :- S(99, y) ; Q() :- T(99)",
+        ],
+        // Head constants stay literal; the atom constant is the parameter.
+        &["Q(7, y) :- S(1, y)", "Q(7, y) :- S(2, y)"],
+        &["Q(8, y) :- S(1, y)"],
+        // A comparison constant stays literal too.
+        &["Q(y) :- S(x, y), R(x), x = 1"],
+        &["Q(y) :- S(x, y), R(x), x = 2"],
+    ];
+    for (n, group) in groups.iter().enumerate() {
+        for text in *group {
+            assert_instance_agrees(&parse_ucq(text).unwrap(), &indb, &ctx);
+            assert_eq!(ctx.compiled_plans(), n + 1, "{text} compiled a new plan");
+        }
+    }
+    // An absent constant never reaches the executor.
+    let absent = EvalContext::new(indb.database());
+    let q = parse_ucq("Q() :- S(99, y), T(y)").unwrap();
+    assert!(lineage_with(&q, &indb, &absent).unwrap().is_false());
+    assert_eq!(absent.exec_stats(), mv_query::ExecStats::default());
+}
+
+#[test]
+fn distinct_like_patterns_are_distinct_templates() {
+    let indb = fixed_db();
+    let ctx = EvalContext::new(indb.database());
+    for (i, pattern) in ["%1%", "%2%", "%3%", "%9%"].iter().enumerate() {
+        let q = parse_ucq(&format!("Q(x) :- R(x), S(x, y), x like '{pattern}'")).unwrap();
+        assert_instance_agrees(&q, &indb, &ctx);
+        assert_eq!(ctx.compiled_plans(), i + 1, "{pattern}");
+    }
+}
+
+#[test]
+fn the_template_key_is_structural_not_textual() {
+    // `R("x', 'y")` — one string constant — prints exactly like the parsed
+    // two-constant `R('x', 'y')`, so a key made from the text would hand
+    // one the other's plan.
+    let mut b = InDbBuilder::new();
+    let r = b.probabilistic_relation("R", &["a", "b"]).unwrap();
+    b.insert_weighted(r, vec![Value::str("x"), Value::str("y")], Weight::ONE)
+        .unwrap();
+    let indb = b.build();
+    let ctx = EvalContext::new(indb.database());
+    let parsed = parse_ucq("Q() :- R('x', 'y')").unwrap();
+    let built = Ucq::from_cq(ConjunctiveQuery::new(
+        "Q",
+        vec![],
+        vec![Atom::new("R", vec![Term::constant("x', 'y")])],
+        vec![],
+    ));
+    assert_eq!(parsed.to_string(), built.to_string());
+    assert_eq!(lineage_with(&parsed, &indb, &ctx).unwrap().num_clauses(), 1);
+    assert!(matches!(
+        lineage_with(&built, &indb, &ctx),
+        Err(QueryError::ArityMismatch { actual: 1, .. })
+    ));
+    assert_eq!(ctx.compiled_plans(), 1);
+}
+
+/// A shape and the constants of one instance of it.
+fn instance(shape: usize, a: i64, b: i64) -> String {
+    match shape {
+        0 => format!("Q() :- S({a}, {b})"),
+        1 => format!("Q(y) :- S({a}, y), T(y)"),
+        2 => format!("Q(x) :- R(x), S(x, {b}), S({a}, x)"),
+        _ => format!("Q() :- S({a}, y), T(y) ; Q() :- R({b})"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Instances of a few shapes, constants present and absent (the domain
+    /// is 0..5), shuffled through one context: every instance agrees with
+    /// the oracle, and the context resolves one template per shape seen.
+    #[test]
+    fn shuffled_instances_of_one_shape_share_a_plan_and_agree(
+        desc in db_strategy(),
+        sequence in proptest::collection::vec((0usize..4, 0i64..7, 0i64..7), 1..24),
+    ) {
+        let indb = build(&desc);
+        let ctx = EvalContext::new(indb.database());
+        let mut shapes = std::collections::BTreeSet::new();
+        for &(shape, a, b) in &sequence {
+            assert_instance_agrees(&parse_ucq(&instance(shape, a, b)).unwrap(), &indb, &ctx);
+            shapes.insert(shape);
+            prop_assert_eq!(ctx.compiled_plans(), shapes.len());
         }
     }
 }

@@ -130,3 +130,53 @@ fn the_all_advisors_selection_is_exact_sharded_and_unsharded() {
     assert_eq!(outcome.rung, Some(Rung::Exact), "{:?}", outcome.fault);
     assert!((outcome.probability.unwrap() - reference).abs() < 1e-12);
 }
+
+/// The point queries of the repository benchmark (`point_batch`): one text
+/// per student, advisor and affiliated author, in three shapes. A sharded
+/// session compiles one template per shape for the snapshot, and each
+/// routing context reports the three templates it resolved — never the
+/// whole shared cache once per worker.
+#[test]
+fn point_queries_resolve_one_template_per_shape_per_context() {
+    let data = DblpDataset::generate(DblpConfig::with_authors(500)).unwrap();
+    let texts = data
+        .students
+        .iter()
+        .map(|s| format!("Q() :- Student({s}, year), Advisor({s}, aid2)"))
+        .chain(
+            data.advisors
+                .iter()
+                .map(|a| format!("Q() :- Student(aid, year), Advisor(aid, {a})")),
+        )
+        .chain(
+            data.affiliated_authors
+                .iter()
+                .map(|z| format!("Q() :- Affiliation({z}, inst)")),
+        );
+    let queries: Vec<Ucq> = texts.map(|t| parse_ucq(&t).unwrap()).collect();
+    assert!(queries.len() > 300);
+
+    let engine = ShardedEngine::compile(&data.mvdb, 2).unwrap();
+    let cache = engine.full().translated().plan_cache();
+    let session = engine.session();
+    // A batch of another shape first: the shared cache then holds more
+    // templates than any one point-query context resolves.
+    session
+        .probabilities(&[parse_ucq("Q() :- Student(aid, year)").unwrap()])
+        .unwrap();
+    assert_eq!(cache.len(), 1);
+
+    let probs = session.probabilities(&queries).unwrap();
+    assert_eq!(cache.len(), 4);
+    let plan = session.last_query_stats().plan;
+    assert_eq!(plan.disjuncts, 3 * engine.num_shards(), "{plan:?}");
+    assert_eq!(plan.never_matching, 0);
+    // Unsharded, one context: the same three templates, no compile.
+    let unsharded = engine.full().session();
+    let reference = unsharded.probabilities(&queries).unwrap();
+    assert_eq!(unsharded.last_query_stats().plan.disjuncts, 3);
+    assert_eq!(cache.len(), 4);
+    for (q, (p, r)) in queries.iter().zip(probs.iter().zip(&reference)) {
+        assert!((p - r).abs() < 1e-12, "{q}: {p} vs {r}");
+    }
+}
