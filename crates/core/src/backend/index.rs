@@ -84,6 +84,7 @@ mod tests {
     use crate::backend::{FaultKind, QueryFault};
     use crate::engine::MvdbEngine;
     use crate::mvdb::MvdbBuilder;
+    use mv_index::QueryScratch;
     use mv_obdd::ObddError;
     use mv_query::{parse_ucq, BudgetError, EvalBudget};
 
@@ -155,5 +156,55 @@ mod tests {
         // Clearing the limits clears them: same context, same answer.
         ctx.scratch().set_node_cap(usize::MAX);
         assert_eq!(run().unwrap().to_bits(), exact.to_bits());
+    }
+
+    /// A context hands its kernel back to the index's pool when it drops,
+    /// and the next context on the engine gets that very kernel — without
+    /// its predecessor's budget, node cap, counters or nodes.
+    #[test]
+    fn a_recycled_kernel_carries_nothing_of_its_last_context() {
+        let engine = engine();
+        let backend = MvIndexBackend::default();
+        let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
+        let lineage = engine.context().lineage(&q).unwrap();
+        let index = engine.index();
+        let mut fresh = QueryScratch::new();
+        let unused = fresh.stats();
+        let expected = index
+            .conditional_probability_with(
+                &mut fresh,
+                &lineage,
+                engine.translated().indb(),
+                backend.algorithm(),
+            )
+            .unwrap();
+
+        let a = engine.context();
+        a.scratch().set_node_cap(5);
+        assert!(matches!(
+            backend.lineage_probability(&lineage, &a).unwrap(),
+            Err(CoreError::Obdd(ObddError::NodeBudgetExceeded {
+                budget: 5,
+                ..
+            }))
+        ));
+        a.set_budget(Some(EvalBudget::unlimited().with_step_limit(1)));
+        assert!(matches!(
+            backend.lineage_probability(&lineage, &a).unwrap(),
+            Err(CoreError::Obdd(ObddError::Budget(
+                BudgetError::StepBudgetExceeded { .. }
+            )))
+        ));
+        drop(a);
+        assert_eq!(index.idle_kernels(), 1);
+
+        let b = engine.context();
+        assert_eq!(b.query_manager_stats(), unused);
+        b.scratch();
+        assert_eq!(index.idle_kernels(), 0, "b holds a's kernel");
+        assert_eq!(b.query_manager_stats(), unused);
+        let p = backend.lineage_probability(&lineage, &b).unwrap().unwrap();
+        assert_eq!(p.to_bits(), expected.to_bits());
+        assert_eq!(b.query_manager_stats(), fresh.stats());
     }
 }

@@ -65,8 +65,9 @@ const MIN_NOT_W: f64 = 1e-300;
 /// templates through the translated store's [`mv_query::PlanCache`]: a
 /// query shape is compiled once per snapshot, whichever context, worker or
 /// shard meets it first. The join indexes those plans probe belong to the
-/// store's relations and are shared the same way, so making a context per
-/// call, per worker or per shard costs an empty map of resolved templates.
+/// store's relations and are shared the same way, and the query kernel
+/// comes from the index's pool of idle ones, so making a context per call,
+/// per worker or per shard costs an empty map of resolved templates.
 pub struct EvalContext<'a> {
     translated: &'a TranslatedIndb,
     index: Option<&'a MvIndex>,
@@ -77,9 +78,10 @@ pub struct EvalContext<'a> {
     w_lineage: OnceCell<Cow<'a, Lineage>>,
     scalars: RefCell<FxHashMap<&'static str, f64>>,
     query_manager: OnceCell<ObddManager>,
-    /// The kernel the exact rung runs in. It is this context's: a context
-    /// made for a new snapshot starts a new one.
-    scratch: RefCell<QueryScratch>,
+    /// The kernel the exact rung runs in: checked out of the index's pool
+    /// on first use and handed back when the context drops (a context
+    /// without an index makes its own).
+    scratch: RefCell<Option<QueryScratch>>,
     budget: RefCell<Option<mv_query::EvalBudget>>,
 }
 
@@ -96,7 +98,7 @@ impl<'a> EvalContext<'a> {
             w_lineage: OnceCell::new(),
             scalars: RefCell::new(FxHashMap::default()),
             query_manager: OnceCell::new(),
-            scratch: RefCell::new(QueryScratch::new()),
+            scratch: RefCell::new(None),
             budget: RefCell::new(None),
         }
     }
@@ -114,7 +116,9 @@ impl<'a> EvalContext<'a> {
         if let Some(manager) = self.query_manager.get() {
             manager.set_budget(budget.clone());
         }
-        self.scratch.borrow_mut().set_budget(budget.clone());
+        if let Some(kernel) = self.scratch.borrow_mut().as_mut() {
+            kernel.set_budget(budget.clone());
+        }
         *self.budget.borrow_mut() = budget;
     }
 
@@ -137,11 +141,10 @@ impl<'a> EvalContext<'a> {
     /// A context carrying the compiled MV-index (and borrowing the lineage
     /// of `W` the index was compiled from).
     pub fn with_index(translated: &'a TranslatedIndb, index: &'a MvIndex) -> Self {
-        EvalContext {
-            index: Some(index),
-            w_lineage: OnceCell::from(Cow::Borrowed(index.w_lineage())),
-            ..Self::new(translated)
-        }
+        let mut ctx = Self::new(translated);
+        ctx.index = Some(index);
+        ctx.w_lineage = OnceCell::from(Cow::Borrowed(index.w_lineage()));
+        ctx
     }
 
     /// This context with `w` standing in for `W`'s lineage: a shard worker
@@ -204,11 +207,25 @@ impl<'a> EvalContext<'a> {
     }
 
     /// The context's query kernel: where the MV-index backend folds,
-    /// annotates and intersects a lineage. Each context (hence each session
-    /// or server worker) owns one, so the exact rung takes no lock and
-    /// leaves nothing behind but counters.
+    /// annotates and intersects a lineage. The first call checks one out of
+    /// the index's pool ([`MvIndex::take_kernel`]) and the context owns it
+    /// until it drops, so a context made per call, per shard or per server
+    /// re-pin runs on the warm buffers of an earlier one, the exact rung
+    /// takes no lock past that pop, and the kernel's counters are this
+    /// context's alone.
     pub fn scratch(&self) -> RefMut<'_, QueryScratch> {
-        self.scratch.borrow_mut()
+        RefMut::map(self.scratch.borrow_mut(), |kernel| {
+            kernel.get_or_insert_with(|| {
+                let mut kernel = self
+                    .index
+                    .map_or_else(QueryScratch::new, MvIndex::take_kernel);
+                // A pooled kernel comes without a budget.
+                if let Some(budget) = self.budget() {
+                    kernel.set_budget(Some(budget));
+                }
+                kernel
+            })
+        })
     }
 
     /// The context's query-side [`ObddManager`] *shard*, created lazily over
@@ -235,7 +252,9 @@ impl<'a> EvalContext<'a> {
     /// manager shard (zero when nothing was evaluated yet).
     pub fn query_manager_stats(&self) -> ManagerStats {
         let shard = self.query_manager.get().map(ObddManager::stats);
-        self.scratch.borrow().stats() + shard.unwrap_or_default()
+        let kernel = self.scratch.borrow().as_ref().map(QueryScratch::stats);
+        // A context that has not checked a kernel out reports an unused one.
+        kernel.unwrap_or_else(|| QueryScratch::new().stats()) + shard.unwrap_or_default()
     }
 
     /// Combined manager counters attributable to this context: its own
@@ -281,6 +300,14 @@ impl<'a> EvalContext<'a> {
             Ok(())
         } else {
             Err(CoreError::NotBoolean(query.name.clone()))
+        }
+    }
+}
+
+impl Drop for EvalContext<'_> {
+    fn drop(&mut self) {
+        if let (Some(index), Some(kernel)) = (self.index, self.scratch.get_mut().take()) {
+            index.recycle_kernel(kernel);
         }
     }
 }

@@ -10,9 +10,12 @@
 //!    on the full store by the worker that routed it (the *oracle*).
 //!    Without shards every query takes that last branch, so an unsharded
 //!    session is this phase alone.
-//! 2. **Evaluate**, one worker per touched shard: a context over the full
-//!    store and index with a private query-side manager and the shard's
-//!    `W_s` in place of `W`'s lineage.
+//! 2. **Evaluate** each touched shard's queue in a context of its own over
+//!    the full store and index (a pooled query kernel, a private query-side
+//!    manager, the shard's `W_s` in place of `W`'s lineage). The queues run
+//!    on one worker per touched shard when the clauses queued across them
+//!    reach [`FAN_OUT_CLAUSES`]; below that a thread costs more than it
+//!    saves, and the calling thread runs them in shard order.
 //! 3. **Combine** `1 − ∏_s (1 − q_s)` per query, then **rescue**: a query
 //!    that lost a shard item, or whose routing worker died, is evaluated on
 //!    the full store.
@@ -45,6 +48,19 @@ use crate::session::QueryStats;
 use crate::sharded::ShardedEngine;
 use crate::Result;
 
+/// Clauses queued across the touched shards of one batch from which
+/// phase 2 evaluates each shard's queue on a thread of its own.
+///
+/// Set from a sweep of `ShardedEngine::probability` over unions of 1–5
+/// broad name selections (10 000 authors, seed 42, 2 shards, 2 vCPUs; p50
+/// of 1 000 calls, median of 3 rounds), on the caller's thread against
+/// fanned out: 526 clauses 233 vs 261 µs, 1 070 474 vs 484, 1 596 732 vs
+/// 698, 2 135 976 vs 911, 2 660 1 236 vs 1 130; a heavy selection (≈ 5 300)
+/// 2 725 vs 2 171. Break-even is near 1 200 clauses. A broad selection
+/// (480–594 clauses) stays on the caller, a heavy one (5 201–5 470) and a
+/// 4 096-query point batch (26 000–27 300) fan out.
+pub(crate) const FAN_OUT_CLAUSES: usize = 1536;
+
 /// Runs `job(0)` on the calling thread and `job(1)` … `job(jobs − 1)` on
 /// scoped threads; results come back in job order, a job that panicked as
 /// `Err` with its payload. One job therefore costs no thread at all.
@@ -63,6 +79,14 @@ pub(crate) fn fan_out<R: Send>(
             .chain(spawned.into_iter().map(|handle| handle.join()))
             .collect()
     })
+}
+
+/// [`fan_out`] without threads: the jobs run in order on the calling
+/// thread, a job that panicked as `Err` with its payload.
+fn in_turn<R>(jobs: usize, job: impl Fn(usize) -> R) -> Vec<std::thread::Result<R>> {
+    (0..jobs)
+        .map(|j| catch_unwind(AssertUnwindSafe(|| job(j))))
+        .collect()
 }
 
 /// Stripes the slots `0..len` round-robin over at most `workers` workers
@@ -119,6 +143,10 @@ pub(crate) struct BatchStats {
     pub(crate) shard_queries: Vec<u64>,
     /// Queries answered by the full store although shards exist.
     pub(crate) fallbacks: u64,
+    /// Threads phase 2 spawned: one per touched shard but the first at or
+    /// above [`FAN_OUT_CLAUSES`], none below it. Read by the fan-out tests.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub(crate) threads_spawned: u64,
 }
 
 impl BatchStats {
@@ -423,15 +451,21 @@ impl<'e> Pipeline<'e> {
             }
         }
 
-        // Phase 2: evaluate, one isolated ladder pass per item on one
-        // worker per touched shard. Workers share the (read-mostly) store
-        // and index; each has its own context, ladder and query manager.
+        // Phase 2: evaluate, one isolated ladder pass per item, each touched
+        // shard's queue in its own context, ladder and query manager over
+        // the shared (read-mostly) store and index — on a worker of its own
+        // when the batch is large enough to pay for the threads.
         let touched: Vec<_> = queues
             .into_iter()
             .enumerate()
             .filter(|(_, queue)| !queue.is_empty())
             .collect();
-        let evaluated = fan_out(touched.len(), |job| {
+        let queued: usize = touched
+            .iter()
+            .flat_map(|(_, queue)| queue)
+            .map(|(_, lineage, _)| lineage.num_clauses())
+            .sum();
+        let evaluate = |job: usize| {
             let (s, queue) = &touched[job];
             let ladder = ladder();
             let ctx = full.context().with_w_lineage(&w_shards[*s]);
@@ -448,7 +482,13 @@ impl<'e> Pipeline<'e> {
                 })
                 .collect();
             (items, worker_stats(&ctx))
-        });
+        };
+        let evaluated = if queued >= FAN_OUT_CLAUSES {
+            stats.threads_spawned = touched.len().saturating_sub(1) as u64;
+            fan_out(touched.len(), evaluate)
+        } else {
+            in_turn(touched.len(), evaluate)
+        };
 
         // Phase 3: combine by independence, in shard order. A lost item
         // (or a dead shard worker, which loses its whole queue) does not

@@ -249,7 +249,13 @@ impl Drop for ChaosGuard {
     fn drop(&mut self) {
         ACTIVE.store(false, Ordering::SeqCst);
         *STATE.write().unwrap_or_else(PoisonError::into_inner) = None;
-        if let Some(hook) = self.previous_hook.take() {
+        // `set_hook` panics on a panicking thread, which would turn a failed
+        // assertion under a guard into an abort; the forwarding hook stays.
+        if let Some(hook) = self
+            .previous_hook
+            .take()
+            .filter(|_| !std::thread::panicking())
+        {
             std::panic::set_hook(hook);
         }
     }

@@ -26,12 +26,15 @@
 //!    the whole query fall back to the unsharded engine (the exact
 //!    oracle), so the sharded path never answers a query it cannot answer
 //!    exactly.
-//! 3. **Per-shard evaluation.** One worker per touched shard evaluates the
-//!    shard's clause groups, global tuple ids and all, in a context over
-//!    the full store and index with a private query-side manager and `W_s`
-//!    in place of `W`'s lineage — so backends that expand `W` (Shannon,
-//!    brute force, Monte Carlo, the bounded rung) expand only the shard's
-//!    share of it.
+//! 3. **Per-shard evaluation.** Each touched shard's clause groups, global
+//!    tuple ids and all, are evaluated in a context of their own over the
+//!    full store and index, with a pooled query kernel, a private
+//!    query-side manager and `W_s` in place of `W`'s lineage — so backends
+//!    that expand `W` (Shannon, brute force, Monte Carlo, the bounded rung)
+//!    expand only the shard's share of it. The shards run on a thread each
+//!    when the batch queues enough clauses to pay for the threads, and one
+//!    after the other on the calling thread otherwise; the answers are the
+//!    same bits either way.
 //! 4. **Independence combination.** With `φ_s` the clauses routed to shard
 //!    `s` and `q_s = P0(φ_s ∧ ¬W_s) / P0(¬W_s)` the per-shard conditional,
 //!    the per-shard disjuncts touch disjoint independent variables (shared
@@ -45,8 +48,8 @@
 //!
 //! [`ShardedSession`] is the batch pipeline (`crate::batch`, shared with the
 //! unsharded [`MvdbSession`](crate::MvdbSession)) run over an engine's
-//! shards: route, evaluate on one worker per touched shard, combine, and
-//! rescue on the oracle what a shard lost. Every evaluation goes through
+//! shards: route, evaluate per touched shard, combine, and rescue on the
+//! oracle what a shard lost. Every evaluation goes through
 //! the resilience ladder — plain `probabilities` is the ladder's exact rung
 //! alone. Lineage-capable backends (MV-index, Shannon, brute force, Monte
 //! Carlo) take the sharded path; structural backends (safe plans, per-query
@@ -151,7 +154,9 @@ impl ShardedEngine {
         &self.partition
     }
 
-    /// A batch-evaluation session with one worker per touched shard.
+    /// A batch-evaluation session: routing striped over one worker per
+    /// shard, and each touched shard evaluated on a worker of its own when
+    /// the batch is large enough to pay for the threads.
     pub fn session(&self) -> ShardedSession<'_> {
         ShardedSession::new(self)
     }
@@ -219,11 +224,15 @@ impl ShardedEngine {
 /// A batch-evaluation session over a [`ShardedEngine`].
 ///
 /// A batch runs the three phases of the batch pipeline (`route` striped
-/// over one worker per shard, `evaluate` on one worker per touched shard,
-/// `combine` + `rescue` on the calling thread) — the
-/// same pipeline an unsharded [`MvdbSession`](crate::MvdbSession) runs
-/// without the middle phase. The calling thread is worker 0 of each phase,
-/// so a batch that touches one shard spawns no thread.
+/// over one worker per shard, `evaluate` per touched shard, `combine` +
+/// `rescue` on the calling thread) — the same pipeline an unsharded
+/// [`MvdbSession`](crate::MvdbSession) runs without the middle phase. The
+/// calling thread is worker 0 of each phase, so routing one query spawns
+/// no thread, and `evaluate` spawns one per touched shard but the first
+/// only when the clauses queued across them reach a fixed count (1 536;
+/// a thread's spawn and join cost more than a smaller batch saves). Below
+/// it the calling thread evaluates the shards in turn, each in its own
+/// context, so a single broad query runs on the caller's thread alone.
 ///
 /// Per-query service latencies ([`QueryOutcome::elapsed`]: routing +
 /// per-shard evaluation + rescue time, queue wait excluded) and
@@ -453,6 +462,124 @@ mod tests {
         let query_stats = session.last_query_stats();
         assert!(query_stats.plan.steps > 0);
         assert!(query_stats.exec.batches > 0);
+    }
+
+    #[test]
+    fn repeated_batches_report_identical_kernel_counters() {
+        let _quiet = chaos::quiet();
+        let engine = ShardedEngine::compile(&sample_mvdb(), 2).unwrap();
+        let queries = workload();
+        let session = engine.session();
+        session.probabilities(&queries).unwrap();
+        let first = session.last_manager_stats();
+        assert!(first.nodes_allocated > 0 && first.apply_cache_misses > 0);
+        // The second batch runs on the kernels the first one handed back.
+        assert!(engine.full().index().idle_kernels() > 0);
+        session.probabilities(&queries).unwrap();
+        assert_eq!(session.last_manager_stats(), first);
+    }
+
+    /// `n` independent `R(x) ∧ S(x)` components under one view: a scan
+    /// lineage of `n` clauses spread over every shard.
+    fn wide_engine(n: usize, num_shards: usize) -> ShardedEngine {
+        let mut b = MvdbBuilder::new();
+        b.relation("R", &["x"]).unwrap();
+        b.relation("S", &["x"]).unwrap();
+        for i in 0..n {
+            let x = format!("v{i}");
+            b.weighted_tuple("R", &[x.as_str()], 1.0 + (i % 7) as f64)
+                .unwrap();
+            b.weighted_tuple("S", &[x.as_str()], 0.5 + (i % 3) as f64)
+                .unwrap();
+        }
+        b.marko_view("V(x)[0.5] :- R(x), S(x)").unwrap();
+        ShardedEngine::compile(&b.build().unwrap(), num_shards).unwrap()
+    }
+
+    /// Eight components: a few clauses, on both of two shards.
+    fn small_query() -> Ucq {
+        let disjuncts: Vec<String> = (0..8)
+            .map(|i| format!("Q() :- R('v{i}'), S('v{i}')"))
+            .collect();
+        parse_ucq(&disjuncts.join(" ; ")).unwrap()
+    }
+
+    #[test]
+    fn phase_two_spawns_threads_only_for_enough_queued_clauses() {
+        let _quiet = chaos::quiet();
+        let engine = wide_engine(crate::batch::FAN_OUT_CLAUSES, 2);
+        let (small, scan) = (small_query(), parse_ucq("Q() :- R(x), S(x)").unwrap());
+        let oracle: Vec<f64> = [&small, &scan]
+            .iter()
+            .map(|q| engine.full().probability(q).unwrap())
+            .collect();
+        let session = engine.session();
+
+        let alone = session.probabilities(std::slice::from_ref(&small)).unwrap();
+        assert!(session.last_shard_queries().iter().all(|&c| c == 1));
+        assert_eq!(session.pipeline.last().threads_spawned, 0);
+        assert!((alone[0] - oracle[0]).abs() < 1e-12);
+
+        let both = session.probabilities(&[small, scan]).unwrap();
+        assert!(session.last_shard_queries().iter().all(|&c| c == 2));
+        assert_eq!(session.pipeline.last().threads_spawned, 1);
+        assert_eq!(session.last_fallbacks(), 0);
+        assert!((both[1] - oracle[1]).abs() < 1e-12);
+        // On the caller's thread or on a worker per shard: the same items in
+        // the same contexts, combined in the same order.
+        assert_eq!(both[0].to_bits(), alone[0].to_bits());
+    }
+
+    #[test]
+    fn sequential_calls_leave_at_most_one_idle_kernel_per_shard() {
+        let _quiet = chaos::quiet();
+        let num_shards = 2;
+        let engine = wide_engine(crate::batch::FAN_OUT_CLAUSES, num_shards);
+        let index = engine.full().index();
+        let (small, scan) = (small_query(), parse_ucq("Q() :- R(x), S(x)").unwrap());
+        for _ in 0..100 {
+            engine.probability(&small).unwrap();
+        }
+        // Every call stayed on the caller's thread, one shard after the
+        // other: one kernel served them all.
+        assert_eq!(index.idle_kernels(), 1);
+        for i in 0..100 {
+            engine
+                .probability(if i % 10 == 0 { &scan } else { &small })
+                .unwrap();
+        }
+        assert_eq!(index.idle_kernels(), num_shards);
+        assert!(index.idle_kernel_bytes() > 0);
+    }
+
+    #[test]
+    fn a_panic_at_shard_eval_leaves_the_next_batch_exact() {
+        let mvdb = sample_mvdb();
+        let queries = workload();
+        let oracle = MvdbEngine::compile(&mvdb).unwrap();
+        let reference: Vec<f64> = queries
+            .iter()
+            .map(|q| oracle.probability(q).unwrap())
+            .collect();
+        let engine = ShardedEngine::compile(&mvdb, 2).unwrap();
+        let session = engine.session();
+        let config = ResilienceConfig::default();
+        let guard = chaos::install(chaos::ChaosConfig::new(7).rule(
+            chaos::sites::SHARD_EVAL,
+            chaos::Fault::Panic,
+            1.0,
+        ));
+        let outcomes = session.resilient_probabilities(&queries, &config);
+        drop(guard);
+        assert!(outcomes.iter().all(QueryOutcome::answered));
+        assert!(session.last_fallbacks() > 0);
+
+        let _quiet = chaos::quiet();
+        let probs = session.probabilities(&queries).unwrap();
+        assert_eq!(session.last_fallbacks(), 0);
+        for (i, (p, r)) in probs.iter().zip(&reference).enumerate() {
+            assert!((p - r).abs() < 1e-12, "slot {i}: {p} vs {r}");
+        }
     }
 
     #[test]

@@ -27,15 +27,16 @@
 //! quotient of Theorem 1. This is what keeps the running times of
 //! Figures 10–11 in the millisecond range regardless of the total index
 //! size. The compiled index is something readers never write: a query is
-//! folded, annotated and intersected in a [`QueryScratch`] owned by its
-//! evaluation context, which walks the touched blocks' compiled layouts as
-//! a chain in level order (see [`crate::kernel`] and
-//! [`crate::intersect`]) — no slice `⋀ₖ ¬W_k` is assembled, in the arena or
-//! anywhere else, the arena's write lock is never taken after the compile,
-//! and the arena holds after any number of queries exactly the nodes it
-//! held when [`MvIndex::compile`] returned.
+//! folded, annotated and intersected in a [`QueryScratch`] its evaluation
+//! context checks out of the index's pool of idle kernels (the pool is the
+//! one thing behind a lock, held for a push or a pop). The kernel walks
+//! the touched blocks' compiled layouts as a chain in level order (see
+//! [`crate::kernel`] and [`crate::intersect`]) — no slice `⋀ₖ ¬W_k` is
+//! assembled, in the arena or anywhere else, the arena's write lock is
+//! never taken after the compile, and the arena holds after any number of
+//! queries exactly the nodes it held when [`MvIndex::compile`] returned.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mv_obdd::conobdd::ConObddBuilder;
 use mv_obdd::{ManagerStats, NodeId, Obdd, ObddManager, PiOrder, SynthesisBuilder, VarOrder};
@@ -43,7 +44,7 @@ use mv_pdb::{InDb, TupleId, Value};
 use mv_query::analysis::find_separator_over;
 use mv_query::eval::EvalContext;
 use mv_query::lineage::{answer_lineages_with, lineage_with, Clause, Lineage};
-use mv_query::{Term, Ucq};
+use mv_query::{EvalBudget, Term, Ucq};
 
 use crate::augmented::AugmentedObdd;
 use crate::intersect::CcLayout;
@@ -115,6 +116,14 @@ pub struct MvIndex {
     w_lineage: Arc<Lineage>,
     prob_not_w: f64,
     stats: IndexStats,
+    /// Idle query kernels ([`MvIndex::take_kernel`]), shared with every
+    /// clone: a weight-only update keeps them, a structural one compiles a
+    /// new index with a new pool. Contexts take one on first use and give
+    /// it back when they drop, so the pool holds at most as many kernels as
+    /// contexts ever held one at once over the index (one per worker); a
+    /// kernel lost to a panic is simply not returned. The lock is held for
+    /// one push or one pop.
+    kernels: Arc<Mutex<Vec<QueryScratch>>>,
 }
 
 impl MvIndex {
@@ -197,6 +206,7 @@ impl MvIndex {
             w_lineage: Arc::new(Lineage::from_distinct_clauses(all_clauses)),
             prob_not_w,
             stats,
+            kernels: Arc::default(),
         })
     }
 
@@ -215,6 +225,7 @@ impl MvIndex {
                 max_block_nodes: 0,
                 num_variables: 0,
             },
+            kernels: Arc::default(),
         }
     }
 
@@ -382,16 +393,48 @@ impl MvIndex {
         Ok(self.prob_w() + self.prob_q_and_not_w(lineage, indb, algo)?)
     }
 
+    fn idle(&self) -> MutexGuard<'_, Vec<QueryScratch>> {
+        // Nothing panics while the lock is held, so a poisoned lock still
+        // guards a whole vector.
+        self.kernels.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A query kernel from the index's pool of idle ones, or a new one when
+    /// none is idle. It comes as [`QueryScratch::new`] leaves a kernel, with
+    /// the buffers of its earlier uses; hand it back with
+    /// [`MvIndex::recycle_kernel`] when done.
+    pub fn take_kernel(&self) -> QueryScratch {
+        let idle = self.idle().pop();
+        idle.unwrap_or_default()
+    }
+
+    /// Returns a kernel to the pool, stripped of its budget, node cap,
+    /// counters and nodes (its buffers are kept).
+    pub fn recycle_kernel(&self, mut kernel: QueryScratch) {
+        kernel.recycle();
+        self.idle().push(kernel);
+    }
+
+    /// Number of idle kernels in the pool.
+    pub fn idle_kernels(&self) -> usize {
+        self.idle().len()
+    }
+
+    /// Heap bytes the idle kernels hold ([`QueryScratch::heap_bytes`]).
+    pub fn idle_kernel_bytes(&self) -> usize {
+        self.idle().iter().map(QueryScratch::heap_bytes).sum()
+    }
+
     /// The conditional probability `P0(Q | ¬W) = P0(Q ∧ ¬W) / P0(¬W)`, which
-    /// by Theorem 1 equals the MVDB probability of `Q` (in a throwaway
-    /// kernel; see [`MvIndex::conditional_probability_with`]).
+    /// by Theorem 1 equals the MVDB probability of `Q` (in a pooled kernel;
+    /// see [`MvIndex::conditional_probability_with`]).
     pub fn conditional_probability(
         &self,
         lineage: &Lineage,
         indb: &InDb,
         algo: IntersectAlgorithm,
     ) -> Result<f64> {
-        self.conditional_probability_with(&mut QueryScratch::new(), lineage, indb, algo)
+        self.in_pooled_kernel(None, lineage, indb, algo)
     }
 
     /// [`MvIndex::conditional_probability`] for a caller that holds a
@@ -406,9 +449,21 @@ impl MvIndex {
         indb: &InDb,
         algo: IntersectAlgorithm,
     ) -> Result<f64> {
-        let mut scratch = QueryScratch::new();
-        scratch.set_budget(qman.budget());
-        self.conditional_probability_with(&mut scratch, lineage, indb, algo)
+        self.in_pooled_kernel(qman.budget(), lineage, indb, algo)
+    }
+
+    fn in_pooled_kernel(
+        &self,
+        budget: Option<EvalBudget>,
+        lineage: &Lineage,
+        indb: &InDb,
+        algo: IntersectAlgorithm,
+    ) -> Result<f64> {
+        let mut kernel = self.take_kernel();
+        kernel.set_budget(budget);
+        let p = self.conditional_probability_with(&mut kernel, lineage, indb, algo);
+        self.recycle_kernel(kernel);
+        p
     }
 
     /// `P0(Q | ¬W)` in the given kernel — the production entry point: the
@@ -667,6 +722,51 @@ mod tests {
         }
         assert_eq!(seen.len(), 10_000);
         assert_eq!(index.manager().num_nodes(), compiled);
+    }
+
+    /// Standalone calls draw from the index's pool: one kernel serves them
+    /// all, answers like a fresh one, and comes back without the budget a
+    /// caller lent it — also after that budget tripped.
+    #[test]
+    fn standalone_calls_share_one_pooled_kernel() {
+        let blocks = 40;
+        let indb = many_blocks_db(blocks);
+        let index = MvIndex::compile(&indb, &w_query()).unwrap();
+        assert_eq!((index.idle_kernels(), index.idle_kernel_bytes()), (0, 0));
+        let algo = IntersectAlgorithm::CcMvIntersect;
+        let r = indb.schema().relation_id("R").unwrap();
+        let s = indb.schema().relation_id("S").unwrap();
+        for i in 0..200i64 {
+            // Point, then broad: the pooled kernel's tables grow and decay.
+            let width = if i % 50 == 0 { blocks } else { 1 + i % 3 };
+            let lin = Lineage::from_clauses((0..width).map(|j| {
+                let x = (i + 7 * j) % blocks;
+                vec![
+                    indb.tuple_id_by_values(r, &row([x])).unwrap(),
+                    indb.tuple_id_by_values(s, &row([x, (i + j) % 3])).unwrap(),
+                ]
+            }));
+            let pooled = index.conditional_probability(&lin, &indb, algo).unwrap();
+            let fresh = index
+                .conditional_probability_with(&mut QueryScratch::new(), &lin, &indb, algo)
+                .unwrap();
+            assert_eq!(pooled.to_bits(), fresh.to_bits(), "lineage {i}");
+        }
+        assert_eq!(index.idle_kernels(), 1);
+        assert!(index.idle_kernel_bytes() > 0);
+        // Clones share the pool.
+        assert_eq!(index.clone().idle_kernels(), 1);
+
+        let lin_q = lineage(&parse_ucq("Q() :- R(x), S(x, y)").unwrap(), &indb).unwrap();
+        let exact = index.conditional_probability(&lin_q, &indb, algo).unwrap();
+        let qman = index.query_manager();
+        qman.set_budget(Some(EvalBudget::unlimited().with_step_limit(1)));
+        assert!(index
+            .conditional_probability_in(&qman, &lin_q, &indb, algo)
+            .is_err());
+        let again = index.conditional_probability(&lin_q, &indb, algo).unwrap();
+        assert_eq!(again.to_bits(), exact.to_bits());
+        assert_eq!(index.idle_kernels(), 1);
     }
 
     #[test]

@@ -329,6 +329,11 @@ impl IndexBlock for &CcLayout {
     }
 }
 
+/// Heap bytes a vector holds (its capacity, not its length).
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
 /// An open-addressed `[u32; 3] → V` table that is emptied in O(1): every
 /// slot carries the stamp of the generation that wrote it, and
 /// [`StampedMap::reset`] starts a new generation. The per-lineage tables of
@@ -430,6 +435,11 @@ impl<V: Copy + Default> StampedMap<V> {
         }
     }
 
+    /// Heap bytes the table holds, live entries or not.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.slots)
+    }
+
     fn grow(&mut self) {
         let doubled = vec![StampedSlot::default(); (self.slots.len() * 2).max(Self::MIN_SLOTS)];
         let old = std::mem::replace(&mut self.slots, doubled);
@@ -471,6 +481,11 @@ impl Walk {
             stack: Vec::new(),
             results: Vec::new(),
         }
+    }
+
+    /// Heap bytes of the memo and the stacks.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.memo.heap_bytes() + vec_bytes(&self.stack) + vec_bytes(&self.results)
     }
 
     /// The one traversal behind both algorithms, over a *chain* of `len`

@@ -4,10 +4,15 @@
 //! The paper makes the online step cheap because the query OBDD is small
 //! and `probUnder` lets the intersection visit only the slice of the index
 //! the query spans. A [`QueryScratch`] keeps everything *around* that
-//! traversal at the same scale. It is a set of flat, reusable buffers owned
-//! by one evaluation context (one per worker, never shared, never a
-//! thread-local — it holds nothing of the snapshot it is used with), and
-//! one lineage goes through it in three steps:
+//! traversal at the same scale. It is a set of flat, reusable buffers that
+//! one evaluation context at a time owns: the context checks a kernel out
+//! of its index's pool of idle ones on first use and hands it back when it
+//! drops ([`MvIndex::take_kernel`] / [`MvIndex::recycle_kernel`]), so a
+//! context made per call still runs on warm buffers. A kernel is never
+//! shared and never a thread-local, and it holds nothing of the snapshot it
+//! is used with — every entry point resets its tables — so one returned
+//! after an error or a panic is as good as new. One lineage goes through it
+//! in three steps:
 //!
 //! 1. **fold** — the clauses' levels land in one flat buffer (an array read
 //!    per literal, [`VarOrder::level_of`]) and are OR-folded deepest top
@@ -41,7 +46,8 @@ use mv_query::EvalBudget;
 
 use crate::index::{IntersectAlgorithm, MvIndex};
 use crate::intersect::{
-    prob_at, ArenaBlock, CcLayout, IndexBlock, QvNode, StampedMap, Walk, QV_FALSE, QV_TRUE,
+    prob_at, vec_bytes, ArenaBlock, CcLayout, IndexBlock, QvNode, StampedMap, Walk, QV_FALSE,
+    QV_TRUE,
 };
 
 /// Memo tags of the two synthesis operators.
@@ -83,6 +89,14 @@ fn apply_terminal(op: u32, a: u32, b: u32) -> Option<u32> {
         Some(a)
     } else {
         None
+    }
+}
+
+/// The counters of a kernel that has folded nothing: the two sinks.
+fn fresh_stats() -> ManagerStats {
+    ManagerStats {
+        peak_nodes: 2,
+        ..ManagerStats::default()
     }
 }
 
@@ -140,11 +154,36 @@ impl QueryScratch {
             budget: None,
             node_cap: MAX_NODES,
             tick: 0,
-            stats: ManagerStats {
-                peak_nodes: 2,
-                ..ManagerStats::default()
-            },
+            stats: fresh_stats(),
         }
+    }
+
+    /// Puts the kernel back in the state [`QueryScratch::new`] leaves — no
+    /// budget, no node cap short of the position space, counters zeroed, no
+    /// nodes — keeping every buffer's capacity. What the pool does to a
+    /// kernel a context hands back, so the next context neither inherits
+    /// its predecessor's limits nor reports its work.
+    pub(crate) fn recycle(&mut self) {
+        self.budget = None;
+        self.node_cap = MAX_NODES;
+        self.stats = fresh_stats();
+        self.nodes.clear();
+        self.root = QV_FALSE;
+        self.tick = 0;
+    }
+
+    /// Heap bytes the kernel's buffers and tables hold, in use or not.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.levels)
+            + vec_bytes(&self.spans)
+            + vec_bytes(&self.nodes)
+            + self.unique.heap_bytes()
+            + self.computed.heap_bytes()
+            + vec_bytes(&self.frames)
+            + vec_bytes(&self.results)
+            + vec_bytes(&self.touched)
+            + vec_bytes(&self.imported)
+            + self.walk.heap_bytes()
     }
 
     /// Installs (or clears) the cooperative budget the folds poll and

@@ -131,6 +131,44 @@ fn the_all_advisors_selection_is_exact_sharded_and_unsharded() {
     assert!((outcome.probability.unwrap() - reference).abs() < 1e-12);
 }
 
+/// Every broad (100-aid band) and heavy (1 000-aid band) name selection of
+/// the repository benchmark at 2 000 authors, one `ShardedEngine::probability`
+/// call each. A broad lineage stays well below the clause count from which
+/// phase 2 spawns a thread per touched shard (1 536) and a heavy one well
+/// above it, so both sides of that choice answer like the oracle.
+#[test]
+fn name_selections_agree_sharded_and_unsharded_on_both_sides_of_the_fan_out() {
+    let authors = 2000;
+    let data = DblpDataset::generate(DblpConfig::with_authors(authors)).unwrap();
+    let oracle = MvdbEngine::compile(&data.mvdb).unwrap();
+    let sharded = ShardedEngine::from_engine(oracle.clone(), 2).unwrap();
+    let ctx = oracle.context();
+    let broad = (0..authors / 100).map(|band| (format!("f{band:04}"), false));
+    let heavy = (0..authors / 1000).map(|band| (format!("f{band:03}"), true));
+    for (fragment, is_heavy) in broad.chain(heavy) {
+        let q = parse_ucq(&format!(
+            "Q() :- Student(aid, year), Advisor(aid, aid1), Author(aid, n), \
+             Author(aid1, n1), n1 like '%{fragment}%'"
+        ))
+        .unwrap();
+        let clauses = ctx.lineage(&q).unwrap().num_clauses();
+        if is_heavy {
+            assert!(clauses > 4096, "{fragment}: {clauses} clauses");
+        } else {
+            assert!(
+                (1..1024).contains(&clauses),
+                "{fragment}: {clauses} clauses"
+            );
+        }
+        let reference = oracle.probability(&q).unwrap();
+        let p = sharded.probability(&q).unwrap();
+        assert!(
+            (p - reference).abs() < 1e-12,
+            "{fragment}: {p} vs {reference}"
+        );
+    }
+}
+
 /// The point queries of the repository benchmark (`point_batch`): one text
 /// per student, advisor and affiliated author, in three shapes. A sharded
 /// session compiles one template per shape for the snapshot, and each
