@@ -166,7 +166,9 @@ impl MvdbEngine {
     }
 
     /// Writes one tuple weight into both the retained MVDB and the
-    /// translated store (ids resolved by content, not position).
+    /// translated store. The row is resolved once, by content: the
+    /// translated store extends the base store, so a base tuple has the
+    /// same id in both.
     fn set_tuple_weight(&mut self, relation: &str, row: &Row, weight: Weight) -> Result<()> {
         let rel = self.mvdb.base().schema().require(relation)?;
         let id = self
@@ -174,14 +176,12 @@ impl MvdbEngine {
             .base()
             .tuple_id_by_values(rel, row)
             .expect("classified as weight-only: the row exists");
+        debug_assert_eq!(
+            self.mvdb.base().tuple_row(id),
+            self.translated.indb().tuple_row(id)
+        );
         self.mvdb.base_mut().set_weight(id, weight);
-        let trel = self.translated.indb().schema().require(relation)?;
-        let tid = self
-            .translated
-            .indb()
-            .tuple_id_by_values(trel, row)
-            .expect("the translated store mirrors every base row");
-        self.translated.indb_mut().set_weight(tid, weight);
+        self.translated.indb_mut().set_weight(id, weight);
         Ok(())
     }
 

@@ -171,10 +171,12 @@ impl ShardedEngine {
     }
 
     /// Applies an update batch in place: [`MvdbEngine::apply`] on the full
-    /// engine, then — after a structural batch, whose re-translation
-    /// renumbers tuples and recompiles the one index — the placement step
-    /// of [`ShardedEngine::from_engine`] again. A weight-only batch keeps
-    /// tuple ids, blocks and `W`'s clauses, hence the placement.
+    /// engine, then — after a structural batch, which recompiles the one
+    /// index — the placement step of [`ShardedEngine::from_engine`] again.
+    /// Re-translation keeps every base tuple's id, but the `NV` ids follow
+    /// the base ids and so move by the number of base tuples inserted. A
+    /// weight-only batch keeps tuple ids, blocks and `W`'s clauses, hence
+    /// the placement.
     ///
     /// [`UpdateOutcome::shards_rebuilt`] reports how far a structural batch
     /// reached: the number of distinct home shards of blocks whose key is
@@ -194,8 +196,8 @@ impl ShardedEngine {
             return Ok(outcome);
         }
         // Block shapes by key, and the helper query, from before the apply:
-        // keys are separator values, which survive a re-translation (tuple
-        // ids do not).
+        // keys are separator values, which survive a re-translation (`NV`
+        // tuple ids do not).
         let old = self.full.index();
         let old_shapes: FxHashMap<Value, (usize, usize)> = (0..old.num_blocks())
             .map(|b| (old.block_key(b).clone(), block_shape(old, b)))

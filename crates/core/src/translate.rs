@@ -14,10 +14,15 @@
 //! Boolean query `Q`, where `P0` is the tuple-independent probability on the
 //! translated database.
 //!
-//! The translated store is the only copy of the data a compiled engine
-//! evaluates on: the MV-index is compiled from it, every context — shard
-//! workers included — reads it, and an update either writes weights into it
-//! in place or replaces it by a fresh translation. The query plans compiled
+//! The translated store is the base store plus the `NV_i` relations, and
+//! holds no second copy of the base tuples: it starts as a clone of the
+//! MVDB's base [`InDb`], which shares every base relation (rows, column
+//! codes, access paths) and the dictionary by `Arc`, so a base tuple keeps
+//! its id, and the `NV` tuples take the ids after them
+//! (`base.num_tuples()..`). It is what a compiled engine evaluates on: the
+//! MV-index is compiled from it, every context — shard workers included —
+//! reads it, and an update either writes weights into it in place or
+//! replaces it by a fresh translation. The query plans compiled
 //! against it live beside it, in one [`PlanCache`] every context shares: a
 //! weight write leaves the tuples, hence the plans, as they are, and a fresh
 //! translation starts a fresh cache.
@@ -29,7 +34,7 @@
 
 use std::sync::Arc;
 
-use mv_pdb::{InDb, InDbBuilder, RelId, TupleId, Weight};
+use mv_pdb::{InDb, RelId, TupleId, Weight};
 use mv_query::{Atom, ConjunctiveQuery, PlanCache, Ucq};
 
 use crate::mvdb::Mvdb;
@@ -52,29 +57,11 @@ pub struct TranslatedIndb {
 impl TranslatedIndb {
     /// Performs the translation of Definition 5.
     pub fn new(mvdb: &Mvdb) -> Result<Self> {
-        let base = mvdb.base();
-        let mut builder = InDbBuilder::new();
+        // The base tables with unchanged weights: a clone shares every
+        // relation and the dictionary, and keeps every tuple id.
+        let mut indb = mvdb.base().clone();
 
-        // Copy the base schema and tuples with unchanged weights.
-        for (rel_id, schema) in base.schema().relations() {
-            let attrs: Vec<&str> = schema.attributes().iter().map(String::as_str).collect();
-            if base.is_deterministic(rel_id) {
-                let new_rel = builder.deterministic_relation(schema.name(), &attrs)?;
-                for row in base.database().rows(rel_id) {
-                    builder.insert_fact(new_rel, row.clone())?;
-                }
-            } else {
-                let new_rel = builder.probabilistic_relation(schema.name(), &attrs)?;
-                for (row_index, row) in base.database().relation(rel_id).iter() {
-                    let id = base
-                        .tuple_id(rel_id, row_index)
-                        .expect("probabilistic rows have tuple ids");
-                    builder.insert_weighted(new_rel, row.clone(), base.weight(id))?;
-                }
-            }
-        }
-
-        // Create one NV relation per (non-denial) view and populate it.
+        // Add one NV relation per (non-denial) view and populate it.
         let mut nv_relations = Vec::with_capacity(mvdb.views().len());
         let mut nv_rel_ids = Vec::new();
         let mut disjuncts: Vec<ConjunctiveQuery> = Vec::new();
@@ -90,7 +77,7 @@ impl TranslatedIndb {
             }
             let attrs: Vec<String> = (0..view.arity()).map(|p| format!("a{p}")).collect();
             let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-            let nv_rel = builder.probabilistic_relation(&nv_name, &attr_refs)?;
+            let nv_rel = indb.add_relation(&nv_name, &attr_refs, false)?;
             nv_rel_ids.push(nv_rel);
             let outputs = mvdb.view_output(view)?;
             for (row, weight) in outputs {
@@ -100,14 +87,13 @@ impl TranslatedIndb {
                     // probability 0 and can be omitted.
                     continue;
                 }
-                builder.insert_translated(nv_rel, row, translated)?;
+                indb.upsert_translated(nv_rel, row, translated)?;
             }
             for disjunct in &view.query.disjuncts {
                 disjuncts.push(w_disjunct(i, disjunct, Some(&nv_name)));
             }
         }
 
-        let indb = builder.build();
         let w = if disjuncts.is_empty() {
             None
         } else {
@@ -331,6 +317,61 @@ mod tests {
         b.marko_view("V(x)[0] :- R(x)").unwrap();
         let t = TranslatedIndb::new(&b.build().unwrap()).unwrap();
         assert!(!t.is_nv_tuple(TupleId(0)));
+    }
+
+    #[test]
+    fn translation_shares_the_base_store_and_appends_nv_tuples() {
+        let mut b = MvdbBuilder::new();
+        b.deterministic_relation("D", &["x"]).unwrap();
+        b.relation("R", &["x"]).unwrap();
+        b.relation("S", &["x", "y"]).unwrap();
+        b.fact("D", &["a"]).unwrap();
+        for (x, y) in [("a", "b1"), ("a", "b2"), ("c", "b1")] {
+            b.weighted_tuple("R", &[x], 2.0).unwrap();
+            b.weighted_tuple("S", &[x, y], 0.5).unwrap();
+        }
+        b.marko_view("V(x)[3] :- R(x), S(x, y)").unwrap();
+        b.marko_view("U(x, y)[0.5] :- D(x), S(x, y)").unwrap();
+        let mvdb = b.build().unwrap();
+        let base = mvdb.base();
+        // An access path built on the base store before translating.
+        let s = base.schema().relation_id("S").unwrap();
+        let csr = base.database().relation(s).csr_index(0);
+        let t = TranslatedIndb::new(&mvdb).unwrap();
+        let indb = t.indb();
+
+        // No base row was re-inserted: every base relation is the base
+        // store's own instance, access paths included.
+        for (rel, _) in base.schema().relations() {
+            assert!(Arc::ptr_eq(
+                &base.database().relation_arc(rel),
+                &indb.database().relation_arc(rel)
+            ));
+            assert_eq!(indb.is_deterministic(rel), base.is_deterministic(rel));
+            for i in 0..base.database().relation(rel).len() {
+                assert_eq!(indb.tuple_id(rel, i), base.tuple_id(rel, i));
+            }
+        }
+        assert!(Arc::ptr_eq(&indb.database().relation(s).csr_index(0), &csr));
+        assert!(std::ptr::eq(
+            base.database().interner(),
+            indb.database().interner()
+        ));
+        for (id, tuple) in base.tuples() {
+            assert_eq!(indb.weight(id), tuple.weight);
+        }
+
+        // The NV tuples take exactly the ids after the base ones.
+        let nv: Vec<TupleId> = indb
+            .tuples()
+            .map(|(id, _)| id)
+            .filter(|&id| t.is_nv_tuple(id))
+            .collect();
+        let after_base: Vec<TupleId> = (base.num_tuples()..t.num_tuples())
+            .map(|i| TupleId(i as u32))
+            .collect();
+        assert_eq!(nv, after_base);
+        assert_eq!(nv.len(), 4, "NV_V(a), NV_V(c), NV_U(a, b1), NV_U(a, b2)");
     }
 
     #[test]

@@ -41,8 +41,8 @@ use crate::translate::TranslatedIndb;
 use crate::Result;
 
 /// One update operation, identifying tuples by content (relation name plus
-/// row) — tuple ids are snapshot-relative and do not survive structural
-/// updates, rows do.
+/// row) — tuple ids are snapshot-relative (a structural update keeps the
+/// base tuples' ids but moves the translated `NV` ids), rows are not.
 #[derive(Debug, Clone)]
 pub enum UpdateOp {
     /// Insert a possible tuple with the given weight (odds, in `[0, +inf]`)

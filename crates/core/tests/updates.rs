@@ -2,13 +2,15 @@
 //! sequence of valid update batches, an engine mutated in place must
 //! answer every workload query exactly like an engine compiled from
 //! scratch over the same database — unsharded and sharded alike — and a
-//! rejected batch must change nothing at all.
+//! rejected batch must change nothing at all. Engines and snapshots share
+//! the base store's relations, so these are also the guard that sharing
+//! never leaks one snapshot's write into another.
 
 use std::sync::Arc;
 
 use mv_core::sharded::ShardedEngine;
 use mv_core::{EngineBackend, Mvdb, MvdbBuilder, MvdbEngine, UpdateBatch, UpdateKind, UpdateOp};
-use mv_pdb::Value;
+use mv_pdb::{Row, TupleId, Value};
 use mv_query::eval::EvalContext as QueryEvalContext;
 use mv_query::{parse_ucq, Ucq};
 use proptest::prelude::*;
@@ -177,6 +179,94 @@ fn a_filtered_scan_follows_the_snapshot_its_selection_was_made_on() {
         (p - fresh).abs() < 1e-9,
         "after reweighting: {p} vs {fresh}"
     );
+}
+
+/// The `NV_V` rows of an engine's translated store, with their tuple ids.
+fn nv_tuples(engine: &MvdbEngine) -> Vec<(Row, TupleId)> {
+    let indb = engine.translated().indb();
+    let nv = indb.schema().require("NV_V").unwrap();
+    indb.database()
+        .relation(nv)
+        .iter()
+        .map(|(i, row)| (row.clone(), indb.tuple_id(nv, i).unwrap()))
+        .collect()
+}
+
+/// The translated store extends the base store instead of copying it: a
+/// compiled engine holds each base tuple once, with one id, and a
+/// structural apply on a clone replaces only what it wrote.
+#[test]
+fn the_translated_store_shares_the_base_store_across_a_structural_apply() {
+    let mvdb = base_mvdb();
+    let engine = MvdbEngine::compile(&mvdb).unwrap();
+    let base = engine.mvdb().base();
+    let indb = engine.translated().indb();
+    for (rel, _) in base.schema().relations() {
+        let shared = base.database().relation_arc(rel);
+        assert!(Arc::ptr_eq(&shared, &indb.database().relation_arc(rel)));
+        assert!(Arc::ptr_eq(
+            &shared,
+            &mvdb.base().database().relation_arc(rel)
+        ));
+        for i in 0..shared.len() {
+            assert_eq!(indb.tuple_id(rel, i), base.tuple_id(rel, i));
+        }
+    }
+    assert!(std::ptr::eq(
+        base.database().interner(),
+        indb.database().interner()
+    ));
+    let nv_before = nv_tuples(&engine);
+    let ids: Vec<TupleId> = nv_before.iter().map(|&(_, id)| id).collect();
+    let after_base: Vec<TupleId> = (base.num_tuples()..indb.num_tuples())
+        .map(|i| TupleId(i as u32))
+        .collect();
+    assert_eq!(ids, after_base);
+
+    // Two new base tuples (and a value the dictionary has never seen).
+    let fresh = Value::str("n");
+    let mut updated = engine.clone();
+    let batch = UpdateBatch::new()
+        .insert("R", vec![fresh.clone()], 1.5)
+        .insert("S", vec![fresh.clone()], 0.7);
+    let out = updated.apply(&batch).unwrap();
+    assert_eq!(out.kind, UpdateKind::Structural);
+    assert_eq!(out.tuples_inserted, 2);
+    let new_indb = updated.translated().indb();
+    // Every base tuple keeps its id; every NV tuple moves by the two.
+    for (rel, _) in base.schema().relations() {
+        for i in 0..base.database().relation(rel).len() {
+            assert_eq!(new_indb.tuple_id(rel, i), base.tuple_id(rel, i));
+        }
+    }
+    let nv_after = nv_tuples(&updated);
+    for (row, id) in &nv_before {
+        let moved = nv_after.iter().find(|(r, _)| r == row).unwrap().1;
+        assert_eq!(moved.index(), id.index() + out.tuples_inserted);
+    }
+    assert!(nv_after.iter().any(|(row, _)| row == &vec![fresh.clone()]));
+    assert_eq!(
+        nv_after.iter().map(|&(_, id)| id.index()).min(),
+        Some(updated.mvdb().base().num_tuples())
+    );
+    assert!(std::ptr::eq(
+        updated.mvdb().base().database().interner(),
+        new_indb.database().interner()
+    ));
+
+    // The source engine's MVDB (and the caller's) never see the write.
+    for source in [engine.mvdb(), &mvdb] {
+        let r = source.base().schema().require("R").unwrap();
+        assert_eq!(
+            source
+                .base()
+                .tuple_id_by_values(r, std::slice::from_ref(&fresh)),
+            None
+        );
+        assert_eq!(source.base().database().interner().code_of(&fresh), None);
+        assert_eq!(source.base().num_tuples(), base.num_tuples());
+    }
+    assert_eq!(nv_tuples(&engine), nv_before);
 }
 
 fn to_batch(ops: &[UpdateOp]) -> UpdateBatch {

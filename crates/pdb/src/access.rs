@@ -344,6 +344,16 @@ impl AccessPaths {
         })
     }
 
+    /// Number of cells holding a built structure.
+    pub(crate) fn built(&self) -> usize {
+        fn filled<T>(cells: &[OnceLock<T>]) -> usize {
+            cells.iter().filter(|cell| cell.get().is_some()).count()
+        }
+        self.cells.get().map_or(0, |c| {
+            filled(&c.csr) + filled(&c.distinct) + filled(&c.pairs)
+        })
+    }
+
     /// Runs (and counts) `build` at most once per cell, whichever thread
     /// asks first; racing callers block, and all get a copy of the result.
     pub(crate) fn once<T: Clone>(&self, cell: &OnceLock<T>, build: impl FnOnce() -> T) -> T {

@@ -32,7 +32,8 @@ fn fresh_version() -> u64 {
 ///
 /// Relations and the interner sit behind [`Arc`]s: cloning a database for a
 /// new snapshot is O(#relations), and a mutation copies only the relation it
-/// touches (copy-on-write). The interner is append-only, so codes taken
+/// touches, and the interner only when the row brings a value it lacks
+/// (copy-on-write). The interner is append-only, so codes taken
 /// against an old snapshot never dangle in a newer one. The derived access
 /// paths live inside each [`Relation`], so every snapshot sharing a relation
 /// shares its indexes too.
@@ -136,13 +137,19 @@ impl Database {
             });
         }
         // A duplicate changes nothing: look before `make_mut`, which would
-        // deep-copy a shared relation and interner (and drop the copy's
-        // access paths) for a row that is already there.
+        // deep-copy a shared relation (and drop the copy's access paths)
+        // for a row that is already there.
         if let Some(index) = self.relations[rel.index()].position(&row) {
             return Ok(index);
         }
         let relation = Arc::make_mut(&mut self.relations[rel.index()]);
-        let index = relation.push_new(row, Arc::make_mut(&mut self.interner));
+        // Likewise the dictionary: copy a shared one only on meeting a value
+        // it lacks.
+        let interner = &mut self.interner;
+        let index = relation.push_new(row, |v| match interner.code_of(v) {
+            Some(code) => code,
+            None => Arc::make_mut(interner).intern(v),
+        });
         self.touch();
         Ok(index)
     }
@@ -327,6 +334,28 @@ mod tests {
         let r = db.relation_id("R").unwrap();
         assert!(Arc::ptr_eq(&db.relation_arc(r), &dup.relation_arc(r)));
         assert_ne!(dup.version(), db.version());
+        assert_eq!(db.rows(s).len(), 3);
+    }
+
+    #[test]
+    fn a_clone_copies_the_dictionary_only_for_a_new_value() {
+        let db = sample();
+        let s = db.relation_id("S").unwrap();
+        let mut dup = db.clone();
+        // Every value of the new row is known: the dictionaries stay one.
+        dup.insert(s, row([1i64, 30])).unwrap();
+        assert!(Arc::ptr_eq(&db.interner, &dup.interner));
+        assert_eq!(dup.rows(s).len(), 4);
+        assert_eq!(
+            dup.relation(s).column_codes(1)[3],
+            db.interner().code_of(&Value::int(30)).unwrap()
+        );
+        // A new value copies the clone's dictionary; the original never
+        // learns it.
+        dup.insert(s, row([1i64, 99])).unwrap();
+        assert!(!Arc::ptr_eq(&db.interner, &dup.interner));
+        assert!(dup.interner().code_of(&Value::int(99)).is_some());
+        assert_eq!(db.interner().code_of(&Value::int(99)), None);
         assert_eq!(db.rows(s).len(), 3);
     }
 

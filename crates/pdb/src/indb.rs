@@ -11,7 +11,6 @@
 //! they are only accepted through [`InDbBuilder::insert_translated`], never
 //! through the ordinary [`InDbBuilder::insert_weighted`] entry point.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::database::Database;
@@ -51,17 +50,16 @@ pub struct PossibleTuple {
 }
 
 /// A tuple-independent probabilistic database.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InDb {
     database: Database,
     deterministic: Vec<bool>,
     tuples: Vec<PossibleTuple>,
-    by_row: HashMap<(RelId, usize), TupleId>,
     /// Dense per-relation tuple-id columns: `tuple_ids[rel][row_index]` is
     /// the raw id of the probabilistic row, or [`InDb::NO_TUPLE_ID`] for
-    /// deterministic rows. Built once at [`InDbBuilder::build`]; the hot
-    /// clause-collection loop of `mv-query` reads these instead of hashing
-    /// `(rel, row_index)` pairs per match.
+    /// deterministic rows — the store's one row → id index, extended by
+    /// every new possible tuple; the hot clause-collection loop of
+    /// `mv-query` reads these directly.
     tuple_ids: Vec<Vec<u32>>,
 }
 
@@ -114,7 +112,10 @@ impl InDb {
     /// The tuple id of a probabilistic row, identified by relation and dense
     /// row index within that relation. Deterministic rows have no id.
     pub fn tuple_id(&self, rel: RelId, row_index: usize) -> Option<TupleId> {
-        self.by_row.get(&(rel, row_index)).copied()
+        match self.tuple_ids[rel.index()].get(row_index) {
+            Some(&raw) if raw != InDb::NO_TUPLE_ID => Some(TupleId(raw)),
+            _ => None,
+        }
     }
 
     /// The dense tuple-id column of one relation, aligned with its row
@@ -149,10 +150,30 @@ impl InDb {
         self.tuples[id.index()].weight = weight;
     }
 
+    /// Adds an empty relation to the store, returning its id. The relation
+    /// is probabilistic unless `deterministic`; a probabilistic one is
+    /// filled with [`InDb::upsert_translated`].
+    ///
+    /// A store cloned from another and extended this way shares every
+    /// relation it did not add — their rows, access paths and dictionary —
+    /// with the original, and keeps its tuple ids: the MarkoView translation
+    /// adds its `NV` relations to a clone of the base store.
+    pub fn add_relation(
+        &mut self,
+        name: &str,
+        attributes: &[&str],
+        deterministic: bool,
+    ) -> Result<RelId> {
+        let id = self.database.add_relation(name, attributes)?;
+        self.deterministic.push(deterministic);
+        self.tuple_ids.push(Vec::new());
+        Ok(id)
+    }
+
     /// Inserts a new possible tuple — or updates the weight of the existing
     /// one when the row is already present — keeping every invariant of the
-    /// frozen store (dense [`TupleId`]s, `by_row` map, per-relation tuple-id
-    /// columns). Returns the id and whether the tuple is new.
+    /// frozen store (dense [`TupleId`]s, per-relation tuple-id columns).
+    /// Returns the id and whether the tuple is new.
     ///
     /// The update subsystem's structural write path: the store stays
     /// append-only (rows are never removed; deletes are weight-0
@@ -164,13 +185,22 @@ impl InDb {
         row: Row,
         weight: Weight,
     ) -> Result<(TupleId, bool)> {
+        let (id, fresh) = self.insert_possible(rel, row, weight)?;
+        if !fresh {
+            self.tuples[id.index()].weight = weight;
+        }
+        Ok((id, fresh))
+    }
+
+    /// Inserts a new possible tuple with `weight`, or returns the id of the
+    /// existing one (its weight untouched), and whether the tuple is new.
+    fn insert_possible(&mut self, rel: RelId, row: Row, weight: Weight) -> Result<(TupleId, bool)> {
         assert!(
             !self.deterministic[rel.index()],
             "weighted tuples must target a probabilistic relation"
         );
         let row_index = self.database.insert(rel, row)?;
-        if let Some(&id) = self.by_row.get(&(rel, row_index)) {
-            self.tuples[id.index()].weight = weight;
+        if let Some(id) = self.tuple_id(rel, row_index) {
             return Ok((id, false));
         }
         debug_assert!(
@@ -183,7 +213,6 @@ impl InDb {
             row_index,
             weight,
         });
-        self.by_row.insert((rel, row_index), id);
         let col = &mut self.tuple_ids[rel.index()];
         if col.len() <= row_index {
             col.resize(row_index + 1, InDb::NO_TUPLE_ID);
@@ -293,13 +322,12 @@ impl InDb {
     }
 }
 
-/// Builder for [`InDb`].
+/// Builder for [`InDb`]: a store under construction, whose deterministic
+/// rows get their [`InDb::NO_TUPLE_ID`] column entries at
+/// [`InDbBuilder::build`].
 #[derive(Debug, Clone, Default)]
 pub struct InDbBuilder {
-    database: Database,
-    deterministic: Vec<bool>,
-    tuples: Vec<PossibleTuple>,
-    by_row: HashMap<(RelId, usize), TupleId>,
+    indb: InDb,
 }
 
 impl InDbBuilder {
@@ -310,25 +338,21 @@ impl InDbBuilder {
 
     /// Declares a deterministic relation.
     pub fn deterministic_relation(&mut self, name: &str, attributes: &[&str]) -> Result<RelId> {
-        let id = self.database.add_relation(name, attributes)?;
-        self.deterministic.push(true);
-        Ok(id)
+        self.indb.add_relation(name, attributes, true)
     }
 
     /// Declares a probabilistic relation.
     pub fn probabilistic_relation(&mut self, name: &str, attributes: &[&str]) -> Result<RelId> {
-        let id = self.database.add_relation(name, attributes)?;
-        self.deterministic.push(false);
-        Ok(id)
+        self.indb.add_relation(name, attributes, false)
     }
 
     /// Inserts a certain fact into a deterministic relation.
     pub fn insert_fact(&mut self, rel: RelId, row: Row) -> Result<usize> {
         assert!(
-            self.deterministic[rel.index()],
+            self.indb.deterministic[rel.index()],
             "insert_fact must target a deterministic relation"
         );
-        self.database.insert(rel, row)
+        self.indb.database.insert(rel, row)
     }
 
     /// Inserts a possible tuple with the given *base* weight (must be in
@@ -348,22 +372,7 @@ impl InDbBuilder {
     /// This entry point exists for the MarkoView translation of Definition 5,
     /// which assigns weight `(1 - w) / w` to the `NV` tuples.
     pub fn insert_translated(&mut self, rel: RelId, row: Row, weight: Weight) -> Result<TupleId> {
-        assert!(
-            !self.deterministic[rel.index()],
-            "weighted tuples must target a probabilistic relation"
-        );
-        let row_index = self.database.insert(rel, row)?;
-        if let Some(&id) = self.by_row.get(&(rel, row_index)) {
-            return Ok(id);
-        }
-        let id = TupleId(self.tuples.len() as u32);
-        self.tuples.push(PossibleTuple {
-            rel,
-            row_index,
-            weight,
-        });
-        self.by_row.insert((rel, row_index), id);
-        Ok(id)
+        Ok(self.indb.insert_possible(rel, row, weight)?.0)
     }
 
     /// Inserts a possible tuple given its marginal probability.
@@ -378,37 +387,25 @@ impl InDbBuilder {
 
     /// Convenience: look up a relation id by name.
     pub fn relation_id(&self, name: &str) -> Result<RelId> {
-        self.database.relation_id(name)
+        self.indb.database.relation_id(name)
     }
 
     /// Access to the partially-built database (e.g. for derived views).
     pub fn database(&self) -> &Database {
-        &self.database
+        &self.indb.database
     }
 
     /// Finishes the build.
-    pub fn build(self) -> InDb {
-        debug_assert!(
-            (self.tuples.len() as u64) < u64::from(InDb::NO_TUPLE_ID),
-            "tuple-id space exhausted"
-        );
-        // Freeze the dense per-relation tuple-id columns.
-        let mut tuple_ids: Vec<Vec<u32>> = self
-            .database
-            .schema()
-            .relations()
-            .map(|(rel, _)| vec![InDb::NO_TUPLE_ID; self.database.relation(rel).len()])
-            .collect();
-        for (&(rel, row_index), &id) in &self.by_row {
-            tuple_ids[rel.index()][row_index] = id.0;
-        }
-        InDb {
-            database: self.database,
-            deterministic: self.deterministic,
-            tuples: self.tuples,
-            by_row: self.by_row,
+    pub fn build(mut self) -> InDb {
+        let InDb {
+            database,
             tuple_ids,
+            ..
+        } = &mut self.indb;
+        for (rel, _) in database.schema().relations() {
+            tuple_ids[rel.index()].resize(database.relation(rel).len(), InDb::NO_TUPLE_ID);
         }
+        self.indb
     }
 }
 
@@ -591,21 +588,65 @@ mod tests {
     }
 
     #[test]
-    fn tuple_id_columns_mirror_the_by_row_map() {
+    fn tuple_id_agrees_with_the_column_for_every_row() {
         let mut b = InDbBuilder::new();
         let d = b.deterministic_relation("D", &["x"]).unwrap();
         let r = b.probabilistic_relation("R", &["x"]).unwrap();
         b.insert_fact(d, row(["c"])).unwrap();
         b.insert_weighted(r, row(["a"]), Weight::ONE).unwrap();
         b.insert_weighted(r, row(["b"]), Weight::ONE).unwrap();
-        let db = b.build();
+        let mut db = b.build();
         assert_eq!(db.tuple_id_column(d), &[InDb::NO_TUPLE_ID]);
-        assert_eq!(db.tuple_id_column(r).len(), 2);
+        // Rows added after the build: into a built relation, and into one
+        // the built store gained.
+        db.upsert_translated(r, row(["z"]), Weight::new(-0.5))
+            .unwrap();
+        let nv = db.add_relation("NV", &["x"], false).unwrap();
+        db.upsert_translated(nv, row(["a"]), Weight::new(2.0))
+            .unwrap();
+        assert_eq!(db.tuple_id_column(r), &[0, 1, 2]);
+        assert_eq!(db.tuple_id_column(nv), &[3]);
         for (rel, _) in db.schema().relations() {
-            for (i, &raw) in db.tuple_id_column(rel).iter().enumerate() {
+            let column = db.tuple_id_column(rel);
+            assert_eq!(column.len(), db.database().relation(rel).len());
+            for (i, &raw) in column.iter().enumerate() {
                 let expected = db.tuple_id(rel, i).map(|t| t.0);
                 assert_eq!(raw, expected.unwrap_or(InDb::NO_TUPLE_ID));
+                if let Some(id) = db.tuple_id(rel, i) {
+                    assert_eq!((db.tuple(id).rel, db.tuple(id).row_index), (rel, i));
+                }
             }
         }
+        assert_eq!(db.tuple_id(d, 0), None);
+        assert_eq!(db.tuple_id(r, 3), None);
+    }
+
+    #[test]
+    fn an_added_relation_leaves_the_original_store_shared_and_untouched() {
+        let base = two_tuple_db();
+        let mut ext = base.clone();
+        let nv = ext.add_relation("NV", &["x"], false).unwrap();
+        let (id, fresh) = ext
+            .upsert_translated(nv, row(["a"]), Weight::new(-0.5))
+            .unwrap();
+        assert!(fresh);
+        assert_eq!(id, TupleId(base.num_tuples() as u32));
+        assert!(!ext.is_deterministic(nv));
+        for (rel, _) in base.schema().relations() {
+            assert!(std::sync::Arc::ptr_eq(
+                &base.database().relation_arc(rel),
+                &ext.database().relation_arc(rel)
+            ));
+            for i in 0..base.database().relation(rel).len() {
+                assert_eq!(base.tuple_id(rel, i), ext.tuple_id(rel, i));
+            }
+        }
+        // The NV row's value was already in the shared dictionary.
+        assert!(std::ptr::eq(
+            base.database().interner(),
+            ext.database().interner()
+        ));
+        assert!(base.schema().relation_id("NV").is_none());
+        assert_eq!(base.num_tuples(), 2);
     }
 }

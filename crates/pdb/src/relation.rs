@@ -74,20 +74,22 @@ impl Relation {
     pub fn insert(&mut self, row: Row, interner: &mut ValueInterner) -> usize {
         match self.position(&row) {
             Some(i) => i,
-            None => self.push_new(row, interner),
+            None => self.push_new(row, |value| interner.intern(value)),
         }
     }
 
     /// Appends a row the caller has checked is absent, emptying the derived
-    /// access paths.
-    pub(crate) fn push_new(&mut self, row: Row, interner: &mut ValueInterner) -> usize {
+    /// access paths. `encode` gives each value's dictionary code, so a
+    /// caller whose dictionary already holds every value can read it
+    /// without taking it mutably.
+    pub(crate) fn push_new(&mut self, row: Row, mut encode: impl FnMut(&Value) -> u32) -> usize {
         self.paths.clear();
         if self.columns.is_empty() && !row.is_empty() {
             self.columns = vec![Vec::new(); row.len()];
         }
         debug_assert_eq!(self.columns.len(), row.len(), "arity must be stable");
         for (column, value) in self.columns.iter_mut().zip(row.iter()) {
-            column.push(interner.intern(value));
+            column.push(encode(value));
         }
         let i = self.rows.len();
         self.index.insert(row.clone(), i);
@@ -163,6 +165,16 @@ impl Relation {
             .distinct
             .get(column)
             .map_or(0, |cell| self.paths.once(cell, count))
+    }
+
+    /// How many derived access paths this instance holds — each one was
+    /// counted once, when built, by the owning store's
+    /// [`Database::access_path_builds`](crate::Database::access_path_builds).
+    /// Test support: snapshots sharing a relation share one build counter,
+    /// so tests attribute builds to relation instances through this.
+    #[doc(hidden)]
+    pub fn access_paths_built(&self) -> usize {
+        self.paths.built()
     }
 
     /// Number of rows.

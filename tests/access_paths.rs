@@ -4,7 +4,10 @@
 //! it builds none and answers exactly like a long-lived context. Counts and
 //! identities only; no wall clock.
 
+use std::sync::Arc;
+
 use markoviews::core::{UpdateBatch, UpdateKind};
+use markoviews::pdb::Relation;
 use markoviews::prelude::*;
 
 fn dataset() -> DblpDataset {
@@ -80,20 +83,56 @@ fn builds_follow_snapshots_not_contexts() {
     ask(&engine.clone(), &queries, 1);
     assert_eq!(builds(&engine), warm);
 
-    // A structural update makes a new store. Whether 1 or 100 contexts then
-    // query it, it builds the same structures, once.
+    // A structural update replaces only what it writes: the relation it
+    // inserts into, and the NV relations of the fresh translation. Every
+    // other relation is still the source engine's instance, access paths
+    // included, so querying the new snapshot builds paths on the replaced
+    // relations alone — the same ones whether 1 or 100 contexts query it.
+    // (Source engine, snapshots and the caller's MVDB share one build
+    // counter, so the paths are counted per relation instance.)
+    let held = relations(&engine);
+    let held_paths: Vec<usize> = held.iter().map(|(_, r)| r.access_paths_built()).collect();
     let fresh_edge = vec![edge[0].clone(), Value::int(1_000_000)];
     let batch = UpdateBatch::new().insert("Advisor", fresh_edge, 0.5);
-    let (mut once, mut often) = (engine.clone(), engine.clone());
-    for e in [&mut once, &mut often] {
-        assert_eq!(e.apply(&batch).unwrap().kind, UpdateKind::Structural);
+    let mut grew = Vec::new();
+    for rounds in [1, 100] {
+        let before = builds(&engine);
+        let mut snapshot = engine.clone();
+        assert_eq!(snapshot.apply(&batch).unwrap().kind, UpdateKind::Structural);
+        ask(&snapshot, &queries, rounds);
+        let base = snapshot.mvdb().base().schema();
+        let (replaced, kept): (Vec<_>, Vec<_>) = relations(&snapshot)
+            .into_iter()
+            .partition(|(name, r)| !held.iter().any(|(n, h)| n == name && Arc::ptr_eq(h, r)));
+        for (name, _) in &replaced {
+            assert!(
+                name == "Advisor" || base.relation_id(name).is_none(),
+                "{name} was replaced"
+            );
+        }
+        assert!(replaced.iter().any(|(name, _)| name == "Advisor"));
+        assert_eq!(kept.len() + 1, base.len(), "only Advisor of the base");
+        let on_replaced: usize = replaced.iter().map(|(_, r)| r.access_paths_built()).sum();
+        assert!(on_replaced > 0);
+        assert_eq!(builds(&engine) - before, on_replaced as u64);
+        grew.push(on_replaced);
     }
-    let (once_before, often_before) = (builds(&once), builds(&often));
-    ask(&once, &queries, 1);
-    ask(&often, &queries, 100);
-    let grew = builds(&once) - once_before;
-    assert!(grew > 0);
-    assert_eq!(builds(&often) - often_before, grew);
-    // The engine the clones were taken from is untouched.
-    assert_eq!(builds(&engine), warm);
+    assert_eq!(grew[0], grew[1]);
+    // The source engine still holds the very relations it held, with the
+    // very paths.
+    let now = relations(&engine);
+    for (((name, h), paths), (now_name, r)) in held.iter().zip(held_paths).zip(&now) {
+        assert_eq!(name, now_name);
+        assert!(Arc::ptr_eq(h, r), "{name}");
+        assert_eq!(r.access_paths_built(), paths, "{name}");
+    }
+}
+
+/// Every relation of an engine's translated store, by name.
+fn relations(engine: &MvdbEngine) -> Vec<(String, Arc<Relation>)> {
+    let db = engine.translated().indb().database();
+    db.schema()
+        .relations()
+        .map(|(rel, schema)| (schema.name().to_string(), db.relation_arc(rel)))
+        .collect()
 }
