@@ -6,9 +6,9 @@
 //! of a query reduces to intersecting the query's small lineage OBDD with
 //! only the index blocks the lineage touches — in the context's
 //! [`QueryScratch`](mv_index::QueryScratch): the lineage is folded and
-//! annotated in the worker's own flat buffers and walked against the
-//! compiled layouts of those blocks, so the rung takes no lock, shares
-//! nothing with other queries and leaves the index as compiled.
+//! annotated in the worker's own flat buffers and walked against those
+//! blocks' rows of the index's one block table, so the rung takes no lock,
+//! shares nothing with other queries and leaves the index as compiled.
 
 use mv_index::IntersectAlgorithm;
 use mv_query::lineage::Lineage;
@@ -46,7 +46,6 @@ impl Default for MvIndexBackend {
 impl Backend for MvIndexBackend {
     fn name(&self) -> &'static str {
         match self.algorithm {
-            IntersectAlgorithm::MvIntersect => "mv-index/mv-intersect",
             IntersectAlgorithm::CcMvIntersect => "mv-index/cc-mv-intersect",
         }
     }

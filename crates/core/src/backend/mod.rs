@@ -258,8 +258,8 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Combined manager counters attributable to this context: its own
-    /// query-shard stats, plus the shared index manager's stats when an
-    /// index is attached.
+    /// query-side stats, plus the index's compile counters
+    /// ([`MvIndex::manager_stats`]) when an index is attached.
     pub fn manager_stats(&self) -> ManagerStats {
         let index = self.index.map(|i| i.manager_stats()).unwrap_or_default();
         self.query_manager_stats() + index
@@ -428,15 +428,14 @@ impl EngineBackend {
         !matches!(self, EngineBackend::ObddPerQuery | EngineBackend::SafePlan)
     }
 
-    /// The backends expected to agree on *every* query: both intersection
-    /// algorithms of the MV-index, the per-query OBDD baseline, Shannon
-    /// expansion, and brute-force enumeration. (Safe plans are excluded —
-    /// they legitimately fail on unsafe queries; Monte Carlo is excluded —
-    /// it agrees only up to its confidence interval, which the statistical
-    /// agreement suite checks separately.)
+    /// The backends expected to agree on *every* query: the MV-index, the
+    /// per-query OBDD baseline, Shannon expansion, and brute-force
+    /// enumeration. (Safe plans are excluded — they legitimately fail on
+    /// unsafe queries; Monte Carlo is excluded — it agrees only up to its
+    /// confidence interval, which the statistical agreement suite checks
+    /// separately.)
     pub fn comparison_suite() -> Vec<EngineBackend> {
         vec![
-            EngineBackend::MvIndex(IntersectAlgorithm::MvIntersect),
             EngineBackend::MvIndex(IntersectAlgorithm::CcMvIntersect),
             EngineBackend::ObddPerQuery,
             EngineBackend::Shannon,
@@ -471,7 +470,6 @@ mod tests {
             assert!(!backend.name().is_empty());
             names.insert(backend.name());
         }
-        // Both intersection algorithms share the index backend name family.
-        assert_eq!(names.len(), 7);
+        assert_eq!(names.len(), 6);
     }
 }

@@ -401,7 +401,6 @@ impl<'e> Pipeline<'e> {
                 }
             })
             .collect();
-        let index_before = full.index().manager_stats();
         let mut stats = BatchStats {
             shard_queries: vec![0; w_shards.len()],
             ..BatchStats::default()
@@ -548,9 +547,6 @@ impl<'e> Pipeline<'e> {
         if let Some(ctx) = &rescuer {
             stats.add(worker_stats(ctx));
         }
-        // Every context's query-side counters are in; the one index manager
-        // every phase intersected against is attributed by delta.
-        stats.manager = stats.manager + full.index().manager_stats().since(&index_before);
         self.last.replace(stats);
         out
     }

@@ -39,7 +39,7 @@ pub use crate::backend::EngineBackend;
 ///
 /// The engine retains the source [`Mvdb`] so it can be mutated in place by
 /// [`MvdbEngine::apply`]; cloning an engine is cheap (copy-on-write stores,
-/// shared OBDD arenas) and yields an independent snapshot.
+/// a shared block table) and yields an independent snapshot.
 #[derive(Debug, Clone)]
 pub struct MvdbEngine {
     mvdb: Mvdb,
@@ -111,8 +111,9 @@ impl MvdbEngine {
         self.translated.indb().database().version()
     }
 
-    /// The weight-epoch fast path: weights change in the retained MVDB and
-    /// the translated store, then every compiled block is re-annotated.
+    /// The weight-only fast path: weights change in the retained MVDB and
+    /// the translated store, then the index's block table is re-annotated
+    /// (copied first if a snapshot still shares it).
     fn apply_weight_only(&mut self, batch: &UpdateBatch) -> Result<UpdateOutcome> {
         let mut weights_changed = 0usize;
         let mut views_changed = 0usize;
@@ -652,6 +653,30 @@ mod tests {
         assert!(engine.translated().plan_cache().is_empty());
         assert_matches_rebuild(&engine, &queries);
         assert!(Arc::ptr_eq(clone.translated().plan_cache(), &cache));
+    }
+
+    #[test]
+    fn snapshots_share_the_block_table_until_a_weight_write() {
+        let engine = MvdbEngine::compile(&advisors()).unwrap();
+        let q = parse_ucq("Q() :- Student(1), Advisor(1, y)").unwrap();
+        let before = engine.probability(&q).unwrap();
+        let mut snapshot = engine.clone();
+        assert!(snapshot.index().shares_table_with(engine.index()));
+        snapshot
+            .apply(&UpdateBatch::new().set_weight("Student", vec![Value::int(1)], 5.0))
+            .unwrap();
+        assert!(!snapshot.index().shares_table_with(engine.index()));
+        // The source still answers from the table it published.
+        assert_eq!(engine.probability(&q).unwrap().to_bits(), before.to_bits());
+        // The snapshot answers like a compile of its database, bit for bit.
+        let rebuilt = MvdbEngine::compile(snapshot.mvdb()).unwrap();
+        let p = snapshot.probability(&q).unwrap();
+        assert_eq!(p.to_bits(), rebuilt.probability(&q).unwrap().to_bits());
+        assert_ne!(p.to_bits(), before.to_bits());
+        assert_eq!(
+            snapshot.index().prob_not_w().to_bits(),
+            rebuilt.index().prob_not_w().to_bits()
+        );
     }
 
     #[test]

@@ -42,8 +42,8 @@
 //! * [`update`] — [`UpdateBatch`] and [`MvdbEngine::apply`]
 //!   (`crate::MvdbEngine::apply`): live updates under snapshot semantics.
 //!   Weighted-tuple inserts/deletes and MLN weight changes mutate a
-//!   compiled engine in place; weight-only batches ride the
-//!   `bump_weight_epoch` fast path (no re-translation or re-synthesis),
+//!   compiled engine in place; weight-only batches re-annotate the
+//!   index's block table in one sweep (no re-translation or re-synthesis),
 //!   structural batches re-translate and recompile the one index, after
 //!   which a sharded engine re-runs its placement step.
 //! * [`serve`] — [`MvdbServer`]: the always-on serving layer. Bounded

@@ -94,10 +94,10 @@ impl<'e> MvdbSession<'e> {
 
     /// Manager counters attributable to the most recent batch alone — also
     /// when that batch returned an error: the sum of every worker's
-    /// (batch-fresh) query-side manager stats plus the *delta* the batch
-    /// added to the shared index manager — compile-time work and earlier
-    /// batches on the same engine are excluded. `peak_nodes` is the
-    /// largest single arena touched. Zero before the first batch.
+    /// (batch-fresh) query-side stats. Queries never write the index, so
+    /// compile-time work and earlier batches on the same engine are
+    /// excluded. `peak_nodes` is the largest single arena touched. Zero
+    /// before the first batch.
     pub fn last_manager_stats(&self) -> ManagerStats {
         self.pipeline.last().manager
     }

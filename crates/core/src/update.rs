@@ -7,8 +7,8 @@
 //! [`ShardedEngine::apply`](crate::ShardedEngine::apply). The engine is
 //! mutated *in place*; snapshot semantics come from cloning the engine
 //! first (cloning is cheap: the deterministic store is copy-on-write at
-//! relation granularity and OBDD arenas are shared) and publishing the
-//! mutated clone, which is what
+//! relation granularity and the index's block table is shared) and
+//! publishing the mutated clone, which is what
 //! [`MvdbServer::submit_update`](crate::MvdbServer::submit_update) does —
 //! readers pinned to the old snapshot drain undisturbed.
 //!
@@ -21,9 +21,10 @@
 //!   tuples (a delete is a weight-0 tombstone; a view weight change whose
 //!   old and new constants are both in `(0, ∞) \ {1}` rescales the view's
 //!   `NV` tuples by `(1 − w)/w`). The translation, the tuple ids, the OBDD
-//!   structure and every derived index survive: the engine bumps the
-//!   arena's weight epoch and re-annotates the compiled diagrams
-//!   ([`MvIndex::reweight`](mv_index::MvIndex::reweight)) — no
+//!   structure and every derived index survive: the engine re-annotates
+//!   the index's block table in one sweep
+//!   ([`MvIndex::reweight`](mv_index::MvIndex::reweight), which copies the
+//!   table first when a published snapshot still shares it) — no
 //!   re-translation, no re-synthesis.
 //! * **Structural** — some op changes the possible-tuple set (a new row, or
 //!   a view weight crossing `0`, `1` or `∞`, which changes the translated
@@ -162,7 +163,8 @@ pub enum UpdateKind {
     /// Every op was a no-op (empty batch, deletes of absent rows).
     NoOp,
     /// Weights changed in place; translation, tuple ids and compiled
-    /// diagrams survived (the `bump_weight_epoch` fast path).
+    /// diagrams survived (the [`MvIndex::reweight`](mv_index::MvIndex::reweight)
+    /// fast path).
     WeightOnly,
     /// The possible-tuple set changed; the store was re-translated and the
     /// index recompiled.

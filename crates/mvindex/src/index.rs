@@ -2,60 +2,75 @@
 //!
 //! An [`MvIndex`] is compiled once from the helper query `W` (the union of
 //! the MarkoView queries joined with their `NV` relations, Theorem 1). It
-//! stores one augmented OBDD per independent *block* of `W` — one per
-//! separator value, exactly the "set of augmented OBDDs, each associated
-//! with a particular key" of Section 4.1 — plus
+//! stores the diagram of `¬W_k` for every independent *block* of `W` — one
+//! per separator value, the "set of augmented OBDDs, each associated with a
+//! particular key" of Section 4.1 — in one immutable **block table**:
 //!
+//! * every block's reachable nodes in one flat vector of [`QvNode`]s
+//!   (level, children, variable probability and `probUnder` inline), each
+//!   block a contiguous range laid out in DFS post-order from its root with
+//!   the 0-edge first — the cache-conscious layout of Section 4.3, in which
+//!   children precede their parents so one ascending sweep annotates it;
+//! * one row per block: its key, node range, root, level range,
+//!   `P0(¬W_k)`, clause count and the range of its variables in one flat
+//!   variables vector;
 //! * the `InterBddIndex`: a dense table from tuple variable to the block
-//!   containing it,
-//! * per block, the `IntraBddIndex` (inside [`AugmentedObdd`]), and
-//! * the lineage of `W` the blocks were folded from, which every consumer
-//!   of "the clauses of `W`" (evaluation contexts, the shard partitioner)
-//!   borrows instead of evaluating `W` again.
+//!   containing it.
+//!
+//! The table sits behind an [`Arc`], so a clone of the index — an engine
+//! snapshot — costs a few pointer copies; a weight-only update
+//! ([`MvIndex::reweight`]) copies it once if it is shared and re-annotates
+//! it in one sweep. Beside it the index keeps the lineage of `W` the blocks
+//! were folded from, which every consumer of "the clauses of `W`"
+//! (evaluation contexts, the shard partitioner) borrows instead of
+//! evaluating `W` again.
 //!
 //! Compilation is set-at-a-time: `W` is rewritten with its separator
 //! variable as head and evaluated *once* by the vectorized executor, which
-//! yields the clauses of `W` grouped by separator value; each group is
-//! folded into the shared arena by one level-ordered
-//! [`ObddManager::dnf`]. Canonicity makes the result the diagram the
-//! paper's recursive `ConOBDD(π, W_k)` construction
-//! ([`mv_obdd::ConObddBuilder`]) reaches value by value — same manager and
-//! order, same root id — which `tests/compile_equivalence.rs` pins.
+//! yields the clauses of `W` grouped by separator value. Each group is
+//! folded by the query kernel's own fold ([`QueryScratch`], the deepest-first
+//! OR fold whose tables reset in O(1)) and its reachable nodes are appended
+//! to the table with the sinks swapped. No `ObddManager` is made, so none
+//! outlives the compile. Canonicity makes each block the diagram the paper's
+//! recursive `ConOBDD(π, W_k)` construction ([`mv_obdd::ConObddBuilder`])
+//! reaches value by value, node for node, with the same `probUnder` bits —
+//! which `tests/compile_equivalence.rs` pins against diagrams it builds in
+//! a manager of its own.
 //!
 //! At query time, only the blocks mentioned by the query lineage are
 //! intersected with the query OBDD; all other blocks cancel out of the
 //! quotient of Theorem 1. This is what keeps the running times of
 //! Figures 10–11 in the millisecond range regardless of the total index
-//! size. The compiled index is something readers never write: a query is
-//! folded, annotated and intersected in a [`QueryScratch`] its evaluation
-//! context checks out of the index's pool of idle kernels (the pool is the
-//! one thing behind a lock, held for a push or a pop). The kernel walks
-//! the touched blocks' compiled layouts as a chain in level order (see
-//! [`crate::kernel`] and [`crate::intersect`]) — no slice `⋀ₖ ¬W_k` is
-//! assembled, in the arena or anywhere else, the arena's write lock is
-//! never taken after the compile, and the arena holds after any number of
-//! queries exactly the nodes it held when [`MvIndex::compile`] returned.
+//! size. A query is folded, annotated and intersected in a [`QueryScratch`]
+//! its evaluation context checks out of the index's pool of idle kernels
+//! (the pool is the one thing behind a lock, held for a push or a pop). The
+//! kernel walks the touched blocks' table rows as a chain in level order
+//! (see [`crate::kernel`] and [`crate::intersect`]): no slice `⋀ₖ ¬W_k` is
+//! assembled, and the table is never written by a reader.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mv_obdd::conobdd::ConObddBuilder;
-use mv_obdd::{ManagerStats, NodeId, Obdd, ObddManager, PiOrder, SynthesisBuilder, VarOrder};
+use mv_obdd::{ManagerStats, Obdd, ObddManager, PiOrder, SynthesisBuilder, VarOrder};
 use mv_pdb::{InDb, TupleId, Value};
 use mv_query::analysis::find_separator_over;
 use mv_query::eval::EvalContext;
 use mv_query::lineage::{answer_lineages_with, lineage_with, Clause, Lineage};
 use mv_query::{EvalBudget, Term, Ucq};
 
-use crate::augmented::AugmentedObdd;
-use crate::intersect::CcLayout;
-use crate::kernel::QueryScratch;
+use crate::intersect::{prob_at, vec_bytes, BlockView, QvNode};
+use crate::kernel::{annotate, QueryScratch};
 use crate::Result;
 
 /// Which intersection algorithm to use at query time (Section 4.3 / Fig. 9).
+///
+/// The index keeps one form of its blocks, the flat table the
+/// cache-conscious walk reads, so this has one variant. It stays a
+/// parameter of the query entry points only because the repository
+/// benchmark (`benchmark/`) passes it; the pointer-based MVIntersect of
+/// Fig. 9 is [`crate::mv_intersect`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntersectAlgorithm {
-    /// Pointer-based guided traversal with hash-map memoisation.
-    MvIntersect,
     /// Cache-conscious traversal over a flattened, DFS-ordered node vector.
     CcMvIntersect,
 }
@@ -78,44 +93,76 @@ const NO_BLOCK: u32 = u32::MAX;
 
 /// One row of the block table: an independent part `W_k` of `W`.
 #[derive(Debug, Clone)]
-pub(crate) struct Block {
+pub(crate) struct BlockRow {
     /// The key associated with the block (the separator value, or a synthetic
     /// key when `W` has no separator).
     key: Value,
-    /// Number of lineage clauses `W_k` was folded from.
-    num_clauses: usize,
-    /// Tuple variables of those clauses, sorted.
-    variables: Vec<TupleId>,
-    /// The augmented OBDD of `¬W_k`.
-    pub(crate) negated: AugmentedObdd,
-    /// Cache-conscious layout of the same diagram.
-    pub(crate) layout: CcLayout,
-    /// `P0(¬W_k)`.
-    pub(crate) prob_not_w: f64,
+    /// `[start, end)` of the block's nodes in [`BlockTable::nodes`].
+    nodes: (u32, u32),
+    /// Position of the root within the block's range, or a sink marker
+    /// when `¬W_k` is constant.
+    root: u32,
     /// Level range of the diagram (structure only: `reweight` keeps it), so
     /// multi-block queries chain the blocks in level order without walking
     /// them.
     pub(crate) levels: Option<(u32, u32)>,
+    /// `P0(¬W_k)`.
+    pub(crate) prob_not_w: f64,
+    /// Number of lineage clauses `W_k` was folded from.
+    num_clauses: u32,
+    /// `[start, end)` of the block's tuple variables (sorted) in
+    /// [`BlockTable::variables`].
+    variables: (u32, u32),
+}
+
+/// Every block of the index in one place; see the module docs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockTable {
+    /// Every block's `¬W_k` nodes, block after block; children are
+    /// positions relative to their block's start, or sink markers.
+    nodes: Vec<QvNode>,
+    pub(crate) rows: Vec<BlockRow>,
+    variables: Vec<TupleId>,
+    /// Tuple id → block ([`NO_BLOCK`] for tuples `W` does not mention).
+    inter: Vec<u32>,
+    /// `∏ₖ P0(¬W_k)`.
+    prob_not_w: f64,
+}
+
+impl BlockTable {
+    /// A block as the walk reads it.
+    pub(crate) fn view(&self, block: u32) -> BlockView<'_> {
+        let row = &self.rows[block as usize];
+        BlockView {
+            nodes: &self.nodes[row.nodes.0 as usize..row.nodes.1 as usize],
+            root: row.root,
+        }
+    }
+
+    /// Heap bytes of the table's vectors (a string key's text is shared
+    /// with the store it came from).
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.nodes)
+            + vec_bytes(&self.rows)
+            + vec_bytes(&self.variables)
+            + vec_bytes(&self.inter)
+    }
 }
 
 /// The compiled MV-index for a helper query `W`.
 ///
-/// All block diagrams are handles into one shared [`ObddManager`] arena, so
-/// structure common to several blocks is stored once and negation never
-/// copies node stores. After compilation the arena is read-only: queries
-/// run in a [`QueryScratch`] of their own and at most take the arena's
-/// shared lock ([`IntersectAlgorithm::MvIntersect`]), so any number of
+/// The block table is immutable and shared by every clone; queries run in
+/// a [`QueryScratch`] of their own and take no lock on it, so any number of
 /// evaluation threads share one index.
 #[derive(Debug, Clone)]
 pub struct MvIndex {
-    manager: ObddManager,
-    pub(crate) blocks: Vec<Block>,
-    /// Tuple id → block index ([`NO_BLOCK`] for tuples `W` does not mention).
-    inter: Vec<u32>,
+    table: Arc<BlockTable>,
+    order: Arc<VarOrder>,
     /// The lineage of `W`: the union of every block's clauses.
     w_lineage: Arc<Lineage>,
-    prob_not_w: f64,
     stats: IndexStats,
+    /// What the compile's folds counted ([`MvIndex::manager_stats`]).
+    compile_stats: ManagerStats,
     /// Idle query kernels ([`MvIndex::take_kernel`]), shared with every
     /// clone: a weight-only update keeps them, a structural one compiles a
     /// new index with a new pool. Contexts take one on first use and give
@@ -146,66 +193,81 @@ impl MvIndex {
     }
 
     /// The block table over the clauses of `W` grouped by key: one block
-    /// per group, in the given order, folded into one arena over `order`.
+    /// per group, in the given order, each folded by one kernel over
+    /// `order`.
     pub(crate) fn from_groups(
         order: Arc<VarOrder>,
         num_tuples: usize,
         groups: Vec<(Value, Lineage)>,
         prob_of: impl Fn(TupleId) -> f64 + Copy,
     ) -> Result<MvIndex> {
-        let manager = ObddManager::new(order);
-
-        let mut blocks: Vec<Block> = Vec::new();
-        let mut inter = vec![NO_BLOCK; num_tuples];
+        let mut table = BlockTable {
+            inter: vec![NO_BLOCK; num_tuples],
+            prob_not_w: 1.0,
+            ..BlockTable::default()
+        };
+        let mut kernel = QueryScratch::new();
         let mut all_clauses: Vec<Clause> = Vec::new();
-        let mut prob_not_w = 1.0;
+        let mut variables: Vec<TupleId> = Vec::new();
+        let mut max_block_nodes = 0;
         for (key, group) in groups {
-            // `dnf` folds an empty clause to TRUE, so a `W_k` satisfied by
-            // deterministic tuples alone becomes a block with `P0(¬W_k) = 0`.
-            let w_obdd = manager.dnf(group.clauses())?;
-            let mut variables: Vec<TupleId> = group.clauses().iter().flatten().copied().collect();
+            let block = table.rows.len() as u32;
+            variables.clear();
+            variables.extend(group.clauses().iter().flatten().copied());
             variables.sort_unstable();
             variables.dedup();
             for &v in &variables {
                 // Every tuple carries one separator value at the position
                 // fixed for its relation, so groups cannot share a variable.
                 assert_eq!(
-                    inter[v.0 as usize], NO_BLOCK,
+                    table.inter[v.0 as usize], NO_BLOCK,
                     "tuple {v} appears under two separator values of W"
                 );
-                inter[v.0 as usize] = blocks.len() as u32;
+                table.inter[v.0 as usize] = block;
             }
-            let negated = AugmentedObdd::new(w_obdd.negate(), prob_of);
-            let layout = CcLayout::new(&negated, prob_of);
-            let p = negated.probability();
-            prob_not_w *= p;
-            let levels = negated.obdd().level_range();
-            blocks.push(Block {
-                key,
-                num_clauses: group.num_clauses(),
-                variables,
-                negated,
-                layout,
-                prob_not_w: p,
-                levels,
+            let first_variable = table.variables.len() as u32;
+            table.variables.extend_from_slice(&variables);
+
+            // An empty clause folds to TRUE, so a `W_k` satisfied by
+            // deterministic tuples alone becomes a block with `P0(¬W_k) = 0`.
+            let start = table.nodes.len();
+            let root = kernel.fold_negated(&order, &group, &mut table.nodes)?;
+            let nodes = &mut table.nodes[start..];
+            annotate(nodes, &order, prob_of);
+            let prob_not_w = prob_at(nodes, root);
+            let levels = nodes.get(root as usize).map(|top| {
+                let deepest = nodes.iter().map(|n| n.level).max();
+                (top.level, deepest.unwrap_or(top.level))
             });
-            all_clauses.extend_from_slice(group.clauses());
+            max_block_nodes = max_block_nodes.max(nodes.len());
+            table.prob_not_w *= prob_not_w;
+            table.rows.push(BlockRow {
+                key,
+                nodes: (start as u32, table.nodes.len() as u32),
+                root,
+                levels,
+                prob_not_w,
+                num_clauses: group.num_clauses() as u32,
+                variables: (first_variable, table.variables.len() as u32),
+            });
+            all_clauses.extend(group.into_clauses());
         }
+        table.nodes.shrink_to_fit();
+        table.variables.shrink_to_fit();
 
         let stats = IndexStats {
-            num_blocks: blocks.len(),
-            total_nodes: blocks.iter().map(|b| b.negated.size()).sum(),
-            max_block_nodes: blocks.iter().map(|b| b.negated.size()).max().unwrap_or(0),
-            num_variables: blocks.iter().map(|b| b.variables.len()).sum(),
+            num_blocks: table.rows.len(),
+            total_nodes: table.nodes.len(),
+            max_block_nodes,
+            num_variables: table.variables.len(),
         };
         Ok(MvIndex {
-            manager,
-            blocks,
-            inter,
+            table: Arc::new(table),
+            order,
             // Groups are variable-disjoint, so their clauses are distinct.
             w_lineage: Arc::new(Lineage::from_distinct_clauses(all_clauses)),
-            prob_not_w,
             stats,
+            compile_stats: kernel.stats(),
             kernels: Arc::default(),
         })
     }
@@ -213,36 +275,27 @@ impl MvIndex {
     /// Compiles an index for a database without MarkoViews (`W = false`).
     pub fn empty(indb: &InDb) -> MvIndex {
         let order = Arc::new(PiOrder::identity().tuple_order(indb));
-        MvIndex {
-            manager: ObddManager::new(order),
-            blocks: Vec::new(),
-            inter: Vec::new(),
-            w_lineage: Arc::new(Lineage::constant_false()),
-            prob_not_w: 1.0,
-            stats: IndexStats {
-                num_blocks: 0,
-                total_nodes: 0,
-                max_block_nodes: 0,
-                num_variables: 0,
-            },
-            kernels: Arc::default(),
-        }
+        Self::from_groups(order, 0, Vec::new(), |_| 1.0).expect("no group to fold")
+    }
+
+    pub(crate) fn table(&self) -> &BlockTable {
+        &self.table
+    }
+
+    pub(crate) fn var_order(&self) -> &VarOrder {
+        &self.order
     }
 
     /// The variable order shared by the index and by query OBDDs.
     pub fn order(&self) -> Arc<VarOrder> {
-        Arc::clone(self.manager.order())
+        Arc::clone(&self.order)
     }
 
-    /// The shared manager every block diagram of the index lives in.
-    pub fn manager(&self) -> &ObddManager {
-        &self.manager
-    }
-
-    /// Counters of the index-side manager (node allocations, unique-table
-    /// and apply/probability cache hit rates).
+    /// The counters of the compile's folds (node allocations, unique-table
+    /// and apply-memo hits; `peak_nodes` is the largest single block fold).
+    /// Constant for the life of the index: queries never touch the table.
     pub fn manager_stats(&self) -> ManagerStats {
-        self.manager.stats()
+        self.compile_stats
     }
 
     /// Index statistics.
@@ -250,9 +303,28 @@ impl MvIndex {
         self.stats
     }
 
+    /// Heap bytes the compiled index holds: the block table (nodes, rows,
+    /// variables, the tuple → block map) and the lineage of `W` it keeps. Idle kernels are counted apart
+    /// ([`MvIndex::idle_kernel_bytes`]); a table shared with clones is
+    /// counted in full by each.
+    pub fn heap_bytes(&self) -> usize {
+        let clauses = self.w_lineage.clauses();
+        let lineage: usize = clauses
+            .iter()
+            .map(|c| std::mem::size_of::<Clause>() + vec_bytes(c))
+            .sum();
+        self.table.heap_bytes() + lineage
+    }
+
+    /// `true` when the two indexes read one block table — a clone, or a
+    /// snapshot no weight write has reached yet.
+    pub fn shares_table_with(&self, other: &MvIndex) -> bool {
+        Arc::ptr_eq(&self.table, &other.table)
+    }
+
     /// `P0(W)`.
     pub fn prob_w(&self) -> f64 {
-        1.0 - self.prob_not_w
+        1.0 - self.table.prob_not_w
     }
 
     /// `P0(¬W)`.
@@ -262,42 +334,44 @@ impl MvIndex {
     /// arbitrarily large (or underflow); use [`MvIndex::is_consistent`] to
     /// test for consistency instead of comparing this value with zero.
     pub fn prob_not_w(&self) -> f64 {
-        self.prob_not_w
+        self.table.prob_not_w
     }
 
     /// Re-annotates the index after a weight-only update: every block's
-    /// diagram *structure* is untouched (same arena, same roots — the
-    /// expensive ConOBDD synthesis is not repeated), but the per-node
-    /// probability annotations, per-block `P0(¬W_k)` and the index-level
-    /// product are recomputed against the new weights, and the manager's
-    /// weight epoch is bumped so stale probability-cache entries can never
-    /// validate. `prob_of` must be the updated database weight function
-    /// (typically `|t| indb.probability(t)`).
+    /// diagram *structure* is untouched (no fold is repeated), and one
+    /// ascending sweep over the table recomputes every node's variable
+    /// probability and `probUnder`, every `P0(¬W_k)` and their product
+    /// against the new weights — bit for bit what a from-scratch compile
+    /// computes. A table shared with clones (the snapshot this one was
+    /// cloned from) is copied first and left as it was. `prob_of` must be
+    /// the updated database weight function (typically
+    /// `|t| indb.probability(t)`).
     pub fn reweight(&mut self, prob_of: impl Fn(TupleId) -> f64 + Copy) {
-        self.manager.bump_weight_epoch();
-        let mut prob_not_w = 1.0;
-        for block in &mut self.blocks {
-            let negated = AugmentedObdd::new(block.negated.obdd().clone(), prob_of);
-            let layout = CcLayout::new(&negated, prob_of);
-            let p = negated.probability();
-            prob_not_w *= p;
-            block.negated = negated;
-            block.layout = layout;
-            block.prob_not_w = p;
+        let BlockTable {
+            nodes,
+            rows,
+            prob_not_w,
+            ..
+        } = Arc::make_mut(&mut self.table);
+        *prob_not_w = 1.0;
+        for row in rows {
+            let block = &mut nodes[row.nodes.0 as usize..row.nodes.1 as usize];
+            annotate(block, &self.order, prob_of);
+            row.prob_not_w = prob_at(block, row.root);
+            *prob_not_w *= row.prob_not_w;
         }
-        self.prob_not_w = prob_not_w;
     }
 
     /// `true` when no block makes `¬W` impossible. Since blocks constrain
     /// disjoint sets of tuples, `P0(¬W) = 0` exactly when some block has
     /// `P0(¬W_k) = 0`, so this is the numerically robust consistency test.
     pub fn is_consistent(&self) -> bool {
-        self.blocks.iter().all(|b| b.prob_not_w != 0.0)
+        self.table.rows.iter().all(|b| b.prob_not_w != 0.0)
     }
 
     /// Number of blocks.
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.table.rows.len()
     }
 
     /// Total number of OBDD nodes in the index.
@@ -307,7 +381,7 @@ impl MvIndex {
 
     /// The block containing a tuple variable, if any (the `InterBddIndex`).
     pub fn block_of(&self, tuple: TupleId) -> Option<usize> {
-        match self.inter.get(tuple.0 as usize) {
+        match self.table.inter.get(tuple.0 as usize) {
             Some(&block) if block != NO_BLOCK => Some(block as usize),
             _ => None,
         }
@@ -315,29 +389,35 @@ impl MvIndex {
 
     /// The key associated with a block.
     pub fn block_key(&self, block: usize) -> &Value {
-        &self.blocks[block].key
+        &self.table.rows[block].key
     }
 
     /// The tuple variables constrained by a block, ascending.
     pub fn block_variables(&self, block: usize) -> impl Iterator<Item = TupleId> + '_ {
-        self.blocks[block].variables.iter().copied()
+        let (start, end) = self.table.rows[block].variables;
+        self.table.variables[start as usize..end as usize]
+            .iter()
+            .copied()
     }
 
     /// Number of lineage clauses a block was folded from.
     pub fn block_clauses(&self, block: usize) -> usize {
-        self.blocks[block].num_clauses
+        self.table.rows[block].num_clauses as usize
     }
 
     /// `P0(¬W_k)` of a block.
     pub fn block_prob_not_w(&self, block: usize) -> f64 {
-        self.blocks[block].prob_not_w
+        self.table.rows[block].prob_not_w
     }
 
-    /// Root of a block's `¬W_k` diagram in [`MvIndex::manager`] — what the
-    /// differential tests hold against the recursive construction.
+    /// A block's `¬W_k` diagram as the table keeps it: its nodes (children
+    /// are positions in this slice or the sink markers) and the position of
+    /// its root — what the differential tests hold against diagrams built
+    /// in a manager.
     #[doc(hidden)]
-    pub fn block_root(&self, block: usize) -> NodeId {
-        self.blocks[block].negated.obdd().root()
+    pub fn block_diagram(&self, block: usize) -> (&[QvNode], u32) {
+        let view = self.table.view(block as u32);
+        (view.nodes, view.root)
     }
 
     /// The lineage of `W` the index was compiled from (constant `false`
@@ -380,7 +460,7 @@ impl MvIndex {
         indb: &InDb,
         algo: IntersectAlgorithm,
     ) -> Result<f64> {
-        Ok(self.conditional_probability(lineage, indb, algo)? * self.prob_not_w)
+        Ok(self.conditional_probability(lineage, indb, algo)? * self.prob_not_w())
     }
 
     /// `P0(Q ∨ W) = P0(W) + P0(Q ∧ ¬W)`.
@@ -468,24 +548,24 @@ impl MvIndex {
 
     /// `P0(Q | ¬W)` in the given kernel — the production entry point: the
     /// lineage is folded, annotated and intersected in the kernel's reusable
-    /// buffers against the compiled layouts of the blocks it mentions, which
-    /// are read in place. The blocks it does not mention cancel between the
+    /// buffers against the table rows of the blocks it mentions, which are
+    /// read in place. The blocks it does not mention cancel between the
     /// numerator and the denominator; each one it does mention is divided
     /// out where the traversal enters it, so the result stays at the
     /// magnitude of a probability however many blocks are touched and
     /// whatever magnitude their `P0(¬W_k)` have (negative probabilities,
-    /// Section 3.3). Neither the index nor its arena is written.
+    /// Section 3.3). The index is not written.
     pub fn conditional_probability_with(
         &self,
         scratch: &mut QueryScratch,
         lineage: &Lineage,
         indb: &InDb,
-        algo: IntersectAlgorithm,
+        _algo: IntersectAlgorithm,
     ) -> Result<f64> {
         if lineage.is_false() {
             return Ok(0.0);
         }
-        Ok(scratch.conditional_probability(self, lineage, |t| indb.probability(t), algo)?)
+        Ok(scratch.conditional_probability(self, lineage, |t| indb.probability(t))?)
     }
 }
 
@@ -525,10 +605,11 @@ fn keyed_lineages(indb: &InDb, w: &Ucq) -> Result<Vec<(Value, Lineage)>> {
         .map(|(mut key, lineage)| (key.swap_remove(0), lineage))
         .collect())
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::augmented::AugmentedObdd;
+    use crate::intersect::{mv_intersect, QueryView};
     use mv_pdb::value::row;
     use mv_pdb::{InDbBuilder, Weight};
     use mv_query::brute::brute_force_lineage_probability;
@@ -585,13 +666,39 @@ mod tests {
         assert!(index.size() > 0);
     }
 
+    /// Every block of two indexes, node for node and bit for bit.
+    fn assert_same_tables(a: &MvIndex, b: &MvIndex) {
+        assert_eq!(a.prob_not_w().to_bits(), b.prob_not_w().to_bits());
+        assert_eq!(a.num_blocks(), b.num_blocks());
+        for k in 0..a.num_blocks() {
+            let ((a_nodes, a_root), (b_nodes, b_root)) = (a.block_diagram(k), b.block_diagram(k));
+            assert_eq!(a_root, b_root);
+            assert_eq!(a_nodes.len(), b_nodes.len());
+            for (x, y) in a_nodes.iter().zip(b_nodes) {
+                assert_eq!((x.level, x.lo, x.hi), (y.level, y.lo, y.hi));
+                assert_eq!(x.p_var.to_bits(), y.p_var.to_bits());
+                assert_eq!(x.prob.to_bits(), y.prob.to_bits());
+            }
+            assert_eq!(
+                a.block_prob_not_w(k).to_bits(),
+                b.block_prob_not_w(k).to_bits()
+            );
+        }
+    }
+
     #[test]
     fn reweight_matches_a_from_scratch_compile() {
         let w = w_query();
         let mut indb = translated_db();
-        let mut index = MvIndex::compile(&indb, &w).unwrap();
-        let blocks_before = index.num_blocks();
-        let epoch_before = index.manager().weight_epoch();
+        let index = MvIndex::compile(&indb, &w).unwrap();
+        let source = indb.clone();
+        let q = parse_ucq("Q() :- R(x), S(x, y)").unwrap();
+        let lin_q = lineage(&q, &indb).unwrap();
+        let algo = IntersectAlgorithm::CcMvIntersect;
+        let before = index.conditional_probability(&lin_q, &indb, algo).unwrap();
+        // A snapshot shares the table until its weight write.
+        let mut snapshot = index.clone();
+        assert!(snapshot.shares_table_with(&index));
         // Change base-tuple weights in place (no structural change).
         let r = indb.schema().relation_id("R").unwrap();
         let s = indb.schema().relation_id("S").unwrap();
@@ -599,33 +706,42 @@ mod tests {
         let t_s = indb.tuple_id_by_values(s, &row(["a2", "b3"])).unwrap();
         indb.set_weight(t_r, Weight::new(0.25));
         indb.set_weight(t_s, Weight::new(6.0));
-        index.reweight(|t| indb.probability(t));
-        // The diagrams survive (same blocks, no new synthesis), the epoch
-        // moved, and every probability matches a from-scratch compile.
-        assert_eq!(index.num_blocks(), blocks_before);
-        assert!(index.manager().weight_epoch() > epoch_before);
+        snapshot.reweight(|t| indb.probability(t));
+        assert!(!snapshot.shares_table_with(&index));
+        // The source answers as before the write.
+        let again = index
+            .conditional_probability(&lin_q, &source, algo)
+            .unwrap();
+        assert_eq!(again.to_bits(), before.to_bits());
+        // The snapshot is, bit for bit, a from-scratch compile.
         let rebuilt = MvIndex::compile(&indb, &w).unwrap();
-        assert!((index.prob_not_w() - rebuilt.prob_not_w()).abs() < 1e-12);
-        let q = parse_ucq("Q() :- R(x), S(x, y)").unwrap();
-        let lin_q = lineage(&q, &indb).unwrap();
-        let qman = index.query_manager();
-        for algo in [
-            IntersectAlgorithm::MvIntersect,
-            IntersectAlgorithm::CcMvIntersect,
-        ] {
-            let p = index
-                .conditional_probability_in(&qman, &lin_q, &indb, algo)
-                .unwrap();
-            let expected = reference_q_and_not_w(&q, &w, &indb) / rebuilt.prob_not_w();
-            assert!((p - expected).abs() < 1e-9, "{algo:?}: {p} vs {expected}");
-        }
+        assert_same_tables(&snapshot, &rebuilt);
+        let qman = snapshot.query_manager();
+        let p = snapshot
+            .conditional_probability_in(&qman, &lin_q, &indb, algo)
+            .unwrap();
+        let fresh = rebuilt
+            .conditional_probability(&lin_q, &indb, algo)
+            .unwrap();
+        assert_eq!(p.to_bits(), fresh.to_bits());
+        let expected = reference_q_and_not_w(&q, &w, &indb) / rebuilt.prob_not_w();
+        assert!((p - expected).abs() < 1e-9, "{p} vs {expected}");
+        // Reweighting back restores the source's table.
+        snapshot.reweight(|t| source.probability(t));
+        assert_same_tables(&snapshot, &index);
     }
 
+    /// MVIntersect over `¬W` built in a manager of the test's own, and the
+    /// index's walk over its table (CC-MVIntersect), against brute force.
     #[test]
     fn both_intersection_algorithms_match_the_reference() {
         let indb = translated_db();
         let w = w_query();
         let index = MvIndex::compile(&indb, &w).unwrap();
+        let prob_of = |t: TupleId| indb.probability(t);
+        let manager = index.query_manager();
+        let lin_w = lineage(&w, &indb).unwrap();
+        let not_w = AugmentedObdd::new(manager.dnf(lin_w.clauses()).unwrap().negate(), prob_of);
         for q_text in [
             "Q() :- R('a1'), S('a1', y)",
             "Q() :- R(x), S(x, y)",
@@ -636,9 +752,8 @@ mod tests {
             let q = parse_ucq(q_text).unwrap();
             let lin_q = lineage(&q, &indb).unwrap();
             let expected = reference_q_and_not_w(&q, &w, &indb);
-            let via_mv = index
-                .prob_q_and_not_w(&lin_q, &indb, IntersectAlgorithm::MvIntersect)
-                .unwrap();
+            let q_view = QueryView::new(&manager.dnf(lin_q.clauses()).unwrap(), prob_of);
+            let via_mv = mv_intersect(&not_w, &q_view, prob_of);
             let via_cc = index
                 .prob_q_and_not_w(&lin_q, &indb, IntersectAlgorithm::CcMvIntersect)
                 .unwrap();
@@ -673,13 +788,13 @@ mod tests {
     }
 
     #[test]
-    fn multi_block_lineages_leave_the_index_arena_as_compiled() {
+    fn multi_block_lineages_leave_the_block_table_as_compiled() {
         let blocks = 40;
         let indb = many_blocks_db(blocks);
         let w = w_query();
         let index = MvIndex::compile(&indb, &w).unwrap();
         assert_eq!(index.num_blocks(), blocks as usize);
-        let compiled = index.manager().num_nodes();
+        let compiled = (index.heap_bytes(), index.manager_stats());
 
         // The scan touches every block: P0(Q ∧ ¬W) = P0(Q ∨ W) − P0(W), by
         // plain synthesis.
@@ -687,13 +802,10 @@ mod tests {
         let lin_w = lineage(&w, &indb).unwrap();
         let q_or_w = index.query_obdd(&lin_q.or(&lin_w)).unwrap();
         let expected = q_or_w.probability(|t| indb.probability(t)) - index.prob_w();
-        for algo in [
-            IntersectAlgorithm::CcMvIntersect,
-            IntersectAlgorithm::MvIntersect,
-        ] {
-            let p = index.prob_q_and_not_w(&lin_q, &indb, algo).unwrap();
-            assert!((p - expected).abs() < 1e-9 * expected.abs().max(1.0));
-        }
+        let p = index
+            .prob_q_and_not_w(&lin_q, &indb, IntersectAlgorithm::CcMvIntersect)
+            .unwrap();
+        assert!((p - expected).abs() < 1e-9 * expected.abs().max(1.0));
 
         // 10 000 distinct two-block lineages R(x₁)S(x₁,y₁) ∨ S(x₂,y₂)
         // through one kernel.
@@ -721,7 +833,7 @@ mod tests {
             seen.insert(lin.into_clauses());
         }
         assert_eq!(seen.len(), 10_000);
-        assert_eq!(index.manager().num_nodes(), compiled);
+        assert_eq!((index.heap_bytes(), index.manager_stats()), compiled);
     }
 
     /// Standalone calls draw from the index's pool: one kernel serves them
@@ -786,7 +898,7 @@ mod tests {
         let lin_q = lineage(&q, &indb).unwrap();
         let expected = reference_q_and_not_w(&q, &w, &indb);
         let got = index
-            .prob_q_and_not_w(&lin_q, &indb, IntersectAlgorithm::MvIntersect)
+            .prob_q_and_not_w(&lin_q, &indb, IntersectAlgorithm::CcMvIntersect)
             .unwrap();
         assert!((got - expected).abs() < 1e-12);
         // The query touches no block.
@@ -819,10 +931,10 @@ mod tests {
         let q = parse_ucq("Q() :- R(x), S(x, y)").unwrap();
         let lin_q = lineage(&q, &indb).unwrap();
         let joint = index
-            .prob_q_and_not_w(&lin_q, &indb, IntersectAlgorithm::MvIntersect)
+            .prob_q_and_not_w(&lin_q, &indb, IntersectAlgorithm::CcMvIntersect)
             .unwrap();
         let cond = index
-            .conditional_probability(&lin_q, &indb, IntersectAlgorithm::MvIntersect)
+            .conditional_probability(&lin_q, &indb, IntersectAlgorithm::CcMvIntersect)
             .unwrap();
         assert!((cond - joint / index.prob_not_w()).abs() < 1e-12);
         // The conditional probability is a genuine probability even though
@@ -839,7 +951,7 @@ mod tests {
             .prob_q_and_not_w(
                 &Lineage::constant_false(),
                 &indb,
-                IntersectAlgorithm::MvIntersect,
+                IntersectAlgorithm::CcMvIntersect,
             )
             .unwrap();
         assert_eq!(p, 0.0);
@@ -847,7 +959,7 @@ mod tests {
             .prob_q_or_w(
                 &Lineage::constant_false(),
                 &indb,
-                IntersectAlgorithm::MvIntersect,
+                IntersectAlgorithm::CcMvIntersect,
             )
             .unwrap();
         assert!((p_or - index.prob_w()).abs() < 1e-12);

@@ -11,12 +11,19 @@
 //! (`IndexBlock`) — which is all Fig. 9 compares:
 //!
 //! * [`mv_intersect`] — **MVIntersect**: `ArenaBlock`, the pointer-based
-//!   form: nodes in the shared arena behind a read guard, `probUnder` in the
-//!   sparse per-diagram map of an [`AugmentedObdd`];
-//! * [`cc_mv_intersect`] — **CC-MVIntersect**: [`CcLayout`], the
-//!   cache-conscious form: the block flattened into a DFS-ordered vector
-//!   carrying `probUnder` and the variable probability inline, so the
-//!   traversal takes no lock and chases no arena pointers.
+//!   form: nodes in an [`mv_obdd::ObddManager`] arena behind a read guard,
+//!   `probUnder` in the sparse per-diagram map of an [`AugmentedObdd`];
+//! * [`cc_mv_intersect`] — **CC-MVIntersect**: a node slice (`BlockView`),
+//!   the cache-conscious form: the block flattened into a DFS-ordered
+//!   vector of [`QvNode`]s carrying `probUnder` and the variable
+//!   probability inline, so the traversal takes no lock and chases no arena
+//!   pointers. A [`CcLayout`] is one such vector; the compiled
+//!   [`MvIndex`](crate::MvIndex) keeps every block as a range of one.
+//!
+//! The index reads only the second form: its blocks are rows of one flat
+//! block table, and no arena outlives its compile. `ArenaBlock` serves the
+//! standalone Fig. 9 call and the differential tests, which hold the table
+//! against diagrams built in a manager of their own.
 //!
 //! The traversal walks a *chain* of blocks in level order rather than one
 //! diagram: a query that touches several blocks of the index continues from
@@ -45,7 +52,7 @@ use mv_pdb::TupleId;
 use crate::augmented::AugmentedObdd;
 
 /// Compact position of the `false` sink in every flattened diagram form
-/// ([`QueryView`] and [`CcLayout`]).
+/// ([`QueryView`], [`CcLayout`] and the index's block table).
 pub const QV_FALSE: u32 = u32::MAX;
 /// Compact position of the `true` sink in every flattened diagram form.
 pub const QV_TRUE: u32 = u32::MAX - 1;
@@ -92,7 +99,7 @@ fn compact_of(id: NodeId, position: &FxHashMap<NodeId, u32>) -> u32 {
     }
 }
 
-/// One flattened query node.
+/// One node of a flattened diagram — a query's, or a block of the index.
 #[derive(Debug, Clone, Copy)]
 pub struct QvNode {
     /// Level of the node's variable.
@@ -103,7 +110,7 @@ pub struct QvNode {
     pub hi: u32,
     /// Probability of the node's variable.
     pub p_var: f64,
-    /// Probability of the sub-diagram rooted at the node.
+    /// Probability of the sub-diagram rooted at the node (`probUnder`).
     pub prob: f64,
 }
 
@@ -194,27 +201,10 @@ impl QueryView {
     }
 }
 
-/// One internal node of a flattened index-side block: structure plus both
-/// annotations inline. Children are compact positions of the same block or
-/// the [`QV_FALSE`] / [`QV_TRUE`] markers.
-#[derive(Debug, Clone, Copy)]
-struct IndexNode {
-    /// Level of the node's variable.
-    level: u32,
-    /// Position of the 0-child, or a sink marker.
-    lo: u32,
-    /// Position of the 1-child, or a sink marker.
-    hi: u32,
-    /// `probUnder` of the node.
-    prob_under: f64,
-    /// Probability of the node's variable.
-    p_var: f64,
-}
-
 /// Where the traversal reads an index-side block from. The two
 /// implementations are the two algorithms of Section 4.3: `ArenaBlock`
-/// chases the shared arena and the sparse `probUnder` map of an
-/// [`AugmentedObdd`] (MVIntersect), [`CcLayout`] reads one flat vector
+/// chases a manager's arena and the sparse `probUnder` map of an
+/// [`AugmentedObdd`] (MVIntersect), `BlockView` reads one flat node slice
 /// (CC-MVIntersect). The annotations are asked for apart from the structure
 /// because only the pointer-based form pays for each separately.
 pub(crate) trait IndexBlock {
@@ -233,7 +223,7 @@ pub(crate) trait IndexBlock {
 pub(crate) struct ArenaBlock<'a, F> {
     pub(crate) index: &'a AugmentedObdd,
     /// A guard over the manager `index` lives in; one guard serves every
-    /// block of a chain.
+    /// block of a chain built in that manager.
     pub(crate) arena: &'a mv_obdd::ObddNodes<'a>,
     pub(crate) prob_of: F,
 }
@@ -257,12 +247,41 @@ impl<F: Fn(TupleId) -> f64> IndexBlock for ArenaBlock<'_, F> {
     }
 }
 
-/// A flattened, DFS-ordered copy of an augmented OBDD, ready for
-/// cache-conscious intersection. Built once per index block at compile (or
-/// reweight) time and read by every query that touches the block.
+/// One block read in place from a flat node slice: positions index the
+/// slice, children are positions of the same slice or the sink markers.
+/// What a row of the index's block table and a [`CcLayout`] hand the walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockView<'a> {
+    pub(crate) nodes: &'a [QvNode],
+    /// Position of the root, or a sink marker for a constant block.
+    pub(crate) root: u32,
+}
+
+impl IndexBlock for BlockView<'_> {
+    fn root(&self) -> u32 {
+        self.root
+    }
+
+    fn node(&self, u: u32) -> (u32, u32, u32) {
+        let node = &self.nodes[u as usize];
+        (node.level, node.lo, node.hi)
+    }
+
+    fn prob_under(&self, u: u32) -> f64 {
+        self.nodes[u as usize].prob
+    }
+
+    fn p_var(&self, u: u32, _: u32) -> f64 {
+        self.nodes[u as usize].p_var
+    }
+}
+
+/// A flattened, DFS-ordered copy of one augmented OBDD, ready for
+/// cache-conscious intersection: the standalone Fig. 9 form of what the
+/// index keeps for every block as a range of its table.
 #[derive(Debug, Clone)]
 pub struct CcLayout {
-    nodes: Vec<IndexNode>,
+    nodes: Vec<QvNode>,
     root: u32,
 }
 
@@ -283,19 +302,25 @@ impl CcLayout {
             .iter()
             .map(|&id| {
                 let node = arena.node(id);
-                let tuple = order.tuple_at(node.level);
-                IndexNode {
+                QvNode {
                     level: node.level,
                     lo: compact_of(node.lo, &position),
                     hi: compact_of(node.hi, &position),
-                    prob_under: index.prob_under(id),
-                    p_var: prob_of(tuple),
+                    p_var: prob_of(order.tuple_at(node.level)),
+                    prob: index.prob_under(id),
                 }
             })
             .collect();
         CcLayout {
             nodes,
             root: position[&w.root()],
+        }
+    }
+
+    pub(crate) fn view(&self) -> BlockView<'_> {
+        BlockView {
+            nodes: &self.nodes,
+            root: self.root,
         }
     }
 
@@ -307,25 +332,6 @@ impl CcLayout {
     /// `true` when the layout holds no internal nodes (constant diagram).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-}
-
-impl IndexBlock for &CcLayout {
-    fn root(&self) -> u32 {
-        self.root
-    }
-
-    fn node(&self, u: u32) -> (u32, u32, u32) {
-        let node = &self.nodes[u as usize];
-        (node.level, node.lo, node.hi)
-    }
-
-    fn prob_under(&self, u: u32) -> f64 {
-        self.nodes[u as usize].prob_under
-    }
-
-    fn p_var(&self, u: u32, _: u32) -> f64 {
-        self.nodes[u as usize].p_var
     }
 }
 
@@ -613,7 +619,8 @@ impl Walk {
 }
 
 /// Computes `P0(index ∧ query)` by guided traversal of the arena-backed
-/// diagram (the MVIntersect algorithm).
+/// diagram (the MVIntersect algorithm of Fig. 9; the index itself keeps no
+/// arena).
 pub fn mv_intersect(
     index: &AugmentedObdd,
     query: &QueryView,
@@ -635,7 +642,7 @@ pub fn mv_intersect(
 /// CC-MVIntersect algorithm): the same traversal, but both operands are
 /// flat vectors, so it touches no lock and no arena.
 pub fn cc_mv_intersect(layout: &CcLayout, query: &QueryView) -> f64 {
-    Walk::new().intersect(1, |_| (layout, 1.0), &query.nodes, query.root)
+    Walk::new().intersect(1, |_| (layout.view(), 1.0), &query.nodes, query.root)
 }
 
 #[cfg(test)]
@@ -685,7 +692,8 @@ mod tests {
         let q = clause(1, 2).apply_or(&clause(4, 5)).unwrap();
         let query = QueryView::new(&q, prob_of);
         let walk = |chain: &[(&CcLayout, f64)]| {
-            Walk::new().intersect(chain.len(), |k| chain[k], &query.nodes, query.root)
+            let block = |k: usize| (chain[k].0.view(), chain[k].1);
+            Walk::new().intersect(chain.len(), block, &query.nodes, query.root)
         };
 
         let conjunction = q

@@ -26,12 +26,18 @@
 //!    probability and `probUnder` (Shannon expansion, valid for the
 //!    negative probabilities of Section 3.3);
 //! 3. **intersect** — the touched blocks of the index are walked *as a
-//!    chain* in level order (`Walk::intersect`, over their compiled
-//!    [`CcLayout`]s or arena-backed `ArenaBlock`s, whichever
-//!    [`IntersectAlgorithm`] asks for): the index is read, never written.
-//!    Blocks whose level ranges interleave (possible under a `π` that does
-//!    not put the separator first) cannot be chained; their layouts are
-//!    copied into the scratch and conjoined with the query diagram there.
+//!    chain* in level order (`Walk::intersect`, over their rows of the
+//!    index's flat block table): the index is read, never written. Blocks
+//!    whose level ranges interleave (possible under a `π` that does not put
+//!    the separator first) cannot be chained; their rows are copied into
+//!    the scratch and conjoined with the query diagram there.
+//!
+//! The index is compiled by the same two first steps: each keyed group of
+//! `W`'s clauses is folded like a lineage, its reachable nodes are appended
+//! to the block table with the sinks swapped (the diagram of `¬W_k`, in DFS
+//! post-order, so children still precede their parents), and the table's
+//! slice is annotated by the same sweep — which a weight-only update
+//! repeats over the whole table.
 //!
 //! The kernel keeps every guard of the manager path: unknown variables are
 //! reported, the cooperative [`EvalBudget`] is polled between clause folds
@@ -44,10 +50,9 @@ use mv_pdb::TupleId;
 use mv_query::lineage::Lineage;
 use mv_query::EvalBudget;
 
-use crate::index::{IntersectAlgorithm, MvIndex};
+use crate::index::MvIndex;
 use crate::intersect::{
-    prob_at, vec_bytes, ArenaBlock, CcLayout, IndexBlock, QvNode, StampedMap, Walk, QV_FALSE,
-    QV_TRUE,
+    prob_at, vec_bytes, BlockView, IndexBlock, QvNode, StampedMap, Walk, QV_FALSE, QV_TRUE,
 };
 
 /// Memo tags of the two synthesis operators.
@@ -89,6 +94,21 @@ fn apply_terminal(op: u32, a: u32, b: u32) -> Option<u32> {
         Some(a)
     } else {
         None
+    }
+}
+
+/// Step 2 over any node slice whose children precede their parents (a
+/// kernel's arena, a block of the index's table): one ascending sweep sets
+/// every node's variable probability and `probUnder`. The arithmetic is
+/// [`mv_obdd::ObddManager`]'s Shannon expansion, operation for operation.
+pub(crate) fn annotate(nodes: &mut [QvNode], order: &VarOrder, prob_of: impl Fn(TupleId) -> f64) {
+    for id in 0..nodes.len() {
+        let QvNode { level, lo, hi, .. } = nodes[id];
+        let p_var = prob_of(order.tuple_at(level));
+        let prob = (1.0 - p_var) * prob_at(nodes, lo) + p_var * prob_at(nodes, hi);
+        let node = &mut nodes[id];
+        node.p_var = p_var;
+        node.prob = prob;
     }
 }
 
@@ -389,38 +409,36 @@ impl QueryScratch {
         Ok(acc)
     }
 
-    /// Step 2: one ascending sweep (children sit below their parents).
-    fn annotate(&mut self, order: &VarOrder, prob_of: impl Fn(TupleId) -> f64) {
-        for id in 0..self.nodes.len() {
-            let QvNode { level, lo, hi, .. } = self.nodes[id];
-            let p_var = prob_of(order.tuple_at(level));
-            let prob = (1.0 - p_var) * prob_at(&self.nodes, lo) + p_var * prob_at(&self.nodes, hi);
-            let node = &mut self.nodes[id];
-            node.p_var = p_var;
-            node.prob = prob;
-        }
-    }
-
-    /// Copies a block's layout into the arena, bottom-up, and returns the
-    /// position of its root.
-    fn import(&mut self, layout: &CcLayout) -> u32 {
+    /// Copies the internal nodes reachable from `root` children first — in
+    /// DFS post-order, the 0-edge first — giving each the position `place`
+    /// returns for its level and its children's new positions (`sink`
+    /// renames the sink markers). `node` reads a node at one of the `len`
+    /// source positions. Returns the root's new position.
+    fn copy_post_order(
+        &mut self,
+        len: usize,
+        root: u32,
+        node: impl Fn(&Self, u32) -> (u32, u32, u32),
+        sink: impl Fn(u32) -> u32,
+        mut place: impl FnMut(&mut Self, u32, u32, u32) -> u32,
+    ) -> u32 {
         let mapped = |imported: &[u32], u: u32| match u {
-            QV_TRUE | QV_FALSE => Some(u),
-            u => Some(imported[u as usize]).filter(|&id| id != UNSET),
+            QV_TRUE | QV_FALSE => Some(sink(u)),
+            u => Some(imported[u as usize]).filter(|&at| at != UNSET),
         };
         self.imported.clear();
-        self.imported.resize(layout.len(), UNSET);
+        self.imported.resize(len, UNSET);
         self.results.clear();
-        self.results.push(layout.root());
+        self.results.push(root);
         while let Some(&u) = self.results.last() {
             if mapped(&self.imported, u).is_some() {
                 self.results.pop();
                 continue;
             }
-            let (level, lo, hi) = layout.node(u);
+            let (level, lo, hi) = node(self, u);
             match (mapped(&self.imported, lo), mapped(&self.imported, hi)) {
                 (Some(lo), Some(hi)) => {
-                    self.imported[u as usize] = self.mk(level, lo, hi);
+                    self.imported[u as usize] = place(self, level, lo, hi);
                     self.results.pop();
                 }
                 (mapped_lo, mapped_hi) => {
@@ -433,7 +451,48 @@ impl QueryScratch {
                 }
             }
         }
-        mapped(&self.imported, layout.root()).expect("root copied")
+        mapped(&self.imported, root).expect("root copied")
+    }
+
+    /// The compile's step for one block: folds a keyed group of `W`'s
+    /// clauses like a lineage, then appends the nodes reachable from its
+    /// root to `out` with the sinks swapped — the diagram of `¬W_k` —
+    /// children before parents, so one [`annotate`] sweep over the appended
+    /// slice annotates it. Positions are relative to where the block starts
+    /// in `out`; the nodes come unannotated. Returns the root's position (a
+    /// sink marker when `¬W_k` is constant).
+    pub(crate) fn fold_negated(
+        &mut self,
+        order: &VarOrder,
+        group: &Lineage,
+        out: &mut Vec<QvNode>,
+    ) -> Result<u32, ObddError> {
+        let root = self.fold(order, group)?;
+        let start = out.len();
+        let node = |kernel: &Self, v: u32| {
+            let QvNode { level, lo, hi, .. } = kernel.nodes[v as usize];
+            (level, lo, hi)
+        };
+        let negate = |v: u32| if v == QV_TRUE { QV_FALSE } else { QV_TRUE };
+        let place = |_: &mut Self, level, lo, hi| {
+            out.push(QvNode {
+                level,
+                lo,
+                hi,
+                p_var: 0.0,
+                prob: 0.0,
+            });
+            (out.len() - 1 - start) as u32
+        };
+        Ok(self.copy_post_order(self.nodes.len(), root, node, negate, place))
+    }
+
+    /// Copies a block of the index into the arena and returns the position
+    /// of its root.
+    fn import(&mut self, block: BlockView<'_>) -> u32 {
+        let node = |_: &Self, u: u32| block.node(u);
+        let place = |kernel: &mut Self, level, lo, hi| kernel.mk(level, lo, hi);
+        self.copy_post_order(block.nodes.len(), block.root(), node, |v| v, place)
     }
 
     /// The exact rung: `P0(lineage ∧ ¬W) / P0(¬W)` over the blocks the
@@ -443,12 +502,12 @@ impl QueryScratch {
         index: &MvIndex,
         lineage: &Lineage,
         prob_of: impl Fn(TupleId) -> f64 + Copy,
-        algo: IntersectAlgorithm,
     ) -> Result<f64, ObddError> {
-        let order = index.manager().order();
+        let order = index.var_order();
         let root = self.fold(order, lineage)?;
 
-        let blocks = &index.blocks;
+        let table = index.table();
+        let blocks = &table.rows;
         let first_level = |b: u32| blocks[b as usize].levels.map_or(u32::MAX, |(lo, _)| lo);
         self.touched.clear();
         self.touched.extend(
@@ -475,10 +534,10 @@ impl QueryScratch {
             // block first, and read the probability off the sweep.
             let mut acc = root;
             for i in (0..self.touched.len()).rev() {
-                let block = self.import(&blocks[self.touched[i] as usize].layout);
+                let block = self.import(table.view(self.touched[i]));
                 acc = self.apply(AND, block, acc)?;
             }
-            self.annotate(order, prob_of);
+            annotate(&mut self.nodes, order, prob_of);
             let p = self
                 .touched
                 .iter()
@@ -488,30 +547,13 @@ impl QueryScratch {
             return Ok(p);
         }
 
-        self.annotate(order, prob_of);
+        annotate(&mut self.nodes, order, prob_of);
         let touched = &self.touched;
-        Ok(match algo {
-            IntersectAlgorithm::CcMvIntersect => {
-                let block = |k: usize| {
-                    let block = &blocks[touched[k] as usize];
-                    (&block.layout, block.prob_not_w)
-                };
-                self.walk.intersect(touched.len(), block, &self.nodes, root)
-            }
-            IntersectAlgorithm::MvIntersect => {
-                let arena = &index.manager().nodes();
-                let block = |k: usize| {
-                    let block = &blocks[touched[k] as usize];
-                    let side = ArenaBlock {
-                        index: &block.negated,
-                        arena,
-                        prob_of,
-                    };
-                    (side, block.prob_not_w)
-                };
-                self.walk.intersect(touched.len(), block, &self.nodes, root)
-            }
-        })
+        let block = |k: usize| {
+            let b = touched[k];
+            (table.view(b), blocks[b as usize].prob_not_w)
+        };
+        Ok(self.walk.intersect(touched.len(), block, &self.nodes, root))
     }
 }
 
@@ -521,15 +563,13 @@ mod tests {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
+    use crate::augmented::AugmentedObdd;
+    use crate::intersect::ArenaBlock;
+    use mv_obdd::ObddManager;
     use mv_pdb::Value;
     use mv_query::brute::brute_force_probability_with;
     use mv_query::BudgetError;
     use proptest::prelude::*;
-
-    const ALGORITHMS: [IntersectAlgorithm; 2] = [
-        IntersectAlgorithm::CcMvIntersect,
-        IntersectAlgorithm::MvIntersect,
-    ];
 
     fn lineage_of(clauses: &[Vec<u32>]) -> Lineage {
         Lineage::from_clauses(
@@ -555,6 +595,57 @@ mod tests {
 
     fn same(a: f64, b: f64, tolerance: f64) -> bool {
         (a.is_nan() && b.is_nan()) || (a - b).abs() <= tolerance * a.abs().max(1.0)
+    }
+
+    /// What the kernel's last call computed, with the index side rebuilt
+    /// from `blocks` in a manager of the test's own: the kernel's walk over
+    /// `ArenaBlock`s of those diagrams, or — on interleaved levels — the
+    /// conjunction the kernel formed, built and annotated in the manager.
+    fn manager_answer(
+        scratch: &mut QueryScratch,
+        order: Arc<VarOrder>,
+        blocks: &[Vec<Vec<u32>>],
+        lin_q: &Lineage,
+        prob_of: impl Fn(TupleId) -> f64 + Copy,
+    ) -> f64 {
+        let manager = ObddManager::new(order);
+        let negated: Vec<AugmentedObdd> = blocks
+            .iter()
+            .map(|dnf| {
+                let w_k = manager.dnf(lineage_of(dnf).clauses()).unwrap();
+                AugmentedObdd::new(w_k.negate(), prob_of)
+            })
+            .collect();
+        let touched: Vec<usize> = scratch.touched.iter().map(|&b| b as usize).collect();
+        let levels = |k: usize| negated[touched[k]].obdd().level_range();
+        let chained = (1..touched.len()).all(|k| match (levels(k - 1), levels(k)) {
+            (Some((_, last)), Some((first, _))) => last < first,
+            _ => true,
+        });
+        if !chained {
+            let query = manager.dnf(lin_q.clauses()).unwrap();
+            let conjunction = touched
+                .iter()
+                .rev()
+                .fold(query, |acc, &b| negated[b].obdd().apply_and(&acc).unwrap());
+            return touched
+                .iter()
+                .fold(conjunction.probability(prob_of), |p, &b| {
+                    p / negated[b].probability()
+                });
+        }
+        let arena = manager.nodes();
+        let block = |k: usize| {
+            let index = &negated[touched[k]];
+            let side = ArenaBlock {
+                index,
+                arena: &arena,
+                prob_of,
+            };
+            (side, index.probability())
+        };
+        let (nodes, root) = (&scratch.nodes, scratch.root);
+        scratch.walk.intersect(touched.len(), block, nodes, root)
     }
 
     /// Variables per block, blocks, and variables no block mentions.
@@ -613,20 +704,15 @@ mod tests {
                 (brute_force_probability_with(&lin_q.or(&lin_w), &prob_of) - p_w) / (1.0 - p_w);
 
             let mut scratch = QueryScratch::new();
-            let mut answers = Vec::new();
-            for algo in ALGORITHMS {
-                let p = scratch
-                    .conditional_probability(&index, &lin_q, prob_of, algo)
-                    .unwrap();
-                if !expected.is_nan() {
-                    prop_assert!(same(p, expected, 1e-7), "{algo:?}: {p} vs {expected}");
-                }
-                prop_assert_eq!(scratch.diagram_size(), index.query_obdd(&lin_q).unwrap().size());
-                answers.push(p);
+            let p = scratch.conditional_probability(&index, &lin_q, prob_of).unwrap();
+            if !expected.is_nan() {
+                prop_assert!(same(p, expected, 1e-7), "{p} vs {expected}");
             }
-            // One traversal, two forms of the same block: the same arithmetic.
-            prop_assert!(same(answers[0], answers[1], 1e-12), "{answers:?}");
-            prop_assert_eq!(index.manager().num_nodes(), index_of(index.order(), &blocks, prob_of).manager().num_nodes());
+            // The table against the same blocks built in a manager: the
+            // same arithmetic, bit for bit.
+            let oracle = manager_answer(&mut scratch, index.order(), &blocks, &lin_q, prob_of);
+            prop_assert_eq!(p.to_bits(), oracle.to_bits(), "{} vs {}", p, oracle);
+            prop_assert_eq!(scratch.diagram_size(), index.query_obdd(&lin_q).unwrap().size());
         }
     }
 
@@ -663,18 +749,11 @@ mod tests {
                 1.0 - x * y * (1.0 - z) / (1.0 - x * z)
             })
             .product();
-        let mut scratch = QueryScratch::new();
-        for algo in ALGORITHMS {
-            let p = scratch
-                .conditional_probability(&index, &lin_q, prob_of, algo)
-                .unwrap();
-            assert!(p.is_finite() && (0.1..0.3).contains(&p), "{algo:?}: {p}");
-            assert!(
-                (p - (1.0 - none)).abs() < 1e-9,
-                "{algo:?}: {p} vs {}",
-                1.0 - none
-            );
-        }
+        let p = QueryScratch::new()
+            .conditional_probability(&index, &lin_q, prob_of)
+            .unwrap();
+        assert!(p.is_finite() && (0.1..0.3).contains(&p), "{p}");
+        assert!((p - (1.0 - none)).abs() < 1e-9, "{p} vs {}", 1.0 - none);
     }
 
     #[test]
@@ -697,12 +776,11 @@ mod tests {
             .collect();
         let mut reused = QueryScratch::new();
         for lin in &lineages {
-            let algo = IntersectAlgorithm::CcMvIntersect;
             let p = reused
-                .conditional_probability(&index, lin, prob_of, algo)
+                .conditional_probability(&index, lin, prob_of)
                 .unwrap();
             let fresh = QueryScratch::new()
-                .conditional_probability(&index, lin, prob_of, algo)
+                .conditional_probability(&index, lin, prob_of)
                 .unwrap();
             assert_eq!(p.to_bits(), fresh.to_bits());
         }
@@ -722,7 +800,7 @@ mod tests {
     #[test]
     fn budget_and_node_cap_trips_are_the_managers_typed_errors() {
         let run = |scratch: &mut QueryScratch, index: &MvIndex, lin: &Lineage| {
-            scratch.conditional_probability(index, lin, |_| 0.5, IntersectAlgorithm::CcMvIntersect)
+            scratch.conditional_probability(index, lin, |_| 0.5)
         };
         let (index, lin) = pairing(10);
         let mut scratch = QueryScratch::new();
@@ -787,7 +865,7 @@ mod tests {
         let (index, _) = pairing(2);
         let lin = lineage_of(&[vec![0, 9]]);
         assert!(matches!(
-            QueryScratch::new().conditional_probability(&index, &lin, |_| 0.5, ALGORITHMS[0]),
+            QueryScratch::new().conditional_probability(&index, &lin, |_| 0.5),
             Err(ObddError::UnknownVariable(_))
         ));
     }

@@ -2,19 +2,22 @@
 //!
 //! [`MvIndex::compile`] grounds `W` once — the separator variable becomes
 //! the head of a keyed query the vectorized executor evaluates in one pass —
-//! and folds each key's clauses with one `dnf`. The recursive
-//! `ConOBDD(π, W_k)` of Section 4.2 ([`ConObddBuilder`]) is its oracle:
-//! built value by value *into the index's own manager*, canonicity makes
-//! its negation land on the very root id the index stores for that key.
-//! Counts and identities only; nothing here reads a clock.
+//! and folds each key's clauses into a row of its flat block table. The
+//! recursive `ConOBDD(π, W_k)` of Section 4.2 ([`ConObddBuilder`]) is its
+//! oracle: built value by value in a manager of the test's own over the
+//! index's order and annotated as an [`AugmentedObdd`], its negation must be
+//! the table's block node for node, with equal `probUnder` bits — before
+//! and after a weight-only [`MvIndex::reweight`]. Counts, identities and
+//! bits only; nothing here reads a clock.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use markoviews::core::{CoreError, MvdbBuilder, MvdbEngine, TranslatedIndb};
 use markoviews::dblp::{DblpConfig, DblpDataset};
-use markoviews::mvindex::MvIndex;
-use markoviews::obdd::obdd::FALSE;
-use markoviews::obdd::{ConObddBuilder, Obdd};
+use markoviews::mvindex::intersect::{QV_FALSE, QV_TRUE};
+use markoviews::mvindex::{AugmentedObdd, MvIndex};
+use markoviews::obdd::obdd::{FALSE, TRUE};
+use markoviews::obdd::{ConObddBuilder, NodeId, Obdd, ObddManager};
 use markoviews::pdb::{value::row, InDb, InDbBuilder, TupleId, Value, Weight};
 use markoviews::query::analysis::find_separator_over;
 use markoviews::query::brute::brute_force_lineage_probability;
@@ -31,10 +34,69 @@ fn variables_of(obdd: &Obdd) -> BTreeSet<TupleId> {
         .collect()
 }
 
+/// Holds a block of the table against a diagram annotated in a manager:
+/// one bijection between the table's positions and the diagram's reachable
+/// nodes that keeps levels, children and sinks; children laid out before
+/// their parents; every `probUnder` and variable probability, and
+/// `P0(¬W_k)`, with equal bits.
+fn assert_block_is(
+    index: &MvIndex,
+    block: usize,
+    oracle: &AugmentedObdd,
+    prob_of: impl Fn(TupleId) -> f64,
+) {
+    let (nodes, root) = index.block_diagram(block);
+    let diagram = oracle.obdd();
+    let arena = diagram.nodes();
+    let mut position: HashMap<NodeId, u32> = HashMap::new();
+    let mut stack = vec![(diagram.root(), root)];
+    while let Some((id, at)) = stack.pop() {
+        match id {
+            TRUE => assert_eq!(at, QV_TRUE, "block {block}"),
+            FALSE => assert_eq!(at, QV_FALSE, "block {block}"),
+            id => {
+                if let Some(&seen) = position.get(&id) {
+                    assert_eq!(seen, at, "block {block}: one node, two positions");
+                    continue;
+                }
+                position.insert(id, at);
+                let (node, row) = (arena.node(id), nodes[at as usize]);
+                assert_eq!(row.level, node.level, "block {block}");
+                assert!(row.lo.min(row.hi) < at || row.lo.min(row.hi) >= QV_TRUE);
+                assert!(row.lo.max(row.hi) < at || row.lo.max(row.hi) >= QV_TRUE);
+                let tuple = diagram.order().tuple_at(node.level);
+                assert_eq!(row.p_var.to_bits(), prob_of(tuple).to_bits());
+                assert_eq!(row.prob.to_bits(), oracle.prob_under(id).to_bits());
+                stack.push((node.lo, row.lo));
+                stack.push((node.hi, row.hi));
+            }
+        }
+    }
+    let distinct: HashSet<u32> = position.values().copied().collect();
+    assert_eq!(
+        distinct.len(),
+        position.len(),
+        "block {block}: two nodes, one position"
+    );
+    assert_eq!(
+        position.len(),
+        nodes.len(),
+        "block {block}: unreachable table nodes"
+    );
+    assert_eq!(
+        index.block_prob_not_w(block).to_bits(),
+        oracle.probability().to_bits(),
+        "P0(¬W_k) of block {block}"
+    );
+}
+
 /// Compiles `w` and holds every block against `ConObddBuilder` run on `W`
-/// grounded at the block's key, in the index's manager: same root id, same
-/// variables, same `P0(¬W_k)`; keys in `separator_domain` order; a value
-/// whose grounding is unsatisfiable has no block. Returns the index.
+/// grounded at the block's key, in a manager of the test's own: the same
+/// diagram and `probUnder` bits, the same variables; keys in
+/// `separator_domain` order; a value whose grounding is unsatisfiable has
+/// no block. Then reweights a snapshot of the index and holds every block
+/// against the same diagrams annotated with the new weights. Returns the
+/// index.
 fn assert_matches_the_recursive_construction(indb: &InDb, w: &Ucq) -> MvIndex {
     let index = MvIndex::compile(indb, w).unwrap();
     let boolean = w.boolean();
@@ -44,10 +106,11 @@ fn assert_matches_the_recursive_construction(indb: &InDb, w: &Ucq) -> MvIndex {
             .is_some_and(|r| !indb.is_deterministic(r))
     };
     let separator = find_separator_over(&boolean, &is_prob).expect("W has a separator");
-    let mut oracle = ConObddBuilder::with_manager(indb, index.manager().clone());
+    let mut oracle = ConObddBuilder::with_manager(indb, ObddManager::new(index.order()));
     let prob_of = |t: TupleId| indb.probability(t);
 
     let (mut block, mut nodes, mut variables) = (0, 0, 0);
+    let mut diagrams = Vec::new();
     for value in separator_domain(&boolean, &separator.per_disjunct, indb) {
         let grounded = boolean
             .disjuncts
@@ -62,19 +125,19 @@ fn assert_matches_the_recursive_construction(indb: &InDb, w: &Ucq) -> MvIndex {
         assert!(block < index.num_blocks(), "no block for key {value}");
         assert_eq!(index.block_key(block), &value, "blocks ascend by key");
         let not_w_k = w_k.negate();
-        assert_eq!(index.block_root(block), not_w_k.root(), "key {value}");
+        assert_block_is(
+            &index,
+            block,
+            &AugmentedObdd::new(not_w_k.clone(), prob_of),
+            prob_of,
+        );
         let expected: Vec<TupleId> = variables_of(&w_k).into_iter().collect();
         let got: Vec<TupleId> = index.block_variables(block).collect();
         assert_eq!(got, expected, "variables of key {value}");
         assert!(got.iter().all(|&t| index.block_of(t) == Some(block)));
-        let p = not_w_k.probability(prob_of);
-        let stored = index.block_prob_not_w(block);
-        assert!(
-            (stored - p).abs() <= 1e-12 * p.abs().max(1.0),
-            "P0(¬W_k) at {value}: {stored} vs {p}"
-        );
         nodes += not_w_k.size();
         variables += got.len();
+        diagrams.push(not_w_k);
         block += 1;
     }
     let stats = index.stats();
@@ -86,6 +149,25 @@ fn assert_matches_the_recursive_construction(indb: &InDb, w: &Ucq) -> MvIndex {
     assert_eq!(index.w_lineage(), &lineage(w, indb).unwrap());
     let clauses: usize = (0..block).map(|b| index.block_clauses(b)).sum();
     assert_eq!(clauses, index.w_lineage().num_clauses());
+
+    // A weight-only update: every third constrained tuple gets a new weight.
+    let mut reweighted = indb.clone();
+    for b in 0..block {
+        for t in index.block_variables(b).filter(|t| t.0 % 3 == 0) {
+            reweighted.set_weight(t, Weight::new(0.25 + f64::from(t.0 % 7)));
+        }
+    }
+    let new_prob_of = |t: TupleId| reweighted.probability(t);
+    let mut snapshot = index.clone();
+    snapshot.reweight(new_prob_of);
+    for (b, not_w_k) in diagrams.into_iter().enumerate() {
+        assert_block_is(
+            &snapshot,
+            b,
+            &AugmentedObdd::new(not_w_k, new_prob_of),
+            new_prob_of,
+        );
+    }
     index
 }
 
@@ -183,8 +265,16 @@ fn w_without_a_separator_is_one_block_of_the_whole_lineage() {
     let index = MvIndex::compile(&indb, &w).unwrap();
     assert_eq!(index.num_blocks(), 1);
     let lin_w = lineage(&w, &indb).unwrap();
-    let folded = index.manager().dnf(lin_w.clauses()).unwrap();
-    assert_eq!(index.block_root(0), folded.negate().root());
+    let folded = ObddManager::new(index.order())
+        .dnf(lin_w.clauses())
+        .unwrap();
+    let prob_of = |t: TupleId| indb.probability(t);
+    assert_block_is(
+        &index,
+        0,
+        &AugmentedObdd::new(folded.negate(), prob_of),
+        prob_of,
+    );
     assert_eq!(index.block_clauses(0), lin_w.num_clauses());
     let variables: BTreeSet<TupleId> = index.block_variables(0).collect();
     assert_eq!(variables, lin_w.variables());
@@ -202,7 +292,9 @@ fn an_empty_clause_makes_the_block_true_and_the_views_inconsistent() {
     let w = parse_ucq("W() :- D(x) ; W() :- R(y), T(y)").unwrap();
     let index = MvIndex::compile(&indb, &w).unwrap();
     assert_eq!(index.num_blocks(), 1);
-    assert_eq!(index.block_root(0), FALSE, "W_k is TRUE");
+    let (nodes, root) = index.block_diagram(0);
+    assert!(nodes.is_empty());
+    assert_eq!(root, QV_FALSE, "W_k is TRUE");
     assert_eq!(index.block_prob_not_w(0), 0.0);
     assert!(!index.is_consistent());
     assert!(index.w_lineage().is_true());
@@ -298,4 +390,14 @@ proptest! {
             assert_matches_the_recursive_construction(&indb, &parse_ucq(w).unwrap());
         }
     }
+}
+
+/// The index's memory gauge on the DBLP corpus: the block table and the
+/// lineage of `W` it keeps hold at most 200 heap bytes per node.
+#[test]
+fn dblp_index_holds_at_most_200_heap_bytes_per_node() {
+    let translated = dblp_translated(500);
+    let index = MvIndex::compile(translated.indb(), translated.w().unwrap()).unwrap();
+    let per_node = index.heap_bytes() as f64 / index.stats().total_nodes as f64;
+    assert!(per_node <= 200.0, "{per_node:.1} B/node");
 }

@@ -4,6 +4,8 @@
 use markoviews::dblp::queries;
 use markoviews::prelude::*;
 
+mod support;
+
 fn dataset() -> DblpDataset {
     DblpDataset::generate(DblpConfig::with_authors(64)).expect("generation succeeds")
 }
@@ -88,18 +90,25 @@ fn name_selection_matches_id_selection() {
     assert!(!by_id.is_empty());
 }
 
+/// The engine's answers — the index's walk over its block table
+/// (CC-MVIntersect) — against the pointer-based MVIntersect over the same
+/// blocks rebuilt in a manager of the test's own.
 #[test]
 fn both_intersection_algorithms_give_identical_answers() {
     let data = dataset();
-    let slow = MvdbEngine::compile_with(&data.mvdb, IntersectAlgorithm::MvIntersect).unwrap();
-    let fast = MvdbEngine::compile_with(&data.mvdb, IntersectAlgorithm::CcMvIntersect).unwrap();
+    let engine = MvdbEngine::compile(&data.mvdb).unwrap();
+    let indb = engine.translated().indb();
+    let ctx = engine.context();
     for q in data.students_of_advisor_workload(4).unwrap() {
-        let a = slow.answers(&q).unwrap();
-        let b = fast.answers(&q).unwrap();
-        assert_eq!(a.len(), b.len());
-        for ((r1, p1), (r2, p2)) in a.iter().zip(b.iter()) {
-            assert_eq!(r1, r2);
-            assert!((p1 - p2).abs() < 1e-9);
+        let answers = engine.answers(&q).unwrap();
+        let lineages = ctx.answer_lineages(&q).unwrap();
+        assert_eq!(answers.len(), lineages.len());
+        assert!(!answers.is_empty());
+        for ((row, p), (row_of, lineage)) in answers.iter().zip(&lineages) {
+            assert_eq!(row, row_of);
+            let oracle =
+                support::manager_conditional(engine.index(), lineage, |t| indb.probability(t));
+            assert!((p - oracle).abs() < 1e-9, "{row:?}: {p} vs {oracle}");
         }
     }
 }
