@@ -2078,7 +2078,7 @@ pub fn update_batches(mvdb: &mv_core::Mvdb, count: usize) -> Vec<mv_core::Update
         .map(|(id, t)| {
             (
                 schema.relation(t.rel).name().to_string(),
-                base.tuple_row(id).clone(),
+                base.tuple_row(id),
                 t.weight.value(),
             )
         })

@@ -137,7 +137,7 @@ impl Mvdb {
         for (id, t) in self.base.tuples() {
             if map.state[id.index()] {
                 let name = self.base.schema().relation(t.rel).name().to_string();
-                out.push((name, self.base.tuple_row(id).clone()));
+                out.push((name, self.base.tuple_row(id)));
             }
         }
         Ok(out)

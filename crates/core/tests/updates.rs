@@ -187,8 +187,8 @@ fn nv_tuples(engine: &MvdbEngine) -> Vec<(Row, TupleId)> {
     let nv = indb.schema().require("NV_V").unwrap();
     indb.database()
         .relation(nv)
-        .iter()
-        .map(|(i, row)| (row.clone(), indb.tuple_id(nv, i).unwrap()))
+        .iter(indb.database().interner())
+        .map(|(i, row)| (row, indb.tuple_id(nv, i).unwrap()))
         .collect()
 }
 

@@ -465,7 +465,7 @@ mod tests {
         let advisor = indb.schema().relation_id("Advisor").unwrap();
         let rel = indb.database().relation(advisor);
         assert!(!rel.is_empty());
-        for (row_index, _row) in rel.iter() {
+        for row_index in 0..rel.len() {
             let id = indb.tuple_id(advisor, row_index).unwrap();
             let w = indb.weight(id).value();
             // exp(0.25 * c) for c >= 2.
@@ -482,7 +482,7 @@ mod tests {
         // Group tuples per author and check that weights are non-increasing
         // in the year.
         let mut per_author: BTreeMap<i64, Vec<(i64, f64)>> = BTreeMap::new();
-        for (row_index, row) in rel.iter() {
+        for (row_index, row) in rel.iter(indb.database().interner()) {
             let id = indb.tuple_id(student, row_index).unwrap();
             per_author
                 .entry(row[0].as_int().unwrap())

@@ -10,6 +10,7 @@
 //! This module builds those queries, parameterised by author id or by a name
 //! fragment (the `%Madden%`-style selection of the running example).
 
+use mv_pdb::Value;
 use mv_query::{parse_ucq, Result, Ucq};
 
 use crate::generate::DblpDataset;
@@ -74,11 +75,13 @@ impl DblpDataset {
     pub fn author_name(&self, aid: i64) -> Option<String> {
         let indb = self.mvdb.base();
         let author = indb.schema().relation_id("Author")?;
-        let rel = indb.database().relation(author);
-        rel.rows()
-            .iter()
-            .find(|r| r[0].as_int() == Some(aid))
-            .and_then(|r| r[1].as_str().map(str::to_string))
+        let (rel, interner) = (indb.database().relation(author), indb.database().interner());
+        let aid = interner.code_of(&Value::int(aid))?;
+        let row = rel.column_codes(0).iter().position(|&code| code == aid)?;
+        interner
+            .value(rel.code_at(row, 1))
+            .as_str()
+            .map(str::to_string)
     }
 }
 

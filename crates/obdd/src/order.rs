@@ -57,14 +57,19 @@ impl PiOrder {
     pub fn tuple_order(&self, indb: &InDb) -> VarOrder {
         // Key every probabilistic tuple by its values in π-order; sort
         // lexicographically with shorter keys first, then by relation arity,
-        // then by relation id for stability.
-        let mut keyed: Vec<(Vec<Value>, usize, RelId, TupleId)> = indb
+        // then by relation id for stability. Keys borrow the dictionary's
+        // values; no row is decoded.
+        let interner = indb.database().interner();
+        let mut keyed: Vec<(Vec<&Value>, usize, RelId, TupleId)> = indb
             .tuples()
             .map(|(id, t)| {
                 let schema = indb.schema().relation(t.rel);
-                let row = indb.database().relation(t.rel).row(t.row_index);
+                let relation = indb.database().relation(t.rel);
                 let perm = self.permutation(schema.name(), schema.arity());
-                let key: Vec<Value> = perm.iter().map(|&p| row[p].clone()).collect();
+                let key: Vec<&Value> = perm
+                    .iter()
+                    .map(|&p| interner.value(relation.code_at(t.row_index as usize, p)))
+                    .collect();
                 (key, schema.arity(), t.rel, id)
             })
             .collect();
@@ -80,7 +85,7 @@ impl PiOrder {
 
 /// Lexicographic comparison where a strict prefix sorts before its
 /// extensions.
-fn lex_prefix_cmp(a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+fn lex_prefix_cmp(a: &[&Value], b: &[&Value]) -> std::cmp::Ordering {
     for (x, y) in a.iter().zip(b.iter()) {
         match x.cmp(y) {
             std::cmp::Ordering::Equal => continue,
@@ -234,18 +239,9 @@ mod tests {
         use std::cmp::Ordering;
         let a1 = Value::str("a1");
         let b1 = Value::str("b1");
-        assert_eq!(
-            lex_prefix_cmp(std::slice::from_ref(&a1), &[a1.clone(), b1.clone()]),
-            Ordering::Less
-        );
-        assert_eq!(
-            lex_prefix_cmp(&[a1.clone(), b1], std::slice::from_ref(&a1)),
-            Ordering::Greater
-        );
-        assert_eq!(
-            lex_prefix_cmp(std::slice::from_ref(&a1), std::slice::from_ref(&a1)),
-            Ordering::Equal
-        );
+        assert_eq!(lex_prefix_cmp(&[&a1], &[&a1, &b1]), Ordering::Less);
+        assert_eq!(lex_prefix_cmp(&[&a1, &b1], &[&a1]), Ordering::Greater);
+        assert_eq!(lex_prefix_cmp(&[&a1], &[&a1]), Ordering::Equal);
     }
 
     #[test]

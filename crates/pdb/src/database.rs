@@ -136,20 +136,26 @@ impl Database {
                 actual: row.len(),
             });
         }
-        // A duplicate changes nothing: look before `make_mut`, which would
-        // deep-copy a shared relation (and drop the copy's access paths)
-        // for a row that is already there.
-        if let Some(index) = self.relations[rel.index()].position(&row) {
-            return Ok(index);
-        }
-        let relation = Arc::make_mut(&mut self.relations[rel.index()]);
-        // Likewise the dictionary: copy a shared one only on meeting a value
-        // it lacks.
-        let interner = &mut self.interner;
-        let index = relation.push_new(row, |v| match interner.code_of(v) {
-            Some(code) => code,
-            None => Arc::make_mut(interner).intern(v),
-        });
+        // A row whose values the dictionary all knows is looked up by its
+        // codes before `make_mut`, which would deep-copy a shared relation
+        // (and drop the copy's access paths) for a row that is already
+        // there; the same codes are then appended.
+        let known: Option<Vec<u32>> = row.iter().map(|v| self.interner.code_of(v)).collect();
+        let codes = match known {
+            Some(codes) => {
+                if let Some(index) = self.relations[rel.index()].position_codes(&codes) {
+                    return Ok(index);
+                }
+                codes
+            }
+            // A value the dictionary lacks makes the row new. Only then is
+            // a shared dictionary copied.
+            None => {
+                let interner = Arc::make_mut(&mut self.interner);
+                row.iter().map(|v| interner.intern(v)).collect()
+            }
+        };
+        let index = Arc::make_mut(&mut self.relations[rel.index()]).push_codes(&codes);
         self.touch();
         Ok(index)
     }
@@ -176,14 +182,14 @@ impl Database {
         Ok(self.relation(self.relation_id(name)?))
     }
 
-    /// All rows of a relation.
-    pub fn rows(&self, rel: RelId) -> &[Row] {
-        self.relations[rel.index()].rows()
+    /// All rows of a relation, decoded through the dictionary.
+    pub fn rows(&self, rel: RelId) -> Vec<Row> {
+        self.relations[rel.index()].rows(&self.interner).collect()
     }
 
     /// `true` when the relation contains the given row.
     pub fn contains(&self, rel: RelId, row: &[Value]) -> bool {
-        self.relations[rel.index()].contains(row)
+        self.relations[rel.index()].contains(row, &self.interner)
     }
 
     /// Total number of rows across all relations.
@@ -191,17 +197,31 @@ impl Database {
         self.relations.iter().map(|r| r.len()).sum()
     }
 
+    /// Heap bytes of the store: every relation's rows
+    /// ([`Relation::heap_bytes`]) and the dictionary. A relation or
+    /// dictionary shared with another snapshot counts in full in each.
+    pub fn heap_bytes(&self) -> usize {
+        let relations: usize = self.relations.iter().map(|r| r.heap_bytes()).sum();
+        relations + self.interner.heap_bytes()
+    }
+
     /// The *ordered active domain*: every constant appearing anywhere in the
     /// database, sorted and de-duplicated. This is the domain used by the
     /// OBDD variable order of Section 4.2 and by MLN grounding.
     pub fn active_domain(&self) -> Vec<Value> {
-        let mut domain: Vec<Value> = self
-            .relations
-            .iter()
-            .flat_map(|r| r.rows().iter().flatten().cloned())
+        let mut present = vec![false; self.interner.len()];
+        for relation in &self.relations {
+            for column in 0..relation.num_columns() {
+                for &code in relation.column_codes(column) {
+                    present[code as usize] = true;
+                }
+            }
+        }
+        let mut domain: Vec<Value> = (0..present.len() as u32)
+            .filter(|&code| present[code as usize])
+            .map(|code| self.interner.value(code).clone())
             .collect();
         domain.sort();
-        domain.dedup();
         domain
     }
 

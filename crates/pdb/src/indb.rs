@@ -12,8 +12,11 @@
 //! through the ordinary [`InDbBuilder::insert_weighted`] entry point.
 
 use std::fmt;
+use std::sync::Arc;
 
+use crate::chunked::Chunked;
 use crate::database::Database;
+use crate::relation::vec_bytes;
 use crate::schema::RelId;
 use crate::value::{Row, Value};
 use crate::weight::Weight;
@@ -39,28 +42,37 @@ impl fmt::Display for TupleId {
 }
 
 /// One possible tuple of the INDB: which relation and row it is, and its weight.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PossibleTuple {
     /// Relation the tuple belongs to.
     pub rel: RelId,
     /// Dense row index within that relation's instance of possible tuples.
-    pub row_index: usize,
+    pub row_index: u32,
     /// The tuple's weight (odds).
     pub weight: Weight,
 }
 
 /// A tuple-independent probabilistic database.
+///
+/// Every per-tuple column sits behind `Arc`s — the `(relation, row)` and
+/// weight columns in chunks of 4 096 tuples, each relation's
+/// tuple-id column whole — so a clone copies pointers, a weight write
+/// copies one chunk, and a new tuple copies the chunk and the tuple-id
+/// column it extends.
 #[derive(Debug, Clone, Default)]
 pub struct InDb {
     database: Database,
     deterministic: Vec<bool>,
-    tuples: Vec<PossibleTuple>,
+    /// Per tuple id: the relation and row index of the tuple.
+    places: Chunked<(RelId, u32)>,
+    /// Per tuple id: the tuple's weight.
+    weights: Chunked<Weight>,
     /// Dense per-relation tuple-id columns: `tuple_ids[rel][row_index]` is
     /// the raw id of the probabilistic row, or [`InDb::NO_TUPLE_ID`] for
     /// deterministic rows — the store's one row → id index, extended by
     /// every new possible tuple; the hot clause-collection loop of
     /// `mv-query` reads these directly.
-    tuple_ids: Vec<Vec<u32>>,
+    tuple_ids: Vec<Arc<Vec<u32>>>,
 }
 
 impl InDb {
@@ -84,23 +96,31 @@ impl InDb {
 
     /// Number of probabilistic (possible) tuples, i.e. Boolean variables.
     pub fn num_tuples(&self) -> usize {
-        self.tuples.len()
+        self.places.len()
     }
 
     /// The possible tuple behind a [`TupleId`].
-    pub fn tuple(&self, id: TupleId) -> &PossibleTuple {
-        &self.tuples[id.index()]
+    pub fn tuple(&self, id: TupleId) -> PossibleTuple {
+        let (rel, row_index) = *self.places.get(id.index());
+        PossibleTuple {
+            rel,
+            row_index,
+            weight: self.weight(id),
+        }
     }
 
-    /// The row of values behind a [`TupleId`].
-    pub fn tuple_row(&self, id: TupleId) -> &Row {
-        let t = self.tuple(id);
-        self.database.relation(t.rel).row(t.row_index)
+    /// The row of values behind a [`TupleId`], decoded through the
+    /// store's dictionary.
+    pub fn tuple_row(&self, id: TupleId) -> Row {
+        let (rel, row_index) = *self.places.get(id.index());
+        self.database
+            .relation(rel)
+            .row(row_index as usize, self.database.interner())
     }
 
     /// The weight of a possible tuple.
     pub fn weight(&self, id: TupleId) -> Weight {
-        self.tuples[id.index()].weight
+        *self.weights.get(id.index())
     }
 
     /// The marginal probability `w / (1 + w)` of a possible tuple. May be
@@ -128,16 +148,38 @@ impl InDb {
 
     /// The tuple id of a probabilistic row identified by its values.
     pub fn tuple_id_by_values(&self, rel: RelId, row: &[Value]) -> Option<TupleId> {
-        let idx = self.database.relation(rel).position(row)?;
+        let idx = self
+            .database
+            .relation(rel)
+            .position(row, self.database.interner())?;
         self.tuple_id(rel, idx)
     }
 
     /// Iterates over all possible tuples with their ids.
-    pub fn tuples(&self) -> impl Iterator<Item = (TupleId, &PossibleTuple)> {
-        self.tuples
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TupleId(i as u32), t))
+    pub fn tuples(&self) -> impl Iterator<Item = (TupleId, PossibleTuple)> + '_ {
+        self.places.iter().zip(self.weights.iter()).enumerate().map(
+            |(i, (&(rel, row_index), &weight))| {
+                let tuple = PossibleTuple {
+                    rel,
+                    row_index,
+                    weight,
+                };
+                (TupleId(i as u32), tuple)
+            },
+        )
+    }
+
+    /// Heap bytes of the store: its [`Database`] (dictionary included) and
+    /// the per-tuple columns. Parts shared with another snapshot count in
+    /// full in each.
+    pub fn heap_bytes(&self) -> usize {
+        let tuple_ids: usize = self.tuple_ids.iter().map(|c| vec_bytes(c)).sum();
+        self.database.heap_bytes()
+            + vec_bytes(&self.deterministic)
+            + self.places.heap_bytes()
+            + self.weights.heap_bytes()
+            + vec_bytes(&self.tuple_ids)
+            + tuple_ids
     }
 
     /// Sets the weight of an existing possible tuple in place. Any weight is
@@ -147,7 +189,7 @@ impl InDb {
     /// hence every [`TupleId`] and the underlying [`Database`] version — is
     /// unchanged.
     pub fn set_weight(&mut self, id: TupleId, weight: Weight) {
-        self.tuples[id.index()].weight = weight;
+        self.weights.set(id.index(), weight);
     }
 
     /// Adds an empty relation to the store, returning its id. The relation
@@ -166,7 +208,7 @@ impl InDb {
     ) -> Result<RelId> {
         let id = self.database.add_relation(name, attributes)?;
         self.deterministic.push(deterministic);
-        self.tuple_ids.push(Vec::new());
+        self.tuple_ids.push(Arc::default());
         Ok(id)
     }
 
@@ -187,7 +229,7 @@ impl InDb {
     ) -> Result<(TupleId, bool)> {
         let (id, fresh) = self.insert_possible(rel, row, weight)?;
         if !fresh {
-            self.tuples[id.index()].weight = weight;
+            self.set_weight(id, weight);
         }
         Ok((id, fresh))
     }
@@ -204,16 +246,13 @@ impl InDb {
             return Ok((id, false));
         }
         debug_assert!(
-            (self.tuples.len() as u64) < u64::from(InDb::NO_TUPLE_ID),
+            (self.num_tuples() as u64) < u64::from(InDb::NO_TUPLE_ID),
             "tuple-id space exhausted"
         );
-        let id = TupleId(self.tuples.len() as u32);
-        self.tuples.push(PossibleTuple {
-            rel,
-            row_index,
-            weight,
-        });
-        let col = &mut self.tuple_ids[rel.index()];
+        let id = TupleId(self.num_tuples() as u32);
+        self.places.push((rel, row_index as u32));
+        self.weights.push(weight);
+        let col = Arc::make_mut(&mut self.tuple_ids[rel.index()]);
         if col.len() <= row_index {
             col.resize(row_index + 1, InDb::NO_TUPLE_ID);
         }
@@ -277,16 +316,15 @@ impl InDb {
             if self.is_deterministic(rel_id) {
                 for row in self.database.rows(rel_id) {
                     world
-                        .insert(rel_id, row.clone())
+                        .insert(rel_id, row)
                         .expect("schema is shared, arity must match");
                 }
             }
         }
         for (id, t) in self.tuples() {
             if in_world(id) {
-                let row = self.database.relation(t.rel).row(t.row_index).clone();
                 world
-                    .insert(t.rel, row)
+                    .insert(t.rel, self.tuple_row(id))
                     .expect("schema is shared, arity must match");
             }
         }
@@ -403,7 +441,8 @@ impl InDbBuilder {
             ..
         } = &mut self.indb;
         for (rel, _) in database.schema().relations() {
-            tuple_ids[rel.index()].resize(database.relation(rel).len(), InDb::NO_TUPLE_ID);
+            Arc::make_mut(&mut tuple_ids[rel.index()])
+                .resize(database.relation(rel).len(), InDb::NO_TUPLE_ID);
         }
         self.indb
     }
@@ -433,7 +472,7 @@ mod tests {
         assert_eq!(db.tuple_id(s, 0), Some(TupleId(1)));
         assert_eq!(db.tuple_id_by_values(r, &row(["a"])), Some(TupleId(0)));
         assert_eq!(db.tuple_id_by_values(r, &row(["b"])), None);
-        assert_eq!(db.tuple_row(TupleId(0)), &row(["a"]));
+        assert_eq!(db.tuple_row(TupleId(0)), row(["a"]));
     }
 
     #[test]
@@ -613,7 +652,8 @@ mod tests {
                 let expected = db.tuple_id(rel, i).map(|t| t.0);
                 assert_eq!(raw, expected.unwrap_or(InDb::NO_TUPLE_ID));
                 if let Some(id) = db.tuple_id(rel, i) {
-                    assert_eq!((db.tuple(id).rel, db.tuple(id).row_index), (rel, i));
+                    let t = db.tuple(id);
+                    assert_eq!((t.rel, t.row_index as usize), (rel, i));
                 }
             }
         }

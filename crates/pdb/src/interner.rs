@@ -1,11 +1,12 @@
 //! Dictionary encoding of constants.
 //!
 //! A [`ValueInterner`] maps every distinct [`Value`] appearing in a database
-//! to a dense `u32` *code* and back. Relations store their rows a second
-//! time as columnar code arrays (see [`crate::relation::Relation`]), so the
-//! query evaluator can compare and hash join keys as plain integers: two
-//! codes are equal exactly when the underlying values are equal, because the
-//! interner is shared database-wide.
+//! to a dense `u32` *code* and back. Relations store their rows only as
+//! columnar code arrays (see [`crate::relation::Relation`]), so the query
+//! evaluator compares and hashes join keys as plain integers: two codes are
+//! equal exactly when the underlying values are equal, because the
+//! interner is shared database-wide. It is also the one place a row's
+//! values live: a relation decodes a row through it on request.
 //!
 //! Codes are assigned in first-appearance order and never change — the
 //! interner is append-only — so code arrays, column hash indexes and
@@ -83,6 +84,22 @@ impl ValueInterner {
     /// `true` when nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
+    }
+
+    /// Approximate heap bytes: the value array, each string payload once
+    /// (with its reference counts), and the code map's slots plus one
+    /// control byte per slot.
+    pub fn heap_bytes(&self) -> usize {
+        let strings: usize = self
+            .values
+            .iter()
+            .map(|value| match value {
+                Value::Int(_) => 0,
+                Value::Str(s) => s.len() + 2 * std::mem::size_of::<usize>(),
+            })
+            .sum();
+        let slot = std::mem::size_of::<(Value, u32)>() + 1;
+        crate::relation::vec_bytes(&self.values) + strings + self.codes.capacity() * slot
     }
 }
 

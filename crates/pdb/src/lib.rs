@@ -6,8 +6,8 @@
 //! * [`Value`], [`Row`] — typed constants and tuples of constants.
 //! * [`Schema`], [`RelationSchema`], [`RelId`] — relation names and attributes.
 //! * [`Relation`], [`Database`] — in-memory deterministic instances with
-//!   duplicate elimination and simple scan/lookup access paths, each row
-//!   stored twice: row-major `Value`s and column-major dictionary codes.
+//!   duplicate elimination, each row stored once as column-major
+//!   dictionary codes and decoded to `Value`s on request.
 //! * [`CsrIndex`], [`PairIndex`] — the derived access paths over those
 //!   codes, owned by the [`Relation`] instance they index.
 //! * [`ValueInterner`] — the database-wide dictionary (`Value` ↔ dense
@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod access;
+mod chunked;
 pub mod database;
 pub mod error;
 pub mod indb;

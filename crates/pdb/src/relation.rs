@@ -5,16 +5,20 @@
 //! can assign stable, dense row indices — the per-relation row index is what
 //! the tuple-independent layer uses to identify possible tuples.
 //!
-//! Alongside the row-major `Vec<Row>` store, every relation keeps
-//! *dictionary-encoded columns*: one `Vec<u32>` of interner codes per
-//! attribute, filled through the database-wide
-//! [`ValueInterner`] at insert time. The
-//! columnar code arrays are what the compiled query evaluator scans, probes
-//! and compares — integer loads instead of `Value` hashing and cloning.
+//! The rows are stored once, as *dictionary-encoded columns*: one
+//! `Vec<u32>` of interner codes per attribute, encoded through the
+//! database-wide [`ValueInterner`] at insert time. The columnar code arrays
+//! are what the compiled query evaluator scans, probes and compares —
+//! integer loads instead of `Value` hashing and cloning. A row of
+//! [`Value`]s is decoded through the interner only when a caller asks for
+//! one, and duplicates are found through a table of row indices hashed on
+//! the code tuple.
 
-use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+
+use fxhash::FxHasher;
 
 use crate::access::{AccessPaths, CsrIndex, PairIndex};
 use crate::interner::ValueInterner;
@@ -31,28 +35,27 @@ use crate::value::{Row, Value};
 /// first, and handed out as an `Arc` every later caller shares: snapshots
 /// that share the `Arc<Relation>` (a [`Database`](crate::Database) clone, a
 /// copy-on-write engine clone, every session and server worker) share the
-/// structures with it. [`Relation::insert`] of a new row empties them and
-/// `Clone` never copies them, so a structure reachable from a relation
-/// always describes exactly that relation's rows.
+/// structures with it. Inserting a new row empties them and `Clone` never
+/// copies them, so a structure reachable from a relation always describes
+/// exactly that relation's rows.
+///
+/// Rows are written only through [`Database::insert`](crate::Database::insert),
+/// which owns the dictionary their values are encoded in; every method
+/// taking or returning [`Value`]s takes that dictionary as well.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     rel: Option<RelId>,
-    rows: Vec<Row>,
-    index: HashMap<Row, usize>,
+    len: usize,
     /// Column-major dictionary codes: `columns[c][i]` is the interner code of
-    /// `rows[i][c]`. Sized lazily from the first inserted row.
+    /// attribute `c` of row `i`. Sized lazily from the first inserted row.
     columns: Vec<Vec<u32>>,
+    dedup: DedupTable,
     paths: AccessPaths,
 }
 
 impl Relation {
-    /// Creates an empty relation instance for the given relation id.
-    pub fn new(rel: RelId) -> Self {
-        Relation::counted_by(rel, Arc::default())
-    }
-
-    /// Like [`Relation::new`], reporting access-path builds to the owning
-    /// store's counter.
+    /// An empty relation instance reporting access-path builds to the
+    /// owning store's counter.
     pub(crate) fn counted_by(rel: RelId, builds: Arc<AtomicU64>) -> Self {
         Relation {
             rel: Some(rel),
@@ -61,60 +64,95 @@ impl Relation {
         }
     }
 
-    /// The relation id this instance belongs to, if it was created through
-    /// [`Relation::new`].
+    /// The relation id this instance belongs to.
     pub fn rel_id(&self) -> Option<RelId> {
         self.rel
     }
 
-    /// Inserts a row, returning its dense index; the row's values are
-    /// interned into `interner` and their codes appended to the columnar
-    /// store. Inserting a duplicate row returns the index of the existing
-    /// copy.
-    pub fn insert(&mut self, row: Row, interner: &mut ValueInterner) -> usize {
-        match self.position(&row) {
-            Some(i) => i,
-            None => self.push_new(row, |value| interner.intern(value)),
+    /// Appends a row, given as its codes, that the caller has checked is
+    /// absent ([`Relation::position_codes`]), emptying the derived access
+    /// paths. Returns its dense index.
+    pub(crate) fn push_codes(&mut self, codes: &[u32]) -> usize {
+        debug_assert!(self.position_codes(codes).is_none(), "row already present");
+        self.paths.clear();
+        if self.columns.is_empty() && !codes.is_empty() {
+            self.columns = vec![Vec::new(); codes.len()];
         }
+        debug_assert_eq!(self.columns.len(), codes.len(), "arity must be stable");
+        for (column, &code) in self.columns.iter_mut().zip(codes) {
+            column.push(code);
+        }
+        let row = self.len;
+        assert!(
+            row < DedupTable::EMPTY as usize,
+            "relation overflow: 2^32 - 1 rows"
+        );
+        self.len += 1;
+        let columns = &self.columns;
+        self.dedup
+            .insert(row, hash_codes(codes.iter().copied()), |r| {
+                hash_codes(columns.iter().map(|column| column[r]))
+            });
+        row
     }
 
-    /// Appends a row the caller has checked is absent, emptying the derived
-    /// access paths. `encode` gives each value's dictionary code, so a
-    /// caller whose dictionary already holds every value can read it
-    /// without taking it mutably.
-    pub(crate) fn push_new(&mut self, row: Row, mut encode: impl FnMut(&Value) -> u32) -> usize {
-        self.paths.clear();
-        if self.columns.is_empty() && !row.is_empty() {
-            self.columns = vec![Vec::new(); row.len()];
+    /// The dense index of the row with these dictionary codes, if present.
+    /// A code tuple of the wrong arity matches nothing.
+    pub fn position_codes(&self, codes: &[u32]) -> Option<usize> {
+        if self.len == 0 || codes.len() != self.columns.len() {
+            return None;
         }
-        debug_assert_eq!(self.columns.len(), row.len(), "arity must be stable");
-        for (column, value) in self.columns.iter_mut().zip(row.iter()) {
-            column.push(encode(value));
-        }
-        let i = self.rows.len();
-        self.index.insert(row.clone(), i);
-        self.rows.push(row);
-        i
+        self.dedup.find(hash_codes(codes.iter().copied()), |row| {
+            self.columns
+                .iter()
+                .zip(codes)
+                .all(|(column, &code)| column[row] == code)
+        })
+    }
+
+    /// The dense index of a row, if present. A row of the wrong arity, or
+    /// with a value `interner` lacks, is absent.
+    pub fn position(&self, row: &[Value], interner: &ValueInterner) -> Option<usize> {
+        let codes: Vec<u32> = row
+            .iter()
+            .map(|value| interner.code_of(value))
+            .collect::<Option<_>>()?;
+        self.position_codes(&codes)
     }
 
     /// `true` when the relation contains the row.
-    pub fn contains(&self, row: &[Value]) -> bool {
-        self.index.contains_key(row)
+    pub fn contains(&self, row: &[Value], interner: &ValueInterner) -> bool {
+        self.position(row, interner).is_some()
     }
 
-    /// The dense index of a row, if present.
-    pub fn position(&self, row: &[Value]) -> Option<usize> {
-        self.index.get(row).copied()
+    /// The row stored at a dense index, decoded through `interner`. Panics
+    /// when the index is out of range.
+    pub fn row(&self, index: usize, interner: &ValueInterner) -> Row {
+        assert!(
+            index < self.len,
+            "row {index} of a relation with {} rows",
+            self.len
+        );
+        self.columns
+            .iter()
+            .map(|column| interner.value(column[index]).clone())
+            .collect()
     }
 
-    /// The row stored at a dense index.
-    pub fn row(&self, index: usize) -> &Row {
-        &self.rows[index]
+    /// All rows in insertion order, each decoded on demand.
+    pub fn rows<'a>(
+        &'a self,
+        interner: &'a ValueInterner,
+    ) -> impl ExactSizeIterator<Item = Row> + 'a {
+        (0..self.len).map(move |i| self.row(i, interner))
     }
 
-    /// All rows in insertion order.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// Iterates over `(row_index, row)` pairs, each row decoded on demand.
+    pub fn iter<'a>(
+        &'a self,
+        interner: &'a ValueInterner,
+    ) -> impl Iterator<Item = (usize, Row)> + 'a {
+        self.rows(interner).enumerate()
     }
 
     /// The dictionary codes of one column, aligned with row indices. Empty
@@ -177,19 +215,21 @@ impl Relation {
         self.paths.built()
     }
 
+    /// Heap bytes of the stored rows: the code columns and the dedup table
+    /// (capacities, not lengths). The derived access paths are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        let columns: usize = self.columns.iter().map(vec_bytes).sum();
+        vec_bytes(&self.columns) + columns + vec_bytes(&self.dedup.slots)
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// `true` when the relation holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Iterates over `(row_index, row)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Row)> {
-        self.rows.iter().enumerate()
+        self.len == 0
     }
 
     /// The distinct dictionary codes appearing in the given column, in
@@ -215,38 +255,120 @@ impl Relation {
     }
 }
 
+/// Heap bytes a vector holds (its capacity, not its length).
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// FxHash of a code tuple (zero for the empty tuple).
+fn hash_codes(codes: impl Iterator<Item = u32>) -> u64 {
+    let mut hasher = FxHasher::default();
+    for code in codes {
+        hasher.write_u32(code);
+    }
+    hasher.finish()
+}
+
+/// The duplicate check of a [`Relation`]: an open-addressed table of row
+/// indices, at most half full and probed linearly. It holds no values of
+/// its own — a probe compares the candidate row's codes column by column.
+#[derive(Debug, Clone, Default)]
+struct DedupTable {
+    /// Row indices, [`DedupTable::EMPTY`] in a free slot. The length is a
+    /// power of two, or zero before the first row.
+    slots: Vec<u32>,
+}
+
+impl DedupTable {
+    const EMPTY: u32 = u32::MAX;
+    const MIN_SLOTS: usize = 8;
+
+    /// The first slot probed for `hash`: its high bits, which Fx's final
+    /// multiply mixes best.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The row hashing to `hash` that `same` accepts, if any.
+    fn find(&self, hash: u64, same: impl Fn(usize) -> bool) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            match self.slots[slot] {
+                DedupTable::EMPTY => return None,
+                row if same(row as usize) => return Some(row as usize),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Records `row` — the next row index, absent so far — under `hash`,
+    /// first doubling the table if that would fill more than half of it;
+    /// `rehash` gives the hash of each earlier row then.
+    fn insert(&mut self, row: usize, hash: u64, rehash: impl Fn(usize) -> u64) {
+        if (row + 1) * 2 > self.slots.len() {
+            let size = (self.slots.len() * 2).max(DedupTable::MIN_SLOTS);
+            self.slots = vec![DedupTable::EMPTY; size];
+            for earlier in 0..row {
+                self.place(earlier, rehash(earlier));
+            }
+        }
+        self.place(row, hash);
+    }
+
+    fn place(&mut self, row: usize, hash: u64) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        while self.slots[slot] != DedupTable::EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = row as u32;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::Database;
     use crate::value::row;
+
+    /// A store with one binary relation `R`, and its id.
+    fn binary() -> (Database, RelId) {
+        let mut db = Database::new();
+        let r = db.add_relation("R", &["a", "b"]).unwrap();
+        (db, r)
+    }
 
     #[test]
     fn insert_deduplicates_and_assigns_dense_indices() {
-        let mut interner = ValueInterner::new();
-        let mut rel = Relation::new(RelId(0));
-        let a = rel.insert(row([1i64, 2]), &mut interner);
-        let b = rel.insert(row([3i64, 4]), &mut interner);
-        let a_again = rel.insert(row([1i64, 2]), &mut interner);
-        assert_eq!(a, 0);
-        assert_eq!(b, 1);
-        assert_eq!(a_again, 0);
+        let (mut db, r) = binary();
+        let a = db.insert(r, row([1i64, 2])).unwrap();
+        let b = db.insert(r, row([3i64, 4])).unwrap();
+        let a_again = db.insert(r, row([1i64, 2])).unwrap();
+        assert_eq!((a, b, a_again), (0, 1, 0));
+        let (rel, interner) = (db.relation(r), db.interner());
         assert_eq!(rel.len(), 2);
-        assert!(rel.contains(&row([3i64, 4])));
-        assert!(!rel.contains(&row([9i64, 9])));
-        assert_eq!(rel.position(&row([3i64, 4])), Some(1));
-        assert_eq!(rel.row(1), &row([3i64, 4]));
+        assert!(rel.contains(&row([3i64, 4]), interner));
+        assert!(!rel.contains(&row([9i64, 9]), interner));
+        // Known values in a combination the relation lacks.
+        assert!(!rel.contains(&row([1i64, 4]), interner));
+        assert_eq!(rel.position(&row([3i64, 4]), interner), Some(1));
+        assert_eq!(rel.row(1, interner), row([3i64, 4]));
     }
 
     #[test]
     fn columnar_codes_mirror_the_row_store() {
-        let mut interner = ValueInterner::new();
-        let mut rel = Relation::new(RelId(0));
-        rel.insert(row([1i64, 10]), &mut interner);
-        rel.insert(row([2i64, 10]), &mut interner);
-        rel.insert(row([1i64, 20]), &mut interner);
+        let (mut db, r) = binary();
+        db.insert(r, row([1i64, 10])).unwrap();
+        db.insert(r, row([2i64, 10])).unwrap();
+        db.insert(r, row([1i64, 20])).unwrap();
+        let (rel, interner) = (db.relation(r), db.interner());
         assert_eq!(rel.column_codes(0).len(), 3);
         assert_eq!(rel.column_codes(1).len(), 3);
-        for (i, r) in rel.iter() {
+        for (i, r) in rel.iter(interner) {
             for (c, v) in r.iter().enumerate() {
                 assert_eq!(interner.value(rel.code_at(i, c)), v);
             }
@@ -260,31 +382,31 @@ mod tests {
 
     #[test]
     fn column_values_returns_distinct_values_in_order() {
-        let mut interner = ValueInterner::new();
-        let mut rel = Relation::new(RelId(0));
-        rel.insert(row([1i64, 10]), &mut interner);
-        rel.insert(row([2i64, 10]), &mut interner);
-        rel.insert(row([1i64, 20]), &mut interner);
+        let (mut db, r) = binary();
+        db.insert(r, row([1i64, 10])).unwrap();
+        db.insert(r, row([2i64, 10])).unwrap();
+        db.insert(r, row([1i64, 20])).unwrap();
+        let (rel, interner) = (db.relation(r), db.interner());
         assert_eq!(
-            rel.column_values(0, &interner),
+            rel.column_values(0, interner),
             vec![Value::int(1), Value::int(2)]
         );
         assert_eq!(
-            rel.column_values(1, &interner),
+            rel.column_values(1, interner),
             vec![Value::int(10), Value::int(20)]
         );
     }
 
     #[test]
     fn access_paths_are_built_once_emptied_on_insert_and_never_cloned() {
-        let mut interner = ValueInterner::new();
-        let mut rel = Relation::new(RelId(0));
+        let (mut db, r) = binary();
         // Before the first row there are no columns: nothing is cached.
-        assert!(rel.csr_index(0).probe(0).is_empty());
-        assert_eq!(rel.distinct_count(0), 0);
+        assert!(db.relation(r).csr_index(0).probe(0).is_empty());
+        assert_eq!(db.relation(r).distinct_count(0), 0);
         for i in 0..10i64 {
-            rel.insert(row([i % 3, i]), &mut interner);
+            db.insert(r, row([i % 3, i])).unwrap();
         }
+        let rel = db.relation(r);
         let csr = rel.csr_index(0);
         assert_eq!(csr.probe(rel.code_at(0, 0)), &[0, 3, 6, 9]);
         assert!(Arc::ptr_eq(&csr, &rel.csr_index(0)));
@@ -301,9 +423,10 @@ mod tests {
         // A clone starts without them; a duplicate insert keeps them; a new
         // row empties them, and the rebuilt ones see it.
         assert!(!Arc::ptr_eq(&csr, &rel.clone().csr_index(0)));
-        rel.insert(row([0i64, 0]), &mut interner);
-        assert!(Arc::ptr_eq(&csr, &rel.csr_index(0)));
-        rel.insert(row([0i64, 10]), &mut interner);
+        db.insert(r, row([0i64, 0])).unwrap();
+        assert!(Arc::ptr_eq(&csr, &db.relation(r).csr_index(0)));
+        db.insert(r, row([0i64, 10])).unwrap();
+        let rel = db.relation(r);
         assert!(!Arc::ptr_eq(&csr, &rel.csr_index(0)));
         assert_eq!(rel.csr_index(0).probe(rel.code_at(0, 0)), &[0, 3, 6, 9, 10]);
         assert_eq!(rel.distinct_count(1), 11);
@@ -313,11 +436,11 @@ mod tests {
 
     #[test]
     fn racing_first_uses_build_one_instance() {
-        let mut interner = ValueInterner::new();
-        let mut rel = Relation::new(RelId(0));
+        let (mut db, r) = binary();
         for i in 0..1000i64 {
-            rel.insert(row([i % 17, i]), &mut interner);
+            db.insert(r, row([i % 17, i])).unwrap();
         }
+        let rel = db.relation(r);
         let barrier = std::sync::Barrier::new(8);
         let handles: Vec<Arc<CsrIndex>> = std::thread::scope(|scope| {
             let threads: Vec<_> = (0..8)
@@ -335,10 +458,33 @@ mod tests {
 
     #[test]
     fn empty_relation_reports_empty() {
-        let rel = Relation::new(RelId(3));
+        let mut db = Database::new();
+        db.add_relation("P", &["x"]).unwrap();
+        db.add_relation("Q", &["x"]).unwrap();
+        let t = db.add_relation("T", &["x"]).unwrap();
+        let rel = db.relation(t);
         assert!(rel.is_empty());
-        assert_eq!(rel.rel_id(), Some(RelId(3)));
-        assert_eq!(rel.iter().count(), 0);
+        assert_eq!(rel.rel_id(), Some(RelId(2)));
+        assert_eq!(rel.iter(db.interner()).count(), 0);
         assert!(rel.column_codes(0).is_empty());
+        assert_eq!(rel.position_codes(&[]), None);
+        assert_eq!(rel.heap_bytes(), 0);
+    }
+
+    #[test]
+    fn the_dedup_table_grows_and_keeps_every_row_findable() {
+        let (mut db, r) = binary();
+        for i in 0..5000i64 {
+            assert_eq!(db.insert(r, row([i % 7, i / 7])).unwrap(), i as usize);
+        }
+        let rel = db.relation(r);
+        assert_eq!(rel.dedup.slots.len(), 16384);
+        for i in 0..5000usize {
+            let codes = [rel.code_at(i, 0), rel.code_at(i, 1)];
+            assert_eq!(rel.position_codes(&codes), Some(i));
+        }
+        // Swapped columns are another row: (714, 1) was never inserted.
+        let codes = [rel.code_at(4999, 1), rel.code_at(4999, 0)];
+        assert_eq!(rel.position_codes(&codes), None);
     }
 }

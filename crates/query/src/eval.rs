@@ -193,8 +193,12 @@ impl<'a> EvalContext<'a> {
             return Rc::clone(index);
         }
         let mut index: LegacyIndex = FxHashMap::default();
-        for (i, row) in self.db.relation(rel).iter() {
-            index.entry(row[column].clone()).or_default().push(i);
+        let (relation, interner) = (self.db.relation(rel), self.db.interner());
+        for (i, &code) in relation.column_codes(column).iter().enumerate() {
+            index
+                .entry(interner.value(code).clone())
+                .or_default()
+                .push(i);
         }
         let index = Rc::new(index);
         self.indexes
@@ -407,12 +411,13 @@ fn search<B>(
         None => Candidates::Scan(0..db.relation(rel).len()),
     };
 
+    let relation = db.relation(rel);
     for row_index in candidates {
-        let row = db.relation(rel).row(row_index);
-        // Unify the atom's terms with the row.
+        // Unify the atom's terms with the row, decoding one value at a time.
         let mut new_bindings: Vec<String> = Vec::new();
         let mut ok = true;
-        for (term, value) in atom.terms.iter().zip(row.iter()) {
+        for (column, term) in atom.terms.iter().enumerate() {
+            let value = db.interner().value(relation.code_at(row_index, column));
             match term {
                 Term::Const(c) => {
                     if c != value {

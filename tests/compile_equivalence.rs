@@ -401,3 +401,19 @@ fn dblp_index_holds_at_most_200_heap_bytes_per_node() {
     let per_node = index.heap_bytes() as f64 / index.stats().total_nodes as f64;
     assert!(per_node <= 200.0, "{per_node:.1} B/node");
 }
+
+/// The store's memory gauge on the DBLP corpus: the translated store's
+/// code columns, dedup tables and per-tuple columns — the dictionary aside
+/// — hold at most 24 heap bytes per stored value.
+#[test]
+fn dblp_translated_store_holds_at_most_24_heap_bytes_per_value() {
+    let translated = dblp_translated(500);
+    let (indb, db) = (translated.indb(), translated.indb().database());
+    let values: usize = db
+        .schema()
+        .relations()
+        .map(|(rel, schema)| db.relation(rel).len() * schema.arity().max(1))
+        .sum();
+    let per_value = (indb.heap_bytes() - db.interner().heap_bytes()) as f64 / values as f64;
+    assert!(per_value <= 24.0, "{per_value:.1} B/value");
+}
