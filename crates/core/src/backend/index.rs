@@ -11,7 +11,7 @@
 //! shares nothing with other queries and leaves the index as compiled.
 
 use mv_index::IntersectAlgorithm;
-use mv_query::lineage::Lineage;
+use mv_query::lineage::{ClauseBuffer, Lineage};
 use mv_query::Ucq;
 
 use crate::backend::{Backend, EvalContext};
@@ -50,10 +50,12 @@ impl Backend for MvIndexBackend {
         }
     }
 
+    /// The exact rung of the online path: the query's clauses are collected
+    /// flat and folded straight from the buffer.
     fn probability(&self, q: &Ucq, ctx: &EvalContext<'_>) -> Result<f64> {
         ctx.require_boolean(q)?;
-        let lineage = ctx.lineage(q)?;
-        self.lineage_probability(&lineage, ctx)
+        let clauses = ctx.clauses(q)?;
+        self.clauses_probability(&clauses, ctx)
             .expect("index backend evaluates lineages")
     }
 
@@ -61,17 +63,30 @@ impl Backend for MvIndexBackend {
     /// path: no per-answer query re-evaluation, and the per-answer loop (or
     /// a batch session reusing the context) reuses the kernel's buffers.
     fn lineage_probability(&self, lineage: &Lineage, ctx: &EvalContext<'_>) -> Option<Result<f64>> {
-        Some(match ctx.index().ok_or(CoreError::MissingIndex) {
-            Ok(index) => index
-                .conditional_probability_with(
-                    &mut ctx.scratch(),
-                    lineage,
-                    ctx.indb(),
-                    self.algorithm,
-                )
-                .map_err(Into::into),
-            Err(e) => Err(e),
-        })
+        let Some(index) = ctx.index() else {
+            return Some(Err(CoreError::MissingIndex));
+        };
+        let p = index.conditional_probability_with(
+            &mut ctx.scratch(),
+            lineage,
+            ctx.indb(),
+            self.algorithm,
+        );
+        Some(p.map_err(Into::into))
+    }
+
+    /// A per-shard clause group, or a whole query's clauses, folded from
+    /// the buffer without a [`Lineage`].
+    fn clauses_probability(
+        &self,
+        clauses: &ClauseBuffer,
+        ctx: &EvalContext<'_>,
+    ) -> Option<Result<f64>> {
+        let Some(index) = ctx.index() else {
+            return Some(Err(CoreError::MissingIndex));
+        };
+        let p = index.clauses_probability_with(&mut ctx.scratch(), clauses, ctx.indb());
+        Some(p.map_err(Into::into))
     }
 }
 

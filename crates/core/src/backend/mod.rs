@@ -27,7 +27,7 @@ use mv_index::{IntersectAlgorithm, MvIndex, QueryScratch};
 use mv_obdd::{ManagerStats, ObddManager, PiOrder};
 use mv_pdb::{InDb, Row};
 use mv_query::eval::EvalContext as QueryEvalContext;
-use mv_query::lineage::{answer_lineages_with, lineage_with, Lineage};
+use mv_query::lineage::{answer_lineages_with, clauses_with, lineage_with, ClauseBuffer, Lineage};
 use mv_query::Ucq;
 
 use crate::error::CoreError;
@@ -182,6 +182,13 @@ impl<'a> EvalContext<'a> {
     /// evaluate.
     pub fn lineage(&self, query: &Ucq) -> Result<Lineage> {
         Ok(lineage_with(query, self.indb(), &self.query_ctx)?)
+    }
+
+    /// The clauses of `query` as the exact online path carries them: one
+    /// flat [`ClauseBuffer`], in match order, without a `Vec` per clause.
+    /// [`EvalContext::lineage`] is the same clauses made canonical.
+    pub fn clauses(&self, query: &Ucq) -> Result<ClauseBuffer> {
+        Ok(clauses_with(query, self.indb(), &self.query_ctx)?)
     }
 
     /// The per-answer lineages of a non-Boolean query, through the store's
@@ -343,6 +350,17 @@ pub trait Backend: fmt::Debug {
     fn lineage_probability(&self, lineage: &Lineage, ctx: &EvalContext<'_>) -> Option<Result<f64>> {
         let _ = (lineage, ctx);
         None
+    }
+
+    /// [`Backend::lineage_probability`] of a flat clause buffer — the form
+    /// the batch pipeline queues per shard. The default builds the
+    /// buffer's [`Lineage`]; the MV-index folds the buffer itself.
+    fn clauses_probability(
+        &self,
+        clauses: &ClauseBuffer,
+        ctx: &EvalContext<'_>,
+    ) -> Option<Result<f64>> {
+        self.lineage_probability(&Lineage::from(clauses), ctx)
     }
 
     /// Every answer of a non-Boolean query with its probability.

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use mv_index::IntersectAlgorithm;
 use mv_obdd::{Obdd, ObddError, ObddManager, SynthesisBuilder};
 use mv_query::approx::ApproxConfig;
-use mv_query::lineage::Lineage;
+use mv_query::lineage::{ClauseBuffer, Lineage};
 use mv_query::{EvalBudget, Ucq};
 
 use crate::backend::{theorem1, Backend, EngineBackend, EvalContext, MonteCarlo};
@@ -330,7 +330,8 @@ impl ResilienceConfig {
 #[derive(Clone, Copy)]
 pub(crate) enum Target<'q> {
     Query(&'q Ucq),
-    Lineage(&'q Lineage),
+    /// Precomputed clauses: a shard's group, flat.
+    Clauses(&'q ClauseBuffer),
 }
 
 /// The memoized bounded-synthesis build of the hard-constraint lineage
@@ -453,7 +454,8 @@ impl ResilientBackend {
     /// lineage. When the inner backend cannot evaluate lineages directly,
     /// the ladder starts at the bounded-exact rung.
     pub fn evaluate_lineage(&self, lineage: &Lineage, ctx: &EvalContext<'_>) -> QueryOutcome {
-        self.run(ctx, Target::Lineage(lineage)).outcome
+        self.run(ctx, Target::Clauses(&ClauseBuffer::from(lineage)))
+            .outcome
     }
 
     /// [`ResilientBackend::evaluate`] plus retry-with-backoff for
@@ -487,14 +489,14 @@ impl ResilientBackend {
         let try_exact = self.config.entry == Rung::Exact
             && match target {
                 Target::Query(_) => true,
-                Target::Lineage(_) => self.config.inner.evaluates_lineage(),
+                Target::Clauses(_) => self.config.inner.evaluates_lineage(),
             };
         if try_exact {
             let exact = self.rung(ctx, sites::EXACT_RUNG, || match target {
                 Target::Query(q) => self.inner.probability(q, ctx),
-                Target::Lineage(l) => self
+                Target::Clauses(c) => self
                     .inner
-                    .lineage_probability(l, ctx)
+                    .clauses_probability(c, ctx)
                     .expect("evaluates_lineage() admitted this backend"),
             });
             match exact {
@@ -516,7 +518,10 @@ impl ResilientBackend {
                         own = ctx.lineage(q)?;
                         &own
                     }
-                    Target::Lineage(l) => l,
+                    Target::Clauses(c) => {
+                        own = Lineage::from(c);
+                        &own
+                    }
                 };
                 self.bounded_lineage_probability(lin_q, ctx)
             });
@@ -541,7 +546,7 @@ impl ResilientBackend {
         let sampler = MonteCarlo::new(mc_config);
         let approx = self.rung(ctx, sites::MC_RUNG, || match target {
             Target::Query(q) => sampler.approx(q, ctx),
-            Target::Lineage(l) => sampler.approx_lineage(l, ctx),
+            Target::Clauses(c) => sampler.approx_lineage(&Lineage::from(c), ctx),
         });
         match approx {
             Ok(answer) => {

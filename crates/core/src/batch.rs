@@ -4,18 +4,22 @@
 //! compiled `W`, Theorem 1 — runs here once, in three phases:
 //!
 //! 1. **Route**, striped over the route workers, each with a private
-//!    context on the full store. With shards, a query's lineage is grouped
-//!    per home shard ([`mv_query::Partition::route`]); constants are
-//!    answered on the spot, and a query with no sound routing is evaluated
-//!    on the full store by the worker that routed it (the *oracle*).
-//!    Without shards every query takes that last branch, so an unsharded
-//!    session is this phase alone.
-//! 2. **Evaluate** each touched shard's queue in a context of its own over
-//!    the full store and index (a pooled query kernel, a private query-side
-//!    manager, the shard's `W_s` in place of `W`'s lineage). The queues run
-//!    on one worker per touched shard when the clauses queued across them
-//!    reach [`FAN_OUT_CLAUSES`]; below that a thread costs more than it
-//!    saves, and the calling thread runs them in shard order.
+//!    context on the full store. With shards, a query's clauses are
+//!    collected flat ([`EvalContext::clauses`]: one id buffer, no `Vec` per
+//!    clause) and split per home shard into one buffer each
+//!    ([`mv_query::Partition::route_clauses`]); constants are answered on
+//!    the spot, and a query with no sound routing is evaluated on the full
+//!    store by the worker that routed it (the *oracle*). Without shards
+//!    every query takes that last branch, so an unsharded session is this
+//!    phase alone.
+//! 2. **Evaluate** each touched shard's queue of clause buffers in a
+//!    context of its own over the full store and index (a pooled query
+//!    kernel that folds a buffer as it is, a private query-side manager,
+//!    the shard's `W_s` in place of `W`'s lineage); a [`Lineage`] is built
+//!    only for a rung or backend that reads one. The queues run on one
+//!    worker per touched shard when the clauses queued across them reach
+//!    [`FAN_OUT_CLAUSES`]; below that a thread costs more than it saves,
+//!    and the calling thread runs them in shard order.
 //! 3. **Combine** `1 − ∏_s (1 − q_s)` per query, then **rescue**: a query
 //!    that lost a shard item, or whose routing worker died, is evaluated on
 //!    the full store.
@@ -26,6 +30,8 @@
 //! [`Pipeline::resilient`] are the two projections of [`Pipeline::run`]
 //! that [`MvdbSession`](crate::MvdbSession) and
 //! [`ShardedSession`](crate::ShardedSession) expose.
+//!
+//! [`Lineage`]: mv_query::Lineage
 
 use std::borrow::Cow;
 use std::cell::{Ref, RefCell};
@@ -33,8 +39,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use mv_obdd::ManagerStats;
-use mv_query::lineage::Lineage;
-use mv_query::partition::RoutedLineage;
+use mv_query::lineage::ClauseBuffer;
 use mv_query::Ucq;
 
 use crate::backend::resilient::{
@@ -48,8 +53,9 @@ use crate::session::QueryStats;
 use crate::sharded::ShardedEngine;
 use crate::Result;
 
-/// Clauses queued across the touched shards of one batch from which
-/// phase 2 evaluates each shard's queue on a thread of its own.
+/// Clauses queued across the touched shards of one batch (the distinct
+/// clauses of their buffers) from which phase 2 evaluates each shard's
+/// queue on a thread of its own.
 ///
 /// Set from a sweep of `ShardedEngine::probability` over unions of 1–5
 /// broad name selections (10 000 authors, seed 42, 2 shards, 2 vCPUs; p50
@@ -176,7 +182,7 @@ enum Slot {
     /// the shard queues after phase 1, `combine` folds their outcomes in
     /// phase 3.
     Sharded {
-        items: Vec<(usize, Lineage)>,
+        items: Vec<(usize, ClauseBuffer)>,
         combine: Combine,
     },
     /// Its routing worker died: rescued in phase 3.
@@ -289,22 +295,19 @@ fn route(
         if !ladder.config().inner.evaluates_lineage() {
             return Ok(Slot::Done(quarantined(ladder, sites::ORACLE, q, ctx)));
         }
-        let lineage = ctx.lineage(q)?;
-        if lineage.is_true() || lineage.is_false() {
+        let clauses = ctx.clauses(q)?;
+        if clauses.is_true() || clauses.is_empty() {
             // Constant lineage: answered exactly, no shard touched.
-            let p = if lineage.is_true() { 1.0 } else { 0.0 };
+            let p = if clauses.is_true() { 1.0 } else { 0.0 };
             let answer = Tracked::answered_on(Rung::Exact, p, Duration::ZERO, None);
             return Ok(Slot::Done(answer));
         }
-        Ok(match engine.partition.route_owned(lineage) {
-            RoutedLineage::Sharded { groups } => Slot::Sharded {
-                items: groups
-                    .into_iter()
-                    .map(|(shard, clauses)| (shard, Lineage::from_distinct_clauses(clauses)))
-                    .collect(),
+        Ok(match engine.partition.route_clauses(&clauses) {
+            Some(items) => Slot::Sharded {
+                items,
                 combine: Combine::new(),
             },
-            RoutedLineage::CrossShard => Slot::Done(quarantined(ladder, sites::ORACLE, q, ctx)),
+            None => Slot::Done(quarantined(ladder, sites::ORACLE, q, ctx)),
         })
     });
     match routed {
@@ -440,7 +443,7 @@ impl<'e> Pipeline<'e> {
         // order, and raised by the worker around the item: the seed decides
         // which items fault, not how the workers happen to interleave.
         let own = ladder();
-        let mut queues: Vec<Vec<(usize, Lineage, Option<Fault>)>> =
+        let mut queues: Vec<Vec<(usize, ClauseBuffer, Option<Fault>)>> =
             w_shards.iter().map(|_| Vec::new()).collect();
         for (qi, slot) in slots.iter_mut().enumerate() {
             if let Slot::Sharded { items, .. } = slot {
@@ -462,7 +465,7 @@ impl<'e> Pipeline<'e> {
         let queued: usize = touched
             .iter()
             .flat_map(|(_, queue)| queue)
-            .map(|(_, lineage, _)| lineage.num_clauses())
+            .map(|(_, clauses, _)| clauses.len())
             .sum();
         let evaluate = |job: usize| {
             let (s, queue) = &touched[job];
@@ -470,11 +473,11 @@ impl<'e> Pipeline<'e> {
             let ctx = full.context().with_w_lineage(&w_shards[*s]);
             let items: Vec<(QueryOutcome, Duration)> = queue
                 .iter()
-                .map(|(_, lineage, fault)| {
+                .map(|(_, clauses, fault)| {
                     let started = Instant::now();
                     let outcome = CoreError::trap(sites::SHARD_EVAL, || {
                         fault.map_or(Ok(()), |f| chaos::raise(sites::SHARD_EVAL, f))?;
-                        Ok(ladder.run(&ctx, Target::Lineage(lineage)).outcome)
+                        Ok(ladder.run(&ctx, Target::Clauses(clauses)).outcome)
                     })
                     .unwrap_or_else(|e| QueryOutcome::lost(QueryFault::of(&e), started));
                     (outcome, started.elapsed())

@@ -19,10 +19,10 @@
 //!    The clauses come from the lineage the index compile kept
 //!    ([`mv_index::MvIndex::w_lineage`]); `W` is not evaluated again.
 //! 2. **Routing.** A query's lineage `Φ_Q = ∨ C_i` is computed once on the
-//!    full store and grouped by shared variables
-//!    ([`mv_query::Partition::route`]): each group binds to the unique
-//!    shard holding its W-homed variables (all-free groups are pinned
-//!    deterministically). A group mixing two shards' W-homed tuples makes
+//!    full store, as one flat clause buffer, and grouped by shared
+//!    variables ([`mv_query::Partition::route_clauses`]): each group binds
+//!    to the unique shard holding its W-homed variables (all-free groups
+//!    are pinned by their smallest tuple id). A group mixing two shards' W-homed tuples makes
 //!    the whole query fall back to the unsharded engine (the exact
 //!    oracle), so the sharded path never answers a query it cannot answer
 //!    exactly.

@@ -55,7 +55,7 @@ use mv_obdd::{ManagerStats, Obdd, ObddManager, PiOrder, SynthesisBuilder, VarOrd
 use mv_pdb::{InDb, TupleId, Value};
 use mv_query::analysis::find_separator_over;
 use mv_query::eval::EvalContext;
-use mv_query::lineage::{answer_lineages_with, lineage_with, Clause, Lineage};
+use mv_query::lineage::{answer_lineages_with, lineage_with, Clause, ClauseBuffer, Lineage};
 use mv_query::{EvalBudget, Term, Ucq};
 
 use crate::intersect::{prob_at, vec_bytes, BlockView, QvNode};
@@ -565,7 +565,24 @@ impl MvIndex {
         if lineage.is_false() {
             return Ok(0.0);
         }
-        Ok(scratch.conditional_probability(self, lineage, |t| indb.probability(t))?)
+        Ok(scratch.lineage_probability(self, lineage, |t| indb.probability(t))?)
+    }
+
+    /// [`MvIndex::conditional_probability_with`] for the flat clause buffer
+    /// the exact online path carries: the kernel folds the buffer's
+    /// clauses and reads the touched blocks off its ids, with no
+    /// [`Lineage`] built. The answer is the one of the canonical lineage of
+    /// the same clauses, to the bit, whatever their order.
+    pub fn clauses_probability_with(
+        &self,
+        scratch: &mut QueryScratch,
+        clauses: &ClauseBuffer,
+        indb: &InDb,
+    ) -> Result<f64> {
+        if clauses.is_empty() {
+            return Ok(0.0);
+        }
+        Ok(scratch.buffer_probability(self, clauses, |t| indb.probability(t))?)
     }
 }
 

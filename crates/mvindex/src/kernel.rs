@@ -11,23 +11,29 @@
 //! context made per call still runs on warm buffers. A kernel is never
 //! shared and never a thread-local, and it holds nothing of the snapshot it
 //! is used with — every entry point resets its tables — so one returned
-//! after an error or a panic is as good as new. One lineage goes through it
-//! in three steps:
+//! after an error or a panic is as good as new. One lineage — the clause
+//! slices of a [`Lineage`] or of the flat [`ClauseBuffer`] the online path
+//! carries, in whatever order they come — goes through it in three steps:
 //!
 //! 1. **fold** — the clauses' levels land in one flat buffer (an array read
-//!    per literal, [`VarOrder::level_of`]) and are OR-folded deepest top
-//!    level first, exactly like [`mv_obdd::ObddManager::dnf`], into a plain
-//!    `Vec` of nodes with a private unique table and apply memo that are
-//!    emptied in O(1) per lineage. Canonicity makes the diagram the one the
-//!    manager would build; nothing is hash-consed against earlier queries,
-//!    so nothing outlives the call and no lock is taken;
+//!    per literal, [`VarOrder::level_of`]), the clauses are sorted by their
+//!    level sequences (a key of the first two levels, the rest breaking
+//!    ties) and OR-folded deepest top level first, exactly like
+//!    [`mv_obdd::ObddManager::dnf`], into a plain `Vec` of nodes with a
+//!    private unique table and apply memo that are emptied in O(1) per
+//!    lineage. Canonicity makes the diagram the one the manager would
+//!    build, and the same for any clause order; nothing is hash-consed
+//!    against earlier queries, so nothing outlives the call and no lock is
+//!    taken;
 //! 2. **annotate** — children are always allocated before their parents, so
 //!    one ascending sweep over the vector computes every node's variable
 //!    probability and `probUnder` (Shannon expansion, valid for the
 //!    negative probabilities of Section 3.3);
-//! 3. **intersect** — the touched blocks of the index are walked *as a
-//!    chain* in level order (`Walk::intersect`, over their rows of the
-//!    index's flat block table): the index is read, never written. Blocks
+//! 3. **intersect** — the touched blocks (read off the clauses' ids through
+//!    the index's dense tuple → block array, each marked once in a bitmap
+//!    over the blocks) are walked *as a chain* in level order
+//!    (`Walk::intersect`, over their rows of the index's flat block
+//!    table): the index is read, never written. Blocks
 //!    whose level ranges interleave (possible under a `π` that does not put
 //!    the separator first) cannot be chained; their rows are copied into
 //!    the scratch and conjoined with the query diagram there.
@@ -47,7 +53,7 @@
 
 use mv_obdd::{ManagerStats, ObddError, VarOrder};
 use mv_pdb::TupleId;
-use mv_query::lineage::Lineage;
+use mv_query::lineage::{ClauseBuffer, Lineage};
 use mv_query::EvalBudget;
 
 use crate::index::MvIndex;
@@ -125,8 +131,8 @@ fn fresh_stats() -> ManagerStats {
 pub struct QueryScratch {
     /// The levels of every clause of the lineage being folded, flat.
     levels: Vec<u32>,
-    /// `(start, end)` of each clause in `levels`, in fold order.
-    spans: Vec<(u32, u32)>,
+    /// `(sort key, start, end)` of each clause in `levels`, in fold order.
+    spans: Vec<(u64, u32, u32)>,
     /// The arena of the current lineage: positions are node ids, the sinks
     /// are the [`QV_FALSE`] / [`QV_TRUE`] markers.
     nodes: Vec<QvNode>,
@@ -138,6 +144,9 @@ pub struct QueryScratch {
     results: Vec<u32>,
     /// Blocks the lineage touches, in level order.
     touched: Vec<u32>,
+    /// One bit per block of the index at hand, set while `touched` is
+    /// being collected.
+    marked: Vec<u64>,
     /// Layout position → scratch position while a block is being copied in.
     imported: Vec<u32>,
     /// Root of the most recent lineage's diagram.
@@ -168,6 +177,7 @@ impl QueryScratch {
             frames: Vec::new(),
             results: Vec::new(),
             touched: Vec::new(),
+            marked: Vec::new(),
             imported: Vec::new(),
             root: QV_FALSE,
             walk: Walk::new(),
@@ -202,6 +212,7 @@ impl QueryScratch {
             + vec_bytes(&self.frames)
             + vec_bytes(&self.results)
             + vec_bytes(&self.touched)
+            + vec_bytes(&self.marked)
             + vec_bytes(&self.imported)
             + self.walk.heap_bytes()
     }
@@ -355,11 +366,16 @@ impl QueryScratch {
         Ok(self.results.pop().expect("apply produces a root"))
     }
 
-    /// Step 1: folds the lineage into a fresh arena and returns its root.
+    /// Step 1: folds the clauses into a fresh arena and returns its root.
     /// The clauses are taken deepest top level first (ties by the following
     /// levels) whatever order they arrive in, so each `apply` rebuilds only
-    /// the part of the accumulator above the incoming clause's last level.
-    fn fold(&mut self, order: &VarOrder, lineage: &Lineage) -> Result<u32, ObddError> {
+    /// the part of the accumulator above the incoming clause's last level —
+    /// and the diagram is the same for any order, repeats included.
+    fn fold<'c>(
+        &mut self,
+        order: &VarOrder,
+        clauses: impl IntoIterator<Item = &'c [TupleId]>,
+    ) -> Result<u32, ObddError> {
         if let Some(budget) = &self.budget {
             budget.check()?;
         }
@@ -369,7 +385,7 @@ impl QueryScratch {
         self.levels.clear();
         self.spans.clear();
         self.tick = 0;
-        for clause in lineage.clauses() {
+        for clause in clauses {
             let start = self.levels.len();
             for &t in clause {
                 let level = order
@@ -378,17 +394,25 @@ impl QueryScratch {
                 self.levels.push(level);
             }
             // A lineage clause holds distinct tuples, hence distinct levels.
-            self.levels[start..].sort_unstable();
-            self.spans.push((start as u32, self.levels.len() as u32));
+            let levels = &mut self.levels[start..];
+            levels.sort_unstable();
+            // The first two levels, each one up so that a missing second
+            // level sorts first: the key orders spans as their level
+            // sequences do, up to ties the sequences' tails break.
+            let key = |i: usize| levels.get(i).map_or(0, |&l| u64::from(l) + 1);
+            let key = key(0) << 32 | key(1);
+            self.spans
+                .push((key, start as u32, self.levels.len() as u32));
         }
         let levels = &self.levels;
-        let of = |span: &(u32, u32)| &levels[span.0 as usize..span.1 as usize];
-        self.spans.sort_unstable_by(|a, b| of(b).cmp(of(a)));
+        let of = |&(_, start, end): &(u64, u32, u32)| &levels[start as usize..end as usize];
+        self.spans
+            .sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| of(b).cmp(of(a))));
 
         let mut acc = QV_FALSE;
         let mut charged = 0;
         for i in 0..self.spans.len() {
-            let (start, end) = self.spans[i];
+            let (_, start, end) = self.spans[i];
             let mut clause = QV_TRUE;
             for j in (start..end).rev() {
                 clause = self.mk(self.levels[j as usize], QV_FALSE, clause);
@@ -467,7 +491,7 @@ impl QueryScratch {
         group: &Lineage,
         out: &mut Vec<QvNode>,
     ) -> Result<u32, ObddError> {
-        let root = self.fold(order, group)?;
+        let root = self.fold(order, group.clauses().iter().map(Vec::as_slice))?;
         let start = out.len();
         let node = |kernel: &Self, v: u32| {
             let QvNode { level, lo, hi, .. } = kernel.nodes[v as usize];
@@ -495,30 +519,62 @@ impl QueryScratch {
         self.copy_post_order(block.nodes.len(), block.root(), node, |v| v, place)
     }
 
-    /// The exact rung: `P0(lineage ∧ ¬W) / P0(¬W)` over the blocks the
-    /// lineage touches (the others cancel).
-    pub(crate) fn conditional_probability(
+    /// [`QueryScratch::conditional_probability`] of a [`Lineage`].
+    pub(crate) fn lineage_probability(
         &mut self,
         index: &MvIndex,
         lineage: &Lineage,
         prob_of: impl Fn(TupleId) -> f64 + Copy,
     ) -> Result<f64, ObddError> {
+        let clauses = lineage.clauses();
+        let slices = clauses.iter().map(Vec::as_slice);
+        self.conditional_probability(index, slices, clauses.iter().flatten(), prob_of)
+    }
+
+    /// [`QueryScratch::conditional_probability`] of a flat clause buffer.
+    pub(crate) fn buffer_probability(
+        &mut self,
+        index: &MvIndex,
+        clauses: &ClauseBuffer,
+        prob_of: impl Fn(TupleId) -> f64 + Copy,
+    ) -> Result<f64, ObddError> {
+        self.conditional_probability(index, clauses.iter(), clauses.ids(), prob_of)
+    }
+
+    /// The exact rung: `P0(Φ ∧ ¬W) / P0(¬W)` for the DNF `Φ` of `clauses`
+    /// (in any order, repeats allowed) over the blocks that `ids` — the
+    /// clauses' tuples — touch (the others cancel).
+    fn conditional_probability<'c>(
+        &mut self,
+        index: &MvIndex,
+        clauses: impl IntoIterator<Item = &'c [TupleId]>,
+        ids: impl IntoIterator<Item = &'c TupleId>,
+        prob_of: impl Fn(TupleId) -> f64 + Copy,
+    ) -> Result<f64, ObddError> {
         let order = index.var_order();
-        let root = self.fold(order, lineage)?;
+        let root = self.fold(order, clauses)?;
 
         let table = index.table();
         let blocks = &table.rows;
         let first_level = |b: u32| blocks[b as usize].levels.map_or(u32::MAX, |(lo, _)| lo);
+        // Each touched block once, through a bitmap over the block ids that
+        // is all clear again when this step is done.
         self.touched.clear();
-        self.touched.extend(
-            lineage
-                .clauses()
-                .iter()
-                .flatten()
-                .filter_map(|&t| index.block_of(t).map(|b| b as u32)),
-        );
+        self.marked
+            .resize(blocks.len().div_ceil(64).max(self.marked.len()), 0);
+        for &t in ids {
+            if let Some(b) = index.block_of(t) {
+                let (word, bit) = (b / 64, 1u64 << (b % 64));
+                if self.marked[word] & bit == 0 {
+                    self.marked[word] |= bit;
+                    self.touched.push(b as u32);
+                }
+            }
+        }
+        for &b in &self.touched {
+            self.marked[b as usize / 64] = 0;
+        }
         self.touched.sort_unstable();
-        self.touched.dedup();
         // Blocks are compiled in key order, which under a separator-first
         // `π` is level order already: this sort mostly finds nothing to do.
         self.touched.sort_unstable_by_key(|&b| first_level(b));
@@ -704,7 +760,7 @@ mod tests {
                 (brute_force_probability_with(&lin_q.or(&lin_w), &prob_of) - p_w) / (1.0 - p_w);
 
             let mut scratch = QueryScratch::new();
-            let p = scratch.conditional_probability(&index, &lin_q, prob_of).unwrap();
+            let p = scratch.lineage_probability(&index, &lin_q, prob_of).unwrap();
             if !expected.is_nan() {
                 prop_assert!(same(p, expected, 1e-7), "{p} vs {expected}");
             }
@@ -713,6 +769,80 @@ mod tests {
             let oracle = manager_answer(&mut scratch, index.order(), &blocks, &lin_q, prob_of);
             prop_assert_eq!(p.to_bits(), oracle.to_bits(), "{} vs {}", p, oracle);
             prop_assert_eq!(scratch.diagram_size(), index.query_obdd(&lin_q).unwrap().size());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The answer depends on the clause set alone: the clauses of a
+        /// lineage given in a shuffled order, some of them twice, or
+        /// shuffled into a flat buffer, give the lineage's answer to the
+        /// bit — on chained and on interleaved blocks. The flat online path
+        /// relies on it: its clauses arrive in match order, not canonical.
+        #[test]
+        fn clause_order_and_repeats_do_not_change_the_answer(
+            blocks in proptest::collection::vec(
+                proptest::collection::vec(proptest::collection::vec(0..PER_BLOCK, 1..=3), 1..=3),
+                0..=BLOCKS as usize,
+            ),
+            query in proptest::collection::vec(proptest::collection::vec(0..VARS, 1..=3), 1..=6),
+            probs in proptest::collection::vec(
+                prop_oneof![3 => 0.0f64..1.0, 1 => -2.0f64..0.0],
+                VARS as usize,
+            ),
+            keys in proptest::collection::vec(0u32..u32::MAX, 2 * VARS as usize),
+            interleave in 0u32..2,
+        ) {
+            let prob_of = |t: TupleId| probs[t.index()];
+            let blocks: Vec<Vec<Vec<u32>>> = blocks
+                .iter()
+                .enumerate()
+                .map(|(k, dnf)| {
+                    let global = |v: &u32| k as u32 * PER_BLOCK + v;
+                    dnf.iter().map(|c| c.iter().map(global).collect()).collect()
+                })
+                .collect();
+            let mut by_level: Vec<u32> = (0..VARS).collect();
+            if interleave == 1 {
+                by_level.sort_by_key(|&t| keys[VARS as usize + t as usize]);
+            }
+            let order = Arc::new(VarOrder::from_tuples(by_level.into_iter().map(TupleId)));
+            let index = index_of(order, &blocks, prob_of);
+            let lin_q = lineage_of(&query);
+            let expected = QueryScratch::new().lineage_probability(&index, &lin_q, prob_of);
+
+            // Every clause once in a shuffled order, and every other one
+            // again at the end.
+            let mut shuffled: Vec<(u32, &[TupleId])> = lin_q
+                .clauses()
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (keys[i], c.as_slice()))
+                .collect();
+            shuffled.sort_unstable();
+            let mut shuffled: Vec<&[TupleId]> = shuffled.into_iter().map(|(_, c)| c).collect();
+            let mut flat = ClauseBuffer::new();
+            for clause in &shuffled {
+                flat.push(clause);
+            }
+            let repeats: Vec<&[TupleId]> = shuffled.iter().step_by(2).copied().collect();
+            shuffled.extend(repeats);
+            let ids: Vec<TupleId> = shuffled.iter().flat_map(|c| c.iter().copied()).collect();
+
+            // A fresh kernel, then one that has already run this lineage.
+            let mut scratch = QueryScratch::new();
+            for _ in 0..2 {
+                let p = scratch.conditional_probability(&index, shuffled.iter().copied(), &ids, prob_of);
+                let q = scratch.buffer_probability(&index, &flat, prob_of);
+                match (&expected, p, q) {
+                    (Ok(e), Ok(p), Ok(q)) => {
+                        prop_assert_eq!(e.to_bits(), p.to_bits(), "{} vs {}", e, p);
+                        prop_assert_eq!(e.to_bits(), q.to_bits(), "{} vs {}", e, q);
+                    }
+                    (e, p, q) => prop_assert!(e.is_err() && p.is_err() && q.is_err()),
+                }
+            }
         }
     }
 
@@ -750,7 +880,7 @@ mod tests {
             })
             .product();
         let p = QueryScratch::new()
-            .conditional_probability(&index, &lin_q, prob_of)
+            .lineage_probability(&index, &lin_q, prob_of)
             .unwrap();
         assert!(p.is_finite() && (0.1..0.3).contains(&p), "{p}");
         assert!((p - (1.0 - none)).abs() < 1e-9, "{p} vs {}", 1.0 - none);
@@ -776,11 +906,9 @@ mod tests {
             .collect();
         let mut reused = QueryScratch::new();
         for lin in &lineages {
-            let p = reused
-                .conditional_probability(&index, lin, prob_of)
-                .unwrap();
+            let p = reused.lineage_probability(&index, lin, prob_of).unwrap();
             let fresh = QueryScratch::new()
-                .conditional_probability(&index, lin, prob_of)
+                .lineage_probability(&index, lin, prob_of)
                 .unwrap();
             assert_eq!(p.to_bits(), fresh.to_bits());
         }
@@ -800,7 +928,7 @@ mod tests {
     #[test]
     fn budget_and_node_cap_trips_are_the_managers_typed_errors() {
         let run = |scratch: &mut QueryScratch, index: &MvIndex, lin: &Lineage| {
-            scratch.conditional_probability(index, lin, |_| 0.5)
+            scratch.lineage_probability(index, lin, |_| 0.5)
         };
         let (index, lin) = pairing(10);
         let mut scratch = QueryScratch::new();
@@ -865,7 +993,7 @@ mod tests {
         let (index, _) = pairing(2);
         let lin = lineage_of(&[vec![0, 9]]);
         assert!(matches!(
-            QueryScratch::new().conditional_probability(&index, &lin, |_| 0.5),
+            QueryScratch::new().lineage_probability(&index, &lin, |_| 0.5),
             Err(ObddError::UnknownVariable(_))
         ));
     }

@@ -22,15 +22,18 @@
 //!   pair join indexes, code-level `=`/`<>` comparisons.
 //! * [`lineage`] — lineage computation: the Boolean provenance formula
 //!   `Φ_Q` of a Boolean query over an [`mv_pdb::InDb`], in DNF over
-//!   [`mv_pdb::TupleId`] variables.
+//!   [`mv_pdb::TupleId`] variables — collected flat into a [`ClauseBuffer`]
+//!   for the exact online path, and canonical as a [`Lineage`], the public
+//!   and oracle type.
 //! * [`analysis`] — root variables, separator variables, hierarchical and
 //!   inversion-free tests (Section 4.2), and safety detection.
 //! * [`components`] — connected-component analysis of lineage clause sets
 //!   (union-find), shared by the Monte Carlo sampler's component pruning
 //!   and the scale-out sharding layer.
 //! * [`partition`] — [`ComponentPartitioner`]: packs the components of
-//!   `W`'s lineage into balanced disjoint shards and routes query clauses
-//!   to their home shard (flagging cross-shard clauses for fallback).
+//!   `W`'s lineage into balanced disjoint shards; a [`Partition`] routes a
+//!   query's clause buffer to per-shard buffers through dense lookups
+//!   (flagging cross-shard groups for fallback).
 //! * [`safe_plan`] — the lifted (safe-plan) probability evaluator for safe
 //!   UCQs, correct for negative probabilities.
 //! * [`shannon`] — exact lineage probability by Shannon expansion with
@@ -74,7 +77,7 @@ pub use budget::{BudgetError, EvalBudget};
 pub use components::{component_relevant_clauses, connected_components, Components, UnionFind};
 pub use error::QueryError;
 pub use eval::{evaluate_boolean, evaluate_ucq, Answer};
-pub use lineage::{Clause, Lineage};
+pub use lineage::{Clause, ClauseBuffer, Lineage};
 pub use parser::{parse_query, parse_ucq};
 pub use partition::{ComponentPartitioner, Partition, RoutedLineage};
 pub use plan::PlanStats;

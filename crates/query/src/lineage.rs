@@ -6,17 +6,33 @@
 //! contributes one clause containing the probabilistic tuples it used;
 //! deterministic tuples contribute nothing (they are always present).
 //!
-//! Clause collection runs through the vectorized executor of
-//! [`crate::vec_exec`], with hash-based duplicate elimination (each clause
-//! is sorted, then deduplicated through an `FxHashSet`) instead of a
-//! `BTreeSet` — the clause set is only ordered once, at the end, to keep the
-//! canonical sorted form. The legacy backtracking evaluator remains
-//! reachable through [`lineage_legacy_with`] as the agreement-test oracle.
+//! Two containers hold a lineage:
+//!
+//! * a [`ClauseBuffer`] — every clause's ids in one flat `ids` vector, cut
+//!   by an `ends` vector of offsets. It is what the exact online path
+//!   carries from the vectorized executor through shard routing
+//!   ([`crate::Partition::route_clauses`]) into the query kernel's fold:
+//!   [`clauses_with`] fills one without a heap allocation per clause;
+//! * a [`Lineage`] — one sorted `Vec` per clause, in canonical order. It is
+//!   the public and oracle type: equality is set equality, and the
+//!   backends other than the MV-index, the answers path and the harnesses
+//!   read it. [`lineage_with`] is the buffer turned into one.
+//!
+//! A Boolean query's clauses go through one clause collector,
+//! `ClauseCollector`: each clause is appended to the buffer's tail, sorted
+//! there, and dropped again when it repeats an earlier one — found through
+//! an open-addressed table of clause indices hashed over the ids, which
+//! holds no clause of its own. The per-answer lineages of a non-Boolean
+//! query ([`answer_lineages_with`]) are `Lineage`s from the start: each
+//! answer's clauses are deduplicated through a hash set of its own. The
+//! legacy backtracking evaluator remains reachable through
+//! [`lineage_legacy_with`] as the agreement-test oracle.
 
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::ops::ControlFlow;
 
-use fxhash::FxHashSet;
+use fxhash::{FxHashSet, FxHasher};
 use mv_pdb::{InDb, Row, TupleId};
 
 use crate::ast::{Term, Ucq};
@@ -28,6 +44,226 @@ use crate::Result;
 /// One clause of a DNF lineage: a conjunction of tuple variables, kept sorted
 /// and duplicate-free.
 pub type Clause = Vec<TupleId>;
+
+/// A DNF lineage as one flat buffer: clause `i` is
+/// `ids[ends[i - 1]..ends[i]]` (from 0 for the first). Each clause is
+/// sorted and holds no tuple twice, and no clause appears twice; clause
+/// order is whatever the producer emitted. As for [`Lineage`], `false` has
+/// no clause and `true` is one empty clause.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClauseBuffer {
+    ends: Vec<u32>,
+    ids: Vec<TupleId>,
+}
+
+impl ClauseBuffer {
+    /// The constant `false` buffer (no clauses).
+    pub fn new() -> Self {
+        ClauseBuffer::default()
+    }
+
+    /// An empty buffer with room for `clauses` clauses of `ids` ids in all.
+    pub fn with_capacity(clauses: usize, ids: usize) -> Self {
+        ClauseBuffer {
+            ends: Vec::with_capacity(clauses),
+            ids: Vec::with_capacity(ids),
+        }
+    }
+
+    /// The constant `true` buffer (one empty clause).
+    pub fn constant_true() -> Self {
+        ClauseBuffer {
+            ends: vec![0],
+            ids: Vec::new(),
+        }
+    }
+
+    /// Number of clauses.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when the buffer holds no clause: the lineage is the constant
+    /// `false`.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// `true` when the lineage is the constant `true`: an empty clause
+    /// absorbs every other, so it is the only one.
+    #[inline]
+    pub fn is_true(&self) -> bool {
+        self.ends.first() == Some(&0)
+    }
+
+    /// Every clause's ids, back to back.
+    #[inline]
+    pub fn ids(&self) -> &[TupleId] {
+        &self.ids
+    }
+
+    /// Clause `i`.
+    fn clause(&self, i: usize) -> &[TupleId] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.ids[start as usize..self.ends[i] as usize]
+    }
+
+    /// The clauses, in buffer order.
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[TupleId]> + Clone + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let clause = &self.ids[start as usize..end as usize];
+            start = end;
+            clause
+        })
+    }
+
+    /// Appends a clause. The caller keeps the invariants: the clause is
+    /// sorted, holds no tuple twice, is not empty unless it is the only
+    /// clause, and is not in the buffer yet — true of any clause taken from
+    /// another buffer or a [`Lineage`] whose clauses are not in this one.
+    #[inline]
+    pub fn push(&mut self, clause: &[TupleId]) {
+        debug_assert!(clause.windows(2).all(|w| w[0] < w[1]));
+        // Clauses are a few ids long: a copy loop beats a `memcpy` call.
+        self.ids.extend(clause.iter().copied());
+        self.ends.push(self.ids.len() as u32);
+    }
+}
+
+impl From<&Lineage> for ClauseBuffer {
+    fn from(lineage: &Lineage) -> Self {
+        let mut buffer = ClauseBuffer::with_capacity(lineage.num_clauses(), lineage.num_literals());
+        for clause in lineage.clauses() {
+            buffer.push(clause);
+        }
+        buffer
+    }
+}
+
+/// FxHash of a clause's ids.
+fn hash_ids(ids: &[TupleId]) -> u64 {
+    let mut hasher = FxHasher::default();
+    for t in ids {
+        hasher.write_u32(t.0);
+    }
+    hasher.finish()
+}
+
+/// The one clause collector: appends each clause to a [`ClauseBuffer`] and
+/// drops repeats. Its table holds clause indices, at most half full and
+/// probed linearly from the high bits of the clause's hash; a probe
+/// compares the candidate clause's ids in the buffer.
+#[derive(Debug, Default)]
+pub(crate) struct ClauseCollector {
+    buffer: ClauseBuffer,
+    /// Clause indices, [`ClauseCollector::EMPTY`] in a free slot. The
+    /// length is a power of two, or zero before the first clause.
+    slots: Vec<u32>,
+    /// An empty clause arrived: the lineage is `true`.
+    certainly_true: bool,
+}
+
+impl ClauseCollector {
+    const EMPTY: u32 = u32::MAX;
+    const MIN_SLOTS: usize = 16;
+
+    pub(crate) fn new() -> Self {
+        ClauseCollector::default()
+    }
+
+    /// Adds the clause over `tuples` (in any order, repeats allowed): it is
+    /// sorted and deduplicated in the buffer's tail and kept only when the
+    /// buffer does not hold it yet. Returns `false` for an empty clause —
+    /// the lineage is then `true` and the caller may stop.
+    pub(crate) fn add(&mut self, tuples: impl IntoIterator<Item = TupleId>) -> bool {
+        let ids = &mut self.buffer.ids;
+        let start = ids.len();
+        ids.extend(tuples);
+        ids[start..].sort_unstable();
+        let mut kept = start;
+        for read in start..ids.len() {
+            if kept == start || ids[read] != ids[kept - 1] {
+                ids[kept] = ids[read];
+                kept += 1;
+            }
+        }
+        ids.truncate(kept);
+        if kept == start {
+            self.certainly_true = true;
+            return false;
+        }
+        let hash = hash_ids(&ids[start..]);
+        if self.contains(hash, start) {
+            self.buffer.ids.truncate(start);
+        } else {
+            self.insert(hash);
+            self.buffer.ends.push(kept as u32);
+        }
+        true
+    }
+
+    /// The first slot probed for `hash`: its high bits, which Fx's final
+    /// multiply mixes best.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Whether the buffer holds a clause equal to the open one (the ids
+    /// from `start` on).
+    fn contains(&self, hash: u64, start: usize) -> bool {
+        if self.slots.is_empty() {
+            return false;
+        }
+        let open = &self.buffer.ids[start..];
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        loop {
+            match self.slots[slot] {
+                ClauseCollector::EMPTY => return false,
+                i if self.buffer.clause(i as usize) == open => return true,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Records the open clause as the next clause index under `hash`, first
+    /// doubling the table if that would fill more than half of it.
+    fn insert(&mut self, hash: u64) {
+        let clause = self.buffer.len();
+        if (clause + 1) * 2 > self.slots.len() {
+            let size = (self.slots.len() * 2).max(ClauseCollector::MIN_SLOTS);
+            self.slots.clear();
+            self.slots.resize(size, ClauseCollector::EMPTY);
+            for earlier in 0..clause {
+                self.place(earlier, hash_ids(self.buffer.clause(earlier)));
+            }
+        }
+        self.place(clause, hash);
+    }
+
+    fn place(&mut self, clause: usize, hash: u64) {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(hash);
+        while self.slots[slot] != ClauseCollector::EMPTY {
+            slot = (slot + 1) & mask;
+        }
+        self.slots[slot] = clause as u32;
+    }
+
+    /// The collected clauses: the constant `true` buffer when an empty
+    /// clause arrived.
+    pub(crate) fn finish(self) -> ClauseBuffer {
+        if self.certainly_true {
+            ClauseBuffer::constant_true()
+        } else {
+            self.buffer
+        }
+    }
+}
 
 /// The lineage of a Boolean query: a disjunction of [`Clause`]s.
 ///
@@ -52,31 +288,22 @@ impl Lineage {
     }
 
     /// Builds a lineage from clauses, normalising each clause (sort + dedup)
-    /// and removing duplicate clauses through hash-based deduplication. The
+    /// and removing duplicate clauses through the one clause collector. The
     /// surviving clauses are sorted once, so the result is canonical:
     /// lineages are equal iff their clause sets are.
     pub fn from_clauses(clauses: impl IntoIterator<Item = Clause>) -> Self {
-        let mut set: FxHashSet<Clause> = FxHashSet::default();
-        for mut c in clauses {
-            c.sort_unstable();
-            c.dedup();
-            set.insert(c);
+        let mut collector = ClauseCollector::new();
+        for clause in clauses {
+            collector.add(clause);
         }
-        // `true` absorbs everything.
-        if set.contains(&Vec::new()) {
-            return Lineage::constant_true();
-        }
-        let mut clauses: Vec<Clause> = set.into_iter().collect();
-        clauses.sort_unstable();
-        Lineage { clauses }
+        Lineage::from(&collector.finish())
     }
 
     /// Builds a lineage from clauses that are already individually sorted,
-    /// deduplicated and pairwise distinct — clause collection maintains
-    /// this while collecting, and any subset of an existing lineage's
-    /// clauses (a routed clause group, a shard's `W_s`) inherits it. Only
-    /// the final clause ordering remains; callers are on the hook for the
-    /// per-clause invariants.
+    /// deduplicated and pairwise distinct — any subset of an existing
+    /// lineage's clauses (a shard's `W_s`, one block's group) inherits it.
+    /// Only the final clause ordering remains; callers are on the hook for
+    /// the per-clause invariants.
     pub fn from_distinct_clauses(mut clauses: Vec<Clause>) -> Self {
         debug_assert!(clauses.iter().all(|c| c.windows(2).all(|w| w[0] < w[1])));
         if clauses.iter().any(Vec::is_empty) {
@@ -157,17 +384,26 @@ impl Lineage {
     }
 }
 
-/// Collects the clauses of one Boolean UCQ through the vectorized batch
-/// executor, deduplicating as it goes. Returns `None` when an empty clause
-/// was found (the lineage is certainly `true`, so enumeration stopped
-/// early).
-///
-/// The per-batch loop builds each clause in a reusable buffer from the
-/// dense tuple-id columns of the [`InDb`] (an array load per matched atom,
-/// no hash lookup) and only clones the buffer into the set when the clause
-/// is new — on the symmetric self-joins of the MarkoView workloads roughly
-/// half the matches produce a clause already seen.
-fn collect_clauses(ucq: &Ucq, indb: &InDb, ctx: &EvalContext<'_>) -> Result<Option<Vec<Clause>>> {
+impl From<&ClauseBuffer> for Lineage {
+    /// The canonical lineage of a buffer's clauses: one `Vec` per clause,
+    /// sorted once.
+    fn from(buffer: &ClauseBuffer) -> Self {
+        if buffer.is_true() {
+            return Lineage::constant_true();
+        }
+        Lineage::from_distinct_clauses(buffer.iter().map(<[TupleId]>::to_vec).collect())
+    }
+}
+
+/// The clauses of a Boolean UCQ, collected flat through the vectorized
+/// batch executor into one [`ClauseBuffer`] — the lineage of the exact
+/// online path. Each clause is built in the buffer's tail from the dense
+/// tuple-id columns of the [`InDb`] (an array load per matched atom, no
+/// hash lookup), so a match costs no allocation; on the symmetric
+/// self-joins of the MarkoView workloads roughly half the matches repeat a
+/// clause and are dropped again. A match over deterministic tuples alone
+/// stops the enumeration: the buffer is then the constant `true`.
+pub fn clauses_with(ucq: &Ucq, indb: &InDb, ctx: &EvalContext<'_>) -> Result<ClauseBuffer> {
     for disjunct in &ucq.disjuncts {
         if !disjunct.is_boolean() {
             return Err(QueryError::NotBoolean(disjunct.name.clone()));
@@ -177,53 +413,39 @@ fn collect_clauses(ucq: &Ucq, indb: &InDb, ctx: &EvalContext<'_>) -> Result<Opti
     let db = ctx.database();
     let budget = ctx.budget();
     let mut stats = ExecStats::default();
-    // The set is the only store: clauses are moved in (duplicates are
-    // dropped without ever being cloned) and moved out at the end.
-    let mut seen: FxHashSet<Clause> = FxHashSet::default();
-    let mut buf: Clause = Vec::new();
+    let mut collector = ClauseCollector::new();
     for (disjunct, params) in plan.instances(ucq, db.interner()) {
         let tid_cols: Vec<&[u32]> = disjunct
             .atom_rels()
             .iter()
             .map(|&rel| indb.tuple_id_column(rel))
             .collect();
-        let certainly_true =
+        let run =
             disjunct.for_each_batch_budgeted(db, &mut stats, &params, budget.as_ref(), |batch| {
                 for entry in 0..batch.len() {
-                    buf.clear();
-                    for (atom, &row) in batch.atom_rows(entry).iter().enumerate() {
+                    let rows = batch.atom_rows(entry).iter().enumerate();
+                    let tuples = rows.filter_map(|(atom, &row)| {
                         let raw = tid_cols[atom][row as usize];
-                        if raw != InDb::NO_TUPLE_ID {
-                            buf.push(TupleId(raw));
-                        }
-                    }
-                    buf.sort_unstable();
-                    buf.dedup();
-                    if buf.is_empty() {
-                        // A match over deterministic tuples alone: Φ is `true`
-                        // and absorbs every other clause — stop enumerating.
+                        (raw != InDb::NO_TUPLE_ID).then_some(TupleId(raw))
+                    });
+                    if !collector.add(tuples) {
+                        // Φ is `true` and absorbs every other clause.
                         return ControlFlow::Break(());
-                    }
-                    if !seen.contains(buf.as_slice()) {
-                        seen.insert(buf.clone());
                     }
                 }
                 ControlFlow::Continue(())
             });
-        let certainly_true = match certainly_true {
-            Ok(b) => b,
+        match run {
+            Ok(None) => {}
+            Ok(Some(())) => break,
             Err(e) => {
                 ctx.record_exec(stats);
                 return Err(e.into());
             }
-        };
-        if certainly_true.is_some() {
-            ctx.record_exec(stats);
-            return Ok(None);
         }
     }
     ctx.record_exec(stats);
-    Ok(Some(seen.into_iter().collect()))
+    Ok(collector.finish())
 }
 
 /// Computes the lineage of a Boolean UCQ over the tuple-independent database.
@@ -237,12 +459,10 @@ pub fn lineage(ucq: &Ucq, indb: &InDb) -> Result<Lineage> {
 }
 
 /// Like [`lineage`] but reuses an [`EvalContext`] built on
-/// `indb.database()` (plans are compiled once per context and reused).
+/// `indb.database()` (plans are compiled once per context and reused):
+/// [`clauses_with`], made canonical.
 pub fn lineage_with(ucq: &Ucq, indb: &InDb, ctx: &EvalContext<'_>) -> Result<Lineage> {
-    Ok(match collect_clauses(ucq, indb, ctx)? {
-        None => Lineage::constant_true(),
-        Some(clauses) => Lineage::from_distinct_clauses(clauses),
-    })
+    Ok(Lineage::from(&clauses_with(ucq, indb, ctx)?))
 }
 
 /// [`lineage`] through the legacy backtracking evaluator — the agreement
@@ -495,6 +715,43 @@ mod tests {
         assert!(!l_a1.variables().contains(&TupleId(1)));
         // Exact agreement with the legacy oracle, per answer.
         assert_eq!(answer_lineages_legacy(&q, &indb).unwrap(), per_answer);
+    }
+
+    #[test]
+    fn the_collector_keeps_each_clause_once_in_first_seen_order() {
+        let ids = |v: &[u32]| v.iter().map(|&t| TupleId(t)).collect::<Vec<_>>();
+        let mut collector = ClauseCollector::new();
+        // Past the table's first doublings, every clause arriving twice:
+        // once unsorted with a repeated tuple, once sorted.
+        for i in 0..300u32 {
+            assert!(collector.add(ids(&[i + 7, i, i + 7])));
+        }
+        for i in 0..300u32 {
+            assert!(collector.add(ids(&[i, i + 7])));
+        }
+        let buffer = collector.finish();
+        assert_eq!(buffer.len(), 300);
+        assert_eq!(buffer.ids().len(), 600);
+        assert!(buffer
+            .iter()
+            .enumerate()
+            .all(|(i, c)| c == ids(&[i as u32, i as u32 + 7])));
+        let lineage = Lineage::from(&buffer);
+        assert_eq!(ClauseBuffer::from(&lineage), buffer, "already canonical");
+        assert_eq!(
+            lineage,
+            Lineage::from_clauses((0..300u32).rev().map(|i| ids(&[i + 7, i])))
+        );
+
+        // An empty clause makes the buffer the constant `true`.
+        let mut collector = ClauseCollector::new();
+        assert!(collector.add(ids(&[3])));
+        assert!(!collector.add(ids(&[])));
+        let buffer = collector.finish();
+        assert!(buffer.is_true() && !buffer.is_empty());
+        assert_eq!(buffer, ClauseBuffer::constant_true());
+        assert!(Lineage::from(&buffer).is_true());
+        assert!(ClauseCollector::new().finish().is_empty());
     }
 
     #[test]

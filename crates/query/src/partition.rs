@@ -11,29 +11,40 @@
 //! no home at all: [`Partition::route`] pins each of them to one shard *per
 //! query*.
 //!
-//! Routing a query lineage `Φ_Q = ∨ C_j` ([`Partition::route`]) groups the
-//! clauses by shared variables (a union-find over the clauses themselves)
-//! and binds each group to a shard:
+//! Routing a query lineage `Φ_Q = ∨ C_j` ([`Partition::route_clauses`])
+//! groups the clauses by shared variables and binds each group to a shard:
 //!
 //! * a group whose W-homed variables all live in one shard is evaluated
 //!   there — its W-free variables appear in no other group, so the
 //!   per-shard disjuncts `φ_s` stay variable-disjoint and
 //!   `P(Φ_Q | ¬W) = 1 − ∏_s (1 − P(φ_s | ¬W_s))` exactly;
 //! * a group drawing W-homed variables from two shards has no home, and
-//!   the query is reported [`RoutedLineage::CrossShard`] so the caller can
-//!   fall back to the unsharded oracle;
+//!   the query is reported cross-shard so the caller can fall back to the
+//!   unsharded oracle;
 //! * a group with no W-homed variable at all is pinned to a deterministic
-//!   shard (first variable id modulo shard count).
+//!   shard: the smallest tuple id of the group modulo the shard count, a
+//!   function of the group's clause set alone.
+//!
+//! The router reads a flat [`ClauseBuffer`] and returns one per touched
+//! shard, each clause in its input order. A W-homed tuple names its shard
+//! through the dense `home_of` array; clauses are unioned only through the
+//! W-free tuples they share (a shared W-homed tuple already gives both the
+//! same home), using a dense tuple → first-clause array whose entries are
+//! valid only under the current epoch stamp, so a call neither clears nor
+//! hashes anything of universe size. The scratch is pooled on the
+//! partition and reused across calls. [`Partition::route`] is the same
+//! router behind an adapter for a [`Lineage`], its groups handed back as
+//! [`RoutedLineage`].
 //!
 //! Packing is a greedy longest-processing-time bin fill: W-components
 //! sorted by size descending (ties by smallest member tuple ascending) are
 //! assigned to the currently least-loaded shard (ties to the lowest shard
 //! id). The result is a pure function of the clause set and shard count.
 
-use fxhash::FxHashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::components::{connected_components, Components, UnionFind};
-use crate::lineage::{Clause, Lineage};
+use crate::components::{connected_components, Components};
+use crate::lineage::{Clause, ClauseBuffer, Lineage};
 use mv_pdb::TupleId;
 
 /// Sentinel in `Partition::home_of` for W-free tuples.
@@ -110,6 +121,7 @@ impl ComponentPartitioner {
             home_of,
             shard_sizes,
             num_components: self.components.len(),
+            routers: Arc::default(),
         }
     }
 }
@@ -121,6 +133,72 @@ pub struct Partition {
     home_of: Vec<u16>,
     shard_sizes: Vec<usize>,
     num_components: usize,
+    /// Idle routing scratch, shared by clones; a call pops one (or makes
+    /// one) and pushes it back.
+    routers: Arc<Mutex<Vec<RouteScratch>>>,
+}
+
+/// The reusable state of one routing call. The per-tuple array spans the
+/// universe and is never cleared: an entry counts only while its stamp is
+/// the current epoch. The per-clause arrays are sized to the lineage at
+/// hand.
+#[derive(Debug, Default)]
+struct RouteScratch {
+    epoch: u32,
+    /// Per tuple: the epoch of the entry, and the first clause of that
+    /// call holding the tuple.
+    seen: Vec<(u32, u32)>,
+    /// Per clause: its union-find parent.
+    parent: Vec<u32>,
+    /// Per clause, then per group root: the home shard of its W-homed
+    /// tuples, or [`FREE`].
+    home: Vec<u16>,
+    /// Per clause, then per group root: its smallest tuple id.
+    least: Vec<u32>,
+    /// Per clause: its group's root.
+    root: Vec<u32>,
+}
+
+impl RouteScratch {
+    /// Starts a call over a universe of `num_tuples` tuples.
+    fn begin(&mut self, num_tuples: usize) {
+        if self.epoch == u32::MAX {
+            self.epoch = 0;
+            self.seen.fill((0, 0));
+        }
+        self.epoch += 1;
+        if self.seen.len() < num_tuples {
+            self.seen.resize(num_tuples, (0, 0));
+        }
+    }
+}
+
+/// Root of clause `c`'s group (path halving).
+fn find(parent: &mut [u32], mut c: u32) -> u32 {
+    while parent[c as usize] != c {
+        let grand = parent[parent[c as usize] as usize];
+        parent[c as usize] = grand;
+        c = grand;
+    }
+    c
+}
+
+fn union(parent: &mut [u32], a: u32, b: u32) {
+    let (ra, rb) = (find(parent, a), find(parent, b));
+    if ra != rb {
+        parent[rb as usize] = ra;
+    }
+}
+
+/// Joins `shard` (a home, or [`FREE`]) into a group's `home`; `None` when
+/// the two are different homes.
+fn join(home: &mut u16, shard: u16) -> Option<()> {
+    if *home == FREE {
+        *home = shard;
+    } else if shard != FREE && shard != *home {
+        return None;
+    }
+    Some(())
 }
 
 /// Where a query lineage lands on a [`Partition`].
@@ -167,78 +245,118 @@ impl Partition {
         }
     }
 
-    /// Routes a (non-constant) lineage per the module-level grouping rules,
-    /// or reports [`RoutedLineage::CrossShard`] as soon as any clause group
-    /// mixes W-homed tuples from two shards.
-    pub fn route(&self, lineage: &Lineage) -> RoutedLineage {
-        let clauses = lineage.clauses();
-        self.bucket(self.shard_per_clause(clauses), clauses.iter().cloned())
+    fn idle(&self) -> MutexGuard<'_, Vec<RouteScratch>> {
+        // Nothing panics while the lock is held, so a poisoned lock still
+        // guards a whole vector.
+        self.routers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// [`Partition::route`] for a caller that is done with the lineage: the
-    /// clauses move into their shard's group instead of being cloned there.
-    pub fn route_owned(&self, lineage: Lineage) -> RoutedLineage {
-        let shards = self.shard_per_clause(lineage.clauses());
-        self.bucket(shards, lineage.into_clauses())
+    /// Routes a (non-constant) lineage per the module-level grouping rules:
+    /// `(shard, clauses homed there)` for every touched shard, in
+    /// increasing shard order, or `None` as soon as a clause group mixes
+    /// W-homed tuples from two shards (or the buffer holds an empty clause:
+    /// constants are the caller's short-circuit, not a routable lineage).
+    pub fn route_clauses(&self, clauses: &ClauseBuffer) -> Option<Vec<(usize, ClauseBuffer)>> {
+        let popped = self.idle().pop();
+        let mut scratch = popped.unwrap_or_default();
+        let routed = self.route_in(&mut scratch, clauses);
+        self.idle().push(scratch);
+        routed
     }
 
-    /// The shard of every clause, in clause order; `None` when some clause
-    /// group has no single home.
-    fn shard_per_clause(&self, clauses: &[Clause]) -> Option<Vec<usize>> {
+    fn route_in(
+        &self,
+        scratch: &mut RouteScratch,
+        clauses: &ClauseBuffer,
+    ) -> Option<Vec<(usize, ClauseBuffer)>> {
+        let n = clauses.len();
+        scratch.begin(self.home_of.len());
+        let RouteScratch {
+            epoch,
+            seen,
+            parent,
+            home,
+            least,
+            root,
+        } = scratch;
+        parent.clear();
+        parent.extend(0..n as u32);
+        home.clear();
+        least.clear();
         // Clauses sharing any variable must land on the same shard (their
-        // disjuncts are not independent): union them into groups first.
-        let mut uf = UnionFind::default();
-        for clause in clauses {
-            uf.union_clause(clause);
-        }
-        // Fold each clause's W-homed tuples into its group's home shard.
-        let mut group_shard: FxHashMap<usize, Option<usize>> = FxHashMap::default();
-        for clause in clauses {
-            // An empty clause is constant true; constants are the caller's
-            // short-circuit, not a routable lineage.
-            let &first = clause.first()?;
-            let root = uf.find_id(first);
-            let entry = group_shard.entry(root).or_insert(None);
-            for shard in clause.iter().filter_map(|&t| self.home_of(t)) {
-                match *entry {
-                    None => *entry = Some(shard),
-                    Some(prev) if prev != shard => return None,
-                    Some(_) => {}
+        // disjuncts are not independent). Two clauses sharing a W-homed
+        // tuple get that tuple's home each, so only W-free tuples need a
+        // union: each clause joins the first clause that held each of its
+        // W-free tuples. On the way, each clause's own home shard and
+        // smallest tuple.
+        for (c, clause) in clauses.iter().enumerate() {
+            let c = c as u32;
+            let mut own = FREE;
+            for &t in clause {
+                match self.home_of[t.0 as usize] {
+                    FREE => {
+                        let entry = &mut seen[t.0 as usize];
+                        if entry.0 == *epoch {
+                            union(parent, entry.1, c);
+                        } else {
+                            *entry = (*epoch, c);
+                        }
+                    }
+                    shard => join(&mut own, shard)?,
                 }
             }
+            home.push(own);
+            least.push(clause.first()?.0);
         }
-        // Pin all-W-free groups deterministically.
+        // Fold each clause's home and smallest tuple into its group's root.
+        root.clear();
+        for c in 0..n {
+            let r = find(parent, c as u32) as usize;
+            root.push(r as u32);
+            if r != c {
+                let own = home[c];
+                join(&mut home[r], own)?;
+                least[r] = least[r].min(least[c]);
+            }
+        }
+        // Every clause to its group's shard (all-W-free groups pinned by
+        // their smallest tuple). A touched shard's buffer is sized for the
+        // whole lineage when it takes its first clause, so it never grows.
+        let num_shards = self.num_shards();
+        let mut buffers = vec![ClauseBuffer::new(); num_shards];
+        for (clause, &r) in clauses.iter().zip(root.iter()) {
+            let shard = match home[r as usize] {
+                FREE => least[r as usize] as usize % num_shards,
+                shard => shard as usize,
+            };
+            let buffer = &mut buffers[shard];
+            if buffer.is_empty() {
+                *buffer = ClauseBuffer::with_capacity(n, clauses.ids().len());
+            }
+            buffer.push(clause);
+        }
         Some(
-            clauses
-                .iter()
-                .map(|clause| {
-                    let root = uf.find_id(clause[0]);
-                    let entry = group_shard.get_mut(&root).expect("group registered above");
-                    *entry.get_or_insert(clause[0].0 as usize % self.num_shards())
-                })
+            buffers
+                .into_iter()
+                .enumerate()
+                .filter(|(_, buffer)| !buffer.is_empty())
                 .collect(),
         )
     }
 
-    /// Buckets the clauses by their shard, keeping clause order per bucket.
-    fn bucket(
-        &self,
-        shards: Option<Vec<usize>>,
-        clauses: impl IntoIterator<Item = Clause>,
-    ) -> RoutedLineage {
-        let Some(shards) = shards else {
-            return RoutedLineage::CrossShard;
-        };
-        let mut buckets: Vec<Vec<Clause>> = vec![Vec::new(); self.num_shards()];
-        for (shard, clause) in shards.into_iter().zip(clauses) {
-            buckets[shard].push(clause);
-        }
-        RoutedLineage::Sharded {
-            groups: buckets
-                .into_iter()
-                .enumerate()
-                .filter(|(_, clauses)| !clauses.is_empty())
-                .collect(),
+    /// [`Partition::route_clauses`] for a [`Lineage`]: the same router,
+    /// each shard's clauses handed back in lineage order.
+    pub fn route(&self, lineage: &Lineage) -> RoutedLineage {
+        match self.route_clauses(&ClauseBuffer::from(lineage)) {
+            Some(groups) => RoutedLineage::Sharded {
+                groups: groups
+                    .into_iter()
+                    .map(|(shard, buffer)| {
+                        (shard, buffer.iter().map(<[TupleId]>::to_vec).collect())
+                    })
+                    .collect(),
+            },
+            None => RoutedLineage::CrossShard,
         }
     }
 }
@@ -335,8 +453,8 @@ mod tests {
     fn all_free_groups_are_pinned_deterministically() {
         let w = vec![vec![t(0), t(1)]];
         let p = ComponentPartitioner::new(5, &w).partition(2);
-        // Clauses over W-free tuples only: still routable (pinned by first
-        // variable id).
+        // Clauses over W-free tuples only: still routable (pinned by the
+        // group's smallest tuple id).
         let routed = p.route(&Lineage::from_clauses([vec![t(2), t(3)], vec![t(4)]]));
         let groups = sharded_groups(routed.clone());
         assert_eq!(
@@ -351,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn the_consuming_form_routes_like_the_borrowing_one() {
+    fn the_flat_router_routes_like_the_lineage_adapter() {
         let w = vec![vec![t(0), t(1)], vec![t(2), t(3)]];
         let p = ComponentPartitioner::new(8, &w).partition(2);
         for clauses in [
@@ -365,7 +483,38 @@ mod tests {
             vec![vec![t(6)], vec![t(7)]],
         ] {
             let lineage = Lineage::from_clauses(clauses);
-            assert_eq!(p.route_owned(lineage.clone()), p.route(&lineage));
+            let flat = p
+                .route_clauses(&ClauseBuffer::from(&lineage))
+                .map(|groups| {
+                    groups
+                        .into_iter()
+                        .map(|(s, buffer)| (s, buffer.iter().map(<[TupleId]>::to_vec).collect()))
+                        .collect()
+                });
+            match p.route(&lineage) {
+                RoutedLineage::Sharded { groups } => assert_eq!(flat, Some(groups)),
+                RoutedLineage::CrossShard => assert_eq!(flat, None),
+            }
         }
+    }
+
+    #[test]
+    fn all_free_groups_are_pinned_by_their_smallest_tuple_in_any_clause_order() {
+        let w = vec![vec![t(0), t(1)]];
+        let p = ComponentPartitioner::new(12, &w).partition(3);
+        // One group {9, 4, 7} whose clauses arrive with its largest tuple
+        // first: pinned to 4 % 3 = 1, not 9 % 3 = 0.
+        let mut buffer = ClauseBuffer::new();
+        buffer.push(&[t(7), t(9)]);
+        buffer.push(&[t(4), t(7)]);
+        let groups = p.route_clauses(&buffer).expect("routable");
+        assert_eq!(groups.len(), 1);
+        assert_eq!(groups[0].0, 1);
+        assert_eq!(groups[0].1, buffer, "clause order kept");
+        // An empty clause is a constant, not a routable lineage.
+        assert_eq!(p.route_clauses(&ClauseBuffer::constant_true()), None);
+        // The scratch went back to the pool and serves the next call.
+        assert_eq!(p.idle().len(), 1);
+        assert_eq!(p.route_clauses(&buffer), Some(groups));
     }
 }

@@ -6,7 +6,9 @@
 //! independence), crosses shards inside a single clause (oracle fallback),
 //! or touches zero shards (constant lineage).
 
+use markoviews::pdb::TupleId;
 use markoviews::prelude::*;
+use markoviews::query::{Clause, ClauseBuffer, ComponentPartitioner, Partition, RoutedLineage};
 use proptest::prelude::*;
 
 mod common;
@@ -216,5 +218,185 @@ fn point_queries_resolve_one_template_per_shape_per_context() {
     assert_eq!(cache.len(), 4);
     for (q, (p, r)) in queries.iter().zip(probs.iter().zip(&reference)) {
         assert!((p - r).abs() < 1e-12, "{q}: {p} vs {r}");
+    }
+}
+
+/// Per touched shard, its clauses — or `None` for a cross-shard lineage.
+type Routed = Option<Vec<(usize, Vec<Clause>)>>;
+
+/// The routing oracle: a union-find over tuple ids and a hash map of group
+/// homes, independent of the router's dense, epoch-stamped scratch. Clauses
+/// sharing a tuple share a group; a group is homed by its W-homed tuples,
+/// has no home when they span two shards (`None`), and is pinned to its
+/// smallest tuple id modulo the shard count when it has none. Each shard's
+/// clauses keep their input order.
+fn oracle_route(partition: &Partition, clauses: &[Clause]) -> Routed {
+    use markoviews::query::UnionFind;
+    use std::collections::HashMap;
+
+    let mut uf = UnionFind::default();
+    for clause in clauses {
+        uf.union_clause(clause);
+    }
+    // Per group root: (home shard, smallest tuple).
+    let mut groups: HashMap<usize, (Option<usize>, TupleId)> = HashMap::new();
+    for clause in clauses {
+        let &first = clause.first()?;
+        let root = uf.find_id(first);
+        let group = groups.entry(root).or_insert((None, first));
+        for &t in clause {
+            group.1 = group.1.min(t);
+            match (partition.home_of(t), group.0) {
+                (Some(shard), None) => group.0 = Some(shard),
+                (Some(shard), Some(home)) if shard != home => return None,
+                _ => {}
+            }
+        }
+    }
+    let mut buckets: Vec<Vec<Clause>> = vec![Vec::new(); partition.num_shards()];
+    for clause in clauses {
+        let (home, least) = groups[&uf.find_id(clause[0])];
+        let shard = home.unwrap_or(least.0 as usize % partition.num_shards());
+        buckets[shard].push(clause.clone());
+    }
+    Some(
+        buckets
+            .into_iter()
+            .enumerate()
+            .filter(|(_, clauses)| !clauses.is_empty())
+            .collect(),
+    )
+}
+
+/// The flat router's answer as the oracle's type.
+fn flat_route(partition: &Partition, clauses: &[Clause]) -> Routed {
+    let mut buffer = ClauseBuffer::new();
+    for clause in clauses {
+        buffer.push(clause);
+    }
+    let groups = partition.route_clauses(&buffer)?;
+    Some(
+        groups
+            .into_iter()
+            .map(|(shard, buffer)| (shard, buffer.iter().map(<[TupleId]>::to_vec).collect()))
+            .collect(),
+    )
+}
+
+/// `route(&Lineage)`'s answer as the oracle's type.
+fn lineage_route(partition: &Partition, lineage: &Lineage) -> Routed {
+    match partition.route(lineage) {
+        RoutedLineage::Sharded { groups } => Some(groups),
+        RoutedLineage::CrossShard => None,
+    }
+}
+
+fn tuples(ids: &[u32]) -> Clause {
+    ids.iter().map(|&t| TupleId(t)).collect()
+}
+
+/// The routing cases by name, each against the oracle and its expected
+/// outcome, on W components {0, 1} and {2, 3} over 3 shards (the third
+/// stays empty) and W-free tuples 4..12.
+#[test]
+fn the_flat_router_agrees_with_the_oracle_on_each_routing_case() {
+    let w = [tuples(&[0, 1]), tuples(&[2, 3])];
+    let partition = ComponentPartitioner::new(12, &w).partition(3);
+    let (s0, s2) = (
+        partition.home_of(TupleId(0)).unwrap(),
+        partition.home_of(TupleId(2)).unwrap(),
+    );
+    assert_ne!(s0, s2);
+    assert_eq!(
+        partition.shard_sizes().iter().filter(|&&n| n == 0).count(),
+        1
+    );
+    let cases = [
+        (
+            "cross-shard through a shared W-free tuple",
+            vec![tuples(&[0, 5]), tuples(&[2, 5])],
+            None,
+        ),
+        ("one clause mixing two shards", vec![tuples(&[1, 3])], None),
+        (
+            "all-free group pinned by its smallest tuple, largest first",
+            vec![tuples(&[8, 10]), tuples(&[7, 8])],
+            Some(vec![7 % 3]),
+        ),
+        (
+            "two homed groups and a free one",
+            vec![tuples(&[0, 4]), tuples(&[3, 6]), tuples(&[9])],
+            Some({
+                let mut shards = vec![s0, s2, 0];
+                shards.sort_unstable();
+                shards.dedup();
+                shards
+            }),
+        ),
+        (
+            "an empty shard stays out of the groups",
+            vec![tuples(&[0]), tuples(&[1, 11])],
+            Some(vec![s0]),
+        ),
+    ];
+    for (name, clauses, shards) in cases {
+        let oracle = oracle_route(&partition, &clauses);
+        assert_eq!(flat_route(&partition, &clauses), oracle, "{name}");
+        let touched = oracle
+            .as_ref()
+            .map(|groups| groups.iter().map(|(s, _)| *s).collect());
+        assert_eq!(touched, shards, "{name}");
+        let lineage = Lineage::from_clauses(clauses);
+        assert_eq!(
+            lineage_route(&partition, &lineage),
+            oracle_route(&partition, lineage.clauses()),
+            "{name}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The flat router and `route(&Lineage)` against the oracle on random
+    /// partitions and lineages, the flat router's clauses in a shuffled
+    /// order (it keeps input order per shard, and so does the oracle).
+    #[test]
+    fn the_flat_router_and_route_agree_with_the_oracle(
+        w in proptest::collection::vec(proptest::collection::vec(0u32..16, 1..=3), 0..=6),
+        num_shards in 1usize..=4,
+        query in proptest::collection::vec(proptest::collection::vec(0u32..24, 1..=3), 1..=8),
+        keys in proptest::collection::vec(0u32..u32::MAX, 8),
+    ) {
+        let w: Vec<Clause> = Lineage::from_clauses(w.iter().map(|c| tuples(c))).into_clauses();
+        let partition = ComponentPartitioner::new(24, &w).partition(num_shards);
+        let lineage = Lineage::from_clauses(query.iter().map(|c| tuples(c)));
+        prop_assert_eq!(
+            lineage_route(&partition, &lineage),
+            oracle_route(&partition, lineage.clauses())
+        );
+        let mut shuffled: Vec<(u32, Clause)> = lineage
+            .clauses()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (keys[i], c.clone()))
+            .collect();
+        shuffled.sort_unstable();
+        let shuffled: Vec<Clause> = shuffled.into_iter().map(|(_, c)| c).collect();
+        let flat = flat_route(&partition, &shuffled);
+        prop_assert_eq!(&flat, &oracle_route(&partition, &shuffled));
+        // The same clause set per shard, whichever the order.
+        let sets = |routed: Routed| {
+            routed.map(|groups| {
+                groups
+                    .into_iter()
+                    .map(|(s, mut clauses)| {
+                        clauses.sort();
+                        (s, clauses)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        };
+        prop_assert_eq!(sets(flat), sets(lineage_route(&partition, &lineage)));
     }
 }
