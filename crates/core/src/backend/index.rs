@@ -11,6 +11,7 @@
 //! shares nothing with other queries and leaves the index as compiled.
 
 use mv_index::IntersectAlgorithm;
+use mv_pdb::Row;
 use mv_query::lineage::{ClauseBuffer, Lineage};
 use mv_query::Ucq;
 
@@ -85,8 +86,33 @@ impl Backend for MvIndexBackend {
         let Some(index) = ctx.index() else {
             return Some(Err(CoreError::MissingIndex));
         };
-        let p = index.clauses_probability_with(&mut ctx.scratch(), clauses, ctx.indb());
+        let p = index.clauses_probability_with(&mut ctx.scratch(), clauses.as_slice(), ctx.indb());
         Some(p.map_err(Into::into))
+    }
+
+    /// Every answer's clauses come from one flat collector, and each
+    /// answer's range is folded straight from its buffer, as a Boolean
+    /// query's clauses are: no [`Lineage`] per answer. The probabilities
+    /// are those of [`Backend::lineage_probability`] on each answer's
+    /// lineage, to the bit.
+    fn answers(&self, q: &Ucq, ctx: &EvalContext<'_>) -> Result<Vec<(Row, f64)>> {
+        let answers = ctx.answer_clauses(q)?;
+        if answers.is_empty() {
+            return Ok(Vec::new());
+        }
+        let Some(index) = ctx.index() else {
+            return Err(CoreError::MissingIndex);
+        };
+        let mut kernel = ctx.scratch();
+        let mut out = Vec::with_capacity(answers.len());
+        for i in 0..answers.len() {
+            let p = index.clauses_probability_with(&mut kernel, answers.clauses(i), ctx.indb())?;
+            out.push((Row::new(), p));
+        }
+        for ((row, _), answer) in out.iter_mut().zip(answers.into_rows()) {
+            *row = answer;
+        }
+        Ok(out)
     }
 }
 

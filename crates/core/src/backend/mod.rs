@@ -27,7 +27,9 @@ use mv_index::{IntersectAlgorithm, MvIndex, QueryScratch};
 use mv_obdd::{ManagerStats, ObddManager, PiOrder};
 use mv_pdb::{InDb, Row};
 use mv_query::eval::EvalContext as QueryEvalContext;
-use mv_query::lineage::{answer_lineages_with, clauses_with, lineage_with, ClauseBuffer, Lineage};
+use mv_query::lineage::{
+    answer_clauses_with, clauses_with, lineage_with, AnswerClauses, ClauseBuffer, Lineage,
+};
 use mv_query::Ucq;
 
 use crate::error::CoreError;
@@ -192,9 +194,17 @@ impl<'a> EvalContext<'a> {
     }
 
     /// The per-answer lineages of a non-Boolean query, through the store's
-    /// plan cache (one compilation per query shape).
+    /// plan cache (one compilation per query shape):
+    /// [`EvalContext::answer_clauses`], each answer's clauses made canonical.
     pub fn answer_lineages(&self, query: &Ucq) -> Result<std::collections::BTreeMap<Row, Lineage>> {
-        Ok(answer_lineages_with(query, self.indb(), &self.query_ctx)?)
+        Ok(self.answer_clauses(query)?.into_lineages())
+    }
+
+    /// The clauses of every answer of a non-Boolean query, flat: one
+    /// buffer with a range per answer, answers in row order, without a
+    /// `Vec` per clause or a [`Lineage`] per answer.
+    pub fn answer_clauses(&self, query: &Ucq) -> Result<AnswerClauses> {
+        Ok(answer_clauses_with(query, self.indb(), &self.query_ctx)?)
     }
 
     /// The lineage of the helper query `W` (`None` when the MVDB has no

@@ -55,7 +55,7 @@ use mv_obdd::{ManagerStats, Obdd, ObddManager, PiOrder, SynthesisBuilder, VarOrd
 use mv_pdb::{InDb, TupleId, Value};
 use mv_query::analysis::find_separator_over;
 use mv_query::eval::EvalContext;
-use mv_query::lineage::{answer_lineages_with, lineage_with, Clause, ClauseBuffer, Lineage};
+use mv_query::lineage::{answer_lineages_with, lineage_with, Clause, ClauseSlice, Lineage};
 use mv_query::{EvalBudget, Term, Ucq};
 
 use crate::intersect::{prob_at, vec_bytes, BlockView, QvNode};
@@ -568,15 +568,17 @@ impl MvIndex {
         Ok(scratch.lineage_probability(self, lineage, |t| indb.probability(t))?)
     }
 
-    /// [`MvIndex::conditional_probability_with`] for the flat clause buffer
-    /// the exact online path carries: the kernel folds the buffer's
-    /// clauses and reads the touched blocks off its ids, with no
-    /// [`Lineage`] built. The answer is the one of the canonical lineage of
-    /// the same clauses, to the bit, whatever their order.
+    /// [`MvIndex::conditional_probability_with`] for the flat clauses the
+    /// exact online path carries — a query's or a shard's
+    /// [`ClauseBuffer`](mv_query::ClauseBuffer), or one answer's range of a
+    /// non-Boolean query's [`AnswerClauses`](mv_query::AnswerClauses): the
+    /// kernel folds the clauses and reads the touched blocks off their ids,
+    /// with no [`Lineage`] built. The answer is the one of the canonical
+    /// lineage of the same clauses, to the bit, whatever their order.
     pub fn clauses_probability_with(
         &self,
         scratch: &mut QueryScratch,
-        clauses: &ClauseBuffer,
+        clauses: ClauseSlice<'_>,
         indb: &InDb,
     ) -> Result<f64> {
         if clauses.is_empty() {

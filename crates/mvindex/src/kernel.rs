@@ -12,8 +12,9 @@
 //! shared and never a thread-local, and it holds nothing of the snapshot it
 //! is used with — every entry point resets its tables — so one returned
 //! after an error or a panic is as good as new. One lineage — the clause
-//! slices of a [`Lineage`] or of the flat [`ClauseBuffer`] the online path
-//! carries, in whatever order they come — goes through it in three steps:
+//! slices of a [`Lineage`] or of the flat clauses the online path carries
+//! (a [`ClauseSlice`] of a buffer or of one answer's range), in whatever
+//! order they come — goes through it in three steps:
 //!
 //! 1. **fold** — the clauses' levels land in one flat buffer (an array read
 //!    per literal, [`VarOrder::level_of`]), the clauses are sorted by their
@@ -53,7 +54,7 @@
 
 use mv_obdd::{ManagerStats, ObddError, VarOrder};
 use mv_pdb::TupleId;
-use mv_query::lineage::{ClauseBuffer, Lineage};
+use mv_query::lineage::{ClauseSlice, Lineage};
 use mv_query::EvalBudget;
 
 use crate::index::MvIndex;
@@ -531,11 +532,11 @@ impl QueryScratch {
         self.conditional_probability(index, slices, clauses.iter().flatten(), prob_of)
     }
 
-    /// [`QueryScratch::conditional_probability`] of a flat clause buffer.
+    /// [`QueryScratch::conditional_probability`] of flat clauses.
     pub(crate) fn buffer_probability(
         &mut self,
         index: &MvIndex,
-        clauses: &ClauseBuffer,
+        clauses: ClauseSlice<'_>,
         prob_of: impl Fn(TupleId) -> f64 + Copy,
     ) -> Result<f64, ObddError> {
         self.conditional_probability(index, clauses.iter(), clauses.ids(), prob_of)
@@ -822,7 +823,7 @@ mod tests {
                 .collect();
             shuffled.sort_unstable();
             let mut shuffled: Vec<&[TupleId]> = shuffled.into_iter().map(|(_, c)| c).collect();
-            let mut flat = ClauseBuffer::new();
+            let mut flat = mv_query::ClauseBuffer::new();
             for clause in &shuffled {
                 flat.push(clause);
             }
@@ -834,7 +835,7 @@ mod tests {
             let mut scratch = QueryScratch::new();
             for _ in 0..2 {
                 let p = scratch.conditional_probability(&index, shuffled.iter().copied(), &ids, prob_of);
-                let q = scratch.buffer_probability(&index, &flat, prob_of);
+                let q = scratch.buffer_probability(&index, flat.as_slice(), prob_of);
                 match (&expected, p, q) {
                     (Ok(e), Ok(p), Ok(q)) => {
                         prop_assert_eq!(e.to_bits(), p.to_bits(), "{} vs {}", e, p);

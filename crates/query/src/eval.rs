@@ -25,7 +25,10 @@
 //! snapshot can share ([`EvalContext::with_plan_cache`] — the `mv-core`
 //! contexts all do); each context keeps the templates it resolved in a map
 //! of its own in front of it, so a hit takes no lock. A context made with
-//! [`EvalContext::new`] has only that map. The CSR and pair indexes and
+//! [`EvalContext::new`] has only that map. The executor's working buffers
+//! ([`ExecScratch`]) come the same way: a context checks one out of the
+//! shared cache's pool on its first run and hands it back when it drops
+//! (a context without a cache makes its own). The CSR and pair indexes and
 //! distinct counts the plans probe belong to the snapshot's
 //! [`mv_pdb::Relation`] instances: built once per instance, shared by every
 //! context — a fresh context is ~free.
@@ -41,8 +44,8 @@ use mv_pdb::{Database, RelId, Row, Value};
 use crate::ast::{Atom, ConjunctiveQuery, Term, Ucq};
 use crate::error::QueryError;
 use crate::plan::PlanStats;
-use crate::template::{shape_hash, PlanCache, Templates};
-use crate::vec_exec::{ExecStats, VecCompiledUcq};
+use crate::template::{shape_hash, LocalPlan, PlanCache, Templates};
+use crate::vec_exec::{ExecScratch, ExecStats, VecCompiledUcq};
 use crate::Result;
 
 /// One answer of a non-Boolean query.
@@ -81,7 +84,9 @@ pub struct EvalContext<'a> {
     /// Legacy-path indexes (`Value`-keyed).
     indexes: RefCell<ColumnIndexes>,
     /// The templates this context resolved.
-    plans: RefCell<Templates>,
+    plans: RefCell<Templates<LocalPlan>>,
+    /// The executor's working buffers, between runs.
+    scratch: Cell<Option<ExecScratch>>,
     /// Executor counters accumulated across every vectorized run.
     exec: Cell<ExecStats>,
     /// Cooperative budget consulted at batch boundaries by the lineage and
@@ -98,6 +103,7 @@ impl<'a> EvalContext<'a> {
             shared: None,
             indexes: RefCell::new(FxHashMap::default()),
             plans: RefCell::new(Templates::default()),
+            scratch: Cell::new(None),
             exec: Cell::new(ExecStats::default()),
             budget: RefCell::new(None),
         }
@@ -116,10 +122,9 @@ impl<'a> EvalContext<'a> {
             db.version(),
             "a plan cache serves only the store version it was made for"
         );
-        EvalContext {
-            shared: Some(cache),
-            ..EvalContext::new(db)
-        }
+        let mut ctx = EvalContext::new(db);
+        ctx.shared = Some(cache);
+        ctx
     }
 
     /// Installs (or clears) the cooperative budget every subsequent
@@ -145,9 +150,16 @@ impl<'a> EvalContext<'a> {
     /// from the shared cache, else compiled (and kept in both). Run it on
     /// `ucq` through [`VecCompiledUcq::instances`].
     pub fn compile_vec(&self, ucq: &Ucq) -> Result<Arc<VecCompiledUcq>> {
+        Ok(Arc::clone(&*self.plan(ucq)?))
+    }
+
+    /// [`EvalContext::compile_vec`] through this context's own handle: a
+    /// hit clones an `Rc`, and the shared `Arc` is cloned only when the
+    /// context first resolves the template.
+    pub(crate) fn plan(&self, ucq: &Ucq) -> Result<LocalPlan> {
         let hash = shape_hash(ucq);
         if let Some(plan) = self.plans.borrow().get(hash, ucq) {
-            return Ok(Arc::clone(plan));
+            return Ok(Rc::clone(plan));
         }
         let plan = match self.shared.and_then(|cache| cache.get(hash, ucq)) {
             Some(plan) => plan,
@@ -159,8 +171,24 @@ impl<'a> EvalContext<'a> {
                 }
             }
         };
-        self.plans.borrow_mut().insert(hash, Arc::clone(&plan));
+        let plan = Rc::new(plan);
+        self.plans.borrow_mut().insert(hash, Rc::clone(&plan));
         Ok(plan)
+    }
+
+    /// Runs `work` on this context's executor scratch: the one it holds,
+    /// else one from the shared cache's pool, else a new one. A run nested
+    /// in another (a callback querying the same context) gets a scratch of
+    /// its own.
+    pub(crate) fn with_scratch<R>(&self, work: impl FnOnce(&mut ExecScratch) -> R) -> R {
+        let mut scratch = self
+            .scratch
+            .take()
+            .or_else(|| self.shared.and_then(PlanCache::take_scratch))
+            .unwrap_or_default();
+        let out = work(&mut scratch);
+        self.scratch.set(Some(scratch));
+        out
     }
 
     /// Number of distinct templates this context has resolved.
@@ -185,6 +213,15 @@ impl<'a> EvalContext<'a> {
         self.exec.set(self.exec.get() + stats);
     }
 
+    /// Heap bytes of the executor scratch this context holds (0 before its
+    /// first run, and while a run has it checked out).
+    pub fn scratch_bytes(&self) -> usize {
+        let scratch = self.scratch.take();
+        let bytes = scratch.as_ref().map_or(0, ExecScratch::heap_bytes);
+        self.scratch.set(scratch);
+        bytes
+    }
+
     /// The legacy `Value`-keyed index of `(rel, column)`, built on first
     /// use. The `RefCell` is only borrowed transiently — the returned
     /// handle owns the index for as long as a search needs it.
@@ -205,6 +242,15 @@ impl<'a> EvalContext<'a> {
             .borrow_mut()
             .insert((rel, column), Rc::clone(&index));
         index
+    }
+}
+
+impl Drop for EvalContext<'_> {
+    /// Hands the executor scratch back to the shared cache's pool.
+    fn drop(&mut self) {
+        if let (Some(cache), Some(scratch)) = (self.shared, self.scratch.take()) {
+            cache.recycle_scratch(scratch);
+        }
     }
 }
 
@@ -504,30 +550,32 @@ pub fn evaluate_ucq(ucq: &Ucq, db: &Database) -> Result<Vec<Answer>> {
 /// the interner is bijective), and only the per-disjunct-distinct
 /// survivors reach the global row set.
 pub fn evaluate_ucq_with(ucq: &Ucq, ctx: &EvalContext<'_>) -> Result<Vec<Answer>> {
-    let plan = ctx.compile_vec(ucq)?;
+    let plan = ctx.plan(ucq)?;
     let db = ctx.database();
     let interner = db.interner();
     let mut stats = crate::vec_exec::ExecStats::default();
     let mut seen = fxhash::FxHashSet::default();
     let mut answers = Vec::new();
-    for (disjunct, params) in plan.instances(ucq, interner) {
-        let head_slots = disjunct.head_slots();
-        let mut code_seen: fxhash::FxHashSet<Vec<u32>> = fxhash::FxHashSet::default();
-        disjunct.for_each_batch::<()>(db, &mut stats, &params, |batch| {
-            for entry in 0..batch.len() {
-                let regs = batch.regs(entry);
-                let key: Vec<u32> = head_slots.iter().map(|&s| regs[usize::from(s)]).collect();
-                if !code_seen.insert(key) {
-                    continue;
+    ctx.with_scratch(|scratch| {
+        for (disjunct, cq) in plan.instances(ucq) {
+            let head_slots = disjunct.head_slots();
+            let mut code_seen: fxhash::FxHashSet<Vec<u32>> = fxhash::FxHashSet::default();
+            disjunct.for_each_batch::<()>(db, scratch, &mut stats, cq, |batch| {
+                for entry in 0..batch.len() {
+                    let regs = batch.regs(entry);
+                    let key: Vec<u32> = head_slots.iter().map(|&s| regs[usize::from(s)]).collect();
+                    if !code_seen.insert(key) {
+                        continue;
+                    }
+                    let row = disjunct.decode_head(regs, interner);
+                    if seen.insert(row.clone()) {
+                        answers.push(Answer { row });
+                    }
                 }
-                let row = disjunct.decode_head(regs, interner);
-                if seen.insert(row.clone()) {
-                    answers.push(Answer { row });
-                }
-            }
-            ControlFlow::Continue(())
-        });
-    }
+                ControlFlow::Continue(())
+            });
+        }
+    });
     ctx.record_exec(stats);
     Ok(answers)
 }
@@ -571,19 +619,16 @@ pub fn evaluate_boolean_with(ucq: &Ucq, ctx: &EvalContext<'_>) -> Result<bool> {
             return Err(QueryError::NotBoolean(disjunct.name.clone()));
         }
     }
-    let plan = ctx.compile_vec(ucq)?;
+    let plan = ctx.plan(ucq)?;
     let db = ctx.database();
     let mut stats = crate::vec_exec::ExecStats::default();
-    let mut hit = false;
-    for (disjunct, params) in plan.instances(ucq, db.interner()) {
-        if disjunct
-            .for_each_batch(db, &mut stats, &params, |_| ControlFlow::Break(()))
-            .is_some()
-        {
-            hit = true;
-            break;
-        }
-    }
+    let hit = ctx.with_scratch(|scratch| {
+        plan.instances(ucq).any(|(disjunct, cq)| {
+            disjunct
+                .for_each_batch(db, scratch, &mut stats, cq, |_| ControlFlow::Break(()))
+                .is_some()
+        })
+    });
     ctx.record_exec(stats);
     Ok(hit)
 }

@@ -77,7 +77,7 @@ pub use budget::{BudgetError, EvalBudget};
 pub use components::{component_relevant_clauses, connected_components, Components, UnionFind};
 pub use error::QueryError;
 pub use eval::{evaluate_boolean, evaluate_ucq, Answer};
-pub use lineage::{Clause, ClauseBuffer, Lineage};
+pub use lineage::{AnswerClauses, Clause, ClauseBuffer, ClauseSlice, Lineage};
 pub use parser::{parse_query, parse_ucq};
 pub use partition::{ComponentPartitioner, Partition, RoutedLineage};
 pub use plan::PlanStats;
@@ -85,7 +85,7 @@ pub use rewrite::{separator_domain, simplify_cq, SimplifiedCq};
 pub use safe_plan::{safe_probability, SafePlanError};
 pub use shannon::{shannon_probability, shannon_query_probability_with};
 pub use template::PlanCache;
-pub use vec_exec::{CsrIndex, ExecStats, VecCompiledUcq, BATCH_ROWS};
+pub use vec_exec::{CsrIndex, ExecScratch, ExecStats, VecCompiledUcq, BATCH_ROWS};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, QueryError>;

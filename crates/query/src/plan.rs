@@ -328,18 +328,29 @@ impl PhysicalPlan {
     }
 }
 
-/// The parameter codes of one instance of a template: the dictionary code
-/// of every atom-term constant of `cq`, in the order
+/// Writes the parameter codes of one instance of a template into `params`:
+/// the dictionary code of every atom-term constant of `cq`, in the order
 /// [`PhysicalPlan::compile`] numbered them (atoms in query order, terms left
-/// to right). `None` when a constant is absent from the dictionary: no row
+/// to right). `false` when a constant is absent from the dictionary: no row
 /// holds it, so the disjunct matches nothing.
-pub(crate) fn bind_params(cq: &ConjunctiveQuery, interner: &ValueInterner) -> Option<Vec<u32>> {
-    cq.atoms
+pub(crate) fn bind_params(
+    cq: &ConjunctiveQuery,
+    interner: &ValueInterner,
+    params: &mut Vec<u32>,
+) -> bool {
+    params.clear();
+    for c in cq
+        .atoms
         .iter()
         .flat_map(|atom| &atom.terms)
         .filter_map(Term::as_const)
-        .map(|c| interner.code_of(c))
-        .collect()
+    {
+        match interner.code_of(c) {
+            Some(code) => params.push(code),
+            None => return false,
+        }
+    }
+    true
 }
 
 fn compile_operand(term: &Term, slot_of: &FxHashMap<&str, u16>) -> CmpOperand {

@@ -15,7 +15,17 @@
 //! [`PlanCache`] holds the templates of one store snapshot for as long as
 //! the snapshot lives; every [`EvalContext`](crate::eval::EvalContext) over
 //! that snapshot, on any thread, can share it. Each context also keeps the
-//! templates it resolved in a lock-free map of its own in front of it.
+//! templates it resolved in a lock-free map of its own in front of it,
+//! behind a handle of its own (an `Rc` of the shared `Arc`): a hit clones
+//! that handle, never the `Arc`, so workers running one template on many
+//! threads do not all write its reference count.
+//!
+//! The cache also pools the executors' working buffers
+//! ([`ExecScratch`]): a context checks one out
+//! on its first run and hands it back when it drops, so a context made per
+//! call runs on the warm buffers of an earlier one.
+//! [`PlanCache::idle_scratches`] and [`PlanCache::idle_scratch_bytes`] show
+//! the pool.
 //!
 //! A template owns more than its shape: a scan's row-local comparisons
 //! (`n like '%f00%'`) are evaluated once when it is lowered, into a row
@@ -26,16 +36,17 @@
 //! map keeps at most 4 096 templates and at most 64 MiB of them, and past
 //! either cap a plan is compiled and returned but not kept.
 
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::{Entry, RandomState};
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use fxhash::FxHashMap;
 use mv_pdb::Database;
 
 use crate::ast::{ConjunctiveQuery, Term, Ucq};
 use crate::plan::PlanStats;
-use crate::vec_exec::VecCompiledUcq;
+use crate::vec_exec::{ExecScratch, VecCompiledUcq};
 
 /// Most templates one map holds. Past it, plans are still compiled and
 /// returned, just not kept.
@@ -96,31 +107,60 @@ pub(crate) fn same_shape(a: &Ucq, b: &Ucq) -> bool {
             .all(|(x, y)| same_cq(x, y))
 }
 
-/// Templates by shape hash; a bucket holds every template whose hash
-/// collides.
-#[derive(Debug, Default)]
-pub(crate) struct Templates {
-    by_hash: FxHashMap<u64, Vec<Arc<VecCompiledUcq>>>,
+/// A context's handle on a template the snapshot's cache shares: cloned
+/// without touching the shared reference count.
+pub(crate) type LocalPlan = Rc<Arc<VecCompiledUcq>>;
+
+impl AsRef<VecCompiledUcq> for LocalPlan {
+    fn as_ref(&self) -> &VecCompiledUcq {
+        self
+    }
+}
+
+/// Templates by shape hash, held through handles `P`: the first template
+/// of a hash in the map, any other whose hash collides with it in a list
+/// beside it (which stays empty, and unallocated, until one does).
+#[derive(Debug)]
+pub(crate) struct Templates<P = Arc<VecCompiledUcq>> {
+    by_hash: FxHashMap<u64, P>,
+    collided: Vec<(u64, P)>,
     len: usize,
     /// Selection bytes of the templates held.
     bytes: usize,
 }
 
-impl Templates {
+impl<P> Default for Templates<P> {
+    fn default() -> Self {
+        Templates {
+            by_hash: FxHashMap::default(),
+            collided: Vec::new(),
+            len: 0,
+            bytes: 0,
+        }
+    }
+}
+
+impl<P: AsRef<VecCompiledUcq>> Templates<P> {
     /// The template `ucq` is an instance of, if this map holds it.
-    pub(crate) fn get(&self, hash: u64, ucq: &Ucq) -> Option<&Arc<VecCompiledUcq>> {
-        self.by_hash
-            .get(&hash)?
-            .iter()
-            .find(|plan| same_shape(plan.shape(), ucq))
+    pub(crate) fn get(&self, hash: u64, ucq: &Ucq) -> Option<&P> {
+        let first = self.by_hash.get(&hash)?;
+        let collided = self.collided.iter().filter(|(h, _)| *h == hash);
+        std::iter::once(first)
+            .chain(collided.map(|(_, plan)| plan))
+            .find(|plan| same_shape(plan.as_ref().shape(), ucq))
     }
 
     /// Keeps `plan` under `hash`, unless the map is full in templates or
     /// in selection bytes.
-    pub(crate) fn insert(&mut self, hash: u64, plan: Arc<VecCompiledUcq>) {
-        let bytes = plan.heap_bytes();
+    pub(crate) fn insert(&mut self, hash: u64, plan: P) {
+        let bytes = plan.as_ref().heap_bytes();
         if self.len < MAX_TEMPLATES && self.bytes + bytes <= MAX_SELECTION_BYTES {
-            self.by_hash.entry(hash).or_default().push(plan);
+            match self.by_hash.entry(hash) {
+                Entry::Vacant(slot) => {
+                    slot.insert(plan);
+                }
+                Entry::Occupied(_) => self.collided.push((hash, plan)),
+            }
             self.len += 1;
             self.bytes += bytes;
         }
@@ -135,8 +175,8 @@ impl Templates {
     pub(crate) fn stats(&self) -> PlanStats {
         self.by_hash
             .values()
-            .flatten()
-            .map(|plan| plan.stats())
+            .chain(self.collided.iter().map(|(_, plan)| plan))
+            .map(|plan| plan.as_ref().stats())
             .fold(PlanStats::default(), |a, b| a + b)
     }
 
@@ -159,6 +199,10 @@ impl Templates {
 pub struct PlanCache {
     version: u64,
     templates: Mutex<Templates>,
+    /// Idle executor scratches: contexts take one on their first run and
+    /// hand it back when they drop, so the pool holds at most as many as
+    /// contexts were ever alive at once.
+    scratches: Mutex<Vec<ExecScratch>>,
 }
 
 impl PlanCache {
@@ -167,6 +211,7 @@ impl PlanCache {
         PlanCache {
             version: db.version(),
             templates: Mutex::default(),
+            scratches: Mutex::default(),
         }
     }
 
@@ -209,10 +254,39 @@ impl PlanCache {
 
     /// The lock guards plain map operations only, so a panic elsewhere
     /// cannot leave the map inconsistent.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Templates> {
+    fn lock(&self) -> MutexGuard<'_, Templates> {
         self.templates
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Nothing panics while the lock is held, so a poisoned lock still
+    /// guards a whole vector.
+    fn idle(&self) -> MutexGuard<'_, Vec<ExecScratch>> {
+        self.scratches
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// An idle executor scratch, if the pool holds one.
+    pub(crate) fn take_scratch(&self) -> Option<ExecScratch> {
+        self.idle().pop()
+    }
+
+    /// Returns an executor scratch to the pool, buffers and all.
+    pub(crate) fn recycle_scratch(&self, scratch: ExecScratch) {
+        self.idle().push(scratch);
+    }
+
+    /// Number of idle executor scratches in the pool.
+    pub fn idle_scratches(&self) -> usize {
+        self.idle().len()
+    }
+
+    /// Heap bytes the idle executor scratches hold
+    /// ([`ExecScratch::heap_bytes`]).
+    pub fn idle_scratch_bytes(&self) -> usize {
+        self.idle().iter().map(ExecScratch::heap_bytes).sum()
     }
 }
 
@@ -274,6 +348,27 @@ mod tests {
         assert_eq!(templates.len(), MAX_TEMPLATES);
         assert!(templates.get(0, &q).is_some());
         assert!(templates.get(MAX_TEMPLATES as u64, &q).is_none());
+    }
+
+    #[test]
+    fn templates_whose_hashes_collide_are_told_apart_by_shape() {
+        let mut db = Database::new();
+        db.add_relation("R", &["a"]).unwrap();
+        db.add_relation("S", &["a"]).unwrap();
+        let (r, s) = (
+            parse_ucq("Q() :- R(1)").unwrap(),
+            parse_ucq("Q() :- S(1)").unwrap(),
+        );
+        let mut templates = Templates::default();
+        for q in [&r, &s] {
+            templates.insert(7, Arc::new(VecCompiledUcq::compile(q, &db).unwrap()));
+        }
+        assert_eq!(templates.len(), 2);
+        for q in [&r, &s] {
+            assert!(same_shape(templates.get(7, q).unwrap().shape(), q));
+        }
+        assert!(templates.get(8, &r).is_none());
+        assert_eq!(templates.stats().disjuncts, 2);
     }
 
     #[test]

@@ -37,6 +37,17 @@
 //! is shared, posting lists keep rows ascending within each key (stable
 //! counting sort), a selection yields its rows ascending, and batches are
 //! filled depth-first.
+//!
+//! A run works in an [`ExecScratch`]: the parameter registers, the root
+//! batch and one batch per depth, every step's column slices and the
+//! staging of the slots a candidate row binds. The buffers keep their
+//! capacity from run to run, and the query [`EvalContext`](crate::eval::EvalContext)
+//! checks its scratch out of a pool on the snapshot's
+//! [`PlanCache`](crate::PlanCache) and hands it back when it drops, so a
+//! warm run allocates nothing and a context made per call starts warm. A
+//! run resets every buffer it reads before reading it: a run that stopped
+//! early leaves half-filled batches behind, and the next one never sees
+//! them.
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -45,7 +56,8 @@ use mv_pdb::interner::ValueInterner;
 pub use mv_pdb::{CsrIndex, PairIndex};
 use mv_pdb::{Database, RelId, Relation, Row};
 
-use crate::ast::{CmpOp, Ucq};
+use crate::ast::{CmpOp, ConjunctiveQuery, Ucq};
+use crate::lineage::CollectScratch;
 use crate::plan::{
     bind_params, Access, CmpOperand, ColOp, CompiledCmp, HeadTerm, PhysicalPlan, PlanStats, UNBOUND,
 };
@@ -165,8 +177,98 @@ struct VecStep {
     rel: RelId,
     access: VecAccess,
     ops: Vec<ColOp>,
+    /// Where this step's row ops start among a run's row ops (the ops of
+    /// the steps before it, in step order).
+    ops_at: usize,
     code_cmps: Vec<CodeCmp>,
     value_cmps: Vec<CompiledCmp>,
+}
+
+/// A column op with its column's codes, resolved once per run so the
+/// candidate loop indexes a slice instead of the relation's column table.
+#[derive(Debug, Clone, Copy)]
+enum RowOp<'a> {
+    Bind { codes: &'a [u32], slot: u16 },
+    CheckSlot { codes: &'a [u32], slot: u16 },
+}
+
+impl<'a> RowOp<'a> {
+    fn new(op: ColOp, relation: &'a Relation) -> Self {
+        match op {
+            ColOp::Bind { col, slot } => RowOp::Bind {
+                codes: relation.column_codes(usize::from(col)),
+                slot,
+            },
+            ColOp::CheckSlot { col, slot } => RowOp::CheckSlot {
+                codes: relation.column_codes(usize::from(col)),
+                slot,
+            },
+        }
+    }
+}
+
+/// `v`'s allocation as an empty vector of `U`, an element type of the same
+/// layout — here the same type under another lifetime. A pooled buffer of
+/// borrowed slices is stored empty under one lifetime and refilled under
+/// the next run's: the standard library collects a mapped `IntoIter` in
+/// place when the layouts agree, so no allocation is made.
+pub(crate) fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
+}
+
+/// The buffers a run of a [`VecPlan`] works in, reused from run to run:
+/// see the [module documentation](self). One scratch serves one run at a
+/// time; [`EvalContext`](crate::eval::EvalContext) pools them on the snapshot's
+/// [`PlanCache`](crate::PlanCache). A new one (`ExecScratch::default()`)
+/// is empty; its buffers grow on first use.
+#[derive(Debug, Default)]
+pub struct ExecScratch {
+    /// The parameter registers of the instance being run.
+    params: Vec<u32>,
+    /// One entry: the parameters, every other register unbound.
+    root: MatchBatch,
+    /// The output batch of each depth.
+    batches: Vec<MatchBatch>,
+    /// Every step's row ops, step after step; empty between runs.
+    row_ops: Vec<RowOp<'static>>,
+    /// The slots the current candidate row binds, staged until it passes
+    /// every check.
+    binds: Vec<(u16, u32)>,
+    /// The lineage collectors' tables and tuple-id columns.
+    pub(crate) collect: CollectScratch,
+}
+
+impl ExecScratch {
+    /// Heap bytes the buffers hold, in use or not.
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.params)
+            + self.root.heap_bytes()
+            + vec_bytes(&self.batches)
+            + self
+                .batches
+                .iter()
+                .map(MatchBatch::heap_bytes)
+                .sum::<usize>()
+            + vec_bytes(&self.row_ops)
+            + vec_bytes(&self.binds)
+            + self.collect.heap_bytes()
+    }
+}
+
+/// Heap bytes of a vector's buffer.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// The state one run threads through its depths.
+struct Run<'r, 'd> {
+    db: &'d Database,
+    stats: &'r mut ExecStats,
+    ops: &'r [RowOp<'d>],
+    binds: &'r mut Vec<(u16, u32)>,
 }
 
 /// The vectorized plan of one conjunctive query shape, lowered from its
@@ -224,19 +326,14 @@ impl VecCompiledUcq {
         &self.disjuncts
     }
 
-    /// Each disjunct plan with its parameter codes in `ucq`, an instance of
-    /// this template. A disjunct with a constant absent from the
-    /// dictionary matches nothing and is left out.
+    /// Each disjunct plan beside its instance in `ucq`, an instance of this
+    /// template: run the plan on it with [`VecPlan::for_each_batch`].
     pub fn instances<'p>(
         &'p self,
         ucq: &'p Ucq,
-        interner: &'p ValueInterner,
-    ) -> impl Iterator<Item = (&'p VecPlan, Vec<u32>)> + 'p {
+    ) -> impl Iterator<Item = (&'p VecPlan, &'p ConjunctiveQuery)> + 'p {
         debug_assert!(crate::template::same_shape(&self.shape, ucq));
-        self.disjuncts
-            .iter()
-            .zip(&ucq.disjuncts)
-            .filter_map(|(plan, cq)| Some((plan, bind_params(cq, interner)?)))
+        self.disjuncts.iter().zip(&ucq.disjuncts)
     }
 
     /// Aggregate shape statistics of the lowered plans.
@@ -259,6 +356,7 @@ impl VecCompiledUcq {
 
 /// A batch of partial (or complete) matches, stored entry-major: entry `i`
 /// owns `num_slots` registers and `num_atoms` matched row positions.
+#[derive(Debug, Default)]
 pub struct MatchBatch {
     num_slots: usize,
     num_atoms: usize,
@@ -268,16 +366,18 @@ pub struct MatchBatch {
 }
 
 impl MatchBatch {
-    fn new(num_slots: usize, num_atoms: usize) -> MatchBatch {
-        MatchBatch {
-            num_slots,
-            num_atoms,
-            len: 0,
-            // Grown on first use and reused across descend calls via the
-            // per-depth pool, so tiny plans never pay a batch-sized alloc.
-            regs: Vec::new(),
-            rows: Vec::new(),
-        }
+    /// Empties the batch for a run of a plan with `num_slots` registers and
+    /// `num_atoms` atoms, keeping its buffers: they grow to their
+    /// high-water mark once, so tiny plans never pay a batch-sized
+    /// allocation.
+    fn reset(&mut self, num_slots: usize, num_atoms: usize) {
+        self.num_slots = num_slots;
+        self.num_atoms = num_atoms;
+        self.clear();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.regs) + vec_bytes(&self.rows)
     }
 
     /// Entries currently in the batch.
@@ -323,6 +423,7 @@ impl VecPlan {
         }
 
         let mut steps: Vec<VecStep> = Vec::with_capacity(plan.steps.len());
+        let mut ops_at = 0;
         for step in &plan.steps {
             let relation = db.relation(step.rel);
             let mut ops = step.ops.clone();
@@ -492,14 +593,17 @@ impl VecPlan {
                 }
             };
 
+            let num_ops = ops.len();
             steps.push(VecStep {
                 atom: step.atom,
                 rel: step.rel,
                 access,
                 ops,
+                ops_at,
                 code_cmps,
                 value_cmps,
             });
+            ops_at += num_ops;
         }
 
         VecPlan {
@@ -558,6 +662,11 @@ impl VecPlan {
             .collect()
     }
 
+    /// The head terms, in head order.
+    pub(crate) fn head(&self) -> &[HeadTerm] {
+        &self.head
+    }
+
     /// The slots the head projects, in head order (head constants carry no
     /// slot). Batch sinks deduplicate on these codes before decoding.
     pub fn head_slots(&self) -> Vec<u16> {
@@ -570,51 +679,65 @@ impl VecPlan {
             .collect()
     }
 
-    /// Drives the plan batch-at-a-time for the instance whose parameter
-    /// codes are `params` (from [`VecCompiledUcq::instances`]), calling
-    /// `on_batch` for every batch of complete matches (depth-first, so
-    /// enumeration order equals the legacy oracle's). Returning
-    /// [`ControlFlow::Break`] stops the run. Scan/probe counters accumulate
-    /// into `stats`.
+    /// Drives the plan batch-at-a-time for `instance`, an instance of its
+    /// template, in `scratch`, calling `on_batch` for every batch of
+    /// complete matches (depth-first, so enumeration order equals the
+    /// legacy oracle's). Returning [`ControlFlow::Break`] stops the run. An
+    /// instance with a constant absent from the dictionary matches nothing.
+    /// Scan/probe counters accumulate into `stats`.
     pub fn for_each_batch<B>(
         &self,
         db: &Database,
+        scratch: &mut ExecScratch,
         stats: &mut ExecStats,
-        params: &[u32],
+        instance: &ConjunctiveQuery,
         mut on_batch: impl FnMut(&MatchBatch) -> ControlFlow<B>,
     ) -> Option<B> {
-        if self.never_matches {
+        let ExecScratch {
+            params,
+            root,
+            batches,
+            row_ops,
+            binds,
+            ..
+        } = scratch;
+        if self.never_matches || !bind_params(instance, db.interner(), params) {
             return None;
         }
+        let (ns, na) = (self.num_slots, self.num_atoms);
+        root.reset(ns, na);
+        root.len = 1;
+        root.regs.resize(ns, UNBOUND);
+        root.regs[..self.num_params].copy_from_slice(params);
+        root.rows.resize(na, 0);
         if self.steps.is_empty() {
             // Body-free query whose comparisons were all ground and true:
             // one empty match.
-            let mut unit = MatchBatch::new(self.num_slots, self.num_atoms);
-            unit.len = 1;
-            unit.regs.resize(self.num_slots, UNBOUND);
-            unit.rows.resize(self.num_atoms, 0);
             stats.batches += 1;
-            return match on_batch(&unit) {
-                ControlFlow::Break(b) => Some(b),
-                ControlFlow::Continue(()) => None,
-            };
+            return on_batch(root).break_value();
         }
 
-        let mut root = MatchBatch::new(self.num_slots, self.num_atoms);
-        root.len = 1;
-        root.regs.resize(self.num_slots, UNBOUND);
-        root.regs[..self.num_params].copy_from_slice(params);
-        root.rows.resize(self.num_atoms, 0);
-        // One output batch per depth, reused across every descend call at
-        // that depth: buffers grow to their high-water mark once and tiny
-        // plans never pay a batch-sized allocation.
-        let mut pool: Vec<MatchBatch> = (0..self.steps.len())
-            .map(|_| MatchBatch::new(self.num_slots, self.num_atoms))
-            .collect();
-        match self.descend(db, stats, 0, &mut pool, &root, &mut on_batch) {
-            ControlFlow::Break(b) => Some(b),
-            ControlFlow::Continue(()) => None,
+        let depths = self.steps.len();
+        if batches.len() < depths {
+            batches.resize_with(depths, MatchBatch::default);
         }
+        for batch in &mut batches[..depths] {
+            batch.reset(ns, na);
+        }
+        let mut ops: Vec<RowOp<'_>> = recycle(std::mem::take(row_ops));
+        for step in &self.steps {
+            let relation = db.relation(step.rel);
+            ops.extend(step.ops.iter().map(|&op| RowOp::new(op, relation)));
+        }
+        let mut run = Run {
+            db,
+            stats,
+            ops: &ops,
+            binds,
+        };
+        let flow = self.descend(&mut run, 0, &mut batches[..depths], root, &mut on_batch);
+        *row_ops = recycle(ops);
+        flow.break_value()
     }
 
     /// [`Self::for_each_batch`] under a cooperative [`EvalBudget`](crate::EvalBudget): before
@@ -625,17 +748,18 @@ impl VecPlan {
     pub fn for_each_batch_budgeted<B>(
         &self,
         db: &Database,
+        scratch: &mut ExecScratch,
         stats: &mut ExecStats,
-        params: &[u32],
+        instance: &ConjunctiveQuery,
         budget: Option<&crate::budget::EvalBudget>,
         mut on_batch: impl FnMut(&MatchBatch) -> ControlFlow<B>,
     ) -> std::result::Result<Option<B>, crate::budget::BudgetError> {
         let Some(budget) = budget else {
-            return Ok(self.for_each_batch(db, stats, params, on_batch));
+            return Ok(self.for_each_batch(db, scratch, stats, instance, on_batch));
         };
         budget.check()?;
         let mut trip: Option<crate::budget::BudgetError> = None;
-        let out = self.for_each_batch(db, stats, params, |batch| {
+        let out = self.for_each_batch(db, scratch, stats, instance, |batch| {
             if let Err(e) = budget.charge(batch.len() as u64) {
                 trip = Some(e);
                 return ControlFlow::Break(None);
@@ -652,156 +776,114 @@ impl VecPlan {
     }
 
     /// Extends every entry of `parent` through step `depth`, flushing full
-    /// batches downward (or to `on_batch` at the last depth).
+    /// batches downward (or to `on_batch` at the last depth). `batches`
+    /// holds the output batch of this depth and of every one below it.
     fn descend<B>(
         &self,
-        db: &Database,
-        stats: &mut ExecStats,
+        run: &mut Run<'_, '_>,
         depth: usize,
-        pool: &mut [MatchBatch],
+        batches: &mut [MatchBatch],
         parent: &MatchBatch,
         on_batch: &mut impl FnMut(&MatchBatch) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         let step = &self.steps[depth];
-        let relation = db.relation(step.rel);
-        let interner = db.interner();
+        let relation = run.db.relation(step.rel);
+        let interner = run.db.interner();
         let ns = self.num_slots;
         let na = self.num_atoms;
-        let (out, pool_rest) = pool.split_first_mut().expect("pool covers every depth");
+        let last = depth + 1 == self.steps.len();
+        let (out, below) = batches.split_first_mut().expect("a batch per depth");
         out.clear();
-
-        // Hoist the per-op column slices out of the candidate loop: one
-        // bounds-checked slice lookup per descend call instead of a
-        // column-table indirection per candidate row.
-        enum RowOp<'a> {
-            Bind { codes: &'a [u32], slot: u16 },
-            CheckSlot { codes: &'a [u32], slot: u16 },
-        }
-        let row_ops: Vec<RowOp<'_>> = step
-            .ops
-            .iter()
-            .map(|op| match *op {
-                ColOp::Bind { col, slot } => RowOp::Bind {
-                    codes: relation.column_codes(usize::from(col)),
-                    slot,
-                },
-                ColOp::CheckSlot { col, slot } => RowOp::CheckSlot {
-                    codes: relation.column_codes(usize::from(col)),
-                    slot,
-                },
-            })
-            .collect();
-
-        macro_rules! flush {
-            () => {
-                if !out.is_empty() {
-                    stats.batches += 1;
-                    if depth + 1 == self.steps.len() {
-                        on_batch(&*out)?;
-                    } else {
-                        self.descend(db, stats, depth + 1, &mut *pool_rest, &*out, on_batch)?;
-                    }
-                    out.clear();
-                }
-            };
-        }
-
-        // Slots this step binds, staged here until a candidate passes every
-        // check — failing rows (the common case on selective probes) never
-        // touch the output batch.
-        let mut scratch: Vec<(u16, u32)> = Vec::with_capacity(row_ops.len());
+        let all_ops = run.ops;
+        let row_ops = &all_ops[step.ops_at..step.ops_at + step.ops.len()];
 
         for entry in 0..parent.len() {
             let parent_regs = parent.regs(entry);
             let parent_rows = parent.atom_rows(entry);
 
-            let mut try_row = |row: u32,
-                               out: &mut MatchBatch,
-                               scratch: &mut Vec<(u16, u32)>,
-                               stats: &mut ExecStats|
-             -> ControlFlow<B> {
-                let row_idx = row as usize;
-                scratch.clear();
-                // A slot is bound at most once per step, so the first
-                // scratch hit is the only one.
-                let reg = |scratch: &[(u16, u32)], slot: u16| {
-                    scratch
-                        .iter()
-                        .find(|&&(s, _)| s == slot)
-                        .map_or(parent_regs[usize::from(slot)], |&(_, c)| c)
-                };
-                for op in &row_ops {
-                    match *op {
-                        RowOp::Bind { codes, slot } => {
-                            scratch.push((slot, codes[row_idx]));
-                        }
-                        RowOp::CheckSlot { codes, slot } => {
-                            if codes[row_idx] != reg(scratch, slot) {
-                                return ControlFlow::Continue(());
+            // The slots this step binds are staged in `run.binds` until a
+            // candidate passes every check — failing rows (the common case
+            // on selective probes) never touch the output batch.
+            let mut try_row =
+                |row: u32, out: &mut MatchBatch, run: &mut Run<'_, '_>| -> ControlFlow<B> {
+                    let row_idx = row as usize;
+                    let binds = &mut *run.binds;
+                    binds.clear();
+                    // A slot is bound at most once per step, so the first
+                    // staged hit is the only one.
+                    let reg = |binds: &[(u16, u32)], slot: u16| {
+                        binds
+                            .iter()
+                            .find(|&&(s, _)| s == slot)
+                            .map_or(parent_regs[usize::from(slot)], |&(_, c)| c)
+                    };
+                    for op in row_ops {
+                        match *op {
+                            RowOp::Bind { codes, slot } => {
+                                binds.push((slot, codes[row_idx]));
+                            }
+                            RowOp::CheckSlot { codes, slot } => {
+                                if codes[row_idx] != reg(binds, slot) {
+                                    return ControlFlow::Continue(());
+                                }
                             }
                         }
                     }
-                }
-                if !step
-                    .code_cmps
-                    .iter()
-                    .all(|cmp| cmp.holds(|slot| reg(scratch, slot)))
-                {
-                    return ControlFlow::Continue(());
-                }
-                let base = out.len * ns;
-                out.regs.extend_from_slice(parent_regs);
-                for &(slot, code) in scratch.iter() {
-                    out.regs[base + usize::from(slot)] = code;
-                }
-                // Value comparisons (`<`, `like`, …) need the materialized
-                // register file; they are rare, so the copy-then-truncate
-                // cost stays off the code-only fast path.
-                let regs = &out.regs[base..];
-                if !step.value_cmps.iter().all(|cmp| cmp.holds(regs, interner)) {
-                    out.regs.truncate(base);
-                    return ControlFlow::Continue(());
-                }
-                out.rows.extend_from_slice(parent_rows);
-                let rows_base = out.len * na;
-                out.rows[rows_base + usize::from(step.atom)] = row;
-                out.len += 1;
-                if out.len == BATCH_ROWS {
-                    stats.batches += 1;
-                    if depth + 1 == self.steps.len() {
-                        on_batch(out)?;
-                    } else {
-                        self.descend(db, stats, depth + 1, &mut *pool_rest, out, on_batch)?;
+                    if !step
+                        .code_cmps
+                        .iter()
+                        .all(|cmp| cmp.holds(|slot| reg(binds, slot)))
+                    {
+                        return ControlFlow::Continue(());
                     }
-                    out.clear();
-                }
-                ControlFlow::Continue(())
-            };
+                    let base = out.len * ns;
+                    out.regs.extend_from_slice(parent_regs);
+                    for &(slot, code) in binds.iter() {
+                        out.regs[base + usize::from(slot)] = code;
+                    }
+                    // Value comparisons (`<`, `like`, …) need the materialized
+                    // register file; they are rare, so the copy-then-truncate
+                    // cost stays off the code-only fast path.
+                    let regs = &out.regs[base..];
+                    if !step.value_cmps.iter().all(|cmp| cmp.holds(regs, interner)) {
+                        out.regs.truncate(base);
+                        return ControlFlow::Continue(());
+                    }
+                    out.rows.extend_from_slice(parent_rows);
+                    let rows_base = out.len * na;
+                    out.rows[rows_base + usize::from(step.atom)] = row;
+                    out.len += 1;
+                    if out.len == BATCH_ROWS {
+                        run.stats.batches += 1;
+                        if last {
+                            on_batch(out)?;
+                        } else {
+                            self.descend(run, depth + 1, &mut *below, out, on_batch)?;
+                        }
+                        out.clear();
+                    }
+                    ControlFlow::Continue(())
+                };
 
             match &step.access {
                 VecAccess::Scan => {
-                    stats.blocks_scanned += relation.len().div_ceil(BATCH_ROWS) as u64;
+                    run.stats.blocks_scanned += relation.len().div_ceil(BATCH_ROWS) as u64;
                     for row in 0..relation.len() as u32 {
-                        try_row(row, &mut *out, &mut scratch, stats)?;
+                        try_row(row, &mut *out, run)?;
                     }
                 }
                 VecAccess::Selected(bits) => {
                     for (block, words) in bits.chunks(BATCH_ROWS / 64).enumerate() {
                         if words.iter().all(|&word| word == 0) {
-                            stats.blocks_skipped += 1;
+                            run.stats.blocks_skipped += 1;
                             continue;
                         }
-                        stats.blocks_scanned += 1;
+                        run.stats.blocks_scanned += 1;
                         for (i, &word) in words.iter().enumerate() {
                             let base = ((block * BATCH_ROWS / 64 + i) * 64) as u32;
                             let mut word = word;
                             while word != 0 {
-                                try_row(
-                                    base + word.trailing_zeros(),
-                                    &mut *out,
-                                    &mut scratch,
-                                    stats,
-                                )?;
+                                try_row(base + word.trailing_zeros(), &mut *out, run)?;
                                 word &= word - 1;
                             }
                         }
@@ -812,9 +894,9 @@ impl VecPlan {
                         Key::Const(c) => *c,
                         Key::Slot(s) => parent_regs[usize::from(*s)],
                     };
-                    stats.csr_probe_steps += 1;
+                    run.stats.csr_probe_steps += 1;
                     for &row in csr.probe(code) {
-                        try_row(row, &mut *out, &mut scratch, stats)?;
+                        try_row(row, &mut *out, run)?;
                     }
                 }
                 VecAccess::Probe2 { pair, key_a, key_b } => {
@@ -822,14 +904,22 @@ impl VecPlan {
                         Key::Const(c) => c,
                         Key::Slot(s) => parent_regs[usize::from(s)],
                     };
-                    stats.csr_probe_steps += 1;
+                    run.stats.csr_probe_steps += 1;
                     for &row in pair.probe(resolve(key_a), resolve(key_b)) {
-                        try_row(row, &mut *out, &mut scratch, stats)?;
+                        try_row(row, &mut *out, run)?;
                     }
                 }
             }
         }
-        flush!();
+        if !out.is_empty() {
+            run.stats.batches += 1;
+            if last {
+                on_batch(out)?;
+            } else {
+                self.descend(run, depth + 1, below, out, on_batch)?;
+            }
+            out.clear();
+        }
         ControlFlow::Continue(())
     }
 }

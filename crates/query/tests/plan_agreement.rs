@@ -14,7 +14,9 @@
 //!   the join order with it.
 //!
 //! All deterministic comparisons are **exact**: set equality of answers and
-//! equality of canonical lineages — not approximate agreement. Plans are
+//! equality of canonical lineages — not approximate agreement. The flat
+//! per-answer clauses (`answer_clauses_with`) are held against the oracle
+//! answer by answer, in row order. Plans are
 //! templates with the atom constants as parameters, so the template tests
 //! compile a shape through one instance and run the others through the
 //! cached plan, each against the oracle. A third
@@ -29,10 +31,13 @@ use mv_query::approx::{approx_lineage_probability, ApproxConfig};
 use mv_query::brute::brute_force_lineage_probability;
 use mv_query::eval::{evaluate_ucq_legacy_with, evaluate_ucq_with, EvalContext};
 use mv_query::lineage::{
-    answer_lineages, answer_lineages_legacy, answer_lineages_with, lineage_legacy_with,
-    lineage_with,
+    answer_clauses_with, answer_lineages, answer_lineages_legacy, answer_lineages_with,
+    lineage_legacy_with, lineage_with, AnswerClauses, Lineage,
 };
-use mv_query::{parse_ucq, Atom, ConjunctiveQuery, QueryError, Term, Ucq};
+use mv_query::{
+    parse_ucq, Atom, CmpOp, Comparison, ConjunctiveQuery, EvalBudget, PlanCache, QueryError, Term,
+    Ucq,
+};
 use proptest::prelude::*;
 
 /// A random tuple-independent database over R(a), S(a, b), T(b) with a
@@ -132,6 +137,24 @@ fn queries() -> Vec<&'static str> {
     ]
 }
 
+/// The flat per-answer clauses hold the oracle's answers in its order, each
+/// with the oracle's lineage.
+fn assert_flat_answers_agree(
+    flat: &AnswerClauses,
+    legacy: &std::collections::BTreeMap<Row, Lineage>,
+    text: &str,
+) {
+    assert_eq!(flat.len(), legacy.len(), "answer count diverges on {text}");
+    for ((row, clauses), (legacy_row, legacy_lineage)) in flat.iter().zip(legacy) {
+        assert_eq!(row, legacy_row, "answer order diverges on {text}");
+        assert_eq!(
+            &Lineage::from(clauses),
+            legacy_lineage,
+            "the clauses of {row:?} diverge on {text}"
+        );
+    }
+}
+
 fn sorted_rows(answers: Vec<mv_query::Answer>) -> Vec<Row> {
     let mut rows: Vec<Row> = answers.into_iter().map(|a| a.row).collect();
     rows.sort();
@@ -205,6 +228,8 @@ proptest! {
                 let per_vectorized = answer_lineages(&q, &indb).unwrap();
                 let per_legacy = answer_lineages_legacy(&q, &indb).unwrap();
                 prop_assert_eq!(&per_vectorized, &per_legacy, "answer lineages diverge on {}", text);
+                let flat = answer_clauses_with(&q, &indb, &ctx).unwrap();
+                assert_flat_answers_agree(&flat, &per_legacy, text);
             }
         }
     }
@@ -240,11 +265,31 @@ fn compiled_plans_agree_on_handwritten_edge_cases() {
         "Q() :- R(x, y), R(z, y), x <> z",
         "Q(y) :- R(x, y), D(x)",
         "Q() :- R(x, y), x < y, y like '%b%'",
+        // Answers whose lineage is `true`: every match deterministic, or a
+        // deterministic match absorbing probabilistic ones of the answer.
+        "Q(x) :- D(x)",
+        "Q(x) :- R(x, y) ; Q(x) :- D(x)",
+        "Q(x, y) :- R(x, y) ; Q(x, 'b1') :- D(x)",
+        // Head constants, present in and absent from the dictionary, keying
+        // the same answers as a register in another disjunct.
+        "Q('a1') :- R(x, y) ; Q(x) :- D(x)",
+        "Q('zzz', y) :- R(x, y) ; Q('zzz', 'b1') :- D(x)",
     ] {
         let q = parse_ucq(text).unwrap();
         let vectorized = sorted_rows(evaluate_ucq_with(&q, &ctx).unwrap());
         let legacy = sorted_rows(evaluate_ucq_legacy_with(&q, &ctx).unwrap());
         assert_eq!(vectorized, legacy, "answers diverge on {text}");
+        let per_legacy = answer_lineages_legacy(&q, &indb).unwrap();
+        assert_eq!(
+            answer_lineages_with(&q, &indb, &ctx).unwrap(),
+            per_legacy,
+            "{text}"
+        );
+        let flat = answer_clauses_with(&q, &indb, &ctx).unwrap();
+        assert_flat_answers_agree(&flat, &per_legacy, text);
+        if text.starts_with("Q(x) :- D(x)") {
+            assert!(flat.iter().all(|(_, clauses)| clauses.is_true()), "{text}");
+        }
         if q.is_boolean() {
             let lin = lineage_with(&q, &indb, &ctx).unwrap();
             assert_eq!(
@@ -581,5 +626,135 @@ proptest! {
             shapes.insert(shape);
             prop_assert_eq!(ctx.compiled_plans(), shapes.len());
         }
+    }
+}
+
+/// A store large enough for several batches per run: `S` holds 3 000 rows
+/// over 60 keys, `D` 2 000 deterministic facts.
+fn batches_db() -> mv_pdb::InDb {
+    let mut b = InDbBuilder::new();
+    let s = b.probabilistic_relation("S", &["a", "b"]).unwrap();
+    let d = b.deterministic_relation("D", &["a"]).unwrap();
+    for i in 0..3000i64 {
+        b.insert_weighted(
+            s,
+            vec![Value::int(i % 60), Value::int((i * 7 + i / 60) % 60)],
+            Weight::new(1.5),
+        )
+        .unwrap();
+    }
+    for i in 0..2000i64 {
+        b.insert_fact(d, vec![Value::int(i)]).unwrap();
+    }
+    b.build()
+}
+
+/// What one run returned: its canonical lineage (Boolean queries), its
+/// per-answer lineages and flat clauses, or the error's text.
+type Outcome = (
+    Option<Result<Lineage, String>>,
+    Result<std::collections::BTreeMap<Row, Lineage>, String>,
+    Result<AnswerClauses, String>,
+);
+
+fn outcome(q: &Ucq, indb: &mv_pdb::InDb, ctx: &EvalContext<'_>) -> Outcome {
+    let err = |e: QueryError| e.to_string();
+    (
+        q.is_boolean()
+            .then(|| lineage_with(q, indb, ctx).map_err(err)),
+        answer_lineages_with(q, indb, ctx).map_err(err),
+        answer_clauses_with(q, indb, ctx).map_err(err),
+    )
+}
+
+/// The queries interleaved on one executor scratch, with the step limit
+/// each runs under (`None`: unlimited).
+fn interleaved_queries() -> Vec<(Ucq, Option<u64>)> {
+    let parse = |text: &str| parse_ucq(text).unwrap();
+    // `Q(7) :- 1 = 1`: no atom, one empty match.
+    let body_free = Ucq::from_cq(ConjunctiveQuery::new(
+        "Q",
+        vec![Term::constant(7i64)],
+        vec![],
+        vec![Comparison::new(
+            Term::constant(1i64),
+            CmpOp::Eq,
+            Term::constant(1i64),
+        )],
+    ));
+    vec![
+        // A point query, Boolean and not.
+        (parse("Q() :- S(3, y)"), None),
+        (parse("Q(y) :- S(3, y)"), None),
+        // A broad selection: a scan walking its selection, many batches.
+        (parse("Q() :- S(x, y), y like '%1%'"), None),
+        (parse("Q(x) :- S(x, y), y like '%1%'"), None),
+        // A 3-atom self-join.
+        (parse("Q() :- S(x, y), S(y, z), S(z, x)"), None),
+        (parse("Q(x, z) :- S(x, y), S(y, z), S(z, x)"), None),
+        // No atom at all, and a plan that never matches.
+        (body_free.clone(), None),
+        (parse("Q(y) :- S(x, y), x = 'nope'"), None),
+        // A lineage that is `true` at its first match, mid-batch.
+        (parse("Q() :- S(x, y), S(y, z) ; Q() :- D(x)"), None),
+        (parse("Q() :- D(x), S(x, y)"), None),
+        // A budget that trips on the second batch of a broad run.
+        (parse("Q() :- S(x, y), S(y, z)"), Some(1500)),
+        (parse("Q(x) :- S(x, y), S(y, z)"), Some(1500)),
+        // The same queries again on whatever the runs above left behind.
+        (parse("Q(x, z) :- S(x, y), S(y, z), S(z, x)"), None),
+        (parse("Q(y) :- S(3, y)"), None),
+        (body_free, None),
+        (parse("Q() :- S(x, y), y like '%1%'"), None),
+    ]
+}
+
+/// Every run on a context's pooled scratch — after early stops, budget
+/// trips, body-free and never-matching runs, on one context and on two
+/// sharing a snapshot's cache and its pool — equals a run on a fresh
+/// context.
+#[test]
+fn a_reused_executor_scratch_is_invisible() {
+    let indb = batches_db();
+    let db = indb.database();
+    let fresh: Vec<Outcome> = interleaved_queries()
+        .iter()
+        .map(|(q, limit)| {
+            let ctx = EvalContext::new(db);
+            ctx.set_budget(limit.map(|l| EvalBudget::unlimited().with_step_limit(l)));
+            outcome(q, &indb, &ctx)
+        })
+        .collect();
+    let broad = &fresh[3].2.as_ref().unwrap();
+    assert!(broad.len() > 20 && fresh[11].1.is_err(), "the budget trips");
+    assert!(fresh[8].0.as_ref().unwrap().as_ref().unwrap().is_true());
+
+    let run_all = |contexts: &[&EvalContext<'_>]| {
+        for (i, (q, limit)) in interleaved_queries().iter().enumerate() {
+            let ctx = contexts[i % contexts.len()];
+            ctx.set_budget(limit.map(|l| EvalBudget::unlimited().with_step_limit(l)));
+            assert_eq!(outcome(q, &indb, ctx), fresh[i], "query {i}: {q}");
+            ctx.set_budget(None);
+        }
+    };
+    // One context, twice over.
+    let one = EvalContext::new(db);
+    run_all(&[&one]);
+    run_all(&[&one]);
+    assert!(one.scratch_bytes() > 0);
+
+    // Two contexts sharing one cache, then two new ones on the scratches
+    // the first two handed back to its pool.
+    let cache = PlanCache::new(db);
+    assert_eq!((cache.idle_scratches(), cache.idle_scratch_bytes()), (0, 0));
+    for _ in 0..2 {
+        let a = EvalContext::with_plan_cache(db, &cache);
+        let b = EvalContext::with_plan_cache(db, &cache);
+        run_all(&[&a, &b]);
+        assert_eq!(cache.idle_scratches(), 0, "both contexts hold one");
+        let held = a.scratch_bytes() + b.scratch_bytes();
+        drop((a, b));
+        assert_eq!(cache.idle_scratches(), 2);
+        assert_eq!(cache.idle_scratch_bytes(), held);
     }
 }

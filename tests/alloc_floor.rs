@@ -1,12 +1,16 @@
 //! The allocation floor of the exact online path: one warm broad
-//! `ShardedEngine::probability` call must not allocate per clause.
+//! `ShardedEngine::probability` call must not allocate per clause, and a
+//! warm small query — a Boolean point query, a non-Boolean `answers` call —
+//! allocates a fixed few times plus once per answer.
 //!
 //! A broad name selection's clauses stay in one flat buffer from the
 //! vectorized executor, through shard routing, into the query kernel's
-//! fold, so the call's heap allocations follow the executor's batches, the
-//! contexts, the buffers' doublings and the touched shards, not the clauses
-//! it carries. A counting global allocator holds it there: the test binary
-//! holds this one test alone, so the count is the call's.
+//! fold, so the call's heap allocations follow the contexts, the buffers'
+//! doublings and the touched shards, not the clauses it carries. The
+//! executor's batches and staging and the lineage collectors' tables are
+//! pooled on the snapshot's plan cache, so a context made per call runs on
+//! warm ones. A counting global allocator holds it there: the test binary
+//! holds this one test alone, so each count is its call's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,11 +60,51 @@ fn a_warm_broad_call_allocates_well_below_one_per_clause() {
     let p = engine.probability(&q).unwrap();
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(p.to_bits(), warm.to_bits());
-    // About a quarter at 500 authors: the executor's per-batch buffers and
-    // the flat buffers' doublings. A `Vec` per clause anywhere on the path
-    // would put it above one per clause.
+    // 39 for 521 clauses at 500 authors (137 while each executor run built
+    // its own batches and staging): the contexts, the flat buffers'
+    // doublings and the shards' buffers. A `Vec` per clause anywhere on the
+    // path would put it above one per clause.
     assert!(
         allocations * 3 < clauses,
         "{allocations} allocations for {clauses} clauses"
+    );
+
+    // The small queries on the monolithic engine, each on a fresh context
+    // as the API makes one per call: a Boolean point query, then a
+    // non-Boolean one with several answers.
+    let mono = engine.full();
+    let advisor = data.advisors[0];
+    let point = markoviews::dblp::queries::advisor_of_student(data.students[0])
+        .unwrap()
+        .boolean();
+    let students = markoviews::dblp::queries::students_of_advisor(advisor).unwrap();
+    let warm = (
+        mono.probability(&point).unwrap(),
+        mono.answers(&students).unwrap(),
+    );
+    assert!(warm.1.len() >= 2, "{} answers", warm.1.len());
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let p = mono.probability(&point).unwrap();
+    let point_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let answers = mono.answers(&students).unwrap();
+    let answers_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(p.to_bits(), warm.0.to_bits());
+    assert_eq!(answers, warm.1);
+    // The executor's buffers and the collectors' tables come warm from the
+    // snapshot's pool, so what is left is the context's handle on the
+    // template and the clause buffer: 4 allocations at 500 authors (31 when
+    // each run built its own batches and staging).
+    assert!(
+        point_allocations <= 8,
+        "{point_allocations} allocations for a point query"
+    );
+    // One row per answer plus the flat result's few buffers: 13 for 6
+    // answers (125 with a hash set of `Vec` clauses and a `Lineage` per
+    // answer).
+    assert!(
+        answers_allocations <= 6 + 2 * answers.len(),
+        "{answers_allocations} allocations for {} answers",
+        answers.len()
     );
 }

@@ -156,3 +156,54 @@ proptest! {
         }
     }
 }
+
+/// The MV-index's flat `answers` — every answer's clause range folded
+/// straight from one buffer — against the trait's default path, one
+/// canonical lineage per answer through `lineage_probability`: the same
+/// rows in the same order and the same probabilities to the bit, on every
+/// non-Boolean point query of a 500-author corpus and its broad name
+/// selections.
+#[test]
+fn flat_index_answers_equal_the_per_answer_lineage_path_to_the_bit() {
+    let data = DblpDataset::generate(DblpConfig::with_authors(500)).unwrap();
+    let engine = MvdbEngine::compile(&data.mvdb).unwrap();
+    let backend = MvIndexBackend::new(engine.intersect_algorithm());
+    let mut texts: Vec<String> = Vec::new();
+    for s in &data.students {
+        texts.push(format!("Q(aid2) :- Student({s}, year), Advisor({s}, aid2)"));
+    }
+    for a in &data.advisors {
+        texts.push(format!("Q(aid) :- Student(aid, year), Advisor(aid, {a})"));
+    }
+    for z in &data.affiliated_authors {
+        texts.push(format!("Q(inst) :- Affiliation({z}, inst)"));
+    }
+    for band in 0..5 {
+        texts.push(format!(
+            "Q(aid) :- Student(aid, year), Advisor(aid, aid1), Author(aid, n), \
+             Author(aid1, n1), n1 like '%f{band:04}%'"
+        ));
+    }
+    let mut answers = 0;
+    for text in &texts {
+        let q = parse_ucq(text).unwrap();
+        let ctx = engine.context();
+        let flat = backend.answers(&q, &ctx).unwrap();
+        let per_answer: Vec<(Row, f64)> = ctx
+            .answer_lineages(&q)
+            .unwrap()
+            .into_iter()
+            .map(|(row, lineage)| {
+                let p = backend.lineage_probability(&lineage, &ctx).unwrap();
+                (row, p.unwrap())
+            })
+            .collect();
+        assert_eq!(flat.len(), per_answer.len(), "{text}");
+        for ((row, p), (expected_row, expected)) in flat.iter().zip(&per_answer) {
+            assert_eq!(row, expected_row, "{text}");
+            assert_eq!(p.to_bits(), expected.to_bits(), "{text}: {row:?}");
+        }
+        answers += flat.len();
+    }
+    assert!(answers > texts.len(), "{answers} answers");
+}
