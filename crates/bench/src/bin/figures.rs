@@ -581,6 +581,7 @@ fn resilience(opts: &Options) -> Json {
         ("fallbacks", Json::from(p.fallbacks)),
         ("retries", Json::from(p.retries)),
         ("exact_max_abs_err", Json::from(p.exact_max_abs_err)),
+        ("bounded_max_abs_err", Json::from(p.bounded_max_abs_err)),
         ("degraded_max_abs_err", Json::from(p.degraded_max_abs_err)),
         ("max_epsilon", Json::from(p.max_epsilon)),
         ("p50_s", Json::from(secs(p.p50))),
@@ -595,8 +596,8 @@ fn resilience(opts: &Options) -> Json {
 /// The serving soak: the paced over-capacity workload through a running
 /// [`mv_core::MvdbServer`], clean and under the seeded serve chaos
 /// campaign. CI gates on this series: zero lost admitted queries, bounded
-/// shed fraction, at least one arena compaction with bounded growth, and
-/// tail latency under the deadline.
+/// shed fraction, exact answers exact, and tail latency under the
+/// deadline.
 fn serve(opts: &Options) -> Json {
     let (num_authors, num_queries) = if opts.quick {
         (800, 400)
@@ -609,14 +610,13 @@ fn serve(opts: &Options) -> Json {
     );
     let p = serve_soak(num_authors, num_queries, opts.shards, opts.chaos_seed);
     println!(
-        "  capacity {:.0} q/s, offered {:.0} q/s, deadline {:.2}s, compact watermark {} nodes",
+        "  capacity {:.0} q/s, offered {:.0} q/s, deadline {:.2}s",
         p.capacity_qps,
         p.offered_qps,
         secs(p.deadline),
-        p.compact_watermark,
     );
     println!(
-        "{:>8} {:>9} {:>6} {:>6} {:>10} {:>22} {:>10} {:>10} {:>10}",
+        "{:>8} {:>9} {:>6} {:>6} {:>10} {:>22} {:>10} {:>10} {:>12}",
         "pass",
         "answered",
         "shed",
@@ -625,11 +625,11 @@ fn serve(opts: &Options) -> Json {
         "rungs e/b/mc",
         "p50 (ms)",
         "p99 (ms)",
-        "compact"
+        "bounded |err|"
     );
     let print_run = |label: &str, r: &mv_bench::ServeRun| {
         println!(
-            "{:>8} {:>9} {:>6} {:>6} {:>10} {:>10} {:>10.2} {:>10.2} {:>10}",
+            "{:>8} {:>9} {:>6} {:>6} {:>10} {:>10} {:>10.2} {:>10.2} {:>12.2e}",
             label,
             r.answered,
             r.shed,
@@ -641,18 +641,14 @@ fn serve(opts: &Options) -> Json {
             ),
             secs(r.p50) * 1e3,
             secs(r.p99) * 1e3,
-            r.stats.compactions,
+            r.bounded_max_abs_err,
         );
     };
     print_run("clean", &p.clean);
     print_run("chaos", &p.chaos);
     println!(
-        "  chaos pass: {} respawns, {} quarantined, {} requeues, arena {} -> {} bytes at last compaction",
-        p.chaos.stats.respawns,
-        p.chaos.stats.quarantined,
-        p.chaos.stats.requeues,
-        p.chaos.stats.arena_bytes_before,
-        p.chaos.stats.arena_bytes_after,
+        "  chaos pass: {} respawns, {} quarantined, {} requeues",
+        p.chaos.stats.respawns, p.chaos.stats.quarantined, p.chaos.stats.requeues,
     );
     println!();
     Json::arr([Json::obj([
@@ -662,7 +658,6 @@ fn serve(opts: &Options) -> Json {
         ("num_queries", Json::from(p.num_queries)),
         ("chaos_seed", Json::from(p.chaos_seed)),
         ("deadline_s", Json::from(secs(p.deadline))),
-        ("compact_watermark", Json::from(p.compact_watermark)),
         ("capacity_qps", Json::from(p.capacity_qps)),
         ("offered_qps", Json::from(p.offered_qps)),
         ("clean", serve_run_json(&p.clean)),
@@ -698,6 +693,7 @@ fn serve_run_json(r: &mv_bench::ServeRun) -> Json {
         ("rung_monte_carlo", Json::from(r.rungs.monte_carlo)),
         ("throughput_qps", Json::from(r.throughput_qps)),
         ("exact_max_abs_err", Json::from(r.exact_max_abs_err)),
+        ("bounded_max_abs_err", Json::from(r.bounded_max_abs_err)),
         ("degraded_max_abs_err", Json::from(r.degraded_max_abs_err)),
         ("max_epsilon", Json::from(r.max_epsilon)),
         ("p50_s", Json::from(secs(r.p50))),
@@ -706,10 +702,6 @@ fn serve_run_json(r: &mv_bench::ServeRun) -> Json {
         ("requeues", Json::from(r.stats.requeues)),
         ("respawns", Json::from(r.stats.respawns)),
         ("quarantined", Json::from(r.stats.quarantined)),
-        ("compactions", Json::from(r.stats.compactions)),
-        ("reclaimed_nodes", Json::from(r.stats.reclaimed_nodes)),
-        ("arena_bytes_before", Json::from(r.stats.arena_bytes_before)),
-        ("arena_bytes_after", Json::from(r.stats.arena_bytes_after)),
         ("updates_applied", Json::from(r.stats.updates_applied)),
         ("update_failures", Json::from(r.stats.update_failures)),
         ("injections", Json::arr(injections)),
@@ -819,10 +811,7 @@ fn manager_stats_json(s: &mv_obdd::ManagerStats) -> Json {
         // Deep copies between managers; 0 means the apply/concat paths
         // stayed inside shared arenas for the whole workload.
         ("imported_nodes", Json::from(s.imported_nodes)),
-        // Arena GC: compaction passes, nodes they reclaimed, and the
-        // resident-size gauges at snapshot time.
-        ("compactions", Json::from(s.compactions)),
-        ("reclaimed_nodes", Json::from(s.reclaimed_nodes)),
+        // Resident-size gauges at snapshot time.
         ("live_nodes", Json::from(s.live_nodes)),
         ("arena_bytes", Json::from(s.arena_bytes)),
     ])

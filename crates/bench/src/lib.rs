@@ -1427,6 +1427,9 @@ pub struct ResiliencePoint {
     /// Largest absolute difference of exact-rung chaos answers against the
     /// clean run (the exactness gate; must stay below 1e-9).
     pub exact_max_abs_err: f64,
+    /// Largest absolute difference of bounded-exact chaos answers against
+    /// the clean run (asserted below 1e-9: the rung is the exact kernel).
+    pub bounded_max_abs_err: f64,
     /// Largest absolute difference of degraded chaos answers against the
     /// clean run.
     pub degraded_max_abs_err: f64,
@@ -1542,6 +1545,7 @@ pub fn resilience_campaign(
         fallbacks: 0,
         retries: 0,
         exact_max_abs_err: 0.0,
+        bounded_max_abs_err: 0.0,
         degraded_max_abs_err: 0.0,
         max_epsilon: 0.0,
         p50: Duration::ZERO,
@@ -1569,6 +1573,7 @@ pub fn resilience_campaign(
             Rung::BoundedExact => {
                 point.rungs.bounded += 1;
                 point.degraded += 1;
+                point.bounded_max_abs_err = point.bounded_max_abs_err.max(err);
                 point.degraded_max_abs_err = point.degraded_max_abs_err.max(err);
             }
             Rung::MonteCarlo => {
@@ -1579,6 +1584,11 @@ pub fn resilience_campaign(
             }
         }
     }
+    assert!(
+        point.bounded_max_abs_err < 1e-9,
+        "bounded-exact answers drifted from the clean exact run: {}",
+        point.bounded_max_abs_err
+    );
     latencies.sort();
     point.p50 = percentile(&latencies, 0.50);
     point.p95 = percentile(&latencies, 0.95);
@@ -1612,6 +1622,9 @@ pub struct ServeRun {
     /// below 1e-9 — pressure may slow or degrade a query, never corrupt
     /// an exact answer).
     pub exact_max_abs_err: f64,
+    /// Largest |err| of bounded-exact answers against the oracle
+    /// (asserted below 1e-9 by [`serve_soak`]).
+    pub bounded_max_abs_err: f64,
     /// Largest |err| of degraded (bounded/Monte Carlo) answers against
     /// the oracle.
     pub degraded_max_abs_err: f64,
@@ -1654,8 +1667,6 @@ pub struct ServePoint {
     /// Per-request deadline of the soak (scaled off the calibrated
     /// service time, so the latency gate is machine-independent).
     pub deadline: Duration,
-    /// Compaction watermark picked by the `W`-size probe.
-    pub compact_watermark: usize,
     /// Calibrated exact-evaluation capacity of the engine.
     pub capacity_qps: f64,
     /// Paced arrival rate (1.5x the calibrated capacity).
@@ -1668,17 +1679,16 @@ pub struct ServePoint {
 
 /// The default chaos campaign of the serving soak: admission faults reject
 /// with backpressure, dispatch and heartbeat panics kill workers (the
-/// supervision path), compaction aborts are absorbed, and budget trips on
-/// the exact rung push answers down the ladder. The Monte Carlo rung and
-/// the oracle rescue path stay clean, so every admitted query keeps its
-/// structural answer guarantee — "zero lost" stays a gate under chaos.
+/// supervision path), and budget trips on the exact rung push answers down
+/// the ladder. The Monte Carlo rung and the oracle rescue path stay clean,
+/// so every admitted query keeps its structural answer guarantee — "zero
+/// lost" stays a gate under chaos.
 pub fn serve_chaos_config(seed: u64) -> mv_core::chaos::ChaosConfig {
     use mv_core::chaos::{sites, ChaosConfig, Fault};
     ChaosConfig::new(seed)
         .rule(sites::ADMIT, Fault::Panic, 0.002)
         .rule(sites::DISPATCH, Fault::Panic, 0.008)
         .rule(sites::HEARTBEAT, Fault::Panic, 0.001)
-        .rule(sites::COMPACT, Fault::Panic, 0.1)
         .rule(sites::EXACT_RUNG, Fault::Budget, 0.01)
 }
 
@@ -1688,10 +1698,8 @@ pub fn serve_chaos_config(seed: u64) -> mv_core::chaos::ChaosConfig {
 /// (or the `MV_CHAOS` spec when set). The queue is sized to absorb the
 /// whole burst, so backpressure engages only when the wait estimate blows
 /// the deadline; the overload controller degrades admissions as the
-/// backlog crosses the degrade/shed depths. The resilience node budget is
-/// kept small so degraded tiers stay cheaper than exact service, and a
-/// low fixed compaction watermark makes arena GC fire repeatedly over the
-/// garbage that tripped syntheses abandon.
+/// backlog crosses the degrade/shed depths. The resilience node cap is
+/// kept small so degraded tiers stay cheaper than exact service.
 pub fn serve_soak(
     num_authors: usize,
     num_queries: usize,
@@ -1756,27 +1764,17 @@ pub fn serve_soak(
         .mul_f64(150.0 * num_queries as f64)
         .max(Duration::from_secs(2));
 
-    // At DBLP scale the monolithic bounded-exact synthesis must rebuild
-    // `Q or W` from scratch (millions of nodes), so a *large* node budget
-    // would make the "degraded" tiers orders of magnitude slower than the
-    // MV-index exact rung and collapse throughput exactly when pressure
-    // is highest. A small budget keeps the bounded probe cheap — it
-    // either answers a genuinely small query or trips within ~16k node
-    // operations and falls through to the bounded-sample Monte Carlo
-    // rung, so degraded service stays within a fixed factor of exact.
+    // The bounded-exact rung is the exact rung's kernel under a node cap:
+    // a small cap answers every point query as rung 1 would and refuses
+    // any lineage whose diagram outgrows ~16k nodes, which then falls
+    // through to the bounded-sample Monte Carlo rung, so degraded service
+    // stays within a fixed factor of exact.
     let resilience = ResilienceConfig {
         epsilon: 0.05,
         node_budget: 1 << 14,
         mc_max_samples: 512,
         ..ResilienceConfig::default()
     };
-
-    // With the small node budget the ladder never completes (and so never
-    // pins) the monolithic `W` diagram, which leaves compaction's live
-    // set tiny: everything a tripped synthesis abandoned in the
-    // append-only arena is garbage. A low fixed watermark makes the GC
-    // fire repeatedly across the soak.
-    let compact_watermark = 1 << 12;
 
     let config = ServeConfig {
         workers: num_workers,
@@ -1793,7 +1791,6 @@ pub fn serve_soak(
         // never be mistaken for a wedged worker, or the false-positive
         // requeues would burn the request's requeue budget.
         heartbeat_timeout: deadline * 2,
-        compact_watermark,
         max_requeues: 10,
         ..ServeConfig::default()
     };
@@ -1819,7 +1816,6 @@ pub fn serve_soak(
         num_queries,
         chaos_seed,
         deadline,
-        compact_watermark,
         capacity_qps,
         offered_qps,
         clean,
@@ -1838,7 +1834,13 @@ fn serve_pass(
     offered_qps: f64,
 ) -> ServeRun {
     let stages = [oracle.to_vec()];
-    paced_pass(engine, config, stream, distinct, &stages, offered_qps, &[]).0
+    let run = paced_pass(engine, config, stream, distinct, &stages, offered_qps, &[]).0;
+    assert!(
+        run.bounded_max_abs_err < 1e-9,
+        "bounded-exact answers drifted from the exact oracle: {}",
+        run.bounded_max_abs_err
+    );
+    run
 }
 
 /// The generic paced open-loop pass behind [`serve_pass`] and
@@ -1938,6 +1940,7 @@ fn paced_pass(
         rungs: RungCounts::default(),
         throughput_qps: 0.0,
         exact_max_abs_err: 0.0,
+        bounded_max_abs_err: 0.0,
         degraded_max_abs_err: 0.0,
         max_epsilon: 0.0,
         p50: Duration::ZERO,
@@ -1971,6 +1974,7 @@ fn paced_pass(
             }
             Rung::BoundedExact => {
                 run.rungs.bounded += 1;
+                run.bounded_max_abs_err = run.bounded_max_abs_err.max(err);
                 run.degraded_max_abs_err = run.degraded_max_abs_err.max(err);
             }
             Rung::MonteCarlo => {
@@ -2416,7 +2420,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_soak_loses_nothing_and_compacts() {
+    fn serve_soak_loses_nothing() {
         // Tiny debug-mode scale; the figures binary runs the real soak.
         // Capacity calibration makes the pacing machine-independent, so
         // the invariants hold at any speed.
@@ -2439,15 +2443,6 @@ mod tests {
                 r.exact_max_abs_err < 1e-9,
                 "{label}: exact-rung drift {}",
                 r.exact_max_abs_err
-            );
-            assert!(
-                r.stats.compactions >= 1,
-                "{label}: arena GC never fired (watermark {})",
-                p.compact_watermark
-            );
-            assert!(
-                r.stats.arena_bytes_after <= r.stats.arena_bytes_before,
-                "{label}: compaction grew the arena"
             );
             assert!(
                 r.p99 <= p.deadline,

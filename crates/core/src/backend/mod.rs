@@ -247,11 +247,13 @@ impl<'a> EvalContext<'a> {
 
     /// The context's query-side [`ObddManager`] *shard*, created lazily over
     /// the index's variable order (or the identity `π` order when no index
-    /// was compiled). Every query *diagram* built through this context —
-    /// the bounded-exact rung's `Q` and `W`, [`ObddPerQuery`] — shares it,
-    /// so repeated lineages hit the unique table and apply memo instead of
-    /// rebuilding, and each context owns its own shard, so parallel
-    /// evaluation never contends on query-side writes.
+    /// was compiled), for callers that build query diagrams against the
+    /// index's order: repeated lineages hit its unique table and apply memo,
+    /// and each context owns its own shard, so parallel callers never
+    /// contend on query-side writes. No evaluation path builds into it —
+    /// both exact rungs of the ladder run in [`EvalContext::scratch`],
+    /// [`ObddPerQuery`] in a builder of its own — so it stays empty unless
+    /// a caller uses it.
     pub fn query_manager(&self) -> &ObddManager {
         self.query_manager.get_or_init(|| {
             let manager = match self.index {

@@ -78,7 +78,7 @@ impl MonteCarlo {
         }
     }
 
-    /// A backend from the compact selector parameters.
+    /// A backend from the selector's plain-data parameters.
     pub fn with_params(params: MonteCarloParams) -> Self {
         Self::new(params.into())
     }

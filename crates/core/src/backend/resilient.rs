@@ -3,14 +3,15 @@
 //! [`ResilientBackend`] wraps any [`EngineBackend`] selector and guarantees
 //! an answer-or-typed-outcome for every query: rung 1 runs the inner exact
 //! backend under the configured deadline/step budget and a per-rung panic
-//! trap; on a *degradable* failure (deadline, budget, caught panic,
-//! bounded-synthesis refusal — see [`CoreError::is_degradable`]) it
-//! escalates to rung 2, bounded-exact synthesis
-//! ([`SynthesisBuilder::from_lineage_bounded`] on `Q ∨ W` and `W`, combined
-//! by Theorem 1), and finally to rung 3, seeded Monte Carlo with the
-//! requested target `±ε`. Semantic errors (unknown relation, arity
-//! mismatch, …) stop the ladder immediately — no cheaper rung can answer
-//! those either.
+//! trap; on a *degradable* failure (deadline, budget, caught panic, node-cap
+//! refusal — see [`CoreError::is_degradable`]) it escalates to rung 2, the
+//! MV-index's query kernel ([`MvIndexBackend`]) under the node cap
+//! [`ResilienceConfig::node_budget`], and finally to rung 3, seeded Monte
+//! Carlo with the requested target `±ε`. Rung 2 is the exact online path
+//! again, only held to a tighter budget: what it answers is what the
+//! MV-index backend answers without the cap, to the bit. A context without
+//! a compiled index skips it. Semantic errors (unknown relation, arity mismatch, …) stop the
+//! ladder immediately — no cheaper rung can answer those either.
 //!
 //! Every evaluation produces a [`QueryOutcome`] recording which rung
 //! answered, why degradation happened (the first degradable fault), the
@@ -23,16 +24,14 @@
 //! the sampling rung that is supposed to rescue the query; the worst-case
 //! wall-clock per query is `rungs × deadline`.
 
-use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 use mv_index::IntersectAlgorithm;
-use mv_obdd::{Obdd, ObddError, ObddManager, SynthesisBuilder};
 use mv_query::approx::ApproxConfig;
 use mv_query::lineage::{ClauseBuffer, Lineage};
 use mv_query::{EvalBudget, Ucq};
 
-use crate::backend::{theorem1, Backend, EngineBackend, EvalContext, MonteCarlo};
+use crate::backend::{Backend, EngineBackend, EvalContext, MonteCarlo, MvIndexBackend};
 use crate::chaos::{self, sites};
 use crate::error::CoreError;
 use crate::Result;
@@ -43,8 +42,9 @@ use crate::Result;
 pub enum Rung {
     /// The inner exact backend answered.
     Exact,
-    /// Bounded-exact synthesis answered (still exact — the node budget
-    /// refused nothing); reached only because rung 1 failed.
+    /// The query kernel answered under the node cap (still exact — the
+    /// cap refused nothing); reached only because rung 1 failed or the
+    /// entry rung skipped it.
     BoundedExact,
     /// Monte Carlo answered with a confidence interval.
     MonteCarlo,
@@ -272,7 +272,9 @@ pub struct ResilienceConfig {
     /// Per-rung cooperative step limit (batch rows / arena nodes /
     /// samples charged against one counter; `None` = unlimited).
     pub step_limit: Option<u64>,
-    /// Node budget of the bounded-exact rung's synthesis.
+    /// Node cap of the query kernel on the bounded-exact rung: a lineage
+    /// whose diagram needs more nodes is refused there and goes on to
+    /// Monte Carlo.
     pub node_budget: usize,
     /// Target half-width `ε` of the Monte Carlo rung.
     pub epsilon: f64,
@@ -334,30 +336,6 @@ pub(crate) enum Target<'q> {
     Clauses(&'q ClauseBuffer),
 }
 
-/// The memoized bounded-synthesis build of the hard-constraint lineage
-/// `W`: `W` is fixed per translated database, so a ladder that degrades
-/// many queries against the same context must not re-synthesize it (or
-/// re-discover that it exceeds the node budget) on every bounded attempt.
-#[derive(Debug, Clone)]
-struct WBuild {
-    /// The query-side manager the diagram was built into (cache key).
-    manager: ObddManager,
-    /// The manager's compaction generation at build time (cache key): a
-    /// compaction remaps every root, so a memoized diagram from an earlier
-    /// generation must be rebuilt, never dereferenced.
-    generation: u64,
-    /// The node budget the build ran under (cache key).
-    node_budget: usize,
-    /// The diagram and its prior probability `P0(W)`, or `None` when the
-    /// synthesis refused at the node budget.
-    built: Option<(Obdd, f64)>,
-    /// Registration token of the diagram's root in the manager's live-root
-    /// table: compaction keeps registered roots alive and remaps them, so
-    /// after a generation bump the memoized `W` rehydrates from the token
-    /// instead of paying a full re-synthesis.
-    token: Option<u64>,
-}
-
 /// The degradation ladder over an inner exact backend. Cheap to construct
 /// per worker; see the module docs for the rung semantics.
 #[derive(Debug)]
@@ -370,9 +348,6 @@ pub struct ResilientBackend {
     /// is terminal, and no chaos site is drawn — a plain batch crosses no
     /// injection site, whatever campaign is installed.
     exact_only: bool,
-    /// See [`WBuild`]. Per-ladder (not shared): each session worker owns
-    /// its ladder, so a plain `RefCell` suffices.
-    w_build: RefCell<Option<WBuild>>,
 }
 
 impl Clone for ResilientBackend {
@@ -381,7 +356,6 @@ impl Clone for ResilientBackend {
             config: self.config.clone(),
             inner: self.config.inner.instantiate(),
             exact_only: self.exact_only,
-            w_build: self.w_build.clone(),
         }
     }
 }
@@ -393,7 +367,6 @@ impl ResilientBackend {
             inner: config.inner.instantiate(),
             config,
             exact_only: false,
-            w_build: RefCell::new(None),
         }
     }
 
@@ -434,9 +407,7 @@ impl ResilientBackend {
 
     /// Replaces the ladder configuration in place. The serving layer's
     /// overload controller retunes `entry` / `deadline` / `epsilon` per
-    /// request on a long-lived per-worker ladder; the memoized `W` build
-    /// survives as long as its own cache keys (manager, generation, node
-    /// budget) are unchanged.
+    /// request on a long-lived per-worker ladder.
     pub fn set_config(&mut self, config: ResilienceConfig) {
         if config.inner != self.config.inner {
             self.inner = config.inner.instantiate();
@@ -508,23 +479,21 @@ impl ResilientBackend {
             }
         }
 
-        // Rung 2: bounded-exact synthesis via Theorem 1. Skipped when the
-        // entry rung is the sampler itself.
-        if self.config.entry <= Rung::BoundedExact {
-            let bounded = self.rung(ctx, sites::BOUNDED_RUNG, || {
-                let own;
-                let lin_q = match target {
-                    Target::Query(q) => {
-                        own = ctx.lineage(q)?;
-                        &own
-                    }
-                    Target::Clauses(c) => {
-                        own = Lineage::from(c);
-                        &own
-                    }
-                };
-                self.bounded_lineage_probability(lin_q, ctx)
+        // Rung 2: the query kernel under the node cap. Skipped when the
+        // entry rung is the sampler itself, and without an index (a
+        // missing index is not degradable: the query would be lost). The
+        // cap is lifted after the rung whatever it did: `rung` traps
+        // panics, so no exit passes by the reset.
+        if self.config.entry <= Rung::BoundedExact && ctx.index().is_some() {
+            let kernel = MvIndexBackend::default();
+            ctx.scratch().set_node_cap(self.config.node_budget);
+            let bounded = self.rung(ctx, sites::BOUNDED_RUNG, || match target {
+                Target::Query(q) => kernel.probability(q, ctx),
+                Target::Clauses(c) => kernel
+                    .clauses_probability(c, ctx)
+                    .expect("the index backend evaluates lineages"),
             });
+            ctx.scratch().set_node_cap(usize::MAX);
             match bounded {
                 Ok(p) => {
                     return Tracked::answered_on(Rung::BoundedExact, p, started.elapsed(), fault)
@@ -588,104 +557,6 @@ impl ResilientBackend {
         ctx.set_budget(None);
         out
     }
-
-    /// Theorem 1 over bounded synthesis: builds `Q ∨ W` and `W` diagrams
-    /// in the context's private manager, refusing past the node budget.
-    fn bounded_lineage_probability(&self, lin_q: &Lineage, ctx: &EvalContext<'_>) -> Result<f64> {
-        let indb = ctx.indb();
-        let builder = SynthesisBuilder::with_manager(ctx.query_manager().clone());
-        let node_budget = self.config.node_budget;
-        match ctx.w_lineage()? {
-            Some(w) => {
-                let Some((obdd_w, p_w)) = self.w_obdd(w, ctx, &builder)? else {
-                    // `W` refused at the node budget in an earlier attempt
-                    // (or just now): replay the refusal without paying the
-                    // doomed synthesis again.
-                    return Err(ObddError::NodeBudgetExceeded {
-                        allocated: node_budget,
-                        budget: node_budget,
-                    }
-                    .into());
-                };
-                // `Q ∨ W` as an OBDD-level apply against the memoized `W`
-                // diagram: only the (typically small) query lineage is
-                // synthesized per call, and the manager's apply cache
-                // carries the repeated `∨ W` work across queries.
-                let obdd_q = builder.from_lineage_bounded(lin_q, node_budget)?;
-                let obdd_q_or_w = obdd_q.apply_or(&obdd_w)?;
-                theorem1(obdd_q_or_w.probability_cached(|t| indb.probability(t)), p_w)
-            }
-            None => {
-                let obdd = builder.from_lineage_bounded(lin_q, node_budget)?;
-                Ok(obdd.probability_cached(|t| indb.probability(t)))
-            }
-        }
-    }
-
-    /// The `W` diagram and `P0(W)` through the memoized bounded build:
-    /// `Ok(Some(..))` when the synthesis fits the node budget, `Ok(None)`
-    /// when it refuses at the budget (memoized either way), `Err` for
-    /// genuine failures.
-    fn w_obdd(
-        &self,
-        w: &Lineage,
-        ctx: &EvalContext<'_>,
-        builder: &SynthesisBuilder,
-    ) -> Result<Option<(Obdd, f64)>> {
-        let manager = ctx.query_manager();
-        let node_budget = self.config.node_budget;
-        {
-            let mut slot = self.w_build.borrow_mut();
-            if let Some(cached) = slot.as_mut() {
-                if cached.manager.same_store(manager) && cached.node_budget == node_budget {
-                    if cached.generation == manager.generation() {
-                        return Ok(cached.built.clone());
-                    }
-                    // A compaction remapped every root since the build.
-                    // The registered token still resolves (registration
-                    // keeps `W` alive through compaction), so rehydrate
-                    // the memo instead of re-synthesizing; `P0(W)` is
-                    // unchanged by construction.
-                    if let (Some(token), Some(p)) =
-                        (cached.token, cached.built.as_ref().map(|(_, p)| *p))
-                    {
-                        if let Some(obdd) = manager.registered_obdd(token) {
-                            cached.built = Some((obdd.clone(), p));
-                            cached.generation = manager.generation();
-                            return Ok(Some((obdd, p)));
-                        }
-                    }
-                }
-            }
-        }
-        let built = match builder.from_lineage_bounded(w, node_budget) {
-            Ok(obdd) => {
-                let p = obdd.probability_cached(|t| ctx.indb().probability(t));
-                Some((obdd, p))
-            }
-            Err(ObddError::NodeBudgetExceeded { .. }) => None,
-            Err(e) => return Err(e.into()),
-        };
-        // Pin the diagram against arena compaction (the serving layer
-        // compacts per-worker query managers between requests), releasing
-        // any stale registration the replaced memo held.
-        let token = built
-            .as_ref()
-            .map(|(obdd, _)| manager.register_root(obdd.root()));
-        if let Some(old) = self.w_build.borrow_mut().take() {
-            if let Some(old_token) = old.token {
-                old.manager.release_root(old_token);
-            }
-        }
-        *self.w_build.borrow_mut() = Some(WBuild {
-            manager: manager.clone(),
-            generation: manager.generation(),
-            node_budget,
-            built: built.clone(),
-            token,
-        });
-        Ok(built)
-    }
 }
 
 #[cfg(test)]
@@ -721,12 +592,33 @@ mod tests {
         assert!((outcome.probability.unwrap() - exact).abs() < 1e-12);
     }
 
+    /// Ten independent `R(x) ∧ S(x)` pairs under one view: a lineage of
+    /// ten clauses, whose diagram no node cap of 1 admits.
+    fn wide_engine() -> MvdbEngine {
+        let mut b = MvdbBuilder::new();
+        b.relation("R", &["x"]).unwrap();
+        b.relation("S", &["x"]).unwrap();
+        for i in 0..10 {
+            let x = format!("a{i}");
+            b.weighted_tuple("R", &[x.as_str()], 1.0 + i as f64)
+                .unwrap();
+            b.weighted_tuple("S", &[x.as_str()], 2.0).unwrap();
+        }
+        b.marko_view("V(x)[0.5] :- R(x), S(x)").unwrap();
+        MvdbEngine::compile(&b.build().unwrap()).unwrap()
+    }
+
+    /// The exact rung's answer on `ctx`, outside the ladder.
+    fn exact_on(q: &Ucq, ctx: &EvalContext<'_>) -> f64 {
+        MvIndexBackend::default().probability(q, ctx).unwrap()
+    }
+
     #[test]
     fn exact_rung_panic_degrades_to_bounded_exact() {
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
-        let exact = engine.probability(&q).unwrap();
+        let exact = exact_on(&q, &ctx);
         let _guard =
             chaos::install(ChaosConfig::new(11).rule(sites::EXACT_RUNG, Fault::Panic, 1.0));
         let ladder = ResilientBackend::new(ResilienceConfig::default());
@@ -734,8 +626,71 @@ mod tests {
         assert_eq!(outcome.rung, Some(Rung::BoundedExact));
         assert!(outcome.degraded());
         assert_eq!(outcome.fault.as_ref().unwrap().kind, FaultKind::Panic);
-        // Bounded-exact is still exact when nothing is refused.
-        assert!((outcome.probability.unwrap() - exact).abs() < 1e-9);
+        // Rung 2 is rung 1's kernel under a cap that refused nothing.
+        assert_eq!(outcome.probability.unwrap().to_bits(), exact.to_bits());
+    }
+
+    #[test]
+    fn the_node_cap_never_outlives_the_bounded_rung() {
+        let engine = wide_engine();
+        let ctx = engine.context();
+        let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
+        let exact = exact_on(&q, &ctx);
+        let capped = ResilienceConfig {
+            node_budget: 1,
+            epsilon: 0.05,
+            ..ResilienceConfig::default()
+        };
+        let answers_exactly = |ctx: &EvalContext<'_>| {
+            let _quiet = chaos::quiet();
+            let outcome = ResilientBackend::new(ResilienceConfig::default()).evaluate(&q, ctx);
+            assert_eq!(outcome.rung, Some(Rung::Exact));
+            assert!(outcome.fault.is_none(), "{:?}", outcome.fault);
+            assert_eq!(outcome.probability.unwrap().to_bits(), exact.to_bits());
+        };
+        {
+            let _guard =
+                chaos::install(ChaosConfig::new(14).rule(sites::EXACT_RUNG, Fault::Panic, 1.0));
+            // The full ladder: the first fault is rung 1's panic, then the
+            // cap refuses the lineage and Monte Carlo answers.
+            let outcome = ResilientBackend::new(capped.clone()).evaluate(&q, &ctx);
+            assert_eq!(outcome.rung, Some(Rung::MonteCarlo));
+            assert_eq!(outcome.fault.as_ref().unwrap().kind, FaultKind::Panic);
+            // Entering at rung 2 shows the cap's own fault.
+            let outcome = ResilientBackend::new(ResilienceConfig {
+                entry: Rung::BoundedExact,
+                ..capped.clone()
+            })
+            .evaluate(&q, &ctx);
+            assert_eq!(outcome.rung, Some(Rung::MonteCarlo));
+            assert_eq!(outcome.fault.as_ref().unwrap().kind, FaultKind::Budget);
+        }
+        answers_exactly(&ctx);
+        {
+            // A panic trapped on rung 2 while the cap is set.
+            let _guard = chaos::install(
+                ChaosConfig::new(15)
+                    .rule(sites::EXACT_RUNG, Fault::Panic, 1.0)
+                    .rule(sites::BOUNDED_RUNG, Fault::Panic, 1.0),
+            );
+            let outcome = ResilientBackend::new(capped.clone()).evaluate(&q, &ctx);
+            assert_eq!(outcome.rung, Some(Rung::MonteCarlo));
+            assert!(outcome.answered());
+        }
+        answers_exactly(&ctx);
+
+        // Without an index rung 2 is skipped, not lost on `MissingIndex`.
+        let bare = EvalContext::new(engine.translated());
+        let _quiet = chaos::quiet();
+        let outcome = ResilientBackend::new(ResilienceConfig {
+            entry: Rung::BoundedExact,
+            ..capped
+        })
+        .evaluate(&q, &bare);
+        assert_eq!(outcome.rung, Some(Rung::MonteCarlo));
+        assert!(outcome.fault.is_none(), "{:?}", outcome.fault);
+        let eps = outcome.epsilon.unwrap();
+        assert!((outcome.probability.unwrap() - exact).abs() < 5.0 * eps + 0.02);
     }
 
     #[test]
@@ -769,9 +724,9 @@ mod tests {
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
-        let exact = engine.probability(&q).unwrap();
+        let exact = exact_on(&q, &ctx);
         // BoundedExact entry: rung 1 is never tried, the answer is still
-        // exact (the node budget refuses nothing on this tiny database).
+        // exact (the node cap refuses nothing on this tiny database).
         let ladder = ResilientBackend::new(ResilienceConfig {
             entry: Rung::BoundedExact,
             ..ResilienceConfig::default()
@@ -779,7 +734,7 @@ mod tests {
         let outcome = ladder.evaluate(&q, &ctx);
         assert_eq!(outcome.rung, Some(Rung::BoundedExact));
         assert!(outcome.fault.is_none(), "skipping a rung is not a fault");
-        assert!((outcome.probability.unwrap() - exact).abs() < 1e-9);
+        assert_eq!(outcome.probability.unwrap().to_bits(), exact.to_bits());
         // MonteCarlo entry: straight to the sampler at the requested ε.
         let ladder = ResilientBackend::new(ResilienceConfig {
             entry: Rung::MonteCarlo,

@@ -34,7 +34,7 @@ pub mod sites {
     pub const SESSION_EVAL: &str = "session_eval";
     /// Resilience ladder rung 1: the exact inner backend.
     pub const EXACT_RUNG: &str = "exact_rung";
-    /// Resilience ladder rung 2: bounded-exact synthesis.
+    /// Resilience ladder rung 2: the query kernel under its node cap.
     pub const BOUNDED_RUNG: &str = "bounded_rung";
     /// Resilience ladder rung 3: Monte Carlo estimation.
     pub const MC_RUNG: &str = "mc_rung";
@@ -48,8 +48,6 @@ pub mod sites {
     /// thread (supervision respawns it); `deadline` stalls it past the
     /// heartbeat timeout (supervision quarantines it as wedged).
     pub const HEARTBEAT: &str = "heartbeat";
-    /// Serving layer: the per-worker arena compaction pass.
-    pub const COMPACT: &str = "compact";
     /// Serving layer: applying an update batch to the writer's engine
     /// clone (`MvdbServer::submit_update`, before the apply runs).
     pub const UPDATE_APPLY: &str = "update_apply";
@@ -69,7 +67,6 @@ pub mod sites {
         ADMIT,
         DISPATCH,
         HEARTBEAT,
-        COMPACT,
         UPDATE_APPLY,
         UPDATE_SWAP,
     ];

@@ -118,7 +118,7 @@ impl CoreError {
 
     /// `true` for errors that mean "this rung of evaluation gave up",
     /// not "the query is unanswerable": deadline/budget trips, caught
-    /// panics, and bounded-synthesis refusals. The degradation ladder
+    /// panics, and node-cap refusals. The degradation ladder
     /// escalates past these; semantic errors (unknown relation, arity
     /// mismatch, inconsistent views, …) propagate unchanged because no
     /// cheaper rung can answer them either.

@@ -49,9 +49,8 @@
 //! * [`serve`] — [`MvdbServer`]: the always-on serving layer. Bounded
 //!   admission with explicit backpressure, per-request deadlines, an
 //!   overload controller that degrades onto cheaper resilience rungs
-//!   before shedding, heartbeat-supervised workers (dead or wedged
-//!   workers are replaced without losing admitted queries), and
-//!   watermark-triggered compaction of per-worker OBDD arenas.
+//!   before shedding, and heartbeat-supervised workers (dead or wedged
+//!   workers are replaced without losing admitted queries).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! The always-on serving layer: admission control with explicit
-//! backpressure, degrade-before-drop load shedding, heartbeat-based worker
-//! supervision, and OBDD arena garbage collection.
+//! backpressure, degrade-before-drop load shedding, and heartbeat-based
+//! worker supervision.
 //!
 //! [`MvdbServer`] turns the batch engine into a long-lived service. The
 //! request path is a pipeline of pressure valves, each engaging before the
@@ -14,10 +14,11 @@
 //!    observed service times scaled by queue depth.
 //! 2. **Degradation before shedding**: under queue pressure the overload
 //!    controller lowers the *entry rung* of the resilience ladder for new
-//!    admissions — past `degrade_depth` requests start at bounded-exact
-//!    synthesis, past `shed_depth` they go straight to Monte Carlo at a
-//!    widened ε ([`ServeConfig::widened_epsilon`]). Degraded admissions
-//!    still answer; every decision is visible in the [`ServeOutcome`].
+//!    admissions — past `degrade_depth` requests start at the bounded-exact
+//!    rung (the query kernel under its node cap), past `shed_depth` they go
+//!    straight to Monte Carlo at a widened ε
+//!    ([`ServeConfig::widened_epsilon`]). Degraded admissions still
+//!    answer; every decision is visible in the [`ServeOutcome`].
 //! 3. **Per-request deadlines**: each request carries a wall-clock
 //!    deadline inherited by the ladder's `EvalBudget`; a request whose
 //!    deadline passed while queued replies `DeadlineExceeded` without
@@ -39,17 +40,11 @@
 //! worker more than [`ServeConfig::max_requeues`] times is *reported* lost
 //! with a typed outcome instead of cycling respawns forever.
 //!
-//! **Arena GC.** Exact answers run in the worker's query kernel and leave
-//! nothing behind; the degraded rungs build diagrams in the worker's
-//! query-side [`ObddManager`](mv_obdd::ObddManager), whose append-only
-//! arena a long-lived worker would otherwise grow without bound.
-//! After each request, a worker whose arena crossed
-//! [`ServeConfig::compact_watermark`] compacts it: live registered roots
-//! (the ladder registers its memoized `W` diagram) are rebuilt into a
-//! fresh arena, the generation and weight epoch are bumped so stale node
-//! ids and probability stamps cannot resurface, and the ladder rehydrates
-//! `W` from its registration token. Compaction is measured per pass in
-//! [`ServerStats`].
+//! **Memory.** With the MV-index as the exact backend, the exact and the
+//! bounded-exact rung both run in the worker's query kernel, whose flat
+//! buffers are reset per lineage and reused, and the sampling rung builds
+//! no diagram: a long-lived worker needs no collection pass.
+//! [`ServerStats`]' compaction fields read 0.
 //!
 //! **Live updates.** [`MvdbServer::submit_update`] applies an
 //! [`UpdateBatch`] under snapshot semantics: writers are serialized and
@@ -60,10 +55,10 @@
 //! snapshot untouched — its side effects die with the discarded clone.
 //!
 //! Fault injection hooks at the `admit`, `dispatch`, `heartbeat`,
-//! `compact`, `update_apply`, and `update_swap` chaos sites prove the
-//! recovery paths; the `figures serve` soak campaign drives a sustained
-//! over-capacity mixed workload through them and gates zero lost
-//! admitted queries, bounded shed fraction, and bounded arena growth.
+//! `update_apply`, and `update_swap` chaos sites prove the recovery paths;
+//! the `figures serve` soak campaign drives a sustained over-capacity
+//! mixed workload through them and gates zero lost admitted queries,
+//! bounded shed fraction, exact bounded-exact answers and tail latency.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -73,7 +68,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockRead
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mv_obdd::CompactOutcome;
 use mv_query::Ucq;
 
 use crate::backend::{
@@ -115,10 +109,6 @@ pub struct ServeConfig {
     /// are false-positive quarantined — correctness survives (the
     /// recovered request is deduplicated) but respawns are wasted.
     pub heartbeat_timeout: Duration,
-    /// Node-count watermark of a worker's query-side arena; crossing it
-    /// triggers a compaction after the current request. `usize::MAX`
-    /// disables compaction.
-    pub compact_watermark: usize,
     /// How many times a request recovered from a dead or wedged worker is
     /// requeued before it is reported lost instead of retried.
     pub max_requeues: u32,
@@ -136,7 +126,6 @@ impl Default for ServeConfig {
             resilience: ResilienceConfig::default(),
             heartbeat_interval: Duration::from_millis(10),
             heartbeat_timeout: Duration::from_secs(2),
-            compact_watermark: 1 << 16,
             max_requeues: 3,
         }
     }
@@ -257,14 +246,13 @@ pub struct ServerStats {
     pub respawns: u64,
     /// Workers quarantined as wedged by heartbeat staleness.
     pub quarantined: u64,
-    /// Query-arena compactions across all workers.
+    /// Always 0: workers keep no arena to compact (see the module docs).
+    /// Kept so that readers of the old arena counters still compile.
     pub compactions: u64,
-    /// Arena nodes reclaimed by those compactions.
+    /// Always 0, as `compactions`.
     pub reclaimed_nodes: u64,
-    /// Arena bytes before the most recent compaction (gauge).
+    /// Always 0, as `compactions`.
     pub arena_bytes_before: u64,
-    /// Arena bytes after the most recent compaction (gauge).
-    pub arena_bytes_after: u64,
     /// Update batches applied and published as new serving snapshots.
     pub updates_applied: u64,
     /// Update batches that failed (validation, application, or an
@@ -316,10 +304,6 @@ struct Counters {
     requeues: AtomicU64,
     respawns: AtomicU64,
     quarantined: AtomicU64,
-    compactions: AtomicU64,
-    reclaimed_nodes: AtomicU64,
-    arena_bytes_before: AtomicU64,
-    arena_bytes_after: AtomicU64,
     updates_applied: AtomicU64,
     update_failures: AtomicU64,
 }
@@ -619,10 +603,9 @@ impl MvdbServer {
             requeues: c.requeues.load(Ordering::Relaxed),
             respawns: c.respawns.load(Ordering::Relaxed),
             quarantined: c.quarantined.load(Ordering::Relaxed),
-            compactions: c.compactions.load(Ordering::Relaxed),
-            reclaimed_nodes: c.reclaimed_nodes.load(Ordering::Relaxed),
-            arena_bytes_before: c.arena_bytes_before.load(Ordering::Relaxed),
-            arena_bytes_after: c.arena_bytes_after.load(Ordering::Relaxed),
+            compactions: 0,
+            reclaimed_nodes: 0,
+            arena_bytes_before: 0,
             updates_applied: c.updates_applied.load(Ordering::Relaxed),
             update_failures: c.update_failures.load(Ordering::Relaxed),
             queue_depth: self.queue_depth(),
@@ -708,16 +691,14 @@ fn worker_loop(
     inflight: &Mutex<Option<Request>>,
     quarantine: &AtomicBool,
 ) {
-    // Every worker owns a private evaluation context (its query-side OBDD
-    // manager is fresh per context, which is what makes per-worker arena
-    // compaction safe) and a private ladder whose `W` memo persists across
-    // requests and compactions. The outer loop pins one engine snapshot;
-    // when `submit_update` publishes a new one the worker finishes its
-    // current request on the pinned snapshot, then re-pins and makes a new
-    // context and ladder: what is lost is this worker's query kernel and
-    // query-side manager and the memoized `W` (all belong to the old
-    // snapshot). The store's join indexes and query plans are not the
-    // worker's — relations the update left alone carry their indexes into
+    // Every worker owns a private evaluation context, whose query kernel
+    // both exact rungs run in, and a private ladder retuned per request.
+    // The outer loop pins one engine snapshot; when `submit_update`
+    // publishes a new one the worker finishes its current request on the
+    // pinned snapshot, then re-pins and makes a new context and ladder: the
+    // old context hands its kernel back to the old snapshot's index. The
+    // store's join indexes and query plans are not the worker's —
+    // relations the update left alone carry their indexes into
     // the new snapshot, a weight-only snapshot keeps the plan cache, and
     // what a structural update invalidated is rebuilt once by whichever
     // worker asks first. The version is read *before* the engine so a swap
@@ -794,7 +775,6 @@ fn worker_loop(
                     recover(shared, req);
                 }
             }
-            maybe_compact(shared, &ctx);
             poll_until = Instant::now() + IDLE_POLL;
         }
     }
@@ -842,7 +822,7 @@ fn process(
     }
     // Retune the worker's ladder for this request: the admission-time
     // entry rung and ε, and per-rung budget windows clipped to the
-    // remaining deadline. The memoized `W` build survives retuning.
+    // remaining deadline.
     let remaining = req.deadline_at - now;
     let mut config = shared.config.resilience.clone();
     config.entry = req.entry;
@@ -919,31 +899,6 @@ fn recover(shared: &ServerShared, mut req: Request) {
     shared.counters.requeues.fetch_add(1, Ordering::Relaxed);
     lock(&shared.inbox.queue).push_front(req);
     shared.inbox.cv.notify_one();
-}
-
-/// Compacts the worker's query-side arena when it crossed the watermark.
-/// An injected fault (or panic) at the `compact` site skips the pass —
-/// the arena is append-only, so deferring compaction is always safe.
-fn maybe_compact(shared: &ServerShared, ctx: &EvalContext<'_>) {
-    let watermark = shared.config.compact_watermark;
-    if watermark == usize::MAX {
-        return;
-    }
-    let manager = ctx.query_manager().clone();
-    let compacted = catch_unwind(AssertUnwindSafe(|| -> Result<Option<CompactOutcome>> {
-        chaos::apply(sites::COMPACT)?;
-        Ok(manager.compact_if_above(watermark))
-    }));
-    if let Ok(Ok(Some(out))) = compacted {
-        let c = &shared.counters;
-        c.compactions.fetch_add(1, Ordering::Relaxed);
-        c.reclaimed_nodes
-            .fetch_add(out.reclaimed() as u64, Ordering::Relaxed);
-        c.arena_bytes_before
-            .store(out.before_bytes, Ordering::Relaxed);
-        c.arena_bytes_after
-            .store(out.after_bytes, Ordering::Relaxed);
-    }
 }
 
 fn supervisor_loop(shared: &Arc<ServerShared>) {
@@ -1080,7 +1035,6 @@ mod tests {
             shed_depth: usize::MAX,
             heartbeat_interval: Duration::from_millis(2),
             heartbeat_timeout: Duration::from_secs(5),
-            compact_watermark: usize::MAX,
             ..ServeConfig::default()
         }
     }
@@ -1208,8 +1162,12 @@ mod tests {
             assert_eq!(out.entry, Rung::BoundedExact);
             assert!(out.degraded_admission());
             assert_eq!(out.outcome.rung, Some(Rung::BoundedExact));
-            // Bounded-exact is still exact on this small database.
-            assert!((out.outcome.probability.unwrap() - oracle[i]).abs() < 1e-9);
+            // Bounded-exact is the exact rung's kernel under a cap that
+            // refuses nothing on this small database.
+            assert_eq!(
+                out.outcome.probability.unwrap().to_bits(),
+                oracle[i].to_bits()
+            );
         }
         let stats = server.shutdown();
         assert_eq!(stats.degraded_admissions, qs.len() as u64);
@@ -1469,46 +1427,6 @@ mod tests {
         assert!((out.outcome.probability.unwrap() - oracles[3][0]).abs() < 1e-9);
         let stats = server.shutdown();
         assert_eq!(stats.updates_applied, 3);
-        assert_eq!(stats.lost, 0);
-    }
-
-    #[test]
-    fn arena_compaction_keeps_answers_exact() {
-        let engine = engine();
-        let qs = queries();
-        let oracle: Vec<f64> = qs
-            .iter()
-            .map(|q| engine.full().probability(q).unwrap())
-            .collect();
-        // Bounded-exact entry makes every request synthesize into the
-        // worker's query arena; a tiny watermark forces compactions
-        // between requests, exercising `W`-root registration/rehydration.
-        let config = ServeConfig {
-            workers: 1,
-            degrade_depth: 0,
-            shed_depth: usize::MAX,
-            compact_watermark: 8,
-            ..quick_config()
-        };
-        let server = MvdbServer::start(Arc::clone(&engine), config);
-        for round in 0..10 {
-            for (i, q) in qs.iter().enumerate() {
-                let out = resolve(server.submit(q.clone()).unwrap());
-                assert_eq!(out.outcome.rung, Some(Rung::BoundedExact));
-                let p = out.outcome.probability.unwrap();
-                assert!(
-                    (p - oracle[i]).abs() < 1e-9,
-                    "round {round} query {i}: {p} vs {} after compactions",
-                    oracle[i]
-                );
-            }
-        }
-        let stats = server.shutdown();
-        assert!(
-            stats.compactions >= 1,
-            "the tiny watermark must trigger compactions: {stats:?}"
-        );
-        assert!(stats.arena_bytes_after <= stats.arena_bytes_before);
         assert_eq!(stats.lost, 0);
     }
 }

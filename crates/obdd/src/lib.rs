@@ -46,7 +46,7 @@ pub mod synthesis;
 
 pub use conobdd::{ConObddBuilder, ConstructionStats};
 pub use error::ObddError;
-pub use manager::{CompactOutcome, ManagerStats, NodeProbs, ObddManager, ObddNodes};
+pub use manager::{ManagerStats, NodeProbs, ObddManager, ObddNodes};
 pub use obdd::{NodeId, Obdd, ObddNode};
 pub use order::{PiOrder, VarOrder};
 pub use reference::RefManager;

@@ -275,13 +275,6 @@ pub struct ManagerStats {
     /// the only remaining deep-copy path. Zero on production pipelines,
     /// which keep each diagram family inside one manager.
     pub imported_nodes: u64,
-    /// Times the arena was compacted ([`ObddManager::compact`]): all nodes
-    /// unreachable from the registered roots dropped, survivors re-interned
-    /// into a fresh arena.
-    pub compactions: u64,
-    /// Nodes reclaimed across all compactions (arena size before minus
-    /// after, summed).
-    pub reclaimed_nodes: u64,
     /// Gauge: current arena size (sinks included) at the time the snapshot
     /// was taken. Aggregation sums across managers (total resident nodes);
     /// [`ManagerStats::since`] keeps the current value — a gauge has no
@@ -334,8 +327,6 @@ impl ManagerStats {
                 .computed_resizes
                 .saturating_sub(earlier.computed_resizes),
             imported_nodes: self.imported_nodes.saturating_sub(earlier.imported_nodes),
-            compactions: self.compactions.saturating_sub(earlier.compactions),
-            reclaimed_nodes: self.reclaimed_nodes.saturating_sub(earlier.reclaimed_nodes),
             live_nodes: self.live_nodes,
             arena_bytes: self.arena_bytes,
         }
@@ -370,8 +361,6 @@ impl std::ops::Add for ManagerStats {
             cache_evictions: self.cache_evictions + rhs.cache_evictions,
             computed_resizes: self.computed_resizes + rhs.computed_resizes,
             imported_nodes: self.imported_nodes + rhs.imported_nodes,
-            compactions: self.compactions + rhs.compactions,
-            reclaimed_nodes: self.reclaimed_nodes + rhs.reclaimed_nodes,
             live_nodes: self.live_nodes + rhs.live_nodes,
             arena_bytes: self.arena_bytes + rhs.arena_bytes,
         }
@@ -381,28 +370,6 @@ impl std::ops::Add for ManagerStats {
 impl std::iter::Sum for ManagerStats {
     fn sum<I: Iterator<Item = ManagerStats>>(iter: I) -> ManagerStats {
         iter.fold(ManagerStats::default(), |a, b| a + b)
-    }
-}
-
-/// What one arena compaction did, returned by [`ObddManager::compact`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactOutcome {
-    /// Arena size (sinks included) before the compaction.
-    pub before_nodes: usize,
-    /// Arena size after: the nodes reachable from registered roots.
-    pub after_nodes: usize,
-    /// Approximate arena + side-table bytes before.
-    pub before_bytes: u64,
-    /// Approximate bytes after.
-    pub after_bytes: u64,
-    /// The generation the compaction produced.
-    pub generation: u64,
-}
-
-impl CompactOutcome {
-    /// Nodes reclaimed by this compaction.
-    pub fn reclaimed(&self) -> usize {
-        self.before_nodes - self.after_nodes
     }
 }
 
@@ -424,16 +391,6 @@ struct Store {
     /// Abort guard installed only around bounded synthesis folds (`None`
     /// on every other path — one `Option` check per apply frame).
     guard: Option<ApplyGuard>,
-    /// Compaction generation: bumped by every [`Store::compact`]. Raw
-    /// [`NodeId`]s taken before a compaction are only valid within the
-    /// generation they were taken in.
-    generation: u64,
-    /// Live roots registered against compaction: `token → root`. Compaction
-    /// keeps exactly the nodes reachable from these roots (plus the sinks)
-    /// and remaps each entry onto the fresh arena.
-    registered: FxHashMap<u64, NodeId>,
-    /// Next root-registration token.
-    next_token: u64,
 }
 
 impl Store {
@@ -463,9 +420,6 @@ impl Store {
                 ..ManagerStats::default()
             },
             guard: None,
-            generation: 0,
-            registered: FxHashMap::default(),
-            next_token: 0,
         }
     }
 
@@ -481,61 +435,6 @@ impl Store {
         let negate = self.negate_memo.capacity() * std::mem::size_of::<NodeId>();
         let prob = self.prob_cache.capacity() * std::mem::size_of::<ProbSlot>();
         (nodes + unique + computed + negate + prob) as u64
-    }
-
-    /// Compacts the arena: every node unreachable from a registered root is
-    /// dropped, survivors are re-interned bottom-up into a fresh store
-    /// (fresh unique table, reset computed table / negate memo /
-    /// probability cache), registered roots are remapped in place, and the
-    /// generation and weight epoch are bumped — so raw pre-compaction
-    /// [`NodeId`]s and stale probability stamps can never resurface.
-    /// Returns `(before_nodes, after_nodes)`.
-    fn compact(&mut self) -> (usize, usize) {
-        let before_nodes = self.nodes.len();
-        // Mark: everything reachable from a registered root (sinks always
-        // survive — `Store::new` seeds them).
-        let mut seen = FxHashSet::default();
-        let mut live: Vec<NodeId> = Vec::new();
-        for &root in self.registered.values() {
-            for id in self.reachable(root) {
-                if seen.insert(id) {
-                    live.push(id);
-                }
-            }
-        }
-        // Rebuild bottom-up (children strictly deeper than parents, sinks
-        // at SINK_LEVEL = MAX sort first) via `mk`, exactly like `import`.
-        live.sort_by_key(|&id| std::cmp::Reverse(self.level(id)));
-        let mut fresh = Store::new();
-        let mut map: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        map.insert(FALSE, FALSE);
-        map.insert(TRUE, TRUE);
-        for id in live {
-            if id == TRUE || id == FALSE {
-                continue;
-            }
-            let node = self.nodes[id as usize];
-            let new_id = fresh.mk(node.level, map[&node.lo], map[&node.hi]);
-            map.insert(id, new_id);
-        }
-        let after_nodes = fresh.nodes.len();
-        // Carry the pre-compaction counters (the rebuild's `mk` traffic is
-        // bookkeeping, not fresh work) and account the compaction itself.
-        fresh.stats = self.stats;
-        fresh.stats.compactions += 1;
-        fresh.stats.reclaimed_nodes += (before_nodes - after_nodes) as u64;
-        fresh.generation = self.generation + 1;
-        // New epoch: pre-compaction stamps must not validate entries of the
-        // fresh (zeroed) probability cache.
-        fresh.weight_epoch = self.weight_epoch + 1;
-        fresh.next_token = self.next_token;
-        fresh.registered = self
-            .registered
-            .iter()
-            .map(|(&token, &root)| (token, map[&root]))
-            .collect();
-        *self = fresh;
-        (before_nodes, after_nodes)
     }
 
     /// The stamp marking probability-cache entries of the current epoch
@@ -1024,102 +923,11 @@ impl ObddManager {
         stats
     }
 
-    /// Approximate heap bytes held by the arena and its side tables.
-    pub fn arena_bytes(&self) -> u64 {
-        self.read().arena_bytes()
-    }
-
-    /// The compaction generation: 0 for a fresh manager, bumped by every
-    /// [`ObddManager::compact`]. Raw [`NodeId`]s (and [`Obdd`] handles not
-    /// backed by a registered root) are only valid within the generation
-    /// they were created in.
-    pub fn generation(&self) -> u64 {
-        self.read().generation
-    }
-
-    /// Registers `root` as live across compactions and returns a token;
-    /// compaction keeps every node reachable from a registered root and
-    /// remaps the registration onto the fresh arena
-    /// ([`ObddManager::resolve_root`] returns the current id). Panics when
-    /// `root` is not a node of this arena.
-    pub fn register_root(&self, root: NodeId) -> u64 {
-        let mut store = self.write();
-        assert!(
-            (root as usize) < store.nodes.len(),
-            "register_root: {root} is not a node of this arena"
-        );
-        let token = store.next_token;
-        store.next_token += 1;
-        store.registered.insert(token, root);
-        token
-    }
-
-    /// Releases a registration; the root's nodes become reclaimable by the
-    /// next compaction (unless another registration still reaches them).
-    /// Unknown tokens are ignored.
-    pub fn release_root(&self, token: u64) {
-        self.write().registered.remove(&token);
-    }
-
-    /// The current root id behind a registration token (remapped by any
-    /// compactions since [`ObddManager::register_root`]).
-    pub fn resolve_root(&self, token: u64) -> Option<NodeId> {
-        self.read().registered.get(&token).copied()
-    }
-
-    /// A diagram handle for a registered root — the way to rehydrate a
-    /// long-lived diagram after a compaction remapped it.
-    pub fn registered_obdd(&self, token: u64) -> Option<Obdd> {
-        self.resolve_root(token)
-            .map(|root| Obdd::from_parts(self.clone(), root))
-    }
-
-    /// Number of live root registrations.
-    pub fn live_roots(&self) -> usize {
-        self.read().registered.len()
-    }
-
-    /// Compacts the arena down to the nodes reachable from the registered
-    /// roots (see `Store::compact`'s contract: fresh unique table, reset
-    /// computed / negate / probability caches, generation and weight epoch
-    /// bumped, registered roots remapped). Callers must be quiescent: any
-    /// raw [`NodeId`] or unregistered [`Obdd`] taken before the call is
-    /// invalidated. Registered diagrams survive with probabilities intact —
-    /// re-resolve them through [`ObddManager::registered_obdd`].
-    pub fn compact(&self) -> CompactOutcome {
-        let mut store = self.write();
-        let before_bytes = store.arena_bytes();
-        let (before_nodes, after_nodes) = store.compact();
-        let after_bytes = store.arena_bytes();
-        CompactOutcome {
-            before_nodes,
-            after_nodes,
-            before_bytes,
-            after_bytes,
-            generation: store.generation,
-        }
-    }
-
-    /// [`ObddManager::compact`] gated on an arena-size watermark: compacts
-    /// only when the arena holds at least `watermark_nodes` nodes, so a
-    /// long-lived worker can call it after every request for pennies.
-    pub fn compact_if_above(&self, watermark_nodes: usize) -> Option<CompactOutcome> {
-        if self.num_nodes() < watermark_nodes.max(1) {
-            return None;
-        }
-        Some(self.compact())
-    }
-
     /// Current slot count of the lossy computed table (between
     /// [`ObddManager::COMPUTED_TABLE_MIN`] and
     /// [`ObddManager::COMPUTED_TABLE_MAX`], tracking arena growth).
     pub fn computed_table_capacity(&self) -> usize {
         self.read().computed.capacity()
-    }
-
-    /// The current weight epoch of the probability cache.
-    pub fn weight_epoch(&self) -> u64 {
-        self.read().weight_epoch
     }
 
     /// Declares that tuple weights changed: starts a new epoch, which
@@ -1684,113 +1492,6 @@ mod tests {
         assert_eq!(m.dnf::<Vec<TupleId>>(&[]).unwrap().root(), FALSE);
         assert_eq!(m.dnf(&[Vec::<TupleId>::new()]).unwrap().root(), TRUE);
         assert!(m.dnf(&[vec![TupleId(99)]]).is_err());
-    }
-
-    #[test]
-    fn compaction_preserves_registered_roots_to_1e9() {
-        let m = ObddManager::new(order(16));
-        // Two diagrams we keep, plus a pile of garbage we drop.
-        let keep_a = m
-            .dnf(&[vec![TupleId(0), TupleId(8)], vec![TupleId(1), TupleId(9)]])
-            .unwrap();
-        let keep_b = m.clause(&[TupleId(2), TupleId(10), TupleId(12)]).unwrap();
-        for i in 0..8u32 {
-            let g = m
-                .dnf(&[
-                    vec![TupleId(i), TupleId(15 - i % 4)],
-                    vec![TupleId(i % 3), TupleId(7 + i % 8)],
-                ])
-                .unwrap();
-            let _ = g.negate();
-        }
-        let weight = |t: TupleId| 0.05 + 0.9 * f64::from(t.0) / 16.0;
-        let p_a = keep_a.probability_cached(weight);
-        let p_b = keep_b.probability_cached(weight);
-        let tok_a = m.register_root(keep_a.root());
-        let tok_b = m.register_root(keep_b.root());
-        let gen_before = m.generation();
-        let before = m.num_nodes();
-        drop((keep_a, keep_b));
-
-        let outcome = m.compact();
-        assert_eq!(outcome.before_nodes, before);
-        assert!(outcome.after_nodes < outcome.before_nodes, "{outcome:?}");
-        assert!(outcome.after_bytes <= outcome.before_bytes, "{outcome:?}");
-        assert_eq!(m.generation(), gen_before + 1);
-        assert_eq!(m.canonicity_violation(), None);
-        let stats = m.stats();
-        assert_eq!(stats.compactions, 1);
-        assert_eq!(
-            stats.reclaimed_nodes,
-            (outcome.before_nodes - outcome.after_nodes) as u64
-        );
-        assert_eq!(stats.live_nodes, outcome.after_nodes as u64);
-
-        // Registered roots survive with identical probabilities.
-        let a = m.registered_obdd(tok_a).unwrap();
-        let b = m.registered_obdd(tok_b).unwrap();
-        assert!((a.probability_cached(weight) - p_a).abs() < 1e-9);
-        assert!((b.probability_cached(weight) - p_b).abs() < 1e-9);
-        m.release_root(tok_a);
-        m.release_root(tok_b);
-    }
-
-    #[test]
-    fn compaction_without_roots_reclaims_everything() {
-        let m = ObddManager::new(order(8));
-        for i in 0..4u32 {
-            let _ = m.clause(&[TupleId(i), TupleId(i + 4)]).unwrap();
-        }
-        assert!(m.num_nodes() > 2);
-        let outcome = m.compact();
-        assert_eq!(outcome.after_nodes, 2, "only the sinks survive");
-        assert_eq!(m.num_nodes(), 2);
-        assert_eq!(m.canonicity_violation(), None);
-        // The manager stays fully usable after a total reclaim.
-        let c = m.clause(&[TupleId(0), TupleId(1)]).unwrap();
-        assert!((c.probability_cached(|_| 0.5) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn released_roots_become_reclaimable() {
-        let m = ObddManager::new(order(8));
-        let a = m.clause(&[TupleId(0), TupleId(1)]).unwrap();
-        let b = m.clause(&[TupleId(4), TupleId(5), TupleId(6)]).unwrap();
-        let tok_a = m.register_root(a.root());
-        let tok_b = m.register_root(b.root());
-        assert_eq!(m.live_roots(), 2);
-        m.release_root(tok_b);
-        assert_eq!(m.live_roots(), 1);
-        drop((a, b));
-        let outcome = m.compact();
-        // Only `a`'s two nodes (plus sinks) survive.
-        assert_eq!(outcome.after_nodes, 4);
-        assert!(m.resolve_root(tok_b).is_none());
-        assert!(m.resolve_root(tok_a).is_some());
-    }
-
-    #[test]
-    fn compaction_bumps_the_weight_epoch() {
-        let m = ObddManager::new(order(4));
-        let c = m.clause(&[TupleId(0), TupleId(1)]).unwrap();
-        let tok = m.register_root(c.root());
-        assert!((c.probability_cached(|_| 0.5) - 0.25).abs() < 1e-12);
-        let epoch = m.weight_epoch();
-        m.compact();
-        assert!(m.weight_epoch() > epoch);
-        // A different weight function on the fresh epoch takes effect (no
-        // stale cache value can leak through the reset + bumped epoch).
-        let c = m.registered_obdd(tok).unwrap();
-        assert!((c.probability_cached(|_| 0.1) - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn compact_if_above_respects_the_watermark() {
-        let m = ObddManager::new(order(8));
-        let c = m.clause(&[TupleId(0), TupleId(1), TupleId(2)]).unwrap();
-        let _tok = m.register_root(c.root());
-        assert!(m.compact_if_above(1 << 20).is_none());
-        assert!(m.compact_if_above(2).is_some());
     }
 
     #[test]

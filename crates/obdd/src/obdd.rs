@@ -67,38 +67,11 @@ pub struct ObddNode {
 pub struct Obdd {
     manager: ObddManager,
     root: NodeId,
-    /// The manager's compaction generation when the handle was taken. A
-    /// compaction remaps every node id, so a handle from an earlier
-    /// generation must never be dereferenced — unless its root was
-    /// registered and the handle rehydrated via
-    /// [`ObddManager::registered_obdd`]. Checked by `debug_assert` on every
-    /// dereferencing operation.
-    generation: u64,
 }
 
 impl Obdd {
     pub(crate) fn from_parts(manager: ObddManager, root: NodeId) -> Obdd {
-        let generation = manager.generation();
-        Obdd {
-            manager,
-            root,
-            generation,
-        }
-    }
-
-    /// Asserts (debug builds) that the arena has not been compacted since
-    /// this handle was taken: post-compaction, the raw root id points at an
-    /// arbitrary remapped node and silently reading it would return wrong
-    /// diagrams/probabilities. Registered roots survive — rehydrate through
-    /// [`ObddManager::registered_obdd`] instead of holding raw handles.
-    #[inline]
-    fn assert_current_generation(&self) {
-        debug_assert_eq!(
-            self.generation,
-            self.manager.generation(),
-            "stale Obdd handle dereferenced after an arena compaction; \
-             register the root and rehydrate via ObddManager::registered_obdd"
-        );
+        Obdd { manager, root }
     }
 
     /// The constant diagram `true` or `false` (in a fresh single-diagram
@@ -137,13 +110,11 @@ impl Obdd {
     /// The node behind an id (one shared-lock acquisition per call; use
     /// [`Obdd::nodes`] in traversal loops).
     pub fn node(&self, id: NodeId) -> ObddNode {
-        self.assert_current_generation();
         self.manager.node_of(id)
     }
 
     /// A read guard over the manager's arena for tight loops.
     pub fn nodes(&self) -> ObddNodes<'_> {
-        self.assert_current_generation();
         self.manager.nodes()
     }
 
@@ -195,13 +166,11 @@ impl Obdd {
 
     /// Ids of all nodes reachable from the root (iterative DFS).
     pub fn reachable_ids(&self) -> Vec<NodeId> {
-        self.assert_current_generation();
         self.manager.reachable_of(self.root)
     }
 
     /// The smallest and largest levels of reachable internal nodes, if any.
     pub fn level_range(&self) -> Option<(u32, u32)> {
-        self.assert_current_generation();
         self.manager.level_range_of(self.root)
     }
 
@@ -209,8 +178,6 @@ impl Obdd {
     /// is shared, an import (the only copy path left) when only the orders
     /// match, an [`ObddError::OrderMismatch`] otherwise.
     fn coresident_root(&self, other: &Obdd) -> Result<NodeId> {
-        self.assert_current_generation();
-        other.assert_current_generation();
         if self.manager.same_store(&other.manager) {
             return Ok(other.root);
         }
@@ -244,7 +211,6 @@ impl Obdd {
 
     /// The negation of the diagram (the two sinks are swapped).
     pub fn negate(&self) -> Obdd {
-        self.assert_current_generation();
         let root = self.manager.negate_root(self.root);
         Obdd::from_parts(self.manager.clone(), root)
     }
@@ -348,7 +314,6 @@ impl Obdd {
     /// scratch; see [`Obdd::probability_cached`] when `prob_of` is the
     /// database weight function shared by every diagram of the manager.
     pub fn probability(&self, prob_of: impl Fn(TupleId) -> f64) -> f64 {
-        self.assert_current_generation();
         self.manager.node_probs_of(self.root, &prob_of)[&self.root]
     }
 
@@ -359,7 +324,6 @@ impl Obdd {
     /// A root whose value is already cached for the epoch costs a single
     /// array probe.
     pub fn probability_cached(&self, prob_of: impl Fn(TupleId) -> f64) -> f64 {
-        self.assert_current_generation();
         self.manager.root_prob_cached_of(self.root, &prob_of)
     }
 
@@ -367,7 +331,6 @@ impl Obdd {
     /// (`probUnder` in the paper's terminology), sinks included. Sparse:
     /// sized by this diagram, not by the shared arena.
     pub fn node_probabilities(&self, prob_of: impl Fn(TupleId) -> f64) -> NodeProbs {
-        self.assert_current_generation();
         NodeProbs::from_map(self.manager.node_probs_of(self.root, &prob_of))
     }
 }
@@ -546,35 +509,6 @@ mod tests {
             Obdd::concat_many_or(single.order().clone(), std::slice::from_ref(&single)).unwrap();
         assert!(same_manager.manager().same_store(single.manager()));
         assert_eq!(same_manager.root(), single.root());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "stale Obdd handle")]
-    fn unregistered_handles_cannot_be_dereferenced_after_compaction() {
-        // Regression for the compact/weight-epoch audit: a handle whose
-        // root was never registered survives the compaction as a raw id
-        // into a remapped arena — dereferencing it used to silently read
-        // whatever node now sits there.
-        let ord = order(4);
-        let manager = ObddManager::new(Arc::clone(&ord));
-        let stale = manager.clause(&[TupleId(0), TupleId(1)]).unwrap();
-        manager.compact();
-        let _ = stale.probability(|_| 0.5);
-    }
-
-    #[test]
-    fn registered_handles_rehydrate_across_compaction() {
-        let ord = order(4);
-        let manager = ObddManager::new(Arc::clone(&ord));
-        let diagram = manager.clause(&[TupleId(0), TupleId(1)]).unwrap();
-        let before = diagram.probability(|_| 0.5);
-        let token = manager.register_root(diagram.root());
-        manager.compact();
-        // The raw handle is stale; the registered root rehydrates into a
-        // current-generation handle with the same semantics.
-        let fresh = manager.registered_obdd(token).unwrap();
-        assert!((fresh.probability(|_| 0.5) - before).abs() < 1e-12);
     }
 
     #[test]
