@@ -7,20 +7,25 @@
 //! ```
 //!
 //! Sub-commands: `fig1`, `fig4`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`,
-//! `fig10`, `fig11`, `session`, `sharded`, `microbench`, `approx`,
-//! `resilience`, `serve`, `ablation`, `all`.
+//! `fig10`, `fig11`, `approx`, `resilience`, `serve`, `updates`,
+//! `ablation`, `all`.
 //! Options: `--quick` (3 scaling points instead of 10, fewer queries),
 //! `--authors N` (size of the "full" dataset for fig1/fig10/fig11; default
 //! 10000), `--threads N` (worker threads for the exact-backend workloads of
-//! fig5/fig6 and the `session` smoke; default 1), `--shards N` (shard count
-//! of the `sharded` scale-out campaign; default 4), `--json PATH` (where to
-//! write the machine-readable report; default `BENCH_figures.json`),
-//! `--no-json`.
+//! fig5/fig6 and the `approx` series; default 1), `--shards N` (shard count
+//! of the `resilience`, `serve` and `updates` campaigns; default 4),
+//! `--chaos-seed N` (seed of their fault-injection passes), `--json PATH`
+//! (where to write the machine-readable report; default
+//! `BENCH_figures.json`), `--no-json`.
 //!
-//! The fig5/fig6 rows and the `session` series include the shared
-//! OBDD-manager counters (nodes allocated, unique-table / apply-cache hit
-//! rates, peak node count), so cache reuse across queries is observable in
-//! `BENCH_figures.json`.
+//! The `approx` series and the three campaigns are gated: after writing
+//! the report the binary prints every gate their points break
+//! (`ApproxPoint::violations` and its siblings in `mv_bench`) and exits
+//! with status 1 if there was any.
+//!
+//! The fig5/fig6 rows include the shared OBDD-manager counters (nodes
+//! allocated, unique-table / apply-cache hit rates, peak node count), so
+//! cache reuse across queries is observable in `BENCH_figures.json`.
 //!
 //! Besides the human-readable tables on stdout, every run writes a
 //! machine-readable report with one series per figure. Dataset generation is
@@ -40,42 +45,24 @@ struct Options {
     json_path: Option<String>,
 }
 
-/// The machine-readable report accumulated while figures run.
-struct Report {
-    figures: Json,
-}
-
-impl Report {
-    fn new() -> Report {
-        Report {
-            figures: Json::obj::<String>([]),
-        }
+/// Writes the machine-readable report of the `figures` series that ran.
+fn write_report(figures: Json, opts: &Options) {
+    let Some(path) = &opts.json_path else {
+        return;
+    };
+    let report = Json::obj([
+        ("schema_version", Json::from(1u64)),
+        ("generator", Json::from("mv-bench figures")),
+        ("quick", Json::from(opts.quick)),
+        ("full_authors", Json::from(opts.full_authors)),
+        ("dataset_seed", Json::from(dataset_seed())),
+        ("figures", figures),
+    ]);
+    if let Err(e) = std::fs::write(path, format!("{report}\n")) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(2);
     }
-
-    fn add(&mut self, figure: &str, series: Json) {
-        self.figures.push(figure, series);
-    }
-
-    fn write(self, opts: &Options) {
-        let Some(path) = &opts.json_path else {
-            return;
-        };
-        let report = Json::obj([
-            ("schema_version", Json::from(1u64)),
-            ("generator", Json::from("mv-bench figures")),
-            ("quick", Json::from(opts.quick)),
-            ("full_authors", Json::from(opts.full_authors)),
-            ("dataset_seed", Json::from(dataset_seed())),
-            ("figures", self.figures),
-        ]);
-        match std::fs::write(path, format!("{report}\n")) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
+    println!("wrote {path}");
 }
 
 /// The sub-commands `main` accepts; anything else is an error, not a no-op.
@@ -89,9 +76,6 @@ const KNOWN_FIGURES: &[&str] = &[
     "fig9",
     "fig10",
     "fig11",
-    "session",
-    "sharded",
-    "microbench",
     "approx",
     "resilience",
     "serve",
@@ -126,38 +110,24 @@ fn main() {
         json_path: Some("BENCH_figures.json".to_string()),
     };
     let mut i = 0;
+    let number = |i: &mut usize, option: &str| -> u64 {
+        *i += 1;
+        args.get(*i)
+            .and_then(|a| a.parse().ok())
+            .unwrap_or_else(|| usage_error(&format!("{option} needs a number")))
+    };
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => opts.quick = true,
-            "--authors" => {
-                i += 1;
-                opts.full_authors = args
-                    .get(i)
-                    .and_then(|a| a.parse().ok())
-                    .unwrap_or_else(|| usage_error("--authors needs a number"));
-            }
-            "--threads" => {
-                i += 1;
-                opts.threads = args
-                    .get(i)
-                    .and_then(|a| a.parse().ok())
-                    .unwrap_or_else(|| usage_error("--threads needs a number"));
-            }
+            "--authors" => opts.full_authors = number(&mut i, "--authors") as usize,
+            "--threads" => opts.threads = number(&mut i, "--threads") as usize,
             "--shards" => {
-                i += 1;
-                opts.shards = args
-                    .get(i)
-                    .and_then(|a| a.parse::<usize>().ok())
-                    .filter(|&s| s >= 1)
-                    .unwrap_or_else(|| usage_error("--shards needs a number >= 1"));
+                opts.shards = number(&mut i, "--shards") as usize;
+                if opts.shards == 0 {
+                    usage_error("--shards needs a number >= 1");
+                }
             }
-            "--chaos-seed" => {
-                i += 1;
-                opts.chaos_seed = args
-                    .get(i)
-                    .and_then(|a| a.parse().ok())
-                    .unwrap_or_else(|| usage_error("--chaos-seed needs a number"));
-            }
+            "--chaos-seed" => opts.chaos_seed = number(&mut i, "--chaos-seed"),
             "--json" => {
                 i += 1;
                 let path = args
@@ -176,276 +146,61 @@ fn main() {
     }
     let all = which.iter().any(|w| w == "all");
     let wants = |name: &str| all || which.iter().any(|w| w == name);
-    let mut report = Report::new();
+    let mut report = Json::obj::<String>([]);
 
     if wants("fig1") {
-        report.add("fig1", fig1(&opts));
+        report.push("fig1", fig1(&opts));
     }
     if wants("fig4") {
-        report.add("fig4", fig4(&opts));
+        report.push("fig4", fig4(&opts));
     }
     if wants("fig5") {
-        report.add("fig5", fig5(&opts));
+        report.push("fig5", fig5(&opts));
     }
     if wants("fig6") {
-        report.add("fig6", fig6(&opts));
+        report.push("fig6", fig6(&opts));
     }
     if wants("fig7") || wants("fig8") {
-        report.add("fig7_fig8", fig7_fig8(&opts));
+        report.push("fig7_fig8", fig7_fig8(&opts));
     }
     if wants("fig9") {
-        report.add("fig9", fig9(&opts));
+        report.push("fig9", fig9(&opts));
     }
     if wants("fig10") {
-        report.add("fig10", fig10_fig11(&opts, false));
+        report.push("fig10", fig10_fig11(&opts, false));
     }
     if wants("fig11") {
-        report.add("fig11", fig10_fig11(&opts, true));
+        report.push("fig11", fig10_fig11(&opts, true));
     }
-    if wants("session") {
-        report.add("session", session(&opts));
-    }
-    if wants("sharded") {
-        report.add("sharded", sharded(&opts));
-        report.add("query_sharded", query_sharded(&opts));
-    }
-    if wants("microbench") {
-        report.add("microbench", microbench(&opts));
-    }
+    let mut violations = Vec::new();
     if wants("approx") {
-        report.add("approx", approx(&opts));
+        report.push("approx", approx(&opts, &mut violations));
     }
     if wants("resilience") {
-        report.add("resilience", resilience(&opts));
+        report.push("resilience", resilience(&opts, &mut violations));
     }
     if wants("serve") {
-        report.add("serve", serve(&opts));
+        report.push("serve", serve(&opts, &mut violations));
     }
     if wants("updates") {
-        report.add("updates", updates(&opts));
+        report.push("updates", updates(&opts, &mut violations));
     }
     if wants("ablation") {
-        report.add("ablation", ablations(&opts));
+        report.push("ablation", ablations(&opts));
     }
-    report.write(&opts);
-}
-
-/// The parallel batch-session smoke: a 1-thread and an N-worker session
-/// must agree exactly, and both expose the shared-manager counters.
-fn session(opts: &Options) -> Json {
-    let threads = opts.threads.max(2);
-    let queries = if opts.quick { 3 } else { 10 };
-    println!("== Session: parallel batch evaluation ({threads} workers) ==");
-    println!(
-        "{:>10} {:>9} {:>16} {:>14} {:>12} {:>12}",
-        "aid domain", "queries", "sequential (s)", "parallel (s)", "max |diff|", "mgr nodes"
-    );
-    let mut rows = Vec::new();
-    for n in scales(opts.quick) {
-        let p = session_smoke(n, queries, threads);
-        println!(
-            "{:>10} {:>9} {:>16.6} {:>14.6} {:>12.2e} {:>12}",
-            p.num_authors,
-            p.num_queries,
-            secs(p.sequential),
-            secs(p.parallel),
-            p.max_abs_diff,
-            p.manager.nodes_allocated
-        );
-        let mut row = Json::obj([
-            ("num_authors", Json::from(p.num_authors)),
-            ("threads", Json::from(p.threads)),
-            ("num_queries", Json::from(p.num_queries)),
-            ("sequential_s", Json::from(secs(p.sequential))),
-            ("parallel_s", Json::from(secs(p.parallel))),
-            ("max_abs_diff", Json::from(p.max_abs_diff)),
-            ("plan_steps", Json::from(p.query.plan.steps)),
-            ("plan_probe_steps", Json::from(p.query.plan.probe_steps)),
-            ("blocks_scanned", Json::from(p.query.exec.blocks_scanned)),
-            ("csr_probe_steps", Json::from(p.query.exec.csr_probe_steps)),
-            ("batches", Json::from(p.query.exec.batches)),
-        ]);
-        row.push("manager", manager_stats_json(&p.manager));
-        rows.push(row);
+    write_report(report, &opts);
+    for v in &violations {
+        eprintln!("gate violated: {v}");
     }
-    println!();
-    Json::arr(rows)
-}
-
-/// The scale-out sharding campaign: a sustained batch of ≥10⁵ Boolean
-/// queries (≥4·10⁴ in `--quick`) through a component-sharded session at
-/// `--shards` shards versus the single-shard baseline, with per-query
-/// service-latency percentiles and the merged per-shard manager counters.
-fn sharded(opts: &Options) -> Json {
-    let num_shards = opts.shards;
-    let (num_authors, num_queries) = if opts.quick {
-        (2_000, 40_000)
-    } else {
-        (3_000, 120_000)
-    };
-    println!("== Sharded: component-partitioned scale-out ({num_shards} shards) ==");
-    println!(
-        "{:>10} {:>9} {:>8} {:>14} {:>12} {:>8} {:>10} {:>10} {:>10}",
-        "aid domain",
-        "queries",
-        "shards",
-        "1-shard (s)",
-        "sharded (s)",
-        "speedup",
-        "p50 (us)",
-        "p95 (us)",
-        "p99 (us)"
-    );
-    let p = sharded_throughput(num_authors, num_queries, num_shards);
-    println!(
-        "{:>10} {:>9} {:>8} {:>14.6} {:>12.6} {:>7.2}x {:>10.1} {:>10.1} {:>10.1}",
-        p.num_authors,
-        p.num_queries,
-        p.num_shards,
-        secs(p.single_shard),
-        secs(p.sharded),
-        p.speedup_total(),
-        secs(p.p50) * 1e6,
-        secs(p.p95) * 1e6,
-        secs(p.p99) * 1e6,
-    );
-    println!(
-        "             {} components, per-shard queries {:?}, {} oracle fallbacks, max |diff| {:.2e}",
-        p.num_components, p.shard_queries, p.fallbacks, p.max_abs_diff,
-    );
-    let mut row = Json::obj([
-        ("num_authors", Json::from(p.num_authors)),
-        ("num_shards", Json::from(p.num_shards)),
-        ("num_components", Json::from(p.num_components)),
-        ("num_queries", Json::from(p.num_queries)),
-        ("single_shard_s", Json::from(secs(p.single_shard))),
-        ("sharded_s", Json::from(secs(p.sharded))),
-        ("sharded_speedup_total", Json::from(p.speedup_total())),
-        ("p50_s", Json::from(secs(p.p50))),
-        ("p95_s", Json::from(secs(p.p95))),
-        ("p99_s", Json::from(secs(p.p99))),
-        ("max_abs_diff", Json::from(p.max_abs_diff)),
-        ("fallbacks", Json::from(p.fallbacks)),
-        ("plan_steps", Json::from(p.query.plan.steps)),
-        ("batches", Json::from(p.query.exec.batches)),
-    ]);
-    row.push(
-        "per_shard_queries",
-        Json::arr(p.shard_queries.iter().map(|&q| Json::from(q))),
-    );
-    row.push("manager", manager_stats_json(&p.manager));
-    println!();
-    Json::arr([row])
-}
-
-/// The `query_sharded` microbenchmark: the mixed point + broad workload
-/// through warmed sharded sessions at 1/2/4/8 shards, best-of-reps. Both
-/// profiles stay at the 800-author domain: the shard-count sweep isolates
-/// how the win scales with the number of managers, while the `sharded`
-/// campaign above covers domain scale.
-fn query_sharded(opts: &Options) -> Json {
-    let (num_authors, num_queries, reps) = if opts.quick {
-        (800, 4_000, 2)
-    } else {
-        (800, 20_000, 3)
-    };
-    println!("== Microbench: sharded batch evaluation (1/2/4/8 shards, best of {reps}) ==");
-    let p = microbench_query_sharded(num_authors, num_queries, reps);
-    println!(
-        "{:>10} {:>9} {:>8} {:>14} {:>9}",
-        "aid domain", "queries", "shards", "batch (s)", "speedup"
-    );
-    let mut rows = Vec::new();
-    for &(shards, time) in &p.shard_times {
-        println!(
-            "{:>10} {:>9} {:>8} {:>14.6} {:>8.2}x",
-            p.num_authors,
-            p.num_queries,
-            shards,
-            secs(time),
-            p.speedup_at(shards)
-        );
-        rows.push(Json::obj([
-            ("num_authors", Json::from(p.num_authors)),
-            ("num_queries", Json::from(p.num_queries)),
-            ("reps", Json::from(p.reps)),
-            ("num_shards", Json::from(shards)),
-            ("batch_s", Json::from(secs(time))),
-            ("speedup", Json::from(p.speedup_at(shards))),
-            ("max_abs_diff", Json::from(p.max_abs_diff)),
-        ]));
+    if !violations.is_empty() {
+        std::process::exit(1);
     }
-    println!();
-    Json::arr(rows)
-}
-
-/// The `manager_hotpath` microbenchmark: the same apply+negate+bulk-
-/// probability workload through the cache-conscious manager and through the
-/// pre-rework hash-map reference, with the speedups and the manager's
-/// probe/eviction counters recorded in the report.
-fn microbench(opts: &Options) -> Json {
-    let (num_vars, num_queries, clauses, reps) = microbench_scale(opts.quick);
-    println!("== Microbench: manager hot paths (dense tables vs SipHash hash maps) ==");
-    println!(
-        "  workload: {num_queries} queries x {clauses} two-literal clauses over {num_vars} vars, {reps} probability passes"
-    );
-    let p = microbench_manager_hotpath(num_vars, num_queries, clauses, reps);
-    println!(
-        "{:>24} {:>14} {:>14} {:>10}",
-        "phase", "manager (s)", "reference (s)", "speedup"
-    );
-    println!(
-        "{:>24} {:>14.6} {:>14.6} {:>9.2}x",
-        "apply + negate",
-        secs(p.manager_apply),
-        secs(p.reference_apply),
-        p.speedup_apply()
-    );
-    println!(
-        "{:>24} {:>14.6} {:>14.6} {:>9.2}x",
-        "bulk probability",
-        secs(p.manager_prob),
-        secs(p.reference_prob),
-        p.speedup_prob()
-    );
-    println!(
-        "{:>24} {:>14.6} {:>14.6} {:>9.2}x",
-        "total",
-        secs(p.manager_apply + p.manager_prob),
-        secs(p.reference_apply + p.reference_prob),
-        p.speedup_total()
-    );
-    println!(
-        "  manager stats: {} nodes, apply hit rate {:.3}, prob hit rate {:.3}, {} lossy evictions, {} table resizes",
-        p.manager.nodes_allocated,
-        p.manager.apply_cache_hit_rate(),
-        p.manager.prob_cache_hit_rate(),
-        p.manager.cache_evictions,
-        p.manager.computed_resizes,
-    );
-    println!();
-    let mut row = Json::obj([
-        ("num_vars", Json::from(p.num_vars)),
-        ("num_queries", Json::from(p.num_queries)),
-        ("clauses_per_query", Json::from(p.clauses_per_query)),
-        ("prob_reps", Json::from(p.prob_reps)),
-        ("manager_apply_s", Json::from(secs(p.manager_apply))),
-        ("manager_prob_s", Json::from(secs(p.manager_prob))),
-        ("reference_apply_s", Json::from(secs(p.reference_apply))),
-        ("reference_prob_s", Json::from(secs(p.reference_prob))),
-        ("speedup_apply", Json::from(p.speedup_apply())),
-        ("speedup_prob", Json::from(p.speedup_prob())),
-        ("speedup_total", Json::from(p.speedup_total())),
-        ("max_abs_diff", Json::from(p.max_abs_diff)),
-    ]);
-    row.push("manager", manager_stats_json(&p.manager));
-    Json::arr([row])
 }
 
 /// The `approx` series: the Monte Carlo backend on the Figure 5/6 workload
 /// — exact-vs-approx error against the MV-index oracle, CI width at each
 /// sample budget, interval-method usage and sampling throughput.
-fn approx(opts: &Options) -> Json {
+fn approx(opts: &Options, violations: &mut Vec<String>) -> Json {
     let queries = if opts.quick { 2 } else { 3 };
     let ladder = approx_ladder(opts.quick);
     println!("== Approx: Monte Carlo vs exact on the Figure 5/6 workload ==");
@@ -456,6 +211,7 @@ fn approx(opts: &Options) -> Json {
     let mut rows = Vec::new();
     for n in scales(opts.quick) {
         let p = approx_accuracy(n, queries, opts.threads.max(1), &ladder);
+        violations.extend(p.violations());
         let last = p.rungs.last().expect("ladder is non-empty");
         println!(
             "{:>10} {:>8} {:>12.5} {:>12.5} {:>9}/{:<2} {:>3}w{:>2}h{:>2}n {:>14.0}",
@@ -504,10 +260,9 @@ fn approx(opts: &Options) -> Json {
 /// The resilience campaign: the sharded workload evaluated through the
 /// degradation ladder twice — clean and under the seeded fault-injection
 /// campaign of [`resilience_chaos_config`] — with the chaos run's loss,
-/// degradation, retry, exactness and latency accounting. CI gates on this
-/// series: zero lost queries, bounded degraded fraction, exact-rung
-/// answers within 1e-9 of the clean run.
-fn resilience(opts: &Options) -> Json {
+/// degradation, retry, exactness and latency accounting, gated by
+/// [`ResiliencePoint::violations`].
+fn resilience(opts: &Options, violations: &mut Vec<String>) -> Json {
     let num_shards = opts.shards;
     let (num_authors, num_queries) = if opts.quick {
         (2_000, 40_000)
@@ -519,18 +274,8 @@ fn resilience(opts: &Options) -> Json {
         opts.chaos_seed
     );
     let p = resilience_campaign(num_authors, num_queries, num_shards, opts.chaos_seed);
-    println!(
-        "{:>10} {:>9} {:>10} {:>6} {:>10} {:>10} {:>9} {:>9} {:>12}",
-        "aid domain",
-        "queries",
-        "chaos (s)",
-        "lost",
-        "degraded",
-        "fallbacks",
-        "retries",
-        "p99 (us)",
-        "exact |err|"
-    );
+    violations.extend(p.violations());
+    println!("aid domain   queries  chaos (s)   lost   degraded  fallbacks   retries  p99 (us)  exact |err|");
     println!(
         "{:>10} {:>9} {:>10.3} {:>6} {:>9.3}% {:>10} {:>9} {:>9.1} {:>12.2e}",
         p.num_authors,
@@ -553,19 +298,7 @@ fn resilience(opts: &Options) -> Json {
             fault.name()
         );
     }
-    let injections: Vec<Json> = p
-        .injections
-        .iter()
-        .map(|(site, fault, draws, injected)| {
-            Json::obj([
-                ("site", Json::from(site.as_str())),
-                ("fault", Json::from(fault.name())),
-                ("draws", Json::from(*draws)),
-                ("injected", Json::from(*injected)),
-            ])
-        })
-        .collect();
-    let mut row = Json::obj([
+    let row = Json::obj([
         ("num_authors", Json::from(p.num_authors)),
         ("num_shards", Json::from(p.num_shards)),
         ("num_queries", Json::from(p.num_queries)),
@@ -587,18 +320,16 @@ fn resilience(opts: &Options) -> Json {
         ("p50_s", Json::from(secs(p.p50))),
         ("p95_s", Json::from(secs(p.p95))),
         ("p99_s", Json::from(secs(p.p99))),
+        ("injections", injections_json(&p.injections)),
     ]);
-    row.push("injections", Json::arr(injections));
     println!();
     Json::arr([row])
 }
 
 /// The serving soak: the paced over-capacity workload through a running
 /// [`mv_core::MvdbServer`], clean and under the seeded serve chaos
-/// campaign. CI gates on this series: zero lost admitted queries, bounded
-/// shed fraction, exact answers exact, and tail latency under the
-/// deadline.
-fn serve(opts: &Options) -> Json {
+/// campaign, gated by [`ServePoint::violations`].
+fn serve(opts: &Options, violations: &mut Vec<String>) -> Json {
     let (num_authors, num_queries) = if opts.quick {
         (800, 400)
     } else {
@@ -609,6 +340,7 @@ fn serve(opts: &Options) -> Json {
         opts.shards, opts.chaos_seed
     );
     let p = serve_soak(num_authors, num_queries, opts.shards, opts.chaos_seed);
+    violations.extend(p.violations());
     println!(
         "  capacity {:.0} q/s, offered {:.0} q/s, deadline {:.2}s",
         p.capacity_qps,
@@ -668,18 +400,6 @@ fn serve(opts: &Options) -> Json {
 /// Serializes one [`mv_bench::ServeRun`] pass for the machine-readable
 /// report (shared by the `serve` and `updates` series).
 fn serve_run_json(r: &mv_bench::ServeRun) -> Json {
-    let injections: Vec<Json> = r
-        .injections
-        .iter()
-        .map(|(site, fault, draws, injected)| {
-            Json::obj([
-                ("site", Json::from(site.as_str())),
-                ("fault", Json::from(fault.name())),
-                ("draws", Json::from(*draws)),
-                ("injected", Json::from(*injected)),
-            ])
-        })
-        .collect();
     Json::obj([
         ("elapsed_s", Json::from(secs(r.elapsed))),
         ("offered", Json::from(r.offered)),
@@ -704,8 +424,20 @@ fn serve_run_json(r: &mv_bench::ServeRun) -> Json {
         ("quarantined", Json::from(r.stats.quarantined)),
         ("updates_applied", Json::from(r.stats.updates_applied)),
         ("update_failures", Json::from(r.stats.update_failures)),
-        ("injections", Json::arr(injections)),
+        ("injections", injections_json(&r.injections)),
     ])
+}
+
+/// Serializes a chaos accounting, one object per rule.
+fn injections_json(rows: &[InjectionRow]) -> Json {
+    Json::arr(rows.iter().map(|(site, fault, draws, injected)| {
+        Json::obj([
+            ("site", Json::from(site.as_str())),
+            ("fault", Json::from(fault.name())),
+            ("draws", Json::from(*draws)),
+            ("injected", Json::from(*injected)),
+        ])
+    }))
 }
 
 /// Serializes the writer-side accounting of one live-update pass.
@@ -722,11 +454,8 @@ fn update_stats_json(u: &mv_bench::UpdateStats) -> Json {
 
 /// Live updates under snapshot semantics: the same paced read stream
 /// served read-only, with a clean concurrent writer, and with the writer
-/// under the update chaos campaign. CI gates on this series: zero lost
-/// queries in every pass, every answer exact against some published
-/// snapshot, bounded reader-tail inflation relative to the read-only
-/// baseline, and a fully-landed clean update schedule.
-fn updates(opts: &Options) -> Json {
+/// under the update chaos campaign, gated by [`UpdatePoint::violations`].
+fn updates(opts: &Options, violations: &mut Vec<String>) -> Json {
     let (num_authors, num_queries) = if opts.quick {
         (600, 400)
     } else {
@@ -737,6 +466,11 @@ fn updates(opts: &Options) -> Json {
         opts.shards, opts.chaos_seed
     );
     let p = update_soak(num_authors, num_queries, opts.shards, opts.chaos_seed);
+    // Six batches at 25 % per update site miss both sites for about 3 % of
+    // seeds (0.75¹²): the site-hit gate holds at quick scale only, where CI
+    // pins a seed that hits them.
+    let site_hit_gated = |v: &String| opts.quick || !v.starts_with("updates.update_site_hit:");
+    violations.extend(p.violations().into_iter().filter(site_hit_gated));
     println!(
         "  capacity {:.0} q/s, offered {:.0} q/s, deadline {:.2}s, {} update batches",
         p.capacity_qps,
@@ -888,22 +622,33 @@ fn fig1(opts: &Options) -> Json {
     println!("== Figure 1: dataset and MV-index inventory (synthetic DBLP, {n} authors) ==");
     let r = fig1_inventory(n);
     let s = r.stats;
-    println!("  deterministic tables:");
-    println!("    Author                    {:>10}", s.author);
-    println!("    Wrote                     {:>10}", s.wrote);
-    println!("    Pub                       {:>10}", s.publication);
-    println!("    HomePage                  {:>10}", s.homepage);
-    println!("    FirstPub                  {:>10}", s.first_pub);
-    println!("    DBLPAffiliation           {:>10}", s.dblp_affiliation);
-    println!("    CoPubRecent               {:>10}", s.co_pub_recent);
-    println!("  probabilistic tables:");
-    println!("    Student^p                 {:>10}", s.student);
-    println!("    Advisor^p                 {:>10}", s.advisor);
-    println!("    Affiliation^p             {:>10}", s.affiliation);
-    println!("  MarkoView outputs:");
-    println!("    V1                        {:>10}", s.v1);
-    println!("    V2                        {:>10}", s.v2);
-    println!("    V3                        {:>10}", s.v3);
+    // (section, printed name, report key, rows)
+    let tables = [
+        ("deterministic tables", "Author", "author", s.author),
+        ("", "Wrote", "wrote", s.wrote),
+        ("", "Pub", "publication", s.publication),
+        ("", "HomePage", "homepage", s.homepage),
+        ("", "FirstPub", "first_pub", s.first_pub),
+        (
+            "",
+            "DBLPAffiliation",
+            "dblp_affiliation",
+            s.dblp_affiliation,
+        ),
+        ("", "CoPubRecent", "co_pub_recent", s.co_pub_recent),
+        ("probabilistic tables", "Student^p", "student", s.student),
+        ("", "Advisor^p", "advisor", s.advisor),
+        ("", "Affiliation^p", "affiliation", s.affiliation),
+        ("MarkoView outputs", "V1", "v1", s.v1),
+        ("", "V2", "v2", s.v2),
+        ("", "V3", "v3", s.v3),
+    ];
+    for (section, name, _, rows) in tables {
+        if !section.is_empty() {
+            println!("  {section}:");
+        }
+        println!("    {name:<26}{rows:>10}");
+    }
     println!("  MV-index (Section 5.4):");
     println!("    blocks                    {:>10}", r.index.num_blocks);
     println!("    OBDD nodes                {:>10}", r.index.total_nodes);
@@ -921,21 +666,7 @@ fn fig1(opts: &Options) -> Json {
         ("num_authors", Json::from(n)),
         (
             "tables",
-            Json::obj([
-                ("author", Json::from(s.author)),
-                ("wrote", Json::from(s.wrote)),
-                ("publication", Json::from(s.publication)),
-                ("homepage", Json::from(s.homepage)),
-                ("first_pub", Json::from(s.first_pub)),
-                ("dblp_affiliation", Json::from(s.dblp_affiliation)),
-                ("co_pub_recent", Json::from(s.co_pub_recent)),
-                ("student", Json::from(s.student)),
-                ("advisor", Json::from(s.advisor)),
-                ("affiliation", Json::from(s.affiliation)),
-                ("v1", Json::from(s.v1)),
-                ("v2", Json::from(s.v2)),
-                ("v3", Json::from(s.v3)),
-            ]),
+            Json::obj(tables.map(|(_, _, key, rows)| (key, Json::from(rows)))),
         ),
         (
             "index",

@@ -15,15 +15,19 @@
 //! | Fig. 10 | per-query time, *students of an advisor*, full dataset | [`fig10_fig11_full_dataset`] |
 //! | Fig. 11 | per-query time, *affiliations of an author*, full dataset | [`fig10_fig11_full_dataset`] |
 //!
-//! The same routines back both the `figures` binary (which prints the series
-//! the paper plots) and the Criterion benches under `benches/`.
+//! Beside the figures, three campaigns exercise the serving stack under
+//! seeded fault injection: [`resilience_campaign`], [`serve_soak`] and
+//! [`update_soak`]. Each campaign point, and the [`approx_accuracy`] series,
+//! has a `violations()` method that names every gate the point breaks; the
+//! `figures` binary prints them and exits non-zero. End-to-end throughput
+//! and per-layer costs are measured by the repository benchmark under
+//! `benchmark/`, not here.
 //!
-//! Substitutions with respect to the paper's setup (documented in
-//! `DESIGN.md`): the DBLP dump is replaced by the seeded synthetic generator
-//! of `mv-dblp`; Alchemy is replaced by our own grounded MLN plus MC-SAT
-//! sampler; native CUDD is replaced by the synthesis-only OBDD builder; and
-//! Postgres lineage retrieval is replaced by the in-memory evaluator of
-//! `mv-query`.
+//! Substitutions with respect to the paper's setup: the DBLP dump is
+//! replaced by the seeded synthetic generator of `mv-dblp`; Alchemy is
+//! replaced by our own grounded MLN plus MC-SAT sampler; native CUDD is
+//! replaced by the synthesis-only OBDD builder; and Postgres lineage
+//! retrieval is replaced by the in-memory evaluator of `mv-query`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -121,15 +125,9 @@ pub struct MethodTimings {
     /// Offline MV-index compilation time (reported for context).
     pub index_compile: Duration,
     /// Per-backend online evaluation time over the workload, one entry per
-    /// element of [`comparison_backends`], in order.
-    ///
-    /// Unlike the pre-trait harness — which timed per-answer enumeration
-    /// (`answers`) for the MV-index but a single Boolean probability for
-    /// the OBDD baseline — every backend is now timed on the *same*
-    /// operation, the Boolean probability of each workload query, so the
-    /// columns are directly comparable. MVIndex series are therefore not
-    /// comparable to numbers produced before this change; per-answer
-    /// enumeration timings live in the Figure 10/11 harness instead.
+    /// element of [`comparison_backends`], in order. Every backend is timed
+    /// on the same operation, the Boolean probability of each workload
+    /// query; per-answer enumeration is timed by Figures 10/11.
     pub backends: Vec<BackendTiming>,
     /// Shared-OBDD-manager counters accumulated by the MV-index backend's
     /// workload run (worker query shards plus the index manager): node
@@ -149,8 +147,8 @@ pub fn baseline_mcsat_config() -> McSatConfig {
 }
 
 /// The exact backend selectors the Figure 5/6 comparison runs. Adding a
-/// strategy to the comparison is one line here — the harness, the `figures`
-/// binary and the Criterion benches all iterate this list.
+/// strategy to the comparison is one line here — the harness and the
+/// `figures` binary iterate this list.
 pub fn comparison_backends() -> Vec<EngineBackend> {
     vec![
         EngineBackend::ObddPerQuery,
@@ -588,83 +586,8 @@ pub fn ablation_pi_order(num_authors: usize) -> PiAblationPoint {
     }
 }
 
-/// Result of the parallel-session smoke experiment.
-#[derive(Debug, Clone)]
-pub struct SessionPoint {
-    /// The `aid` domain.
-    pub num_authors: usize,
-    /// Worker threads of the parallel run.
-    pub threads: usize,
-    /// Number of Boolean queries in the batch.
-    pub num_queries: usize,
-    /// Wall-clock time of the 1-thread session.
-    pub sequential: Duration,
-    /// Wall-clock time of the `threads`-worker session.
-    pub parallel: Duration,
-    /// Largest absolute difference between sequential and parallel results
-    /// (must stay below 1e-9: parallelism is a scheduling choice, never a
-    /// semantics choice).
-    pub max_abs_diff: f64,
-    /// Manager counters accumulated by the parallel run.
-    pub manager: ManagerStats,
-    /// Query-evaluator counters (plan shape + vectorized-executor work)
-    /// accumulated across the parallel run's workers.
-    pub query: mv_core::QueryStats,
-}
-
-/// Smoke-tests the `MvdbSession` batch API: evaluates the same workload
-/// through a 1-thread and an `threads`-worker session and compares results
-/// and wall-clock time. This is the figures-level proof that the shared
-/// manager refactor parallelises without changing any probability.
-pub fn session_smoke(num_authors: usize, num_queries: usize, threads: usize) -> SessionPoint {
-    let data = dataset_v1v2(num_authors);
-    let engine = MvdbEngine::compile(&data.mvdb).expect("compiles");
-    let mut queries = data
-        .students_of_advisor_workload(num_queries)
-        .expect("workload");
-    queries.extend(
-        data.advisor_of_student_workload(num_queries)
-            .expect("workload"),
-    );
-    let queries: Vec<Ucq> = queries.iter().map(|q| q.boolean()).collect();
-
-    let sequential_session = engine.session();
-    let t0 = Instant::now();
-    let sequential = sequential_session
-        .probabilities(&queries)
-        .expect("sequential batch");
-    let sequential_time = t0.elapsed();
-
-    let parallel_session = engine.session().with_threads(threads);
-    let t1 = Instant::now();
-    let parallel = parallel_session
-        .probabilities(&queries)
-        .expect("parallel batch");
-    let parallel_time = t1.elapsed();
-
-    let max_abs_diff = sequential
-        .iter()
-        .zip(&parallel)
-        .map(|(s, p)| (s - p).abs())
-        .fold(0.0f64, f64::max);
-    assert!(
-        max_abs_diff < 1e-9,
-        "parallel sessions must match sequential results (diff {max_abs_diff})"
-    );
-    SessionPoint {
-        num_authors,
-        threads,
-        num_queries: queries.len(),
-        sequential: sequential_time,
-        parallel: parallel_time,
-        max_abs_diff,
-        manager: parallel_session.last_manager_stats(),
-        query: parallel_session.last_query_stats(),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The sharded scale-out harness
+// The campaigns' shared workload and gates
 // ---------------------------------------------------------------------------
 
 /// A latency percentile of a sorted sample (nearest-rank, `q` in `[0, 1]`).
@@ -676,531 +599,118 @@ pub fn percentile(sorted: &[Duration], q: f64) -> Duration {
     sorted[rank - 1]
 }
 
-/// Result of the sharded-throughput experiment: one sustained batch through
-/// a component-sharded session versus the same batch through a single-shard
-/// session (the sequential baseline with identical routing overhead).
-#[derive(Debug, Clone)]
-pub struct ShardedPoint {
-    /// The `aid` domain.
-    pub num_authors: usize,
-    /// Shards of the partitioned run.
-    pub num_shards: usize,
-    /// Connected components the partition was built from.
-    pub num_components: usize,
-    /// Number of Boolean queries in the sustained batch.
-    pub num_queries: usize,
-    /// Wall-clock time of the single-shard session over the batch.
-    pub single_shard: Duration,
-    /// Wall-clock time of the `num_shards`-shard session over the batch.
-    pub sharded: Duration,
-    /// Per-query service-latency percentiles of the sharded run.
-    pub p50: Duration,
-    /// 95th percentile.
-    pub p95: Duration,
-    /// 99th percentile.
-    pub p99: Duration,
-    /// Largest absolute difference between sharded and oracle results on
-    /// the distinct workload queries (the exactness check; must stay below
-    /// 1e-9 — sharding is a scheduling choice, never a semantics choice).
-    pub max_abs_diff: f64,
-    /// Sub-queries evaluated per shard during the sharded batch.
-    pub shard_queries: Vec<u64>,
-    /// Queries that degraded to the unsharded oracle.
-    pub fallbacks: u64,
-    /// Merged manager counters of the sharded batch (every shard worker's
-    /// query side).
-    pub manager: ManagerStats,
-    /// Merged query-layer counters of the sharded batch.
-    pub query: mv_core::QueryStats,
-}
-
-impl ShardedPoint {
-    /// Batch throughput of the sharded session over the single-shard one.
-    pub fn speedup_total(&self) -> f64 {
-        secs(self.single_shard) / secs(self.sharded).max(1e-12)
+/// The campaign's chaos spec: `default`, unless the `MV_CHAOS`
+/// environment variable holds one (whose seed then overrides it).
+fn chaos_or_env(default: mv_core::chaos::ChaosConfig) -> mv_core::chaos::ChaosConfig {
+    match mv_core::chaos::ChaosConfig::from_env() {
+        Ok(spec) => spec.unwrap_or(default),
+        Err(e) => panic!("invalid MV_CHAOS spec: {e}"),
     }
 }
 
-/// The mixed scale-out workload: the Boolean Figure 5/6 point queries with
-/// one broad Figure 2-style name-selection query every `stride` queries,
-/// and (optionally) one *heavy* name-selection query every `heavy_stride`.
+/// Runs `pass` with the chaos campaign `config` installed (a rule-free one
+/// still serializes against every other campaign in the process) and
+/// returns its result with the campaign's injection accounting.
+fn under_chaos<T>(
+    config: mv_core::chaos::ChaosConfig,
+    pass: impl FnOnce() -> T,
+) -> (T, Vec<InjectionRow>) {
+    let _guard = mv_core::chaos::install(config);
+    let out = pass();
+    (out, mv_core::chaos::injection_counts())
+}
+
+/// `pass` under a rule-free chaos campaign.
+fn clean<T>(pass: impl FnOnce() -> T) -> T {
+    under_chaos(mv_core::chaos::ChaosConfig::new(0), pass).0
+}
+
+/// The soaks' fixture: the distinct Boolean Figure 5/6 point queries of
+/// `data`, a `num_shards`-shard engine over it, and their exact answers on
+/// that engine (the pass doubles as index and plan warmup).
+fn soak_fixture(
+    data: &DblpDataset,
+    num_shards: usize,
+) -> (Vec<Ucq>, std::sync::Arc<ShardedEngine>, Vec<f64>) {
+    let distinct: Vec<Ucq> = query_eval_workload(data, (data.config.num_authors / 4).max(8))
+        .iter()
+        .map(|q| q.boolean())
+        .collect();
+    let engine = ShardedEngine::compile(&data.mvdb, num_shards).expect("sharded engine compiles");
+    let oracle = distinct
+        .iter()
+        .map(|q| engine.probability(q).expect("oracle probability"))
+        .collect();
+    (distinct, std::sync::Arc::new(engine), oracle)
+}
+
+/// Broad-query stride of [`sharded_workload`]: one Figure 2-style
+/// name-selection query per this many queries.
+pub const SHARDED_BROAD_STRIDE: usize = 256;
+
+/// The mixed workload of the resilience campaign: the Boolean Figure 5/6
+/// point queries with one broad name-selection query every
+/// [`SHARDED_BROAD_STRIDE`] queries.
 ///
 /// The point queries touch one or two dependency components each, so their
 /// cost is dominated by routing. The broad queries (`students of an advisor
 /// whose name matches %f000d%`, one fragment per 100-aid advisor band) have
-/// lineages of several hundred clauses spanning hundreds of components. The
-/// heavy queries (`%f000%` / `%f001%`, each a 1000-aid advisor band) reach
-/// thousands of clauses over about a thousand index blocks — the largest
-/// diagrams and slices the online path builds, at a cost linear in both,
-/// so the shards gain on them what they gain everywhere: one core each.
-/// Returns `(stream, distinct)`; the distinct list drives the exactness
-/// check against the oracle.
+/// lineages of several hundred clauses spanning hundreds of components.
 pub fn sharded_workload(
     data: &DblpDataset,
     num_distinct_point: usize,
     num_queries: usize,
-    stride: usize,
-    heavy_stride: Option<usize>,
-) -> (Vec<Ucq>, Vec<Ucq>) {
-    let named = |fragment: &str| {
-        mv_dblp::queries::students_of_advisor_named(fragment)
-            .expect("fragment query parses")
-            .boolean()
-    };
-    let mut distinct: Vec<Ucq> = query_eval_workload(data, num_distinct_point)
+) -> Vec<Ucq> {
+    let point: Vec<Ucq> = query_eval_workload(data, num_distinct_point)
         .iter()
         .map(|q| q.boolean())
         .collect();
-    let broad: Vec<Ucq> = (1..=9).map(|d| named(&format!("f000{d}"))).collect();
-    let heavy: Vec<Ucq> = ["f000", "f001"].iter().map(|f| named(f)).collect();
-    let point_len = distinct.len();
-    let stream = (0..num_queries)
-        .map(|i| match heavy_stride {
-            Some(h) if i % h == 0 => heavy[(i / h) % heavy.len()].clone(),
-            _ if i % stride == 0 => broad[(i / stride) % broad.len()].clone(),
-            _ => distinct[i % point_len].clone(),
+    let broad: Vec<Ucq> = (1..=9)
+        .map(|d| {
+            mv_dblp::queries::students_of_advisor_named(&format!("f000{d}"))
+                .expect("fragment query parses")
+                .boolean()
         })
         .collect();
-    distinct.extend(broad);
-    if heavy_stride.is_some() {
-        distinct.extend(heavy);
-    }
-    (stream, distinct)
-}
-
-/// Broad-query stride of the sustained sharded campaign (one Figure 2-style
-/// name-selection query per this many point queries).
-pub const SHARDED_BROAD_STRIDE: usize = 256;
-
-/// Heavy-query stride of the sustained sharded campaign: one
-/// thousand-component name-selection query per this many queries. Rare
-/// enough to leave the tail percentiles point-query-shaped, frequent
-/// enough that a super-linear synthesis or slice assembly would show as a
-/// superlinear campaign speedup (the CI canary).
-pub const SHARDED_HEAVY_STRIDE: usize = 10_240;
-
-/// The sustained-throughput experiment of the scale-out sharding layer:
-/// streams the mixed [`sharded_workload`] (point queries plus a broad
-/// name-selection query every [`SHARDED_BROAD_STRIDE`]) through a
-/// single-shard session and a `num_shards`-shard session of the same
-/// engine. Exactness against the unsharded oracle is asserted on the
-/// distinct workload queries before anything is timed (the check doubles
-/// as warmup).
-pub fn sharded_throughput(
-    num_authors: usize,
-    num_queries: usize,
-    num_shards: usize,
-) -> ShardedPoint {
-    let data = dataset_v1v2(num_authors);
-    // A wide slice of distinct point constants: with only a handful of
-    // distinct queries the batch degenerates into cache-hit replays whose
-    // fixed per-query cost caps the speedup.
-    let (queries, distinct) = sharded_workload(
-        &data,
-        num_authors / 4,
-        num_queries,
-        SHARDED_BROAD_STRIDE,
-        Some(SHARDED_HEAVY_STRIDE),
-    );
-    let engine = ShardedEngine::compile(&data.mvdb, num_shards).expect("sharded engine compiles");
-    let single =
-        ShardedEngine::from_engine(engine.full().clone(), 1).expect("single-shard engine compiles");
-
-    // Exactness oracle (and warmup): every distinct query must agree with
-    // the unsharded engine.
-    let max_abs_diff = distinct
-        .iter()
-        .map(|q| {
-            let p = engine.probability(q).expect("sharded probability");
-            let r = engine.full().probability(q).expect("oracle probability");
-            (p - r).abs()
-        })
-        .fold(0.0f64, f64::max);
-    assert!(
-        max_abs_diff < 1e-9,
-        "sharded evaluation must match the oracle (diff {max_abs_diff})"
-    );
-
-    let backend = EngineBackend::MvIndex(engine.full().intersect_algorithm());
-    let single_session = single.session();
-    let t0 = Instant::now();
-    single_session
-        .probabilities_with_backend(&queries, backend)
-        .expect("single-shard batch");
-    let single_time = t0.elapsed();
-
-    // The ladder over the same exact backend: identical answers on a clean
-    // run, plus each query's service latency in its outcome.
-    let session = engine.session();
-    let t1 = Instant::now();
-    let outcomes =
-        session.resilient_probabilities(&queries, &mv_core::ResilienceConfig::with_inner(backend));
-    let sharded_time = t1.elapsed();
-    assert!(outcomes.iter().all(|o| o.answered()), "sharded batch");
-    let mut latencies: Vec<Duration> = outcomes.iter().map(|o| o.elapsed).collect();
-    latencies.sort();
-
-    ShardedPoint {
-        num_authors,
-        num_shards,
-        num_components: engine.partition().num_components(),
-        num_queries: queries.len(),
-        single_shard: single_time,
-        sharded: sharded_time,
-        p50: percentile(&latencies, 0.50),
-        p95: percentile(&latencies, 0.95),
-        p99: percentile(&latencies, 0.99),
-        max_abs_diff,
-        shard_queries: session.last_shard_queries(),
-        fallbacks: session.last_fallbacks(),
-        manager: session.last_manager_stats(),
-        query: session.last_query_stats(),
-    }
-}
-
-/// One run of the `query_sharded` microbenchmark: the Figure 5/6 workload
-/// (scaled up by cycling) through sharded sessions at several shard
-/// counts, each batch warmed once and reported as best-of-`reps`.
-#[derive(Debug, Clone)]
-pub struct QueryShardedPoint {
-    /// The `aid` domain.
-    pub num_authors: usize,
-    /// Number of Boolean queries in the batch.
-    pub num_queries: usize,
-    /// Timed repetitions per shard count (best is reported).
-    pub reps: usize,
-    /// `(shard count, best-of-reps batch time)`, ascending by shard count.
-    pub shard_times: Vec<(usize, Duration)>,
-    /// Largest absolute difference against the unsharded oracle across all
-    /// shard counts on the distinct workload queries.
-    pub max_abs_diff: f64,
-}
-
-impl QueryShardedPoint {
-    /// Best batch time at a shard count (panics if the count was not run).
-    pub fn time_at(&self, shards: usize) -> Duration {
-        self.shard_times
-            .iter()
-            .find(|(s, _)| *s == shards)
-            .map(|(_, d)| *d)
-            .expect("shard count was benchmarked")
-    }
-
-    /// Speedup of `shards` shards over the single-shard baseline.
-    pub fn speedup_at(&self, shards: usize) -> f64 {
-        secs(self.time_at(1)) / secs(self.time_at(shards)).max(1e-12)
-    }
-}
-
-/// Runs the `query_sharded` microbenchmark at shard counts 1/2/4/8.
-pub fn microbench_query_sharded(
-    num_authors: usize,
-    num_queries: usize,
-    reps: usize,
-) -> QueryShardedPoint {
-    let data = dataset_v1v2(num_authors);
-    let (queries, distinct) = sharded_workload(&data, num_authors / 4, num_queries, 128, None);
-    let full = MvdbEngine::compile(&data.mvdb).expect("engine compiles");
-    let oracle: Vec<f64> = distinct
-        .iter()
-        .map(|q| full.probability(q).expect("oracle probability"))
-        .collect();
-    let backend = EngineBackend::MvIndex(full.intersect_algorithm());
-    let mut shard_times = Vec::new();
-    let mut max_abs_diff = 0.0f64;
-    for shards in [1, 2, 4, 8] {
-        let engine =
-            ShardedEngine::from_engine(full.clone(), shards).expect("sharded engine compiles");
-        // Exactness check per shard count; doubles as the warmup pass.
-        for (q, r) in distinct.iter().zip(&oracle) {
-            let p = engine.probability(q).expect("sharded probability");
-            max_abs_diff = max_abs_diff.max((p - r).abs());
-        }
-        assert!(
-            max_abs_diff < 1e-9,
-            "sharded evaluation must match the oracle (diff {max_abs_diff})"
-        );
-        let session = engine.session();
-        let best = (0..reps.max(1))
-            .map(|_| {
-                let t = Instant::now();
-                session
-                    .probabilities_with_backend(&queries, backend)
-                    .expect("sharded batch");
-                t.elapsed()
-            })
-            .min()
-            .expect("at least one rep");
-        shard_times.push((shards, best));
-    }
-    QueryShardedPoint {
-        num_authors,
-        num_queries: queries.len(),
-        reps: reps.max(1),
-        shard_times,
-        max_abs_diff,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The `manager_hotpath` microbenchmark
-// ---------------------------------------------------------------------------
-
-/// One run of the `manager_hotpath` microbenchmark: the same DBLP-style
-/// workload (OR-folds of two-literal clauses, negation, then bulk cached
-/// probability passes over changing weight epochs) executed twice — once
-/// through the production [`ObddManager`](mv_obdd::ObddManager) (FxHash
-/// unique table, lossy direct-mapped computed table, dense side tables,
-/// explicit-stack traversals) and once through the pre-rework-style
-/// [`mv_obdd::RefManager`] (SipHash `HashMap` caches, recursion). The
-/// speedups are the recorded proof of the cache-conscious design.
-#[derive(Debug, Clone)]
-pub struct MicrobenchPoint {
-    /// Number of tuple variables in the order.
-    pub num_vars: usize,
-    /// Number of query diagrams built.
-    pub num_queries: usize,
-    /// Two-literal clauses OR-folded into each query diagram.
-    pub clauses_per_query: usize,
-    /// Bulk-probability passes over all diagrams (every fourth pass starts
-    /// a new weight epoch, so the runs mix cold recomputation with warm
-    /// cache hits).
-    pub prob_reps: usize,
-    /// Apply + negate time through the production manager.
-    pub manager_apply: Duration,
-    /// Bulk cached-probability time through the production manager.
-    pub manager_prob: Duration,
-    /// Apply + negate time through the hash-map reference.
-    pub reference_apply: Duration,
-    /// Bulk cached-probability time through the hash-map reference.
-    pub reference_prob: Duration,
-    /// Largest |manager − reference| difference over all per-pass
-    /// probability sums (the two implementations must agree exactly).
-    pub max_abs_diff: f64,
-    /// Production-manager counters for the run (probe hits/misses, lossy
-    /// evictions, computed-table resizes).
-    pub manager: ManagerStats,
-}
-
-impl MicrobenchPoint {
-    /// Reference / manager wall-clock ratio on the apply+negate phase.
-    pub fn speedup_apply(&self) -> f64 {
-        secs(self.reference_apply) / secs(self.manager_apply).max(1e-12)
-    }
-
-    /// Reference / manager wall-clock ratio on the bulk-probability phase.
-    pub fn speedup_prob(&self) -> f64 {
-        secs(self.reference_prob) / secs(self.manager_prob).max(1e-12)
-    }
-
-    /// Reference / manager wall-clock ratio over both phases combined (the
-    /// "apply + probability path" number the acceptance gate checks).
-    pub fn speedup_total(&self) -> f64 {
-        secs(self.reference_apply + self.reference_prob)
-            / secs(self.manager_apply + self.manager_prob).max(1e-12)
-    }
-}
-
-/// The deterministic DBLP-style workload of the microbenchmark: per query, a
-/// list of two-literal clauses (an "advisor" variable joined with a nearby
-/// "student" variable, like the per-answer lineages of Figures 5/6). Three
-/// properties mirror the real online phase: clause variable pairs span at
-/// most a few levels (the π order keeps groundings level-local, so diagrams
-/// stay narrow instead of blowing up); clauses repeat across queries; and
-/// every distinct query recurs ~10× across the batch (hot queries under
-/// production traffic) — the sharing patterns the shared-arena unique table,
-/// the computed table and the epoch-stamped probability cache exist for.
-pub fn hotpath_workload(
-    num_vars: usize,
-    num_queries: usize,
-    clauses_per_query: usize,
-) -> Vec<Vec<[TupleId; 2]>> {
-    // The largest id emitted is 2*(half-1) + 3; below 8 variables that
-    // bound cannot be honoured, so fail here with a clear message instead
-    // of deep inside a diagram build with an UnknownVariable error.
-    assert!(
-        num_vars >= 8,
-        "hotpath_workload needs at least 8 variables (got {num_vars})"
-    );
-    let half = (num_vars / 2).saturating_sub(2).max(1);
-    let distinct = (num_queries / 10).max(1);
     (0..num_queries)
-        .map(|i| {
-            let q = i % distinct;
-            (0..clauses_per_query)
-                .map(|j| {
-                    let a = 2 * ((q * 13 + j * 5) % half);
-                    let b = a + 1 + (q + j) % 3;
-                    [TupleId(a as u32), TupleId(b as u32)]
-                })
-                .collect()
+        .map(|i| match i % SHARDED_BROAD_STRIDE {
+            0 => broad[(i / SHARDED_BROAD_STRIDE) % broad.len()].clone(),
+            _ => point[i % point.len()].clone(),
         })
         .collect()
 }
 
-/// The weight function of the microbenchmark (distinct per variable).
-pub fn hotpath_prob(num_vars: usize) -> impl Fn(TupleId) -> f64 + Copy {
-    move |t: TupleId| 0.05 + 0.9 * (f64::from(t.0) / num_vars.max(1) as f64)
-}
+/// The gates one campaign point breaks: each entry is `"<gate>: <values>"`,
+/// the gate's name followed by the values that broke it.
+#[derive(Debug, Default)]
+struct Gates(Vec<String>);
 
-/// Builds every workload diagram in one shared [`mv_obdd::ObddManager`]
-/// (OR-fold of the clauses), then negates every other diagram — the compile-shaped half
-/// of the hot path. Returns the manager and all roots (negations included).
-pub fn manager_hotpath_build(
-    order: &std::sync::Arc<mv_obdd::VarOrder>,
-    workload: &[Vec<[TupleId; 2]>],
-) -> (mv_obdd::ObddManager, Vec<Obdd>) {
-    let manager = mv_obdd::ObddManager::new(std::sync::Arc::clone(order));
-    let mut diagrams: Vec<Obdd> = workload
-        .iter()
-        .map(|clauses| manager.dnf(clauses).expect("dnf builds"))
-        .collect();
-    let negated: Vec<Obdd> = diagrams.iter().step_by(2).map(Obdd::negate).collect();
-    diagrams.extend(negated);
-    (manager, diagrams)
-}
-
-/// The same build through the recursive hash-map reference implementation.
-pub fn reference_hotpath_build(
-    order: &std::sync::Arc<mv_obdd::VarOrder>,
-    workload: &[Vec<[TupleId; 2]>],
-) -> (mv_obdd::RefManager, Vec<mv_obdd::NodeId>) {
-    let mut reference = mv_obdd::RefManager::new(std::sync::Arc::clone(order));
-    let mut roots: Vec<mv_obdd::NodeId> = workload
-        .iter()
-        .map(|clauses| {
-            let mut acc = mv_obdd::RefManager::constant(false);
-            for pair in clauses {
-                let clause = reference.clause(pair).expect("clause builds");
-                acc = reference.apply_or(acc, clause);
-            }
-            acc
-        })
-        .collect();
-    let negated: Vec<mv_obdd::NodeId> = roots
-        .iter()
-        .step_by(2)
-        .copied()
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|r| reference.negate(r))
-        .collect();
-    roots.extend(negated);
-    (reference, roots)
-}
-
-/// One bulk-probability pass over all manager diagrams (cached, one lock
-/// acquisition for the whole batch); bumps the weight epoch first when
-/// `new_epoch` is set.
-pub fn manager_bulk_probability(
-    manager: &mv_obdd::ObddManager,
-    diagrams: &[Obdd],
-    prob_of: impl Fn(TupleId) -> f64 + Copy,
-    new_epoch: bool,
-) -> f64 {
-    if new_epoch {
-        manager.bump_weight_epoch();
-    }
-    manager
-        .bulk_probability_cached(diagrams, prob_of)
-        .into_iter()
-        .sum()
-}
-
-/// One bulk-probability pass through the reference implementation; clears
-/// its hash-map cache first when `new_epoch` is set (the reference's
-/// analogue of an epoch bump).
-pub fn reference_bulk_probability(
-    reference: &mut mv_obdd::RefManager,
-    roots: &[mv_obdd::NodeId],
-    prob_of: impl Fn(TupleId) -> f64 + Copy,
-    new_epoch: bool,
-) -> f64 {
-    if new_epoch {
-        reference.clear_prob_cache();
-    }
-    roots
-        .iter()
-        .map(|&r| reference.probability(r, &prob_of))
-        .sum()
-}
-
-/// Runs the full microbenchmark at one scale: apply+negate and
-/// `prob_reps` bulk-probability passes (a new weight epoch every fourth
-/// pass), through the production manager and through the reference, with an
-/// exact agreement check on every per-pass sum.
-pub fn microbench_manager_hotpath(
-    num_vars: usize,
-    num_queries: usize,
-    clauses_per_query: usize,
-    prob_reps: usize,
-) -> MicrobenchPoint {
-    let order = std::sync::Arc::new(mv_obdd::VarOrder::from_tuples(
-        (0..num_vars as u32).map(TupleId),
-    ));
-    let workload = hotpath_workload(num_vars, num_queries, clauses_per_query);
-    let prob_of = hotpath_prob(num_vars);
-
-    // Untimed warmup of both code paths (allocator, branch predictors), so
-    // the first timed phase is not penalised for going first.
-    {
-        let mini = hotpath_workload(num_vars, (num_queries / 8).max(1), clauses_per_query);
-        let (manager, diagrams) = manager_hotpath_build(&order, &mini);
-        let _ = manager_bulk_probability(&manager, &diagrams, prob_of, true);
-        let (mut reference, roots) = reference_hotpath_build(&order, &mini);
-        let _ = reference_bulk_probability(&mut reference, &roots, prob_of, true);
+impl Gates {
+    /// Records `gate` as broken unless `holds`.
+    fn check(&mut self, gate: &str, holds: bool, values: impl FnOnce() -> String) {
+        if !holds {
+            self.0.push(format!("{gate}: {}", values()));
+        }
     }
 
-    let t0 = Instant::now();
-    let (manager, diagrams) = manager_hotpath_build(&order, &workload);
-    let manager_apply = t0.elapsed();
-    let t1 = Instant::now();
-    let manager_sums: Vec<f64> = (0..prob_reps)
-        .map(|rep| manager_bulk_probability(&manager, &diagrams, prob_of, rep % 4 == 0))
-        .collect();
-    let manager_prob = t1.elapsed();
-    let stats = manager.stats();
-
-    let t2 = Instant::now();
-    let (mut reference, roots) = reference_hotpath_build(&order, &workload);
-    let reference_apply = t2.elapsed();
-    let t3 = Instant::now();
-    let reference_sums: Vec<f64> = (0..prob_reps)
-        .map(|rep| reference_bulk_probability(&mut reference, &roots, prob_of, rep % 4 == 0))
-        .collect();
-    let reference_prob = t3.elapsed();
-
-    let max_abs_diff = manager_sums
-        .iter()
-        .zip(&reference_sums)
-        .map(|(m, r)| (m - r).abs())
-        .fold(0.0f64, f64::max);
-    assert!(
-        max_abs_diff < 1e-9,
-        "manager and reference disagree by {max_abs_diff}"
-    );
-
-    MicrobenchPoint {
-        num_vars,
-        num_queries,
-        clauses_per_query,
-        prob_reps,
-        manager_apply,
-        manager_prob,
-        reference_apply,
-        reference_prob,
-        max_abs_diff,
-        manager: stats,
+    /// The latency percentiles are positive and ordered.
+    fn percentiles(&mut self, gate: &str, p50: Duration, p95: Duration, p99: Duration) {
+        self.check(gate, !p50.is_zero() && p50 <= p95 && p95 <= p99, || {
+            format!("p50 {p50:?}, p95 {p95:?}, p99 {p99:?}")
+        });
     }
-}
 
-/// The microbenchmark scale used by the figures binary: quick mode stays
-/// under a second, full mode a few seconds.
-pub fn microbench_scale(quick: bool) -> (usize, usize, usize, usize) {
-    if quick {
-        (2000, 3000, 8, 50)
-    } else {
-        (4000, 10000, 10, 100)
+    /// The chaos accounting injected at least one fault at a site whose
+    /// name starts with `site_prefix`.
+    fn injected(&mut self, gate: &str, rows: &[InjectionRow], site_prefix: &str) {
+        let injected: u64 = rows
+            .iter()
+            .filter(|(site, ..)| site.starts_with(site_prefix))
+            .map(|row| row.3)
+            .sum();
+        self.check(gate, injected > 0, || {
+            format!("{injected} injected at `{site_prefix}*`: {rows:?}")
+        });
     }
 }
 
@@ -1237,7 +747,7 @@ pub struct ApproxRung {
 /// One scaling point of the `approx` series: the Monte Carlo backend on the
 /// Figure 5/6 workload, with exact-vs-approx error, CI width per sample
 /// budget, and sampling throughput.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ApproxPoint {
     /// The `aid` domain.
     pub num_authors: usize,
@@ -1259,6 +769,36 @@ pub struct ApproxPoint {
     pub covered: usize,
     /// Interval-method usage at the final rung (Wilson / Hoeffding / Normal).
     pub methods: [usize; 3],
+}
+
+impl ApproxPoint {
+    /// The gates this point breaks, each named with its values (empty when
+    /// all hold). Estimation is deterministic under the recorded seed, so
+    /// the error gate is not flaky.
+    pub fn violations(&self) -> Vec<String> {
+        let mut g = Gates::default();
+        g.check("approx.abs_err_max", self.abs_err_max <= 0.02, || {
+            format!("max |err| {} > 0.02", self.abs_err_max)
+        });
+        g.check("approx.samples_per_sec", self.samples_per_sec > 0.0, || {
+            format!("{} samples/s", self.samples_per_sec)
+        });
+        g.check("approx.covered", self.covered == self.num_queries, || {
+            format!(
+                "a 99% CI missed its exact value: {} of {} covered",
+                self.covered, self.num_queries
+            )
+        });
+        g.check("approx.ladder_len", self.rungs.len() >= 2, || {
+            format!("{} rungs", self.rungs.len())
+        });
+        let widths = self.rungs.first().zip(self.rungs.last());
+        let shrinks = widths.is_some_and(|(a, z)| z.mean_half_width < a.mean_half_width);
+        g.check("approx.width_shrinks", shrinks, || {
+            format!("mean CI half-width by budget: {:?}", self.rungs)
+        });
+        g.0
+    }
 }
 
 /// The sample-budget ladder of the `approx` series.
@@ -1362,25 +902,6 @@ pub fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
-/// Sanity helper used by benches: checks an engine answers a workload with
-/// probabilities in `[0, 1]`.
-pub fn check_workload(engine: &MvdbEngine, queries: &[Ucq]) {
-    for q in queries {
-        for (_, p) in engine.answers(q).expect("answers") {
-            assert!(
-                (-1e-9..=1.0 + 1e-9).contains(&p),
-                "probability {p} out of range"
-            );
-        }
-    }
-}
-
-/// Convenience used by benches: compile an engine with a specific
-/// intersection algorithm.
-pub fn compile_engine(data: &DblpDataset, algo: IntersectAlgorithm) -> MvdbEngine {
-    MvdbEngine::compile_with(&data.mvdb, algo).expect("compiles")
-}
-
 /// Per-rung answer counts of a resilience run.
 #[derive(Debug, Clone, Default)]
 pub struct RungCounts {
@@ -1399,7 +920,7 @@ pub type InjectionRow = (String, mv_core::chaos::Fault, u64, u64);
 /// through [`mv_core::ShardedSession::resilient_probabilities`] twice —
 /// once clean, once under a seeded fault-injection campaign — with the
 /// chaos run's degradation, retry and exactness accounting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ResiliencePoint {
     /// The `aid` domain.
     pub num_authors: usize,
@@ -1450,6 +971,64 @@ impl ResiliencePoint {
     pub fn degraded_fraction(&self) -> f64 {
         self.degraded as f64 / (self.num_queries as f64).max(1.0)
     }
+
+    /// The gates this point breaks, each named with its values (empty when
+    /// all hold).
+    pub fn violations(&self) -> Vec<String> {
+        let mut g = Gates::default();
+        // The ladder's last rung and the oracle rescue path run chaos-free,
+        // so every valid query is structurally guaranteed an answer.
+        g.check("resilience.lost", self.lost == 0, || {
+            format!("{} lost queries", self.lost)
+        });
+        // Chaos may slow a query or bounce it between workers, never change
+        // its answer; the bounded rung is the exact kernel under a node cap.
+        g.check(
+            "resilience.exact_err",
+            self.exact_max_abs_err < 1e-9,
+            || format!("exact-rung drift {}", self.exact_max_abs_err),
+        );
+        g.check(
+            "resilience.bounded_err",
+            self.bounded_max_abs_err < 1e-9,
+            || format!("bounded-rung drift {}", self.bounded_max_abs_err),
+        );
+        let fraction = self.degraded_fraction();
+        g.check(
+            "resilience.degraded_fraction",
+            0.0 < fraction && fraction < 0.2,
+            || format!("{} of {} degraded", self.degraded, self.num_queries),
+        );
+        let answered = self.rungs.exact + self.rungs.bounded + self.rungs.monte_carlo;
+        g.check(
+            "resilience.accounting",
+            answered == self.num_queries as u64,
+            || {
+                format!(
+                    "{answered} answered on a rung of {} queries",
+                    self.num_queries
+                )
+            },
+        );
+        g.injected("resilience.injected", &self.injections, "");
+        let overdrawn = self
+            .injections
+            .iter()
+            .any(|(_, _, draws, injected)| injected > draws);
+        g.check("resilience.injected_le_draws", !overdrawn, || {
+            format!("{:?}", self.injections)
+        });
+        // Degraded answers stay inside their advertised interval budget
+        // (4 sigma-ish slack over the summed half-widths).
+        let tolerance = 4.0 * self.max_epsilon.max(0.05) + 0.02;
+        g.check(
+            "resilience.degraded_tolerance",
+            self.degraded_max_abs_err <= tolerance,
+            || format!("degraded |err| {} > {tolerance}", self.degraded_max_abs_err),
+        );
+        g.percentiles("resilience.percentiles", self.p50, self.p95, self.p99);
+        g.0
+    }
 }
 
 /// The default chaos campaign of the resilience benchmark: panics in
@@ -1470,33 +1049,22 @@ pub fn resilience_chaos_config(seed: u64) -> mv_core::chaos::ChaosConfig {
 /// through a resilient sharded session, clean and under
 /// [`resilience_chaos_config`] — or, when the `MV_CHAOS` environment
 /// variable is set, under that spec instead (its seed overrides
-/// `chaos_seed`). Asserts the hard invariants (every query answered in
-/// both runs, clean run fully exact) and reports the soft series
-/// (degradation, retries, exactness, latency) for the JSON gates.
+/// `chaos_seed`). Asserts that the clean run answers every query exactly,
+/// and reports the chaos run's degradation, retry, exactness and latency
+/// accounting for [`ResiliencePoint::violations`].
 pub fn resilience_campaign(
     num_authors: usize,
     num_queries: usize,
     num_shards: usize,
     chaos_seed: u64,
 ) -> ResiliencePoint {
-    use mv_core::chaos::{self, ChaosConfig};
     use mv_core::{ResilienceConfig, Rung};
 
-    let chaos_config = match ChaosConfig::from_env() {
-        Ok(Some(spec)) => spec,
-        Ok(None) => resilience_chaos_config(chaos_seed),
-        Err(e) => panic!("invalid MV_CHAOS spec: {e}"),
-    };
+    let chaos_config = chaos_or_env(resilience_chaos_config(chaos_seed));
     let chaos_seed = chaos_config.seed;
 
     let data = dataset_v1v2(num_authors);
-    let (queries, _) = sharded_workload(
-        &data,
-        num_authors / 4,
-        num_queries,
-        SHARDED_BROAD_STRIDE,
-        None,
-    );
+    let queries = sharded_workload(&data, num_authors / 4, num_queries);
     let engine = ShardedEngine::compile(&data.mvdb, num_shards).expect("sharded engine compiles");
     let session = engine.session();
     // The campaign's ladder trades Monte Carlo precision for throughput:
@@ -1509,28 +1077,17 @@ pub fn resilience_campaign(
         ..ResilienceConfig::default()
     };
 
-    // Clean pass under a rule-free guard (serializes against any other
-    // chaos campaign in the process and injects nothing).
-    let clean = {
-        let _guard = chaos::install(ChaosConfig::new(0));
+    let timed_pass = || {
         let t0 = Instant::now();
         let outcomes = session.resilient_probabilities(&queries, &config);
-        let clean_time = t0.elapsed();
-        for (i, o) in outcomes.iter().enumerate() {
-            assert!(o.answered(), "clean slot {i} lost: {:?}", o.fault);
-            assert_eq!(o.rung, Some(Rung::Exact), "clean slot {i} degraded");
-        }
-        (outcomes, clean_time)
+        (outcomes, t0.elapsed())
     };
-    let (clean_outcomes, clean_time) = clean;
-
-    // Chaos pass.
-    let guard = chaos::install(chaos_config);
-    let t1 = Instant::now();
-    let outcomes = session.resilient_probabilities(&queries, &config);
-    let chaos_time = t1.elapsed();
-    let injections = chaos::injection_counts();
-    drop(guard);
+    let (clean_outcomes, clean_time) = clean(timed_pass);
+    for (i, o) in clean_outcomes.iter().enumerate() {
+        assert!(o.answered(), "clean slot {i} lost: {:?}", o.fault);
+        assert_eq!(o.rung, Some(Rung::Exact), "clean slot {i} degraded");
+    }
+    let ((outcomes, chaos_time), injections) = under_chaos(chaos_config, timed_pass);
 
     let mut point = ResiliencePoint {
         num_authors,
@@ -1539,19 +1096,8 @@ pub fn resilience_campaign(
         chaos_seed,
         clean_time,
         chaos_time,
-        lost: 0,
-        degraded: 0,
-        rungs: RungCounts::default(),
-        fallbacks: 0,
-        retries: 0,
-        exact_max_abs_err: 0.0,
-        bounded_max_abs_err: 0.0,
-        degraded_max_abs_err: 0.0,
-        max_epsilon: 0.0,
-        p50: Duration::ZERO,
-        p95: Duration::ZERO,
-        p99: Duration::ZERO,
         injections,
+        ..ResiliencePoint::default()
     };
     let mut latencies = Vec::with_capacity(outcomes.len());
     for (o, c) in outcomes.iter().zip(&clean_outcomes) {
@@ -1584,11 +1130,6 @@ pub fn resilience_campaign(
             }
         }
     }
-    assert!(
-        point.bounded_max_abs_err < 1e-9,
-        "bounded-exact answers drifted from the clean exact run: {}",
-        point.bounded_max_abs_err
-    );
     latencies.sort();
     point.p50 = percentile(&latencies, 0.50);
     point.p95 = percentile(&latencies, 0.95);
@@ -1598,7 +1139,7 @@ pub fn resilience_campaign(
 
 /// One paced open-loop pass of the serving soak against a running
 /// [`MvdbServer`](mv_core::MvdbServer).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeRun {
     /// Wall-clock of the pass, first submission to last reply.
     pub elapsed: Duration,
@@ -1623,7 +1164,7 @@ pub struct ServeRun {
     /// an exact answer).
     pub exact_max_abs_err: f64,
     /// Largest |err| of bounded-exact answers against the oracle
-    /// (asserted below 1e-9 by [`serve_soak`]).
+    /// (gate: below 1e-9 — the rung is the exact kernel under a node cap).
     pub bounded_max_abs_err: f64,
     /// Largest |err| of degraded (bounded/Monte Carlo) answers against
     /// the oracle.
@@ -1647,12 +1188,43 @@ impl ServeRun {
     pub fn shed_fraction(&self) -> f64 {
         self.shed as f64 / (self.offered as f64).max(1.0)
     }
+
+    /// The gates every pass keeps, writer or no writer: each offered
+    /// request resolves (answered or rejected at admission, never silently
+    /// dropped), exact answers are exact, and the latency percentiles are
+    /// sane. Gate names are `<prefix>.<gate>`.
+    fn check_pass(&self, g: &mut Gates, prefix: &str) {
+        g.check(&format!("{prefix}.lost"), self.lost == 0, || {
+            format!("{} lost requests", self.lost)
+        });
+        g.check(
+            &format!("{prefix}.accounting"),
+            self.answered + self.shed == self.offered,
+            || {
+                format!(
+                    "{} answered + {} shed != {} offered",
+                    self.answered, self.shed, self.offered
+                )
+            },
+        );
+        g.check(
+            &format!("{prefix}.exact_err"),
+            self.exact_max_abs_err < 1e-9,
+            || format!("exact-rung drift {}", self.exact_max_abs_err),
+        );
+        g.percentiles(
+            &format!("{prefix}.percentiles"),
+            self.p50,
+            self.p95,
+            self.p99,
+        );
+    }
 }
 
 /// One run of the serving soak: the same over-capacity paced workload
 /// driven through a fresh [`MvdbServer`](mv_core::MvdbServer) twice —
 /// clean, and under the seeded [`serve_chaos_config`] campaign.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServePoint {
     /// The `aid` domain.
     pub num_authors: usize,
@@ -1675,6 +1247,52 @@ pub struct ServePoint {
     pub clean: ServeRun,
     /// The pass under fault injection.
     pub chaos: ServeRun,
+}
+
+impl ServePoint {
+    /// The gates this point breaks, each named with its values (empty when
+    /// all hold).
+    pub fn violations(&self) -> Vec<String> {
+        let mut g = Gates::default();
+        g.check(
+            "serve.overloaded",
+            self.offered_qps > self.capacity_qps,
+            || {
+                format!(
+                    "offered {} q/s <= capacity {} q/s",
+                    self.offered_qps, self.capacity_qps
+                )
+            },
+        );
+        for (name, r) in [("clean", &self.clean), ("chaos", &self.chaos)] {
+            let prefix = format!("serve.{name}");
+            r.check_pass(&mut g, &prefix);
+            // Degrade-before-drop: load shedding stays a last resort.
+            g.check(
+                &format!("{prefix}.shed_fraction"),
+                r.shed_fraction() < 0.1,
+                || format!("shed {} of {} offers", r.shed, r.offered),
+            );
+            g.check(
+                &format!("{prefix}.bounded_err"),
+                r.bounded_max_abs_err < 1e-9,
+                || format!("bounded-rung drift {}", r.bounded_max_abs_err),
+            );
+            g.check(
+                &format!("{prefix}.deadline"),
+                r.p99 <= self.deadline,
+                || format!("p99 {:?} past the deadline {:?}", r.p99, self.deadline),
+            );
+        }
+        // Queue pressure crossed the degrade depth even without faults.
+        g.check(
+            "serve.controller_engaged",
+            self.clean.degraded_admissions > 0,
+            || "the overload controller never degraded an admission".to_string(),
+        );
+        g.injected("serve.injected", &self.chaos.injections, "");
+        g.0
+    }
 }
 
 /// The default chaos campaign of the serving soak: admission faults reject
@@ -1706,30 +1324,11 @@ pub fn serve_soak(
     num_shards: usize,
     chaos_seed: u64,
 ) -> ServePoint {
-    use mv_core::chaos::{self, ChaosConfig};
     use mv_core::{ResilienceConfig, ServeConfig};
-    use std::sync::Arc;
 
-    let chaos_config = match ChaosConfig::from_env() {
-        Ok(Some(spec)) => spec,
-        Ok(None) => serve_chaos_config(chaos_seed),
-        Err(e) => panic!("invalid MV_CHAOS spec: {e}"),
-    };
+    let chaos_config = chaos_or_env(serve_chaos_config(chaos_seed));
     let chaos_seed = chaos_config.seed;
-
-    let data = dataset_v1v2(num_authors);
-    let distinct: Vec<Ucq> = query_eval_workload(&data, (num_authors / 4).max(8))
-        .iter()
-        .map(|q| q.boolean())
-        .collect();
-    let engine =
-        Arc::new(ShardedEngine::compile(&data.mvdb, num_shards).expect("sharded engine compiles"));
-
-    // Oracle pass (doubles as index/plan warmup): exact reference answers.
-    let oracle: Vec<f64> = distinct
-        .iter()
-        .map(|q| engine.probability(q).expect("oracle probability"))
-        .collect();
+    let (distinct, engine, oracle) = soak_fixture(&dataset_v1v2(num_authors), num_shards);
 
     // Capacity calibration the way a server worker serves: one long-lived
     // context on the unsharded engine. (`ShardedEngine::probability` pays a
@@ -1797,17 +1396,21 @@ pub fn serve_soak(
 
     let stream: Vec<usize> = (0..num_queries).map(|i| i % distinct.len()).collect();
 
-    let clean = {
-        let _guard = chaos::install(ChaosConfig::new(0));
-        serve_pass(&engine, &config, &stream, &distinct, &oracle, offered_qps)
+    let pass = || {
+        paced_pass(
+            &engine,
+            &config,
+            &stream,
+            &distinct,
+            &oracle,
+            offered_qps,
+            &[],
+        )
+        .0
     };
-    let chaos_run = {
-        let guard = chaos::install(chaos_config);
-        let mut run = serve_pass(&engine, &config, &stream, &distinct, &oracle, offered_qps);
-        run.injections = chaos::injection_counts();
-        drop(guard);
-        run
-    };
+    let clean = clean(pass);
+    let (mut chaos_run, injections) = under_chaos(chaos_config, pass);
+    chaos_run.injections = injections;
 
     ServePoint {
         num_authors,
@@ -1823,42 +1426,23 @@ pub fn serve_soak(
     }
 }
 
-/// One paced pass of [`serve_soak`] against a fresh server. Every admitted
-/// ticket is waited on, so the pass cannot leak unresolved requests.
-fn serve_pass(
-    engine: &std::sync::Arc<ShardedEngine>,
-    config: &mv_core::ServeConfig,
-    stream: &[usize],
-    distinct: &[Ucq],
-    oracle: &[f64],
-    offered_qps: f64,
-) -> ServeRun {
-    let stages = [oracle.to_vec()];
-    let run = paced_pass(engine, config, stream, distinct, &stages, offered_qps, &[]).0;
-    assert!(
-        run.bounded_max_abs_err < 1e-9,
-        "bounded-exact answers drifted from the exact oracle: {}",
-        run.bounded_max_abs_err
-    );
-    run
-}
-
-/// The generic paced open-loop pass behind [`serve_pass`] and
-/// [`update_soak`]: reader requests paced at `offered_qps`, while an
-/// optional writer schedule applies `updates` through
+/// The paced open-loop pass behind [`serve_soak`] and [`update_soak`]:
+/// reader requests paced at `offered_qps`, while an optional writer
+/// schedule applies `updates` through
 /// [`MvdbServer::submit_update`](mv_core::MvdbServer::submit_update),
 /// spaced evenly across the offer window so every published snapshot
 /// serves a real slice of the read stream. Because snapshots swap
 /// mid-stream, a reader's answer is exact if it matches *any* published
-/// stage: `oracles` holds one exact answer vector per stage (read-only
-/// passes hand in exactly one) and errors are measured against the
-/// closest stage.
+/// stage: `stage0` holds the exact answers on the engine as served, the
+/// later stages are computed once the pass is over from the batches the
+/// writer actually landed, and errors are measured against the closest
+/// stage.
 fn paced_pass(
     engine: &std::sync::Arc<ShardedEngine>,
     config: &mv_core::ServeConfig,
     stream: &[usize],
     distinct: &[Ucq],
-    oracles: &[Vec<f64>],
+    stage0: &[f64],
     offered_qps: f64,
     updates: &[mv_core::UpdateBatch],
 ) -> (ServeRun, UpdateStats) {
@@ -1880,11 +1464,11 @@ fn paced_pass(
     let start = Instant::now();
     let mut tickets = Vec::with_capacity(stream.len());
     let mut shed = 0u64;
-    let mut update_stats = UpdateStats::default();
+    let (mut update_stats, mut landed) = (UpdateStats::default(), Vec::new());
     std::thread::scope(|scope| {
         let writer = (!updates.is_empty()).then(|| {
             scope.spawn(|| {
-                let mut stats = UpdateStats::default();
+                let (mut stats, mut landed) = (UpdateStats::default(), Vec::new());
                 for (k, batch) in updates.iter().enumerate() {
                     let due = start + window.mul_f64((k + 1) as f64 / (updates.len() + 1) as f64);
                     let wait = due.saturating_duration_since(Instant::now());
@@ -1894,6 +1478,7 @@ fn paced_pass(
                     match server.submit_update(batch) {
                         Ok(out) => {
                             stats.applied += 1;
+                            landed.push(k);
                             match out.kind {
                                 mv_core::UpdateKind::WeightOnly => stats.weight_only += 1,
                                 mv_core::UpdateKind::Structural => stats.structural += 1,
@@ -1907,7 +1492,7 @@ fn paced_pass(
                         Err(_) => stats.failed += 1,
                     }
                 }
-                stats
+                (stats, landed)
             })
         });
         for (i, &slot) in stream.iter().enumerate() {
@@ -1926,34 +1511,46 @@ fn paced_pass(
             }
         }
         if let Some(writer) = writer {
-            update_stats = writer.join().expect("update writer thread");
+            (update_stats, landed) = writer.join().expect("update writer thread");
         }
     });
 
     let mut run = ServeRun {
-        elapsed: Duration::ZERO,
         offered: stream.len() as u64,
         shed,
-        answered: 0,
-        lost: 0,
-        degraded_admissions: 0,
-        rungs: RungCounts::default(),
-        throughput_qps: 0.0,
-        exact_max_abs_err: 0.0,
-        bounded_max_abs_err: 0.0,
-        degraded_max_abs_err: 0.0,
-        max_epsilon: 0.0,
-        p50: Duration::ZERO,
-        p95: Duration::ZERO,
-        p99: Duration::ZERO,
-        stats: mv_core::ServerStats::default(),
-        injections: Vec::new(),
+        ..ServeRun::default()
     };
-    let mut latencies = Vec::with_capacity(tickets.len());
-    for (slot, ticket) in tickets {
-        let out = ticket
-            .wait_timeout(Duration::from_secs(300))
-            .unwrap_or_else(|_| panic!("soak request for query slot {slot} never resolved"));
+    let replies: Vec<_> = tickets
+        .into_iter()
+        .map(|(slot, ticket)| {
+            let out = ticket
+                .wait_timeout(Duration::from_secs(300))
+                .unwrap_or_else(|_| panic!("soak request for query slot {slot} never resolved"));
+            (slot, out)
+        })
+        .collect();
+    run.elapsed = start.elapsed();
+    run.stats = server.shutdown();
+
+    // Stage k + 1 is stage k plus the k-th landed batch, applied to a
+    // scratch copy of the engine as served (`apply` is differentially
+    // tested against from-scratch rebuilds). A failed batch published
+    // nothing, so the stages after it skip it.
+    let mut oracles = vec![stage0.to_vec()];
+    if !landed.is_empty() {
+        let mut scratch = engine.full().clone();
+        for &k in &landed {
+            scratch.apply(&updates[k]).expect("stage oracle apply");
+            oracles.push(
+                distinct
+                    .iter()
+                    .map(|q| scratch.probability(q).expect("stage oracle probability"))
+                    .collect(),
+            );
+        }
+    }
+    let mut latencies = Vec::with_capacity(replies.len());
+    for (slot, out) in replies {
         latencies.push(out.total);
         if out.degraded_admission() {
             run.degraded_admissions += 1;
@@ -1984,13 +1581,11 @@ fn paced_pass(
             }
         }
     }
-    run.elapsed = start.elapsed();
     run.throughput_qps = run.answered as f64 / secs(run.elapsed).max(1e-9);
     latencies.sort();
     run.p50 = percentile(&latencies, 0.50);
     run.p95 = percentile(&latencies, 0.95);
     run.p99 = percentile(&latencies, 0.99);
-    run.stats = server.shutdown();
     (run, update_stats)
 }
 
@@ -2018,7 +1613,7 @@ pub struct UpdateStats {
 /// read-only baseline, with a concurrent writer applying update batches
 /// under snapshot semantics, and the same interleaving under the seeded
 /// [`update_chaos_config`] campaign.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UpdatePoint {
     /// The `aid` domain.
     pub num_authors: usize,
@@ -2049,6 +1644,74 @@ pub struct UpdatePoint {
     pub live_updates: UpdateStats,
     /// Writer accounting of the chaos pass.
     pub chaos_updates: UpdateStats,
+}
+
+impl UpdatePoint {
+    /// The gates this point breaks, each named with its values (empty when
+    /// all hold). Every answer must match *some* published snapshot: a swap
+    /// may slow a reader, never corrupt one.
+    pub fn violations(&self) -> Vec<String> {
+        let mut g = Gates::default();
+        for (name, r) in [
+            ("read_only", &self.read_only),
+            ("live", &self.live),
+            ("chaos", &self.chaos),
+        ] {
+            r.check_pass(&mut g, &format!("updates.{name}"));
+        }
+        // Reader interference stays bounded: the live tail within 2x of the
+        // read-only one, with an absolute floor so a microsecond baseline
+        // cannot make the ratio flaky on shared runners.
+        let (live, read_only) = (secs(self.live.p99), secs(self.read_only.p99));
+        g.check(
+            "updates.live_tail",
+            live <= (2.0 * read_only).max(0.25),
+            || format!("live p99 {live} s vs read-only {read_only} s"),
+        );
+        // The clean writer lands the whole schedule, both the weight-only
+        // fast path and structural re-translation. Its structural batches
+        // insert W-free rows, so no index block changes key or shape.
+        let (u, n) = (&self.live_updates, self.num_updates as u64);
+        g.check(
+            "updates.writer_landed",
+            u.applied == n && u.failed == 0,
+            || format!("clean writer: {u:?} of {n}"),
+        );
+        g.check(
+            "updates.mixed_schedule",
+            u.weight_only >= 1 && u.structural >= 1,
+            || format!("schedule not mixed: {u:?}"),
+        );
+        g.check("updates.shards_rebuilt", u.shards_rebuilt == 0, || {
+            format!("W-free updates changed index blocks: {u:?}")
+        });
+        g.check(
+            "updates.live_published",
+            self.live.stats.updates_applied == n,
+            || {
+                format!(
+                    "server published {} of {n}",
+                    self.live.stats.updates_applied
+                )
+            },
+        );
+        // Under chaos every batch either published or failed atomically.
+        let c = &self.chaos_updates;
+        g.check(
+            "updates.chaos_accounting",
+            c.applied + c.failed == n,
+            || format!("chaos writer: {c:?} of {n}"),
+        );
+        let reported = self.chaos.stats.update_failures;
+        g.check("updates.chaos_failures", reported == c.failed, || {
+            format!(
+                "server reports {reported} failed updates, writer saw {}",
+                c.failed
+            )
+        });
+        g.injected("updates.update_site_hit", &self.chaos.injections, "update_");
+        g.0
+    }
 }
 
 /// The chaos campaign of the update soak: heavy faults at both update
@@ -2123,57 +1786,27 @@ pub fn update_batches(mvdb: &mv_core::Mvdb, count: usize) -> Vec<mv_core::Update
 /// [`MvdbServer`](mv_core::MvdbServer), three times over the same stream:
 /// read-only, with a concurrent writer publishing [`update_batches`]
 /// under snapshot semantics, and with that writer under
-/// [`update_chaos_config`] (or the `MV_CHAOS` spec when set). Per-stage
-/// oracles are precomputed by applying the batches cumulatively to a
-/// scratch engine, so every reader answer can be checked exactly against
-/// the snapshot lineage: each must match *some* published stage to 1e-9.
+/// [`update_chaos_config`] (or the `MV_CHAOS` spec when set). After each
+/// pass the per-stage oracles are computed by applying the batches that
+/// pass landed, in order, to a scratch engine, so every reader answer can
+/// be checked exactly against the snapshot lineage: each must match *some*
+/// published stage to 1e-9.
 pub fn update_soak(
     num_authors: usize,
     num_queries: usize,
     num_shards: usize,
     chaos_seed: u64,
 ) -> UpdatePoint {
-    use mv_core::chaos::{self, ChaosConfig};
     use mv_core::ServeConfig;
-    use std::sync::Arc;
 
-    let chaos_config = match ChaosConfig::from_env() {
-        Ok(Some(spec)) => spec,
-        Ok(None) => update_chaos_config(chaos_seed),
-        Err(e) => panic!("invalid MV_CHAOS spec: {e}"),
-    };
+    let chaos_config = chaos_or_env(update_chaos_config(chaos_seed));
     let chaos_seed = chaos_config.seed;
-
     let data = dataset_v1v2(num_authors);
-    let distinct: Vec<Ucq> = query_eval_workload(&data, (num_authors / 4).max(8))
-        .iter()
-        .map(|q| q.boolean())
-        .collect();
-    let engine =
-        Arc::new(ShardedEngine::compile(&data.mvdb, num_shards).expect("sharded engine compiles"));
-
+    // `stage0` is the oracle on the engine as served; `paced_pass` derives
+    // the later stages from the batches each writer landed.
+    let (distinct, engine, stage0) = soak_fixture(&data, num_shards);
     let num_updates = 6usize;
     let batches = update_batches(&data.mvdb, num_updates);
-
-    // Stage oracles: stage 0 is the compiled engine as served; stage k is
-    // the engine after the first k batches. `apply` is differentially
-    // tested against from-scratch rebuilds, so the scratch engine is an
-    // exact reference for every snapshot the server can publish.
-    let stage0: Vec<f64> = distinct
-        .iter()
-        .map(|q| engine.probability(q).expect("oracle probability"))
-        .collect();
-    let mut oracles = vec![stage0];
-    let mut scratch = engine.full().clone();
-    for batch in &batches {
-        scratch.apply(batch).expect("stage oracle apply");
-        oracles.push(
-            distinct
-                .iter()
-                .map(|q| scratch.probability(q).expect("stage oracle probability"))
-                .collect(),
-        );
-    }
 
     // Capacity calibration on the warmed engine (the oracle pass above
     // warmed plans and indexes).
@@ -2206,45 +1839,21 @@ pub fn update_soak(
 
     let stream: Vec<usize> = (0..num_queries).map(|i| i % distinct.len()).collect();
 
-    let (read_only, _) = {
-        let _guard = chaos::install(ChaosConfig::new(0));
+    let pass = |updates: &[mv_core::UpdateBatch]| {
         paced_pass(
             &engine,
             &config,
             &stream,
             &distinct,
-            &oracles[..1],
+            &stage0,
             offered_qps,
-            &[],
+            updates,
         )
     };
-    let (live, live_updates) = {
-        let _guard = chaos::install(ChaosConfig::new(0));
-        paced_pass(
-            &engine,
-            &config,
-            &stream,
-            &distinct,
-            &oracles,
-            offered_qps,
-            &batches,
-        )
-    };
-    let (chaos_run, chaos_updates) = {
-        let guard = chaos::install(chaos_config);
-        let (mut run, stats) = paced_pass(
-            &engine,
-            &config,
-            &stream,
-            &distinct,
-            &oracles,
-            offered_qps,
-            &batches,
-        );
-        run.injections = chaos::injection_counts();
-        drop(guard);
-        (run, stats)
-    };
+    let (read_only, _) = clean(|| pass(&[]));
+    let (live, live_updates) = clean(|| pass(&batches));
+    let ((mut chaos_run, chaos_updates), injections) = under_chaos(chaos_config, || pass(&batches));
+    chaos_run.injections = injections;
 
     UpdatePoint {
         num_authors,
@@ -2349,7 +1958,8 @@ mod tests {
     #[test]
     fn backend_timings_cover_every_comparison_backend() {
         let data = dataset_v1v2(150);
-        let engine = compile_engine(&data, IntersectAlgorithm::CcMvIntersect);
+        let engine = MvdbEngine::compile_with(&data.mvdb, IntersectAlgorithm::CcMvIntersect)
+            .expect("compiles");
         let queries = data.advisor_of_student_workload(2).expect("workload");
         let backends = comparison_backends();
         let (timings, manager) = time_backends(&engine, &queries, &backends, 1);
@@ -2361,62 +1971,23 @@ mod tests {
     }
 
     #[test]
-    fn microbench_agrees_and_reports_stats() {
-        // Tiny debug-mode scale; the figures binary runs the real one.
-        let p = microbench_manager_hotpath(120, 8, 5, 8);
-        assert!(p.max_abs_diff < 1e-9);
-        assert!(p.manager.nodes_allocated > 0);
-        assert!(p.manager.prob_cache_hits > 0, "warm passes must hit");
-        assert!(
-            p.manager.prob_cache_misses > 0,
-            "epoch bumps must recompute"
-        );
-        assert!(p.manager.apply_cache_hits + p.manager.apply_cache_misses > 0);
-        assert!(p.speedup_total() > 0.0);
-        // The workload is deterministic.
-        let w1 = hotpath_workload(50, 4, 3);
-        let w2 = hotpath_workload(50, 4, 3);
-        assert_eq!(w1, w2);
-        for clauses in &w1 {
-            for [a, b] in clauses {
-                assert_ne!(a, b, "clause literals must be distinct");
-            }
-        }
-    }
-
-    #[test]
     fn approx_point_reports_coverage_and_throughput() {
         // Tiny debug-mode scale; the figures binary runs the real ladder.
         let p = approx_accuracy(150, 2, 2, &[500, 2_000]);
         assert_eq!(p.num_queries, 4);
         assert_eq!(p.rungs.len(), 2);
-        assert!(p.samples_per_sec > 0.0);
         assert!(p.total_samples >= 4 * 2_500);
-        // Quadrupling the budget must not widen the intervals.
-        assert!(p.rungs[1].mean_half_width < p.rungs[0].mean_half_width);
-        // Every query's exact probability inside its final 99% CI, and the
-        // estimates close to exact (deterministic under the fixed seed).
-        assert_eq!(p.covered, p.num_queries);
-        assert!(p.abs_err_max < 0.05, "abs err {}", p.abs_err_max);
         assert_eq!(p.methods.iter().sum::<usize>(), p.num_queries);
+        // Deterministic under the fixed seed: every exact probability
+        // inside its final 99% CI, and the intervals shrink with the budget.
+        assert_eq!(p.violations(), Vec::<String>::new());
     }
 
     #[test]
     fn resilience_campaign_loses_nothing_and_stays_exact_where_undergraded() {
         let p = resilience_campaign(150, 400, 2, 42);
         assert_eq!(p.num_queries, 400);
-        assert_eq!(p.lost, 0, "the ladder must answer every valid query");
-        assert!(
-            p.exact_max_abs_err < 1e-9,
-            "exact-rung answers must match the clean run: {}",
-            p.exact_max_abs_err
-        );
-        let answered = p.rungs.exact + p.rungs.bounded + p.rungs.monte_carlo;
-        assert_eq!(answered, 400);
-        // The campaign's draws are recorded per rule, and at these rates
-        // over 400 queries something actually fires.
-        assert!(!p.injections.is_empty());
-        assert!(p.injections.iter().all(|(_, _, draws, inj)| inj <= draws));
+        assert_eq!(p.violations(), Vec::<String>::new());
     }
 
     #[test]
@@ -2425,109 +1996,246 @@ mod tests {
         // Capacity calibration makes the pacing machine-independent, so
         // the invariants hold at any speed.
         let p = serve_soak(150, 90, 2, 42);
-        for (label, r) in [("clean", &p.clean), ("chaos", &p.chaos)] {
-            assert_eq!(r.offered, 90, "{label}");
-            assert_eq!(r.lost, 0, "{label}: admitted queries were lost");
-            assert_eq!(
-                r.answered + r.shed,
-                r.offered,
-                "{label}: offer accounting leaks"
-            );
-            assert!(
-                r.shed_fraction() < 0.1,
-                "{label}: shed {} of {} offers",
-                r.shed,
-                r.offered
-            );
-            assert!(
-                r.exact_max_abs_err < 1e-9,
-                "{label}: exact-rung drift {}",
-                r.exact_max_abs_err
-            );
-            assert!(
-                r.p99 <= p.deadline,
-                "{label}: p99 {:?} over deadline",
-                r.p99
-            );
-            assert!(r.p50 <= r.p95 && r.p95 <= r.p99, "{label}");
-        }
-        // Pressure must actually have engaged the overload controller
-        // somewhere in the burst, and the chaos pass must have injected.
-        assert!(
-            p.clean.degraded_admissions > 0,
-            "the 1.5x-capacity burst never crossed degrade_depth"
-        );
-        assert!(
-            p.chaos
-                .injections
-                .iter()
-                .any(|(_, _, _, injected)| *injected > 0),
-            "chaos injected nothing: {:?}",
-            p.chaos.injections
-        );
+        assert_eq!((p.clean.offered, p.chaos.offered), (90, 90));
+        assert_eq!(p.violations(), Vec::<String>::new());
     }
 
     #[test]
     fn update_soak_keeps_readers_exact_across_snapshots() {
         // Tiny debug-mode scale; the figures binary runs the real soak.
         let p = update_soak(120, 60, 2, 7);
-        for (label, r) in [
-            ("read_only", &p.read_only),
-            ("live", &p.live),
-            ("chaos", &p.chaos),
-        ] {
-            assert_eq!(r.offered, 60, "{label}");
-            assert_eq!(r.lost, 0, "{label}: admitted queries were lost");
-            assert_eq!(
-                r.answered + r.shed,
-                r.offered,
-                "{label}: offer accounting leaks"
-            );
-            // Every answer matched some published snapshot exactly —
-            // updates may slow a reader, never corrupt one.
-            assert!(
-                r.exact_max_abs_err < 1e-9,
-                "{label}: exact-rung drift {} vs the snapshot lineage",
-                r.exact_max_abs_err
-            );
+        for r in [&p.read_only, &p.live, &p.chaos] {
+            assert_eq!(r.offered, 60);
         }
         // The clean writer lands every batch: half fast-path, half
-        // structural, and the fresh W-free rows change no index block.
+        // structural.
         let u = &p.live_updates;
-        assert_eq!(u.applied, 6, "clean writer failed batches: {u:?}");
-        assert_eq!(u.failed, 0, "{u:?}");
-        assert_eq!(u.weight_only, 3, "{u:?}");
-        assert_eq!(u.structural, 3, "{u:?}");
-        assert_eq!(u.shards_rebuilt, 0, "{u:?}");
-        assert_eq!(p.live.stats.updates_applied, 6);
-        // The chaos writer's failures are absorbed: every batch either
-        // published or left the old snapshot serving.
-        let c = &p.chaos_updates;
-        assert_eq!(c.applied + c.failed, 6, "{c:?}");
-        assert_eq!(p.chaos.stats.update_failures, c.failed);
-        assert!(
-            p.chaos
-                .injections
-                .iter()
-                .any(|(site, _, _, injected)| site.starts_with("update_") && *injected > 0),
-            "chaos never hit an update site: {:?}",
-            p.chaos.injections
-        );
+        assert_eq!((u.applied, u.weight_only, u.structural), (6, 3, 3), "{u:?}");
+        assert_eq!(p.violations(), Vec::<String>::new());
     }
 
+    /// Every gate fires: each case breaks one gate of a passing point built
+    /// by struct literal, and `violations()` must name that gate.
     #[test]
-    fn session_smoke_agrees_across_thread_counts() {
-        let p = session_smoke(150, 2, 4);
-        assert_eq!(p.threads, 4);
-        assert!(p.num_queries >= 2);
-        assert!(p.max_abs_diff < 1e-9);
-        assert!(p.sequential.as_nanos() > 0 && p.parallel.as_nanos() > 0);
-        assert!(p.manager.nodes_allocated > 0);
-        // The workload queries select by id, so every step is an index
-        // probe — scans (and hence `blocks_scanned`) stay at zero.
-        assert!(p.query.plan.steps > 0);
-        assert!(p.query.plan.probe_steps > 0);
-        assert!(p.query.exec.csr_probe_steps > 0);
-        assert!(p.query.exec.batches > 0);
+    fn every_campaign_gate_fires_on_a_breaking_point() {
+        use mv_core::chaos::Fault;
+        type Case<P> = (&'static str, fn(&mut P));
+        type Pass<P> = fn(&mut P) -> &mut ServeRun;
+
+        fn fires<P: Clone>(
+            base: &P,
+            violations: fn(&P) -> Vec<String>,
+            gate: &str,
+            breaks: impl Fn(&mut P),
+        ) {
+            assert_eq!(
+                violations(base),
+                Vec::<String>::new(),
+                "the base point passes"
+            );
+            let mut p = base.clone();
+            breaks(&mut p);
+            let v = violations(&p);
+            assert!(
+                v.iter().any(|s| s.split(':').next() == Some(gate)),
+                "`{gate}` did not fire: {v:?}"
+            );
+        }
+        fn ms(millis: u64) -> Duration {
+            Duration::from_millis(millis)
+        }
+        let injection = |site: &str, injected| (site.to_string(), Fault::Panic, 10, injected);
+        let rungs = |exact, bounded, monte_carlo| RungCounts {
+            exact,
+            bounded,
+            monte_carlo,
+        };
+
+        let rung = |mean_half_width| ApproxRung {
+            samples: 1_000,
+            mean_half_width,
+            max_half_width: mean_half_width,
+            max_abs_err: 0.01,
+        };
+        let approx = ApproxPoint {
+            num_queries: 4,
+            rungs: vec![rung(0.04), rung(0.02)],
+            samples_per_sec: 1e6,
+            abs_err_max: 0.01,
+            covered: 4,
+            ..Default::default()
+        };
+        let cases: [Case<ApproxPoint>; 5] = [
+            ("approx.abs_err_max", |p| p.abs_err_max = 0.03),
+            ("approx.samples_per_sec", |p| p.samples_per_sec = 0.0),
+            ("approx.covered", |p| p.covered = 3),
+            ("approx.ladder_len", |p| p.rungs.truncate(1)),
+            ("approx.width_shrinks", |p| p.rungs[1] = p.rungs[0]),
+        ];
+        for (gate, breaks) in cases {
+            fires(&approx, ApproxPoint::violations, gate, breaks);
+        }
+
+        let resilience = ResiliencePoint {
+            num_queries: 100,
+            degraded: 5,
+            rungs: rungs(95, 3, 2),
+            degraded_max_abs_err: 0.01,
+            max_epsilon: 0.05,
+            p50: ms(1),
+            p95: ms(2),
+            p99: ms(3),
+            injections: vec![injection("route", 2), injection("shard_eval", 0)],
+            ..Default::default()
+        };
+        let cases: [Case<ResiliencePoint>; 11] = [
+            ("resilience.lost", |p| p.lost = 1),
+            ("resilience.exact_err", |p| p.exact_max_abs_err = 1e-6),
+            ("resilience.bounded_err", |p| p.bounded_max_abs_err = 1e-6),
+            ("resilience.degraded_fraction", |p| p.degraded = 0),
+            ("resilience.degraded_fraction", |p| p.degraded = 20),
+            ("resilience.accounting", |p| p.rungs.exact = 94),
+            ("resilience.injected", |p| p.injections[0].3 = 0),
+            ("resilience.injected_le_draws", |p| p.injections[1].3 = 11),
+            ("resilience.degraded_tolerance", |p| {
+                p.degraded_max_abs_err = 0.3
+            }),
+            ("resilience.percentiles", |p| p.p50 = Duration::ZERO),
+            ("resilience.percentiles", |p| p.p95 = ms(4)),
+        ];
+        for (gate, breaks) in cases {
+            fires(&resilience, ResiliencePoint::violations, gate, breaks);
+        }
+
+        // Gates of one pass: the first four hold on every serve and update
+        // pass, the rest on serve passes only.
+        let pass_cases: [Case<ServeRun>; 7] = [
+            ("lost", |r| r.lost = 1),
+            ("accounting", |r| r.answered -= 1),
+            ("exact_err", |r| r.exact_max_abs_err = 1e-6),
+            ("percentiles", |r| r.p50 = ms(5)),
+            ("shed_fraction", |r| {
+                (r.shed, r.answered) = (10, r.offered - 10)
+            }),
+            ("bounded_err", |r| r.bounded_max_abs_err = 1e-6),
+            ("deadline", |r| r.p99 = ms(101)),
+        ];
+
+        let run = ServeRun {
+            offered: 100,
+            shed: 2,
+            answered: 98,
+            degraded_admissions: 4,
+            rungs: rungs(94, 2, 2),
+            p50: ms(1),
+            p95: ms(2),
+            p99: ms(3),
+            ..Default::default()
+        };
+        let serve = ServePoint {
+            deadline: ms(100),
+            capacity_qps: 100.0,
+            offered_qps: 150.0,
+            clean: run.clone(),
+            chaos: ServeRun {
+                injections: vec![injection("dispatch", 1)],
+                ..run.clone()
+            },
+            ..Default::default()
+        };
+        let passes: [(&str, Pass<ServePoint>); 2] =
+            [("clean", |p| &mut p.clean), ("chaos", |p| &mut p.chaos)];
+        for (name, pass) in passes {
+            for (gate, breaks) in pass_cases {
+                fires(
+                    &serve,
+                    ServePoint::violations,
+                    &format!("serve.{name}.{gate}"),
+                    |p| breaks(pass(p)),
+                );
+            }
+        }
+        let cases: [Case<ServePoint>; 3] = [
+            ("serve.overloaded", |p| p.offered_qps = p.capacity_qps),
+            ("serve.controller_engaged", |p| {
+                p.clean.degraded_admissions = 0
+            }),
+            ("serve.injected", |p| p.chaos.injections[0].3 = 0),
+        ];
+        for (gate, breaks) in cases {
+            fires(&serve, ServePoint::violations, gate, breaks);
+        }
+
+        let landed = UpdateStats {
+            applied: 6,
+            weight_only: 3,
+            structural: 3,
+            ..Default::default()
+        };
+        let unshed = ServeRun {
+            shed: 0,
+            answered: 100,
+            ..run
+        };
+        let with_stats = |updates_applied, update_failures| mv_core::ServerStats {
+            updates_applied,
+            update_failures,
+            ..Default::default()
+        };
+        let updates = UpdatePoint {
+            num_updates: 6,
+            read_only: unshed.clone(),
+            live: ServeRun {
+                stats: with_stats(6, 0),
+                ..unshed.clone()
+            },
+            chaos: ServeRun {
+                stats: with_stats(4, 2),
+                injections: vec![injection("dispatch", 1), injection("update_apply", 2)],
+                ..unshed
+            },
+            live_updates: landed,
+            chaos_updates: UpdateStats {
+                applied: 4,
+                failed: 2,
+                ..landed
+            },
+            ..Default::default()
+        };
+        let passes: [(&str, Pass<UpdatePoint>); 3] = [
+            ("read_only", |p| &mut p.read_only),
+            ("live", |p| &mut p.live),
+            ("chaos", |p| &mut p.chaos),
+        ];
+        for (name, pass) in passes {
+            for (gate, breaks) in &pass_cases[..4] {
+                fires(
+                    &updates,
+                    UpdatePoint::violations,
+                    &format!("updates.{name}.{gate}"),
+                    |p| breaks(pass(p)),
+                );
+            }
+        }
+        let cases: [Case<UpdatePoint>; 9] = [
+            ("updates.live_tail", |p| p.live.p99 = ms(260)),
+            ("updates.writer_landed", |p| p.live_updates.failed = 1),
+            ("updates.writer_landed", |p| p.live_updates.applied = 5),
+            ("updates.mixed_schedule", |p| p.live_updates.structural = 0),
+            ("updates.shards_rebuilt", |p| {
+                p.live_updates.shards_rebuilt = 1
+            }),
+            ("updates.live_published", |p| {
+                p.live.stats.updates_applied = 5
+            }),
+            ("updates.chaos_accounting", |p| p.chaos_updates.failed = 1),
+            ("updates.chaos_failures", |p| {
+                p.chaos.stats.update_failures = 1
+            }),
+            ("updates.update_site_hit", |p| p.chaos.injections[1].3 = 0),
+        ];
+        for (gate, breaks) in cases {
+            fires(&updates, UpdatePoint::violations, gate, breaks);
+        }
     }
 }

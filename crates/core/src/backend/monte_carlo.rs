@@ -1,9 +1,9 @@
 //! The Monte Carlo approximate-inference backend.
 //!
 //! Exact OBDD synthesis blows up on queries whose lineage has no small
-//! diagram under the index order (see
-//! [`SynthesisBuilder::from_lineage_bounded`](mv_obdd::SynthesisBuilder::from_lineage_bounded),
-//! which turns the blow-up into a refusal). Sampling, by contrast, is
+//! diagram under the index order (the query kernel's node cap,
+//! [`QueryScratch::set_node_cap`](mv_index::QueryScratch::set_node_cap),
+//! turns the blow-up into a refusal). Sampling, by contrast, is
 //! *always* available on the tuple-independent translation: this backend
 //! draws possible worlds from a seeded ChaCha stream and estimates the
 //! Theorem 1 conditional `P0(Q ∧ ¬W) / P0(¬W)` directly, returning

@@ -9,10 +9,12 @@ pub enum ObddError {
     OrderMismatch,
     /// A tuple variable is missing from the variable order.
     UnknownVariable(String),
-    /// A bounded synthesis allocated more nodes than its budget allowed:
-    /// the lineage has no small OBDD under the current variable order, and
-    /// the caller asked for refusal instead of a blow-up. Approximate
-    /// backends (Monte Carlo) remain available for such queries.
+    /// A fold under a node cap (the query kernel's
+    /// `QueryScratch::set_node_cap`) allocated more nodes than the cap
+    /// allowed: the lineage has no small OBDD under the current variable
+    /// order, and the caller asked for refusal instead of a blow-up.
+    /// Approximate backends (Monte Carlo) remain available for such
+    /// queries.
     NodeBudgetExceeded {
         /// Arena nodes allocated by the abandoned synthesis.
         allocated: usize,

@@ -22,9 +22,8 @@
 //!   synthesises an OBDD from a DNF lineage clause by clause. This is the
 //!   stand-in for native CUDD used as the baseline of Figure 8.
 //! * [`mod@reference`] — [`RefManager`], a deliberately unoptimised recursive
-//!   implementation with SipHash hash-map caches: the agreement oracle for
-//!   the manager's iterative hot paths and the baseline the
-//!   `manager_hotpath` microbenchmark measures speedups against.
+//!   implementation with SipHash hash-map caches: the reference the
+//!   manager's agreement tests compare its iterative hot paths against.
 //! * [`conobdd`] — [`ConObddBuilder`], the `ConOBDD(π, Q)` construction of
 //!   Section 4.2 (rules R1–R4): it recurses over the query structure,
 //!   expands separator variables over the active domain and *concatenates*

@@ -185,33 +185,19 @@ impl ComputedTable {
     }
 }
 
-/// Why a guarded apply fold gave up (recorded on the guard; the synthesis
-/// entry point converts it into the matching [`ObddError`]).
-#[derive(Debug)]
-enum GuardTrip {
-    /// The arena grew past the guard's node cap mid-apply.
-    Nodes,
-    /// The cooperative budget (deadline / step limit / cancellation)
-    /// tripped.
-    Budget(mv_query::BudgetError),
-}
-
-/// A cooperative abort guard installed around bounded synthesis folds.
-/// [`Store::apply`] polls it between frames: the node cap is compared on
-/// every frame (one integer compare), the budget every
-/// [`ApplyGuard::TICK_MASK`] frames (an `Instant::now` call). A trip makes
-/// the in-flight apply return a dummy root and records why; the installing
-/// fold checks [`ApplyGuard::tripped`] after every apply and surfaces the
-/// typed error. Nodes interned before the trip stay in the arena —
-/// hash-consing makes them reusable, never wrong.
+/// A cooperative abort guard installed around budgeted synthesis folds.
+/// [`Store::apply`] polls the budget every [`ApplyGuard::TICK_MASK`] frames
+/// (an `Instant::now` call). A trip makes the in-flight apply return a
+/// dummy root and records why; the installing fold checks
+/// [`ApplyGuard::tripped`] after every apply and surfaces the typed error.
+/// Nodes interned before the trip stay in the arena — hash-consing makes
+/// them reusable, never wrong.
 #[derive(Debug)]
 struct ApplyGuard {
-    /// Abort once `nodes.len()` exceeds this (absolute arena size).
-    node_cap: usize,
     /// Cooperative deadline/step budget, polled coarsely.
-    budget: Option<mv_query::EvalBudget>,
+    budget: mv_query::EvalBudget,
     /// Why the guard tripped, if it did.
-    tripped: Option<GuardTrip>,
+    tripped: Option<mv_query::BudgetError>,
     /// Frame counter driving the coarse budget poll.
     tick: u32,
 }
@@ -388,7 +374,7 @@ struct Store {
     prob_cache: Vec<ProbSlot>,
     weight_epoch: u64,
     stats: ManagerStats,
-    /// Abort guard installed only around bounded synthesis folds (`None`
+    /// Abort guard installed only around budgeted synthesis folds (`None`
     /// on every other path — one `Option` check per apply frame).
     guard: Option<ApplyGuard>,
 }
@@ -563,17 +549,11 @@ impl Store {
                 if guard.tripped.is_some() {
                     return FALSE;
                 }
-                if self.nodes.len() > guard.node_cap {
-                    guard.tripped = Some(GuardTrip::Nodes);
-                    return FALSE;
-                }
                 guard.tick = guard.tick.wrapping_add(1);
                 if guard.tick & ApplyGuard::TICK_MASK == 0 {
-                    if let Some(budget) = &guard.budget {
-                        if let Err(e) = budget.check() {
-                            guard.tripped = Some(GuardTrip::Budget(e));
-                            return FALSE;
-                        }
+                    if let Err(e) = guard.budget.check() {
+                        guard.tripped = Some(e);
+                        return FALSE;
                     }
                 }
             }
@@ -985,8 +965,8 @@ impl ObddManager {
     /// The diagram of a whole DNF — the OR-fold of its clauses — built under
     /// **one** lock acquisition. For lineages of many small clauses (the
     /// per-query hot path), per-clause locking costs more than the fold
-    /// itself; batch builders (`SynthesisBuilder::from_lineage`, the
-    /// microbenchmark) should prefer this entry point.
+    /// itself; batch builders (`SynthesisBuilder::from_lineage`) should
+    /// prefer this entry point.
     ///
     /// The clauses are folded bottom-up — by descending level vector, the
     /// clause with the deepest top variable first — whatever order they
@@ -998,30 +978,6 @@ impl ObddManager {
     /// inversion-free queries, where an arbitrary order costs
     /// `O(clauses · variables)`.
     pub fn dnf<C: AsRef<[TupleId]>>(&self, clauses: &[C]) -> Result<Obdd> {
-        self.dnf_with_budget(clauses, usize::MAX)
-    }
-
-    /// [`ObddManager::dnf`] with a **node budget**: the fold is abandoned
-    /// with [`ObddError::NodeBudgetExceeded`] as soon as it has allocated
-    /// more than `node_budget` fresh arena nodes. This is how exact
-    /// synthesis *refuses* a lineage with no small OBDD under the current
-    /// order (instead of exhausting memory), so callers can fall back to
-    /// approximate inference. The budget is checked between clause folds;
-    /// nodes already interned stay in the arena (hash-consing makes them
-    /// reusable, never wrong).
-    pub fn dnf_bounded<C: AsRef<[TupleId]>>(
-        &self,
-        clauses: &[C],
-        node_budget: usize,
-    ) -> Result<Obdd> {
-        self.dnf_with_budget(clauses, node_budget)
-    }
-
-    fn dnf_with_budget<C: AsRef<[TupleId]>>(
-        &self,
-        clauses: &[C],
-        node_budget: usize,
-    ) -> Result<Obdd> {
         let budget = self.budget();
         if let Some(b) = &budget {
             b.check()?;
@@ -1038,17 +994,13 @@ impl ObddManager {
         levels.sort_unstable_by(|a, b| b.cmp(a));
         let mut store = self.write();
         let start = store.nodes.len();
-        // Install the in-apply guard only when something can trip it, so
-        // the unbounded hot path stays a `None` check per frame.
-        let guarded = node_budget != usize::MAX || budget.is_some();
-        if guarded {
-            store.guard = Some(ApplyGuard {
-                node_cap: start.saturating_add(node_budget),
-                budget: budget.clone(),
-                tripped: None,
-                tick: 0,
-            });
-        }
+        // Install the in-apply guard only under a budget, so the unbudgeted
+        // hot path stays a `None` check per frame.
+        store.guard = budget.clone().map(|budget| ApplyGuard {
+            budget,
+            tripped: None,
+            tick: 0,
+        });
         let mut acc = FALSE;
         let mut charged: u64 = 0;
         for clause in &levels {
@@ -1057,25 +1009,12 @@ impl ObddManager {
                 Some(r) => r,
                 None => store.apply(BoolOp::Or, acc, clause_root),
             };
-            let allocated = store.nodes.len() - start;
-            if let Some(trip) = store.guard.as_mut().and_then(|g| g.tripped.take()) {
+            if let Some(e) = store.guard.as_mut().and_then(|g| g.tripped.take()) {
                 store.guard = None;
-                return Err(match trip {
-                    GuardTrip::Nodes => ObddError::NodeBudgetExceeded {
-                        allocated,
-                        budget: node_budget,
-                    },
-                    GuardTrip::Budget(e) => ObddError::Budget(e),
-                });
-            }
-            if allocated > node_budget {
-                store.guard = None;
-                return Err(ObddError::NodeBudgetExceeded {
-                    allocated,
-                    budget: node_budget,
-                });
+                return Err(ObddError::Budget(e));
             }
             if let Some(b) = &budget {
+                let allocated = store.nodes.len() - start;
                 // Charge the fresh nodes of this fold as work units and
                 // poll the deadline between clause folds.
                 let delta = (allocated as u64).saturating_sub(charged);

@@ -6,16 +6,12 @@
 //! `apply` recurses on the call stack, and — like the pre-rework code —
 //! `negate` and `probability` run a `reachable()` enumeration plus a
 //! level-sort plus a fresh per-call result map on **every** call, even when
-//! every per-node value is already cached. It exists for two reasons:
-//!
-//! * **oracle** — property tests assert that the production manager's
-//!   iterative, lossy-table hot paths compute exactly the same reduced
-//!   diagrams and probabilities as this straightforward recursive
-//!   implementation;
-//! * **baseline** — the `manager_hotpath` microbenchmark in `mv-bench`
-//!   measures the production manager against it, so the speedup of the
-//!   dense-table design over the hash-map design is a recorded number in
-//!   `BENCH_figures.json`, not a claim.
+//! every per-node value is already cached. It is the reference the
+//! manager's agreement tests (`tests/reference_agreement.rs` and the
+//! property suites) compare against: the production manager's iterative,
+//! lossy-table hot paths must compute exactly the same reduced diagrams and
+//! probabilities as this straightforward recursive implementation. It is
+//! not a production path and not a performance baseline.
 //!
 //! Keep it boring. Do **not** optimise this module; its value is that it is
 //! obviously correct and representative of the pre-rework implementation.

@@ -10,8 +10,9 @@
 //! of the accumulator above the incoming clause's last level: linear in
 //! the lineage when the diagram has constant width (inversion-free
 //! queries, every online lineage of the MV-index path), and as large as the
-//! diagram itself when it does not — the pairing functions of the bounded
-//! entry point's tests stay exponential under any fold order. Figure 8 of
+//! diagram itself when it does not — pairing functions such as
+//! `∨ᵢ xᵢ ∧ yᵢ` with every `x` before every `y` stay exponential under any
+//! fold order. Figure 8 of
 //! the paper measures the arrival-order fold, `O(clauses · variables)` even
 //! at width 1, against the concatenation-based construction.
 
@@ -69,19 +70,6 @@ impl SynthesisBuilder {
             return Ok(self.manager.constant(true));
         }
         self.manager.dnf(lineage.clauses())
-    }
-
-    /// Like [`SynthesisBuilder::from_lineage`] but **refuses** lineages
-    /// whose synthesis allocates more than `node_budget` fresh nodes
-    /// (returns [`crate::ObddError::NodeBudgetExceeded`]). This is the
-    /// exact-inference entry point for callers with an approximate
-    /// fallback: a lineage with no small OBDD under this order fails fast
-    /// instead of exhausting memory.
-    pub fn from_lineage_bounded(&self, lineage: &Lineage, node_budget: usize) -> Result<Obdd> {
-        if lineage.is_true() {
-            return Ok(self.manager.constant(true));
-        }
-        self.manager.dnf_bounded(lineage.clauses(), node_budget)
     }
 
     /// Computes the lineage of a Boolean UCQ and builds its OBDD.
@@ -158,36 +146,6 @@ mod tests {
         let p = obdd.probability(|t| indb.probability(t));
         let expected = 1.0 - (1.0 - 0.5) * (1.0 - 2.0 / 3.0) * (1.0 - 0.5) * (1.0 - 0.8);
         assert!((p - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bounded_synthesis_refuses_pairing_blowups() {
-        // f = ∨_i xᵢ ∧ yᵢ with every x-variable ordered before every
-        // y-variable: after the x-levels the diagram must remember the set
-        // of matched partners, so the reduced OBDD has ~2ⁿ nodes. The
-        // bounded entry point refuses fast instead of exhausting memory.
-        let n = 14u32;
-        let order = Arc::new(VarOrder::from_tuples((0..2 * n).map(TupleId)));
-        let builder = SynthesisBuilder::new(order);
-        let lin = Lineage::from_clauses(
-            (0..n)
-                .map(|i| vec![TupleId(i), TupleId(n + i)])
-                .collect::<Vec<_>>(),
-        );
-        match builder.from_lineage_bounded(&lin, 2_000) {
-            Err(crate::ObddError::NodeBudgetExceeded { allocated, budget }) => {
-                assert!(allocated > budget);
-                assert_eq!(budget, 2_000);
-            }
-            other => panic!("expected a node-budget refusal, got {other:?}"),
-        }
-        // A generous budget admits the same lineage and confirms the size.
-        let obdd = builder.from_lineage_bounded(&lin, usize::MAX).unwrap();
-        assert!(obdd.size() > 2_000, "diagram size {}", obdd.size());
-        // Easy lineages pass untouched under tight budgets.
-        let easy = Lineage::from_clauses(vec![vec![TupleId(0)], vec![TupleId(1)]]);
-        let small = builder.from_lineage_bounded(&easy, 16).unwrap();
-        assert!(small.size() <= 2);
     }
 
     #[test]

@@ -9,15 +9,14 @@
 //! `NV` tuples), asserts bit-level determinism under a fixed seed, runs the
 //! clause-scan and per-world compiled-plan evaluation modes
 //! differentially, and demonstrates the acceptance scenario: a query whose
-//! exact OBDD synthesis is *refused* (node budget) still gets a
-//! CI-bounded estimate.
+//! exact evaluation is *refused* (the query kernel's node cap) still gets
+//! a CI-bounded estimate.
 //!
 //! The sample budget scales with the `APPROX_SAMPLES` environment variable
 //! (default 32768); the nightly CI job runs the suite with a much larger
 //! budget.
 
-use std::sync::Arc;
-
+use markoviews::core::CoreError;
 use markoviews::obdd::ObddError;
 use markoviews::prelude::*;
 use markoviews::query::parse_ucq as parse;
@@ -224,25 +223,29 @@ fn pairing_mvdb(n: usize) -> (Mvdb, f64) {
 #[test]
 fn monte_carlo_answers_queries_whose_exact_synthesis_is_refused() {
     let (mvdb, exact) = pairing_mvdb(44);
-    let translated = TranslatedIndb::new(&mvdb).expect("translates");
+    let engine = MvdbEngine::compile(&mvdb).expect("compiles");
     let q = parse("Q() :- X(i, j), Y(j)").expect("parses");
-    let lineage = markoviews::query::lineage::lineage(&q, translated.indb()).expect("lineage");
-    assert_eq!(lineage.num_clauses(), 44);
+    let ctx = engine.context();
+    assert_eq!(ctx.lineage(&q).expect("lineage").num_clauses(), 44);
 
-    // Exact synthesis under the translation's value-keyed tuple order hits
-    // the ~2^22-node blow-up and is refused by the node budget…
-    let order = Arc::new(PiOrder::identity().tuple_order(translated.indb()));
-    let refusal = SynthesisBuilder::new(order).from_lineage_bounded(&lineage, 10_000);
-    match refusal {
-        Err(ObddError::NodeBudgetExceeded { allocated, budget }) => {
-            assert!(allocated > budget)
+    // The exact rung's kernel folds the lineage under the index's
+    // value-keyed tuple order, where its diagram needs ~2^22 nodes, so a
+    // cap of 10 000 nodes refuses it…
+    const NODE_CAP: usize = 10_000;
+    ctx.scratch().set_node_cap(NODE_CAP);
+    match MvIndexBackend::default().probability(&q, &ctx) {
+        Err(CoreError::Obdd(ObddError::NodeBudgetExceeded { allocated, budget })) => {
+            assert_eq!(budget, NODE_CAP);
+            assert!(
+                allocated > budget,
+                "{allocated} nodes under a cap of {budget}"
+            );
         }
-        other => panic!("expected exact synthesis to be refused, got {other:?}"),
+        other => panic!("expected the kernel to refuse at {NODE_CAP} nodes, got {other:?}"),
     }
 
     // …while the sampling backend returns a CI-bounded estimate that
     // covers the closed-form exact probability.
-    let engine = MvdbEngine::compile(&mvdb).expect("compiles");
     let config = suite_config(0xB10);
     let answer = engine.approx_probability(&q, &config).expect("estimate");
     assert_eq!(answer.method, IntervalMethod::Wilson);

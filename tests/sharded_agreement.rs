@@ -107,7 +107,8 @@ proptest! {
 /// The name selection that matches *every* advisor — at 2 000 authors about
 /// 9 000 clauses over every block of the index, the shape that ran out of
 /// memory at 10 000 authors while the online path was quadratic. It must
-/// evaluate, agree sharded and unsharded, and stay on the exact rung.
+/// evaluate, agree sharded and unsharded, give each of 4 shards work, and
+/// stay on the exact rung.
 #[test]
 fn the_all_advisors_selection_is_exact_sharded_and_unsharded() {
     use markoviews::core::backend::{ResilienceConfig, ResilientBackend, Rung};
@@ -123,8 +124,15 @@ fn the_all_advisors_selection_is_exact_sharded_and_unsharded() {
     assert!((0.0..=1.0).contains(&reference), "{reference}");
 
     let sharded = ShardedEngine::from_engine(oracle.clone(), 4).unwrap();
-    let p = sharded.probability(&q).unwrap();
+    let session = sharded.session();
+    let p = session.probabilities(std::slice::from_ref(&q)).unwrap()[0];
     assert!((p - reference).abs() < 1e-12, "{p} vs {reference}");
+    // Every block is touched, so every shard carried work.
+    let per_shard = session.last_shard_queries();
+    assert!(
+        per_shard.len() == 4 && per_shard.iter().all(|&c| c > 0),
+        "{per_shard:?}"
+    );
 
     let ladder = ResilientBackend::new(ResilienceConfig::default());
     assert_eq!(ladder.config().node_budget, 1 << 18);
