@@ -318,7 +318,7 @@ impl<'a> EvalContext<'a> {
         if query.is_boolean() {
             Ok(())
         } else {
-            Err(CoreError::NotBoolean(query.name.clone()))
+            Err(CoreError::NotBoolean(query.name.to_string()))
         }
     }
 }

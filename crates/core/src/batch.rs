@@ -6,8 +6,11 @@
 //! 1. **Route**, striped over the route workers, each with a private
 //!    context on the full store. With shards, a query's clauses are
 //!    collected flat ([`EvalContext::clauses`]: one id buffer, no `Vec` per
-//!    clause) and split per home shard into one buffer each
-//!    ([`mv_query::Partition::route_clauses`]); constants are answered on
+//!    clause) and routed per home shard by the worker's one
+//!    [`mv_query::Router`] (its scratch checked out once per stripe): a
+//!    buffer whose clauses all land on one shard moves to that shard's
+//!    queue as it is, and only a split one is copied into one buffer per
+//!    touched shard ([`mv_query::Routes`]); constants are answered on
 //!    the spot, and a query with no sound routing is evaluated on the full
 //!    store by the worker that routed it (the *oracle*). Without shards
 //!    every query takes that last branch, so an unsharded session is this
@@ -40,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use mv_obdd::ManagerStats;
 use mv_query::lineage::ClauseBuffer;
-use mv_query::Ucq;
+use mv_query::{Router, Routes, Ucq};
 
 use crate::backend::resilient::{
     QueryFault, QueryOutcome, ResilienceConfig, ResilientBackend, Rung, Target, Tracked,
@@ -181,10 +184,7 @@ enum Slot {
     /// Pending on one clause group per touched shard: `items` moves into
     /// the shard queues after phase 1, `combine` folds their outcomes in
     /// phase 3.
-    Sharded {
-        items: Vec<(usize, ClauseBuffer)>,
-        combine: Combine,
-    },
+    Sharded { items: Routes, combine: Combine },
     /// Its routing worker died: rescued in phase 3.
     Unrouted(CoreError),
 }
@@ -280,9 +280,9 @@ fn quarantined(
     tracked
 }
 
-/// Phase 1 for one query of a sharded engine.
+/// Phase 1 for one query of a sharded engine, through the worker's router.
 fn route(
-    engine: &ShardedEngine,
+    router: &mut Router<'_>,
     ladder: &ResilientBackend,
     q: &Ucq,
     ctx: &EvalContext<'_>,
@@ -302,7 +302,7 @@ fn route(
             let answer = Tracked::answered_on(Rung::Exact, p, Duration::ZERO, None);
             return Ok(Slot::Done(answer));
         }
-        Ok(match engine.partition.route_clauses(&clauses) {
+        Ok(match router.route(clauses) {
             Some(items) => Slot::Sharded {
                 items,
                 combine: Combine::new(),
@@ -422,11 +422,12 @@ impl<'e> Pipeline<'e> {
             |stripe| {
                 let ctx = full.context();
                 let ladder = ladder();
+                let mut router = sharded.map(|engine| engine.partition.router());
                 let routed: Vec<(Slot, Duration)> = stripe
                     .map(|i| {
                         let started = Instant::now();
-                        let slot = match sharded {
-                            Some(engine) => route(engine, &ladder, &boolean[i], &ctx, started),
+                        let slot = match &mut router {
+                            Some(router) => route(router, &ladder, &boolean[i], &ctx, started),
                             None => Slot::Done(quarantined(&ladder, full_site, &boolean[i], &ctx)),
                         };
                         (slot, started.elapsed())
@@ -447,7 +448,7 @@ impl<'e> Pipeline<'e> {
             w_shards.iter().map(|_| Vec::new()).collect();
         for (qi, slot) in slots.iter_mut().enumerate() {
             if let Slot::Sharded { items, .. } = slot {
-                for (shard, item) in items.drain(..) {
+                for (shard, item) in std::mem::replace(items, Routes::Split(Vec::new())) {
                     queues[shard].push((qi, item, own.draw(sites::SHARD_EVAL)));
                 }
             }

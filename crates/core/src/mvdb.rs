@@ -99,7 +99,7 @@ impl Mvdb {
     /// databases; this is the reference implementation of Definition 4.
     pub fn exact_probability(&self, query: &Ucq) -> Result<f64> {
         if !query.is_boolean() {
-            return Err(CoreError::NotBoolean(query.name.clone()));
+            return Err(CoreError::NotBoolean(query.name.to_string()));
         }
         let mln = self.to_ground_mln()?;
         let lin = lineage(query, &self.base)?;
@@ -246,11 +246,11 @@ fn validate_atoms(cq: &ConjunctiveQuery, indb: &InDb) -> Result<()> {
         let rel = indb
             .schema()
             .relation_id(&atom.relation)
-            .ok_or_else(|| mv_query::QueryError::UnknownRelation(atom.relation.clone()))?;
+            .ok_or_else(|| mv_query::QueryError::UnknownRelation(atom.relation.to_string()))?;
         let arity = indb.schema().relation(rel).arity();
         if atom.terms.len() != arity {
             return Err(CoreError::Query(mv_query::QueryError::ArityMismatch {
-                relation: atom.relation.clone(),
+                relation: atom.relation.to_string(),
                 expected: arity,
                 actual: atom.terms.len(),
             }));

@@ -89,7 +89,7 @@ impl MarkoView {
     /// weights). The keyword `inf` denotes a hard requirement.
     pub fn parse(text: &str) -> Result<Self> {
         let (cq, annotation) = parse_rule_with_annotation(text)?;
-        let name = cq.name.clone();
+        let name = cq.name.to_string();
         let annotation = annotation.ok_or_else(|| CoreError::InvalidViewWeight {
             view: name.clone(),
             annotation: "<missing>".into(),

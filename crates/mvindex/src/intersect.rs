@@ -347,6 +347,10 @@ pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
 /// thousands of times a second and mostly hold a few dozen entries; a table
 /// left large by one broad query halves on every reset that finds it nearly
 /// empty, so the point queries after it probe a cache-sized table again.
+/// It halves no further than [`StampedMap::SHRINK_FLOOR`] slots: below
+/// that, a halving would be undone by the next lineage of a few dozen
+/// entries, one allocation each time (a third of the warm point lineages
+/// regrew a table when the floor was the 64-slot minimum).
 #[derive(Debug, Clone)]
 pub(crate) struct StampedMap<V> {
     slots: Vec<StampedSlot<V>>,
@@ -364,6 +368,10 @@ struct StampedSlot<V> {
 
 impl<V: Copy + Default> StampedMap<V> {
     const MIN_SLOTS: usize = 64;
+    /// Slots a nearly empty table keeps on reset (24 KiB of `f64` slots):
+    /// room for the ≈ 150 memo entries of a 36-clause point lineage, which
+    /// a 256-slot floor still regrew to 512.
+    const SHRINK_FLOOR: usize = 1024;
 
     /// An empty table; the slots are allocated by the first insert, so a
     /// context that never reaches the exact rung pays nothing for its
@@ -378,7 +386,7 @@ impl<V: Copy + Default> StampedMap<V> {
 
     /// Forgets every entry.
     pub(crate) fn reset(&mut self) {
-        if self.len * 8 < self.slots.len() && self.slots.len() > Self::MIN_SLOTS {
+        if self.len * 8 < self.slots.len() && self.slots.len() > Self::SHRINK_FLOOR {
             // No entry is live past this point, so any prefix is a table.
             self.slots.truncate(self.slots.len() / 2);
         }
@@ -743,14 +751,27 @@ mod tests {
             assert_eq!(map.get([5, 2, round + 1]), None);
             map.reset();
         }
-        // Nearly empty generations give the slots back, one halving each.
+        // Nearly empty generations give the slots back, one halving each,
+        // down to the floor.
         let grown = map.slots.len();
         assert!(grown >= 2_000);
         for _ in 0..16 {
             map.insert([1, 1, 1], 1);
             map.reset();
         }
-        assert_eq!(map.slots.len(), StampedMap::<u32>::MIN_SLOTS);
+        assert_eq!(map.slots.len(), StampedMap::<u32>::SHRINK_FLOOR);
+        // At the floor, small generations alternating with a few dozen
+        // entries neither shrink nor regrow the table: no allocation.
+        let table = map.slots.as_ptr();
+        for round in 0..64u32 {
+            let entries = if round % 2 == 0 { 2 } else { 300 };
+            for i in 0..entries {
+                map.insert([i, round, 0], i);
+            }
+            map.reset();
+        }
+        assert_eq!(map.slots.len(), StampedMap::<u32>::SHRINK_FLOOR);
+        assert_eq!(map.slots.as_ptr(), table);
         // A wrapped stamp cannot revive an entry of 2³² generations ago.
         map.insert([4, 4, 4], 4);
         map.stamp = u32::MAX;

@@ -113,7 +113,7 @@ impl<'a> ConObddBuilder<'a> {
             for (d, var) in current.disjuncts.iter().zip(&sep.per_disjunct) {
                 for atom in &d.atoms {
                     if let Some(&pos) = atom.positions_of(var).first() {
-                        let entry = partial.entry(atom.relation.clone()).or_default();
+                        let entry = partial.entry(atom.relation.to_string()).or_default();
                         if !entry.contains(&pos) {
                             entry.push(pos);
                         }

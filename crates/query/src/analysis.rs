@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{ConjunctiveQuery, Ucq};
+use crate::ast::{ConjunctiveQuery, Name, Ucq};
 
 /// A separator choice for a UCQ: for each disjunct, the name of the root
 /// variable that plays the role of the separator `z`.
@@ -143,7 +143,7 @@ pub fn find_separator_over(
     fn consistent(
         cq: &ConjunctiveQuery,
         var: &str,
-        positions: &mut BTreeMap<String, usize>,
+        positions: &mut BTreeMap<Name, usize>,
         is_probabilistic: &impl Fn(&str) -> bool,
     ) -> bool {
         for atom in &cq.atoms {
@@ -170,7 +170,7 @@ pub fn find_separator_over(
     fn go(
         ucq: &Ucq,
         idx: usize,
-        positions: &mut BTreeMap<String, usize>,
+        positions: &mut BTreeMap<Name, usize>,
         chosen: &mut Vec<String>,
         is_probabilistic: &impl Fn(&str) -> bool,
     ) -> bool {
@@ -307,7 +307,7 @@ pub fn is_inversion_free(ucq: &Ucq) -> bool {
     }
     // Precedence constraints `earlier < later` between attribute positions,
     // per relation name.
-    let mut constraints: BTreeMap<String, BTreeSet<(usize, usize)>> = BTreeMap::new();
+    let mut constraints: BTreeMap<Name, BTreeSet<(usize, usize)>> = BTreeMap::new();
     for cq in &boolean.disjuncts {
         let occ = occurrence_map(cq);
         for atom in &cq.atoms {

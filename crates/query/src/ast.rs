@@ -10,24 +10,177 @@
 //! [`Atom`]s and a list of [`Comparison`] predicates. A [`Ucq`] is a union of
 //! conjunctive queries with compatible heads. Boolean queries are queries with
 //! an empty head.
+//!
+//! Relation, variable and query names are [`Name`]s: a name of up to
+//! [`Name::INLINE`] (23) bytes is held inline, in the node that owns it, and
+//! a longer one in a shared heap string. Parsing a query therefore allocates
+//! for its vectors (the disjuncts, each rule's atoms and comparisons, each
+//! atom's terms) and for its string constants, never per identifier; two
+//! names compare as their inline bytes, and the plan cache's shape key
+//! hashes those bytes where they lie ([`crate::template`]), with no UTF-8
+//! decoding and no pointer to follow. A name is a value of its
+//! own: there is no global interner, no lock, and no table that grows with
+//! the query text a process has seen.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use mv_pdb::Value;
+
+/// A relation, variable or query name: inline up to [`Name::INLINE`]
+/// bytes, a shared heap string beyond. Dereferences to `str`, and compares
+/// with `str` and `String` by content.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Name(Repr);
+
+/// One representation per length, so that derived equality is equality of
+/// content: a name of at most [`Name::INLINE`] bytes is always inline.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    /// The first `len` bytes are the name, the rest are zero.
+    Inline {
+        len: u8,
+        bytes: [u8; Name::INLINE],
+    },
+    Heap(Arc<str>),
+}
+
+impl Name {
+    /// Longest name, in bytes, held without a heap allocation.
+    pub const INLINE: usize = 23;
+
+    /// The name `text`.
+    pub fn new(text: &str) -> Name {
+        if text.len() <= Name::INLINE {
+            let mut bytes = [0; Name::INLINE];
+            bytes[..text.len()].copy_from_slice(text.as_bytes());
+            Name(Repr::Inline {
+                len: text.len() as u8,
+                bytes,
+            })
+        } else {
+            Name(Repr::Heap(Arc::from(text)))
+        }
+    }
+
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("an inline name holds the bytes of the `str` it was made from"),
+            Repr::Heap(text) => text,
+        }
+    }
+
+    /// The name's UTF-8 bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(text) => text.as_bytes(),
+        }
+    }
+
+    /// `true` when the name is held inline (at most [`Name::INLINE`] bytes).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl AsRef<str> for Name {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.as_bytes().hash(h);
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The order of the names' strings (byte order is `str` order).
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl From<&str> for Name {
+    fn from(text: &str) -> Self {
+        Name::new(text)
+    }
+}
+
+impl From<&String> for Name {
+    fn from(text: &String) -> Self {
+        Name::new(text)
+    }
+}
+
+impl From<String> for Name {
+    fn from(text: String) -> Self {
+        Name::new(&text)
+    }
+}
+
+macro_rules! name_eq {
+    ($($other:ty),*) => {$(
+        impl PartialEq<$other> for Name {
+            fn eq(&self, other: &$other) -> bool {
+                self.as_bytes() == AsRef::<[u8]>::as_ref(other)
+            }
+        }
+
+        impl PartialEq<Name> for $other {
+            fn eq(&self, other: &Name) -> bool {
+                other == self
+            }
+        }
+    )*};
+}
+
+name_eq!(str, &str, String);
 
 /// A term: either a variable or a constant.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Term {
     /// A variable, identified by name.
-    Var(String),
+    Var(Name),
     /// A constant value.
     Const(Value),
 }
 
 impl Term {
     /// Builds a variable term.
-    pub fn var(name: impl Into<String>) -> Self {
+    pub fn var(name: impl Into<Name>) -> Self {
         Term::Var(name.into())
     }
 
@@ -39,7 +192,7 @@ impl Term {
     /// The variable name, if this term is a variable.
     pub fn as_var(&self) -> Option<&str> {
         match self {
-            Term::Var(v) => Some(v),
+            Term::Var(v) => Some(v.as_str()),
             Term::Const(_) => None,
         }
     }
@@ -68,7 +221,7 @@ impl Term {
     /// Renames the variable `from` to `to`, if it matches.
     pub fn rename(&self, from: &str, to: &str) -> Term {
         match self {
-            Term::Var(v) if v == from => Term::Var(to.to_string()),
+            Term::Var(v) if v == from => Term::Var(Name::new(to)),
             other => other.clone(),
         }
     }
@@ -196,14 +349,14 @@ impl fmt::Display for Comparison {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// Relation name.
-    pub relation: String,
+    pub relation: Name,
     /// Terms, one per attribute.
     pub terms: Vec<Term>,
 }
 
 impl Atom {
     /// Creates an atom.
-    pub fn new(relation: impl Into<String>, terms: Vec<Term>) -> Self {
+    pub fn new(relation: impl Into<Name>, terms: Vec<Term>) -> Self {
         Atom {
             relation: relation.into(),
             terms,
@@ -267,7 +420,7 @@ impl fmt::Display for Atom {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConjunctiveQuery {
     /// Name of the query (the head predicate).
-    pub name: String,
+    pub name: Name,
     /// Head terms; empty for a Boolean query.
     pub head: Vec<Term>,
     /// Relational atoms of the body.
@@ -279,7 +432,7 @@ pub struct ConjunctiveQuery {
 impl ConjunctiveQuery {
     /// Creates a conjunctive query.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Name>,
         head: Vec<Term>,
         atoms: Vec<Atom>,
         comparisons: Vec<Comparison>,
@@ -436,7 +589,7 @@ impl ConjunctiveQuery {
         let mut comparisons = self.comparisons.clone();
         comparisons.extend(other.comparisons.iter().cloned());
         ConjunctiveQuery {
-            name: format!("{}_{}", self.name, other.name),
+            name: Name::new(&format!("{}_{}", self.name, other.name)),
             head: Vec::new(),
             atoms,
             comparisons,
@@ -458,14 +611,14 @@ impl fmt::Display for ConjunctiveQuery {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ucq {
     /// Name of the query.
-    pub name: String,
+    pub name: Name,
     /// The disjuncts.
     pub disjuncts: Vec<ConjunctiveQuery>,
 }
 
 impl Ucq {
     /// Creates a UCQ from its disjuncts. Panics if empty.
-    pub fn new(name: impl Into<String>, disjuncts: Vec<ConjunctiveQuery>) -> Self {
+    pub fn new(name: impl Into<Name>, disjuncts: Vec<ConjunctiveQuery>) -> Self {
         assert!(!disjuncts.is_empty(), "a UCQ needs at least one disjunct");
         Ucq {
             name: name.into(),
@@ -504,7 +657,7 @@ impl Ucq {
         let mut disjuncts = self.disjuncts.clone();
         disjuncts.extend(other.disjuncts.iter().cloned());
         Ucq {
-            name: format!("{}_or_{}", self.name, other.name),
+            name: Name::new(&format!("{}_or_{}", self.name, other.name)),
             disjuncts,
         }
     }

@@ -75,7 +75,7 @@ pub fn brute_force_lineage_probability(lineage: &Lineage, indb: &InDb) -> f64 {
 /// lineage variables.
 pub fn brute_force_query_probability(ucq: &crate::ast::Ucq, indb: &InDb) -> Result<f64> {
     if !ucq.is_boolean() {
-        return Err(QueryError::NotBoolean(ucq.name.clone()));
+        return Err(QueryError::NotBoolean(ucq.name.to_string()));
     }
     let lin = lineage(ucq, indb)?;
     Ok(brute_force_lineage_probability(&lin, indb))
@@ -89,7 +89,7 @@ pub fn brute_force_query_probability_with(
     ctx: &EvalContext<'_>,
 ) -> Result<f64> {
     if !ucq.is_boolean() {
-        return Err(QueryError::NotBoolean(ucq.name.clone()));
+        return Err(QueryError::NotBoolean(ucq.name.to_string()));
     }
     let lin = lineage_with(ucq, indb, ctx)?;
     Ok(brute_force_lineage_probability(&lin, indb))

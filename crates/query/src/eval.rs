@@ -41,10 +41,10 @@ use std::sync::Arc;
 use fxhash::FxHashMap;
 use mv_pdb::{Database, RelId, Row, Value};
 
-use crate::ast::{Atom, ConjunctiveQuery, Term, Ucq};
+use crate::ast::{Atom, ConjunctiveQuery, Name, Term, Ucq};
 use crate::error::QueryError;
 use crate::plan::PlanStats;
-use crate::template::{shape_hash, LocalPlan, PlanCache, Templates};
+use crate::template::{LocalPlan, PlanCache, ShapeKey, Templates};
 use crate::vec_exec::{ExecScratch, ExecStats, VecCompiledUcq};
 use crate::Result;
 
@@ -57,7 +57,7 @@ pub struct Answer {
 
 /// A variable binding environment of the legacy evaluator (FxHash-keyed;
 /// compiled plans replace this with a register file of codes).
-pub type Bindings = FxHashMap<String, Value>;
+pub type Bindings = FxHashMap<Name, Value>;
 
 /// One `Value`-keyed column index of the legacy evaluator
 /// (`value → row positions`).
@@ -157,22 +157,22 @@ impl<'a> EvalContext<'a> {
     /// hit clones an `Rc`, and the shared `Arc` is cloned only when the
     /// context first resolves the template.
     pub(crate) fn plan(&self, ucq: &Ucq) -> Result<LocalPlan> {
-        let hash = shape_hash(ucq);
-        if let Some(plan) = self.plans.borrow().get(hash, ucq) {
+        let key = ShapeKey::of(ucq);
+        if let Some(plan) = self.plans.borrow().get(&key) {
             return Ok(Rc::clone(plan));
         }
-        let plan = match self.shared.and_then(|cache| cache.get(hash, ucq)) {
+        let plan = match self.shared.and_then(|cache| cache.get(&key)) {
             Some(plan) => plan,
             None => {
                 let plan = Arc::new(VecCompiledUcq::compile(ucq, self.db)?);
                 match self.shared {
-                    Some(cache) => cache.insert(hash, plan),
+                    Some(cache) => cache.insert(&key, plan),
                     None => plan,
                 }
             }
         };
         let plan = Rc::new(plan);
-        self.plans.borrow_mut().insert(hash, Rc::clone(&plan));
+        self.plans.borrow_mut().insert(&key, Rc::clone(&plan));
         Ok(plan)
     }
 
@@ -259,11 +259,11 @@ pub(crate) fn resolve_atom(db: &Database, atom: &Atom) -> Result<RelId> {
     let rel = db
         .schema()
         .relation_id(&atom.relation)
-        .ok_or_else(|| QueryError::UnknownRelation(atom.relation.clone()))?;
+        .ok_or_else(|| QueryError::UnknownRelation(atom.relation.to_string()))?;
     let arity = db.schema().relation(rel).arity();
     if atom.terms.len() != arity {
         return Err(QueryError::ArityMismatch {
-            relation: atom.relation.clone(),
+            relation: atom.relation.to_string(),
             expected: arity,
             actual: atom.terms.len(),
         });
@@ -460,7 +460,7 @@ fn search<B>(
     let relation = db.relation(rel);
     for row_index in candidates {
         // Unify the atom's terms with the row, decoding one value at a time.
-        let mut new_bindings: Vec<String> = Vec::new();
+        let mut new_bindings: Vec<Name> = Vec::new();
         let mut ok = true;
         for (column, term) in atom.terms.iter().enumerate() {
             let value = db.interner().value(relation.code_at(row_index, column));
@@ -519,7 +519,8 @@ fn search<B>(
 }
 
 fn is_ground_under(cmp: &crate::ast::Comparison, bindings: &Bindings) -> bool {
-    cmp.variables().all(|v| bindings.contains_key(v))
+    cmp.variables()
+        .all(|v| bindings.contains_key(&Name::new(v)))
 }
 
 fn ground_comparison(cmp: &crate::ast::Comparison, bindings: &Bindings) -> bool {
@@ -616,7 +617,7 @@ pub fn evaluate_boolean(ucq: &Ucq, db: &Database) -> Result<bool> {
 pub fn evaluate_boolean_with(ucq: &Ucq, ctx: &EvalContext<'_>) -> Result<bool> {
     for disjunct in &ucq.disjuncts {
         if !disjunct.is_boolean() {
-            return Err(QueryError::NotBoolean(disjunct.name.clone()));
+            return Err(QueryError::NotBoolean(disjunct.name.to_string()));
         }
     }
     let plan = ctx.plan(ucq)?;

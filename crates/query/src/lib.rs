@@ -72,14 +72,14 @@ pub use approx::{
     approx_lineage_probability, ApproxAccumulator, ApproxAnswer, ApproxConfig, ConditionalSampler,
     IntervalMethod,
 };
-pub use ast::{Atom, CmpOp, Comparison, ConjunctiveQuery, Term, Ucq};
+pub use ast::{Atom, CmpOp, Comparison, ConjunctiveQuery, Name, Term, Ucq};
 pub use budget::{BudgetError, EvalBudget};
 pub use components::{component_relevant_clauses, connected_components, Components, UnionFind};
 pub use error::QueryError;
 pub use eval::{evaluate_boolean, evaluate_ucq, Answer};
 pub use lineage::{AnswerClauses, Clause, ClauseBuffer, ClauseSlice, Lineage};
 pub use parser::{parse_query, parse_ucq};
-pub use partition::{ComponentPartitioner, Partition, RoutedLineage};
+pub use partition::{ComponentPartitioner, Partition, RoutedLineage, Router, Routes};
 pub use plan::PlanStats;
 pub use rewrite::{separator_domain, simplify_cq, SimplifiedCq};
 pub use safe_plan::{safe_probability, SafePlanError};

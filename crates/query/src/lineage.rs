@@ -900,7 +900,7 @@ fn collect(
 pub fn clauses_with(ucq: &Ucq, indb: &InDb, ctx: &EvalContext<'_>) -> Result<ClauseBuffer> {
     for disjunct in &ucq.disjuncts {
         if !disjunct.is_boolean() {
-            return Err(QueryError::NotBoolean(disjunct.name.clone()));
+            return Err(QueryError::NotBoolean(disjunct.name.to_string()));
         }
     }
     let plan = ctx.plan(ucq)?;
@@ -950,7 +950,7 @@ pub fn lineage_legacy_with(ucq: &Ucq, indb: &InDb, ctx: &EvalContext<'_>) -> Res
     let mut clauses: Vec<Clause> = Vec::new();
     for disjunct in &ucq.disjuncts {
         if !disjunct.is_boolean() {
-            return Err(QueryError::NotBoolean(disjunct.name.clone()));
+            return Err(QueryError::NotBoolean(disjunct.name.to_string()));
         }
         for_each_match::<()>(disjunct, ctx, |_, matched| {
             let mut clause: Clause = matched

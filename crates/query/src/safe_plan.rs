@@ -69,7 +69,7 @@ const MAX_DEPTH: usize = 64;
 pub fn safe_probability(ucq: &Ucq, indb: &InDb) -> Result<f64, SafePlanError> {
     if !ucq.is_boolean() {
         return Err(SafePlanError::Query(QueryError::NotBoolean(
-            ucq.name.clone(),
+            ucq.name.to_string(),
         )));
     }
     // Validate relations/arities up front so that evaluation can assume a
@@ -79,11 +79,11 @@ pub fn safe_probability(ucq: &Ucq, indb: &InDb) -> Result<f64, SafePlanError> {
             let rel = indb
                 .schema()
                 .relation_id(&atom.relation)
-                .ok_or_else(|| QueryError::UnknownRelation(atom.relation.clone()))?;
+                .ok_or_else(|| QueryError::UnknownRelation(atom.relation.to_string()))?;
             let arity = indb.schema().relation(rel).arity();
             if atom.terms.len() != arity {
                 return Err(SafePlanError::Query(QueryError::ArityMismatch {
-                    relation: atom.relation.clone(),
+                    relation: atom.relation.to_string(),
                     expected: arity,
                     actual: atom.terms.len(),
                 }));
@@ -232,7 +232,7 @@ fn cq_probability(cq: &ConjunctiveQuery, indb: &InDb, depth: usize) -> Result<f6
         let rel = indb
             .schema()
             .relation_id(&atom.relation)
-            .ok_or_else(|| QueryError::UnknownRelation(atom.relation.clone()))?;
+            .ok_or_else(|| QueryError::UnknownRelation(atom.relation.to_string()))?;
         let row: Vec<Value> = atom
             .terms
             .iter()

@@ -7,10 +7,12 @@
 //! constants stay literal, so `n like '%f00%'` and `n like '%f01%'` are two
 //! templates, as are `aid1 = 7` and `aid1 = 8`.
 //!
-//! A template is found by a constant-blind structural hash and confirmed by
-//! a constant-blind equality check against the instance it was compiled
-//! from, so a hash collision never hands out another shape's plan, and no
-//! lookup formats a string.
+//! A template is found by its shape key: the query's shape written out
+//! as length-prefixed bytes (constant-blind in the atom terms), found by a
+//! keyed hash of those bytes and confirmed by comparing them with the bytes
+//! the template was kept under, so a hash collision never hands out another
+//! shape's plan, no lookup formats a string, and none walks the template's
+//! own query.
 //!
 //! [`PlanCache`] holds the templates of one store snapshot for as long as
 //! the snapshot lives; every [`EvalContext`](crate::eval::EvalContext) over
@@ -37,14 +39,14 @@
 //! either cap a plan is compiled and returned but not kept.
 
 use std::collections::hash_map::{Entry, RandomState};
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::{BuildHasher, Hasher};
 use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use fxhash::FxHashMap;
-use mv_pdb::Database;
+use mv_pdb::{Database, Value};
 
-use crate::ast::{ConjunctiveQuery, Term, Ucq};
+use crate::ast::{Name, Term, Ucq};
 use crate::plan::PlanStats;
 use crate::vec_exec::{ExecScratch, VecCompiledUcq};
 
@@ -59,52 +61,127 @@ pub(crate) const MAX_TEMPLATES: usize = 4096;
 /// a bitmap of the largest relation (⌈rows / 64⌉ × 8 bytes).
 pub(crate) const MAX_SELECTION_BYTES: usize = 64 << 20;
 
-/// The constant-blind structural hash of `ucq`: atom-term constants hash
-/// as a placeholder, everything else by value. Query names are left out —
-/// a plan does not depend on them. The hash is keyed once per process:
-/// queries arrive from outside the program, and shapes whose hashes
-/// collide would share a bucket every lookup scans.
-pub(crate) fn shape_hash(ucq: &Ucq) -> u64 {
-    static KEYS: OnceLock<RandomState> = OnceLock::new();
-    let mut h = KEYS.get_or_init(RandomState::new).build_hasher();
-    ucq.disjuncts.len().hash(&mut h);
-    for cq in &ucq.disjuncts {
-        cq.head.hash(&mut h);
-        cq.atoms.len().hash(&mut h);
-        for atom in &cq.atoms {
-            atom.relation.hash(&mut h);
-            atom.terms.len().hash(&mut h);
-            for term in &atom.terms {
-                term.as_var().hash(&mut h);
-            }
-        }
-        cq.comparisons.hash(&mut h);
-    }
-    h.finish()
+/// A query's shape as a key: the query up to its atom-term constants,
+/// written out as length-prefixed bytes, plus the keyed hash of those
+/// bytes. Atom-term constants are written as a placeholder, everything
+/// else by value; query names are left out — a plan does not depend on
+/// them. The encoding is prefix-free, so two queries have equal keys
+/// exactly when they are instances of one template.
+///
+/// A lookup encodes the query once — names copied straight off their
+/// inline bytes, into a stack buffer for a shape of up to
+/// [`ShapeKey::INLINE`] bytes (a point query's is about 40) — hashes the
+/// bytes in one call, and confirms a hit by comparing them with the bytes
+/// the template was kept under: one short hash, one probe and one
+/// comparison of contiguous bytes, without walking the template's query.
+/// The hash is keyed once per process: queries arrive from outside the
+/// program, and shapes whose hashes collide would share a bucket every
+/// lookup scans.
+pub(crate) struct ShapeKey {
+    hash: u64,
+    len: usize,
+    inline: [u8; ShapeKey::INLINE],
+    /// The whole encoding, once it outgrows `inline`.
+    spill: Vec<u8>,
 }
 
-/// `true` when `a` and `b` are instances of one template: equal up to
-/// their atom-term constants (the equality [`shape_hash`] hashes).
-pub(crate) fn same_shape(a: &Ucq, b: &Ucq) -> bool {
-    fn same_cq(a: &ConjunctiveQuery, b: &ConjunctiveQuery) -> bool {
-        a.head == b.head
-            && a.comparisons == b.comparisons
-            && a.atoms.len() == b.atoms.len()
-            && a.atoms.iter().zip(&b.atoms).all(|(x, y)| {
-                x.relation == y.relation
-                    && x.terms.len() == y.terms.len()
-                    && x.terms.iter().zip(&y.terms).all(|(s, t)| match (s, t) {
-                        (Term::Var(s), Term::Var(t)) => s == t,
-                        (Term::Const(_), Term::Const(_)) => true,
-                        _ => false,
-                    })
-            })
+impl ShapeKey {
+    /// Encoded shapes up to this many bytes stay on the stack.
+    const INLINE: usize = 256;
+
+    /// The key of `ucq`'s shape.
+    pub(crate) fn of(ucq: &Ucq) -> ShapeKey {
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        let mut key = ShapeKey {
+            hash: 0,
+            len: 0,
+            inline: [0; ShapeKey::INLINE],
+            spill: Vec::new(),
+        };
+        key.count(ucq.disjuncts.len());
+        for cq in &ucq.disjuncts {
+            key.count(cq.head.len());
+            cq.head.iter().for_each(|t| key.term(t, false));
+            key.count(cq.atoms.len());
+            for atom in &cq.atoms {
+                key.name(&atom.relation);
+                key.count(atom.terms.len());
+                atom.terms.iter().for_each(|t| key.term(t, true));
+            }
+            key.count(cq.comparisons.len());
+            for cmp in &cq.comparisons {
+                key.put(&[cmp.op as u8]);
+                key.term(&cmp.left, false);
+                key.term(&cmp.right, false);
+            }
+        }
+        let mut h = KEYS.get_or_init(RandomState::new).build_hasher();
+        h.write(key.bytes());
+        key.hash = h.finish();
+        key
     }
-    a.disjuncts.len() == b.disjuncts.len()
-        && a.disjuncts
-            .iter()
-            .zip(&b.disjuncts)
-            .all(|(x, y)| same_cq(x, y))
+
+    /// The encoded shape.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        match self.spill.is_empty() {
+            true => &self.inline[..self.len],
+            false => &self.spill,
+        }
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        if self.spill.is_empty() && self.len + bytes.len() <= ShapeKey::INLINE {
+            self.inline[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+            self.len += bytes.len();
+        } else {
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.inline[..self.len]);
+            }
+            self.spill.extend_from_slice(bytes);
+        }
+    }
+
+    /// A count or length, seven bits a byte (LEB128): lossless, and one
+    /// byte below 128.
+    fn count(&mut self, mut n: usize) {
+        while n >= 0x80 {
+            self.put(&[n as u8 | 0x80]);
+            n >>= 7;
+        }
+        self.put(&[n as u8]);
+    }
+
+    fn name(&mut self, name: &Name) {
+        self.count(name.as_bytes().len());
+        self.put(name.as_bytes());
+    }
+
+    /// A term; `blind` writes a constant as the placeholder.
+    fn term(&mut self, t: &Term, blind: bool) {
+        match t {
+            Term::Var(v) => {
+                self.put(&[0]);
+                self.name(v);
+            }
+            Term::Const(_) if blind => self.put(&[1]),
+            Term::Const(Value::Int(i)) => {
+                self.put(&[2]);
+                self.put(&i.to_le_bytes());
+            }
+            Term::Const(Value::Str(s)) => {
+                self.put(&[3]);
+                self.count(s.len());
+                self.put(s.as_bytes());
+            }
+        }
+    }
+}
+
+/// Equal keys are equal shapes (the hash follows the bytes).
+impl PartialEq for ShapeKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes() == other.bytes()
+    }
 }
 
 /// A context's handle on a template the snapshot's cache shares: cloned
@@ -117,13 +194,14 @@ impl AsRef<VecCompiledUcq> for LocalPlan {
     }
 }
 
-/// Templates by shape hash, held through handles `P`: the first template
-/// of a hash in the map, any other whose hash collides with it in a list
-/// beside it (which stays empty, and unallocated, until one does).
+/// Templates by shape hash, each beside the encoded shape it was kept
+/// under, held through handles `P`: the first template of a hash in the
+/// map, any other whose hash collides with it in a list beside it (which
+/// stays empty, and unallocated, until one does).
 #[derive(Debug)]
 pub(crate) struct Templates<P = Arc<VecCompiledUcq>> {
-    by_hash: FxHashMap<u64, P>,
-    collided: Vec<(u64, P)>,
+    by_hash: FxHashMap<u64, (Box<[u8]>, P)>,
+    collided: Vec<(u64, Box<[u8]>, P)>,
     len: usize,
     /// Selection bytes of the templates held.
     bytes: usize,
@@ -141,25 +219,29 @@ impl<P> Default for Templates<P> {
 }
 
 impl<P: AsRef<VecCompiledUcq>> Templates<P> {
-    /// The template `ucq` is an instance of, if this map holds it.
-    pub(crate) fn get(&self, hash: u64, ucq: &Ucq) -> Option<&P> {
-        let first = self.by_hash.get(&hash)?;
-        let collided = self.collided.iter().filter(|(h, _)| *h == hash);
-        std::iter::once(first)
-            .chain(collided.map(|(_, plan)| plan))
-            .find(|plan| same_shape(plan.as_ref().shape(), ucq))
+    /// The template of the shape `key`, if this map holds it.
+    pub(crate) fn get(&self, key: &ShapeKey) -> Option<&P> {
+        let (shape, first) = self.by_hash.get(&key.hash)?;
+        if **shape == *key.bytes() {
+            return Some(first);
+        }
+        self.collided
+            .iter()
+            .find(|(hash, shape, _)| *hash == key.hash && **shape == *key.bytes())
+            .map(|(_, _, plan)| plan)
     }
 
-    /// Keeps `plan` under `hash`, unless the map is full in templates or
+    /// Keeps `plan` under `key`, unless the map is full in templates or
     /// in selection bytes.
-    pub(crate) fn insert(&mut self, hash: u64, plan: P) {
+    pub(crate) fn insert(&mut self, key: &ShapeKey, plan: P) {
         let bytes = plan.as_ref().heap_bytes();
         if self.len < MAX_TEMPLATES && self.bytes + bytes <= MAX_SELECTION_BYTES {
-            match self.by_hash.entry(hash) {
+            let shape = Box::from(key.bytes());
+            match self.by_hash.entry(key.hash) {
                 Entry::Vacant(slot) => {
-                    slot.insert(plan);
+                    slot.insert((shape, plan));
                 }
-                Entry::Occupied(_) => self.collided.push((hash, plan)),
+                Entry::Occupied(_) => self.collided.push((key.hash, shape, plan)),
             }
             self.len += 1;
             self.bytes += bytes;
@@ -175,7 +257,8 @@ impl<P: AsRef<VecCompiledUcq>> Templates<P> {
     pub(crate) fn stats(&self) -> PlanStats {
         self.by_hash
             .values()
-            .chain(self.collided.iter().map(|(_, plan)| plan))
+            .map(|(_, plan)| plan)
+            .chain(self.collided.iter().map(|(_, _, plan)| plan))
             .map(|plan| plan.as_ref().stats())
             .fold(PlanStats::default(), |a, b| a + b)
     }
@@ -237,18 +320,18 @@ impl PlanCache {
         self.lock().heap_bytes()
     }
 
-    pub(crate) fn get(&self, hash: u64, ucq: &Ucq) -> Option<Arc<VecCompiledUcq>> {
-        self.lock().get(hash, ucq).cloned()
+    pub(crate) fn get(&self, key: &ShapeKey) -> Option<Arc<VecCompiledUcq>> {
+        self.lock().get(key).cloned()
     }
 
-    /// Keeps `plan` unless another thread got there first (or the cache is
-    /// full); returns the plan every later lookup will see.
-    pub(crate) fn insert(&self, hash: u64, plan: Arc<VecCompiledUcq>) -> Arc<VecCompiledUcq> {
+    /// Keeps `plan` under `key` unless another thread got there first (or
+    /// the cache is full); returns the plan every later lookup will see.
+    pub(crate) fn insert(&self, key: &ShapeKey, plan: Arc<VecCompiledUcq>) -> Arc<VecCompiledUcq> {
         let mut templates = self.lock();
-        if let Some(first) = templates.get(hash, plan.shape()) {
+        if let Some(first) = templates.get(key) {
             return Arc::clone(first);
         }
-        templates.insert(hash, Arc::clone(&plan));
+        templates.insert(key, Arc::clone(&plan));
         plan
     }
 
@@ -296,16 +379,21 @@ mod tests {
     use crate::parse_ucq;
 
     fn shapes_agree(a: &str, b: &str) -> bool {
-        let (a, b) = (parse_ucq(a).unwrap(), parse_ucq(b).unwrap());
-        let same = same_shape(&a, &b);
-        if same {
-            assert_eq!(
-                shape_hash(&a),
-                shape_hash(&b),
-                "equal shapes must hash equal"
-            );
+        let key = |text| ShapeKey::of(&parse_ucq(text).unwrap());
+        let (x, y) = (key(a), key(b));
+        if x == y {
+            assert_eq!(x.hash, y.hash, "equal shapes must hash equal");
+        } else {
+            assert_ne!(x.hash, y.hash, "{a} and {b}");
         }
-        same
+        x == y
+    }
+
+    /// `q`'s key under a hash of the test's choosing.
+    fn key_with_hash(q: &Ucq, hash: u64) -> ShapeKey {
+        let mut key = ShapeKey::of(q);
+        key.hash = hash;
+        key
     }
 
     #[test]
@@ -333,6 +421,34 @@ mod tests {
         assert!(!shapes_agree("Q() :- R(x), x = 7", "Q() :- R(x), x = 8"));
         assert!(!shapes_agree("Q(1) :- R(x)", "Q(2) :- R(x)"));
         assert!(shapes_agree("Q(x) :- R(x, 1)", "Q(x) :- R(x, 2)"));
+        // Names past the inline capacity and non-ASCII ones key like short
+        // ones, and a different name is a different key.
+        let long = "a_relation_name_past_the_inline_capacity";
+        for (a, b) in [
+            (
+                format!("Q() :- {long}(x, 1)"),
+                format!("Q() :- {long}(x, 2)"),
+            ),
+            ("Q() :- Ü(λ, 1)".to_string(), "Q() :- Ü(λ, 2)".to_string()),
+        ] {
+            assert!(shapes_agree(&a, &b), "{a}");
+        }
+        for (a, b) in [
+            (format!("Q() :- {long}(x)"), format!("Q() :- {long}x(x)")),
+            (format!("Q() :- R({long})"), format!("Q() :- R({long}2)")),
+            ("Q() :- Ü(λ)".to_string(), "Q() :- Ü(μ)".to_string()),
+            ("Q() :- R(x)".to_string(), "Q() :- Rx(x)".to_string()),
+        ] {
+            assert!(!shapes_agree(&a, &b), "{a}");
+        }
+        // A shape past the inline buffer spills, and keys the same way.
+        let wide = |c: i64| {
+            let atoms: Vec<String> = (0..40).map(|i| format!("R{i}(x, {c})")).collect();
+            format!("Q() :- {}", atoms.join(", "))
+        };
+        assert!(ShapeKey::of(&parse_ucq(&wide(1)).unwrap()).bytes().len() > ShapeKey::INLINE);
+        assert!(shapes_agree(&wide(1), &wide(2)));
+        assert!(!shapes_agree(&wide(1), &wide(1).replace("R39", "S39")));
     }
 
     #[test]
@@ -343,11 +459,13 @@ mod tests {
         let q = parse_ucq("Q() :- R(1)").unwrap();
         let compiled = Arc::new(VecCompiledUcq::compile(&q, &db).unwrap());
         for i in 0..MAX_TEMPLATES as u64 + 3 {
-            templates.insert(i, Arc::clone(&compiled));
+            templates.insert(&key_with_hash(&q, i), Arc::clone(&compiled));
         }
         assert_eq!(templates.len(), MAX_TEMPLATES);
-        assert!(templates.get(0, &q).is_some());
-        assert!(templates.get(MAX_TEMPLATES as u64, &q).is_none());
+        assert!(templates.get(&key_with_hash(&q, 0)).is_some());
+        assert!(templates
+            .get(&key_with_hash(&q, MAX_TEMPLATES as u64))
+            .is_none());
     }
 
     #[test]
@@ -360,14 +478,20 @@ mod tests {
             parse_ucq("Q() :- S(1)").unwrap(),
         );
         let mut templates = Templates::default();
-        for q in [&r, &s] {
-            templates.insert(7, Arc::new(VecCompiledUcq::compile(q, &db).unwrap()));
+        let plans: Vec<_> = [&r, &s]
+            .map(|q| Arc::new(VecCompiledUcq::compile(q, &db).unwrap()))
+            .into();
+        for (q, plan) in [&r, &s].into_iter().zip(&plans) {
+            templates.insert(&key_with_hash(q, 7), Arc::clone(plan));
         }
         assert_eq!(templates.len(), 2);
-        for q in [&r, &s] {
-            assert!(same_shape(templates.get(7, q).unwrap().shape(), q));
+        for (q, plan) in [&r, &s].into_iter().zip(&plans) {
+            assert!(Arc::ptr_eq(
+                templates.get(&key_with_hash(q, 7)).unwrap(),
+                plan
+            ));
         }
-        assert!(templates.get(8, &r).is_none());
+        assert!(templates.get(&key_with_hash(&r, 8)).is_none());
         assert_eq!(templates.stats().disjuncts, 2);
     }
 
@@ -385,15 +509,17 @@ mod tests {
         let bytes = selected.heap_bytes();
         assert_eq!(bytes, (rows as usize).div_ceil(64) * 8);
         let mut templates = Templates::default();
+        let q = parse_ucq("Q(x) :- R(x), x > 0").unwrap();
         for i in 0..MAX_TEMPLATES as u64 {
-            templates.insert(i, Arc::clone(&selected));
+            templates.insert(&key_with_hash(&q, i), Arc::clone(&selected));
         }
         let kept = MAX_SELECTION_BYTES / bytes;
         assert!(kept < MAX_TEMPLATES);
         assert_eq!(templates.len(), kept);
         assert_eq!(templates.heap_bytes(), kept * bytes);
         // A plan without a selection still fits.
-        templates.insert(u64::MAX, compile("Q(x) :- R(x)"));
+        let plain = parse_ucq("Q(x) :- R(x)").unwrap();
+        templates.insert(&key_with_hash(&plain, u64::MAX), compile("Q(x) :- R(x)"));
         assert_eq!(templates.len(), kept + 1);
     }
 }

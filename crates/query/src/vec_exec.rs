@@ -315,12 +315,6 @@ impl VecCompiledUcq {
         })
     }
 
-    /// The query this template was compiled from. Any query of the same
-    /// shape — equal up to its atom constants — is an instance.
-    pub(crate) fn shape(&self) -> &Ucq {
-        &self.shape
-    }
-
     /// The per-disjunct vectorized plans, in query order.
     pub fn disjuncts(&self) -> &[VecPlan] {
         &self.disjuncts
@@ -332,7 +326,9 @@ impl VecCompiledUcq {
         &'p self,
         ucq: &'p Ucq,
     ) -> impl Iterator<Item = (&'p VecPlan, &'p ConjunctiveQuery)> + 'p {
-        debug_assert!(crate::template::same_shape(&self.shape, ucq));
+        debug_assert!(
+            crate::template::ShapeKey::of(&self.shape) == crate::template::ShapeKey::of(ucq)
+        );
         self.disjuncts.iter().zip(&ucq.disjuncts)
     }
 

@@ -1,7 +1,13 @@
 //! The allocation floor of the exact online path: one warm broad
 //! `ShardedEngine::probability` call must not allocate per clause, and a
 //! warm small query — a Boolean point query, a non-Boolean `answers` call —
-//! allocates a fixed few times plus once per answer.
+//! allocates a fixed few times plus once per answer. Below those, the point
+//! path's front end: a point text parses in at most four allocations (its
+//! names are held inline), a warm point batch on a sharded session
+//! allocates fewer than three times per query (the route moves a
+//! single-shard lineage's buffer instead of copying it), and a warm query
+//! kernel allocates nothing over a thousand distinct point lineages (its
+//! tables do not shrink below the size a point lineage regrows them to).
 //!
 //! A broad name selection's clauses stay in one flat buffer from the
 //! vectorized executor, through shard routing, into the query kernel's
@@ -107,4 +113,94 @@ fn a_warm_broad_call_allocates_well_below_one_per_clause() {
         "{answers_allocations} allocations for {} answers",
         answers.len()
     );
+
+    // The three point shapes the batch workloads send, as text. Each
+    // parses into its vectors alone — the rule list, the atom list, one
+    // term list per atom — with its names inline: 4, 4 and 3 allocations
+    // (13.6 on average while every name was a `String` and the rules were
+    // split into a `Vec` first).
+    let texts = point_texts(&data);
+    for text in [
+        &texts[0],
+        texts.last().unwrap(),
+        &texts[data.students.len()],
+    ] {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let parsed = parse_ucq(text).unwrap();
+        let parse_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert!(
+            parse_allocations <= 4,
+            "{parse_allocations} allocations to parse {text}"
+        );
+        assert_eq!(parse_ucq(&parsed.to_string()).unwrap(), parsed);
+    }
+
+    // A warm 4 096-query batch on a sharded session: the clause buffer per
+    // query, and a copy only for the one in nine whose clauses split across
+    // shards (6.6 per query when every routed query was copied into fresh
+    // per-shard buffers and the route scratch was checked out per query).
+    let queries: Vec<Ucq> = texts
+        .iter()
+        .cycle()
+        .take(4096)
+        .map(|t| parse_ucq(t).unwrap())
+        .collect();
+    let session = engine.session();
+    let warm = session.probabilities(&queries).unwrap();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let ps = session.probabilities(&queries).unwrap();
+    let batch_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(ps
+        .iter()
+        .zip(&warm)
+        .all(|(p, w)| p.to_bits() == w.to_bits()));
+    assert!(
+        batch_allocations < 3 * queries.len(),
+        "{batch_allocations} allocations for {} queries",
+        queries.len()
+    );
+
+    // A warm query kernel over a thousand distinct point lineages (a
+    // 600-author corpus has that many): no allocation at all (0.35 per
+    // call while a nearly empty table halved on reset and the next
+    // few-dozen-entry lineage regrew it).
+    let data = DblpDataset::generate(DblpConfig::with_authors(600)).unwrap();
+    let mono = MvdbEngine::compile(&data.mvdb).unwrap();
+    let ctx = mono.context();
+    let buffers: Vec<_> = point_texts(&data)
+        .iter()
+        .map(|t| ctx.clauses(&parse_ucq(t).unwrap()).unwrap())
+        .filter(|clauses| !clauses.is_empty() && !clauses.is_true())
+        .take(1000)
+        .collect();
+    assert_eq!(buffers.len(), 1000, "distinct point lineages");
+    let index = mono.index();
+    let indb = mono.translated().indb();
+    let mut kernel = index.take_kernel();
+    let run = |kernel: &mut _, out: &mut Vec<u64>| {
+        for b in &buffers {
+            let p = index.clauses_probability_with(kernel, b.as_slice(), indb);
+            out.push(p.unwrap().to_bits());
+        }
+    };
+    let (mut warm, mut ps) = (Vec::with_capacity(1000), Vec::with_capacity(1000));
+    run(&mut kernel, &mut warm);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    run(&mut kernel, &mut ps);
+    let kernel_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(ps, warm);
+    assert_eq!(kernel_allocations, 0, "the warm kernel allocated");
+    index.recycle_kernel(kernel);
+}
+
+/// Every distinct Boolean point query over `data`, as text: advisor of a
+/// student, students of an advisor, affiliation of an author.
+fn point_texts(data: &DblpDataset) -> Vec<String> {
+    let students = data.students.iter();
+    let advisors = data.advisors.iter();
+    let affiliated = data.affiliated_authors.iter();
+    (students.map(|s| format!("Q() :- Student({s}, year), Advisor({s}, aid2)")))
+        .chain(advisors.map(|a| format!("Q() :- Student(aid, year), Advisor(aid, {a})")))
+        .chain(affiliated.map(|z| format!("Q() :- Affiliation({z}, inst)")))
+        .collect()
 }
