@@ -24,9 +24,9 @@ impl Backend for ObddPerQuery {
     fn probability(&self, q: &Ucq, ctx: &EvalContext<'_>) -> Result<f64> {
         ctx.require_boolean(q)?;
         let indb = ctx.indb();
-        // Both diagrams live in the builder's shared manager: `W` is largely
-        // a sub-structure of `Q ∨ W`, so the cached Shannon expansion pays
-        // for most of the second probability.
+        // Both diagrams live in the builder's manager, so building `W` after
+        // `Q ∨ W` reuses the nodes they share; each probability is its own
+        // Shannon-expansion pass.
         let (p_q_or_w, p_w) = match ctx.w() {
             Some(w) => {
                 let q_or_w = q.boolean().union(w);
@@ -34,14 +34,14 @@ impl Backend for ObddPerQuery {
                 let obdd_q_or_w = builder.build(&q_or_w)?;
                 let obdd_w = builder.build(w)?;
                 (
-                    obdd_q_or_w.probability_cached(|t| indb.probability(t)),
-                    obdd_w.probability_cached(|t| indb.probability(t)),
+                    obdd_q_or_w.probability(|t| indb.probability(t)),
+                    obdd_w.probability(|t| indb.probability(t)),
                 )
             }
             None => {
                 let mut builder = ConObddBuilder::for_query(indb, q);
                 let obdd_q = builder.build(q)?;
-                (obdd_q.probability_cached(|t| indb.probability(t)), 0.0)
+                (obdd_q.probability(|t| indb.probability(t)), 0.0)
             }
         };
         theorem1(p_q_or_w, p_w)

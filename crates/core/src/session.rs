@@ -14,17 +14,14 @@
 //! key or size — is spread across all workers instead of serialising one of
 //! them. The calling thread is worker 0; a single-threaded session spawns
 //! nothing. The immutable engine (translated database + compiled MV-index,
-//! whose manager is behind an `Arc`'d lock) is shared by reference, while
-//! each worker owns a private [`EvalContext`](crate::EvalContext) — and
-//! therefore a private query-side [`ObddManager`](mv_obdd::ObddManager) —
-//! so nodes, apply-memo entries and cached probabilities accumulate across
-//! a worker's stripe and query-side construction never contends across
-//! threads.
+//! whose block table is `Arc`-shared) is shared by reference, while each
+//! worker owns a private [`EvalContext`](crate::EvalContext) — and
+//! therefore a private query kernel — so query-side scratch is reused
+//! across a worker's stripe and never contends across threads.
 //!
 //! Results are **identical** at every thread count (the same deterministic
-//! per-query computation runs either way; only the manager a query's
-//! diagram lives in differs, and canonicity makes that unobservable). The
-//! agreement suite asserts equality within 1e-9.
+//! per-query computation runs either way; only the kernel a query folds in
+//! differs). The agreement suite asserts equality within 1e-9.
 
 use mv_obdd::ManagerStats;
 use mv_query::approx::{derive_seed, ApproxAccumulator, ApproxAnswer, ApproxConfig};

@@ -11,10 +11,10 @@
 //! nodes labelled `X_i` alone (`Σ_j u_j.reachability · p · v_j.probUnder`)
 //! when those nodes form a cut of the diagram.
 //!
-//! Since diagrams are handles into a shared [`mv_obdd::ObddManager`] arena,
-//! both annotations are stored *sparsely* (per reachable node of this
-//! diagram), so an augmented block costs memory proportional to the block —
-//! not to the whole arena it shares with every other block.
+//! A diagram is a handle into an [`mv_obdd::ObddManager`] arena that may
+//! hold other diagrams too, so both annotations are stored *sparsely* (per
+//! reachable node of this diagram): an augmented diagram costs memory
+//! proportional to itself, not to the arena it lives in.
 
 use fxhash::{FxHashMap, FxHashSet};
 use mv_obdd::obdd::{FALSE, TRUE};
@@ -36,7 +36,7 @@ impl AugmentedObdd {
     pub fn new(obdd: Obdd, prob_of: impl Fn(TupleId) -> f64 + Copy) -> Self {
         // One traversal: the probability map's keys are exactly the
         // reachable nodes plus the two sinks.
-        let prob_under = obdd.node_probabilities(prob_of).into_map();
+        let prob_under = obdd.node_probabilities(prob_of);
         let reachable: Vec<NodeId> = prob_under.keys().copied().collect();
         let reachability = compute_reachability(&obdd, &reachable, prob_of);
         let mut intra: FxHashMap<TupleId, Vec<NodeId>> = FxHashMap::default();
@@ -239,7 +239,9 @@ mod tests {
     #[test]
     fn negative_probabilities_are_handled() {
         let ord = order(2);
-        let c = Obdd::clause(Arc::clone(&ord), &[TupleId(0), TupleId(1)]).unwrap();
+        let c = ObddManager::new(ord)
+            .clause(&[TupleId(0), TupleId(1)])
+            .unwrap();
         let prob = |t: TupleId| if t.0 == 0 { -2.0 } else { 0.5 };
         let aug = AugmentedObdd::new(c, prob);
         assert!((aug.probability() - (-1.0)).abs() < 1e-12);

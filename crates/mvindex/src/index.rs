@@ -50,8 +50,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use mv_obdd::conobdd::ConObddBuilder;
-use mv_obdd::{ManagerStats, Obdd, ObddManager, PiOrder, SynthesisBuilder, VarOrder};
+use mv_obdd::{ManagerStats, Obdd, ObddManager, PiOrder, VarOrder};
 use mv_pdb::{InDb, TupleId, Value};
 use mv_query::analysis::find_separator_over;
 use mv_query::eval::EvalContext;
@@ -177,8 +176,7 @@ impl MvIndex {
     /// Compiles the index for `W`, inferring the attribute permutations `π`
     /// from the query (separator attributes first).
     pub fn compile(indb: &InDb, w: &Ucq) -> Result<MvIndex> {
-        let pi = ConObddBuilder::infer_pi(w, indb);
-        Self::compile_with_pi(indb, w, &pi)
+        Self::compile_with_pi(indb, w, &PiOrder::infer(w, indb))
     }
 
     /// Compiles the index for `W` under an explicit `π`.
@@ -444,7 +442,7 @@ impl MvIndex {
     /// Builds the query-side OBDD for a lineage inside the given manager
     /// shard, reusing nodes and apply-memo entries of earlier queries.
     pub fn query_obdd_in(&self, manager: &ObddManager, lineage: &Lineage) -> Result<Obdd> {
-        Ok(SynthesisBuilder::with_manager(manager.clone()).from_lineage(lineage)?)
+        Ok(manager.lineage(lineage)?)
     }
 
     /// `P0(Q ∧ ¬W)` for a Boolean query given by its lineage:

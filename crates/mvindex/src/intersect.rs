@@ -11,8 +11,9 @@
 //! (`IndexBlock`) — which is all Fig. 9 compares:
 //!
 //! * [`mv_intersect`] — **MVIntersect**: `ArenaBlock`, the pointer-based
-//!   form: nodes in an [`mv_obdd::ObddManager`] arena behind a read guard,
-//!   `probUnder` in the sparse per-diagram map of an [`AugmentedObdd`];
+//!   form: the diagram's nodes read from its [`mv_obdd::ObddManager`] arena
+//!   through one read guard, `probUnder` from the sparse per-diagram map of
+//!   an [`AugmentedObdd`];
 //! * [`cc_mv_intersect`] — **CC-MVIntersect**: a node slice (`BlockView`),
 //!   the cache-conscious form: the block flattened into a DFS-ordered
 //!   vector of [`QvNode`]s carrying `probUnder` and the variable
@@ -41,8 +42,8 @@
 //!
 //! The query side is a flat slice of [`QvNode`]s: the kernel folds a
 //! lineage straight into one, and [`QueryView`] flattens the reachable part
-//! of an [`Obdd`] from a shared [`mv_obdd::ObddManager`] arena (whose node
-//! ids are global) for callers that hold a diagram.
+//! of an [`Obdd`] out of its manager's arena (whose node ids index the
+//! whole arena, not this diagram) for callers that hold a diagram.
 
 use fxhash::FxHashMap;
 use mv_obdd::obdd::{FALSE, TRUE};
@@ -159,7 +160,7 @@ impl QueryView {
                     lo: compact_of(node.lo, &position),
                     hi: compact_of(node.hi, &position),
                     p_var: prob_of(order.tuple_at(node.level)),
-                    prob: probs.get(id),
+                    prob: probs[&id],
                 }
             })
             .collect();

@@ -29,7 +29,6 @@
 
 use std::sync::Arc;
 
-use fxhash::FxHashMap;
 use mv_pdb::{InDb, TupleId, Value};
 use mv_query::analysis::{find_separator_over, independent_atom_components};
 use mv_query::eval::EvalContext;
@@ -40,7 +39,6 @@ use mv_query::{ConjunctiveQuery, Ucq};
 use crate::manager::ObddManager;
 use crate::obdd::Obdd;
 use crate::order::{PiOrder, VarOrder};
-use crate::synthesis::SynthesisBuilder;
 use crate::Result;
 
 /// Counters describing how an OBDD was constructed.
@@ -89,61 +87,7 @@ impl<'a> ConObddBuilder<'a> {
     /// Creates a builder whose `π` is inferred from the query so that
     /// separator attributes come first (the heuristic of Section 4.2).
     pub fn for_query(indb: &'a InDb, ucq: &Ucq) -> Self {
-        let pi = Self::infer_pi(ucq, indb);
-        Self::new(indb, &pi)
-    }
-
-    /// Infers per-relation attribute permutations by repeatedly locating a
-    /// separator variable and recording, for every atom, the attribute
-    /// position it occupies; those positions are placed first, in discovery
-    /// order.
-    pub fn infer_pi(ucq: &Ucq, indb: &InDb) -> PiOrder {
-        let mut partial: FxHashMap<String, Vec<usize>> = FxHashMap::default();
-        let mut current = ucq.boolean();
-        for depth in 0..16 {
-            let is_prob = |name: &str| {
-                indb.schema()
-                    .relation_id(name)
-                    .map(|r| !indb.is_deterministic(r))
-                    .unwrap_or(false)
-            };
-            let Some(sep) = find_separator_over(&current, &is_prob) else {
-                break;
-            };
-            for (d, var) in current.disjuncts.iter().zip(&sep.per_disjunct) {
-                for atom in &d.atoms {
-                    if let Some(&pos) = atom.positions_of(var).first() {
-                        let entry = partial.entry(atom.relation.to_string()).or_default();
-                        if !entry.contains(&pos) {
-                            entry.push(pos);
-                        }
-                    }
-                }
-            }
-            let marker = Value::str(format!("@pi{depth}"));
-            let disjuncts: Vec<ConjunctiveQuery> = current
-                .disjuncts
-                .iter()
-                .zip(&sep.per_disjunct)
-                .map(|(d, v)| d.substitute(v, &marker))
-                .collect();
-            current = Ucq::new(current.name.clone(), disjuncts);
-        }
-        let mut pi = PiOrder::identity();
-        for (rel_id, schema) in indb.schema().relations() {
-            let _ = rel_id;
-            let name = schema.name();
-            let arity = schema.arity();
-            let mut perm: Vec<usize> = partial.get(name).cloned().unwrap_or_default();
-            perm.retain(|&p| p < arity);
-            for p in 0..arity {
-                if !perm.contains(&p) {
-                    perm.push(p);
-                }
-            }
-            pi.set_permutation(name, perm);
-        }
-        pi
+        Self::new(indb, &PiOrder::infer(ucq, indb))
     }
 
     /// The variable order used by this builder.
@@ -306,7 +250,7 @@ impl<'a> ConObddBuilder<'a> {
         self.stats.lineage_fallbacks += 1;
         let lin = lineage_with(&ucq, self.indb, &self.ctx)?;
         self.stats.syntheses += lin.num_clauses().saturating_sub(1);
-        SynthesisBuilder::with_manager(self.manager.clone()).from_lineage(&lin)
+        self.manager.lineage(&lin)
     }
 
     /// Disjunction of many parts: concatenate if the level ranges line up,
@@ -315,7 +259,7 @@ impl<'a> ConObddBuilder<'a> {
         if parts.is_empty() {
             return Ok(self.constant(false));
         }
-        match Obdd::concat_many_or(self.order(), &parts) {
+        match Obdd::concat_many_or(&self.manager, &parts) {
             Ok(obdd) => {
                 self.stats.concatenations += parts.len().saturating_sub(1);
                 Ok(obdd)
@@ -464,9 +408,8 @@ mod tests {
         let q = parse_ucq("Q() :- R(x), S(x, y)").unwrap();
         let mut builder = ConObddBuilder::for_query(&indb, &q);
         let fast = builder.build(&q).unwrap();
-        let slow = SynthesisBuilder::new(builder.order())
-            .from_query(&q, &indb)
-            .unwrap();
+        let lin = mv_query::lineage::lineage(&q, &indb).unwrap();
+        let slow = ObddManager::new(builder.order()).lineage(&lin).unwrap();
         assert_eq!(fast.size(), slow.size());
         let pf = fast.probability(|t| indb.probability(t));
         let ps = slow.probability(|t| indb.probability(t));
@@ -477,7 +420,7 @@ mod tests {
     fn inferred_pi_puts_separator_attributes_first() {
         let indb = fig3();
         let q = parse_ucq("Q() :- R(x), S(x, y)").unwrap();
-        let pi = ConObddBuilder::infer_pi(&q, &indb);
+        let pi = PiOrder::infer(&q, &indb);
         assert_eq!(pi.permutation("S", 2), vec![0, 1]);
         assert_eq!(pi.permutation("R", 1), vec![0]);
     }

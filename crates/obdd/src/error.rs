@@ -5,8 +5,12 @@ use std::fmt;
 /// Errors raised while constructing or combining OBDDs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ObddError {
-    /// Two diagrams built over different variable orders were combined.
+    /// Two diagrams could not be combined under the variable order: a
+    /// concatenation whose operands' level ranges overlap.
     OrderMismatch,
+    /// Two diagrams of different managers were combined. Every operand of
+    /// an `apply` or a concatenation must live in one manager.
+    ManagerMismatch,
     /// A tuple variable is missing from the variable order.
     UnknownVariable(String),
     /// A fold under a node cap (the query kernel's
@@ -34,8 +38,11 @@ impl fmt::Display for ObddError {
             ObddError::OrderMismatch => {
                 write!(
                     f,
-                    "cannot combine OBDDs built over different variable orders"
+                    "cannot concatenate OBDDs whose level ranges overlap under their variable orders"
                 )
+            }
+            ObddError::ManagerMismatch => {
+                write!(f, "cannot combine OBDDs of two different managers")
             }
             ObddError::UnknownVariable(v) => {
                 write!(f, "tuple variable {v} is not part of the variable order")
@@ -74,6 +81,7 @@ mod tests {
         assert!(ObddError::OrderMismatch
             .to_string()
             .contains("variable orders"));
+        assert!(ObddError::ManagerMismatch.to_string().contains("managers"));
         assert!(ObddError::UnknownVariable("X7".into())
             .to_string()
             .contains("X7"));

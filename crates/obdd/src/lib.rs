@@ -8,19 +8,19 @@
 //!   the total order `Π` over the probabilistic tuples of an
 //!   [`mv_pdb::InDb`] (recursive grouping by the first attribute of each
 //!   relation over the ordered active domain).
-//! * [`manager`] — [`ObddManager`], the shared, hash-consed, append-only
-//!   node arena every diagram lives in: one global unique table, persistent
-//!   apply/negate/concat memos, and a per-node probability cache keyed by a
-//!   *weight epoch*. See the module docs for the memory model (arena
-//!   growth, cache eviction) and the threading contract.
+//!   [`PiOrder::infer`] places a query's separator attributes first.
+//! * [`manager`] — [`ObddManager`], the hash-consed, append-only node arena
+//!   every diagram lives in: one unique table, one exact apply/concat memo
+//!   and a negate memo. It builds single clauses ([`ObddManager::clause`]),
+//!   which one [`Obdd::apply_or`] per clause folds into the CUDD-style
+//!   baseline of Figure 8, and whole lineages ([`ObddManager::dnf`], the
+//!   level-ordered fold). See the module docs for the memory model and the
+//!   threading contract.
 //! * [`obdd`] — [`Obdd`], a cheap `{manager, root}` handle: reduction,
 //!   Boolean synthesis (`apply`), negation, concatenation of
 //!   level-disjoint diagrams, and probability computation by Shannon
-//!   expansion (valid for negative probabilities, Section 3.3). Combining
-//!   handles never deep-copies node stores when they share a manager.
-//! * [`synthesis`] — [`SynthesisBuilder`], the generic bottom-up builder that
-//!   synthesises an OBDD from a DNF lineage clause by clause. This is the
-//!   stand-in for native CUDD used as the baseline of Figure 8.
+//!   expansion (valid for negative probabilities, Section 3.3). Both
+//!   operands of a combination live in one manager.
 //! * [`mod@reference`] — [`RefManager`], a deliberately unoptimised recursive
 //!   implementation with SipHash hash-map caches: the reference the
 //!   manager's agreement tests compare its iterative hot paths against.
@@ -41,15 +41,13 @@ pub mod manager;
 pub mod obdd;
 pub mod order;
 pub mod reference;
-pub mod synthesis;
 
 pub use conobdd::{ConObddBuilder, ConstructionStats};
 pub use error::ObddError;
-pub use manager::{ManagerStats, NodeProbs, ObddManager, ObddNodes};
+pub use manager::{ManagerStats, ObddManager, ObddNodes};
 pub use obdd::{NodeId, Obdd, ObddNode};
 pub use order::{PiOrder, VarOrder};
 pub use reference::RefManager;
-pub use synthesis::SynthesisBuilder;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, ObddError>;

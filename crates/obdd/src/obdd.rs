@@ -1,9 +1,8 @@
 //! The OBDD handle type.
 //!
 //! An [`Obdd`] is a reduced, ordered binary decision diagram over the tuple
-//! variables of a probabilistic database. Since the manager refactor it is a
-//! cheap `{manager, root}` handle into a shared, hash-consed
-//! [`ObddManager`] arena: cloning a diagram, combining
+//! variables of a probabilistic database: a cheap `{manager, root}` handle
+//! into a hash-consed [`ObddManager`] arena. Cloning a diagram, combining
 //! two diagrams, or keeping thousands of per-view diagrams alive never
 //! duplicates node storage.
 //!
@@ -21,20 +20,17 @@
 //! * [`Obdd::probability`] — Shannon-expansion probability, computed
 //!   bottom-up without recursion so that very deep (concatenated) diagrams
 //!   do not overflow the stack; correct for negative probabilities.
-//!   [`Obdd::probability_cached`] additionally reuses the manager's
-//!   per-node probability cache (keyed by the weight epoch).
 //!
-//! Combining handles from two *different* managers is supported when their
-//! variable orders are equal: the other operand is imported (copied) into
-//! this handle's manager first. That fallback is the only remaining copy
-//! path; production code keeps each pipeline inside one manager.
+//! Both operands of a combination live in one manager: combining handles of
+//! two different managers returns [`ObddError::ManagerMismatch`].
 
 use std::sync::Arc;
 
+use fxhash::FxHashMap;
 use mv_pdb::TupleId;
 
 use crate::error::ObddError;
-use crate::manager::{BoolOp, NodeProbs, ObddManager, ObddNodes};
+use crate::manager::{BoolOp, ObddManager, ObddNodes};
 use crate::order::VarOrder;
 use crate::Result;
 
@@ -72,24 +68,6 @@ pub struct Obdd {
 impl Obdd {
     pub(crate) fn from_parts(manager: ObddManager, root: NodeId) -> Obdd {
         Obdd { manager, root }
-    }
-
-    /// The constant diagram `true` or `false` (in a fresh single-diagram
-    /// manager; use [`ObddManager::constant`] to build into a shared one).
-    pub fn constant(order: Arc<VarOrder>, value: bool) -> Self {
-        ObddManager::new(order).constant(value)
-    }
-
-    /// The diagram of a single positive literal (fresh manager; see
-    /// [`ObddManager::literal`] for the shared-arena variant).
-    pub fn literal(order: Arc<VarOrder>, tuple: TupleId) -> Result<Self> {
-        ObddManager::new(order).literal(tuple)
-    }
-
-    /// The diagram of a conjunction of positive literals (fresh manager; see
-    /// [`ObddManager::clause`] for the shared-arena variant).
-    pub fn clause(order: Arc<VarOrder>, clause: &[TupleId]) -> Result<Self> {
-        ObddManager::new(order).clause(clause)
     }
 
     /// The manager this handle lives in.
@@ -174,24 +152,12 @@ impl Obdd {
         self.manager.level_range_of(self.root)
     }
 
-    /// Resolves `other` into this handle's manager: a no-op when the arena
-    /// is shared, an import (the only copy path left) when only the orders
-    /// match, an [`ObddError::OrderMismatch`] otherwise.
+    /// The root of `other`, which must live in this handle's manager.
     fn coresident_root(&self, other: &Obdd) -> Result<NodeId> {
-        if self.manager.same_store(&other.manager) {
-            return Ok(other.root);
-        }
-        self.check_same_order(other)?;
-        Ok(self.manager.import_root(&other.manager, other.root))
-    }
-
-    fn check_same_order(&self, other: &Obdd) -> Result<()> {
-        let a = self.order();
-        let b = other.order();
-        if Arc::ptr_eq(a, b) || a == b {
-            Ok(())
+        if self.manager.same_arena(&other.manager) {
+            Ok(other.root)
         } else {
-            Err(ObddError::OrderMismatch)
+            Err(ObddError::ManagerMismatch)
         }
     }
 
@@ -235,10 +201,10 @@ impl Obdd {
     }
 
     fn concat(&self, other: &Obdd, and: bool) -> Result<Obdd> {
+        let b = self.coresident_root(other)?;
         if !self.levels_precede(other) {
             return Err(ObddError::OrderMismatch);
         }
-        let b = self.coresident_root(other)?;
         let root = self.manager.concat_roots(and, self.root, b);
         Ok(Obdd::from_parts(self.manager.clone(), root))
     }
@@ -254,23 +220,20 @@ impl Obdd {
     }
 
     /// n-ary disjunctive concatenation: combines `parts` (ordered by level
-    /// range) into a single diagram in one pass, linear in the sum of the
-    /// part sizes. When all parts share one manager the result lives there
-    /// and no nodes are copied; otherwise a fresh manager over `order` is
-    /// populated by import.
+    /// range, all in `manager`) into a single diagram of `manager` in one
+    /// pass, linear in the sum of the part sizes. No part is copied.
     ///
     /// The parts are chained back to front: every part is rebuilt exactly
     /// once, with its `0`-sink redirected to the already finished tail. A
     /// front-to-back fold of binary concatenations rebuilds the growing
     /// prefix at every step instead — quadratic in the number of parts.
-    pub fn concat_many_or(order: Arc<VarOrder>, parts: &[Obdd]) -> Result<Obdd> {
+    pub fn concat_many_or(manager: &ObddManager, parts: &[Obdd]) -> Result<Obdd> {
         // Level separation must hold across *all* pairs; walking back to
         // front with a running minimum handles constant parts in between.
         let mut min_later = u32::MAX;
         for part in parts.iter().rev() {
-            let po = part.order();
-            if !(Arc::ptr_eq(po, &order) || **po == *order) {
-                return Err(ObddError::OrderMismatch);
+            if !manager.same_arena(&part.manager) {
+                return Err(ObddError::ManagerMismatch);
             }
             if let Some((lo, hi)) = part.level_range() {
                 if hi >= min_later {
@@ -279,20 +242,13 @@ impl Obdd {
                 min_later = lo;
             }
         }
-        let manager = match parts.first() {
-            Some(first) if parts.iter().all(|p| first.manager.same_store(&p.manager)) => {
-                first.manager.clone()
-            }
-            _ => ObddManager::new(Arc::clone(&order)),
-        };
         // `false` is the identity; a `true` part resets the tail through
         // `concat_roots`.
         let mut tail = FALSE;
         for part in parts.iter().rev() {
-            let root = manager.import_root(&part.manager, part.root);
-            tail = manager.concat_roots(false, root, tail);
+            tail = manager.concat_roots(false, part.root, tail);
         }
-        Ok(Obdd::from_parts(manager, tail))
+        Ok(Obdd::from_parts(manager.clone(), tail))
     }
 
     /// Evaluates the diagram under a truth assignment of the tuple variables.
@@ -311,27 +267,16 @@ impl Obdd {
     /// The probability of the Boolean function represented by the diagram,
     /// under the given per-tuple probabilities (Shannon expansion,
     /// Section 4.1). Valid for negative probabilities. Computed from
-    /// scratch; see [`Obdd::probability_cached`] when `prob_of` is the
-    /// database weight function shared by every diagram of the manager.
+    /// scratch on every call.
     pub fn probability(&self, prob_of: impl Fn(TupleId) -> f64) -> f64 {
         self.manager.node_probs_of(self.root, &prob_of)[&self.root]
     }
 
-    /// Like [`Obdd::probability`], but per-node results are served from and
-    /// stored into the manager's probability cache for the current weight
-    /// epoch. `prob_of` **must** be the weight function the epoch stands
-    /// for; call [`ObddManager::bump_weight_epoch`] when weights change.
-    /// A root whose value is already cached for the epoch costs a single
-    /// array probe.
-    pub fn probability_cached(&self, prob_of: impl Fn(TupleId) -> f64) -> f64 {
-        self.manager.root_prob_cached_of(self.root, &prob_of)
-    }
-
     /// The probability of the sub-diagram rooted at every reachable node
-    /// (`probUnder` in the paper's terminology), sinks included. Sparse:
-    /// sized by this diagram, not by the shared arena.
-    pub fn node_probabilities(&self, prob_of: impl Fn(TupleId) -> f64) -> NodeProbs {
-        NodeProbs::from_map(self.manager.node_probs_of(self.root, &prob_of))
+    /// (`probUnder` in the paper's terminology), keyed by node id, sinks
+    /// included. Sparse: sized by this diagram, not by the shared arena.
+    pub fn node_probabilities(&self, prob_of: impl Fn(TupleId) -> f64) -> FxHashMap<NodeId, f64> {
+        self.manager.node_probs_of(self.root, &prob_of)
     }
 }
 
@@ -339,29 +284,29 @@ impl Obdd {
 mod tests {
     use super::*;
 
-    fn order(n: u32) -> Arc<VarOrder> {
-        Arc::new(VarOrder::from_tuples((0..n).map(TupleId)))
+    fn manager(n: u32) -> ObddManager {
+        ObddManager::new(Arc::new(VarOrder::from_tuples((0..n).map(TupleId))))
     }
 
     #[test]
     fn constants_and_literals() {
-        let ord = order(3);
-        let t = Obdd::constant(Arc::clone(&ord), true);
-        let f = Obdd::constant(Arc::clone(&ord), false);
+        let m = manager(3);
+        let t = m.constant(true);
+        let f = m.constant(false);
         assert_eq!(t.root(), TRUE);
         assert_eq!(f.root(), FALSE);
         assert_eq!(t.size(), 0);
-        let x1 = Obdd::literal(Arc::clone(&ord), TupleId(1)).unwrap();
+        let x1 = m.literal(TupleId(1)).unwrap();
         assert_eq!(x1.size(), 1);
         assert!(x1.eval(|t| t == TupleId(1)));
         assert!(!x1.eval(|_| false));
-        assert!(Obdd::literal(ord, TupleId(9)).is_err());
+        assert!(m.literal(TupleId(9)).is_err());
     }
 
     #[test]
     fn clause_builds_an_and_chain() {
-        let ord = order(4);
-        let c = Obdd::clause(Arc::clone(&ord), &[TupleId(2), TupleId(0)]).unwrap();
+        let m = manager(4);
+        let c = m.clause(&[TupleId(2), TupleId(0)]).unwrap();
         assert_eq!(c.size(), 2);
         assert!(c.eval(|t| t == TupleId(0) || t == TupleId(2)));
         assert!(!c.eval(|t| t == TupleId(0)));
@@ -371,9 +316,9 @@ mod tests {
 
     #[test]
     fn apply_or_and_match_truth_tables() {
-        let ord = order(2);
-        let x0 = Obdd::literal(Arc::clone(&ord), TupleId(0)).unwrap();
-        let x1 = Obdd::literal(Arc::clone(&ord), TupleId(1)).unwrap();
+        let m = manager(2);
+        let x0 = m.literal(TupleId(0)).unwrap();
+        let x1 = m.literal(TupleId(1)).unwrap();
         let or = x0.apply_or(&x1).unwrap();
         let and = x0.apply_and(&x1).unwrap();
         for mask in 0..4u8 {
@@ -387,9 +332,9 @@ mod tests {
 
     #[test]
     fn reduction_shares_nodes_and_collapses_redundant_tests() {
-        let ord = order(2);
+        let m = manager(2);
         // x0 ∨ ¬x0 should reduce to the constant true.
-        let x0 = Obdd::literal(Arc::clone(&ord), TupleId(0)).unwrap();
+        let x0 = m.literal(TupleId(0)).unwrap();
         let not_x0 = x0.negate();
         let taut = x0.apply_or(&not_x0).unwrap();
         assert_eq!(taut.root(), TRUE);
@@ -398,8 +343,8 @@ mod tests {
 
     #[test]
     fn negate_swaps_semantics_and_probability() {
-        let ord = order(3);
-        let c = Obdd::clause(Arc::clone(&ord), &[TupleId(0), TupleId(1)]).unwrap();
+        let m = manager(3);
+        let c = m.clause(&[TupleId(0), TupleId(1)]).unwrap();
         let n = c.negate();
         for mask in 0..8u8 {
             let assign = |t: TupleId| mask & (1 << t.0) != 0;
@@ -412,8 +357,7 @@ mod tests {
 
     #[test]
     fn concatenation_matches_synthesis_on_disjoint_blocks() {
-        let ord = order(4);
-        let manager = ObddManager::new(Arc::clone(&ord));
+        let manager = manager(4);
         let a = manager.clause(&[TupleId(0), TupleId(1)]).unwrap();
         let b = manager.clause(&[TupleId(2), TupleId(3)]).unwrap();
         let by_concat = a.concat_or(&b).unwrap();
@@ -431,9 +375,9 @@ mod tests {
 
     #[test]
     fn concat_and_matches_apply_and() {
-        let ord = order(4);
-        let a = Obdd::clause(Arc::clone(&ord), &[TupleId(0)]).unwrap();
-        let b = Obdd::clause(Arc::clone(&ord), &[TupleId(3)]).unwrap();
+        let m = manager(4);
+        let a = m.clause(&[TupleId(0)]).unwrap();
+        let b = m.clause(&[TupleId(3)]).unwrap();
         let c = a.concat_and(&b).unwrap();
         let d = a.apply_and(&b).unwrap();
         for mask in 0..16u8 {
@@ -444,16 +388,15 @@ mod tests {
 
     #[test]
     fn concatenation_rejects_interleaved_levels() {
-        let ord = order(4);
-        let a = Obdd::clause(Arc::clone(&ord), &[TupleId(0), TupleId(2)]).unwrap();
-        let b = Obdd::clause(Arc::clone(&ord), &[TupleId(1), TupleId(3)]).unwrap();
+        let m = manager(4);
+        let a = m.clause(&[TupleId(0), TupleId(2)]).unwrap();
+        let b = m.clause(&[TupleId(1), TupleId(3)]).unwrap();
         assert!(matches!(a.concat_or(&b), Err(ObddError::OrderMismatch)));
     }
 
     #[test]
     fn concat_many_or_combines_blocks_linearly() {
-        let ord = order(6);
-        let manager = ObddManager::new(Arc::clone(&ord));
+        let manager = manager(6);
         let parts: Vec<Obdd> = (0..3)
             .map(|i| {
                 manager
@@ -461,9 +404,8 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let combined = Obdd::concat_many_or(Arc::clone(&ord), &parts).unwrap();
-        // All parts share the manager, so no fresh arena was created.
-        assert!(combined.manager().same_store(&manager));
+        let combined = Obdd::concat_many_or(&manager, &parts).unwrap();
+        assert!(combined.manager().same_arena(&manager));
         assert_eq!(combined.size(), 6);
         // P = 1 - (1 - 0.25)^3 with p = 0.5 everywhere.
         let p = combined.probability(|_| 0.5);
@@ -474,68 +416,68 @@ mod tests {
 
     #[test]
     fn concat_many_or_handles_constants() {
-        let ord = order(2);
-        let parts = vec![
-            Obdd::constant(Arc::clone(&ord), false),
-            Obdd::clause(Arc::clone(&ord), &[TupleId(1)]).unwrap(),
-        ];
-        let combined = Obdd::concat_many_or(Arc::clone(&ord), &parts).unwrap();
+        let m = manager(2);
+        let parts = vec![m.constant(false), m.clause(&[TupleId(1)]).unwrap()];
+        let combined = Obdd::concat_many_or(&m, &parts).unwrap();
         assert_eq!(combined.size(), 1);
-        let parts = vec![
-            Obdd::constant(Arc::clone(&ord), true),
-            Obdd::clause(Arc::clone(&ord), &[TupleId(1)]).unwrap(),
-        ];
-        let combined = Obdd::concat_many_or(Arc::clone(&ord), &parts).unwrap();
+        let parts = vec![m.constant(true), m.clause(&[TupleId(1)]).unwrap()];
+        let combined = Obdd::concat_many_or(&m, &parts).unwrap();
         assert_eq!(combined.root(), TRUE);
     }
 
     #[test]
     fn concat_many_or_on_empty_and_singleton_lists() {
         // Regression: the n-ary fold must behave on degenerate part lists.
-        let ord = order(3);
-        let empty = Obdd::concat_many_or(Arc::clone(&ord), &[]).unwrap();
+        let m = manager(3);
+        let empty = Obdd::concat_many_or(&m, &[]).unwrap();
         assert_eq!(empty.root(), FALSE);
         assert_eq!(empty.size(), 0);
-        let single = Obdd::clause(Arc::clone(&ord), &[TupleId(0), TupleId(2)]).unwrap();
-        let combined =
-            Obdd::concat_many_or(Arc::clone(&ord), std::slice::from_ref(&single)).unwrap();
+        let single = m.clause(&[TupleId(0), TupleId(2)]).unwrap();
+        let combined = Obdd::concat_many_or(&m, std::slice::from_ref(&single)).unwrap();
         assert_eq!(combined.size(), single.size());
         for mask in 0..8u8 {
             let assign = |t: TupleId| mask & (1 << t.0) != 0;
             assert_eq!(combined.eval(assign), single.eval(assign));
         }
-        // A singleton in its own manager is passed through without copying.
-        let same_manager =
-            Obdd::concat_many_or(single.order().clone(), std::slice::from_ref(&single)).unwrap();
-        assert!(same_manager.manager().same_store(single.manager()));
-        assert_eq!(same_manager.root(), single.root());
+        // A singleton is passed through without copying.
+        assert!(combined.manager().same_arena(single.manager()));
+        assert_eq!(combined.root(), single.root());
     }
 
     #[test]
     fn order_mismatch_is_detected() {
-        let a = Obdd::literal(order(2), TupleId(0)).unwrap();
-        let b = Obdd::literal(order(3), TupleId(0)).unwrap();
-        assert!(matches!(a.apply_or(&b), Err(ObddError::OrderMismatch)));
+        // Diagrams over different orders live in different managers.
+        let a = manager(2).literal(TupleId(0)).unwrap();
+        let b = manager(3).literal(TupleId(0)).unwrap();
+        assert!(matches!(a.apply_or(&b), Err(ObddError::ManagerMismatch)));
     }
 
     #[test]
-    fn cross_manager_apply_imports_the_other_operand() {
-        // Equal orders in two different managers: the result is computed in
-        // the left operand's manager.
-        let ord = order(2);
-        let a = Obdd::literal(Arc::clone(&ord), TupleId(0)).unwrap();
-        let b = Obdd::literal(Arc::clone(&ord), TupleId(1)).unwrap();
-        assert!(!a.manager().same_store(b.manager()));
-        let or = a.apply_or(&b).unwrap();
-        assert!(or.manager().same_store(a.manager()));
-        assert!((or.probability(|_| 0.5) - 0.75).abs() < 1e-12);
+    fn combining_two_managers_is_a_typed_error() {
+        // Equal orders in two different managers: nothing is imported, every
+        // combination refuses with the typed error instead of panicking.
+        let ord = Arc::new(VarOrder::from_tuples((0..2).map(TupleId)));
+        let m = ObddManager::new(Arc::clone(&ord));
+        let other = ObddManager::new(ord);
+        let a = m.literal(TupleId(0)).unwrap();
+        let b = other.literal(TupleId(1)).unwrap();
+        assert!(matches!(a.apply_or(&b), Err(ObddError::ManagerMismatch)));
+        assert!(matches!(a.apply_and(&b), Err(ObddError::ManagerMismatch)));
+        assert!(matches!(a.concat_or(&b), Err(ObddError::ManagerMismatch)));
+        assert!(matches!(a.concat_and(&b), Err(ObddError::ManagerMismatch)));
+        assert!(matches!(
+            Obdd::concat_many_or(&m, &[a.clone(), b]),
+            Err(ObddError::ManagerMismatch)
+        ));
+        // Neither arena grew.
+        assert_eq!(m.num_nodes(), 3);
+        assert_eq!(other.num_nodes(), 3);
     }
 
     #[test]
     fn figure3_obdd_probability() {
         // Lineage X1Y1 ∨ X1Y2 ∨ X2Y3 ∨ X2Y4 in the order X1,Y1,Y2,X2,Y3,Y4.
-        let ord = order(6);
-        let manager = ObddManager::new(Arc::clone(&ord));
+        let manager = manager(6);
         let x1 = 0u32;
         let y1 = 1u32;
         let y2 = 2u32;
@@ -564,9 +506,9 @@ mod tests {
 
     #[test]
     fn negative_probabilities_propagate_through_shannon_expansion() {
-        let ord = order(2);
-        let x0 = Obdd::literal(Arc::clone(&ord), TupleId(0)).unwrap();
-        let x1 = Obdd::literal(Arc::clone(&ord), TupleId(1)).unwrap();
+        let m = manager(2);
+        let x0 = m.literal(TupleId(0)).unwrap();
+        let x1 = m.literal(TupleId(1)).unwrap();
         let both = x0.apply_and(&x1).unwrap();
         let p = both.probability(|t| if t == TupleId(0) { -2.0 } else { 0.5 });
         assert!((p - (-1.0)).abs() < 1e-12);
@@ -574,14 +516,14 @@ mod tests {
 
     #[test]
     fn node_probabilities_expose_prob_under() {
-        let ord = order(2);
-        let x0 = Obdd::literal(Arc::clone(&ord), TupleId(0)).unwrap();
-        let x1 = Obdd::literal(Arc::clone(&ord), TupleId(1)).unwrap();
+        let m = manager(2);
+        let x0 = m.literal(TupleId(0)).unwrap();
+        let x1 = m.literal(TupleId(1)).unwrap();
         let or = x0.apply_or(&x1).unwrap();
         let probs = or.node_probabilities(|_| 0.5);
-        assert_eq!(probs.get(TRUE), 1.0);
-        assert_eq!(probs.get(FALSE), 0.0);
-        assert!((probs.get(or.root()) - 0.75).abs() < 1e-12);
+        assert_eq!(probs[&TRUE], 1.0);
+        assert_eq!(probs[&FALSE], 0.0);
+        assert!((probs[&or.root()] - 0.75).abs() < 1e-12);
         // Sparse: sized by the diagram (2 internal nodes + 2 sinks), not by
         // the arena.
         assert_eq!(probs.len(), or.size() + 2);

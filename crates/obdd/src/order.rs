@@ -14,6 +14,8 @@
 use std::collections::HashMap;
 
 use mv_pdb::{InDb, RelId, TupleId, Value};
+use mv_query::analysis::find_separator_over;
+use mv_query::{ConjunctiveQuery, Ucq};
 
 /// The per-relation attribute permutations `π`.
 #[derive(Debug, Clone, Default)]
@@ -42,6 +44,59 @@ impl PiOrder {
         let mut perm: Vec<usize> = vec![position];
         perm.extend((0..arity).filter(|&p| p != position));
         self.permutations.insert(relation.to_string(), perm);
+    }
+
+    /// Infers the permutations from a query so that separator attributes
+    /// come first (the heuristic of Section 4.2): repeatedly locates a
+    /// separator variable and records, for every atom, the attribute
+    /// position it occupies; those positions are placed first, in discovery
+    /// order.
+    pub fn infer(ucq: &Ucq, indb: &InDb) -> PiOrder {
+        let is_prob = |name: &str| {
+            indb.schema()
+                .relation_id(name)
+                .map(|r| !indb.is_deterministic(r))
+                .unwrap_or(false)
+        };
+        let mut partial: HashMap<String, Vec<usize>> = HashMap::new();
+        let mut current = ucq.boolean();
+        for depth in 0..16 {
+            let Some(sep) = find_separator_over(&current, &is_prob) else {
+                break;
+            };
+            for (d, var) in current.disjuncts.iter().zip(&sep.per_disjunct) {
+                for atom in &d.atoms {
+                    if let Some(&pos) = atom.positions_of(var).first() {
+                        let entry = partial.entry(atom.relation.to_string()).or_default();
+                        if !entry.contains(&pos) {
+                            entry.push(pos);
+                        }
+                    }
+                }
+            }
+            let marker = Value::str(format!("@pi{depth}"));
+            let disjuncts: Vec<ConjunctiveQuery> = current
+                .disjuncts
+                .iter()
+                .zip(&sep.per_disjunct)
+                .map(|(d, v)| d.substitute(v, &marker))
+                .collect();
+            current = Ucq::new(current.name.clone(), disjuncts);
+        }
+        let mut pi = PiOrder::identity();
+        for (_, schema) in indb.schema().relations() {
+            let name = schema.name();
+            let arity = schema.arity();
+            let mut perm: Vec<usize> = partial.get(name).cloned().unwrap_or_default();
+            perm.retain(|&p| p < arity);
+            for p in 0..arity {
+                if !perm.contains(&p) {
+                    perm.push(p);
+                }
+            }
+            pi.set_permutation(name, perm);
+        }
+        pi
     }
 
     /// The permutation of a relation with the given arity.

@@ -8,8 +8,8 @@
 //! level-sort plus a fresh per-call result map on **every** call, even when
 //! every per-node value is already cached. It is the reference the
 //! manager's agreement tests (`tests/reference_agreement.rs` and the
-//! property suites) compare against: the production manager's iterative,
-//! lossy-table hot paths must compute exactly the same reduced diagrams and
+//! property suites) compare against: the manager's iterative, explicit-stack
+//! hot paths must compute exactly the same reduced diagrams and
 //! probabilities as this straightforward recursive implementation. It is
 //! not a production path and not a performance baseline.
 //!

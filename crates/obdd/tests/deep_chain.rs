@@ -26,11 +26,11 @@ fn deep_chain_builds_negates_and_evaluates_probability() {
     let chain = m.clause(&clause).expect("chain builds");
     assert_eq!(chain.size(), LEVELS as usize);
 
-    // Probability passes (uncached and cached) walk all 100k levels.
+    // Probability passes walk all 100k levels.
     let p = chain.probability(|_| 1.0);
     assert_eq!(p, 1.0);
-    let p_cached = chain.probability_cached(|_| 1.0);
-    assert_eq!(p_cached, 1.0);
+    let p_again = chain.probability(|_| 1.0);
+    assert_eq!(p_again, 1.0);
     // A non-degenerate weight stays finite and positive.
     let p_small = chain.probability(|_| 0.9999);
     assert!(p_small.is_finite() && p_small > 0.0 && p_small < 1.0);
@@ -64,10 +64,10 @@ fn deep_chain_apply_combines_interleaved_operands() {
     assert_eq!(combined.root(), full.root());
     assert_eq!(combined.probability(|_| 1.0), 1.0);
 
-    // The cached bulk-probability path across several deep diagrams.
+    // Probability passes across several deep diagrams.
     let total: f64 = [&even_chain, &odd_chain, &combined]
         .iter()
-        .map(|d| d.probability_cached(|_| 1.0))
+        .map(|d| d.probability(|_| 1.0))
         .sum();
     assert_eq!(total, 3.0);
 }

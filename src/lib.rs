@@ -10,9 +10,10 @@
 //! * [`query`] — unions of conjunctive queries (UCQs): AST, datalog parser,
 //!   lineage computation, safety analysis and the safe-plan (lifted) evaluator.
 //! * [`obdd`] — an Ordered Binary Decision Diagram engine built around a
-//!   shared, hash-consed `ObddManager` arena (diagrams are cheap
-//!   `{manager, root}` handles), with the paper's concatenation-based
-//!   `ConOBDD` construction and a synthesis-only baseline.
+//!   hash-consed `ObddManager` arena (diagrams are cheap `{manager, root}`
+//!   handles), with the paper's concatenation-based `ConOBDD` construction,
+//!   per-clause `apply` synthesis (the CUDD-style baseline) and a
+//!   level-ordered DNF fold.
 //! * [`mvindex`] — the MV-index: augmented OBDDs plus the `MVIntersect` and
 //!   cache-conscious `CC-MVIntersect` algorithms.
 //! * [`mln`] — a Markov Logic Network engine with exact enumeration inference
@@ -65,7 +66,7 @@ pub mod prelude {
     pub use mv_dblp::{DblpConfig, DblpDataset};
     pub use mv_index::{IntersectAlgorithm, MvIndex};
     pub use mv_mln::{GroundMln, McSatConfig, McSatSampler, Mln};
-    pub use mv_obdd::{ConObddBuilder, ManagerStats, Obdd, ObddManager, PiOrder, SynthesisBuilder};
+    pub use mv_obdd::{ConObddBuilder, ManagerStats, Obdd, ObddManager, PiOrder};
     pub use mv_pdb::{
         Database, InDb, PossibleTuple, Relation, Row, Schema, TupleId, Value, Weight,
     };

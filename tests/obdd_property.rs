@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use markoviews::obdd::{ConObddBuilder, Obdd, ObddManager, PiOrder, SynthesisBuilder, VarOrder};
+use markoviews::obdd::{ConObddBuilder, Obdd, ObddManager, PiOrder, VarOrder};
 use markoviews::pdb::{value::row, InDb, InDbBuilder, TupleId, Weight};
 use markoviews::query::brute::brute_force_probability_with;
 use markoviews::query::lineage::{lineage, Lineage};
@@ -37,7 +37,7 @@ proptest! {
             clauses.iter().map(|c| c.iter().map(|&i| TupleId(i)).collect()).collect::<Vec<_>>(),
         );
         let order = Arc::new(VarOrder::from_tuples((0..7).map(TupleId)));
-        let obdd = SynthesisBuilder::new(order).from_lineage(&lineage).unwrap();
+        let obdd = ObddManager::new(order).lineage(&lineage).unwrap();
         let prob_of = |t: TupleId| probs[t.index()];
         let via_obdd = obdd.probability(prob_of);
         let via_brute = brute_force_probability_with(&lineage, &prob_of);
@@ -77,7 +77,7 @@ proptest! {
             clauses.iter().map(|c| c.iter().map(|&i| TupleId(i)).collect()).collect::<Vec<_>>(),
         );
         let order = Arc::new(VarOrder::from_tuples((0..6).map(TupleId)));
-        let obdd = SynthesisBuilder::new(order).from_lineage(&lineage).unwrap();
+        let obdd = ObddManager::new(order).lineage(&lineage).unwrap();
         for mask in 0u64..(1 << 6) {
             prop_assert_eq!(obdd.eval(|t| mask & (1 << t.0) != 0), lineage.eval(mask));
         }
@@ -100,9 +100,8 @@ proptest! {
         let la = to_lineage(&clauses_a);
         let lb = to_lineage(&clauses_b);
         let manager = ObddManager::new(Arc::new(VarOrder::from_tuples((0..6).map(TupleId))));
-        let builder = SynthesisBuilder::with_manager(manager.clone());
-        let ga = builder.from_lineage(&la).unwrap();
-        let gb = builder.from_lineage(&lb).unwrap();
+        let ga = manager.lineage(&la).unwrap();
+        let gb = manager.lineage(&lb).unwrap();
         let g_or = ga.apply_or(&gb).unwrap();
         let g_and = ga.apply_and(&gb).unwrap();
         let g_not = g_or.negate();
@@ -111,7 +110,7 @@ proptest! {
         prop_assert_eq!(manager.canonicity_violation(), None);
         // Same function ⇒ same root (canonicity of reduced OBDDs): rebuild
         // one of the diagrams and compare handles.
-        let ga_again = builder.from_lineage(&la).unwrap();
+        let ga_again = manager.lineage(&la).unwrap();
         prop_assert_eq!(ga.root(), ga_again.root());
         // Cross-check probabilities against brute force on the shared arena.
         let prob_of = |t: TupleId| probs[t.index()];
@@ -136,9 +135,9 @@ proptest! {
         let la = to_lineage(&clauses_a);
         let lb = to_lineage(&clauses_b);
         let order = Arc::new(VarOrder::from_tuples((0..5).map(TupleId)));
-        let builder = SynthesisBuilder::new(Arc::clone(&order));
-        let ga = builder.from_lineage(&la).unwrap();
-        let gb = builder.from_lineage(&lb).unwrap();
+        let manager = ObddManager::new(Arc::clone(&order));
+        let ga = manager.lineage(&la).unwrap();
+        let gb = manager.lineage(&lb).unwrap();
         let g_or = ga.apply_or(&gb).unwrap();
         let g_and = ga.apply_and(&gb).unwrap();
         let g_not_a = ga.negate();
@@ -180,7 +179,8 @@ proptest! {
             let q = parse_ucq(q_text).unwrap();
             let mut con = ConObddBuilder::for_query(&indb, &q);
             let fast = con.build(&q).unwrap();
-            let slow = SynthesisBuilder::new(con.order()).from_query(&q, &indb).unwrap();
+            let lin = lineage(&q, &indb).unwrap();
+            let slow = ObddManager::new(con.order()).lineage(&lin).unwrap();
             let pf = fast.probability(|t| indb.probability(t));
             let ps = slow.probability(|t| indb.probability(t));
             let brute = brute_force_query_probability(&q, &indb).unwrap();
