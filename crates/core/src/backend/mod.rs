@@ -108,16 +108,14 @@ impl<'a> EvalContext<'a> {
     /// Installs (or clears) a cooperative [`mv_query::EvalBudget`] on this
     /// context. The budget propagates to every layer the context drives:
     /// the vectorized lineage executor polls it at batch boundaries, the
-    /// query kernel and the lazy query-side [`ObddManager`] poll it in
-    /// their synthesis/apply folds, and sampling backends poll it between
-    /// batches. Budgets are per-query in session use — install a fresh one
-    /// before each query. The shared index is never budgeted, so one
-    /// worker's deadline cannot cancel a sibling's evaluation.
+    /// query kernel polls it in its folds, and sampling backends poll it
+    /// between batches. The query-side [`ObddManager`] carries no budget:
+    /// no evaluation builds in it. Budgets are per-query in session use —
+    /// install a fresh one before each query. The shared index is never
+    /// budgeted, so one worker's deadline cannot cancel a sibling's
+    /// evaluation.
     pub fn set_budget(&self, budget: Option<mv_query::EvalBudget>) {
         self.query_ctx.set_budget(budget.clone());
-        if let Some(manager) = self.query_manager.get() {
-            manager.set_budget(budget.clone());
-        }
         if let Some(kernel) = self.scratch.borrow_mut().as_mut() {
             kernel.set_budget(budget.clone());
         }
@@ -248,22 +246,16 @@ impl<'a> EvalContext<'a> {
     /// The context's query-side [`ObddManager`] *shard*, created lazily over
     /// the index's variable order (or the identity `π` order when no index
     /// was compiled), for callers that build query diagrams against the
-    /// index's order: repeated lineages hit its unique table and apply memo,
-    /// and each context owns its own shard, so parallel callers never
+    /// index's order: a repeated lineage finds its nodes in the unique
+    /// table, and each context owns its own shard, so parallel callers never
     /// contend on query-side writes. No evaluation path builds into it —
     /// both exact rungs of the ladder run in [`EvalContext::scratch`],
     /// [`ObddPerQuery`] in a builder of its own — so it stays empty unless
     /// a caller uses it.
     pub fn query_manager(&self) -> &ObddManager {
-        self.query_manager.get_or_init(|| {
-            let manager = match self.index {
-                Some(index) => index.query_manager(),
-                None => ObddManager::new(Arc::new(PiOrder::identity().tuple_order(self.indb()))),
-            };
-            // A budget installed before the first query diagram must bound
-            // the manager's folds too.
-            manager.set_budget(self.budget.borrow().clone());
-            manager
+        self.query_manager.get_or_init(|| match self.index {
+            Some(index) => index.query_manager(),
+            None => ObddManager::new(Arc::new(PiOrder::identity().tuple_order(self.indb()))),
         })
     }
 
@@ -399,13 +391,23 @@ pub trait Backend: fmt::Debug {
 }
 
 /// Applies the right-hand side of Theorem 1,
-/// `P(Q) = (P0(Q ∨ W) − P0(W)) / (1 − P0(W))`.
+/// `P(Q) = (P0(Q ∨ W) − P0(W)) / (1 − P0(W))`. Never NaN: an input or a
+/// quotient that is not finite is [`CoreError::OutOfRange`].
 pub fn theorem1(p_q_or_w: f64, p_w: f64) -> Result<f64> {
+    let out_of_range = CoreError::OutOfRange { p_q_or_w, p_w };
+    if !(p_q_or_w.is_finite() && p_w.is_finite()) {
+        return Err(out_of_range);
+    }
     let not_w = 1.0 - p_w;
     if not_w.abs() < MIN_NOT_W {
         return Err(CoreError::InconsistentViews);
     }
-    Ok((p_q_or_w - p_w) / not_w)
+    let p = (p_q_or_w - p_w) / not_w;
+    if p.is_finite() {
+        Ok(p)
+    } else {
+        Err(out_of_range)
+    }
 }
 
 /// Value-level backend selector (the stable, copyable API of
@@ -487,6 +489,26 @@ mod tests {
             theorem1(1.0, 1.0),
             Err(CoreError::InconsistentViews)
         ));
+    }
+
+    #[test]
+    fn theorem1_is_never_nan() {
+        // ∞ − ∞ over 1 − ∞: every input or quotient out of f64 range is a
+        // typed, degradable error, never a NaN answer.
+        for (p_q_or_w, p_w) in [
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NAN, 0.5),
+            (0.5, f64::NAN),
+            (f64::NEG_INFINITY, 0.5),
+            (f64::MAX, -f64::MAX),
+            (1e300, 1.0 - f64::EPSILON),
+        ] {
+            let e = theorem1(p_q_or_w, p_w).unwrap_err();
+            assert!(
+                matches!(e, CoreError::OutOfRange { .. }) && e.is_degradable(),
+                "{p_q_or_w}, {p_w}: {e}"
+            );
+        }
     }
 
     #[test]

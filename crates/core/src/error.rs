@@ -39,6 +39,16 @@ pub enum CoreError {
     /// The MVDB is inconsistent: the hard constraints exclude every world
     /// (`P0(¬W) = 0`), so conditional probabilities are undefined.
     InconsistentViews,
+    /// Theorem 1's quotient left `f64` range: an input or the result is not
+    /// finite. `P0(W)` over a translated database is not a probability and
+    /// overflows on large instances. Degradable: a backend that never forms
+    /// `P0(W)` (the MV-index, Monte Carlo) can still answer.
+    OutOfRange {
+        /// `P0(Q ∨ W)` as the backend computed it.
+        p_q_or_w: f64,
+        /// `P0(W)` as the backend computed it.
+        p_w: f64,
+    },
     /// The query passed to the engine was not Boolean where a Boolean query
     /// was required.
     NotBoolean(String),
@@ -118,7 +128,8 @@ impl CoreError {
 
     /// `true` for errors that mean "this rung of evaluation gave up",
     /// not "the query is unanswerable": deadline/budget trips, caught
-    /// panics, and node-cap refusals. The degradation ladder
+    /// panics, node-cap refusals, and a Theorem 1 quotient out of `f64`
+    /// range. The degradation ladder
     /// escalates past these; semantic errors (unknown relation, arity
     /// mismatch, inconsistent views, …) propagate unchanged because no
     /// cheaper rung can answer them either.
@@ -129,6 +140,7 @@ impl CoreError {
                 | CoreError::BudgetExceeded { .. }
                 | CoreError::Cancelled
                 | CoreError::WorkerPanicked { .. }
+                | CoreError::OutOfRange { .. }
                 | CoreError::Obdd(mv_obdd::ObddError::NodeBudgetExceeded { .. })
                 | CoreError::Obdd(mv_obdd::ObddError::Budget(_))
                 | CoreError::Query(mv_query::QueryError::Budget(_))
@@ -156,6 +168,11 @@ impl fmt::Display for CoreError {
             CoreError::InconsistentViews => write!(
                 f,
                 "the MarkoViews are inconsistent: every possible world violates a hard constraint"
+            ),
+            CoreError::OutOfRange { p_q_or_w, p_w } => write!(
+                f,
+                "Theorem 1 left f64 range: P0(Q ∨ W) = {p_q_or_w}, P0(W) = {p_w}; \
+                 use the MV-index, which never forms P0(W)"
             ),
             CoreError::NotBoolean(name) => {
                 write!(f, "query `{name}` has head variables; bind them or use `answers`")

@@ -6,11 +6,13 @@
 //! per separator value, the "set of augmented OBDDs, each associated with a
 //! particular key" of Section 4.1 — in one immutable **block table**:
 //!
-//! * every block's reachable nodes in one flat vector of [`QvNode`]s
+//! * every block's reachable nodes in one flat vector of [`ObddNode`]s
 //!   (level, children, variable probability and `probUnder` inline), each
 //!   block a contiguous range laid out in DFS post-order from its root with
 //!   the 0-edge first — the cache-conscious layout of Section 4.3, in which
-//!   children precede their parents so one ascending sweep annotates it;
+//!   children precede their parents so one ascending sweep annotates it.
+//!   Children are positions relative to the block's start, or the store's
+//!   sink markers;
 //! * one row per block: its key, node range, root, level range,
 //!   `P0(¬W_k)`, clause count and the range of its variables in one flat
 //!   variables vector;
@@ -28,12 +30,13 @@
 //! Compilation is set-at-a-time: `W` is rewritten with its separator
 //! variable as head and evaluated *once* by the vectorized executor, which
 //! yields the clauses of `W` grouped by separator value. Each group is
-//! folded by the query kernel's own fold ([`QueryScratch`], the deepest-first
-//! OR fold whose tables reset in O(1)) and its reachable nodes are appended
-//! to the table with the sinks swapped. No `ObddManager` is made, so none
-//! outlives the compile. Canonicity makes each block the diagram the paper's
-//! recursive `ConOBDD(π, W_k)` construction ([`mv_obdd::ConObddBuilder`])
-//! reaches value by value, node for node, with the same `probUnder` bits —
+//! folded in a query kernel's node store ([`QueryScratch`], the
+//! deepest-first OR fold of [`mv_obdd::NodeStore`], emptied per group) and
+//! its reachable nodes are copied into the table with the sinks swapped. No
+//! `ObddManager` is made, so none outlives the compile. Canonicity makes
+//! each block the diagram the paper's recursive `ConOBDD(π, W_k)`
+//! construction ([`mv_obdd::ConObddBuilder`]) reaches value by value, node
+//! for node, with the same `probUnder` bits —
 //! which `tests/compile_equivalence.rs` pins against diagrams it builds in
 //! a manager of its own.
 //!
@@ -50,15 +53,16 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use mv_obdd::{ManagerStats, Obdd, ObddManager, PiOrder, VarOrder};
+use mv_obdd::{annotate, prob_at, ManagerStats, NodeId, Obdd, ObddManager, ObddNode};
+use mv_obdd::{PiOrder, VarOrder};
 use mv_pdb::{InDb, TupleId, Value};
 use mv_query::analysis::find_separator_over;
 use mv_query::eval::EvalContext;
 use mv_query::lineage::{answer_lineages_with, lineage_with, Clause, ClauseSlice, Lineage};
-use mv_query::{EvalBudget, Term, Ucq};
+use mv_query::{Term, Ucq};
 
-use crate::intersect::{prob_at, vec_bytes, BlockView, QvNode};
-use crate::kernel::{annotate, QueryScratch};
+use crate::intersect::{vec_bytes, BlockView};
+use crate::kernel::QueryScratch;
 use crate::Result;
 
 /// Which intersection algorithm to use at query time (Section 4.3 / Fig. 9).
@@ -100,7 +104,7 @@ pub(crate) struct BlockRow {
     nodes: (u32, u32),
     /// Position of the root within the block's range, or a sink marker
     /// when `¬W_k` is constant.
-    root: u32,
+    root: NodeId,
     /// Level range of the diagram (structure only: `reweight` keeps it), so
     /// multi-block queries chain the blocks in level order without walking
     /// them.
@@ -119,7 +123,7 @@ pub(crate) struct BlockRow {
 pub(crate) struct BlockTable {
     /// Every block's `¬W_k` nodes, block after block; children are
     /// positions relative to their block's start, or sink markers.
-    nodes: Vec<QvNode>,
+    nodes: Vec<ObddNode>,
     pub(crate) rows: Vec<BlockRow>,
     variables: Vec<TupleId>,
     /// Tuple id → block ([`NO_BLOCK`] for tuples `W` does not mention).
@@ -413,7 +417,7 @@ impl MvIndex {
     /// its root — what the differential tests hold against diagrams built
     /// in a manager.
     #[doc(hidden)]
-    pub fn block_diagram(&self, block: usize) -> (&[QvNode], u32) {
+    pub fn block_diagram(&self, block: usize) -> (&[ObddNode], NodeId) {
         let view = self.table.view(block as u32);
         (view.nodes, view.root)
     }
@@ -426,8 +430,9 @@ impl MvIndex {
 
     /// A fresh query-side manager over the index's variable order, for
     /// callers that want query *diagrams* ([`MvIndex::query_obdd_in`], the
-    /// bounded-exact rung, the figures). Probabilities do not need one: see
-    /// [`MvIndex::conditional_probability_with`].
+    /// figures, the tests). No evaluation path needs one: every exact
+    /// answer, the ladder's bounded one included, runs in a query kernel
+    /// ([`MvIndex::conditional_probability_with`]).
     pub fn query_manager(&self) -> ObddManager {
         ObddManager::new(self.order())
     }
@@ -512,36 +517,22 @@ impl MvIndex {
         indb: &InDb,
         algo: IntersectAlgorithm,
     ) -> Result<f64> {
-        self.in_pooled_kernel(None, lineage, indb, algo)
-    }
-
-    /// [`MvIndex::conditional_probability`] for a caller that holds a
-    /// query-manager shard: the shard's cooperative budget bounds the
-    /// evaluation. The diagram is not built in the shard — hand the
-    /// evaluation context's kernel to
-    /// [`MvIndex::conditional_probability_with`] instead where there is one.
-    pub fn conditional_probability_in(
-        &self,
-        qman: &ObddManager,
-        lineage: &Lineage,
-        indb: &InDb,
-        algo: IntersectAlgorithm,
-    ) -> Result<f64> {
-        self.in_pooled_kernel(qman.budget(), lineage, indb, algo)
-    }
-
-    fn in_pooled_kernel(
-        &self,
-        budget: Option<EvalBudget>,
-        lineage: &Lineage,
-        indb: &InDb,
-        algo: IntersectAlgorithm,
-    ) -> Result<f64> {
         let mut kernel = self.take_kernel();
-        kernel.set_budget(budget);
         let p = self.conditional_probability_with(&mut kernel, lineage, indb, algo);
         self.recycle_kernel(kernel);
         p
+    }
+
+    /// [`MvIndex::conditional_probability`]; the manager is not used. The
+    /// repository benchmark (`benchmark/`) calls this form.
+    pub fn conditional_probability_in(
+        &self,
+        _manager: &ObddManager,
+        lineage: &Lineage,
+        indb: &InDb,
+        algo: IntersectAlgorithm,
+    ) -> Result<f64> {
+        self.conditional_probability(lineage, indb, algo)
     }
 
     /// `P0(Q | ¬W)` in the given kernel — the production entry point: the
@@ -626,12 +617,13 @@ fn keyed_lineages(indb: &InDb, w: &Ucq) -> Result<Vec<(Value, Lineage)>> {
 mod tests {
     use super::*;
     use crate::augmented::AugmentedObdd;
-    use crate::intersect::{mv_intersect, QueryView};
+    use crate::intersect::{mv_intersect, CcLayout};
     use mv_pdb::value::row;
     use mv_pdb::{InDbBuilder, Weight};
     use mv_query::brute::brute_force_lineage_probability;
     use mv_query::lineage::lineage;
     use mv_query::parse_ucq;
+    use mv_query::EvalBudget;
 
     /// A small translated-style database: R, S are base probabilistic tables,
     /// NV is the translated view table with a negative weight.
@@ -769,7 +761,7 @@ mod tests {
             let q = parse_ucq(q_text).unwrap();
             let lin_q = lineage(&q, &indb).unwrap();
             let expected = reference_q_and_not_w(&q, &w, &indb);
-            let q_view = QueryView::new(&manager.dnf(lin_q.clauses()).unwrap(), prob_of);
+            let q_view = CcLayout::new(&manager.dnf(lin_q.clauses()).unwrap(), prob_of);
             let via_mv = mv_intersect(&not_w, &q_view, prob_of);
             let via_cc = index
                 .prob_q_and_not_w(&lin_q, &indb, IntersectAlgorithm::CcMvIntersect)
@@ -888,11 +880,12 @@ mod tests {
 
         let lin_q = lineage(&parse_ucq("Q() :- R(x), S(x, y)").unwrap(), &indb).unwrap();
         let exact = index.conditional_probability(&lin_q, &indb, algo).unwrap();
-        let qman = index.query_manager();
-        qman.set_budget(Some(EvalBudget::unlimited().with_step_limit(1)));
+        let mut lent = index.take_kernel();
+        lent.set_budget(Some(EvalBudget::unlimited().with_step_limit(1)));
         assert!(index
-            .conditional_probability_in(&qman, &lin_q, &indb, algo)
+            .conditional_probability_with(&mut lent, &lin_q, &indb, algo)
             .is_err());
+        index.recycle_kernel(lent);
         let again = index.conditional_probability(&lin_q, &indb, algo).unwrap();
         assert_eq!(again.to_bits(), exact.to_bits());
         assert_eq!(index.idle_kernels(), 1);

@@ -9,13 +9,17 @@
 //!   [`mv_pdb::InDb`] (recursive grouping by the first attribute of each
 //!   relation over the ordered active domain).
 //!   [`PiOrder::infer`] places a query's separator attributes first.
-//! * [`manager`] — [`ObddManager`], the hash-consed, append-only node arena
-//!   every diagram lives in: one unique table, one exact apply/concat memo
-//!   and a negate memo. It builds single clauses ([`ObddManager::clause`]),
-//!   which one [`Obdd::apply_or`] per clause folds into the CUDD-style
-//!   baseline of Figure 8, and whole lineages ([`ObddManager::dnf`], the
-//!   level-ordered fold). See the module docs for the memory model and the
-//!   threading contract.
+//! * [`store`] — [`NodeStore`], the one OBDD builder of the workspace: a
+//!   node vector, a stamped unique table and a memo emptied per operation,
+//!   `mk`, `apply`, the level-ordered DNF fold ([`NodeStore::fold`]),
+//!   negation and concatenation on explicit stacks, and the ascending
+//!   `probUnder` sweep ([`annotate`]). The MV-index's query kernel owns one
+//!   and empties it per lineage.
+//! * [`manager`] — [`ObddManager`], a store behind one lock that is never
+//!   emptied: the arena every [`Obdd`] handle lives in. It builds single
+//!   clauses ([`ObddManager::clause`]), which one [`Obdd::apply_or`] per
+//!   clause folds into the CUDD-style baseline of Figure 8, and whole
+//!   lineages ([`ObddManager::dnf`], the store's fold).
 //! * [`obdd`] — [`Obdd`], a cheap `{manager, root}` handle: reduction,
 //!   Boolean synthesis (`apply`), negation, concatenation of
 //!   level-disjoint diagrams, and probability computation by Shannon
@@ -23,7 +27,8 @@
 //!   operands of a combination live in one manager.
 //! * [`mod@reference`] — [`RefManager`], a deliberately unoptimised recursive
 //!   implementation with SipHash hash-map caches: the reference the
-//!   manager's agreement tests compare its iterative hot paths against.
+//!   store's agreement tests (the manager's and the query kernel's) compare
+//!   its iterative hot paths against.
 //! * [`conobdd`] — [`ConObddBuilder`], the `ConOBDD(π, Q)` construction of
 //!   Section 4.2 (rules R1–R4): it recurses over the query structure,
 //!   expands separator variables over the active domain and *concatenates*
@@ -41,6 +46,7 @@ pub mod manager;
 pub mod obdd;
 pub mod order;
 pub mod reference;
+pub mod store;
 
 pub use conobdd::{ConObddBuilder, ConstructionStats};
 pub use error::ObddError;
@@ -48,6 +54,7 @@ pub use manager::{ManagerStats, ObddManager, ObddNodes};
 pub use obdd::{NodeId, Obdd, ObddNode};
 pub use order::{PiOrder, VarOrder};
 pub use reference::RefManager;
+pub use store::{annotate, prob_at, BoolOp, NodeStore, StampedMap};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, ObddError>;

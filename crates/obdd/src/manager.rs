@@ -1,121 +1,34 @@
-//! The hash-consed OBDD node manager.
+//! The shared OBDD manager: one [`NodeStore`] behind a lock.
 //!
-//! An [`ObddManager`] owns a single append-only arena of `(level, lo, hi)`
-//! nodes together with the *unique table* that hash-conses them: a given
-//! `(level, lo, hi)` triple exists at most once per manager, so structurally
-//! identical sub-diagrams are shared by every diagram built in the manager.
-//! An [`Obdd`] is just a cheap `{manager, root}` handle; cloning one never
-//! copies nodes.
+//! An [`ObddManager`] is the store every diagram of the paper's
+//! constructions lives in — ConOBDD and the apply-per-clause baseline of
+//! Figures 7–8, the diagrams Figures 5–6 and 9 annotate, and the oracle
+//! suites. It is a [`NodeStore`] behind one [`RwLock`], never emptied, so an
+//! [`Obdd`] is a cheap `{manager, root}` handle and structurally identical
+//! sub-diagrams are shared by every diagram built in the manager. No
+//! serving path builds here: the MV-index's query kernel owns a store of its
+//! own.
 //!
-//! No serving path builds here: the query kernel of `mv-index` folds every
-//! online lineage into flat scratch buffers. The manager is what the
-//! paper's constructions are built and checked in — ConOBDD and the
-//! apply-per-clause baseline of Figures 7–8, the level-ordered DNF fold
-//! ([`ObddManager::dnf`]) the index compile is held against, and the
-//! oracle suites.
-//!
-//! # Tables
-//!
-//! * the **unique table** (`(level, lo, hi) → NodeId`) — exact forever,
-//!   since evicting it would break canonicity;
-//! * the **memo** (`(op, a, b) → NodeId`) — one exact map shared by
-//!   `apply` (∨/∧, operands normalised for commutativity) and `concat`,
-//!   keyed like [`RefManager`](crate::RefManager)'s. It is never evicted:
-//!   it grows with the work done and is freed with the manager;
-//! * the **negate memo** — a dense `Vec<NodeId>` side table indexed by node
-//!   id (`NONE` = not negated yet). Negation is an involution, so both
-//!   directions are recorded.
-//!
-//! Both maps are keyed with the vendored FxHash mix instead of SipHash.
-//! Probabilities are not cached: every probability pass fills a map sized
-//! by the diagram it walks.
-//!
-//! # Memory model
-//!
-//! The arena is **append-only**: nodes are never mutated or freed while the
-//! manager is alive, which is what makes handles cheap and lets concurrent
-//! readers traverse diagrams lock-free of each other (a [`std::sync::RwLock`]
-//! guards growth; read-only operations take a shared guard once per
-//! operation, not per node). Unreachable nodes are reclaimed only when the
-//! last handle drops the manager.
-//!
-//! # Traversal discipline
-//!
-//! Every operation — `apply`, `negate`, `concat`, the probability pass, and
-//! reachability — runs on an **explicit stack**, never on the call stack, so
-//! chain diagrams hundreds of thousands of levels deep (the output of
-//! repeated concatenation) cannot overflow the thread stack. The regression
-//! suite builds 100 000-level chains and runs all of the above with the
-//! default stack size.
-//!
-//! # Threading
+//! Every building call — a clause, a DNF fold, one `apply`, a negation, a
+//! concatenation — is one operation of the store under the write lock: its
+//! memo is emptied at the start, the unique table never is. Read-only
+//! traversals take the shared lock once per traversal ([`ObddNodes`]).
 //!
 //! `ObddManager` is `Send + Sync`; handles can be shared across threads.
-//! Building operations serialise on the manager's write lock. Diagrams of
-//! two different managers are never combined: `apply` and `concat` across
-//! managers return [`ObddError::ManagerMismatch`].
+//! Diagrams of two different managers are never combined: `apply` and
+//! `concat` across managers return
+//! [`ObddError::ManagerMismatch`](crate::ObddError::ManagerMismatch).
 
 use std::fmt;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use fxhash::{FxHashMap, FxHashSet};
 use mv_pdb::TupleId;
 use mv_query::lineage::Lineage;
 
-use crate::error::ObddError;
-use crate::obdd::{Obdd, ObddNode, FALSE, SINK_LEVEL, TRUE};
+use crate::obdd::{Obdd, ObddNode, FALSE, TRUE};
 use crate::order::VarOrder;
+use crate::store::{BoolOp, NodeStore};
 use crate::{NodeId, Result};
-
-/// Sentinel for "no entry" in dense side tables indexed by [`NodeId`].
-const NONE: NodeId = NodeId::MAX;
-
-/// The two Boolean synthesis operators (concatenation adds two more memo
-/// tags).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BoolOp {
-    /// Disjunction.
-    Or,
-    /// Conjunction.
-    And,
-}
-
-impl BoolOp {
-    fn tag(self) -> u32 {
-        match self {
-            BoolOp::Or => TAG_OR,
-            BoolOp::And => TAG_AND,
-        }
-    }
-}
-
-/// Memo operation tags.
-const TAG_OR: u32 = 0;
-const TAG_AND: u32 = 1;
-const TAG_CONCAT_OR: u32 = 2;
-const TAG_CONCAT_AND: u32 = 3;
-
-/// A cooperative abort guard installed around budgeted synthesis folds.
-/// [`Store::apply`] polls the budget every [`ApplyGuard::TICK_MASK`] frames
-/// (an `Instant::now` call). A trip makes the in-flight apply return a
-/// dummy root and records why; the installing fold checks
-/// [`ApplyGuard::tripped`] after every apply and surfaces the typed error.
-/// Nodes interned before the trip stay in the arena — hash-consing makes
-/// them reusable, never wrong.
-#[derive(Debug)]
-struct ApplyGuard {
-    /// Cooperative deadline/step budget, polled coarsely.
-    budget: mv_query::EvalBudget,
-    /// Why the guard tripped, if it did.
-    tripped: Option<mv_query::BudgetError>,
-    /// Frame counter driving the coarse budget poll.
-    tick: u32,
-}
-
-impl ApplyGuard {
-    /// Budget poll period: every 1024 apply frames.
-    const TICK_MASK: u32 = 0x3ff;
-}
 
 /// Counters describing a manager's workload, exposed by
 /// [`ObddManager::stats`]. All counters are cumulative since the manager was
@@ -123,20 +36,20 @@ impl ApplyGuard {
 /// [`ManagerStats::apply_cache_hit_rate`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ManagerStats {
-    /// Internal nodes ever allocated in the arena (sinks excluded).
+    /// Internal nodes ever allocated in the store (sinks excluded).
     pub nodes_allocated: u64,
-    /// Largest arena size observed (sinks included). For a single manager
-    /// the arena is append-only, so this equals the current size; aggregated
+    /// Largest store size observed (sinks included). A manager's store is
+    /// never emptied, so for a manager this is the current size; aggregated
     /// stats ([`ManagerStats`] addition) keep the **maximum** over the
-    /// summed managers — the largest single arena, not a sum of peaks.
+    /// summed stores — the largest single store, not a sum of peaks.
     pub peak_nodes: u64,
     /// `mk` calls answered by the unique table (an existing node was reused).
     pub unique_hits: u64,
     /// `mk` calls that allocated a fresh node.
     pub unique_misses: u64,
-    /// Apply/negate/concat steps answered by the memo or the negate memo.
+    /// Apply steps answered by the memo.
     pub apply_cache_hits: u64,
-    /// Apply/negate/concat steps that had to compute a result node.
+    /// Apply, negate and concat steps that had to compute a result node.
     pub apply_cache_misses: u64,
     /// Always 0: the manager keeps no probability cache. The field stays
     /// because the repository benchmark (`benchmark/`) reports
@@ -144,17 +57,18 @@ pub struct ManagerStats {
     pub prob_cache_hits: u64,
     /// Always 0, like [`ManagerStats::prob_cache_hits`].
     pub prob_cache_misses: u64,
-    /// Always 0: the memo is exact and never evicts. The field stays
-    /// because the repository benchmark (`benchmark/`) reports it.
+    /// Always 0: the memo is emptied per operation, never evicted. The
+    /// field stays because the repository benchmark (`benchmark/`) reports
+    /// it.
     pub cache_evictions: u64,
-    /// Gauge: current arena size (sinks included) at the time the snapshot
+    /// Gauge: current store size (sinks included) at the time the snapshot
     /// was taken. Aggregation sums across managers (total resident nodes);
     /// [`ManagerStats::since`] keeps the current value — a gauge has no
     /// meaningful delta.
     pub live_nodes: u64,
-    /// Gauge: approximate heap bytes held by the arena and its tables
-    /// (nodes, unique table, memo, negate memo) at snapshot time.
-    /// Aggregates and deltas like `live_nodes`.
+    /// Gauge: heap bytes a manager's store holds (nodes, unique table, memo
+    /// and buffers) at snapshot time; 0 for a query kernel. Aggregates and
+    /// deltas like `live_nodes`.
     pub arena_bytes: u64,
 }
 
@@ -240,360 +154,13 @@ impl std::iter::Sum for ManagerStats {
     }
 }
 
-/// Everything behind the manager's lock.
-struct Store {
-    nodes: Vec<ObddNode>,
-    /// The exact unique table (FxHash-keyed): canonicity.
-    unique: FxHashMap<(u32, NodeId, NodeId), NodeId>,
-    /// The exact apply/concat memo: `(op tag, a, b) → result`.
-    memo: FxHashMap<(u32, NodeId, NodeId), NodeId>,
-    /// Dense `node → ¬node` side table (`NONE` = not negated yet; sinks
-    /// pre-seeded). Exact and never evicted.
-    negate_memo: Vec<NodeId>,
-    stats: ManagerStats,
-    /// Abort guard installed only around budgeted synthesis folds (`None`
-    /// on every other path — one `Option` check per apply frame).
-    guard: Option<ApplyGuard>,
-}
-
-impl Store {
-    fn new() -> Store {
-        let nodes = vec![
-            ObddNode {
-                level: SINK_LEVEL,
-                lo: FALSE,
-                hi: FALSE,
-            },
-            ObddNode {
-                level: SINK_LEVEL,
-                lo: TRUE,
-                hi: TRUE,
-            },
-        ];
-        Store {
-            nodes,
-            unique: FxHashMap::default(),
-            memo: FxHashMap::default(),
-            // ¬false = true, ¬true = false.
-            negate_memo: vec![TRUE, FALSE],
-            stats: ManagerStats {
-                peak_nodes: 2,
-                ..ManagerStats::default()
-            },
-            guard: None,
-        }
-    }
-
-    /// Approximate heap bytes held by the arena and its tables.
-    fn arena_bytes(&self) -> u64 {
-        let nodes = self.nodes.capacity() * std::mem::size_of::<ObddNode>();
-        // A map entry ≈ key + value + one byte of control metadata, times
-        // the map's capacity — an estimate, not an allocator audit. The
-        // unique table and the memo share one entry type.
-        let entry = std::mem::size_of::<((u32, NodeId, NodeId), NodeId)>() + 1;
-        let maps = (self.unique.capacity() + self.memo.capacity()) * entry;
-        let negate = self.negate_memo.capacity() * std::mem::size_of::<NodeId>();
-        (nodes + maps + negate) as u64
-    }
-
-    fn node(&self, id: NodeId) -> ObddNode {
-        self.nodes[id as usize]
-    }
-
-    fn level(&self, id: NodeId) -> u32 {
-        self.nodes[id as usize].level
-    }
-
-    /// Creates (or reuses) a node, applying the standard reduction rules.
-    /// The dense negate memo grows in lockstep with the arena.
-    fn mk(&mut self, level: u32, lo: NodeId, hi: NodeId) -> NodeId {
-        if lo == hi {
-            return lo;
-        }
-        if let Some(&id) = self.unique.get(&(level, lo, hi)) {
-            self.stats.unique_hits += 1;
-            return id;
-        }
-        self.stats.unique_misses += 1;
-        self.stats.nodes_allocated += 1;
-        let id = self.nodes.len() as NodeId;
-        self.nodes.push(ObddNode { level, lo, hi });
-        self.negate_memo.push(NONE);
-        self.stats.peak_nodes = self.stats.peak_nodes.max(self.nodes.len() as u64);
-        self.unique.insert((level, lo, hi), id);
-        id
-    }
-
-    /// The root of a conjunction chain over sorted, deduplicated levels.
-    fn clause_root(&mut self, levels: &[u32]) -> NodeId {
-        let mut child = TRUE;
-        for &level in levels.iter().rev() {
-            child = self.mk(level, FALSE, child);
-        }
-        child
-    }
-
-    /// Ids reachable from `root` (iterative DFS; includes sinks).
-    fn reachable(&self, root: NodeId) -> Vec<NodeId> {
-        let mut seen = FxHashSet::default();
-        let mut stack = vec![root];
-        let mut out = Vec::new();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            out.push(id);
-            if id != TRUE && id != FALSE {
-                let node = self.node(id);
-                stack.push(node.lo);
-                stack.push(node.hi);
-            }
-        }
-        out
-    }
-
-    fn level_range(&self, root: NodeId) -> Option<(u32, u32)> {
-        let mut min = None;
-        let mut max = None;
-        for id in self.reachable(root) {
-            let level = self.level(id);
-            if level == SINK_LEVEL {
-                continue;
-            }
-            min = Some(min.map_or(level, |m: u32| m.min(level)));
-            max = Some(max.map_or(level, |m: u32| m.max(level)));
-        }
-        Some((min?, max?))
-    }
-
-    /// Sink-level shortcuts of `apply`; `None` means both operands need
-    /// expansion. Sharing one arena lets non-sink operands short-circuit too
-    /// (`x ∨ x = x`).
-    fn apply_terminal(op: BoolOp, a: NodeId, b: NodeId) -> Option<NodeId> {
-        if a == b {
-            return Some(a);
-        }
-        match op {
-            BoolOp::Or => match (a, b) {
-                (TRUE, _) | (_, TRUE) => Some(TRUE),
-                (FALSE, x) | (x, FALSE) => Some(x),
-                _ => None,
-            },
-            BoolOp::And => match (a, b) {
-                (FALSE, _) | (_, FALSE) => Some(FALSE),
-                (TRUE, x) | (x, TRUE) => Some(x),
-                _ => None,
-            },
-        }
-    }
-
-    /// Classical synthesis inside one arena on an explicit stack, memoised
-    /// in the exact memo (operands normalised for commutativity).
-    fn apply(&mut self, op: BoolOp, a: NodeId, b: NodeId) -> NodeId {
-        enum Frame {
-            Expand(NodeId, NodeId),
-            Combine(NodeId, NodeId, u32),
-        }
-        let tag = op.tag();
-        let key = |u: NodeId, v: NodeId| (u.min(v), u.max(v));
-        let mut stack = vec![Frame::Expand(a, b)];
-        let mut results: Vec<NodeId> = Vec::new();
-        while let Some(frame) = stack.pop() {
-            if let Some(guard) = self.guard.as_mut() {
-                if guard.tripped.is_some() {
-                    return FALSE;
-                }
-                guard.tick = guard.tick.wrapping_add(1);
-                if guard.tick & ApplyGuard::TICK_MASK == 0 {
-                    if let Err(e) = guard.budget.check() {
-                        guard.tripped = Some(e);
-                        return FALSE;
-                    }
-                }
-            }
-            match frame {
-                Frame::Expand(u, v) => {
-                    if let Some(r) = Store::apply_terminal(op, u, v) {
-                        results.push(r);
-                        continue;
-                    }
-                    let (ka, kb) = key(u, v);
-                    if let Some(&r) = self.memo.get(&(tag, ka, kb)) {
-                        self.stats.apply_cache_hits += 1;
-                        results.push(r);
-                        continue;
-                    }
-                    let lu = self.level(u);
-                    let lv = self.level(v);
-                    let m = lu.min(lv);
-                    let (u0, u1) = if lu == m {
-                        (self.node(u).lo, self.node(u).hi)
-                    } else {
-                        (u, u)
-                    };
-                    let (v0, v1) = if lv == m {
-                        (self.node(v).lo, self.node(v).hi)
-                    } else {
-                        (v, v)
-                    };
-                    stack.push(Frame::Combine(u, v, m));
-                    stack.push(Frame::Expand(u1, v1));
-                    stack.push(Frame::Expand(u0, v0));
-                }
-                Frame::Combine(u, v, m) => {
-                    let r1 = results.pop().expect("hi result available");
-                    let r0 = results.pop().expect("lo result available");
-                    let r = self.mk(m, r0, r1);
-                    self.stats.apply_cache_misses += 1;
-                    let (ka, kb) = key(u, v);
-                    self.memo.insert((tag, ka, kb), r);
-                    results.push(r);
-                }
-            }
-        }
-        results.pop().expect("apply produces a root")
-    }
-
-    /// Negation on an explicit stack: rebuilds the reachable part bottom-up
-    /// with the dense, exact negate memo (children always have strictly
-    /// larger levels, so a node's negation is ready once both children's
-    /// are).
-    fn negate(&mut self, root: NodeId) -> NodeId {
-        if self.negate_memo[root as usize] != NONE {
-            self.stats.apply_cache_hits += 1;
-            return self.negate_memo[root as usize];
-        }
-        let mut stack = vec![root];
-        while let Some(&id) = stack.last() {
-            if self.negate_memo[id as usize] != NONE {
-                stack.pop();
-                continue;
-            }
-            let node = self.node(id);
-            let lo = self.negate_memo[node.lo as usize];
-            let hi = self.negate_memo[node.hi as usize];
-            if lo != NONE && hi != NONE {
-                let neg = self.mk(node.level, lo, hi);
-                self.stats.apply_cache_misses += 1;
-                self.negate_memo[id as usize] = neg;
-                // Negation is an involution; record both directions.
-                if self.negate_memo[neg as usize] == NONE {
-                    self.negate_memo[neg as usize] = id;
-                }
-                stack.pop();
-            } else {
-                if hi == NONE {
-                    stack.push(node.hi);
-                }
-                if lo == NONE {
-                    stack.push(node.lo);
-                }
-            }
-        }
-        self.negate_memo[root as usize]
-    }
-
-    /// Concatenation (Section 4.2) on an explicit stack: rebuilds the
-    /// reachable part of `a`, redirecting its `0`-sink (`and = false`) or
-    /// `1`-sink (`and = true`) to `b`. The nodes of `b` are reused as-is —
-    /// sharing one arena is what removed the old deep copy of the second
-    /// operand. The per-call rebuild map holds this call's nodes; the memo
-    /// carries them across calls.
-    fn concat(&mut self, and: bool, a: NodeId, b: NodeId) -> NodeId {
-        let tag = if and { TAG_CONCAT_AND } else { TAG_CONCAT_OR };
-        let (redirected, kept) = if and { (TRUE, FALSE) } else { (FALSE, TRUE) };
-        let mut map: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        map.insert(redirected, b);
-        map.insert(kept, kept);
-        let mut stack = vec![a];
-        while let Some(&id) = stack.last() {
-            if map.contains_key(&id) {
-                stack.pop();
-                continue;
-            }
-            if let Some(&r) = self.memo.get(&(tag, id, b)) {
-                self.stats.apply_cache_hits += 1;
-                map.insert(id, r);
-                stack.pop();
-                continue;
-            }
-            let node = self.node(id);
-            let lo = map.get(&node.lo).copied();
-            let hi = map.get(&node.hi).copied();
-            match (lo, hi) {
-                (Some(lo), Some(hi)) => {
-                    let rebuilt = self.mk(node.level, lo, hi);
-                    self.stats.apply_cache_misses += 1;
-                    self.memo.insert((tag, id, b), rebuilt);
-                    map.insert(id, rebuilt);
-                    stack.pop();
-                }
-                (lo, hi) => {
-                    if hi.is_none() {
-                        stack.push(node.hi);
-                    }
-                    if lo.is_none() {
-                        stack.push(node.lo);
-                    }
-                }
-            }
-        }
-        map[&a]
-    }
-
-    /// Bottom-up Shannon-expansion probabilities of every node reachable
-    /// from `root`, computed in one explicit-stack DFS. The result map is
-    /// sized by the diagram, not the arena.
-    fn node_probs(
-        &self,
-        order: &VarOrder,
-        root: NodeId,
-        prob_of: &dyn Fn(TupleId) -> f64,
-    ) -> FxHashMap<NodeId, f64> {
-        let mut out: FxHashMap<NodeId, f64> = FxHashMap::default();
-        out.insert(FALSE, 0.0);
-        out.insert(TRUE, 1.0);
-        let mut stack = vec![root];
-        while let Some(&id) = stack.last() {
-            if out.contains_key(&id) {
-                stack.pop();
-                continue;
-            }
-            let node = self.node(id);
-            let lo = out.get(&node.lo).copied();
-            let hi = out.get(&node.hi).copied();
-            match (lo, hi) {
-                (Some(lo), Some(hi)) => {
-                    let p = prob_of(order.tuple_at(node.level));
-                    out.insert(id, (1.0 - p) * lo + p * hi);
-                    stack.pop();
-                }
-                (lo, hi) => {
-                    if hi.is_none() {
-                        stack.push(node.hi);
-                    }
-                    if lo.is_none() {
-                        stack.push(node.lo);
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
 struct Shared {
     order: Arc<VarOrder>,
-    store: RwLock<Store>,
-    /// Cooperative budget polled by bounded synthesis folds. Installed
-    /// per query on private (per-context / per-worker) managers; shared
-    /// read-mostly managers such as the compiled MV-index never carry one,
-    /// so one worker's deadline cannot cancel a sibling's evaluation.
-    budget: RwLock<Option<mv_query::EvalBudget>>,
+    store: RwLock<NodeStore>,
 }
 
 /// A shared, hash-consed OBDD node store over one [`VarOrder`]. Cloning is
-/// cheap (an `Arc` bump); all clones address the same arena.
+/// cheap (an `Arc` bump); all clones address the same store.
 #[derive(Clone)]
 pub struct ObddManager {
     shared: Arc<Shared>,
@@ -605,31 +172,9 @@ impl ObddManager {
         ObddManager {
             shared: Arc::new(Shared {
                 order,
-                store: RwLock::new(Store::new()),
-                budget: RwLock::new(None),
+                store: RwLock::new(NodeStore::new()),
             }),
         }
-    }
-
-    /// Installs (or clears) the cooperative budget bounded synthesis folds
-    /// poll — between clause folds and, coarsely, inside the apply loop.
-    /// Only install budgets on *private* managers (per-query or per-worker
-    /// shards): the budget is shared by every handle to this arena.
-    pub fn set_budget(&self, budget: Option<mv_query::EvalBudget>) {
-        *self
-            .shared
-            .budget
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = budget;
-    }
-
-    /// The currently installed cooperative budget, if any.
-    pub fn budget(&self) -> Option<mv_query::EvalBudget> {
-        self.shared
-            .budget
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 
     /// The variable order every diagram of this manager lives on.
@@ -637,24 +182,24 @@ impl ObddManager {
         &self.shared.order
     }
 
-    /// `true` when both handles address the same arena.
+    /// `true` when both handles address the same store.
     pub(crate) fn same_arena(&self, other: &ObddManager) -> bool {
         Arc::ptr_eq(&self.shared, &other.shared)
     }
 
-    /// Current arena size (internal nodes plus the two sinks).
+    /// Current store size (internal nodes plus the two sinks).
     pub fn num_nodes(&self) -> usize {
-        self.read().nodes.len()
+        self.read().nodes().len() + 2
     }
 
     /// A snapshot of the manager's counters, with the `live_nodes` /
-    /// `arena_bytes` gauges filled in from the current arena.
+    /// `arena_bytes` gauges filled in from the current store.
     pub fn stats(&self) -> ManagerStats {
         let store = self.read();
-        let mut stats = store.stats;
-        stats.live_nodes = store.nodes.len() as u64;
-        stats.arena_bytes = store.arena_bytes();
-        stats
+        ManagerStats {
+            arena_bytes: store.heap_bytes() as u64,
+            ..store.stats()
+        }
     }
 
     /// The constant diagram `true` or `false`.
@@ -664,105 +209,21 @@ impl ObddManager {
 
     /// The diagram of a single positive literal.
     pub fn literal(&self, tuple: TupleId) -> Result<Obdd> {
-        let level = self
-            .shared
-            .order
-            .level_of(tuple)
-            .ok_or_else(|| ObddError::UnknownVariable(tuple.to_string()))?;
-        let root = self.write().mk(level, FALSE, TRUE);
-        Ok(Obdd::from_parts(self.clone(), root))
+        self.clause(&[tuple])
     }
 
     /// The diagram of a conjunction of positive literals (one DNF clause).
     pub fn clause(&self, clause: &[TupleId]) -> Result<Obdd> {
-        let levels = self.clause_levels(clause)?;
-        let mut store = self.write();
-        let root = store.clause_root(&levels);
-        drop(store);
-        Ok(Obdd::from_parts(self.clone(), root))
+        self.dnf(&[clause])
     }
 
-    /// Sorted, deduplicated levels of a clause (order lookups happen outside
-    /// the store lock).
-    fn clause_levels(&self, clause: &[TupleId]) -> Result<Vec<u32>> {
-        let mut levels: Vec<u32> = clause
-            .iter()
-            .map(|&t| {
-                self.shared
-                    .order
-                    .level_of(t)
-                    .ok_or_else(|| ObddError::UnknownVariable(t.to_string()))
-            })
-            .collect::<Result<_>>()?;
-        levels.sort_unstable();
-        levels.dedup();
-        Ok(levels)
-    }
-
-    /// The diagram of a whole DNF — the OR-fold of its clauses — built under
-    /// **one** lock acquisition. For lineages of many small clauses,
-    /// per-clause locking costs more than the fold itself.
-    ///
-    /// The clauses are folded bottom-up — by descending level vector, the
-    /// clause with the deepest top variable first — whatever order they
-    /// arrive in. Canonicity makes the root the one any other fold order
-    /// reaches; the order only decides the cost: each `apply` rebuilds the
-    /// part of the accumulator above the incoming clause's last level, so a
-    /// lineage whose diagram has width `w` costs `O(w · Σ|clause span|)`
-    /// nodes — linear in the lineage for the width-1 diagrams of
-    /// inversion-free queries, where an arbitrary order costs
-    /// `O(clauses · variables)`.
+    /// The diagram of a whole DNF, folded under **one** lock acquisition by
+    /// the store's level-ordered fold ([`NodeStore::fold`]): deepest top
+    /// level first, whatever order the clauses arrive in.
     pub fn dnf<C: AsRef<[TupleId]>>(&self, clauses: &[C]) -> Result<Obdd> {
-        let budget = self.budget();
-        if let Some(b) = &budget {
-            b.check()?;
-        }
-        let mut levels: Vec<Vec<u32>> = clauses
-            .iter()
-            .map(|c| self.clause_levels(c.as_ref()))
-            .collect::<Result<_>>()?;
-        // Deepest top level first: every later clause then starts at or
-        // above the accumulator's root, so an apply descends only as far as
-        // that clause's own last level instead of walking the whole
-        // accumulator down to it (which made the fold quadratic on the
-        // width-1 lineages of broad selections).
-        levels.sort_unstable_by(|a, b| b.cmp(a));
-        let mut store = self.write();
-        let start = store.nodes.len();
-        // Install the in-apply guard only under a budget, so the unbudgeted
-        // hot path stays a `None` check per frame.
-        store.guard = budget.clone().map(|budget| ApplyGuard {
-            budget,
-            tripped: None,
-            tick: 0,
-        });
-        let mut acc = FALSE;
-        let mut charged: u64 = 0;
-        for clause in &levels {
-            let clause_root = store.clause_root(clause);
-            acc = match Store::apply_terminal(BoolOp::Or, acc, clause_root) {
-                Some(r) => r,
-                None => store.apply(BoolOp::Or, acc, clause_root),
-            };
-            if let Some(e) = store.guard.as_mut().and_then(|g| g.tripped.take()) {
-                store.guard = None;
-                return Err(ObddError::Budget(e));
-            }
-            if let Some(b) = &budget {
-                let allocated = store.nodes.len() - start;
-                // Charge the fresh nodes of this fold as work units and
-                // poll the deadline between clause folds.
-                let delta = (allocated as u64).saturating_sub(charged);
-                charged = allocated as u64;
-                if let Err(e) = b.charge(delta) {
-                    store.guard = None;
-                    return Err(ObddError::Budget(e));
-                }
-            }
-        }
-        store.guard = None;
-        drop(store);
-        Ok(Obdd::from_parts(self.clone(), acc))
+        let clauses = clauses.iter().map(AsRef::as_ref);
+        let root = self.write().fold(&self.shared.order, clauses)?;
+        Ok(Obdd::from_parts(self.clone(), root))
     }
 
     /// The diagram of a lineage: [`ObddManager::dnf`] over its clauses, or
@@ -775,163 +236,103 @@ impl ObddManager {
         self.dnf(lineage.clauses())
     }
 
-    /// Scans the arena for canonicity violations: a duplicate
-    /// `(level, lo, hi)` triple, a redundant node with `lo == hi`, a child
-    /// whose level does not strictly exceed its parent's, or a unique-table
-    /// entry out of sync with the arena. Returns the first violation found.
+    /// Scans the store for canonicity violations
+    /// ([`NodeStore::canonicity_violation`]).
     pub fn canonicity_violation(&self) -> Option<String> {
-        let store = self.read();
-        let mut seen: FxHashMap<(u32, NodeId, NodeId), NodeId> = FxHashMap::default();
-        for (i, node) in store.nodes.iter().enumerate().skip(2) {
-            let id = i as NodeId;
-            if node.lo == node.hi {
-                return Some(format!("node {id} is redundant (lo == hi == {})", node.lo));
-            }
-            if let Some(&first) = seen.get(&(node.level, node.lo, node.hi)) {
-                return Some(format!(
-                    "nodes {first} and {id} duplicate ({}, {}, {})",
-                    node.level, node.lo, node.hi
-                ));
-            }
-            seen.insert((node.level, node.lo, node.hi), id);
-            for child in [node.lo, node.hi] {
-                if child as usize >= store.nodes.len() {
-                    return Some(format!("node {id} points past the arena ({child})"));
-                }
-                let child_level = store.level(child);
-                if child_level != SINK_LEVEL && child_level <= node.level {
-                    return Some(format!(
-                        "node {id} (level {}) has child {child} at level {child_level}",
-                        node.level
-                    ));
-                }
-            }
-            match store.unique.get(&(node.level, node.lo, node.hi)) {
-                Some(&u) if u == id => {}
-                other => return Some(format!("unique table maps node {id}'s triple to {other:?}")),
-            }
-        }
-        None
+        self.read().canonicity_violation()
     }
 
-    /// A read guard over the node arena for tight traversal loops; hold it
+    /// A read guard over the store for tight traversal loops; hold it
     /// instead of calling [`Obdd::node`] per step.
     pub fn nodes(&self) -> ObddNodes<'_> {
         ObddNodes { guard: self.read() }
     }
 
-    fn read(&self) -> RwLockReadGuard<'_, Store> {
+    fn read(&self) -> RwLockReadGuard<'_, NodeStore> {
         self.shared
             .store
             .read()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, Store> {
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, NodeStore> {
         self.shared
             .store
             .write()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    // ---- crate-internal operations on roots -------------------------------
-
-    pub(crate) fn node_of(&self, id: NodeId) -> ObddNode {
-        self.read().node(id)
-    }
-
-    pub(crate) fn reachable_of(&self, root: NodeId) -> Vec<NodeId> {
-        self.read().reachable(root)
-    }
-
-    pub(crate) fn level_range_of(&self, root: NodeId) -> Option<(u32, u32)> {
-        self.read().level_range(root)
-    }
-
+    /// `a op b` as one operation of the store.
     pub(crate) fn apply_roots(&self, op: BoolOp, a: NodeId, b: NodeId) -> NodeId {
-        if let Some(r) = Store::apply_terminal(op, a, b) {
-            return r;
-        }
-        self.write().apply(op, a, b)
+        let mut store = self.write();
+        store.begin();
+        // The manager's store carries no budget and no node cap.
+        store
+            .apply(op, a, b)
+            .expect("an unbounded store refuses nothing")
     }
 
-    pub(crate) fn negate_root(&self, root: NodeId) -> NodeId {
-        self.write().negate(root)
-    }
-
-    pub(crate) fn concat_roots(&self, and: bool, a: NodeId, b: NodeId) -> NodeId {
-        if let Some(r) = concat_trivial(and, a, b) {
-            return r;
-        }
-        self.write().concat(and, a, b)
-    }
-
-    pub(crate) fn node_probs_of(
+    /// The reachable part of the diagram at `root` copied out of the store
+    /// children first (DFS post-order, 0-edge first) and annotated for
+    /// `prob_of` — a node slice in the store's own convention, whose root
+    /// is the returned position — with the store id of every copied node.
+    pub(crate) fn flatten(
         &self,
         root: NodeId,
-        prob_of: &dyn Fn(TupleId) -> f64,
-    ) -> FxHashMap<NodeId, f64> {
-        self.read().node_probs(&self.shared.order, root, prob_of)
+        prob_of: impl Fn(TupleId) -> f64,
+    ) -> (Vec<ObddNode>, Vec<NodeId>, NodeId) {
+        let (mut nodes, mut ids) = (Vec::new(), Vec::new());
+        let at = {
+            let mut store = self.write();
+            store.begin();
+            let place = |_: &mut NodeStore, u, level, lo, hi| {
+                ids.push(u);
+                nodes.push(ObddNode {
+                    level,
+                    lo,
+                    hi,
+                    p_var: 0.0,
+                    prob: 0.0,
+                });
+                (nodes.len() - 1) as NodeId
+            };
+            store.copy(root, 0, NodeStore::triple, |s| s, place)
+        };
+        crate::store::annotate(&mut nodes, &self.shared.order, prob_of);
+        (nodes, ids, at)
     }
 }
 
 impl fmt::Debug for ObddManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let store = self.read();
         f.debug_struct("ObddManager")
             .field("order_len", &self.shared.order.len())
-            .field("nodes", &store.nodes.len())
-            .field("memo_entries", &store.memo.len())
+            .field("nodes", &self.num_nodes())
             .finish_non_exhaustive()
     }
 }
 
-/// The one place the sink special cases of concatenation live (binary and
-/// n-ary, both operators, all through [`ObddManager::concat_roots`]): `None`
-/// means real rebuilding is required.
-fn concat_trivial(and: bool, a: NodeId, b: NodeId) -> Option<NodeId> {
-    let (identity, absorbing) = if and { (TRUE, FALSE) } else { (FALSE, TRUE) };
-    if a == identity {
-        // false ∨ b = b, true ∧ b = b.
-        return Some(b);
-    }
-    if a == absorbing {
-        // true ∨ b = true, false ∧ b = false.
-        return Some(a);
-    }
-    if b == identity {
-        // a ∨ false = a, a ∧ true = a: nothing to redirect.
-        return Some(a);
-    }
-    None
-}
-
-/// A read guard over a manager's arena. Holds the shared lock, so keep its
+/// A read guard over a manager's store. Holds the shared lock, so keep its
 /// lifetime to one traversal; do not call building operations on the same
 /// manager while it is alive.
 pub struct ObddNodes<'a> {
-    guard: RwLockReadGuard<'a, Store>,
+    guard: RwLockReadGuard<'a, NodeStore>,
 }
 
 impl ObddNodes<'_> {
-    /// The node behind an id.
+    /// The internal node behind an id.
     pub fn node(&self, id: NodeId) -> ObddNode {
-        self.guard.node(id)
+        self.guard.nodes()[id as usize]
     }
 
-    /// The level of a node ([`SINK_LEVEL`] for sinks).
+    /// The level of a node ([`crate::obdd::SINK_LEVEL`] for sinks).
     pub fn level(&self, id: NodeId) -> u32 {
         self.guard.level(id)
     }
 
-    /// Current arena size.
-    pub fn len(&self) -> usize {
-        self.guard.nodes.len()
-    }
-
-    /// `true` when the arena holds only the two sinks.
-    pub fn is_empty(&self) -> bool {
-        self.guard.nodes.len() <= 2
+    /// The internal nodes reachable from `root`.
+    pub fn reachable(&self, root: NodeId) -> Vec<NodeId> {
+        self.guard.reachable(root)
     }
 }
 
@@ -985,14 +386,22 @@ mod tests {
 
     #[test]
     fn apply_memo_hits_on_repetition() {
+        // x0 x1 ∨ x2 reaches its x2 node along two paths, so one `∨ x3`
+        // meets the pair (x2 node, x3) twice: the second time is a memo hit.
         let m = ObddManager::new(order(4));
-        let x = m.literal(TupleId(0)).unwrap();
-        let y = m.literal(TupleId(3)).unwrap();
-        let first = x.apply_or(&y).unwrap();
+        let f = m
+            .dnf(&[vec![TupleId(0), TupleId(1)], vec![TupleId(2)]])
+            .unwrap();
+        let g = m.literal(TupleId(3)).unwrap();
         let before = m.stats().apply_cache_hits;
-        let second = x.apply_or(&y).unwrap();
-        assert_eq!(first.root(), second.root());
+        let first = f.apply_or(&g).unwrap();
         assert!(m.stats().apply_cache_hits > before);
+        // The memo is emptied per operation; repeating the apply rebuilds
+        // nothing, because the unique table holds every node.
+        let allocated = m.stats().nodes_allocated;
+        let second = f.apply_or(&g).unwrap();
+        assert_eq!(first.root(), second.root());
+        assert_eq!(m.stats().nodes_allocated, allocated);
     }
 
     #[test]
@@ -1002,11 +411,19 @@ mod tests {
         let n = c.negate();
         let back = n.negate();
         assert_eq!(back.root(), c.root());
-        // The involution direction is answered entirely from the memo.
-        let before = m.stats().apply_cache_misses;
+        // Negating again allocates nothing: the unique table holds it all.
+        let allocated = m.stats().nodes_allocated;
         let again = c.negate();
         assert_eq!(again.root(), n.root());
-        assert_eq!(m.stats().apply_cache_misses, before);
+        assert_eq!(m.stats().nodes_allocated, allocated);
+        // Within one negation a node reached along two paths is rebuilt
+        // once.
+        let f = m
+            .dnf(&[vec![TupleId(0), TupleId(1)], vec![TupleId(2)]])
+            .unwrap();
+        let before = m.stats().apply_cache_misses;
+        f.negate();
+        assert_eq!(m.stats().apply_cache_misses - before, f.size() as u64);
     }
 
     #[test]
@@ -1023,6 +440,7 @@ mod tests {
 
     #[test]
     fn concat_trivial_covers_both_operators() {
+        use crate::store::concat_trivial;
         // Left identity and absorbing sinks.
         assert_eq!(concat_trivial(false, FALSE, 7), Some(7));
         assert_eq!(concat_trivial(false, TRUE, 7), Some(TRUE));
@@ -1070,8 +488,9 @@ mod tests {
             acc = acc.apply_or(d).unwrap();
         }
         let negated = acc.negate();
-        // Every node (old and new) must be addressable in the negate memo:
-        // probabilities on the negation exercise the full arena range.
+        // The unique table stays in step with the nodes: a negation over
+        // the whole store leaves it canonical, and both sides' flattened
+        // copies read every node, old and new.
         let p = acc.probability(|_| 0.5);
         let np = negated.probability(|_| 0.5);
         assert!((p + np - 1.0).abs() < 1e-12);

@@ -2,24 +2,26 @@
 //!
 //! An [`Obdd`] is a reduced, ordered binary decision diagram over the tuple
 //! variables of a probabilistic database: a cheap `{manager, root}` handle
-//! into a hash-consed [`ObddManager`] arena. Cloning a diagram, combining
-//! two diagrams, or keeping thousands of per-view diagrams alive never
+//! into an [`ObddManager`]'s node store. Cloning a diagram, combining two
+//! diagrams, or keeping thousands of per-view diagrams alive never
 //! duplicates node storage.
 //!
 //! Operations:
 //!
 //! * [`Obdd::apply_or`] / [`Obdd::apply_and`] — classical synthesis, running
-//!   in `O(|G1| · |G2|)` and memoised persistently in the manager;
+//!   in `O(|G1| · |G2|)`;
 //! * [`Obdd::concat_or`] / [`Obdd::concat_and`] and the n-ary
 //!   [`Obdd::concat_many_or`] — the *concatenation*
 //!   operation of Section 4.2 for diagrams over disjoint, level-separated
 //!   variable ranges: edges to the `0`-sink (resp. `1`-sink) of the first
 //!   diagram are redirected to the root of the second. Linear in the
 //!   *first* diagram only — the second diagram's nodes are reused in place;
-//! * [`Obdd::negate`] — swaps the sinks (memoised involution);
-//! * [`Obdd::probability`] — Shannon-expansion probability, computed
-//!   bottom-up without recursion so that very deep (concatenated) diagrams
-//!   do not overflow the stack; correct for negative probabilities.
+//! * [`Obdd::negate`] — swaps the sinks;
+//! * [`Obdd::flatten`] / [`Obdd::probability`] — the reachable part copied
+//!   out children first and annotated by the store's ascending
+//!   Shannon-expansion sweep, without recursion, so that very deep
+//!   (concatenated) diagrams do not overflow the stack; correct for
+//!   negative probabilities.
 //!
 //! Both operands of a combination live in one manager: combining handles of
 //! two different managers returns [`ObddError::ManagerMismatch`].
@@ -30,31 +32,39 @@ use fxhash::FxHashMap;
 use mv_pdb::TupleId;
 
 use crate::error::ObddError;
-use crate::manager::{BoolOp, ObddManager, ObddNodes};
+use crate::manager::{ObddManager, ObddNodes};
 use crate::order::VarOrder;
+use crate::store::{prob_at, BoolOp};
 use crate::Result;
 
-/// Index of a node inside an [`ObddManager`] arena.
+/// A node's position in its store, or one of the two sink markers.
 pub type NodeId = u32;
 
-/// The `false` sink.
-pub const FALSE: NodeId = 0;
+/// The `false` sink: a marker above every position, in every store and in
+/// every node slice copied out of one.
+pub const FALSE: NodeId = u32::MAX;
 /// The `true` sink.
-pub const TRUE: NodeId = 1;
+pub const TRUE: NodeId = u32::MAX - 1;
 
-/// Level value used for the two sink nodes.
+/// Level value used for the two sinks.
 pub const SINK_LEVEL: u32 = u32::MAX;
 
-/// One internal node (or sink) of an OBDD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One internal node of an OBDD, in a store or in a node slice copied out
+/// of one (the MV-index's block table, a flattened diagram): the one node
+/// record of the workspace. `p_var` and `prob` are filled by an annotation
+/// sweep ([`crate::store::annotate`]) and are 0 until then.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObddNode {
-    /// The level (position in the variable order) of the node's variable;
-    /// [`SINK_LEVEL`] for sinks.
+    /// The level (position in the variable order) of the node's variable.
     pub level: u32,
     /// Child followed when the variable is `false`.
     pub lo: NodeId,
     /// Child followed when the variable is `true`.
     pub hi: NodeId,
+    /// Probability of the node's variable.
+    pub p_var: f64,
+    /// Probability of the sub-diagram rooted at the node (`probUnder`).
+    pub prob: f64,
 }
 
 /// A reduced ordered binary decision diagram: a root inside a shared
@@ -88,10 +98,10 @@ impl Obdd {
     /// The node behind an id (one shared-lock acquisition per call; use
     /// [`Obdd::nodes`] in traversal loops).
     pub fn node(&self, id: NodeId) -> ObddNode {
-        self.manager.node_of(id)
+        self.nodes().node(id)
     }
 
-    /// A read guard over the manager's arena for tight loops.
+    /// A read guard over the manager's store for tight loops.
     pub fn nodes(&self) -> ObddNodes<'_> {
         self.manager.nodes()
     }
@@ -103,15 +113,14 @@ impl Obdd {
 
     /// The tuple variable labelling a node.
     pub fn tuple_of(&self, id: NodeId) -> Option<TupleId> {
-        let node = self.node(id);
-        if node.level == SINK_LEVEL {
+        if self.is_sink(id) {
             None
         } else {
-            Some(self.order().tuple_at(node.level))
+            Some(self.order().tuple_at(self.node(id).level))
         }
     }
 
-    /// Total number of nodes in the *shared* arena (including the two sinks
+    /// Total number of nodes in the *shared* store (including the two sinks
     /// and every node of every other diagram in the manager). A capacity
     /// figure, not the size of this diagram — see [`Obdd::size`].
     pub fn store_size(&self) -> usize {
@@ -121,35 +130,36 @@ impl Obdd {
     /// Number of internal nodes reachable from the root ("the size of the
     /// OBDD" in the paper's terminology).
     pub fn size(&self) -> usize {
-        self.reachable_ids()
-            .into_iter()
-            .filter(|&id| !self.is_sink(id))
-            .count()
+        self.nodes().reachable(self.root).len()
     }
 
     /// The width of the diagram: the maximum number of reachable nodes
     /// labelled with the same variable.
     pub fn width(&self) -> usize {
-        let ids = self.manager.reachable_of(self.root);
         let nodes = self.nodes();
-        let mut per_level: fxhash::FxHashMap<u32, usize> = fxhash::FxHashMap::default();
-        for id in ids {
-            let level = nodes.level(id);
-            if level != SINK_LEVEL {
-                *per_level.entry(level).or_default() += 1;
-            }
+        let mut per_level: FxHashMap<u32, usize> = FxHashMap::default();
+        for id in nodes.reachable(self.root) {
+            *per_level.entry(nodes.level(id)).or_default() += 1;
         }
         per_level.values().copied().max().unwrap_or(0)
     }
 
-    /// Ids of all nodes reachable from the root (iterative DFS).
+    /// Ids of the internal nodes reachable from the root (iterative DFS).
     pub fn reachable_ids(&self) -> Vec<NodeId> {
-        self.manager.reachable_of(self.root)
+        self.nodes().reachable(self.root)
     }
 
     /// The smallest and largest levels of reachable internal nodes, if any.
     pub fn level_range(&self) -> Option<(u32, u32)> {
-        self.manager.level_range_of(self.root)
+        let nodes = self.nodes();
+        let levels = nodes
+            .reachable(self.root)
+            .into_iter()
+            .map(|id| nodes.level(id));
+        levels.fold(None, |range, l| match range {
+            None => Some((l, l)),
+            Some((min, max)) => Some((l.min(min), l.max(max))),
+        })
     }
 
     /// The root of `other`, which must live in this handle's manager.
@@ -177,7 +187,7 @@ impl Obdd {
 
     /// The negation of the diagram (the two sinks are swapped).
     pub fn negate(&self) -> Obdd {
-        let root = self.manager.negate_root(self.root);
+        let root = self.manager.write().negate(self.root);
         Obdd::from_parts(self.manager.clone(), root)
     }
 
@@ -205,7 +215,7 @@ impl Obdd {
         if !self.levels_precede(other) {
             return Err(ObddError::OrderMismatch);
         }
-        let root = self.manager.concat_roots(and, self.root, b);
+        let root = self.manager.write().concat(and, self.root, b);
         Ok(Obdd::from_parts(self.manager.clone(), root))
     }
 
@@ -242,12 +252,13 @@ impl Obdd {
                 min_later = lo;
             }
         }
-        // `false` is the identity; a `true` part resets the tail through
-        // `concat_roots`.
+        // `false` is the identity; a `true` part resets the tail.
+        let mut store = manager.write();
         let mut tail = FALSE;
         for part in parts.iter().rev() {
-            tail = manager.concat_roots(false, part.root, tail);
+            tail = store.concat(false, part.root, tail);
         }
+        drop(store);
         Ok(Obdd::from_parts(manager.clone(), tail))
     }
 
@@ -264,19 +275,35 @@ impl Obdd {
         id == TRUE
     }
 
+    /// The reachable part of the diagram copied out of the store children
+    /// first (DFS post-order, the 0-edge first) and annotated for `prob_of`:
+    /// every node's variable probability and `probUnder` inline, children
+    /// positions in the returned slice or sink markers. Returns the slice
+    /// and the root's position (a sink marker for a constant diagram).
+    pub fn flatten(&self, prob_of: impl Fn(TupleId) -> f64) -> (Vec<ObddNode>, NodeId) {
+        let (nodes, _, root) = self.manager.flatten(self.root, prob_of);
+        (nodes, root)
+    }
+
     /// The probability of the Boolean function represented by the diagram,
     /// under the given per-tuple probabilities (Shannon expansion,
     /// Section 4.1). Valid for negative probabilities. Computed from
     /// scratch on every call.
     pub fn probability(&self, prob_of: impl Fn(TupleId) -> f64) -> f64 {
-        self.manager.node_probs_of(self.root, &prob_of)[&self.root]
+        let (nodes, root) = self.flatten(prob_of);
+        prob_at(&nodes, root)
     }
 
     /// The probability of the sub-diagram rooted at every reachable node
     /// (`probUnder` in the paper's terminology), keyed by node id, sinks
-    /// included. Sparse: sized by this diagram, not by the shared arena.
+    /// included. Sparse: sized by this diagram, not by the shared store.
     pub fn node_probabilities(&self, prob_of: impl Fn(TupleId) -> f64) -> FxHashMap<NodeId, f64> {
-        self.manager.node_probs_of(self.root, &prob_of)
+        let (nodes, ids, _) = self.manager.flatten(self.root, prob_of);
+        let mut out: FxHashMap<NodeId, f64> =
+            ids.into_iter().zip(nodes.iter().map(|n| n.prob)).collect();
+        out.insert(FALSE, 0.0);
+        out.insert(TRUE, 1.0);
+        out
     }
 }
 

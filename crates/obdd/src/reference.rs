@@ -6,18 +6,19 @@
 //! `apply` recurses on the call stack, and — like the pre-rework code —
 //! `negate` and `probability` run a `reachable()` enumeration plus a
 //! level-sort plus a fresh per-call result map on **every** call, even when
-//! every per-node value is already cached. It is the reference the
-//! manager's agreement tests (`tests/reference_agreement.rs` and the
-//! property suites) compare against: the manager's iterative, explicit-stack
-//! hot paths must compute exactly the same reduced diagrams and
-//! probabilities as this straightforward recursive implementation. It is
-//! not a production path and not a performance baseline.
+//! every per-node value is already cached. It is the reference the node
+//! store's agreement tests compare against — the manager's
+//! (`tests/reference_agreement.rs` and the property suites) and the query
+//! kernel's (`mv_index::kernel`): the store's iterative, explicit-stack hot
+//! paths must compute exactly the same reduced diagrams and probabilities
+//! as this straightforward recursive implementation. It is not a
+//! production path and not a performance baseline.
 //!
 //! Keep it boring. Do **not** optimise this module; its value is that it is
 //! obviously correct and representative of the pre-rework implementation.
 //! Because it recurses, it is limited to diagrams a few thousand levels deep
-//! — the production manager's explicit-stack traversals exist precisely to
-//! remove that limit.
+//! — the store's explicit-stack traversals exist precisely to remove that
+//! limit.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,16 +26,18 @@ use std::sync::Arc;
 use mv_pdb::TupleId;
 
 use crate::error::ObddError;
-use crate::obdd::{ObddNode, FALSE, SINK_LEVEL, TRUE};
+use crate::obdd::{FALSE, SINK_LEVEL, TRUE};
 use crate::order::VarOrder;
 use crate::{NodeId, Result};
 
 /// A self-contained recursive OBDD manager with SipHash `HashMap` caches.
-/// Roots are plain [`NodeId`]s into the manager's own arena.
+/// Roots are plain [`NodeId`]s into the manager's own arena, with the
+/// workspace's sink markers.
 #[derive(Debug)]
 pub struct RefManager {
     order: Arc<VarOrder>,
-    nodes: Vec<ObddNode>,
+    /// `(level, lo, hi)` of every internal node.
+    nodes: Vec<(u32, NodeId, NodeId)>,
     unique: HashMap<(u32, NodeId, NodeId), NodeId>,
     apply_memo: HashMap<(bool, NodeId, NodeId), NodeId>,
     negate_memo: HashMap<NodeId, NodeId>,
@@ -49,18 +52,7 @@ impl RefManager {
         negate_memo.insert(TRUE, FALSE);
         RefManager {
             order,
-            nodes: vec![
-                ObddNode {
-                    level: SINK_LEVEL,
-                    lo: FALSE,
-                    hi: FALSE,
-                },
-                ObddNode {
-                    level: SINK_LEVEL,
-                    lo: TRUE,
-                    hi: TRUE,
-                },
-            ],
+            nodes: Vec::new(),
             unique: HashMap::new(),
             apply_memo: HashMap::new(),
             negate_memo,
@@ -75,7 +67,7 @@ impl RefManager {
 
     /// Number of nodes in the arena (sinks included).
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() + 2
     }
 
     /// The constant root `true` or `false`.
@@ -87,8 +79,16 @@ impl RefManager {
         }
     }
 
-    fn node(&self, id: NodeId) -> ObddNode {
+    fn node(&self, id: NodeId) -> (u32, NodeId, NodeId) {
         self.nodes[id as usize]
+    }
+
+    fn level(&self, id: NodeId) -> u32 {
+        if id == TRUE || id == FALSE {
+            SINK_LEVEL
+        } else {
+            self.node(id).0
+        }
     }
 
     fn mk(&mut self, level: u32, lo: NodeId, hi: NodeId) -> NodeId {
@@ -99,7 +99,7 @@ impl RefManager {
             return id;
         }
         let id = self.nodes.len() as NodeId;
-        self.nodes.push(ObddNode { level, lo, hi });
+        self.nodes.push((level, lo, hi));
         self.unique.insert((level, lo, hi), id);
         id
     }
@@ -151,19 +151,11 @@ impl RefManager {
         if let Some(&r) = self.apply_memo.get(&key) {
             return r;
         }
-        let na = self.node(a);
-        let nb = self.node(b);
-        let m = na.level.min(nb.level);
-        let (a0, a1) = if na.level == m {
-            (na.lo, na.hi)
-        } else {
-            (a, a)
-        };
-        let (b0, b1) = if nb.level == m {
-            (nb.lo, nb.hi)
-        } else {
-            (b, b)
-        };
+        let (la, a_lo, a_hi) = self.node(a);
+        let (lb, b_lo, b_hi) = self.node(b);
+        let m = la.min(lb);
+        let (a0, a1) = if la == m { (a_lo, a_hi) } else { (a, a) };
+        let (b0, b1) = if lb == m { (b_lo, b_hi) } else { (b, b) };
         let lo = self.apply(and, a0, b0);
         let hi = self.apply(and, a1, b1);
         let r = self.mk(m, lo, hi);
@@ -183,9 +175,9 @@ impl RefManager {
             }
             out.push(id);
             if id != TRUE && id != FALSE {
-                let node = self.node(id);
-                stack.push(node.lo);
-                stack.push(node.hi);
+                let (_, lo, hi) = self.node(id);
+                stack.push(lo);
+                stack.push(hi);
             }
         }
         out
@@ -198,15 +190,15 @@ impl RefManager {
             return r;
         }
         let mut ids = self.reachable(root);
-        ids.sort_by_key(|&id| std::cmp::Reverse(self.node(id).level));
+        ids.sort_by_key(|&id| std::cmp::Reverse(self.level(id)));
         for id in ids {
             if self.negate_memo.contains_key(&id) {
                 continue;
             }
-            let node = self.node(id);
-            let lo = self.negate_memo[&node.lo];
-            let hi = self.negate_memo[&node.hi];
-            let neg = self.mk(node.level, lo, hi);
+            let (level, lo, hi) = self.node(id);
+            let lo = self.negate_memo[&lo];
+            let hi = self.negate_memo[&hi];
+            let neg = self.mk(level, lo, hi);
             self.negate_memo.insert(id, neg);
             self.negate_memo.entry(neg).or_insert(id);
         }
@@ -222,7 +214,7 @@ impl RefManager {
     /// weights change (the hash-map analogue of an epoch bump).
     pub fn probability(&mut self, root: NodeId, prob_of: &impl Fn(TupleId) -> f64) -> f64 {
         let mut ids = self.reachable(root);
-        ids.sort_by_key(|&id| std::cmp::Reverse(self.node(id).level));
+        ids.sort_by_key(|&id| std::cmp::Reverse(self.level(id)));
         let mut out: HashMap<NodeId, f64> = HashMap::with_capacity(ids.len() + 2);
         out.insert(FALSE, 0.0);
         out.insert(TRUE, 1.0);
@@ -234,9 +226,9 @@ impl RefManager {
                 out.insert(id, p);
                 continue;
             }
-            let node = self.node(id);
-            let p = prob_of(self.order.tuple_at(node.level));
-            let value = (1.0 - p) * out[&node.lo] + p * out[&node.hi];
+            let (level, lo, hi) = self.node(id);
+            let p = prob_of(self.order.tuple_at(level));
+            let value = (1.0 - p) * out[&lo] + p * out[&hi];
             self.prob_cache.insert(id, value);
             out.insert(id, value);
         }
@@ -252,9 +244,9 @@ impl RefManager {
     pub fn eval(&self, root: NodeId, assignment: impl Fn(TupleId) -> bool) -> bool {
         let mut id = root;
         while id != TRUE && id != FALSE {
-            let node = self.node(id);
-            let tuple = self.order.tuple_at(node.level);
-            id = if assignment(tuple) { node.hi } else { node.lo };
+            let (level, lo, hi) = self.node(id);
+            let tuple = self.order.tuple_at(level);
+            id = if assignment(tuple) { hi } else { lo };
         }
         id == TRUE
     }
@@ -269,9 +261,9 @@ impl RefManager {
                 continue;
             }
             count += 1;
-            let node = self.node(id);
-            stack.push(node.lo);
-            stack.push(node.hi);
+            let (_, lo, hi) = self.node(id);
+            stack.push(lo);
+            stack.push(hi);
         }
         count
     }

@@ -14,7 +14,6 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use markoviews::core::{CoreError, MvdbBuilder, MvdbEngine, TranslatedIndb};
 use markoviews::dblp::{DblpConfig, DblpDataset};
-use markoviews::mvindex::intersect::{QV_FALSE, QV_TRUE};
 use markoviews::mvindex::{AugmentedObdd, MvIndex};
 use markoviews::obdd::obdd::{FALSE, TRUE};
 use markoviews::obdd::{ConObddBuilder, NodeId, Obdd, ObddManager};
@@ -52,8 +51,8 @@ fn assert_block_is(
     let mut stack = vec![(diagram.root(), root)];
     while let Some((id, at)) = stack.pop() {
         match id {
-            TRUE => assert_eq!(at, QV_TRUE, "block {block}"),
-            FALSE => assert_eq!(at, QV_FALSE, "block {block}"),
+            TRUE => assert_eq!(at, TRUE, "block {block}"),
+            FALSE => assert_eq!(at, FALSE, "block {block}"),
             id => {
                 if let Some(&seen) = position.get(&id) {
                     assert_eq!(seen, at, "block {block}: one node, two positions");
@@ -62,8 +61,8 @@ fn assert_block_is(
                 position.insert(id, at);
                 let (node, row) = (arena.node(id), nodes[at as usize]);
                 assert_eq!(row.level, node.level, "block {block}");
-                assert!(row.lo.min(row.hi) < at || row.lo.min(row.hi) >= QV_TRUE);
-                assert!(row.lo.max(row.hi) < at || row.lo.max(row.hi) >= QV_TRUE);
+                assert!(row.lo.min(row.hi) < at || row.lo.min(row.hi) >= TRUE);
+                assert!(row.lo.max(row.hi) < at || row.lo.max(row.hi) >= TRUE);
                 let tuple = diagram.order().tuple_at(node.level);
                 assert_eq!(row.p_var.to_bits(), prob_of(tuple).to_bits());
                 assert_eq!(row.prob.to_bits(), oracle.prob_under(id).to_bits());
@@ -294,7 +293,7 @@ fn an_empty_clause_makes_the_block_true_and_the_views_inconsistent() {
     assert_eq!(index.num_blocks(), 1);
     let (nodes, root) = index.block_diagram(0);
     assert!(nodes.is_empty());
-    assert_eq!(root, QV_FALSE, "W_k is TRUE");
+    assert_eq!(root, FALSE, "W_k is TRUE");
     assert_eq!(index.block_prob_not_w(0), 0.0);
     assert!(!index.is_consistent());
     assert!(index.w_lineage().is_true());

@@ -3,7 +3,7 @@
 //! test's own and read by the pointer-based MVIntersect of Section 4.3 —
 //! nothing of the index's block table is used but its tuple → block map.
 
-use markoviews::mvindex::intersect::{mv_intersect, QueryView};
+use markoviews::mvindex::intersect::{mv_intersect, CcLayout};
 use markoviews::mvindex::{AugmentedObdd, MvIndex};
 use markoviews::obdd::ObddManager;
 use markoviews::pdb::TupleId;
@@ -40,6 +40,6 @@ pub fn manager_conditional(
         divisor *= not_w_k.probability(prob_of);
         not_w = not_w.apply_and(&not_w_k).unwrap();
     }
-    let query = QueryView::new(&manager.dnf(lineage.clauses()).unwrap(), prob_of);
+    let query = CcLayout::new(&manager.dnf(lineage.clauses()).unwrap(), prob_of);
     mv_intersect(&AugmentedObdd::new(not_w, prob_of), &query, prob_of) / divisor
 }
