@@ -289,8 +289,8 @@ fn resilience(opts: &Options, violations: &mut Vec<String>) -> Json {
         p.exact_max_abs_err,
     );
     println!(
-        "             rungs: {} exact, {} bounded, {} monte-carlo; degraded max |err| {:.2e} (max eps {:.3})",
-        p.rungs.exact, p.rungs.bounded, p.rungs.monte_carlo, p.degraded_max_abs_err, p.max_epsilon,
+        "             rungs: {} exact, {} monte-carlo; degraded max |err| {:.2e} (max eps {:.3})",
+        p.rungs.exact, p.rungs.monte_carlo, p.degraded_max_abs_err, p.max_epsilon,
     );
     for (site, fault, draws, injected) in &p.injections {
         println!(
@@ -309,12 +309,10 @@ fn resilience(opts: &Options, violations: &mut Vec<String>) -> Json {
         ("degraded", Json::from(p.degraded)),
         ("degraded_fraction", Json::from(p.degraded_fraction())),
         ("rung_exact", Json::from(p.rungs.exact)),
-        ("rung_bounded", Json::from(p.rungs.bounded)),
         ("rung_monte_carlo", Json::from(p.rungs.monte_carlo)),
         ("fallbacks", Json::from(p.fallbacks)),
         ("retries", Json::from(p.retries)),
         ("exact_max_abs_err", Json::from(p.exact_max_abs_err)),
-        ("bounded_max_abs_err", Json::from(p.bounded_max_abs_err)),
         ("degraded_max_abs_err", Json::from(p.degraded_max_abs_err)),
         ("max_epsilon", Json::from(p.max_epsilon)),
         ("p50_s", Json::from(secs(p.p50))),
@@ -348,32 +346,29 @@ fn serve(opts: &Options, violations: &mut Vec<String>) -> Json {
         secs(p.deadline),
     );
     println!(
-        "{:>8} {:>9} {:>6} {:>6} {:>10} {:>22} {:>10} {:>10} {:>12}",
+        "{:>8} {:>9} {:>6} {:>6} {:>10} {:>12} {:>10} {:>10} {:>12}",
         "pass",
         "answered",
         "shed",
         "lost",
         "degr adm",
-        "rungs e/b/mc",
+        "rungs e/mc",
         "p50 (ms)",
         "p99 (ms)",
-        "bounded |err|"
+        "exact |err|"
     );
     let print_run = |label: &str, r: &mv_bench::ServeRun| {
         println!(
-            "{:>8} {:>9} {:>6} {:>6} {:>10} {:>10} {:>10.2} {:>10.2} {:>12.2e}",
+            "{:>8} {:>9} {:>6} {:>6} {:>10} {:>12} {:>10.2} {:>10.2} {:>12.2e}",
             label,
             r.answered,
             r.shed,
             r.lost,
             r.degraded_admissions,
-            format!(
-                "{}/{}/{}",
-                r.rungs.exact, r.rungs.bounded, r.rungs.monte_carlo
-            ),
+            format!("{}/{}", r.rungs.exact, r.rungs.monte_carlo),
             secs(r.p50) * 1e3,
             secs(r.p99) * 1e3,
-            r.bounded_max_abs_err,
+            r.exact_max_abs_err,
         );
     };
     print_run("clean", &p.clean);
@@ -409,11 +404,9 @@ fn serve_run_json(r: &mv_bench::ServeRun) -> Json {
         ("lost", Json::from(r.lost)),
         ("degraded_admissions", Json::from(r.degraded_admissions)),
         ("rung_exact", Json::from(r.rungs.exact)),
-        ("rung_bounded", Json::from(r.rungs.bounded)),
         ("rung_monte_carlo", Json::from(r.rungs.monte_carlo)),
         ("throughput_qps", Json::from(r.throughput_qps)),
         ("exact_max_abs_err", Json::from(r.exact_max_abs_err)),
-        ("bounded_max_abs_err", Json::from(r.bounded_max_abs_err)),
         ("degraded_max_abs_err", Json::from(r.degraded_max_abs_err)),
         ("max_epsilon", Json::from(r.max_epsilon)),
         ("p50_s", Json::from(secs(r.p50))),

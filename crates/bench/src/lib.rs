@@ -940,8 +940,6 @@ pub fn secs(d: Duration) -> f64 {
 pub struct RungCounts {
     /// Queries answered on the exact rung.
     pub exact: u64,
-    /// Queries answered on the bounded-exact rung.
-    pub bounded: u64,
     /// Queries answered on the Monte Carlo rung.
     pub monte_carlo: u64,
 }
@@ -981,9 +979,6 @@ pub struct ResiliencePoint {
     /// Largest absolute difference of exact-rung chaos answers against the
     /// clean run (the exactness gate; must stay below 1e-9).
     pub exact_max_abs_err: f64,
-    /// Largest absolute difference of bounded-exact chaos answers against
-    /// the clean run (asserted below 1e-9: the rung is the exact kernel).
-    pub bounded_max_abs_err: f64,
     /// Largest absolute difference of degraded chaos answers against the
     /// clean run.
     pub degraded_max_abs_err: f64,
@@ -1015,16 +1010,11 @@ impl ResiliencePoint {
             format!("{} lost queries", self.lost)
         });
         // Chaos may slow a query or bounce it between workers, never change
-        // its answer; the bounded rung is the exact kernel under a node cap.
+        // its answer.
         g.check(
             "resilience.exact_err",
             self.exact_max_abs_err < 1e-9,
             || format!("exact-rung drift {}", self.exact_max_abs_err),
-        );
-        g.check(
-            "resilience.bounded_err",
-            self.bounded_max_abs_err < 1e-9,
-            || format!("bounded-rung drift {}", self.bounded_max_abs_err),
         );
         let fraction = self.degraded_fraction();
         g.check(
@@ -1032,7 +1022,7 @@ impl ResiliencePoint {
             0.0 < fraction && fraction < 0.2,
             || format!("{} of {} degraded", self.degraded, self.num_queries),
         );
-        let answered = self.rungs.exact + self.rungs.bounded + self.rungs.monte_carlo;
+        let answered = self.rungs.exact + self.rungs.monte_carlo;
         g.check(
             "resilience.accounting",
             answered == self.num_queries as u64,
@@ -1065,8 +1055,8 @@ impl ResiliencePoint {
 }
 
 /// The default chaos campaign of the resilience benchmark: panics in
-/// routing and shard evaluation, budget trips on the exact rung and
-/// deadline trips on the bounded rung. The Monte Carlo rung and the oracle
+/// routing and shard evaluation and budget trips on the exact rung, which
+/// send the query to Monte Carlo. The Monte Carlo rung and the oracle
 /// rescue path stay clean, so every valid query is structurally guaranteed
 /// an answer — "zero lost" is a gate, not a hope.
 pub fn resilience_chaos_config(seed: u64) -> mv_core::chaos::ChaosConfig {
@@ -1075,7 +1065,6 @@ pub fn resilience_chaos_config(seed: u64) -> mv_core::chaos::ChaosConfig {
         .rule(sites::ROUTE, Fault::Panic, 0.002)
         .rule(sites::SHARD_EVAL, Fault::Panic, 0.005)
         .rule(sites::EXACT_RUNG, Fault::Budget, 0.02)
-        .rule(sites::BOUNDED_RUNG, Fault::Deadline, 0.2)
 }
 
 /// Runs the resilience campaign: the mixed point + broad [`sharded_workload`]
@@ -1149,12 +1138,6 @@ pub fn resilience_campaign(
                 point.rungs.exact += 1;
                 point.exact_max_abs_err = point.exact_max_abs_err.max(err);
             }
-            Rung::BoundedExact => {
-                point.rungs.bounded += 1;
-                point.degraded += 1;
-                point.bounded_max_abs_err = point.bounded_max_abs_err.max(err);
-                point.degraded_max_abs_err = point.degraded_max_abs_err.max(err);
-            }
             Rung::MonteCarlo => {
                 point.rungs.monte_carlo += 1;
                 point.degraded += 1;
@@ -1186,7 +1169,8 @@ pub struct ServeRun {
     /// Admitted requests that resolved without an answer (the hard gate:
     /// zero — admitted queries are never silently dropped).
     pub lost: u64,
-    /// Admissions the overload controller entered below the exact rung.
+    /// Admissions the overload controller entered below the configured
+    /// entry rung: past the shed depth, at Monte Carlo.
     pub degraded_admissions: u64,
     /// Per-rung answer counts.
     pub rungs: RungCounts,
@@ -1196,11 +1180,7 @@ pub struct ServeRun {
     /// below 1e-9 — pressure may slow or degrade a query, never corrupt
     /// an exact answer).
     pub exact_max_abs_err: f64,
-    /// Largest |err| of bounded-exact answers against the oracle
-    /// (gate: below 1e-9 — the rung is the exact kernel under a node cap).
-    pub bounded_max_abs_err: f64,
-    /// Largest |err| of degraded (bounded/Monte Carlo) answers against
-    /// the oracle.
+    /// Largest |err| of degraded (Monte Carlo) answers against the oracle.
     pub degraded_max_abs_err: f64,
     /// Largest achieved half-width among Monte Carlo answers.
     pub max_epsilon: f64,
@@ -1307,17 +1287,12 @@ impl ServePoint {
                 || format!("shed {} of {} offers", r.shed, r.offered),
             );
             g.check(
-                &format!("{prefix}.bounded_err"),
-                r.bounded_max_abs_err < 1e-9,
-                || format!("bounded-rung drift {}", r.bounded_max_abs_err),
-            );
-            g.check(
                 &format!("{prefix}.deadline"),
                 r.p99 <= self.deadline,
                 || format!("p99 {:?} past the deadline {:?}", r.p99, self.deadline),
             );
         }
-        // Queue pressure crossed the degrade depth even without faults.
+        // Queue pressure crossed the shed depth even without faults.
         g.check(
             "serve.controller_engaged",
             self.clean.degraded_admissions > 0,
@@ -1348,9 +1323,9 @@ pub fn serve_chaos_config(seed: u64) -> mv_core::chaos::ChaosConfig {
 /// over a sharded engine, once clean and once under [`serve_chaos_config`]
 /// (or the `MV_CHAOS` spec when set). The queue is sized to absorb the
 /// whole burst, so backpressure engages only when the wait estimate blows
-/// the deadline; the overload controller degrades admissions as the
-/// backlog crosses the degrade/shed depths. The resilience node cap is
-/// kept small so degraded tiers stay cheaper than exact service.
+/// the deadline; the overload controller sends admissions to Monte Carlo
+/// once the backlog crosses the shed depth. The resilience node cap is
+/// kept small so a lineage too big for it is sampled instead.
 pub fn serve_soak(
     num_authors: usize,
     num_queries: usize,
@@ -1396,11 +1371,10 @@ pub fn serve_soak(
         .mul_f64(150.0 * num_queries as f64)
         .max(Duration::from_secs(2));
 
-    // The bounded-exact rung is the exact rung's kernel under a node cap:
-    // a small cap answers every point query as rung 1 would and refuses
-    // any lineage whose diagram outgrows ~16k nodes, which then falls
-    // through to the bounded-sample Monte Carlo rung, so degraded service
-    // stays within a fixed factor of exact.
+    // The exact rung runs under the node cap: a small cap answers every
+    // point query and refuses any lineage whose diagram outgrows ~16k
+    // nodes, which then falls through to the bounded-sample Monte Carlo
+    // rung, so degraded service stays within a fixed factor of exact.
     let resilience = ResilienceConfig {
         epsilon: 0.05,
         node_budget: 1 << 14,
@@ -1412,7 +1386,6 @@ pub fn serve_soak(
         workers: num_workers,
         queue_capacity: num_queries.max(64),
         deadline,
-        degrade_depth: 8,
         // The paced backlog peaks near num_queries / 3 (the 0.5x-capacity
         // excess accumulated over the offer window); a shed depth at ~3/4
         // of that peak sends the tail of the burst to the sampling rung.
@@ -1601,11 +1574,6 @@ fn paced_pass(
             Rung::Exact => {
                 run.rungs.exact += 1;
                 run.exact_max_abs_err = run.exact_max_abs_err.max(err);
-            }
-            Rung::BoundedExact => {
-                run.rungs.bounded += 1;
-                run.bounded_max_abs_err = run.bounded_max_abs_err.max(err);
-                run.degraded_max_abs_err = run.degraded_max_abs_err.max(err);
             }
             Rung::MonteCarlo => {
                 run.rungs.monte_carlo += 1;
@@ -2076,11 +2044,7 @@ mod tests {
             Duration::from_millis(millis)
         }
         let injection = |site: &str, injected| (site.to_string(), Fault::Panic, 10, injected);
-        let rungs = |exact, bounded, monte_carlo| RungCounts {
-            exact,
-            bounded,
-            monte_carlo,
-        };
+        let rungs = |exact, monte_carlo| RungCounts { exact, monte_carlo };
 
         let rung = |mean_half_width| ApproxRung {
             samples: 1_000,
@@ -2110,7 +2074,7 @@ mod tests {
         let resilience = ResiliencePoint {
             num_queries: 100,
             degraded: 5,
-            rungs: rungs(95, 3, 2),
+            rungs: rungs(95, 5),
             degraded_max_abs_err: 0.01,
             max_epsilon: 0.05,
             p50: ms(1),
@@ -2119,10 +2083,9 @@ mod tests {
             injections: vec![injection("route", 2), injection("shard_eval", 0)],
             ..Default::default()
         };
-        let cases: [Case<ResiliencePoint>; 11] = [
+        let cases: [Case<ResiliencePoint>; 10] = [
             ("resilience.lost", |p| p.lost = 1),
             ("resilience.exact_err", |p| p.exact_max_abs_err = 1e-6),
-            ("resilience.bounded_err", |p| p.bounded_max_abs_err = 1e-6),
             ("resilience.degraded_fraction", |p| p.degraded = 0),
             ("resilience.degraded_fraction", |p| p.degraded = 20),
             ("resilience.accounting", |p| p.rungs.exact = 94),
@@ -2140,7 +2103,7 @@ mod tests {
 
         // Gates of one pass: the first four hold on every serve and update
         // pass, the rest on serve passes only.
-        let pass_cases: [Case<ServeRun>; 7] = [
+        let pass_cases: [Case<ServeRun>; 6] = [
             ("lost", |r| r.lost = 1),
             ("accounting", |r| r.answered -= 1),
             ("exact_err", |r| r.exact_max_abs_err = 1e-6),
@@ -2148,7 +2111,6 @@ mod tests {
             ("shed_fraction", |r| {
                 (r.shed, r.answered) = (10, r.offered - 10)
             }),
-            ("bounded_err", |r| r.bounded_max_abs_err = 1e-6),
             ("deadline", |r| r.p99 = ms(101)),
         ];
 
@@ -2157,7 +2119,7 @@ mod tests {
             shed: 2,
             answered: 98,
             degraded_admissions: 4,
-            rungs: rungs(94, 2, 2),
+            rungs: rungs(94, 4),
             p50: ms(1),
             p95: ms(2),
             p99: ms(3),

@@ -249,7 +249,7 @@ impl<'a> EvalContext<'a> {
     /// index's order: a repeated lineage finds its nodes in the unique
     /// table, and each context owns its own shard, so parallel callers never
     /// contend on query-side writes. No evaluation path builds into it —
-    /// both exact rungs of the ladder run in [`EvalContext::scratch`],
+    /// the ladder's exact rung runs in [`EvalContext::scratch`],
     /// [`ObddPerQuery`] in a builder of its own — so it stays empty unless
     /// a caller uses it.
     pub fn query_manager(&self) -> &ObddManager {

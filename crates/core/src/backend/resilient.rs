@@ -1,17 +1,17 @@
-//! The graceful-degradation ladder: exact → bounded-exact → Monte Carlo.
+//! The graceful-degradation ladder: exact under the node cap → Monte Carlo.
 //!
 //! [`ResilientBackend`] wraps any [`EngineBackend`] selector and guarantees
 //! an answer-or-typed-outcome for every query: rung 1 runs the inner exact
-//! backend under the configured deadline/step budget and a per-rung panic
-//! trap; on a *degradable* failure (deadline, budget, caught panic, node-cap
-//! refusal — see [`CoreError::is_degradable`]) it escalates to rung 2, the
-//! MV-index's query kernel ([`MvIndexBackend`]) under the node cap
-//! [`ResilienceConfig::node_budget`], and finally to rung 3, seeded Monte
-//! Carlo with the requested target `±ε`. Rung 2 is the exact online path
-//! again, only held to a tighter budget: what it answers is what the
-//! MV-index backend answers without the cap, to the bit. A context without
-//! a compiled index skips it. Semantic errors (unknown relation, arity mismatch, …) stop the
-//! ladder immediately — no cheaper rung can answer those either.
+//! backend under the configured deadline/step budget, the query kernel's
+//! node cap [`ResilienceConfig::node_budget`] and a per-rung panic trap; on
+//! a *degradable* failure (deadline, budget, caught panic, node-cap refusal
+//! — see [`CoreError::is_degradable`]) it goes to rung 2, seeded Monte Carlo
+//! with the requested target `±ε`. There is no second exact attempt: a trip
+//! means the work outgrew its window, and the same work in a fresh window of
+//! the same size would trip again. This holds for every inner backend,
+//! those that never touch the kernel included. Semantic errors (unknown
+//! relation, arity mismatch, …) stop the ladder immediately — no cheaper
+//! rung can answer those either.
 //!
 //! Every evaluation produces a [`QueryOutcome`] recording which rung
 //! answered, why degradation happened (the first degradable fault), the
@@ -22,7 +22,7 @@
 //! Each rung gets a *fresh* budget window (deadline measured from rung
 //! entry), so an exact rung that burns its whole deadline cannot starve
 //! the sampling rung that is supposed to rescue the query; the worst-case
-//! wall-clock per query is `rungs × deadline`.
+//! wall-clock per pass is `2 × deadline`.
 
 use std::time::{Duration, Instant};
 
@@ -31,7 +31,7 @@ use mv_query::approx::ApproxConfig;
 use mv_query::lineage::{ClauseBuffer, Lineage};
 use mv_query::{EvalBudget, Ucq};
 
-use crate::backend::{Backend, EngineBackend, EvalContext, MonteCarlo, MvIndexBackend};
+use crate::backend::{Backend, EngineBackend, EvalContext, MonteCarlo};
 use crate::chaos::{self, sites};
 use crate::error::CoreError;
 use crate::Result;
@@ -42,10 +42,6 @@ use crate::Result;
 pub enum Rung {
     /// The inner exact backend answered.
     Exact,
-    /// The query kernel answered under the node cap (still exact — the
-    /// cap refused nothing); reached only because rung 1 failed or the
-    /// entry rung skipped it.
-    BoundedExact,
     /// Monte Carlo answered with a confidence interval.
     MonteCarlo,
 }
@@ -55,7 +51,6 @@ impl Rung {
     pub fn name(self) -> &'static str {
         match self {
             Rung::Exact => "exact",
-            Rung::BoundedExact => "bounded_exact",
             Rung::MonteCarlo => "monte_carlo",
         }
     }
@@ -188,17 +183,13 @@ impl QueryOutcome {
 
     /// The outcome of a worker-level panic caught at a join boundary.
     pub(crate) fn poisoned(site: &'static str) -> Self {
+        let fault = QueryFault {
+            kind: FaultKind::Panic,
+            message: format!("worker panicked at isolation site `{site}`"),
+        };
         QueryOutcome {
-            probability: None,
-            rung: None,
-            epsilon: None,
-            retries: 0,
-            fallback: false,
             elapsed: Duration::ZERO,
-            fault: Some(QueryFault {
-                kind: FaultKind::Panic,
-                message: format!("worker panicked at isolation site `{site}`"),
-            }),
+            ..QueryOutcome::lost(fault, Instant::now())
         }
     }
 }
@@ -262,19 +253,17 @@ pub struct ResilienceConfig {
     /// The exact backend tried on rung 1.
     pub inner: EngineBackend,
     /// The first rung the ladder tries. [`Rung::Exact`] (the default) is
-    /// the full ladder; an overload controller (the serving layer's
-    /// degrade-before-drop policy) lowers admitted queries onto
-    /// [`Rung::BoundedExact`] or straight to [`Rung::MonteCarlo`] under
-    /// queue pressure, skipping the rungs it cannot afford.
+    /// the full ladder; [`Rung::MonteCarlo`] skips the exact rung, as the
+    /// serving layer's overload controller does past its shed depth.
     pub entry: Rung,
     /// Per-rung wall-clock deadline (`None` = unlimited).
     pub deadline: Option<Duration>,
     /// Per-rung cooperative step limit (batch rows / arena nodes /
     /// samples charged against one counter; `None` = unlimited).
     pub step_limit: Option<u64>,
-    /// Node cap of the query kernel on the bounded-exact rung: a lineage
-    /// whose diagram needs more nodes is refused there and goes on to
-    /// Monte Carlo.
+    /// Node cap of the context's query kernel on the exact rung, lifted
+    /// after it: a lineage whose diagram needs more nodes is refused and
+    /// goes on to Monte Carlo. Plain (`exact_only`) evaluation is uncapped.
     pub node_budget: usize,
     /// Target half-width `ε` of the Monte Carlo rung.
     pub epsilon: f64,
@@ -421,14 +410,6 @@ impl ResilientBackend {
         self.run(ctx, Target::Query(q)).outcome
     }
 
-    /// Runs the ladder for a precomputed (e.g. per-shard localized)
-    /// lineage. When the inner backend cannot evaluate lineages directly,
-    /// the ladder starts at the bounded-exact rung.
-    pub fn evaluate_lineage(&self, lineage: &Lineage, ctx: &EvalContext<'_>) -> QueryOutcome {
-        self.run(ctx, Target::Clauses(&ClauseBuffer::from(lineage)))
-            .outcome
-    }
-
     /// [`ResilientBackend::evaluate`] plus retry-with-backoff for
     /// transient (panic) losses — the oracle entry point the sessions use
     /// for quarantined queries.
@@ -454,22 +435,26 @@ impl ResilientBackend {
         let started = Instant::now();
         let mut fault: Option<QueryFault> = None;
 
-        // Rung 1: the inner exact backend. Skipped for lineage targets
-        // when the backend cannot evaluate lineages directly, and when the
-        // configured entry rung starts the ladder lower.
-        let try_exact = self.config.entry == Rung::Exact
-            && match target {
-                Target::Query(_) => true,
-                Target::Clauses(_) => self.config.inner.evaluates_lineage(),
+        // Rung 1: the inner exact backend under the kernel's node cap,
+        // unless the configured entry rung starts the ladder lower. Plain
+        // evaluation leaves the kernel alone. The cap is lifted after the
+        // rung whatever it did: `rung` traps panics, so no exit passes by
+        // the reset.
+        if self.config.entry == Rung::Exact {
+            let cap = |nodes| {
+                if !self.exact_only {
+                    ctx.scratch().set_node_cap(nodes);
+                }
             };
-        if try_exact {
+            cap(self.config.node_budget);
             let exact = self.rung(ctx, sites::EXACT_RUNG, || match target {
                 Target::Query(q) => self.inner.probability(q, ctx),
                 Target::Clauses(c) => self
                     .inner
                     .clauses_probability(c, ctx)
-                    .expect("evaluates_lineage() admitted this backend"),
+                    .expect("the pipeline routes clauses to lineage backends only"),
             });
+            cap(usize::MAX);
             match exact {
                 Ok(p) => return Tracked::answered_on(Rung::Exact, p, started.elapsed(), None),
                 Err(e) if self.exact_only || !e.is_degradable() => {
@@ -479,33 +464,7 @@ impl ResilientBackend {
             }
         }
 
-        // Rung 2: the query kernel under the node cap. Skipped when the
-        // entry rung is the sampler itself, and without an index (a
-        // missing index is not degradable: the query would be lost). The
-        // cap is lifted after the rung whatever it did: `rung` traps
-        // panics, so no exit passes by the reset.
-        if self.config.entry <= Rung::BoundedExact && ctx.index().is_some() {
-            let kernel = MvIndexBackend::default();
-            ctx.scratch().set_node_cap(self.config.node_budget);
-            let bounded = self.rung(ctx, sites::BOUNDED_RUNG, || match target {
-                Target::Query(q) => kernel.probability(q, ctx),
-                Target::Clauses(c) => kernel
-                    .clauses_probability(c, ctx)
-                    .expect("the index backend evaluates lineages"),
-            });
-            ctx.scratch().set_node_cap(usize::MAX);
-            match bounded {
-                Ok(p) => {
-                    return Tracked::answered_on(Rung::BoundedExact, p, started.elapsed(), fault)
-                }
-                Err(e) if e.is_degradable() => {
-                    fault.get_or_insert_with(|| QueryFault::of(&e));
-                }
-                Err(e) => return Tracked::lost(e, started),
-            }
-        }
-
-        // Rung 3: Monte Carlo at the requested ±ε.
+        // Rung 2: Monte Carlo at the requested ±ε.
         let mc_config = ApproxConfig {
             seed: self.config.mc_seed,
             target_half_width: self.config.epsilon,
@@ -610,11 +569,21 @@ mod tests {
 
     /// The exact rung's answer on `ctx`, outside the ladder.
     fn exact_on(q: &Ucq, ctx: &EvalContext<'_>) -> f64 {
-        MvIndexBackend::default().probability(q, ctx).unwrap()
+        crate::backend::MvIndexBackend::default()
+            .probability(q, ctx)
+            .unwrap()
+    }
+
+    /// `outcome` answered on Monte Carlo, with `exact` inside its interval.
+    fn sampled_within_interval(outcome: &QueryOutcome, exact: f64) {
+        assert_eq!(outcome.rung, Some(Rung::MonteCarlo));
+        let eps = outcome.epsilon.unwrap();
+        let p = outcome.probability.unwrap();
+        assert!((p - exact).abs() <= eps, "{p} ± {eps} misses {exact}");
     }
 
     #[test]
-    fn exact_rung_panic_degrades_to_bounded_exact() {
+    fn exact_rung_panic_degrades_to_monte_carlo() {
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
@@ -623,15 +592,13 @@ mod tests {
             chaos::install(ChaosConfig::new(11).rule(sites::EXACT_RUNG, Fault::Panic, 1.0));
         let ladder = ResilientBackend::new(ResilienceConfig::default());
         let outcome = ladder.evaluate(&q, &ctx);
-        assert_eq!(outcome.rung, Some(Rung::BoundedExact));
         assert!(outcome.degraded());
         assert_eq!(outcome.fault.as_ref().unwrap().kind, FaultKind::Panic);
-        // Rung 2 is rung 1's kernel under a cap that refused nothing.
-        assert_eq!(outcome.probability.unwrap().to_bits(), exact.to_bits());
+        sampled_within_interval(&outcome, exact);
     }
 
     #[test]
-    fn the_node_cap_never_outlives_the_bounded_rung() {
+    fn the_node_cap_never_outlives_the_exact_rung() {
         let engine = wide_engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
@@ -641,56 +608,52 @@ mod tests {
             epsilon: 0.05,
             ..ResilienceConfig::default()
         };
+        // Plain evaluation (what `probabilities` runs) and the default
+        // ladder, on the context a capped ladder ran on.
         let answers_exactly = |ctx: &EvalContext<'_>| {
             let _quiet = chaos::quiet();
-            let outcome = ResilientBackend::new(ResilienceConfig::default()).evaluate(&q, ctx);
-            assert_eq!(outcome.rung, Some(Rung::Exact));
-            assert!(outcome.fault.is_none(), "{:?}", outcome.fault);
-            assert_eq!(outcome.probability.unwrap().to_bits(), exact.to_bits());
+            let plain = ResilientBackend::exact_only(capped.inner).evaluate(&q, ctx);
+            let ladder = ResilientBackend::new(ResilienceConfig::default()).evaluate(&q, ctx);
+            for outcome in [plain, ladder] {
+                assert_eq!(outcome.rung, Some(Rung::Exact));
+                assert!(outcome.fault.is_none(), "{:?}", outcome.fault);
+                assert_eq!(outcome.probability.unwrap().to_bits(), exact.to_bits());
+            }
         };
         {
+            // The cap refuses the lineage on rung 1 and Monte Carlo answers.
+            let _quiet = chaos::quiet();
+            let outcome = ResilientBackend::new(capped.clone()).evaluate(&q, &ctx);
+            assert_eq!(outcome.fault.as_ref().unwrap().kind, FaultKind::Budget);
+            sampled_within_interval(&outcome, exact);
+        }
+        answers_exactly(&ctx);
+        {
+            // A panic trapped on rung 1 while the cap is set.
             let _guard =
-                chaos::install(ChaosConfig::new(14).rule(sites::EXACT_RUNG, Fault::Panic, 1.0));
-            // The full ladder: the first fault is rung 1's panic, then the
-            // cap refuses the lineage and Monte Carlo answers.
+                chaos::install(ChaosConfig::new(15).rule(sites::EXACT_RUNG, Fault::Panic, 1.0));
             let outcome = ResilientBackend::new(capped.clone()).evaluate(&q, &ctx);
             assert_eq!(outcome.rung, Some(Rung::MonteCarlo));
             assert_eq!(outcome.fault.as_ref().unwrap().kind, FaultKind::Panic);
-            // Entering at rung 2 shows the cap's own fault.
-            let outcome = ResilientBackend::new(ResilienceConfig {
-                entry: Rung::BoundedExact,
-                ..capped.clone()
-            })
-            .evaluate(&q, &ctx);
-            assert_eq!(outcome.rung, Some(Rung::MonteCarlo));
-            assert_eq!(outcome.fault.as_ref().unwrap().kind, FaultKind::Budget);
         }
         answers_exactly(&ctx);
-        {
-            // A panic trapped on rung 2 while the cap is set.
-            let _guard = chaos::install(
-                ChaosConfig::new(15)
-                    .rule(sites::EXACT_RUNG, Fault::Panic, 1.0)
-                    .rule(sites::BOUNDED_RUNG, Fault::Panic, 1.0),
-            );
-            let outcome = ResilientBackend::new(capped.clone()).evaluate(&q, &ctx);
-            assert_eq!(outcome.rung, Some(Rung::MonteCarlo));
-            assert!(outcome.answered());
-        }
-        answers_exactly(&ctx);
+    }
 
-        // Without an index rung 2 is skipped, not lost on `MissingIndex`.
-        let bare = EvalContext::new(engine.translated());
-        let _quiet = chaos::quiet();
-        let outcome = ResilientBackend::new(ResilienceConfig {
-            entry: Rung::BoundedExact,
-            ..capped
-        })
-        .evaluate(&q, &bare);
-        assert_eq!(outcome.rung, Some(Rung::MonteCarlo));
-        assert!(outcome.fault.is_none(), "{:?}", outcome.fault);
-        let eps = outcome.epsilon.unwrap();
-        assert!((outcome.probability.unwrap() - exact).abs() < 5.0 * eps + 0.02);
+    #[test]
+    fn a_faulted_non_index_backend_falls_to_monte_carlo() {
+        let engine = engine();
+        let ctx = engine.context();
+        let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
+        let exact = exact_on(&q, &ctx);
+        let _guard =
+            chaos::install(ChaosConfig::new(16).rule(sites::EXACT_RUNG, Fault::Deadline, 1.0));
+        let ladder = ResilientBackend::new(ResilienceConfig {
+            epsilon: 0.02,
+            ..ResilienceConfig::with_inner(EngineBackend::Shannon)
+        });
+        let outcome = ladder.evaluate(&q, &ctx);
+        assert_eq!(outcome.fault.as_ref().unwrap().kind, FaultKind::Deadline);
+        sampled_within_interval(&outcome, exact);
     }
 
     #[test]
@@ -699,23 +662,30 @@ mod tests {
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
         let exact = engine.probability(&q).unwrap();
-        let _guard = chaos::install(
-            ChaosConfig::new(12)
-                .rule(sites::EXACT_RUNG, Fault::Budget, 1.0)
-                .rule(sites::BOUNDED_RUNG, Fault::Deadline, 1.0),
-        );
         let config = ResilienceConfig {
             epsilon: 0.02,
             ..ResilienceConfig::default()
         };
         let ladder = ResilientBackend::new(config);
-        let outcome = ladder.evaluate(&q, &ctx);
-        assert_eq!(outcome.rung, Some(Rung::MonteCarlo));
-        // The recorded fault is the FIRST failure on the way down.
+        let outcome = {
+            let _guard =
+                chaos::install(ChaosConfig::new(12).rule(sites::EXACT_RUNG, Fault::Budget, 1.0));
+            ladder.evaluate(&q, &ctx)
+        };
         assert_eq!(outcome.fault.as_ref().unwrap().kind, FaultKind::Budget);
         let eps = outcome.epsilon.unwrap();
         assert!(eps <= 0.021, "half-width {eps} missed the target");
-        assert!((outcome.probability.unwrap() - exact).abs() < 5.0 * eps + 0.02);
+        sampled_within_interval(&outcome, exact);
+        // A second fault on the sampling rung loses the query; the record
+        // keeps the FIRST failure on the way down.
+        let _guard = chaos::install(
+            ChaosConfig::new(12)
+                .rule(sites::EXACT_RUNG, Fault::Budget, 1.0)
+                .rule(sites::MC_RUNG, Fault::Deadline, 1.0),
+        );
+        let outcome = ladder.evaluate(&q, &ctx);
+        assert!(!outcome.answered());
+        assert_eq!(outcome.fault.as_ref().unwrap().kind, FaultKind::Budget);
     }
 
     #[test]
@@ -725,26 +695,16 @@ mod tests {
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
         let exact = exact_on(&q, &ctx);
-        // BoundedExact entry: rung 1 is never tried, the answer is still
-        // exact (the node cap refuses nothing on this tiny database).
-        let ladder = ResilientBackend::new(ResilienceConfig {
-            entry: Rung::BoundedExact,
-            ..ResilienceConfig::default()
-        });
-        let outcome = ladder.evaluate(&q, &ctx);
-        assert_eq!(outcome.rung, Some(Rung::BoundedExact));
-        assert!(outcome.fault.is_none(), "skipping a rung is not a fault");
-        assert_eq!(outcome.probability.unwrap().to_bits(), exact.to_bits());
-        // MonteCarlo entry: straight to the sampler at the requested ε.
+        // MonteCarlo entry: straight to the sampler at the requested ε;
+        // skipping a rung is not a fault.
         let ladder = ResilientBackend::new(ResilienceConfig {
             entry: Rung::MonteCarlo,
             epsilon: 0.02,
             ..ResilienceConfig::default()
         });
         let outcome = ladder.evaluate(&q, &ctx);
-        assert_eq!(outcome.rung, Some(Rung::MonteCarlo));
-        let eps = outcome.epsilon.unwrap();
-        assert!((outcome.probability.unwrap() - exact).abs() < 5.0 * eps + 0.02);
+        assert!(outcome.fault.is_none(), "{:?}", outcome.fault);
+        sampled_within_interval(&outcome, exact);
     }
 
     #[test]
@@ -764,13 +724,12 @@ mod tests {
         let engine = engine();
         let ctx = engine.context();
         let q = parse_ucq("Q() :- R(x)").unwrap();
-        // All three rungs panic on (deterministically) most draws; with
+        // Both rungs panic on (deterministically) most draws; with
         // retries the ladder eventually lands a clean pass or reports a
         // lost outcome with the panic fault — never aborts.
         let _guard = chaos::install(
             ChaosConfig::new(13)
                 .rule(sites::EXACT_RUNG, Fault::Panic, 0.8)
-                .rule(sites::BOUNDED_RUNG, Fault::Panic, 0.8)
                 .rule(sites::MC_RUNG, Fault::Panic, 0.8),
         );
         let config = ResilienceConfig {

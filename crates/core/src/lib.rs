@@ -48,9 +48,9 @@
 //!   which a sharded engine re-runs its placement step.
 //! * [`serve`] — [`MvdbServer`]: the always-on serving layer. Bounded
 //!   admission with explicit backpressure, per-request deadlines, an
-//!   overload controller that degrades onto cheaper resilience rungs
-//!   before shedding, and heartbeat-supervised workers (dead or wedged
-//!   workers are replaced without losing admitted queries).
+//!   overload controller that sends pressured admissions to the Monte
+//!   Carlo rung before shedding, and heartbeat-supervised workers (dead or
+//!   wedged workers are replaced without losing admitted queries).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

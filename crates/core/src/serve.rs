@@ -12,13 +12,12 @@
 //!    answer in time — yields [`CoreError::Rejected`] with a `retry_after`
 //!    hint instead of unbounded buffering. The wait estimate is an EWMA of
 //!    observed service times scaled by queue depth.
-//! 2. **Degradation before shedding**: under queue pressure the overload
-//!    controller lowers the *entry rung* of the resilience ladder for new
-//!    admissions — past `degrade_depth` requests start at the bounded-exact
-//!    rung (the query kernel under its node cap), past `shed_depth` they go
-//!    straight to Monte Carlo at a widened ε
-//!    ([`ServeConfig::widened_epsilon`]). Degraded admissions still
-//!    answer; every decision is visible in the [`ServeOutcome`].
+//! 2. **Degradation before shedding**: below `shed_depth` a request is
+//!    admitted at the configured entry rung; past it the overload
+//!    controller sends it straight to Monte Carlo at a widened ε
+//!    ([`ServeConfig::widened_epsilon`]), the one rung cheaper than an
+//!    exact answer. Degraded admissions still answer; every decision is
+//!    visible in the [`ServeOutcome`].
 //! 3. **Per-request deadlines**: each request carries a wall-clock
 //!    deadline inherited by the ladder's `EvalBudget`; a request whose
 //!    deadline passed while queued replies `DeadlineExceeded` without
@@ -40,10 +39,10 @@
 //! worker more than [`ServeConfig::max_requeues`] times is *reported* lost
 //! with a typed outcome instead of cycling respawns forever.
 //!
-//! **Memory.** With the MV-index as the exact backend, the exact and the
-//! bounded-exact rung both run in the worker's query kernel, whose flat
-//! buffers are reset per lineage and reused, and the sampling rung builds
-//! no diagram: a long-lived worker needs no collection pass.
+//! **Memory.** With the MV-index as the exact backend, the exact rung runs
+//! in the worker's query kernel, whose flat buffers are reset per lineage
+//! and reused, and the sampling rung builds no diagram: a long-lived worker
+//! needs no collection pass.
 //! [`ServerStats`]' compaction fields read 0.
 //!
 //! **Live updates.** [`MvdbServer::submit_update`] applies an
@@ -58,7 +57,7 @@
 //! `update_apply`, and `update_swap` chaos sites prove the recovery paths;
 //! the `figures serve` soak campaign drives a sustained over-capacity
 //! mixed workload through them and gates zero lost admitted queries,
-//! bounded shed fraction, exact bounded-exact answers and tail latency.
+//! bounded shed fraction, exact-rung agreement and tail latency.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -89,8 +88,8 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Default per-request deadline ([`MvdbServer::submit`]).
     pub deadline: Duration,
-    /// Queue depth at which new admissions enter the ladder at
-    /// [`Rung::BoundedExact`] instead of the configured entry rung.
+    /// No effect: admission reads only `shed_depth`. Kept so that
+    /// configurations naming it still compile.
     pub degrade_depth: usize,
     /// Queue depth at which new admissions go straight to
     /// [`Rung::MonteCarlo`] at [`ServeConfig::widened_epsilon`].
@@ -105,9 +104,10 @@ pub struct ServeConfig {
     pub heartbeat_interval: Duration,
     /// A worker whose heartbeat stalls longer than this is quarantined as
     /// wedged and replaced. Must comfortably exceed the worst-case
-    /// per-request service time (rungs × deadline), or long evaluations
-    /// are false-positive quarantined — correctness survives (the
-    /// recovered request is deduplicated) but respawns are wasted.
+    /// per-request service time, `(1 + max_retries) × 2 × deadline` plus
+    /// the retry backoff (each retry reruns both rungs), or long
+    /// evaluations are false-positive quarantined — correctness survives
+    /// (the recovered request is deduplicated) but respawns are wasted.
     pub heartbeat_timeout: Duration,
     /// How many times a request recovered from a dead or wedged worker is
     /// requeued before it is reported lost instead of retried.
@@ -140,7 +140,7 @@ pub struct ServeOutcome {
     /// The ladder outcome: probability, answering rung, achieved ε, fault.
     pub outcome: QueryOutcome,
     /// The entry rung the overload controller admitted the request at —
-    /// [`Rung::Exact`] when admitted without pressure.
+    /// the configured entry rung when admitted without pressure.
     pub entry: Rung,
     /// Time spent queued before a worker picked the request up.
     pub queue_wait: Duration,
@@ -153,6 +153,8 @@ pub struct ServeOutcome {
     /// The worker slot that replied, or `None` when the supervisor
     /// reported the request lost without a worker answering.
     pub worker: Option<usize>,
+    /// See [`ServeOutcome::degraded_admission`].
+    degraded: bool,
 }
 
 impl ServeOutcome {
@@ -162,9 +164,10 @@ impl ServeOutcome {
     }
 
     /// `true` when the overload controller admitted the request below the
-    /// configured entry rung (the "degraded admission" series).
+    /// configured entry rung (the "degraded admission" series, counted by
+    /// [`ServerStats::degraded_admissions`]).
     pub fn degraded_admission(&self) -> bool {
-        self.entry != Rung::Exact
+        self.degraded
     }
 }
 
@@ -173,6 +176,7 @@ impl ServeOutcome {
 pub struct Ticket {
     id: u64,
     entry: Rung,
+    degraded: bool,
     receiver: Receiver<ServeOutcome>,
 }
 
@@ -191,11 +195,7 @@ impl Ticket {
     /// without replying (it drains admitted requests on shutdown, so this
     /// is a defensive path), a poisoned outcome is synthesized.
     pub fn wait(self) -> ServeOutcome {
-        let id = self.id;
-        let entry = self.entry;
-        self.receiver
-            .recv()
-            .unwrap_or_else(|_| Ticket::severed(id, entry))
+        self.receiver.recv().unwrap_or_else(|_| self.severed())
     }
 
     /// [`Ticket::wait`] with an upper bound; `Err(self)` when the request
@@ -204,22 +204,21 @@ impl Ticket {
         match self.receiver.recv_timeout(timeout) {
             Ok(outcome) => Ok(outcome),
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Err(self),
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                Ok(Ticket::severed(self.id, self.entry))
-            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Ok(self.severed()),
         }
     }
 
-    fn severed(id: u64, entry: Rung) -> ServeOutcome {
+    fn severed(&self) -> ServeOutcome {
         ServeOutcome {
-            id,
+            id: self.id,
             outcome: QueryOutcome::poisoned(sites::DISPATCH),
-            entry,
+            entry: self.entry,
             queue_wait: Duration::ZERO,
             service: Duration::ZERO,
             total: Duration::ZERO,
             requeues: 0,
             worker: None,
+            degraded: self.degraded,
         }
     }
 }
@@ -236,7 +235,8 @@ pub struct ServerStats {
     /// Replies with no probability: every rung failed, or the request
     /// expired in the queue, or its requeue budget ran out.
     pub lost: u64,
-    /// Admissions the overload controller entered below [`Rung::Exact`].
+    /// Admissions the overload controller entered below the configured
+    /// entry rung ([`ServeOutcome::degraded_admission`]).
     pub degraded_admissions: u64,
     /// Replies answered below the exact rung.
     pub degraded_answers: u64,
@@ -287,6 +287,7 @@ struct Request {
     admitted_at: Instant,
     deadline_at: Instant,
     entry: Rung,
+    degraded: bool,
     epsilon: f64,
     requeues: u32,
     answered: Arc<AtomicBool>,
@@ -459,8 +460,9 @@ impl MvdbServer {
     /// Admission control applies, in order: a draining/dead server or a
     /// full queue rejects outright; an estimated queue wait beyond the
     /// deadline rejects (not even the sampler could answer in time);
-    /// otherwise the request is admitted at an entry rung chosen from the
-    /// queue depth (degrade before drop). Rejections return
+    /// otherwise the request is admitted at the configured entry rung, or
+    /// past `shed_depth` at Monte Carlo with the widened ε (degrade before
+    /// drop). Rejections return
     /// [`CoreError::Rejected`] with a back-off hint — the caller should
     /// retry later rather than buffer.
     pub fn submit_with_deadline(&self, query: Ucq, deadline: Duration) -> Result<Ticket> {
@@ -490,19 +492,13 @@ impl MvdbServer {
             return reject(depth, est_wait.unwrap_or(Duration::ZERO) / 2);
         }
         // The overload controller: degrade before dropping.
+        let configured = &shared.config.resilience;
         let (entry, epsilon) = if depth >= shared.config.shed_depth {
             (Rung::MonteCarlo, shared.config.widened_epsilon)
-        } else if depth >= shared.config.degrade_depth {
-            (
-                shared.config.resilience.entry.max(Rung::BoundedExact),
-                shared.config.resilience.epsilon,
-            )
         } else {
-            (
-                shared.config.resilience.entry,
-                shared.config.resilience.epsilon,
-            )
+            (configured.entry, configured.epsilon)
         };
+        let degraded = entry != configured.entry;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (reply, receiver) = sync_channel(1);
         queue.push_back(Request {
@@ -511,6 +507,7 @@ impl MvdbServer {
             admitted_at: now,
             deadline_at: now + deadline,
             entry,
+            degraded,
             epsilon,
             requeues: 0,
             answered: Arc::new(AtomicBool::new(false)),
@@ -519,7 +516,7 @@ impl MvdbServer {
         drop(queue);
         shared.inbox.cv.notify_one();
         shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
-        if entry != shared.config.resilience.entry {
+        if degraded {
             shared
                 .counters
                 .degraded_admissions
@@ -528,6 +525,7 @@ impl MvdbServer {
         Ok(Ticket {
             id,
             entry,
+            degraded,
             receiver,
         })
     }
@@ -692,7 +690,7 @@ fn worker_loop(
     quarantine: &AtomicBool,
 ) {
     // Every worker owns a private evaluation context, whose query kernel
-    // both exact rungs run in, and a private ladder retuned per request.
+    // the exact rung runs in, and a private ladder retuned per request.
     // The outer loop pins one engine snapshot; when `submit_update`
     // publishes a new one the worker finishes its current request on the
     // pinned snapshot, then re-pins and makes a new context and ladder: the
@@ -873,6 +871,7 @@ fn finish(
         requeues: req.requeues,
         worker,
         outcome,
+        degraded: req.degraded,
     });
 }
 
@@ -1068,6 +1067,7 @@ mod tests {
             admitted_at: now,
             deadline_at: now + Duration::from_secs(10),
             entry: Rung::Exact,
+            degraded: false,
             epsilon: 0.0,
             requeues: 0,
             answered: Arc::new(AtomicBool::new(false)),
@@ -1144,37 +1144,9 @@ mod tests {
 
     #[test]
     fn queue_pressure_degrades_before_dropping() {
-        let engine = engine();
-        let qs = queries();
-        let oracle: Vec<f64> = qs
-            .iter()
-            .map(|q| engine.full().probability(q).unwrap())
-            .collect();
-        // Every admission enters at the bounded-exact rung.
-        let config = ServeConfig {
-            degrade_depth: 0,
-            shed_depth: usize::MAX,
-            ..quick_config()
-        };
-        let server = MvdbServer::start(Arc::clone(&engine), config);
-        for (i, q) in qs.iter().enumerate() {
-            let out = resolve(server.submit(q.clone()).unwrap());
-            assert_eq!(out.entry, Rung::BoundedExact);
-            assert!(out.degraded_admission());
-            assert_eq!(out.outcome.rung, Some(Rung::BoundedExact));
-            // Bounded-exact is the exact rung's kernel under a cap that
-            // refuses nothing on this small database.
-            assert_eq!(
-                out.outcome.probability.unwrap().to_bits(),
-                oracle[i].to_bits()
-            );
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.degraded_admissions, qs.len() as u64);
-        assert_eq!(stats.lost, 0);
-        // Shedding pressure goes straight to Monte Carlo at widened ε.
-        // (On a small database so the sampler's conservative Hoeffding
-        // interval actually reaches the widened target.)
+        // Shedding pressure goes straight to Monte Carlo at widened ε. (On
+        // a small database so the sampler's conservative Hoeffding interval
+        // actually reaches the widened target.)
         let mut b = MvdbBuilder::new();
         b.relation("R", &["x"]).unwrap();
         b.relation("S", &["x"]).unwrap();
@@ -1182,21 +1154,44 @@ mod tests {
         b.weighted_tuple("S", &["a"], 4.0).unwrap();
         b.marko_view("V(x)[0.5] :- R(x), S(x)").unwrap();
         let tiny = Arc::new(ShardedEngine::compile(&b.build().unwrap(), 1).unwrap());
-        let exact = tiny.full().probability(&qs[0]).unwrap();
+        let q = queries().remove(0);
+        let exact = tiny.full().probability(&q).unwrap();
         let config = ServeConfig {
-            degrade_depth: 0,
             shed_depth: 0,
             widened_epsilon: 0.05,
             ..quick_config()
         };
         let server = MvdbServer::start(tiny, config);
-        let out = resolve(server.submit(qs[0].clone()).unwrap());
+        let out = resolve(server.submit(q).unwrap());
         assert_eq!(out.entry, Rung::MonteCarlo);
+        assert!(out.degraded_admission());
         assert_eq!(out.outcome.rung, Some(Rung::MonteCarlo));
         let eps = out.outcome.epsilon.unwrap();
         assert!(eps <= 0.051, "half-width {eps} missed the widened target");
         assert!((out.outcome.probability.unwrap() - exact).abs() < 5.0 * eps + 0.02);
-        server.shutdown();
+        let stats = server.shutdown();
+        assert_eq!(stats.degraded_admissions, 1);
+        assert_eq!(stats.lost, 0);
+    }
+
+    /// A request admitted at the configured entry rung is not a degraded
+    /// admission, whatever that rung is: the outcome and the counter agree.
+    #[test]
+    fn a_configured_monte_carlo_entry_is_not_a_degraded_admission() {
+        let config = ServeConfig {
+            resilience: ResilienceConfig {
+                entry: Rung::MonteCarlo,
+                epsilon: 0.05,
+                ..ResilienceConfig::default()
+            },
+            ..quick_config()
+        };
+        let server = MvdbServer::start(engine(), config);
+        let out = resolve(server.submit(queries().remove(1)).unwrap());
+        assert!(out.answered(), "{:?}", out.outcome.fault);
+        assert_eq!(out.entry, Rung::MonteCarlo);
+        assert!(!out.degraded_admission());
+        assert_eq!(server.shutdown().degraded_admissions, 0);
     }
 
     #[test]

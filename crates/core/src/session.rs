@@ -216,7 +216,8 @@ impl<'e> MvdbSession<'e> {
 
     /// Evaluates every query through the resilience ladder: each query is
     /// isolated (panics quarantined to its own outcome), degradable
-    /// failures escalate exact → bounded-exact → Monte Carlo, and
+    /// failures escalate from the exact rung (under the node cap) to Monte
+    /// Carlo, and
     /// transient losses are retried with backoff. Never returns an error
     /// and never aborts — the result carries one [`QueryOutcome`] per
     /// query, positionally aligned with `queries`.
@@ -502,7 +503,6 @@ mod tests {
         for site in [
             crate::chaos::sites::SESSION_EVAL,
             crate::chaos::sites::EXACT_RUNG,
-            crate::chaos::sites::BOUNDED_RUNG,
         ] {
             for fault in [crate::chaos::Fault::Panic, crate::chaos::Fault::Deadline] {
                 let guard = crate::chaos::install(

@@ -30,7 +30,7 @@
 //!    tuple ids and all, are evaluated in a context of their own over the
 //!    full store and index, with a pooled query kernel, a private
 //!    query-side manager and `W_s` in place of `W`'s lineage — so backends
-//!    that expand `W` (Shannon, brute force, Monte Carlo, the bounded rung)
+//!    that expand `W` (Shannon, brute force, Monte Carlo)
 //!    expand only the shard's share of it. The shards run on a thread each
 //!    when the batch queues enough clauses to pay for the threads, and one
 //!    after the other on the calling thread otherwise; the answers are the

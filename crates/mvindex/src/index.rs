@@ -431,7 +431,7 @@ impl MvIndex {
     /// A fresh query-side manager over the index's variable order, for
     /// callers that want query *diagrams* ([`MvIndex::query_obdd_in`], the
     /// figures, the tests). No evaluation path needs one: every exact
-    /// answer, the ladder's bounded one included, runs in a query kernel
+    /// answer runs in a query kernel
     /// ([`MvIndex::conditional_probability_with`]).
     pub fn query_manager(&self) -> ObddManager {
         ObddManager::new(self.order())
