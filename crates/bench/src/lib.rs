@@ -31,6 +31,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod json;
 
@@ -130,10 +131,10 @@ pub struct MethodTimings {
     /// on the same operation, the Boolean probability of each workload
     /// query; per-answer enumeration is timed by Figures 10/11.
     pub backends: Vec<BackendTiming>,
-    /// Shared-OBDD-manager counters accumulated by the MV-index backend's
-    /// workload run (worker query shards plus the index manager): node
-    /// allocations, unique-table / apply-memo / probability-cache hit
-    /// rates, and the peak node count.
+    /// OBDD counters of the MV-index backend's workload run (the session's
+    /// `last_manager_stats`: every context's query kernel): node
+    /// allocations, unique-table and memo hit rates, and the peak node
+    /// count.
     pub manager: ManagerStats,
 }
 
@@ -1957,8 +1958,7 @@ mod tests {
     #[test]
     fn backend_timings_cover_every_comparison_backend() {
         let data = dataset_v1v2(150);
-        let engine = MvdbEngine::compile_with(&data.mvdb, IntersectAlgorithm::CcMvIntersect)
-            .expect("compiles");
+        let engine = MvdbEngine::compile(&data.mvdb).expect("compiles");
         let queries = data.advisor_of_student_workload(2).expect("workload");
         let backends = comparison_backends();
         let (timings, manager) = time_backends(&engine, &queries, &backends, 1);

@@ -2,7 +2,7 @@
 //!
 //! [`ResilientBackend`] wraps any [`EngineBackend`] selector and guarantees
 //! an answer-or-typed-outcome for every query: rung 1 runs the inner exact
-//! backend under the configured deadline/step budget, the query kernel's
+//! backend under the configured deadline, the query kernel's
 //! node cap [`ResilienceConfig::node_budget`] and a per-rung panic trap; on
 //! a *degradable* failure (deadline, budget, caught panic, node-cap refusal
 //! — see [`CoreError::is_degradable`]) it goes to rung 2, seeded Monte Carlo
@@ -35,6 +35,9 @@ use crate::backend::{Backend, EngineBackend, EvalContext, MonteCarlo};
 use crate::chaos::{self, sites};
 use crate::error::CoreError;
 use crate::Result;
+
+/// Seed of the Monte Carlo rung's world stream.
+const MC_SEED: u64 = 0x0d15_ea5e;
 
 /// The ladder rungs, cheapest-guarantee last. `Ord` follows degradation
 /// order, so the worst rung across a sharded combination is the `max`.
@@ -258,17 +261,12 @@ pub struct ResilienceConfig {
     pub entry: Rung,
     /// Per-rung wall-clock deadline (`None` = unlimited).
     pub deadline: Option<Duration>,
-    /// Per-rung cooperative step limit (batch rows / arena nodes /
-    /// samples charged against one counter; `None` = unlimited).
-    pub step_limit: Option<u64>,
     /// Node cap of the context's query kernel on the exact rung, lifted
     /// after it: a lineage whose diagram needs more nodes is refused and
     /// goes on to Monte Carlo. Plain (`exact_only`) evaluation is uncapped.
     pub node_budget: usize,
     /// Target half-width `ε` of the Monte Carlo rung.
     pub epsilon: f64,
-    /// Seed of the Monte Carlo rung's world stream.
-    pub mc_seed: u64,
     /// Hard sample cap of the Monte Carlo rung (stops earlier at `±ε`).
     pub mc_max_samples: u64,
     /// Oracle retry attempts for transient (panic) losses.
@@ -283,10 +281,8 @@ impl Default for ResilienceConfig {
             inner: EngineBackend::MvIndex(IntersectAlgorithm::CcMvIntersect),
             entry: Rung::Exact,
             deadline: None,
-            step_limit: None,
             node_budget: 1 << 18,
             epsilon: 0.01,
-            mc_seed: 0x0d15_ea5e,
             mc_max_samples: 1 << 18,
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
@@ -303,17 +299,9 @@ impl ResilienceConfig {
         }
     }
 
-    /// A fresh budget window for one rung, or `None` when unlimited.
+    /// A fresh deadline window for one rung, or `None` when unlimited.
     fn rung_budget(&self) -> Option<EvalBudget> {
-        let budget = match self.deadline {
-            Some(d) => EvalBudget::with_deadline(d),
-            None if self.step_limit.is_some() => EvalBudget::unlimited(),
-            None => return None,
-        };
-        Some(match self.step_limit {
-            Some(limit) => budget.with_step_limit(limit),
-            None => budget,
-        })
+        self.deadline.map(EvalBudget::with_deadline)
     }
 }
 
@@ -466,7 +454,7 @@ impl ResilientBackend {
 
         // Rung 2: Monte Carlo at the requested ±ε.
         let mc_config = ApproxConfig {
-            seed: self.config.mc_seed,
+            seed: MC_SEED,
             target_half_width: self.config.epsilon,
             max_samples: self.config.mc_max_samples,
             ..ApproxConfig::default()

@@ -17,8 +17,8 @@
 //!    phase alone.
 //! 2. **Evaluate** each touched shard's queue of clause buffers in a
 //!    context of its own over the full store and index (a pooled query
-//!    kernel that folds a buffer as it is, a private query-side manager,
-//!    the shard's `W_s` in place of `W`'s lineage); a [`Lineage`] is built
+//!    kernel that folds a buffer as it is, the shard's `W_s` in place of
+//!    `W`'s lineage); a [`Lineage`] is built
 //!    only for a rung or backend that reads one. The queues run on one
 //!    worker per touched shard when the clauses queued across them reach
 //!    [`FAN_OUT_CLAUSES`]; below that a thread costs more than it saves,
@@ -143,8 +143,8 @@ pub(crate) fn striped<T: Send, S: Send>(
 /// session types report.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BatchStats {
-    /// Every worker's query-side manager plus the delta the batch added to
-    /// each index manager it touched.
+    /// The sum of every context's query-side counters: its query kernel,
+    /// plus its manager when a backend built in one.
     pub(crate) manager: ManagerStats,
     /// Plan shapes and executor counters, summed over every context.
     pub(crate) query: QueryStats,
@@ -455,7 +455,7 @@ impl<'e> Pipeline<'e> {
         }
 
         // Phase 2: evaluate, one isolated ladder pass per item, each touched
-        // shard's queue in its own context, ladder and query manager over
+        // shard's queue in its own context, ladder and query kernel over
         // the shared (read-mostly) store and index — on a worker of its own
         // when the batch is large enough to pay for the threads.
         let touched: Vec<_> = queues

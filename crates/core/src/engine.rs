@@ -45,18 +45,11 @@ pub struct MvdbEngine {
     mvdb: Mvdb,
     translated: TranslatedIndb,
     index: MvIndex,
-    algorithm: IntersectAlgorithm,
 }
 
 impl MvdbEngine {
-    /// Translates the MVDB and compiles its MV-index, using the
-    /// cache-conscious intersection by default.
+    /// Translates the MVDB and compiles its MV-index.
     pub fn compile(mvdb: &Mvdb) -> Result<Self> {
-        Self::compile_with(mvdb, IntersectAlgorithm::CcMvIntersect)
-    }
-
-    /// Like [`MvdbEngine::compile`] with an explicit intersection algorithm.
-    pub fn compile_with(mvdb: &Mvdb, algorithm: IntersectAlgorithm) -> Result<Self> {
         let translated = TranslatedIndb::new(mvdb)?;
         let index = match translated.w() {
             Some(w) => MvIndex::compile(translated.indb(), w)?,
@@ -69,7 +62,6 @@ impl MvdbEngine {
             mvdb: mvdb.clone(),
             translated,
             index,
-            algorithm,
         })
     }
 
@@ -193,7 +185,7 @@ impl MvdbEngine {
         let mut mvdb = self.mvdb.clone();
         let (tuples_inserted, weights_changed, views_changed) =
             update::apply_to_mvdb(&mut mvdb, batch)?;
-        *self = MvdbEngine::compile_with(&mvdb, self.algorithm)?;
+        *self = MvdbEngine::compile(&mvdb)?;
         Ok(UpdateOutcome {
             kind: UpdateKind::Structural,
             version: self.version(),
@@ -220,9 +212,10 @@ impl MvdbEngine {
         self.index.prob_w()
     }
 
-    /// The intersection algorithm chosen at compile time.
+    /// The intersection algorithm of the engine's default backend
+    /// (CC-MVIntersect, the only one).
     pub fn intersect_algorithm(&self) -> IntersectAlgorithm {
-        self.algorithm
+        IntersectAlgorithm::CcMvIntersect
     }
 
     /// A batch-evaluation session over this engine: evaluate a slice of
@@ -238,10 +231,9 @@ impl MvdbEngine {
         EvalContext::with_index(&self.translated, &self.index)
     }
 
-    /// The engine's default backend: the MV-index with the intersection
-    /// algorithm chosen at compile time.
+    /// The engine's default backend: the MV-index.
     fn default_backend(&self) -> MvIndexBackend {
-        MvIndexBackend::new(self.algorithm)
+        MvIndexBackend::new(self.intersect_algorithm())
     }
 
     /// The probability of a Boolean query under the MVDB semantics, via the

@@ -35,7 +35,8 @@
 //!   (`1 − ∏ (1 − q_s)`), and queries whose lineage spans shards fall back
 //!   to the unsharded oracle. [`ShardedSession`] runs the pipeline with
 //!   one worker per shard; [`MvdbSession`] is its no-shard case, striped
-//!   over `threads` workers with a private OBDD manager each. On both,
+//!   over `threads` workers, each evaluating in its own context's query
+//!   kernel. On both,
 //!   `probabilities` is the ladder's exact rung alone and returns the first
 //!   lost query's typed error; `resilient_probabilities` is the full
 //!   ladder and returns one [`QueryOutcome`] per query.
@@ -54,6 +55,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod backend;
 mod batch;

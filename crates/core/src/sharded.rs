@@ -1,5 +1,5 @@
-//! Scale-out sharded inference: component-partitioned evaluation with
-//! per-worker query managers and exact independence combination.
+//! Scale-out sharded inference: component-partitioned evaluation in
+//! per-worker query kernels and exact independence combination.
 //!
 //! The Theorem 1 conditional factorises over the connected components of
 //! the dependency graph induced by `W`'s lineage clauses: tuples in
@@ -262,9 +262,11 @@ impl<'e> ShardedSession<'e> {
         self.engine
     }
 
-    /// Merged manager counters of the most recent batch: every worker's
-    /// query-side manager plus the delta the index manager accumulated
-    /// during the batch. Zero before the first batch.
+    /// Merged OBDD counters of the most recent batch: the sum of every
+    /// context's
+    /// [`query_manager_stats`](crate::backend::EvalContext::query_manager_stats)
+    /// (its query kernel, plus its manager when a backend built in one).
+    /// Zero before the first batch.
     pub fn last_manager_stats(&self) -> ManagerStats {
         self.pipeline.last().manager
     }

@@ -9,27 +9,30 @@ use mv_core::{MarkoView, Mvdb, MvdbBuilder, Result};
 use mv_pdb::Value;
 use mv_query::parse_ucq;
 
+/// Authors per research group; co-authorship happens within groups.
+const GROUP_SIZE: usize = 8;
+/// Senior authors (the first of each group); the rest are juniors.
+const SENIORS_PER_GROUP: usize = 2;
+/// Papers written by each junior author.
+const PUBS_PER_AUTHOR: usize = 3;
+/// Earliest publication year.
+const MIN_YEAR: i64 = 1995;
+/// Latest publication year.
+const MAX_YEAR: i64 = 2015;
+/// Publications after this year count as "recent" for V3.
+const RECENT_YEAR: i64 = 2004;
+/// Minimum number of joint papers for an `Advisor` possible tuple
+/// (`count(pid) > 2` in Figure 1, scaled to the synthetic corpus).
+const ADVISOR_COPUB_THRESHOLD: usize = 2;
+/// Minimum number of recent joint papers for a `CoPubRecent` pair
+/// (`count(pid) > 30` in Figure 1, scaled to the synthetic corpus).
+const RECENT_COPUB_THRESHOLD: usize = 2;
+
 /// Configuration of the synthetic DBLP corpus.
 #[derive(Debug, Clone)]
 pub struct DblpConfig {
     /// Number of authors (the `aid` domain of the paper's experiments).
     pub num_authors: usize,
-    /// Authors per research group; co-authorship happens within groups.
-    pub group_size: usize,
-    /// Average number of papers written by each junior author.
-    pub pubs_per_author: usize,
-    /// Earliest publication year.
-    pub min_year: i64,
-    /// Latest publication year.
-    pub max_year: i64,
-    /// Publications after this year count as "recent" for V3.
-    pub recent_year: i64,
-    /// Minimum number of joint papers for an `Advisor` possible tuple
-    /// (`count(pid) > 2` in Figure 1, scaled to the synthetic corpus).
-    pub advisor_copub_threshold: usize,
-    /// Minimum number of recent joint papers for a `CoPubRecent` pair
-    /// (`count(pid) > 30` in Figure 1, scaled to the synthetic corpus).
-    pub recent_copub_threshold: usize,
     /// Whether to include the affiliation table and the V3 MarkoView
     /// (the Alchemy comparison of Section 5.1 uses only V1 and V2).
     pub with_affiliation_view: bool,
@@ -41,13 +44,6 @@ impl Default for DblpConfig {
     fn default() -> Self {
         DblpConfig {
             num_authors: 1000,
-            group_size: 8,
-            pubs_per_author: 3,
-            min_year: 1995,
-            max_year: 2015,
-            recent_year: 2004,
-            advisor_copub_threshold: 2,
-            recent_copub_threshold: 2,
             with_affiliation_view: true,
             seed: 0xdb1b,
         }
@@ -117,14 +113,12 @@ impl DblpDataset {
     /// Generates a dataset.
     pub fn generate(config: DblpConfig) -> Result<DblpDataset> {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let n = config.num_authors.max(config.group_size);
-        let group_size = config.group_size.max(2);
+        let n = config.num_authors.max(GROUP_SIZE);
         let num_universities = (n / 50).max(2);
 
         // ----- authors, groups, seniors -------------------------------------
-        let group_of = |aid: i64| ((aid - 1) as usize) / group_size;
-        let num_seniors_per_group = 2.min(group_size - 1).max(1);
-        let is_senior = |aid: i64| ((aid - 1) as usize) % group_size < num_seniors_per_group;
+        let group_of = |aid: i64| ((aid - 1) as usize) / GROUP_SIZE;
+        let is_senior = |aid: i64| ((aid - 1) as usize) % GROUP_SIZE < SENIORS_PER_GROUP;
 
         // ----- publications --------------------------------------------------
         // pubs[pid] = (year, authors)
@@ -154,9 +148,9 @@ impl DblpDataset {
             }
             // A junior publishes mostly with one "main" senior.
             let main_senior = seniors[rng.gen_range(0..seniors.len())];
-            let first_year = rng.gen_range(config.min_year..=config.max_year - 5);
-            for k in 0..config.pubs_per_author {
-                let year = (first_year + k as i64 + rng.gen_range(0..2i64)).min(config.max_year);
+            let first_year = rng.gen_range(MIN_YEAR..=MAX_YEAR - 5);
+            for k in 0..PUBS_PER_AUTHOR {
+                let year = (first_year + k as i64 + rng.gen_range(0..2i64)).min(MAX_YEAR);
                 let mut authors = vec![aid, main_senior];
                 // Sometimes another senior or another junior joins.
                 if rng.gen_bool(0.25) && seniors.len() > 1 {
@@ -166,8 +160,8 @@ impl DblpDataset {
                     }
                 }
                 if rng.gen_bool(0.4) {
-                    let start = (g * group_size + 1) as i64;
-                    let end = (((g + 1) * group_size).min(n)) as i64;
+                    let start = (g * GROUP_SIZE + 1) as i64;
+                    let end = (((g + 1) * GROUP_SIZE).min(n)) as i64;
                     let other = rng.gen_range(start..=end);
                     if !is_senior(other) && !authors.contains(&other) {
                         authors.push(other);
@@ -179,7 +173,7 @@ impl DblpDataset {
         // A couple of senior-only papers per group, to give seniors a history.
         for aid in 1..=n as i64 {
             if is_senior(aid) && rng.gen_bool(0.8) {
-                let year = rng.gen_range(config.min_year..=config.max_year);
+                let year = rng.gen_range(MIN_YEAR..=MAX_YEAR);
                 add_pub(year, vec![aid], &mut pubs, &mut pubs_of);
             }
         }
@@ -203,7 +197,7 @@ impl DblpDataset {
                         continue;
                     }
                     *copubs.entry((authors[i], authors[j])).or_default() += 1;
-                    if *year > config.recent_year {
+                    if *year > RECENT_YEAR {
                         *recent_copubs.entry((authors[i], authors[j])).or_default() += 1;
                     }
                 }
@@ -274,7 +268,7 @@ impl DblpDataset {
             if is_senior(aid) {
                 continue;
             }
-            for year in fp..=(fp + 5).min(config.max_year) {
+            for year in fp..=(fp + 5).min(MAX_YEAR) {
                 let w = (1.0 - 0.15 * (year - fp) as f64).exp();
                 b.weighted_tuple("Student", &[Value::int(aid), Value::int(year)], w)?;
                 stats.student += 1;
@@ -289,7 +283,7 @@ impl DblpDataset {
             if is_senior(a1) || !is_senior(a2) {
                 continue;
             }
-            if c < config.advisor_copub_threshold {
+            if c < ADVISOR_COPUB_THRESHOLD {
                 continue;
             }
             let w = (0.25 * c as f64).exp();
@@ -330,7 +324,7 @@ impl DblpDataset {
             if is_senior(a1) || is_senior(a2) || a1 >= a2 {
                 continue;
             }
-            if c >= config.recent_copub_threshold {
+            if c >= RECENT_COPUB_THRESHOLD {
                 recent_pairs.insert((a1, a2));
             }
         }
@@ -434,6 +428,35 @@ mod tests {
         let b = DblpDataset::generate(cfg).unwrap();
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.advisors, b.advisors);
+    }
+
+    /// The repository benchmark's corpus (seed 42, 10 000 authors): every
+    /// recorded trajectory point was measured on exactly these tables.
+    #[test]
+    fn the_benchmark_corpus_keeps_its_table_sizes() {
+        let data = DblpDataset::generate(DblpConfig {
+            seed: 42,
+            ..DblpConfig::with_authors(10_000)
+        })
+        .unwrap();
+        assert_eq!(
+            data.stats,
+            DatasetStats {
+                author: 10_000,
+                wrote: 55_404,
+                publication: 24_508,
+                homepage: 2_500,
+                first_pub: 10_000,
+                dblp_affiliation: 2_500,
+                co_pub_recent: 226,
+                student: 44_868,
+                advisor: 8_933,
+                affiliation: 7_500,
+                v1: 8_527,
+                v2: 2_866,
+                v3: 226,
+            }
+        );
     }
 
     #[test]

@@ -26,6 +26,13 @@ use crate::error::MlnError;
 use crate::ground::GroundMln;
 use crate::Result;
 
+/// Probability of a WalkSAT (repair) move in SampleSAT; the rest are
+/// simulated-annealing moves.
+const WALK_PROBABILITY: f64 = 0.7;
+
+/// Temperature of SampleSAT's simulated-annealing moves.
+const TEMPERATURE: f64 = 0.5;
+
 /// Configuration of the MC-SAT sampler.
 #[derive(Debug, Clone, Copy)]
 pub struct McSatConfig {
@@ -35,11 +42,6 @@ pub struct McSatConfig {
     pub burn_in: usize,
     /// Maximum number of flips per SampleSAT call.
     pub sample_sat_flips: usize,
-    /// Probability of a WalkSAT (repair) move; the rest are
-    /// simulated-annealing moves.
-    pub walk_probability: f64,
-    /// Temperature of the simulated-annealing moves.
-    pub temperature: f64,
     /// RNG seed (the sampler is fully deterministic given the seed).
     pub seed: u64,
 }
@@ -50,8 +52,6 @@ impl Default for McSatConfig {
             num_samples: 500,
             burn_in: 100,
             sample_sat_flips: 200,
-            walk_probability: 0.7,
-            temperature: 0.5,
             seed: 0x5eed,
         }
     }
@@ -211,7 +211,7 @@ impl McSatSampler {
         let mut best: Option<Vec<bool>> = unsat.is_empty().then(|| state.to_vec());
 
         for _ in 0..self.config.sample_sat_flips {
-            let flip_var = if !unsat.is_empty() && rng.gen::<f64>() < self.config.walk_probability {
+            let flip_var = if !unsat.is_empty() && rng.gen::<f64>() < WALK_PROBABILITY {
                 // WalkSAT move: flip a variable of a random unsatisfied rule.
                 let rule_idx = unsat[rng.gen_range(0..unsat.len())];
                 let vars = &rule_vars[rule_idx];
@@ -234,8 +234,7 @@ impl McSatSampler {
                 new_sat.push(now);
                 delta += i64::from(sat[r]) - i64::from(now);
             }
-            let accept =
-                delta <= 0 || rng.gen::<f64>() < (-(delta as f64) / self.config.temperature).exp();
+            let accept = delta <= 0 || rng.gen::<f64>() < (-(delta as f64) / TEMPERATURE).exp();
             if accept {
                 for (&r, &now) in affected.iter().zip(&new_sat) {
                     sat[r] = now;

@@ -180,18 +180,11 @@ impl MvIndex {
     /// Compiles the index for `W`, inferring the attribute permutations `π`
     /// from the query (separator attributes first).
     pub fn compile(indb: &InDb, w: &Ucq) -> Result<MvIndex> {
-        Self::compile_with_pi(indb, w, &PiOrder::infer(w, indb))
-    }
-
-    /// Compiles the index for `W` under an explicit `π`.
-    pub fn compile_with_pi(indb: &InDb, w: &Ucq, pi: &PiOrder) -> Result<MvIndex> {
+        let order = PiOrder::infer(w, indb).tuple_order(indb);
         let groups = keyed_lineages(indb, &w.boolean())?;
-        Self::from_groups(
-            Arc::new(pi.tuple_order(indb)),
-            indb.num_tuples(),
-            groups,
-            |t| indb.probability(t),
-        )
+        Self::from_groups(Arc::new(order), indb.num_tuples(), groups, |t| {
+            indb.probability(t)
+        })
     }
 
     /// The block table over the clauses of `W` grouped by key: one block

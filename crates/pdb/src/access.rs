@@ -7,8 +7,6 @@
 //!   Otherwise the build side is hash-partitioned, growing the partition
 //!   count (robust-join style) until every partition's key list fits a
 //!   cache-friendly budget; a probe hashes its key **once**.
-//! * [`PairIndex`]: a composite index over an ordered column pair, for
-//!   probe steps that arrive with two columns bound.
 //! * `AccessPaths`: the once-cells a [`Relation`](crate::Relation) keeps
 //!   them in (see its docs for the ownership invariant).
 
@@ -234,60 +232,6 @@ impl CsrIndex {
     }
 }
 
-/// A composite join index over an ordered pair of dictionary-encoded
-/// columns. When a probe step arrives with *two* columns already bound, a
-/// single-column CSR probe must scan the postings of one key and filter on
-/// the other — one scattered column read per posting. The pair index folds
-/// both codes into one `u64` key, so the probe is a single hash lookup and
-/// only true matches are ever touched. Postings stay ascending within each
-/// key (rows are appended in scan order), preserving the enumeration order
-/// of a filtering scan.
-#[derive(Debug)]
-pub struct PairIndex {
-    /// `(a_code << 32 | b_code)` → `(start, len)` into `rows`.
-    map: FxHashMap<u64, (u32, u32)>,
-    rows: Vec<u32>,
-}
-
-impl PairIndex {
-    /// Builds the index over two parallel code arrays of one relation.
-    pub fn build(a: &[u32], b: &[u32]) -> PairIndex {
-        assert_eq!(a.len(), b.len(), "pair index needs parallel columns");
-        let key = |i: usize| (u64::from(a[i]) << 32) | u64::from(b[i]);
-        // Counting-sort build: tally per key, carve disjoint ranges, then
-        // fill in row order so postings ascend within each key.
-        let mut map: FxHashMap<u64, (u32, u32)> = FxHashMap::default();
-        map.reserve(a.len());
-        for i in 0..a.len() {
-            map.entry(key(i)).or_insert((0, 0)).1 += 1;
-        }
-        let mut start = 0u32;
-        for entry in map.values_mut() {
-            entry.0 = start;
-            start += entry.1;
-            entry.1 = 0;
-        }
-        let mut rows = vec![0u32; a.len()];
-        for i in 0..a.len() {
-            let entry = map.get_mut(&key(i)).expect("tallied above");
-            rows[(entry.0 + entry.1) as usize] = i as u32;
-            entry.1 += 1;
-        }
-        PairIndex { map, rows }
-    }
-
-    /// The row positions holding `a_code` and `b_code` in the indexed
-    /// column pair, ascending. Empty for absent combinations.
-    #[inline]
-    pub fn probe(&self, a_code: u32, b_code: u32) -> &[u32] {
-        let key = (u64::from(a_code) << 32) | u64::from(b_code);
-        match self.map.get(&key) {
-            Some(&(start, len)) => &self.rows[start as usize..(start + len) as usize],
-            None => &[],
-        }
-    }
-}
-
 /// The derived access paths of one [`Relation`](crate::Relation) instance,
 /// each in a once-cell. The cell table is sized from the relation's arity on
 /// first use (an empty relation does not know its arity yet).
@@ -308,8 +252,6 @@ pub(crate) struct Cells {
     pub(crate) csr: Vec<OnceLock<Arc<CsrIndex>>>,
     /// Distinct codes per column.
     pub(crate) distinct: Vec<OnceLock<usize>>,
-    /// Per ordered column pair: `pairs[col_a * arity + col_b]`.
-    pub(crate) pairs: Vec<OnceLock<Arc<PairIndex>>>,
 }
 
 impl Clone for AccessPaths {
@@ -340,7 +282,6 @@ impl AccessPaths {
         self.cells.get_or_init(|| Cells {
             csr: cells(arity),
             distinct: cells(arity),
-            pairs: cells(arity * arity),
         })
     }
 
@@ -349,9 +290,9 @@ impl AccessPaths {
         fn filled<T>(cells: &[OnceLock<T>]) -> usize {
             cells.iter().filter(|cell| cell.get().is_some()).count()
         }
-        self.cells.get().map_or(0, |c| {
-            filled(&c.csr) + filled(&c.distinct) + filled(&c.pairs)
-        })
+        self.cells
+            .get()
+            .map_or(0, |c| filled(&c.csr) + filled(&c.distinct))
     }
 
     /// Runs (and counts) `build` at most once per cell, whichever thread

@@ -91,7 +91,7 @@ impl Database {
         self.version = fresh_version();
     }
 
-    /// How many derived access paths (CSR and pair indexes, distinct
+    /// How many derived access paths (CSR indexes, distinct
     /// counts) the relations of this store and of every snapshot
     /// cloned from it have built. Queries that find theirs do not move it.
     pub fn access_path_builds(&self) -> u64 {
@@ -386,18 +386,17 @@ mod tests {
         assert_eq!(db.access_path_builds(), 0);
         for _ in 0..3 {
             db.relation(s).csr_index(0);
-            db.relation(s).pair_index(0, 1);
             db.relation(s).distinct_count(1);
         }
-        assert_eq!(db.access_path_builds(), 3);
+        assert_eq!(db.access_path_builds(), 2);
         // A snapshot shares the instances, so it shares the counter too.
         let mut dup = db.clone();
         dup.relation(s).csr_index(0);
-        assert_eq!(dup.access_path_builds(), 3);
+        assert_eq!(dup.access_path_builds(), 2);
         dup.insert(s, row([9i64, 9])).unwrap();
         dup.relation(s).csr_index(0);
-        assert_eq!(dup.access_path_builds(), 4);
-        assert_eq!(db.access_path_builds(), 4);
+        assert_eq!(dup.access_path_builds(), 3);
+        assert_eq!(db.access_path_builds(), 3);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * [`Relation`], [`Database`] — in-memory deterministic instances with
 //!   duplicate elimination, each row stored once as column-major
 //!   dictionary codes and decoded to `Value`s on request.
-//! * [`CsrIndex`], [`PairIndex`] — the derived access paths over those
-//!   codes, owned by the [`Relation`] instance they index.
+//! * [`CsrIndex`] — the join index over those codes, owned by the
+//!   [`Relation`] instance it indexes.
 //! * [`ValueInterner`] — the database-wide dictionary (`Value` ↔ dense
 //!   `u32` code) behind the columnar store; join keys compare and hash as
 //!   integers in the compiled query evaluator.
@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod access;
 mod chunked;
@@ -39,7 +40,7 @@ pub mod value;
 pub mod weight;
 pub mod worlds;
 
-pub use access::{CsrIndex, PairIndex};
+pub use access::CsrIndex;
 pub use database::Database;
 pub use error::PdbError;
 pub use indb::{InDb, InDbBuilder, PossibleTuple, TupleId};

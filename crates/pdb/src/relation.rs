@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use fxhash::FxHasher;
 
-use crate::access::{AccessPaths, CsrIndex, PairIndex};
+use crate::access::{AccessPaths, CsrIndex};
 use crate::interner::ValueInterner;
 use crate::schema::RelId;
 use crate::value::{Row, Value};
@@ -28,9 +28,8 @@ use crate::value::{Row, Value};
 /// One relation instance: an ordered, duplicate-free multiset of rows.
 ///
 /// The instance also owns its *derived access paths* — the CSR join index
-/// and distinct-code count of each column and the composite index of each
-/// column pair ([`Relation::csr_index`] and friends) — the way
-/// an index belongs to its table and not to whoever is querying it. Each is
+/// and distinct-code count of each column ([`Relation::csr_index`],
+/// [`Relation::distinct_count`]) — the way an index belongs to its table and not to whoever is querying it. Each is
 /// built at most once per instance, by whichever context or thread asks
 /// first, and handed out as an `Arc` every later caller shares: snapshots
 /// that share the `Arc<Relation>` (a [`Database`](crate::Database) clone, a
@@ -181,15 +180,6 @@ impl Relation {
             Some(cell) => self.paths.once(cell, build),
             None => build(),
         }
-    }
-
-    /// The composite join index of an ordered column pair, built on first
-    /// use. Panics when either column is out of range.
-    pub fn pair_index(&self, col_a: usize, col_b: usize) -> Arc<PairIndex> {
-        let (a, b) = (&self.columns[col_a], &self.columns[col_b]);
-        let arity = self.columns.len();
-        let cell = &self.paths.cells(arity).pairs[col_a * arity + col_b];
-        self.paths.once(cell, || Arc::new(PairIndex::build(a, b)))
     }
 
     /// Number of distinct codes in a column, counted on first use — a
@@ -411,10 +401,6 @@ mod tests {
         assert_eq!(csr.probe(rel.code_at(0, 0)), &[0, 3, 6, 9]);
         assert!(Arc::ptr_eq(&csr, &rel.csr_index(0)));
         assert!(!Arc::ptr_eq(&csr, &rel.csr_index(1)));
-        let pair = rel.pair_index(0, 1);
-        assert_eq!(pair.probe(rel.code_at(4, 0), rel.code_at(4, 1)), &[4]);
-        assert!(Arc::ptr_eq(&pair, &rel.pair_index(0, 1)));
-        assert!(!Arc::ptr_eq(&pair, &rel.pair_index(1, 0)));
         assert_eq!((rel.distinct_count(0), rel.distinct_count(1)), (3, 10));
         // Out-of-range columns read as empty, like `column_codes`.
         assert!(rel.csr_index(7).probe(0).is_empty());

@@ -84,19 +84,21 @@ pub struct ApproxConfig {
     /// Coverage level of the reported interval (e.g. `0.99`).
     pub confidence: f64,
     /// Early-stopping target: sampling stops once the half-width drops to
-    /// this value (checked every [`ApproxConfig::batch`] samples, after
+    /// this value (checked every 512 samples, after
     /// [`ApproxConfig::min_samples`]). `0.0` disables early stopping.
     pub target_half_width: f64,
     /// Samples drawn before early stopping is first considered.
     pub min_samples: u64,
     /// Hard sample budget.
     pub max_samples: u64,
-    /// Samples between early-stopping checks.
-    pub batch: u64,
-    /// Largest weight range for which the rigorous Hoeffding interval is
-    /// preferred over the delta-method Normal interval.
-    pub hoeffding_weight_limit: f64,
 }
+
+/// Samples between early-stopping checks (and per budget charge).
+const SAMPLE_BATCH: u64 = 512;
+
+/// Largest weight range for which the rigorous Hoeffding interval is
+/// preferred over the delta-method Normal interval.
+const HOEFFDING_WEIGHT_LIMIT: f64 = 2.0;
 
 impl Default for ApproxConfig {
     fn default() -> Self {
@@ -106,8 +108,6 @@ impl Default for ApproxConfig {
             target_half_width: 0.01,
             min_samples: 512,
             max_samples: 65_536,
-            batch: 512,
-            hoeffding_weight_limit: 2.0,
         }
     }
 }
@@ -496,11 +496,11 @@ impl<'a> ConditionalSampler<'a> {
     }
 
     /// The interval construction [`ConditionalSampler::answer_from`] will
-    /// use under this configuration.
-    pub fn method(&self, config: &ApproxConfig) -> IntervalMethod {
+    /// use.
+    pub fn method(&self) -> IntervalMethod {
         if self.direct {
             IntervalMethod::Wilson
-        } else if self.value_range() <= config.hoeffding_weight_limit {
+        } else if self.value_range() <= HOEFFDING_WEIGHT_LIMIT {
             IntervalMethod::Hoeffding
         } else {
             IntervalMethod::Normal
@@ -607,9 +607,8 @@ impl<'a> ConditionalSampler<'a> {
         let mut presence = vec![false; self.thresholds.len()];
         let mut stamp = vec![0u32; self.integrated.len()];
         let mut generation: u32 = 0;
-        let batch = config.batch.max(1);
         while acc.samples < config.max_samples {
-            let run = batch.min(config.max_samples - acc.samples);
+            let run = SAMPLE_BATCH.min(config.max_samples - acc.samples);
             if let Some(b) = budget {
                 if let Err(e) = b.charge(run) {
                     // Keep what we have if it can carry an interval at all;
@@ -651,7 +650,7 @@ impl<'a> ConditionalSampler<'a> {
                 method: IntervalMethod::Wilson,
             };
         }
-        let method = self.method(config);
+        let method = self.method();
         let z = z_score(config.confidence);
         let vacuous = |method| ApproxAnswer {
             estimate: 0.5,
@@ -1145,7 +1144,7 @@ mod tests {
             max_samples: 60_000,
             ..ApproxConfig::default()
         };
-        assert_eq!(sampler.method(&config), IntervalMethod::Hoeffding);
+        assert_eq!(sampler.method(), IntervalMethod::Hoeffding);
         let p_q_or_w = brute_force_lineage_probability(&lin_q.or(&lin_w), &indb);
         let p_w = brute_force_lineage_probability(&lin_w, &indb);
         let exact = (p_q_or_w - p_w) / (1.0 - p_w);

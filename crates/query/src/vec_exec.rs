@@ -15,8 +15,9 @@
 //!   array loads and integer compares over the columnar store.
 //! * **CSR join indexes.** Probes run against the probed relation's
 //!   [`CsrIndex`] (dense and code-indexed, or hash-partitioned for sparse
-//!   domains; see `mv_pdb::access`) — or, with two bound columns and long
-//!   postings, its [`PairIndex`] — through an `Arc` taken at lowering time.
+//!   domains; see `mv_pdb::access`) through an `Arc` taken at lowering
+//!   time. A step with several bound columns probes the one with the most
+//!   distinct codes and checks the others per row.
 //!   A scan whose `=` comparison pins a column it binds to a constant
 //!   (`Advisor(aid1, aid2), aid1 = c`) becomes a probe on that constant.
 //! * **Code-level comparisons.** `=` and `<>` whose operands are interned
@@ -53,7 +54,7 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use mv_pdb::interner::ValueInterner;
-pub use mv_pdb::{CsrIndex, PairIndex};
+pub use mv_pdb::CsrIndex;
 use mv_pdb::{Database, RelId, Relation, Row};
 
 use crate::ast::{CmpOp, ConjunctiveQuery, Ucq};
@@ -65,15 +66,6 @@ use crate::Result;
 
 /// Maximum entries per batch of partial matches.
 pub const BATCH_ROWS: usize = 1024;
-
-/// Composite-probe threshold: a probe step with two bound columns upgrades
-/// from the best single-column CSR index to a [`PairIndex`] only when the
-/// best key's expected posting list is at least this long. Below it, the
-/// dense CSR layout (direct array indexing, no hashing) wins over the
-/// pair's `u64` hash lookup; above it, scanning-and-filtering long postings
-/// costs one scattered column read per posting and the exact composite
-/// lookup takes over.
-const PAIR_MIN_EXPECTED_POSTINGS: usize = 8;
 
 /// Runtime counters of the vectorized executor, accumulated per
 /// [`EvalContext`](crate::eval::EvalContext) and surfaced through the
@@ -161,13 +153,6 @@ enum VecAccess {
     /// Probe the relation's CSR index (a handle taken at lowering time, so
     /// the probe loop touches no lock).
     Probe { csr: Arc<CsrIndex>, key: Key },
-    /// Probe the relation's composite pair index on two bound columns
-    /// (`key_a` keys the lower-numbered column).
-    Probe2 {
-        pair: Arc<PairIndex>,
-        key_a: Key,
-        key_b: Key,
-    },
 }
 
 /// One vectorized join step.
@@ -406,7 +391,7 @@ impl MatchBatch {
 }
 
 impl VecPlan {
-    /// Lowers a compiled plan: probes get CSR or pair indexes, a scan
+    /// Lowers a compiled plan: probes get CSR indexes, a scan
     /// pinned to a constant by an `=` comparison becomes a probe, any other
     /// scan with row-local comparisons becomes a selection, and `=`/`<>`
     /// comparisons over interned operands drop to code compares.
@@ -512,79 +497,40 @@ impl VecPlan {
                             _ => None,
                         })
                         .collect();
-                    // Key re-selection and widening: the planner probes the
-                    // first bound column, but every other bound column (a
-                    // `CheckSlot` on a parameter or an earlier step's slot)
-                    // is an equally valid key. Rank candidates by distinct
-                    // codes — shortest
-                    // expected posting list first. With one usable column
-                    // the step probes the single-column CSR index on the
-                    // best; with two distinct bound columns it probes the
-                    // composite pair index instead, turning postings-scan-
-                    // plus-filter into one exact hash lookup. Whatever is
-                    // probed, surviving rows come out in ascending row
-                    // order, so the match enumeration stays bit-identical
-                    // to the oracle.
-                    let mut candidates: Vec<(u16, Key, Option<usize>)> =
-                        vec![(col, Key::Slot(key), None)];
+                    // Key re-selection: the planner probes the first bound
+                    // column, but every other bound column (a `CheckSlot` on
+                    // a parameter or an earlier step's slot) is an equally
+                    // valid key. The step probes the CSR index of the one
+                    // with the most distinct codes — the shortest expected
+                    // posting list — and checks the others per row. Postings
+                    // come out in ascending row order, so the match
+                    // enumeration stays bit-identical to the oracle.
+                    let mut best: (u16, u16, Option<usize>) = (col, key, None);
+                    let mut best_distinct = relation.distinct_count(usize::from(col));
                     for (i, op) in ops.iter().enumerate() {
                         match *op {
                             ColOp::CheckSlot { col: c, slot } if !bound_here.contains(&slot) => {
-                                candidates.push((c, Key::Slot(slot), Some(i)));
+                                // Strictly more: on a tie the planner's key
+                                // stays.
+                                let distinct = relation.distinct_count(usize::from(c));
+                                if distinct > best_distinct {
+                                    best = (c, slot, Some(i));
+                                    best_distinct = distinct;
+                                }
                             }
                             _ => {}
                         }
                     }
-                    // Stable sort: on equal selectivity the planner's key
-                    // stays in front.
-                    candidates.sort_by_key(|&(c, _, _)| {
-                        std::cmp::Reverse(relation.distinct_count(usize::from(c)))
-                    });
-                    let (best_col, best_key, _) = candidates[0];
-                    // The composite upgrade only pays once the best single
-                    // key's postings get long; a short-postings dense-CSR
-                    // probe is two array loads and beats any hash lookup.
-                    let expected_postings =
-                        relation.len() / relation.distinct_count(usize::from(best_col)).max(1);
-                    let second = if expected_postings >= PAIR_MIN_EXPECTED_POSTINGS {
-                        candidates[1..]
-                            .iter()
-                            .find(|&&(c, _, _)| c != best_col)
-                            .copied()
-                    } else {
-                        None
-                    };
-
-                    let mut used = vec![candidates[0]];
-                    used.extend(second);
-                    // Ops consumed as probe keys disappear from the check
-                    // list; if the planner's own key is no longer probed it
-                    // must be re-checked as an op instead.
-                    let mut removed: Vec<usize> = used.iter().filter_map(|&(_, _, i)| i).collect();
-                    removed.sort_unstable_by(|a, b| b.cmp(a));
-                    for i in removed {
+                    let (best_col, best_slot, consumed) = best;
+                    // The op consumed as the probe key leaves the check
+                    // list, and the planner's own key is checked instead.
+                    if let Some(i) = consumed {
                         ops.remove(i);
-                    }
-                    if used.iter().all(|&(_, _, i)| i.is_some()) {
                         ops.push(ColOp::CheckSlot { col, slot: key });
                     }
-                    match second {
-                        Some((sec_col, sec_key, _)) => {
-                            let (col_a, key_a, col_b, key_b) = if best_col <= sec_col {
-                                (best_col, best_key, sec_col, sec_key)
-                            } else {
-                                (sec_col, sec_key, best_col, best_key)
-                            };
-                            VecAccess::Probe2 {
-                                pair: relation.pair_index(usize::from(col_a), usize::from(col_b)),
-                                key_a,
-                                key_b,
-                            }
-                        }
-                        None => VecAccess::Probe {
-                            csr: relation.csr_index(usize::from(best_col)),
-                            key: best_key,
-                        },
+                    VecAccess::Probe {
+                        csr: relation.csr_index(usize::from(best_col)),
+                        key: Key::Slot(best_slot),
                     }
                 }
             };
@@ -626,7 +572,7 @@ impl VecPlan {
             match step.access {
                 VecAccess::Scan => stats.scan_steps += 1,
                 VecAccess::Selected(_) => stats.selected_steps += 1,
-                VecAccess::Probe { .. } | VecAccess::Probe2 { .. } => stats.probe_steps += 1,
+                VecAccess::Probe { .. } => stats.probe_steps += 1,
             }
         }
         stats
@@ -895,16 +841,6 @@ impl VecPlan {
                         try_row(row, &mut *out, run)?;
                     }
                 }
-                VecAccess::Probe2 { pair, key_a, key_b } => {
-                    let resolve = |key: &Key| match *key {
-                        Key::Const(c) => c,
-                        Key::Slot(s) => parent_regs[usize::from(s)],
-                    };
-                    run.stats.csr_probe_steps += 1;
-                    for &row in pair.probe(resolve(key_a), resolve(key_b)) {
-                        try_row(row, &mut *out, run)?;
-                    }
-                }
             }
         }
         if !out.is_empty() {
@@ -1001,8 +937,8 @@ mod tests {
     use crate::eval::EvalContext;
     use fxhash::FxHashMap;
 
-    // `CsrIndex` and `PairIndex` now live in `mv-pdb`; their tests stayed,
-    // reaching them through this module's re-export.
+    // `CsrIndex` lives in `mv-pdb`; its tests stayed, reaching it through
+    // this module's re-export.
     fn postings_of(index: &CsrIndex, code: u32) -> Vec<u32> {
         index.probe(code).to_vec()
     }
@@ -1079,30 +1015,8 @@ mod tests {
         assert!(postings_of(&idx, u32::MAX).is_empty());
     }
 
-    #[test]
-    fn pair_index_agrees_with_reference_postings() {
-        // Duplicated pairs, shared prefixes and suffixes, and codes whose
-        // halves collide when naively truncated to 32 bits.
-        let a: Vec<u32> = (0..500u32).map(|i| i % 9).collect();
-        let b: Vec<u32> = (0..500u32).map(|i| (i * 13) % 11).collect();
-        let mut reference: FxHashMap<(u32, u32), Vec<u32>> = FxHashMap::default();
-        for i in 0..a.len() {
-            reference.entry((a[i], b[i])).or_default().push(i as u32);
-        }
-        let idx = PairIndex::build(&a, &b);
-        for (&(ka, kb), posting) in &reference {
-            assert_eq!(idx.probe(ka, kb), &posting[..], "pair ({ka}, {kb})");
-        }
-        // Absent combinations (including swapped halves of present pairs)
-        // probe empty.
-        assert!(idx.probe(9, 0).is_empty());
-        assert!(idx.probe(u32::MAX, 0).is_empty());
-        let empty = PairIndex::build(&[], &[]);
-        assert!(empty.probe(0, 0).is_empty());
-    }
-
-    /// An 8×8 key grid in `S` (long postings: the self-join lowers to a pair
-    /// probe) beside unary `R`.
+    /// An 8×8 key grid in `S` (the self-join's second atom arrives with both
+    /// columns bound) beside unary `R`.
     fn grid() -> mv_pdb::InDb {
         use mv_pdb::{InDbBuilder, Value, Weight};
         let mut b = InDbBuilder::new();
@@ -1119,8 +1033,8 @@ mod tests {
         b.build()
     }
 
-    /// What one fresh context sees: the addresses of every CSR and pair
-    /// index its lowered plans hold, and the join's answers.
+    /// What one fresh context sees: the addresses of every CSR index its
+    /// lowered plans hold, and the join's answers.
     fn handles_and_answers(db: &Database) -> (Vec<usize>, Vec<Row>) {
         let ctx = EvalContext::new(db);
         let mut handles = Vec::new();
@@ -1130,7 +1044,6 @@ mod tests {
                 match &step.access {
                     VecAccess::Scan | VecAccess::Selected(_) => {}
                     VecAccess::Probe { csr, .. } => handles.push(Arc::as_ptr(csr) as usize),
-                    VecAccess::Probe2 { pair, .. } => handles.push(Arc::as_ptr(pair) as usize),
                 }
             }
         }
@@ -1144,7 +1057,7 @@ mod tests {
         let indb = grid();
         let db = indb.database();
         // Two contexts, then two more on other threads: the same handles —
-        // a CSR probe, a pair probe — and nothing rebuilt.
+        // one CSR probe per query — and nothing rebuilt.
         let first = handles_and_answers(db);
         assert_eq!(first.0.len(), 2);
         assert_eq!(first.1.len(), 64);
@@ -1260,7 +1173,7 @@ mod tests {
                     VecAccess::Probe {
                         key: Key::Const(_), ..
                     } => "const probe",
-                    VecAccess::Probe { .. } | VecAccess::Probe2 { .. } => "probe",
+                    VecAccess::Probe { .. } => "probe",
                 })
                 .collect();
             assert_eq!(lowered, kinds, "{text}");
@@ -1336,65 +1249,66 @@ mod tests {
     }
 
     #[test]
-    fn two_bound_columns_with_long_postings_lower_to_a_pair_probe() {
+    fn two_bound_columns_probe_the_one_with_the_most_distinct_codes() {
         use mv_pdb::{InDbBuilder, Value, Weight};
 
-        let mut b = InDbBuilder::new();
-        let r = b.probabilistic_relation("R", &["a"]).unwrap();
-        let t = b.probabilistic_relation("T", &["b"]).unwrap();
-        let s = b.probabilistic_relation("S", &["a", "b"]).unwrap();
-        for i in 0..8i64 {
-            b.insert_weighted(r, vec![Value::int(i)], Weight::ONE)
-                .unwrap();
-            b.insert_weighted(t, vec![Value::int(i)], Weight::ONE)
-                .unwrap();
-        }
-        // An 8x8 key grid: either column alone expects 8 postings per key,
-        // exactly the composite-upgrade threshold.
-        for i in 0..64i64 {
-            b.insert_weighted(s, vec![Value::int(i % 8), Value::int(i / 8)], Weight::ONE)
-                .unwrap();
-        }
-        let indb = b.build();
-        let ctx = EvalContext::new(indb.database());
-
-        // The second atom of the self-join arrives with both columns bound
-        // (the greedy join order processes most-bound atoms first, so a
-        // three-atom chain would probe S with only one binding).
-        let q = crate::parse_ucq("Q() :- S(x, y), S(y, x)").unwrap();
-        let plan = ctx.compile_vec(&q).unwrap();
-        assert!(
-            plan.disjuncts()[0]
-                .steps
+        // `S` holds 64 rows over columns with 4 and 64 distinct codes; the
+        // flag says whether column 1 is the narrow one.
+        let store = |narrow_second: bool| {
+            let mut b = InDbBuilder::new();
+            let s = b.probabilistic_relation("S", &["a", "b"]).unwrap();
+            for i in 0..64i64 {
+                let (wide, narrow) = (Value::int(i), Value::int(i % 4));
+                let row = if narrow_second {
+                    vec![wide, narrow]
+                } else {
+                    vec![narrow, wide]
+                };
+                b.insert_weighted(s, row, Weight::ONE).unwrap();
+            }
+            b.build()
+        };
+        for (narrow_second, key_col) in [(false, 1u16), (true, 0)] {
+            let indb = store(narrow_second);
+            let db = indb.database();
+            let ctx = EvalContext::new(db);
+            // The self-join's second atom arrives with both columns bound.
+            let q = crate::parse_ucq("Q() :- S(x, y), S(y, x)").unwrap();
+            let plan = ctx.compile_vec(&q).unwrap();
+            let step = &plan.disjuncts()[0].steps[1];
+            let VecAccess::Probe { csr, .. } = &step.access else {
+                panic!("the second atom must probe: {:?}", step.access);
+            };
+            let relation = db.relation(step.rel);
+            assert!(
+                Arc::ptr_eq(csr, &relation.csr_index(usize::from(key_col))),
+                "the probe key must be column {key_col}"
+            );
+            // The other bound column is checked per row, once.
+            let checked: Vec<u16> = step
+                .ops
                 .iter()
-                .any(|s| matches!(s.access, VecAccess::Probe2 { .. })),
-            "a probe step with two bound long-postings columns must use the pair index"
-        );
+                .filter_map(|op| match *op {
+                    ColOp::CheckSlot { col, .. } => Some(col),
+                    ColOp::Bind { .. } => None,
+                })
+                .collect();
+            assert_eq!(checked, [1 - key_col], "narrow column {}", 1 - key_col);
 
-        // A sparse workload-shaped probe stays on the single-column CSR
-        // index: short postings beat the composite hash lookup.
-        let mut b = InDbBuilder::new();
-        let r = b.probabilistic_relation("R", &["a"]).unwrap();
-        let t = b.probabilistic_relation("T", &["b"]).unwrap();
-        let s = b.probabilistic_relation("S", &["a", "b"]).unwrap();
-        for i in 0..64i64 {
-            b.insert_weighted(s, vec![Value::int(i), Value::int(i)], Weight::ONE)
-                .unwrap();
+            let mut rows: Vec<Row> = crate::eval::evaluate_ucq_with(&q, &ctx)
+                .unwrap()
+                .into_iter()
+                .map(|a| a.row)
+                .collect();
+            let mut legacy: Vec<Row> = crate::eval::evaluate_ucq_legacy_with(&q, &ctx)
+                .unwrap()
+                .into_iter()
+                .map(|a| a.row)
+                .collect();
+            rows.sort();
+            legacy.sort();
+            assert_eq!(rows, legacy);
+            assert_eq!(rows.len(), 1);
         }
-        b.insert_weighted(r, vec![Value::int(0)], Weight::ONE)
-            .unwrap();
-        b.insert_weighted(t, vec![Value::int(0)], Weight::ONE)
-            .unwrap();
-        let indb = b.build();
-        let ctx = EvalContext::new(indb.database());
-        let q = crate::parse_ucq("Q() :- S(x, y), S(y, x)").unwrap();
-        let plan = ctx.compile_vec(&q).unwrap();
-        assert!(
-            plan.disjuncts()[0]
-                .steps
-                .iter()
-                .all(|s| !matches!(s.access, VecAccess::Probe2 { .. })),
-            "unique-key probes must stay on the single-column CSR index"
-        );
     }
 }

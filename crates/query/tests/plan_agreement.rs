@@ -301,14 +301,13 @@ fn compiled_plans_agree_on_handwritten_edge_cases() {
     }
 }
 
-/// Probe steps that arrive with *two* columns already bound and long
-/// posting lists on either single column upgrade to the composite pair
-/// index (64 `S`-rows over an 8x8 key grid put the expected postings of
-/// each column exactly at the upgrade threshold). The upgraded plans must
+/// Probe steps that arrive with *two* columns already bound (64 `S`-rows
+/// over an 8x8 key grid, 8 postings per key on either column) probe the
+/// CSR index of one column and check the other per row. The plans must
 /// agree exactly — answers, per-answer lineages and canonical Boolean
 /// lineages — with the legacy oracle.
 #[test]
-fn composite_pair_probes_agree_with_both_oracles() {
+fn two_bound_column_probes_agree_with_both_oracles() {
     let mut b = InDbBuilder::new();
     let r = b.probabilistic_relation("R", &["a"]).unwrap();
     let t = b.probabilistic_relation("T", &["b"]).unwrap();
@@ -330,10 +329,10 @@ fn composite_pair_probes_agree_with_both_oracles() {
     let indb = b.build();
     let ctx = EvalContext::new(indb.database());
     for text in [
-        // Both keys from earlier atoms (slot/slot pair probe).
+        // Both keys from earlier atoms (slot key, slot check).
         "Q() :- R(x), T(y), S(x, y)",
         "Q(x, y) :- R(x), T(y), S(x, y)",
-        // One key is a constant (slot/const pair probe).
+        // One key is a constant (a parameter register).
         "Q(x) :- R(x), S(x, 3)",
         "Q() :- R(x), S(x, 99)",
         // Self-join: the second S atom gets both columns bound.
