@@ -18,7 +18,7 @@
 //! [`EngineBackend::comparison_suite`].
 
 use std::borrow::Cow;
-use std::cell::{OnceCell, RefCell, RefMut};
+use std::cell::{Cell, OnceCell, RefCell, RefMut};
 use std::fmt;
 use std::sync::Arc;
 
@@ -84,7 +84,7 @@ pub struct EvalContext<'a> {
     /// on first use and handed back when the context drops (a context
     /// without an index makes its own).
     scratch: RefCell<Option<QueryScratch>>,
-    budget: RefCell<Option<mv_query::EvalBudget>>,
+    budget: Cell<Option<mv_query::EvalBudget>>,
 }
 
 impl<'a> EvalContext<'a> {
@@ -101,7 +101,7 @@ impl<'a> EvalContext<'a> {
             scalars: RefCell::new(FxHashMap::default()),
             query_manager: OnceCell::new(),
             scratch: RefCell::new(None),
-            budget: RefCell::new(None),
+            budget: Cell::new(None),
         }
     }
 
@@ -115,27 +115,16 @@ impl<'a> EvalContext<'a> {
     /// budgeted, so one worker's deadline cannot cancel a sibling's
     /// evaluation.
     pub fn set_budget(&self, budget: Option<mv_query::EvalBudget>) {
-        self.query_ctx.set_budget(budget.clone());
+        self.query_ctx.set_budget(budget);
         if let Some(kernel) = self.scratch.borrow_mut().as_mut() {
-            kernel.set_budget(budget.clone());
+            kernel.set_budget(budget);
         }
-        *self.budget.borrow_mut() = budget;
+        self.budget.set(budget);
     }
 
-    /// The currently installed budget, if any (cheap clone of the shared
-    /// handle).
+    /// The currently installed budget, if any.
     pub fn budget(&self) -> Option<mv_query::EvalBudget> {
-        self.budget.borrow().clone()
-    }
-
-    /// Polls the installed budget, surfacing a trip as the matching typed
-    /// [`CoreError`] (`DeadlineExceeded` / `BudgetExceeded` / `Cancelled`).
-    /// A no-op without a budget.
-    pub fn check_budget(&self) -> Result<()> {
-        match self.budget.borrow().as_ref() {
-            Some(b) => b.check().map_err(CoreError::from),
-            None => Ok(()),
-        }
+        self.budget.get()
     }
 
     /// A context carrying the compiled MV-index (and borrowing the lineage

@@ -4,8 +4,8 @@
 //! an answer-or-typed-outcome for every query: rung 1 runs the inner exact
 //! backend under the configured deadline, the query kernel's
 //! node cap [`ResilienceConfig::node_budget`] and a per-rung panic trap; on
-//! a *degradable* failure (deadline, budget, caught panic, node-cap refusal
-//! — see [`CoreError::is_degradable`]) it goes to rung 2, seeded Monte Carlo
+//! a *degradable* failure (deadline, caught panic, node-cap refusal — see
+//! [`CoreError::is_degradable`]) it goes to rung 2, seeded Monte Carlo
 //! with the requested target `±ε`. There is no second exact attempt: a trip
 //! means the work outgrew its window, and the same work in a fresh window of
 //! the same size would trip again. This holds for every inner backend,
@@ -66,10 +66,8 @@ pub enum FaultKind {
     Panic,
     /// A wall-clock deadline trip.
     Deadline,
-    /// A work-budget trip (steps, arena nodes, or samples).
+    /// A node-cap refusal.
     Budget,
-    /// Cooperative cancellation.
-    Cancelled,
     /// A semantic error no rung can answer (stops the ladder).
     Semantic,
 }
@@ -79,15 +77,7 @@ impl FaultKind {
         match e {
             CoreError::WorkerPanicked { .. } => FaultKind::Panic,
             CoreError::DeadlineExceeded { .. } => FaultKind::Deadline,
-            CoreError::Cancelled => FaultKind::Cancelled,
-            CoreError::BudgetExceeded { .. } => FaultKind::Budget,
             CoreError::Obdd(mv_obdd::ObddError::NodeBudgetExceeded { .. }) => FaultKind::Budget,
-            CoreError::Obdd(mv_obdd::ObddError::Budget(b))
-            | CoreError::Query(mv_query::QueryError::Budget(b)) => match b {
-                mv_query::BudgetError::DeadlineExceeded { .. } => FaultKind::Deadline,
-                mv_query::BudgetError::StepBudgetExceeded { .. } => FaultKind::Budget,
-                mv_query::BudgetError::Cancelled => FaultKind::Cancelled,
-            },
             _ => FaultKind::Semantic,
         }
     }
@@ -98,7 +88,6 @@ impl FaultKind {
             FaultKind::Panic => "panic",
             FaultKind::Deadline => "deadline",
             FaultKind::Budget => "budget",
-            FaultKind::Cancelled => "cancelled",
             FaultKind::Semantic => "semantic",
         }
     }
@@ -537,6 +526,47 @@ mod tests {
         assert!(outcome.fault.is_none());
         let exact = engine.probability(&q).unwrap();
         assert!((outcome.probability.unwrap() - exact).abs() < 1e-12);
+    }
+
+    /// One expired deadline reads as one error, whichever layer polls it:
+    /// the lineage executor, the MV-index kernel or the sampler.
+    #[test]
+    fn a_deadline_trip_is_one_error_in_every_layer() {
+        let _quiet = chaos::quiet();
+        let engine = engine();
+        let ctx = engine.context();
+        let q = parse_ucq("Q() :- R(x), S(x)").unwrap();
+        let lineage = ctx.lineage(&q).unwrap();
+        assert!(!lineage.is_false(), "the query has a match");
+        // `W`'s lineage is built before the deadline, so the sampler polls.
+        ctx.w_lineage().unwrap();
+
+        ctx.set_budget(Some(EvalBudget::with_deadline(Duration::ZERO)));
+        let index = crate::backend::MvIndexBackend::default();
+        let sampler = MonteCarlo::new(ApproxConfig::default());
+        let trips = [
+            ("executor", ctx.lineage(&q).map(|_| ())),
+            (
+                "kernel",
+                index
+                    .lineage_probability(&lineage, &ctx)
+                    .unwrap()
+                    .map(|_| ()),
+            ),
+            (
+                "sampler",
+                sampler.approx_lineage(&lineage, &ctx).map(|_| ()),
+            ),
+        ];
+        for (layer, trip) in trips {
+            let err = trip.expect_err(layer);
+            assert!(
+                matches!(err, CoreError::DeadlineExceeded { .. }),
+                "{layer}: {err:?}"
+            );
+            assert!(err.is_degradable(), "{layer}: {err}");
+            assert_eq!(FaultKind::of(&err), FaultKind::Deadline, "{layer}");
+        }
     }
 
     /// Ten independent `R(x) ∧ S(x)` pairs under one view: a lineage of

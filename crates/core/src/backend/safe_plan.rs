@@ -24,7 +24,7 @@ impl Backend for SafePlan {
         ctx.require_boolean(q)?;
         let indb = ctx.indb();
         let safe = |query: &Ucq| {
-            mv_query::safe_probability(query, indb).map_err(|e| CoreError::Query(to_query_error(e)))
+            mv_query::safe_probability(query, indb).map_err(|e| CoreError::from(to_query_error(e)))
         };
         let (p_q_or_w, p_w) = match ctx.w() {
             Some(w) => {

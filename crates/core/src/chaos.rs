@@ -2,8 +2,8 @@
 //!
 //! A [`ChaosConfig`] names *sites* (stable string labels compiled into the
 //! evaluation paths — see [`sites`]) and attaches per-site fault rules:
-//! inject a panic, artificial deadline pressure, or forced budget
-//! exhaustion with a given rate. Whether call `n` at a site injects is a
+//! inject a panic, artificial deadline pressure, or a forced node-cap
+//! refusal with a given rate. Whether call `n` at a site injects is a
 //! pure function of `(seed, site, fault, n)` — a splitmix-style hash
 //! compared against the rate — so a campaign with a fixed seed injects a
 //! reproducible *number* of faults regardless of thread interleaving (the
@@ -77,7 +77,7 @@ pub enum Fault {
     Panic = 1,
     /// Behave as if the wall-clock deadline just passed.
     Deadline = 2,
-    /// Behave as if the work budget just ran out.
+    /// Behave as if the node cap refused the query.
     Budget = 3,
 }
 
@@ -370,7 +370,11 @@ pub(crate) fn raise(site: &'static str, fault: Fault) -> crate::Result<()> {
         Fault::Deadline => Err(crate::CoreError::DeadlineExceeded {
             elapsed: std::time::Duration::ZERO,
         }),
-        Fault::Budget => Err(crate::CoreError::BudgetExceeded { steps: 0, limit: 0 }),
+        Fault::Budget => Err(mv_obdd::ObddError::NodeBudgetExceeded {
+            allocated: 0,
+            budget: 0,
+        }
+        .into()),
     }
 }
 
@@ -518,10 +522,26 @@ mod tests {
         let _guard = install(
             ChaosConfig::new(3)
                 .rule(sites::EXACT_RUNG, Fault::Deadline, 1.0)
+                .rule(sites::MC_RUNG, Fault::Budget, 1.0)
                 .rule(sites::SHARD_EVAL, Fault::Panic, 1.0),
         );
         let err = apply(sites::EXACT_RUNG).unwrap_err();
         assert!(err.is_degradable(), "{err}");
+        // A budget fault is a node-cap refusal, the one budget fault a real
+        // run raises.
+        let err = apply(sites::MC_RUNG).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::CoreError::Obdd(mv_obdd::ObddError::NodeBudgetExceeded { .. })
+            ),
+            "{err:?}"
+        );
+        assert!(err.is_degradable(), "{err}");
+        assert_eq!(
+            crate::backend::resilient::QueryFault::of(&err).kind,
+            crate::backend::resilient::FaultKind::Budget
+        );
         let panicked = std::panic::catch_unwind(|| apply(sites::SHARD_EVAL)).is_err();
         assert!(panicked);
     }

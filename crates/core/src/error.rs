@@ -3,12 +3,6 @@
 use std::fmt;
 use std::time::Duration;
 
-/// Alias naming the evaluation-facing view of [`CoreError`]: the typed
-/// errors a [`Backend`](crate::Backend) returns instead of hanging,
-/// aborting, or allocating without bound
-/// (`EvalError::{DeadlineExceeded, BudgetExceeded, WorkerPanicked, …}`).
-pub type EvalError = CoreError;
-
 /// Errors raised while building, translating or querying an MVDB.
 #[derive(Debug)]
 pub enum CoreError {
@@ -57,22 +51,12 @@ pub enum CoreError {
     /// MV-index.
     MissingIndex,
     /// The evaluation's wall-clock deadline passed before an answer was
-    /// produced. Degradable: the resilience ladder may still answer the
-    /// query on a cheaper rung.
+    /// produced, in whichever layer polled it. Degradable: the resilience
+    /// ladder may still answer the query on a cheaper rung.
     DeadlineExceeded {
-        /// Time spent before the budget tripped.
+        /// Time spent before the deadline tripped.
         elapsed: Duration,
     },
-    /// The evaluation's work budget (batch rows, arena nodes, samples)
-    /// ran out. Degradable, like [`CoreError::DeadlineExceeded`].
-    BudgetExceeded {
-        /// Work units charged before the trip.
-        steps: u64,
-        /// The limit they exceeded.
-        limit: u64,
-    },
-    /// The evaluation was cancelled cooperatively (caller gave up).
-    Cancelled,
     /// A worker thread (or an isolated per-query evaluation) panicked; the
     /// panic was caught at the isolation boundary and quarantined to this
     /// error instead of tearing down the batch.
@@ -127,23 +111,18 @@ impl CoreError {
     }
 
     /// `true` for errors that mean "this rung of evaluation gave up",
-    /// not "the query is unanswerable": deadline/budget trips, caught
-    /// panics, node-cap refusals, and a Theorem 1 quotient out of `f64`
-    /// range. The degradation ladder
-    /// escalates past these; semantic errors (unknown relation, arity
-    /// mismatch, inconsistent views, …) propagate unchanged because no
-    /// cheaper rung can answer them either.
+    /// not "the query is unanswerable": deadline trips, caught panics,
+    /// node-cap refusals, and a Theorem 1 quotient out of `f64` range.
+    /// The degradation ladder escalates past these; semantic errors
+    /// (unknown relation, arity mismatch, inconsistent views, …) propagate
+    /// unchanged because no cheaper rung can answer them either.
     pub fn is_degradable(&self) -> bool {
         matches!(
             self,
             CoreError::DeadlineExceeded { .. }
-                | CoreError::BudgetExceeded { .. }
-                | CoreError::Cancelled
                 | CoreError::WorkerPanicked { .. }
                 | CoreError::OutOfRange { .. }
                 | CoreError::Obdd(mv_obdd::ObddError::NodeBudgetExceeded { .. })
-                | CoreError::Obdd(mv_obdd::ObddError::Budget(_))
-                | CoreError::Query(mv_query::QueryError::Budget(_))
         )
     }
 }
@@ -185,10 +164,6 @@ impl fmt::Display for CoreError {
             CoreError::DeadlineExceeded { elapsed } => {
                 write!(f, "evaluation deadline exceeded after {elapsed:?}")
             }
-            CoreError::BudgetExceeded { steps, limit } => {
-                write!(f, "evaluation work budget exhausted ({steps} steps, limit {limit})")
-            }
-            CoreError::Cancelled => write!(f, "evaluation cancelled"),
             CoreError::WorkerPanicked { site, message } => {
                 write!(f, "worker panicked at isolation site `{site}`: {message}")
             }
@@ -212,25 +187,35 @@ impl From<mv_pdb::PdbError> for CoreError {
 }
 
 impl From<mv_query::QueryError> for CoreError {
+    /// A deadline trip reads as [`CoreError::DeadlineExceeded`], whichever
+    /// layer polled it.
     fn from(e: mv_query::QueryError) -> Self {
-        CoreError::Query(e)
+        match e {
+            mv_query::QueryError::Budget(b) => b.into(),
+            e => CoreError::Query(e),
+        }
     }
 }
 
 impl From<mv_obdd::ObddError> for CoreError {
+    /// A deadline trip reads as [`CoreError::DeadlineExceeded`], whichever
+    /// layer polled it.
     fn from(e: mv_obdd::ObddError) -> Self {
-        CoreError::Obdd(e)
+        match e {
+            mv_obdd::ObddError::Budget(b) => b.into(),
+            e => CoreError::Obdd(e),
+        }
     }
 }
 
 impl From<mv_index::MvIndexError> for CoreError {
-    /// An OBDD- or query-level error raised inside the index is that error:
-    /// a budget trip in the index's query kernel must read as the same
-    /// degradable trip it is in any other layer.
+    /// An OBDD- or query-level error raised inside the index is that error,
+    /// so a deadline trip in the index's query kernel reads as it does in
+    /// any other layer.
     fn from(e: mv_index::MvIndexError) -> Self {
         match e {
-            mv_index::MvIndexError::Obdd(e) => CoreError::Obdd(e),
-            mv_index::MvIndexError::Query(e) => CoreError::Query(e),
+            mv_index::MvIndexError::Obdd(e) => e.into(),
+            mv_index::MvIndexError::Query(e) => e.into(),
             other => CoreError::Index(other),
         }
     }
@@ -248,10 +233,6 @@ impl From<mv_query::BudgetError> for CoreError {
             mv_query::BudgetError::DeadlineExceeded { elapsed } => {
                 CoreError::DeadlineExceeded { elapsed }
             }
-            mv_query::BudgetError::StepBudgetExceeded { steps, limit } => {
-                CoreError::BudgetExceeded { steps, limit }
-            }
-            mv_query::BudgetError::Cancelled => CoreError::Cancelled,
         }
     }
 }

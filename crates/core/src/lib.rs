@@ -76,7 +76,7 @@ pub use backend::{
     Rung,
 };
 pub use engine::MvdbEngine;
-pub use error::{CoreError, EvalError};
+pub use error::CoreError;
 pub use mvdb::{Mvdb, MvdbBuilder};
 pub use serve::{MvdbServer, ServeConfig, ServeOutcome, ServerStats, Ticket};
 pub use session::{MvdbSession, QueryStats};

@@ -12,7 +12,9 @@ use std::time::Duration;
 
 use mv_core::chaos::{self, sites, ChaosConfig, Fault};
 use mv_core::sharded::ShardedEngine;
-use mv_core::{Backend, FaultKind, Mvdb, MvdbBuilder, MvdbEngine, ResilienceConfig, Rung};
+use mv_core::{
+    Backend, CoreError, FaultKind, Mvdb, MvdbBuilder, MvdbEngine, ResilienceConfig, Rung,
+};
 use mv_query::{parse_ucq, EvalBudget, Ucq};
 use proptest::prelude::*;
 
@@ -369,8 +371,8 @@ fn single_query_batches_survive_every_fault_kind() {
 
 /// An already-expired budget trips before any evaluation work: the typed
 /// poll fails immediately, a backend driven through the context surfaces
-/// the deadline before scanning a single batch, and clearing the budget
-/// restores the context for real evaluation.
+/// the deadline at its first poll, and clearing the budget restores the
+/// context for real evaluation.
 #[test]
 fn already_expired_budgets_trip_before_evaluating() {
     let _guard = chaos::install(ChaosConfig::new(0));
@@ -381,9 +383,12 @@ fn already_expired_budgets_trip_before_evaluating() {
 
     let ctx = engine.context();
     ctx.set_budget(Some(EvalBudget::with_deadline(Duration::ZERO)));
-    let err = ctx
-        .check_budget()
-        .expect_err("an expired budget must trip the typed poll");
+    let err = CoreError::from(
+        ctx.budget()
+            .unwrap()
+            .check()
+            .expect_err("an expired budget must trip the typed poll"),
+    );
     assert!(err.is_degradable(), "{err}");
     assert!(err.to_string().contains("deadline"), "{err}");
 
@@ -395,7 +400,7 @@ fn already_expired_budgets_trip_before_evaluating() {
     assert!(err.to_string().contains("deadline"), "{err}");
 
     ctx.set_budget(None);
-    assert!(ctx.check_budget().is_ok());
+    assert!(ctx.budget().is_none());
     let p = backend.probability(&q, &ctx).unwrap();
     assert!((p - reference).abs() < 1e-9, "{p} vs {reference}");
 }

@@ -617,6 +617,7 @@ mod tests {
     use mv_query::lineage::lineage;
     use mv_query::parse_ucq;
     use mv_query::EvalBudget;
+    use std::time::Duration;
 
     /// A small translated-style database: R, S are base probabilistic tables,
     /// NV is the translated view table with a negative weight.
@@ -874,7 +875,7 @@ mod tests {
         let lin_q = lineage(&parse_ucq("Q() :- R(x), S(x, y)").unwrap(), &indb).unwrap();
         let exact = index.conditional_probability(&lin_q, &indb, algo).unwrap();
         let mut lent = index.take_kernel();
-        lent.set_budget(Some(EvalBudget::unlimited().with_step_limit(1)));
+        lent.set_budget(Some(EvalBudget::with_deadline(Duration::ZERO)));
         assert!(index
             .conditional_probability_with(&mut lent, &lin_q, &indb, algo)
             .is_err());

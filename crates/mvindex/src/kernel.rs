@@ -43,9 +43,9 @@
 //! the whole table.
 //!
 //! The store polls the cooperative [`EvalBudget`] between clause folds and
-//! every 1024 apply frames, charges one unit per fresh node, and refuses
-//! past the node cap with [`ObddError::NodeBudgetExceeded`]. Its work is
-//! counted in a [`ManagerStats`] of its own ([`QueryScratch::stats`]).
+//! every 1024 apply frames, and refuses past the node cap with
+//! [`ObddError::NodeBudgetExceeded`]. Its work is counted in a
+//! [`ManagerStats`] of its own ([`QueryScratch::stats`]).
 
 use mv_obdd::obdd::{FALSE, TRUE};
 use mv_obdd::{
@@ -110,8 +110,7 @@ impl QueryScratch {
             + self.walk.heap_bytes()
     }
 
-    /// Installs (or clears) the cooperative budget the folds poll and
-    /// charge.
+    /// Installs (or clears) the cooperative deadline the folds poll.
     pub fn set_budget(&mut self, budget: Option<EvalBudget>) {
         self.store.set_budget(budget);
     }
@@ -588,25 +587,6 @@ mod tests {
         assert!(matches!(
             run(&mut scratch, &index, &lin),
             Err(ObddError::Budget(BudgetError::DeadlineExceeded { .. }))
-        ));
-        // Fresh nodes are charged as work units between clause folds.
-        let budget = EvalBudget::unlimited().with_step_limit(100);
-        scratch.set_budget(Some(budget.clone()));
-        assert!(matches!(
-            run(&mut scratch, &index, &lin),
-            Err(ObddError::Budget(BudgetError::StepBudgetExceeded {
-                limit: 100,
-                ..
-            }))
-        ));
-        assert!(budget.steps_used() > 100);
-        // A cancellation is seen between folds too.
-        let budget = EvalBudget::unlimited();
-        budget.cancel();
-        scratch.set_budget(Some(budget));
-        assert!(matches!(
-            run(&mut scratch, &index, &lin),
-            Err(ObddError::Budget(BudgetError::Cancelled))
         ));
         // The node cap refuses mid-apply.
         scratch.set_budget(None);

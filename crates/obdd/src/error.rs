@@ -25,8 +25,8 @@ pub enum ObddError {
         /// The budget it exceeded.
         budget: usize,
     },
-    /// The synthesis was cut short by its cooperative budget (deadline,
-    /// step limit, or cancellation) — see [`mv_query::EvalBudget`].
+    /// The synthesis was cut short by its cooperative deadline — see
+    /// [`mv_query::EvalBudget`].
     Budget(mv_query::BudgetError),
     /// A query-level error surfaced during construction.
     Query(mv_query::QueryError),

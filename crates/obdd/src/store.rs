@@ -22,8 +22,8 @@
 //! kernel owns one directly and empties it for every lineage. Every
 //! traversal runs on an explicit stack, so 100 000-level chains do not
 //! overflow the thread stack. A fold polls its cooperative [`EvalBudget`]
-//! between clauses and every 1024 apply frames, charges one unit per fresh
-//! node, and refuses past a node cap ([`ObddError::NodeBudgetExceeded`]).
+//! between clauses and every 1024 apply frames, and refuses past a node cap
+//! ([`ObddError::NodeBudgetExceeded`]).
 
 use fxhash::FxHashMap;
 use mv_pdb::TupleId;
@@ -202,7 +202,7 @@ impl NodeStore {
         self.stats = fresh_stats();
     }
 
-    /// Installs (or clears) the cooperative budget folds poll and charge.
+    /// Installs (or clears) the cooperative deadline folds poll.
     pub fn set_budget(&mut self, budget: Option<EvalBudget>) {
         self.budget = budget;
     }
@@ -405,9 +405,7 @@ impl NodeStore {
         self.spans
             .sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| of(b).cmp(of(a))));
 
-        let start = self.nodes.len();
         let mut acc = FALSE;
-        let mut charged = 0;
         for i in 0..self.spans.len() {
             let (_, first, end) = self.spans[i];
             let mut clause = TRUE;
@@ -424,11 +422,7 @@ impl NodeStore {
                 return Err(self.refusal());
             }
             if let Some(budget) = &self.budget {
-                // Charge the fresh nodes of this fold as work units and
-                // poll the deadline between clause folds.
-                let allocated = (self.nodes.len() - start) as u64;
-                budget.charge(allocated - charged)?;
-                charged = allocated;
+                budget.check()?;
             }
         }
         Ok(acc)

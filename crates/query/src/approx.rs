@@ -93,7 +93,7 @@ pub struct ApproxConfig {
     pub max_samples: u64,
 }
 
-/// Samples between early-stopping checks (and per budget charge).
+/// Samples between early-stopping checks (and deadline polls).
 const SAMPLE_BATCH: u64 = 512;
 
 /// Largest weight range for which the rigorous Hoeffding interval is
@@ -610,7 +610,7 @@ impl<'a> ConditionalSampler<'a> {
         while acc.samples < config.max_samples {
             let run = SAMPLE_BATCH.min(config.max_samples - acc.samples);
             if let Some(b) = budget {
-                if let Err(e) = b.charge(run) {
+                if let Err(e) = b.check() {
                     // Keep what we have if it can carry an interval at all;
                     // otherwise the budget left no usable answer.
                     if acc.samples >= config.min_samples.max(1) {

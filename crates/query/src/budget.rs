@@ -1,26 +1,19 @@
-//! Cooperative cancellation, deadlines and work budgets.
+//! Cooperative deadlines.
 //!
-//! An [`EvalBudget`] is a cheaply clonable handle shared by every layer of
-//! one evaluation: the vectorized executor checks it at batch boundaries
-//! ([`crate::vec_exec`]), OBDD synthesis checks it between (and inside)
-//! apply folds (`mv-obdd`), and the Monte Carlo sampler checks it between
-//! sample batches ([`crate::approx`]). Work never stops preemptively —
-//! each layer polls at its natural quantum, so a budget trip surfaces as a
-//! typed [`BudgetError`] through the ordinary `Result` channel instead of
-//! a hang, an abort, or an unbounded allocation.
-//!
-//! The handle is `Arc`-backed: cloning shares the same counters, so a
-//! deadline set once by a session worker bounds every stage of that
-//! query's evaluation (lineage enumeration, synthesis, sampling) without
-//! any of them knowing about the others.
+//! An [`EvalBudget`] is a `Copy` wall-clock deadline handed to every layer
+//! of one evaluation: the vectorized executor polls it before each batch
+//! ([`crate::vec_exec`]), OBDD synthesis polls it every 1 024 apply frames
+//! and between clause folds (`mv-obdd`), and the Monte Carlo sampler polls
+//! it between sample batches ([`crate::approx`]). Work never stops
+//! preemptively: each layer polls at its natural quantum, so a trip
+//! surfaces as a typed [`BudgetError`] through the ordinary `Result`
+//! channel, and `mv-core` turns it into `CoreError::DeadlineExceeded`.
+//! The one work limit is the OBDD store's node cap.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Why an evaluation was cut short. Carried by every layer's error enum
-/// (`QueryError::Budget`, `ObddError::Budget`, and the `mv-core`
-/// `EvalError::{DeadlineExceeded, BudgetExceeded}` variants).
+/// Why an evaluation was cut short. Carried by `QueryError::Budget` and
+/// `ObddError::Budget`; `mv-core` maps each to `CoreError::DeadlineExceeded`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BudgetError {
     /// The wall-clock deadline passed before the evaluation finished.
@@ -28,17 +21,6 @@ pub enum BudgetError {
         /// Time elapsed since the budget was created.
         elapsed: Duration,
     },
-    /// The step budget (batch rows, arena nodes, samples — whatever the
-    /// charging layer counts as a unit of work) ran out.
-    StepBudgetExceeded {
-        /// Steps charged so far.
-        steps: u64,
-        /// The limit they exceeded.
-        limit: u64,
-    },
-    /// The budget was cancelled explicitly (caller gave up, or a sibling
-    /// worker already produced the answer).
-    Cancelled,
 }
 
 impl std::fmt::Display for BudgetError {
@@ -47,139 +29,43 @@ impl std::fmt::Display for BudgetError {
             BudgetError::DeadlineExceeded { elapsed } => {
                 write!(f, "evaluation deadline exceeded after {elapsed:?}")
             }
-            BudgetError::StepBudgetExceeded { steps, limit } => {
-                write!(
-                    f,
-                    "evaluation step budget exhausted ({steps} steps, limit {limit})"
-                )
-            }
-            BudgetError::Cancelled => write!(f, "evaluation cancelled"),
         }
     }
 }
 
 impl std::error::Error for BudgetError {}
 
-#[derive(Debug)]
-struct BudgetInner {
-    started: Instant,
-    deadline: Option<Instant>,
-    step_limit: Option<u64>,
-    steps: AtomicU64,
-    cancelled: AtomicBool,
-}
-
-/// A shared deadline + work budget polled cooperatively by every
-/// evaluation layer. Cloning is an `Arc` bump; all clones observe the same
-/// step counter and cancellation flag.
-#[derive(Debug, Clone)]
+/// A wall-clock deadline polled cooperatively by every evaluation layer.
+#[derive(Debug, Clone, Copy)]
 pub struct EvalBudget {
-    inner: Arc<BudgetInner>,
+    started: Instant,
+    deadline: Instant,
 }
 
 impl EvalBudget {
-    /// A budget with no deadline and no step limit. [`EvalBudget::check`]
-    /// only fails after [`EvalBudget::cancel`].
-    pub fn unlimited() -> Self {
-        Self::build(None, None)
-    }
-
     /// A budget that expires `deadline` from now.
     pub fn with_deadline(deadline: Duration) -> Self {
-        Self::build(Some(Instant::now() + deadline), None)
-    }
-
-    /// A budget that expires at the given instant.
-    pub fn with_deadline_at(at: Instant) -> Self {
-        Self::build(Some(at), None)
-    }
-
-    /// Returns this budget with a step limit added (builder style). The
-    /// step counter is shared across clones, so the limit bounds the
-    /// *total* work of every layer charging against this budget.
-    pub fn with_step_limit(self, limit: u64) -> Self {
-        Self::build(self.inner.deadline, Some(limit))
-    }
-
-    fn build(deadline: Option<Instant>, step_limit: Option<u64>) -> Self {
+        let started = Instant::now();
         EvalBudget {
-            inner: Arc::new(BudgetInner {
-                started: Instant::now(),
-                deadline,
-                step_limit,
-                steps: AtomicU64::new(0),
-                cancelled: AtomicBool::new(false),
-            }),
+            started,
+            deadline: started + deadline,
         }
     }
 
-    /// Cancels the budget: every subsequent [`EvalBudget::check`] on any
-    /// clone fails with [`BudgetError::Cancelled`].
-    pub fn cancel(&self) {
-        self.inner.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Time elapsed since the budget was created.
-    pub fn elapsed(&self) -> Duration {
-        self.inner.started.elapsed()
-    }
-
-    /// Time remaining until the deadline (`None` when no deadline is set;
-    /// `Some(ZERO)` once it has passed).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.inner
-            .deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
-    /// Steps charged so far across every clone.
-    pub fn steps_used(&self) -> u64 {
-        self.inner.steps.load(Ordering::Relaxed)
-    }
-
-    /// Polls the budget without charging work: fails when cancelled, past
-    /// the deadline, or already over the step limit.
+    /// Fails once the deadline has passed.
     pub fn check(&self) -> Result<(), BudgetError> {
-        let inner = &self.inner;
-        if inner.cancelled.load(Ordering::Relaxed) {
-            return Err(BudgetError::Cancelled);
-        }
-        if let Some(deadline) = inner.deadline {
-            if Instant::now() >= deadline {
-                return Err(BudgetError::DeadlineExceeded {
-                    elapsed: inner.started.elapsed(),
-                });
-            }
-        }
-        if let Some(limit) = inner.step_limit {
-            let steps = inner.steps.load(Ordering::Relaxed);
-            if steps > limit {
-                return Err(BudgetError::StepBudgetExceeded { steps, limit });
-            }
+        if Instant::now() >= self.deadline {
+            return Err(BudgetError::DeadlineExceeded {
+                elapsed: self.started.elapsed(),
+            });
         }
         Ok(())
-    }
-
-    /// Charges `n` units of work, then polls. The charge sticks even when
-    /// the poll fails — a budget over its limit stays over it.
-    pub fn charge(&self, n: u64) -> Result<(), BudgetError> {
-        self.inner.steps.fetch_add(n, Ordering::Relaxed);
-        self.check()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unlimited_budget_never_trips() {
-        let b = EvalBudget::unlimited();
-        assert!(b.check().is_ok());
-        assert!(b.charge(1_000_000).is_ok());
-        assert_eq!(b.steps_used(), 1_000_000);
-        assert!(b.remaining().is_none());
-    }
 
     #[test]
     fn expired_deadline_trips_with_elapsed_time() {
@@ -191,33 +77,8 @@ mod tests {
     }
 
     #[test]
-    fn step_limit_trips_after_charge_and_is_shared_across_clones() {
-        let b = EvalBudget::unlimited().with_step_limit(10);
-        let c = b.clone();
-        assert!(b.charge(10).is_ok());
-        match c.charge(1) {
-            Err(BudgetError::StepBudgetExceeded {
-                steps: 11,
-                limit: 10,
-            }) => {}
-            other => panic!("expected StepBudgetExceeded, got {other:?}"),
-        }
-        // Once over, it stays over — even a zero-cost poll fails.
-        assert!(b.check().is_err());
-    }
-
-    #[test]
-    fn cancel_is_visible_to_all_clones() {
-        let b = EvalBudget::unlimited();
-        let c = b.clone();
-        b.cancel();
-        assert_eq!(c.check(), Err(BudgetError::Cancelled));
-    }
-
-    #[test]
     fn generous_deadline_does_not_trip() {
         let b = EvalBudget::with_deadline(Duration::from_secs(3600));
         assert!(b.check().is_ok());
-        assert!(b.remaining().unwrap() > Duration::from_secs(3000));
     }
 }

@@ -40,8 +40,7 @@ pub enum QueryError {
     /// A Monte Carlo estimator could not be constructed over the database
     /// (unsatisfiable condition, non-finite tuple probability, …).
     Unsampleable(String),
-    /// The evaluation was cut short by its cooperative budget (deadline,
-    /// step limit, or cancellation).
+    /// The evaluation was cut short by its cooperative deadline.
     Budget(crate::budget::BudgetError),
     /// A lower-level database error.
     Pdb(mv_pdb::PdbError),

@@ -28,8 +28,8 @@
 //! [`EvalContext::new`] has only that map. The executor's working buffers
 //! ([`ExecScratch`]) come the same way: a context checks one out of the
 //! shared cache's pool on its first run and hands it back when it drops
-//! (a context without a cache makes its own). The CSR and pair indexes and
-//! distinct counts the plans probe belong to the snapshot's
+//! (a context without a cache makes its own). The CSR indexes and distinct
+//! counts the plans probe belong to the snapshot's
 //! [`mv_pdb::Relation`] instances: built once per instance, shared by every
 //! context — a fresh context is ~free.
 
@@ -89,9 +89,9 @@ pub struct EvalContext<'a> {
     scratch: Cell<Option<ExecScratch>>,
     /// Executor counters accumulated across every vectorized run.
     exec: Cell<ExecStats>,
-    /// Cooperative budget consulted at batch boundaries by the lineage and
+    /// Cooperative deadline polled at batch boundaries by the lineage and
     /// evaluation drivers (`None` = unlimited).
-    budget: RefCell<Option<crate::budget::EvalBudget>>,
+    budget: Cell<Option<crate::budget::EvalBudget>>,
 }
 
 impl<'a> EvalContext<'a> {
@@ -105,7 +105,7 @@ impl<'a> EvalContext<'a> {
             plans: RefCell::new(Templates::default()),
             scratch: Cell::new(None),
             exec: Cell::new(ExecStats::default()),
-            budget: RefCell::new(None),
+            budget: Cell::new(None),
         }
     }
 
@@ -132,13 +132,12 @@ impl<'a> EvalContext<'a> {
     /// are per-query in session use: workers re-install a fresh budget
     /// before each query.
     pub fn set_budget(&self, budget: Option<crate::budget::EvalBudget>) {
-        *self.budget.borrow_mut() = budget;
+        self.budget.set(budget);
     }
 
-    /// The currently installed budget, if any (cheap clone of the shared
-    /// handle).
+    /// The currently installed budget, if any.
     pub fn budget(&self) -> Option<crate::budget::EvalBudget> {
-        self.budget.borrow().clone()
+        self.budget.get()
     }
 
     /// The underlying database.

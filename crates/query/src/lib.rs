@@ -18,8 +18,8 @@
 //! * [`template`] — one plan per query shape: the constant-blind template
 //!   key and the per-snapshot [`PlanCache`] every context can share.
 //! * [`vec_exec`] — the one executor the production entry points run:
-//!   fixed-size batches of partial matches over the code columns, CSR and
-//!   pair join indexes, code-level `=`/`<>` comparisons.
+//!   fixed-size batches of partial matches over the code columns, CSR join
+//!   indexes, code-level `=`/`<>` comparisons.
 //! * [`lineage`] — lineage computation: the Boolean provenance formula
 //!   `Φ_Q` of a Boolean query over an [`mv_pdb::InDb`], in DNF over
 //!   [`mv_pdb::TupleId`] variables — collected flat into a [`ClauseBuffer`]

@@ -682,11 +682,11 @@ impl VecPlan {
         flow.break_value()
     }
 
-    /// [`Self::for_each_batch`] under a cooperative [`EvalBudget`](crate::EvalBudget): before
-    /// every batch is handed to `on_batch`, the batch's rows are charged as
-    /// budget steps and the deadline is polled — a trip abandons the run
-    /// and surfaces as `Err` instead of enumerating further. With no
-    /// budget this is exactly `for_each_batch`.
+    /// [`Self::for_each_batch`] under a cooperative [`EvalBudget`](crate::EvalBudget): the
+    /// deadline is polled before each batch is handed to `on_batch`, and a
+    /// trip at its first poll or any later one abandons the run and
+    /// surfaces as `Err` instead of enumerating further. With no budget
+    /// this is exactly `for_each_batch`.
     pub fn for_each_batch_budgeted<B>(
         &self,
         db: &Database,
@@ -699,10 +699,9 @@ impl VecPlan {
         let Some(budget) = budget else {
             return Ok(self.for_each_batch(db, scratch, stats, instance, on_batch));
         };
-        budget.check()?;
         let mut trip: Option<crate::budget::BudgetError> = None;
         let out = self.for_each_batch(db, scratch, stats, instance, |batch| {
-            if let Err(e) = budget.charge(batch.len() as u64) {
+            if let Err(e) = budget.check() {
                 trip = Some(e);
                 return ControlFlow::Break(None);
             }

@@ -8,7 +8,7 @@
 //! comparison kind:
 //!
 //! * the **vectorized** batch executor (`mv_query::vec_exec`) behind the
-//!   production entry points — CSR and pair join indexes, code-level
+//!   production entry points — CSR join indexes, code-level
 //!   `=`/`<>` comparisons, row selections for filtered scans;
 //! * the **legacy** String-keyed backtracking evaluator, which shares only
 //!   the join order with it.
@@ -39,6 +39,7 @@ use mv_query::{
     Ucq,
 };
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// A random tuple-independent database over R(a), S(a, b), T(b) with a
 /// small shared integer domain (dense enough that joins, self-joins and
@@ -657,7 +658,11 @@ type Outcome = (
 );
 
 fn outcome(q: &Ucq, indb: &mv_pdb::InDb, ctx: &EvalContext<'_>) -> Outcome {
-    let err = |e: QueryError| e.to_string();
+    // A deadline trip's text carries its elapsed time: compare it by kind.
+    let err = |e: QueryError| match e {
+        QueryError::Budget(_) => "deadline exceeded".to_string(),
+        e => e.to_string(),
+    };
     (
         q.is_boolean()
             .then(|| lineage_with(q, indb, ctx).map_err(err)),
@@ -666,9 +671,9 @@ fn outcome(q: &Ucq, indb: &mv_pdb::InDb, ctx: &EvalContext<'_>) -> Outcome {
     )
 }
 
-/// The queries interleaved on one executor scratch, with the step limit
-/// each runs under (`None`: unlimited).
-fn interleaved_queries() -> Vec<(Ucq, Option<u64>)> {
+/// The queries interleaved on one executor scratch, each with whether it
+/// runs under an already expired deadline.
+fn interleaved_queries() -> Vec<(Ucq, bool)> {
     let parse = |text: &str| parse_ucq(text).unwrap();
     // `Q(7) :- 1 = 1`: no atom, one empty match.
     let body_free = Ucq::from_cq(ConjunctiveQuery::new(
@@ -683,29 +688,34 @@ fn interleaved_queries() -> Vec<(Ucq, Option<u64>)> {
     ));
     vec![
         // A point query, Boolean and not.
-        (parse("Q() :- S(3, y)"), None),
-        (parse("Q(y) :- S(3, y)"), None),
+        (parse("Q() :- S(3, y)"), false),
+        (parse("Q(y) :- S(3, y)"), false),
         // A broad selection: a scan walking its selection, many batches.
-        (parse("Q() :- S(x, y), y like '%1%'"), None),
-        (parse("Q(x) :- S(x, y), y like '%1%'"), None),
+        (parse("Q() :- S(x, y), y like '%1%'"), false),
+        (parse("Q(x) :- S(x, y), y like '%1%'"), false),
         // A 3-atom self-join.
-        (parse("Q() :- S(x, y), S(y, z), S(z, x)"), None),
-        (parse("Q(x, z) :- S(x, y), S(y, z), S(z, x)"), None),
+        (parse("Q() :- S(x, y), S(y, z), S(z, x)"), false),
+        (parse("Q(x, z) :- S(x, y), S(y, z), S(z, x)"), false),
         // No atom at all, and a plan that never matches.
-        (body_free.clone(), None),
-        (parse("Q(y) :- S(x, y), x = 'nope'"), None),
+        (body_free.clone(), false),
+        (parse("Q(y) :- S(x, y), x = 'nope'"), false),
         // A lineage that is `true` at its first match, mid-batch.
-        (parse("Q() :- S(x, y), S(y, z) ; Q() :- D(x)"), None),
-        (parse("Q() :- D(x), S(x, y)"), None),
-        // A budget that trips on the second batch of a broad run.
-        (parse("Q() :- S(x, y), S(y, z)"), Some(1500)),
-        (parse("Q(x) :- S(x, y), S(y, z)"), Some(1500)),
+        (parse("Q() :- S(x, y), S(y, z) ; Q() :- D(x)"), false),
+        (parse("Q() :- D(x), S(x, y)"), false),
+        // A deadline that trips once the executor has filled a batch.
+        (parse("Q() :- S(x, y), S(y, z)"), true),
+        (parse("Q(x) :- S(x, y), S(y, z)"), true),
         // The same queries again on whatever the runs above left behind.
-        (parse("Q(x, z) :- S(x, y), S(y, z), S(z, x)"), None),
-        (parse("Q(y) :- S(3, y)"), None),
-        (body_free, None),
-        (parse("Q() :- S(x, y), y like '%1%'"), None),
+        (parse("Q(x, z) :- S(x, y), S(y, z), S(z, x)"), false),
+        (parse("Q(y) :- S(3, y)"), false),
+        (body_free, false),
+        (parse("Q() :- S(x, y), y like '%1%'"), false),
     ]
+}
+
+/// A deadline that has already passed, or none.
+fn expired_deadline(expired: bool) -> Option<EvalBudget> {
+    expired.then(|| EvalBudget::with_deadline(Duration::ZERO))
 }
 
 /// Every run on a context's pooled scratch — after early stops, budget
@@ -718,9 +728,9 @@ fn a_reused_executor_scratch_is_invisible() {
     let db = indb.database();
     let fresh: Vec<Outcome> = interleaved_queries()
         .iter()
-        .map(|(q, limit)| {
+        .map(|(q, expired)| {
             let ctx = EvalContext::new(db);
-            ctx.set_budget(limit.map(|l| EvalBudget::unlimited().with_step_limit(l)));
+            ctx.set_budget(expired_deadline(*expired));
             outcome(q, &indb, &ctx)
         })
         .collect();
@@ -729,9 +739,9 @@ fn a_reused_executor_scratch_is_invisible() {
     assert!(fresh[8].0.as_ref().unwrap().as_ref().unwrap().is_true());
 
     let run_all = |contexts: &[&EvalContext<'_>]| {
-        for (i, (q, limit)) in interleaved_queries().iter().enumerate() {
+        for (i, (q, expired)) in interleaved_queries().iter().enumerate() {
             let ctx = contexts[i % contexts.len()];
-            ctx.set_budget(limit.map(|l| EvalBudget::unlimited().with_step_limit(l)));
+            ctx.set_budget(expired_deadline(*expired));
             assert_eq!(outcome(q, &indb, ctx), fresh[i], "query {i}: {q}");
             ctx.set_budget(None);
         }
