@@ -1340,9 +1340,10 @@ pub fn serve_soak(
     let (distinct, engine, oracle) = soak_fixture(&dataset_v1v2(num_authors), num_shards);
 
     // Capacity calibration the way a server worker serves: one long-lived
-    // context on the unsharded engine. (`ShardedEngine::probability` pays a
-    // shard fan-out per call, several service times; 1.5x a capacity
-    // calibrated on it is an offer the workers absorb without queueing.)
+    // context on the unsharded engine. (`ShardedEngine::probability` sets up
+    // a session, a context and a router per call, more than a point query's
+    // service costs; 1.5x a capacity calibrated on it is an offer the
+    // workers absorb without queueing.)
     // The second pass is timed so plan compilation and index warmup don't
     // deflate the estimate.
     let num_workers = 2usize;
@@ -1387,9 +1388,9 @@ pub fn serve_soak(
         workers: num_workers,
         queue_capacity: num_queries.max(64),
         deadline,
-        // The paced backlog peaks near num_queries / 3 (the 0.5x-capacity
-        // excess accumulated over the offer window); a shed depth at ~3/4
-        // of that peak sends the tail of the burst to the sampling rung.
+        // The pass opens with a burst of twice this depth, whose tail the
+        // controller sends to the sampling rung; the paced rest adds the
+        // 0.5x-capacity excess on top of what is left of it.
         shed_depth: (num_queries / 4).max(32),
         widened_epsilon: 0.15,
         resilience,
@@ -1403,6 +1404,10 @@ pub fn serve_soak(
 
     let stream: Vec<usize> = (0..num_queries).map(|i| i % distinct.len()).collect();
 
+    // The pass opens with twice the shed depth submitted at once, so the
+    // backlog crosses the shed depth whatever the machine's speed: the
+    // workers drain a request in a service time, far slower than a submit.
+    let burst = 2 * config.shed_depth;
     let pass = || {
         paced_pass(
             &engine,
@@ -1410,7 +1415,7 @@ pub fn serve_soak(
             &stream,
             &distinct,
             &oracle,
-            offered_qps,
+            (offered_qps, burst),
             &[],
         )
         .0
@@ -1434,7 +1439,8 @@ pub fn serve_soak(
 }
 
 /// The paced open-loop pass behind [`serve_soak`] and [`update_soak`]:
-/// reader requests paced at `offered_qps`, while an optional writer
+/// the first `burst` reader requests submitted at once, the rest paced at
+/// `offered_qps` from there, while an optional writer
 /// schedule applies `updates` through
 /// [`MvdbServer::submit_update`](mv_core::MvdbServer::submit_update),
 /// spaced evenly across the offer window so every published snapshot
@@ -1450,7 +1456,7 @@ fn paced_pass(
     stream: &[usize],
     distinct: &[Ucq],
     stage0: &[f64],
-    offered_qps: f64,
+    (offered_qps, burst): (f64, usize),
     updates: &[mv_core::UpdateBatch],
 ) -> (ServeRun, UpdateStats) {
     use mv_core::{CoreError, MvdbServer, Rung};
@@ -1506,7 +1512,7 @@ fn paced_pass(
             // Open-loop pacing: submit at the scheduled instant, bursting
             // to catch up when the pacer overslept (sleep granularity is
             // coarser than the interval at high offered rates).
-            let due = start + interval.mul_f64(i as f64);
+            let due = start + interval.mul_f64(i.saturating_sub(burst) as f64);
             let wait = due.saturating_duration_since(Instant::now());
             if !wait.is_zero() {
                 std::thread::sleep(wait);
@@ -1848,7 +1854,7 @@ pub fn update_soak(
             &stream,
             &distinct,
             &stage0,
-            offered_qps,
+            (offered_qps, 0),
             updates,
         )
     };

@@ -442,9 +442,10 @@ impl EngineBackend {
     /// Whether the named backend implements [`Backend::lineage_probability`]
     /// — i.e. can evaluate a precomputed lineage directly instead of
     /// re-deriving it from the bound query. The sharded session routes on
-    /// this: lineage-capable backends receive per-shard clause groups, the
-    /// others answer on the full store (kept in sync by
-    /// `sharded::tests::evaluates_lineage_matches_backend_behaviour`).
+    /// this: lineage-capable backends evaluate the collected clauses (the
+    /// MV-index in place below 1 536 clauses, the others as per-shard
+    /// clause groups), the others answer on the full store (kept in sync
+    /// by `sharded::tests::evaluates_lineage_matches_backend_behaviour`).
     pub fn evaluates_lineage(&self) -> bool {
         !matches!(self, EngineBackend::ObddPerQuery | EngineBackend::SafePlan)
     }

@@ -381,10 +381,16 @@ impl ResilientBackend {
         self.config = config;
     }
 
+    /// Whether `e`, raised on the exact rung, sends the query on down the
+    /// ladder: a degradable fault on any ladder but the exact-only one.
+    pub(crate) fn degrades(&self, e: &CoreError) -> bool {
+        !self.exact_only && e.is_degradable()
+    }
+
     /// Runs the ladder for a Boolean query. Never panics; always returns
     /// a [`QueryOutcome`].
     pub fn evaluate(&self, q: &Ucq, ctx: &EvalContext<'_>) -> QueryOutcome {
-        self.run(ctx, Target::Query(q)).outcome
+        self.run(ctx, Target::Query(q), self.config.entry).outcome
     }
 
     /// [`ResilientBackend::evaluate`] plus retry-with-backoff for
@@ -396,47 +402,56 @@ impl ResilientBackend {
 
     /// [`ResilientBackend::evaluate_with_retries`], keeping the typed error.
     pub(crate) fn run_with_retries(&self, q: &Ucq, ctx: &EvalContext<'_>) -> Tracked {
-        let mut tracked = self.run(ctx, Target::Query(q));
+        let entry = self.config.entry;
+        let mut tracked = self.run(ctx, Target::Query(q), entry);
         let mut retries = 0;
         while tracked.outcome.transient() && retries < self.config.max_retries {
             retries += 1;
             std::thread::sleep(self.config.retry_backoff * retries);
-            tracked = self.run(ctx, Target::Query(q));
+            tracked = self.run(ctx, Target::Query(q), entry);
         }
         tracked.outcome.retries = retries;
         tracked
     }
 
-    /// One pass down the ladder.
-    pub(crate) fn run(&self, ctx: &EvalContext<'_>, target: Target<'_>) -> Tracked {
+    /// Rung 1 alone: the inner exact backend under the kernel's node cap,
+    /// raising `fault`, the rung's chaos draw, which the caller made (a
+    /// batch draws in query order). Plain evaluation leaves the kernel
+    /// alone. The cap is lifted after the rung whatever it did: `rung`
+    /// traps panics, so no exit passes by the reset.
+    pub(crate) fn exact(
+        &self,
+        ctx: &EvalContext<'_>,
+        target: Target<'_>,
+        fault: Option<chaos::Fault>,
+    ) -> Result<f64> {
+        let cap = |nodes| {
+            if !self.exact_only {
+                ctx.scratch().set_node_cap(nodes);
+            }
+        };
+        cap(self.config.node_budget);
+        let exact = self.rung(ctx, sites::EXACT_RUNG, fault, || match target {
+            Target::Query(q) => self.inner.probability(q, ctx),
+            Target::Clauses(c) => self
+                .inner
+                .clauses_probability(c, ctx)
+                .expect("the pipeline routes clauses to lineage backends only"),
+        });
+        cap(usize::MAX);
+        exact
+    }
+
+    /// One pass down the ladder from `entry`: the configured entry rung,
+    /// or a lower one the batch pipeline chose for a routed item.
+    pub(crate) fn run(&self, ctx: &EvalContext<'_>, target: Target<'_>, entry: Rung) -> Tracked {
         let started = Instant::now();
         let mut fault: Option<QueryFault> = None;
 
-        // Rung 1: the inner exact backend under the kernel's node cap,
-        // unless the configured entry rung starts the ladder lower. Plain
-        // evaluation leaves the kernel alone. The cap is lifted after the
-        // rung whatever it did: `rung` traps panics, so no exit passes by
-        // the reset.
-        if self.config.entry == Rung::Exact {
-            let cap = |nodes| {
-                if !self.exact_only {
-                    ctx.scratch().set_node_cap(nodes);
-                }
-            };
-            cap(self.config.node_budget);
-            let exact = self.rung(ctx, sites::EXACT_RUNG, || match target {
-                Target::Query(q) => self.inner.probability(q, ctx),
-                Target::Clauses(c) => self
-                    .inner
-                    .clauses_probability(c, ctx)
-                    .expect("the pipeline routes clauses to lineage backends only"),
-            });
-            cap(usize::MAX);
-            match exact {
+        if entry == Rung::Exact {
+            match self.exact(ctx, target, self.draw(sites::EXACT_RUNG)) {
                 Ok(p) => return Tracked::answered_on(Rung::Exact, p, started.elapsed(), None),
-                Err(e) if self.exact_only || !e.is_degradable() => {
-                    return Tracked::lost(e, started);
-                }
+                Err(e) if !self.degrades(&e) => return Tracked::lost(e, started),
                 Err(e) => fault = Some(QueryFault::of(&e)),
             }
         }
@@ -449,7 +464,8 @@ impl ResilientBackend {
             ..ApproxConfig::default()
         };
         let sampler = MonteCarlo::new(mc_config);
-        let approx = self.rung(ctx, sites::MC_RUNG, || match target {
+        let drawn = self.draw(sites::MC_RUNG);
+        let approx = self.rung(ctx, sites::MC_RUNG, drawn, || match target {
             Target::Query(q) => sampler.approx(q, ctx),
             Target::Clauses(c) => sampler.approx_lineage(&Lineage::from(c), ctx),
         });
@@ -476,18 +492,19 @@ impl ResilientBackend {
         }
     }
 
-    /// One rung: fresh budget window, chaos draw, panic trap. The budget
-    /// is cleared before returning so a tripped rung cannot leak pressure
-    /// into the next one.
+    /// One rung: fresh budget window, the site's drawn `fault` raised,
+    /// panic trap. The budget is cleared before returning so a tripped rung
+    /// cannot leak pressure into the next one.
     fn rung<T>(
         &self,
         ctx: &EvalContext<'_>,
         site: &'static str,
+        fault: Option<chaos::Fault>,
         body: impl FnOnce() -> Result<T>,
     ) -> Result<T> {
         ctx.set_budget(self.config.rung_budget());
         let out = CoreError::trap(site, || {
-            self.chaos(site)?;
+            fault.map_or(Ok(()), |f| chaos::raise(site, f))?;
             body()
         });
         ctx.set_budget(None);

@@ -6,26 +6,34 @@
 //! 1. **Route**, striped over the route workers, each with a private
 //!    context on the full store. With shards, a query's clauses are
 //!    collected flat ([`EvalContext::clauses`]: one id buffer, no `Vec` per
-//!    clause) and routed per home shard by the worker's one
-//!    [`mv_query::Router`] (its scratch checked out once per stripe): a
-//!    buffer whose clauses all land on one shard moves to that shard's
-//!    queue as it is, and only a split one is copied into one buffer per
-//!    touched shard ([`mv_query::Routes`]); constants are answered on
-//!    the spot, and a query with no sound routing is evaluated on the full
-//!    store by the worker that routed it (the *oracle*). Without shards
-//!    every query takes that last branch, so an unsharded session is this
-//!    phase alone.
+//!    clause) and constants are answered on the spot. A lineage of fewer
+//!    than [`FAN_OUT_CLAUSES`] clauses on a ladder that starts on the
+//!    MV-index is answered where it was collected, in the worker's own
+//!    context and query kernel: the index reads only the blocks the
+//!    lineage touches, so a shard's `W_s` would save it nothing, and the
+//!    answer is the unsharded engine's to the bit. What is left — a lineage
+//!    large enough to pay for shard threads, one whose in-place exact rung
+//!    degraded, and every lineage of a backend that expands `W` — is routed
+//!    per home shard by the worker's one [`mv_query::Router`] (its scratch
+//!    checked out once per stripe): a buffer whose clauses all land on one
+//!    shard moves to that shard's queue as it is, and only a split one is
+//!    copied into one buffer per touched shard ([`mv_query::Routes`]). A
+//!    query with no sound routing is evaluated on the full store by the
+//!    worker that routed it (the *oracle*). Without shards every query
+//!    takes that last branch, so an unsharded session is this phase alone.
 //! 2. **Evaluate** each touched shard's queue of clause buffers in a
 //!    context of its own over the full store and index (a pooled query
 //!    kernel that folds a buffer as it is, the shard's `W_s` in place of
 //!    `W`'s lineage); a [`Lineage`] is built
-//!    only for a rung or backend that reads one. The queues run on one
-//!    worker per touched shard when the clauses queued across them reach
+//!    only for a rung or backend that reads one. An item enters its
+//!    shard's ladder where its query's did, or at Monte Carlo after the
+//!    in-place exact rung degraded. The queues run on one worker per
+//!    touched shard when the clauses queued across them reach
 //!    [`FAN_OUT_CLAUSES`]; below that a thread costs more than it saves,
 //!    and the calling thread runs them in shard order.
 //! 3. **Combine** `1 − ∏_s (1 − q_s)` per query, then **rescue**: a query
-//!    that lost a shard item, or whose routing worker died, is evaluated on
-//!    the full store.
+//!    that lost a shard item, whose in-place evaluation failed for good, or
+//!    whose routing worker died, is evaluated on the full store.
 //!
 //! Every evaluation goes through a [`ResilientBackend`] ladder; plain
 //! evaluation is the ladder with the exact rung alone
@@ -58,7 +66,10 @@ use crate::Result;
 
 /// Clauses queued across the touched shards of one batch (the distinct
 /// clauses of their buffers) from which phase 2 evaluates each shard's
-/// queue on a thread of its own.
+/// queue on a thread of its own — and the clauses of one lineage from
+/// which phase 1 routes it to the shards instead of answering it in place
+/// on the MV-index: a smaller lineage does not pay for shard threads on its
+/// own.
 ///
 /// Set from a sweep of `ShardedEngine::probability` over unions of 1–5
 /// broad name selections (10 000 authors, seed 42, 2 shards, 2 vCPUs; p50
@@ -66,8 +77,9 @@ use crate::Result;
 /// fanned out: 526 clauses 233 vs 261 µs, 1 070 474 vs 484, 1 596 732 vs
 /// 698, 2 135 976 vs 911, 2 660 1 236 vs 1 130; a heavy selection (≈ 5 300)
 /// 2 725 vs 2 171. Break-even is near 1 200 clauses. A broad selection
-/// (480–594 clauses) stays on the caller, a heavy one (5 201–5 470) and a
-/// 4 096-query point batch (26 000–27 300) fan out.
+/// (480–594 clauses) is answered in place, a heavy one (5 201–5 470) fans
+/// out, and the point queries of a 4 096-query batch (6–7 clauses each) are
+/// answered in place, striped over the route workers.
 pub(crate) const FAN_OUT_CLAUSES: usize = 1536;
 
 /// Runs `job(0)` on the calling thread and `job(1)` … `job(jobs − 1)` on
@@ -148,7 +160,8 @@ pub(crate) struct BatchStats {
     pub(crate) manager: ManagerStats,
     /// Plan shapes and executor counters, summed over every context.
     pub(crate) query: QueryStats,
-    /// Sub-queries evaluated per shard (empty without shards).
+    /// Sub-queries evaluated per shard (empty without shards); a lineage
+    /// answered in place counts on none.
     pub(crate) shard_queries: Vec<u64>,
     /// Queries answered by the full store although shards exist.
     pub(crate) fallbacks: u64,
@@ -178,16 +191,25 @@ fn worker_stats(ctx: &EvalContext<'_>) -> WorkerStats {
 
 /// Where one query of the batch stands.
 enum Slot {
-    /// Resolved by its routing worker (constant, full-store evaluation,
-    /// semantic loss).
+    /// Resolved by its routing worker (constant, in-place or full-store
+    /// evaluation, semantic loss).
     Done(Tracked),
     /// Pending on one clause group per touched shard: `items` moves into
-    /// the shard queues after phase 1, `combine` folds their outcomes in
-    /// phase 3.
-    Sharded { items: Routes, combine: Combine },
-    /// Its routing worker died: rescued in phase 3.
+    /// the shard queues after phase 1, each entering its shard's ladder at
+    /// `entry`, and `combine` folds their outcomes in phase 3.
+    Sharded {
+        items: Routes,
+        entry: Rung,
+        combine: Combine,
+    },
+    /// Its routing worker died, or its in-place evaluation failed on a
+    /// fault no lower rung takes: rescued in phase 3.
     Unrouted(CoreError),
 }
+
+/// One clause group in its shard's queue: its query's slot, the clauses,
+/// the `shard_eval` fault drawn for it and the rung its ladder starts on.
+type Queued = (usize, ClauseBuffer, Option<Fault>, Rung);
 
 /// Per-query accumulator of the independence combination.
 struct Combine {
@@ -201,12 +223,13 @@ struct Combine {
 }
 
 impl Combine {
-    fn new() -> Self {
+    /// An empty combination; `fault` is what already degraded the query.
+    fn new(fault: Option<QueryFault>) -> Self {
         Combine {
             one_minus: 1.0,
             rung: Rung::Exact,
             epsilon: None,
-            fault: None,
+            fault,
             retries: 0,
             lost: false,
         }
@@ -280,6 +303,19 @@ fn quarantined(
     tracked
 }
 
+/// Whether phase 1 answers a lineage of fewer than [`FAN_OUT_CLAUSES`]
+/// clauses where it was collected: when the ladder starts on the MV-index.
+/// The index reads only the blocks the lineage touches, and every other
+/// block cancels in `P0(Φ ∧ ¬W) / P0(¬W)`, so a shard's `W_s` saves it
+/// nothing. A backend that expands `W` does save: it expands `W_s` alone.
+fn answers_in_place(config: &ResilienceConfig) -> bool {
+    matches!(config.inner, EngineBackend::MvIndex(_)) && config.entry == Rung::Exact
+}
+
+/// The `shard_eval` and `exact_rung` faults of one query's in-place
+/// evaluation, drawn before phase 1 in query order.
+type InPlaceFaults = [Option<Fault>; 2];
+
 /// Phase 1 for one query of a sharded engine, through the worker's router.
 fn route(
     router: &mut Router<'_>,
@@ -287,6 +323,7 @@ fn route(
     q: &Ucq,
     ctx: &EvalContext<'_>,
     started: Instant,
+    [shard_fault, exact_fault]: InPlaceFaults,
 ) -> Slot {
     let routed = CoreError::trap(sites::ROUTE, || {
         ladder.chaos(sites::ROUTE)?;
@@ -302,12 +339,41 @@ fn route(
             let answer = Tracked::answered_on(Rung::Exact, p, Duration::ZERO, None);
             return Ok(Slot::Done(answer));
         }
+        // A small lineage on the MV-index: the exact rung on the buffer, in
+        // the worker's own context and kernel, as `MvdbEngine::probability`
+        // runs it. A degradable fault sends the buffer to the shards, whose
+        // ladders start at Monte Carlo: one exact attempt per query.
+        let mut degraded = None;
+        if answers_in_place(ladder.config()) && clauses.len() < FAN_OUT_CLAUSES {
+            let exact = CoreError::trap(sites::SHARD_EVAL, || {
+                shard_fault.map_or(Ok(()), |f| chaos::raise(sites::SHARD_EVAL, f))?;
+                ladder.exact(ctx, Target::Clauses(&clauses), exact_fault)
+            });
+            match exact {
+                Ok(p) => {
+                    let answer = Tracked::answered_on(Rung::Exact, p, started.elapsed(), None);
+                    return Ok(Slot::Done(answer));
+                }
+                Err(e) if ladder.degrades(&e) => degraded = Some(e),
+                Err(e) => return Ok(Slot::Unrouted(e)),
+            }
+        }
         Ok(match router.route(clauses) {
             Some(items) => Slot::Sharded {
                 items,
-                combine: Combine::new(),
+                entry: match degraded {
+                    Some(_) => Rung::MonteCarlo,
+                    None => ladder.config().entry,
+                },
+                combine: Combine::new(degraded.as_ref().map(QueryFault::of)),
             },
-            None => Slot::Done(quarantined(ladder, sites::ORACLE, q, ctx)),
+            None => {
+                let oracle = quarantined(ladder, sites::ORACLE, q, ctx);
+                Slot::Done(match &degraded {
+                    Some(e) => rerun_after(oracle, e),
+                    None => oracle,
+                })
+            }
         })
     });
     match routed {
@@ -414,6 +480,21 @@ impl<'e> Pipeline<'e> {
             Some(_) => sites::ORACLE,
             None => sites::SESSION_EVAL,
         };
+        // The calling thread's ladder: it draws the faults that must not
+        // depend on how the workers interleave, and runs the rescues. A
+        // query's in-place faults are drawn here, in query order, for every
+        // query (a query not answered in place leaves them unraised): which
+        // queries degrade decides how many shard items the batch queues.
+        let own = ladder();
+        let in_place_faults: Vec<InPlaceFaults> =
+            if sharded.is_some() && answers_in_place(own.config()) {
+                boolean
+                    .iter()
+                    .map(|_| [own.draw(sites::SHARD_EVAL), own.draw(sites::EXACT_RUNG)])
+                    .collect()
+            } else {
+                Vec::new()
+            };
 
         // Phase 1: route (with shards) or evaluate outright (without).
         let (routed, route_stats) = striped(
@@ -427,7 +508,10 @@ impl<'e> Pipeline<'e> {
                     .map(|i| {
                         let started = Instant::now();
                         let slot = match &mut router {
-                            Some(router) => route(router, &ladder, &boolean[i], &ctx, started),
+                            Some(router) => {
+                                let faults = in_place_faults.get(i).copied().unwrap_or_default();
+                                route(router, &ladder, &boolean[i], &ctx, started, faults)
+                            }
                             None => Slot::Done(quarantined(&ladder, full_site, &boolean[i], &ctx)),
                         };
                         (slot, started.elapsed())
@@ -439,17 +523,14 @@ impl<'e> Pipeline<'e> {
         );
         route_stats.into_iter().for_each(|s| stats.add(s));
         let (mut slots, mut elapsed): (Vec<Slot>, Vec<Duration>) = routed.into_iter().unzip();
-        // The calling thread's ladder: it draws the `shard_eval` faults and
-        // runs the rescues. An item's fault is drawn here, in (query, shard)
+        // An item's `shard_eval` fault is drawn here, in (query, shard)
         // order, and raised by the worker around the item: the seed decides
         // which items fault, not how the workers happen to interleave.
-        let own = ladder();
-        let mut queues: Vec<Vec<(usize, ClauseBuffer, Option<Fault>)>> =
-            w_shards.iter().map(|_| Vec::new()).collect();
+        let mut queues: Vec<Vec<Queued>> = w_shards.iter().map(|_| Vec::new()).collect();
         for (qi, slot) in slots.iter_mut().enumerate() {
-            if let Slot::Sharded { items, .. } = slot {
+            if let Slot::Sharded { items, entry, .. } = slot {
                 for (shard, item) in std::mem::replace(items, Routes::Split(Vec::new())) {
-                    queues[shard].push((qi, item, own.draw(sites::SHARD_EVAL)));
+                    queues[shard].push((qi, item, own.draw(sites::SHARD_EVAL), *entry));
                 }
             }
         }
@@ -466,7 +547,7 @@ impl<'e> Pipeline<'e> {
         let queued: usize = touched
             .iter()
             .flat_map(|(_, queue)| queue)
-            .map(|(_, clauses, _)| clauses.len())
+            .map(|(_, clauses, ..)| clauses.len())
             .sum();
         let evaluate = |job: usize| {
             let (s, queue) = &touched[job];
@@ -474,11 +555,11 @@ impl<'e> Pipeline<'e> {
             let ctx = full.context().with_w_lineage(&w_shards[*s]);
             let items: Vec<(QueryOutcome, Duration)> = queue
                 .iter()
-                .map(|(_, clauses, fault)| {
+                .map(|(_, clauses, fault, entry)| {
                     let started = Instant::now();
                     let outcome = CoreError::trap(sites::SHARD_EVAL, || {
                         fault.map_or(Ok(()), |f| chaos::raise(sites::SHARD_EVAL, f))?;
-                        Ok(ladder.run(&ctx, Target::Clauses(clauses)).outcome)
+                        Ok(ladder.run(&ctx, Target::Clauses(clauses), *entry).outcome)
                     })
                     .unwrap_or_else(|e| QueryOutcome::lost(QueryFault::of(&e), started));
                     (outcome, started.elapsed())
@@ -540,9 +621,12 @@ impl<'e> Pipeline<'e> {
                     rescue(qi, combine.retries, combine.fault)
                 }
                 Slot::Sharded { combine, .. } => (combine.finish(), Duration::ZERO),
-                // Never routed: straight to the full store, the dead
-                // worker counting as the first retry.
-                Slot::Unrouted(died) => rescue(qi, 1, Some(QueryFault::of(&died))),
+                // Never routed, or failed in place: straight to the full
+                // store, a dead worker counting as the first retry.
+                Slot::Unrouted(cause) => {
+                    let (rescued, spent) = rescue(qi, 0, None);
+                    (rerun_after(rescued, &cause), spent)
+                }
             };
             tracked.outcome.elapsed = spent + rescued;
             stats.fallbacks += u64::from(tracked.outcome.fallback);

@@ -28,7 +28,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 pub mod sites {
     /// Sharded phase 1: per-query routing (lineage + partition lookup).
     pub const ROUTE: &str = "route";
-    /// Sharded phase 2: per-item evaluation on a shard worker.
+    /// Sharded evaluation: a small MV-index lineage in place on its route
+    /// worker, or a routed item on a shard worker.
     pub const SHARD_EVAL: &str = "shard_eval";
     /// Unsharded session: per-query evaluation on a stripe worker.
     pub const SESSION_EVAL: &str = "session_eval";

@@ -275,20 +275,6 @@ impl MvdbEngine {
     pub fn answers_with(&self, query: &Ucq, backend: &dyn Backend) -> Result<Vec<(Row, f64)>> {
         backend.answers(query, &self.context())
     }
-
-    /// Evaluates a non-Boolean query and returns the `k` most probable
-    /// answers, sorted by decreasing probability (ties broken by the answer
-    /// tuple, so the result is deterministic).
-    pub fn top_answers(&self, query: &Ucq, k: usize) -> Result<Vec<(Row, f64)>> {
-        let mut answers = self.answers(query)?;
-        answers.sort_by(|(row_a, p_a), (row_b, p_b)| {
-            p_b.partial_cmp(p_a)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| row_a.cmp(row_b))
-        });
-        answers.truncate(k);
-        Ok(answers)
-    }
 }
 
 #[cfg(test)]
@@ -517,26 +503,6 @@ mod tests {
         let q = parse_ucq("Q() :- R(x)").unwrap();
         let p = engine.probability(&q).unwrap();
         assert!((p - (1.0 - 0.25 * 0.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn top_answers_are_sorted_and_truncated() {
-        let mvdb = advisors();
-        let engine = MvdbEngine::compile(&mvdb).unwrap();
-        let q = parse_ucq("Q(y) :- Advisor(1, y)").unwrap();
-        let all = engine.answers(&q).unwrap();
-        let top1 = engine.top_answers(&q, 1).unwrap();
-        assert_eq!(top1.len(), 1);
-        let max = all
-            .iter()
-            .map(|(_, p)| *p)
-            .fold(f64::NEG_INFINITY, f64::max);
-        assert!((top1[0].1 - max).abs() < 1e-12);
-        let top_all = engine.top_answers(&q, 10).unwrap();
-        assert_eq!(top_all.len(), all.len());
-        for pair in top_all.windows(2) {
-            assert!(pair[0].1 >= pair[1].1);
-        }
     }
 
     #[test]

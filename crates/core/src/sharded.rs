@@ -19,19 +19,26 @@
 //!    The clauses come from the lineage the index compile kept
 //!    ([`mv_index::MvIndex::w_lineage`]); `W` is not evaluated again.
 //! 2. **Routing.** A query's lineage `Φ_Q = ∨ C_i` is computed once on the
-//!    full store, as one flat clause buffer, and grouped by shared
+//!    full store, as one flat clause buffer. On the MV-index a lineage of
+//!    fewer than 1 536 clauses is answered right there, in the routing
+//!    worker's context: the index reads only the blocks the lineage
+//!    touches, every other block cancels, and the answer is the unsharded
+//!    engine's to the bit. Any other lineage is grouped by shared
 //!    variables ([`mv_query::Partition::route_clauses`]): each group binds
 //!    to the unique shard holding its W-homed variables (all-free groups
-//!    are pinned by their smallest tuple id). A group mixing two shards' W-homed tuples makes
-//!    the whole query fall back to the unsharded engine (the exact
-//!    oracle), so the sharded path never answers a query it cannot answer
-//!    exactly.
+//!    are pinned by their smallest tuple id). A group mixing two shards'
+//!    W-homed tuples makes the whole query fall back to the unsharded
+//!    engine (the exact oracle), so the sharded path never answers a query
+//!    it cannot answer exactly.
 //! 3. **Per-shard evaluation.** Each touched shard's clause groups, global
 //!    tuple ids and all, are evaluated in a context of their own over the
 //!    full store and index, with a pooled query kernel, a private
 //!    query-side manager and `W_s` in place of `W`'s lineage — so backends
 //!    that expand `W` (Shannon, brute force, Monte Carlo)
-//!    expand only the shard's share of it. The shards run on a thread each
+//!    expand only the shard's share of it. This is where a lineage large
+//!    enough to pay for shard threads runs, and where the Monte Carlo rung
+//!    samples a small one whose in-place exact rung degraded, one sampler
+//!    per shard over its `W_s`. The shards run on a thread each
 //!    when the batch queues enough clauses to pay for the threads, and one
 //!    after the other on the calling thread otherwise; the answers are the
 //!    same bits either way.
@@ -48,13 +55,13 @@
 //!
 //! [`ShardedSession`] is the batch pipeline (`crate::batch`, shared with the
 //! unsharded [`MvdbSession`](crate::MvdbSession)) run over an engine's
-//! shards: route, evaluate per touched shard, combine, and rescue on the
-//! oracle what a shard lost. Every evaluation goes through
-//! the resilience ladder — plain `probabilities` is the ladder's exact rung
-//! alone. Lineage-capable backends (MV-index, Shannon, brute force, Monte
-//! Carlo) take the sharded path; structural backends (safe plans, per-query
-//! OBDDs) evaluate a *query*, not a clause group, so they answer on the
-//! full store.
+//! shards: route (answering small MV-index lineages in place), evaluate
+//! per touched shard, combine, and rescue on the oracle what a shard lost.
+//! Every evaluation goes through the resilience ladder — plain
+//! `probabilities` is the ladder's exact rung alone. Lineage-capable
+//! backends (MV-index, Shannon, brute force, Monte Carlo) take the sharded
+//! path; structural backends (safe plans, per-query OBDDs) evaluate a
+//! *query*, not a clause group, so they answer on the full store.
 
 use std::sync::Arc;
 
@@ -228,13 +235,17 @@ impl ShardedEngine {
 /// A batch runs the three phases of the batch pipeline (`route` striped
 /// over one worker per shard, `evaluate` per touched shard, `combine` +
 /// `rescue` on the calling thread) — the same pipeline an unsharded
-/// [`MvdbSession`](crate::MvdbSession) runs without the middle phase. The
-/// calling thread is worker 0 of each phase, so routing one query spawns
-/// no thread, and `evaluate` spawns one per touched shard but the first
-/// only when the clauses queued across them reach a fixed count (1 536;
-/// a thread's spawn and join cost more than a smaller batch saves). Below
+/// [`MvdbSession`](crate::MvdbSession) runs without the middle phase. On
+/// the default backend a lineage of fewer than 1 536 clauses — a point
+/// query, a broad selection — is answered by the route worker that
+/// collected it, in its context, to the unsharded engine's bits; only a
+/// larger lineage, or a small one whose exact rung degraded, reaches the
+/// shards. The calling thread is worker 0 of each phase, so routing one
+/// query spawns no thread, and `evaluate` spawns one per touched shard but
+/// the first only when the clauses queued across them reach 1 536 (a
+/// thread's spawn and join cost more than a smaller batch saves). Below
 /// it the calling thread evaluates the shards in turn, each in its own
-/// context, so a single broad query runs on the caller's thread alone.
+/// context.
 ///
 /// Per-query service latencies ([`QueryOutcome::elapsed`]: routing +
 /// per-shard evaluation + rescue time, queue wait excluded) and
@@ -278,15 +289,18 @@ impl<'e> ShardedSession<'e> {
     }
 
     /// Per-shard counts of sub-queries evaluated in the most recent batch
-    /// (a query touching `k` shards contributes 1 to each of the `k`).
+    /// (a routed query touching `k` shards contributes 1 to each of the
+    /// `k`; a query answered in place or on the oracle, to none).
     pub fn last_shard_queries(&self) -> Vec<u64> {
         self.pipeline.last().shard_queries.clone()
     }
 
     /// Number of queries of the most recent batch that were answered by
-    /// the unsharded oracle — because some clause group drew W-homed tuples
-    /// from two shards, because the backend is structural (it evaluates
-    /// queries, not clause groups), or because a shard item was lost.
+    /// the unsharded oracle — because some clause group of a routed
+    /// lineage drew W-homed tuples from two shards, because the backend is
+    /// structural (it evaluates queries, not clause groups), or because a
+    /// shard item or an in-place evaluation was lost. A lineage answered
+    /// in place is not a fallback.
     pub fn last_fallbacks(&self) -> u64 {
         self.pipeline.last().fallbacks
     }
@@ -421,13 +435,20 @@ mod tests {
         let mvdb = sample_mvdb();
         let engine = ShardedEngine::compile(&mvdb, 3).unwrap();
         // Three components over three shards: some pair of values lives in
-        // two different shards, so a two-value conjunction must span.
+        // two different shards, so a two-value conjunction must span. Shannon
+        // expands `W_s`, so it routes every lineage (the MV-index answers
+        // these small ones in place).
         let spanning: Vec<Ucq> = [("a", "b"), ("a", "c"), ("b", "c")]
             .iter()
             .map(|(x, y)| parse_ucq(&format!("Q() :- R('{x}'), S('{y}')")).unwrap())
             .collect();
         let session = engine.session();
-        let probs = session.probabilities(&spanning).unwrap();
+        let shannon = |queries: &[Ucq]| {
+            session
+                .probabilities_with_backend(queries, EngineBackend::Shannon)
+                .unwrap()
+        };
+        let probs = shannon(&spanning);
         assert!(session.last_fallbacks() > 0);
         for (q, p) in spanning.iter().zip(&probs) {
             let reference = engine.full().probability(q).unwrap();
@@ -436,7 +457,7 @@ mod tests {
         // A disjunction of per-component clauses stays sharded: each clause
         // has a home even though the query touches several shards.
         let multi = vec![parse_ucq("Q() :- R(x)").unwrap()];
-        let probs = session.probabilities(&multi).unwrap();
+        let probs = shannon(&multi);
         assert_eq!(session.last_fallbacks(), 0);
         assert!(session.last_shard_queries().iter().sum::<u64>() >= 2);
         let reference = engine.full().probability(&multi[0]).unwrap();
@@ -445,9 +466,10 @@ mod tests {
 
     #[test]
     fn sessions_merge_stats_and_counters_across_shards() {
-        let mvdb = sample_mvdb();
-        let engine = ShardedEngine::compile(&mvdb, 2).unwrap();
-        let queries = workload();
+        // The scan queues enough clauses to be routed; the small query is
+        // answered in place.
+        let engine = wide_engine(crate::batch::FAN_OUT_CLAUSES, 2);
+        let queries = vec![parse_ucq("Q() :- R(x), S(x)").unwrap(), small_query()];
         let session = engine.session();
         assert_eq!(session.last_manager_stats(), ManagerStats::default());
         let outcomes = session.resilient_probabilities(&queries, &ResilienceConfig::default());
@@ -455,7 +477,7 @@ mod tests {
         // Every query reports its own service latency.
         assert!(outcomes.iter().all(|o| !o.elapsed.is_zero()));
         // Both shards evaluated sub-queries, and the merged counters saw
-        // the workers' query-side managers.
+        // the shard workers' query kernels.
         let per_shard = session.last_shard_queries();
         assert_eq!(per_shard.len(), 2);
         assert!(per_shard.iter().all(|&c| c > 0), "{per_shard:?}");
@@ -510,27 +532,135 @@ mod tests {
     #[test]
     fn phase_two_spawns_threads_only_for_enough_queued_clauses() {
         let _quiet = chaos::quiet();
-        let engine = wide_engine(crate::batch::FAN_OUT_CLAUSES, 2);
+        // Shannon routes every lineage, the small one included. Its `W_s`
+        // stays small enough to expand: the batch reaches the threshold
+        // with many scans of 16 clauses, not one scan of them all.
+        let engine = wide_engine(16, 2);
         let (small, scan) = (small_query(), parse_ucq("Q() :- R(x), S(x)").unwrap());
         let oracle: Vec<f64> = [&small, &scan]
             .iter()
             .map(|q| engine.full().probability(q).unwrap())
             .collect();
         let session = engine.session();
+        let shannon = |queries: &[Ucq]| {
+            session
+                .probabilities_with_backend(queries, EngineBackend::Shannon)
+                .unwrap()
+        };
 
-        let alone = session.probabilities(std::slice::from_ref(&small)).unwrap();
+        let alone = shannon(std::slice::from_ref(&small));
         assert!(session.last_shard_queries().iter().all(|&c| c == 1));
         assert_eq!(session.pipeline.last().threads_spawned, 0);
         assert!((alone[0] - oracle[0]).abs() < 1e-12);
 
-        let both = session.probabilities(&[small, scan]).unwrap();
-        assert!(session.last_shard_queries().iter().all(|&c| c == 2));
+        let scans = crate::batch::FAN_OUT_CLAUSES / 16;
+        let batch: Vec<Ucq> = std::iter::once(small)
+            .chain(std::iter::repeat_n(scan, scans))
+            .collect();
+        let both = shannon(&batch);
+        let items = 1 + scans as u64;
+        assert!(session.last_shard_queries().iter().all(|&c| c == items));
         assert_eq!(session.pipeline.last().threads_spawned, 1);
         assert_eq!(session.last_fallbacks(), 0);
         assert!((both[1] - oracle[1]).abs() < 1e-12);
         // On the caller's thread or on a worker per shard: the same items in
         // the same contexts, combined in the same order.
         assert_eq!(both[0].to_bits(), alone[0].to_bits());
+    }
+
+    #[test]
+    fn small_lineages_are_answered_in_place_to_the_unsharded_bit() {
+        let _quiet = chaos::quiet();
+        let wide = wide_engine(64, 2);
+        let narrow = ShardedEngine::compile(&sample_mvdb(), 3).unwrap();
+        // The workload, a cross-shard conjunction and a lineage on both of
+        // two shards: each has fewer than `FAN_OUT_CLAUSES` clauses.
+        let mut spanning = workload();
+        spanning.push(parse_ucq("Q() :- R('a'), S('b')").unwrap());
+        for (engine, queries) in [(&narrow, spanning), (&wide, vec![small_query()])] {
+            let unsharded: Vec<u64> = queries
+                .iter()
+                .map(|q| engine.full().probability(q).unwrap().to_bits())
+                .collect();
+            let session = engine.session();
+            let plain: Vec<u64> = session
+                .probabilities(&queries)
+                .unwrap()
+                .iter()
+                .map(|p| p.to_bits())
+                .collect();
+            assert_eq!(plain, unsharded);
+            let resilient: Vec<u64> = session
+                .resilient_probabilities(&queries, &ResilienceConfig::default())
+                .iter()
+                .map(|o| {
+                    assert_eq!(o.rung, Some(crate::Rung::Exact));
+                    assert!(o.fault.is_none(), "{:?}", o.fault);
+                    o.probability.unwrap().to_bits()
+                })
+                .collect();
+            assert_eq!(resilient, unsharded);
+            assert!(session.last_shard_queries().iter().all(|&c| c == 0));
+            assert_eq!(session.last_fallbacks(), 0);
+            assert_eq!(session.pipeline.last().threads_spawned, 0);
+        }
+    }
+
+    #[test]
+    fn a_degraded_small_lineage_makes_one_exact_attempt_then_samples_on_the_shards() {
+        let engine = wide_engine(16, 2);
+        let q = small_query();
+        let exact = engine.full().probability(&q).unwrap();
+        let session = engine.session();
+        let _guard = chaos::install(chaos::ChaosConfig::new(3).rule(
+            chaos::sites::EXACT_RUNG,
+            chaos::Fault::Budget,
+            1.0,
+        ));
+        let config = ResilienceConfig {
+            epsilon: 0.02,
+            ..ResilienceConfig::default()
+        };
+        let outcome = session
+            .resilient_probabilities(std::slice::from_ref(&q), &config)
+            .remove(0);
+        let exact_draws: u64 = chaos::injection_counts()
+            .iter()
+            .filter(|(site, ..)| site == chaos::sites::EXACT_RUNG)
+            .map(|(_, _, draws, _)| draws)
+            .sum();
+        assert_eq!(exact_draws, 1, "one exact attempt for the query");
+        assert_eq!(outcome.rung, Some(crate::Rung::MonteCarlo));
+        assert_eq!(
+            outcome.fault.as_ref().map(|f| f.kind),
+            Some(crate::FaultKind::Budget)
+        );
+        assert!(!outcome.fallback);
+        assert_eq!(session.last_fallbacks(), 0);
+        let items: u64 = session.last_shard_queries().iter().sum();
+        assert!(items > 0, "the buffer was routed to the shards");
+        // One interval per shard item; the half-widths add.
+        let (p, eps) = (outcome.probability.unwrap(), outcome.epsilon.unwrap());
+        assert!((p - exact).abs() <= eps, "{p} ± {eps} misses {exact}");
+    }
+
+    #[test]
+    fn a_lineage_at_the_threshold_still_fans_out() {
+        let _quiet = chaos::quiet();
+        let engine = wide_engine(crate::batch::FAN_OUT_CLAUSES, 3);
+        let scan = parse_ucq("Q() :- R(x), S(x)").unwrap();
+        let oracle = engine.full().probability(&scan).unwrap();
+        let session = engine.session();
+        let p = session.probabilities(std::slice::from_ref(&scan)).unwrap()[0];
+        let touched = session
+            .last_shard_queries()
+            .iter()
+            .filter(|&&c| c > 0)
+            .count() as u64;
+        assert!(touched > 1, "{:?}", session.last_shard_queries());
+        assert_eq!(session.pipeline.last().threads_spawned, touched - 1);
+        assert_eq!(session.last_fallbacks(), 0);
+        assert!((p - oracle).abs() < 1e-12, "{p} vs {oracle}");
     }
 
     #[test]
@@ -616,9 +746,11 @@ mod tests {
             .map(|q| parse_ucq(q).unwrap())
             .collect();
         let session = engine.session();
-        // The lineage-capable default backend shards all of these: W-free
-        // tuples ride along with the clause group that mentions them.
-        let probs = session.probabilities(&queries).unwrap();
+        // A backend that expands `W_s` shards all of these: W-free tuples
+        // ride along with the clause group that mentions them.
+        let probs = session
+            .probabilities_with_backend(&queries, EngineBackend::Shannon)
+            .unwrap();
         assert_eq!(session.last_fallbacks(), 0);
         assert!(session.last_shard_queries().iter().sum::<u64>() > 0);
         for (q, p) in queries.iter().zip(&probs) {
@@ -871,7 +1003,11 @@ mod tests {
         assert_eq!((out.shards_rebuilt, out.shards_reused), (0, 2), "{out:?}");
         let touching = vec![parse_ucq("Q() :- R('z')").unwrap()];
         let session = engine.session();
-        let probs = session.probabilities(&touching).unwrap();
+        // Shannon routes the lineage to a shard; the MV-index would answer
+        // it in place.
+        let probs = session
+            .probabilities_with_backend(&touching, EngineBackend::Shannon)
+            .unwrap();
         assert_eq!(session.last_fallbacks(), 0, "no sub-store to be stale");
         assert_eq!(session.last_shard_queries().iter().sum::<u64>(), 1);
         let reference = engine.full().probability(&touching[0]).unwrap();
