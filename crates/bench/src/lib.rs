@@ -272,9 +272,10 @@ pub struct ObddConstructionPoint {
     /// clause, in the order the lineage lists them — `O(clauses ·
     /// variables)` even on this width-1 diagram.
     pub baseline_time: Duration,
-    /// Construction time of the level-ordered fold the engine is built on
-    /// (the lineage of V2 through `ObddManager::lineage`): linear on this
-    /// width-1 diagram.
+    /// Construction time of the trie fold the engine is built on (the
+    /// lineage of V2 through `ObddManager::lineage`: shared prefixes built
+    /// once, `apply` only where levels interleave): linear on this width-1
+    /// diagram.
     pub sorted_fold_time: Duration,
     /// Heap bytes of the baseline's manager after its fold: its store's
     /// nodes, unique table, memo and buffers.
@@ -286,7 +287,7 @@ pub struct ObddConstructionPoint {
 
 /// Figures 7 and 8: size and construction time of the V2 OBDD by three
 /// routes under one variable order, each in a manager of its own: ConOBDD,
-/// the paper's per-clause `apply` baseline, and the level-ordered fold. The
+/// the paper's per-clause `apply` baseline, and the trie fold. The
 /// order (`π` inferred from V2, then its tuple order) is timed once, apart.
 pub fn fig7_fig8_obdd_construction(num_authors: usize) -> ObddConstructionPoint {
     let data = dataset_v1v2(num_authors);

@@ -151,9 +151,10 @@ mod tests {
         let engine = engine();
         let ctx = engine.context();
         let backend = MvIndexBackend::default();
-        let lineage = ctx
-            .lineage(&parse_ucq("Q() :- R(x), S(x)").unwrap())
-            .unwrap();
+        // The cross-block clause's levels interleave with the pairs', so
+        // that the fold runs an `apply`.
+        let q = parse_ucq("Q() :- R(x), S(x) ; Q() :- R('a0'), S('a1')").unwrap();
+        let lineage = ctx.lineage(&q).unwrap();
         let run = || backend.lineage_probability(&lineage, &ctx).unwrap();
         let exact = run().unwrap();
         let stats = ctx.query_manager_stats();

@@ -202,8 +202,9 @@ enum Slot {
         entry: Rung,
         combine: Combine,
     },
-    /// Its routing worker died, or its in-place evaluation failed on a
-    /// fault no lower rung takes: rescued in phase 3.
+    /// Its routing worker died, its routing gave up on a degradable fault,
+    /// or its in-place evaluation failed on a fault no lower rung takes:
+    /// rescued in phase 3.
     Unrouted(CoreError),
 }
 
@@ -312,9 +313,10 @@ fn answers_in_place(config: &ResilienceConfig) -> bool {
     matches!(config.inner, EngineBackend::MvIndex(_)) && config.entry == Rung::Exact
 }
 
-/// The `shard_eval` and `exact_rung` faults of one query's in-place
-/// evaluation, drawn before phase 1 in query order.
-type InPlaceFaults = [Option<Fault>; 2];
+/// The phase-1 faults of one query of a sharded batch, drawn before phase
+/// 1 in query order and raised by the route worker: its `route` fault and
+/// the `shard_eval` and `exact_rung` faults of its in-place evaluation.
+type RouteFaults = [Option<Fault>; 3];
 
 /// Phase 1 for one query of a sharded engine, through the worker's router.
 fn route(
@@ -323,10 +325,10 @@ fn route(
     q: &Ucq,
     ctx: &EvalContext<'_>,
     started: Instant,
-    [shard_fault, exact_fault]: InPlaceFaults,
+    [route_fault, shard_fault, exact_fault]: RouteFaults,
 ) -> Slot {
     let routed = CoreError::trap(sites::ROUTE, || {
-        ladder.chaos(sites::ROUTE)?;
+        route_fault.map_or(Ok(()), |f| chaos::raise(sites::ROUTE, f))?;
         // A structural backend evaluates queries, not clause groups: it
         // answers on the full store, like a cross-shard lineage.
         if !ladder.config().inner.evaluates_lineage() {
@@ -379,10 +381,9 @@ fn route(
     match routed {
         Ok(slot) => slot,
         // Routing gave up (budget, injected fault, panic) on a query that
-        // is not thereby unanswerable: the full store gets it.
-        Err(e) if e.is_degradable() => {
-            Slot::Done(rerun_after(quarantined(ladder, sites::ORACLE, q, ctx), &e))
-        }
+        // is not thereby unanswerable: the full store gets it in phase 3,
+        // on the calling thread, so that its ladder draws in query order.
+        Err(e) if e.is_degradable() => Slot::Unrouted(e),
         Err(e) => Slot::Done(Tracked::lost(e, started)),
     }
 }
@@ -482,19 +483,28 @@ impl<'e> Pipeline<'e> {
         };
         // The calling thread's ladder: it draws the faults that must not
         // depend on how the workers interleave, and runs the rescues. A
-        // query's in-place faults are drawn here, in query order, for every
-        // query (a query not answered in place leaves them unraised): which
-        // queries degrade decides how many shard items the batch queues.
+        // sharded batch's phase-1 faults are drawn here, in query order, for
+        // every query: its `route` fault, and its in-place faults when the
+        // ladder answers in place (a query not answered in place leaves
+        // them unraised). Which queries fault or degrade decides how many
+        // draws and shard items the batch makes after phase 1.
         let own = ladder();
-        let in_place_faults: Vec<InPlaceFaults> =
-            if sharded.is_some() && answers_in_place(own.config()) {
-                boolean
-                    .iter()
-                    .map(|_| [own.draw(sites::SHARD_EVAL), own.draw(sites::EXACT_RUNG)])
-                    .collect()
-            } else {
-                Vec::new()
-            };
+        let in_place = answers_in_place(own.config());
+        let draw_in_place = |site| if in_place { own.draw(site) } else { None };
+        let route_faults: Vec<RouteFaults> = match sharded {
+            Some(_) => boolean
+                .iter()
+                .map(|_| {
+                    let route = own.draw(sites::ROUTE);
+                    [
+                        route,
+                        draw_in_place(sites::SHARD_EVAL),
+                        draw_in_place(sites::EXACT_RUNG),
+                    ]
+                })
+                .collect(),
+            None => Vec::new(),
+        };
 
         // Phase 1: route (with shards) or evaluate outright (without).
         let (routed, route_stats) = striped(
@@ -509,8 +519,7 @@ impl<'e> Pipeline<'e> {
                         let started = Instant::now();
                         let slot = match &mut router {
                             Some(router) => {
-                                let faults = in_place_faults.get(i).copied().unwrap_or_default();
-                                route(router, &ladder, &boolean[i], &ctx, started, faults)
+                                route(router, &ladder, &boolean[i], &ctx, started, route_faults[i])
                             }
                             None => Slot::Done(quarantined(&ladder, full_site, &boolean[i], &ctx)),
                         };

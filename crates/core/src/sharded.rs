@@ -493,7 +493,9 @@ mod tests {
     fn repeated_batches_report_identical_kernel_counters() {
         let _quiet = chaos::quiet();
         let engine = ShardedEngine::compile(&sample_mvdb(), 2).unwrap();
-        let queries = workload();
+        let mut queries = workload();
+        // Clause levels that interleave, so that the fold runs an `apply`.
+        queries.push(parse_ucq("Q() :- R('a'), S('b') ; Q() :- R('b')").unwrap());
         let session = engine.session();
         session.probabilities(&queries).unwrap();
         let first = session.last_manager_stats();

@@ -18,10 +18,12 @@
 //! [`ClauseSlice`] of a buffer or of one answer's range), in whatever order
 //! they come — goes through it in three steps:
 //!
-//! 1. **fold** — the store's level-ordered OR fold ([`NodeStore::fold`]):
-//!    canonicity makes the diagram the one a manager would build, the same
-//!    for any clause order; nothing is hash-consed against earlier queries,
-//!    so nothing outlives the call;
+//! 1. **fold** — the store's OR fold over the sorted clause trie
+//!    ([`NodeStore::fold`]: shared prefixes built once, level-disjoint
+//!    parts concatenated, `apply` only where levels interleave): canonicity
+//!    makes the diagram the one a manager would build, the same for any
+//!    clause order; nothing is hash-consed against earlier queries, so
+//!    nothing outlives the call;
 //! 2. **annotate** — children are always made before their parents, so one
 //!    ascending sweep over the store ([`annotate`]) computes every node's
 //!    variable probability and `probUnder` (Shannon expansion, valid for
@@ -42,8 +44,8 @@
 //! annotated by the same sweep — which a weight-only update repeats over
 //! the whole table.
 //!
-//! The store polls the cooperative [`EvalBudget`] between clause folds and
-//! every 1024 apply frames, and refuses past the node cap with
+//! The store polls the cooperative [`EvalBudget`] between the fold's
+//! top-level runs and every 1024 fold steps or apply frames, and refuses past the node cap with
 //! [`ObddError::NodeBudgetExceeded`]. Its work is counted in a
 //! [`ManagerStats`] of its own ([`QueryScratch::stats`]).
 
@@ -542,14 +544,17 @@ mod tests {
                 // Broad, then point, then broad again: the tables grow,
                 // decay and grow.
                 let width = if i % 50 == 0 { 40 } else { 1 + i % 3 };
-                lineage_of(
-                    &(0..width)
-                        .map(|j| {
-                            let k = (i + 7 * j) % 40;
-                            vec![3 * k, 3 * k + 1 + (i + j) % 2]
-                        })
-                        .collect::<Vec<_>>(),
-                )
+                let mut clauses: Vec<_> = (0..width)
+                    .map(|j| {
+                        let k = (i + 7 * j) % 40;
+                        vec![3 * k, 3 * k + 1 + (i + j) % 2]
+                    })
+                    .collect();
+                // `{x z} ∨ {y}` of one block: levels that interleave, so
+                // that the fold runs an `apply`.
+                let k = i % 40;
+                clauses.extend([vec![3 * k, 3 * k + 2], vec![3 * k + 1]]);
+                lineage_of(&clauses)
             })
             .collect();
         let mut reused = QueryScratch::new();

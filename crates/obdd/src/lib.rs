@@ -11,7 +11,9 @@
 //!   [`PiOrder::infer`] places a query's separator attributes first.
 //! * [`store`] — [`NodeStore`], the one OBDD builder of the workspace: a
 //!   node vector, a stamped unique table and a memo emptied per operation,
-//!   `mk`, `apply`, the level-ordered DNF fold ([`NodeStore::fold`]),
+//!   `mk`, `apply`, the DNF fold over the sorted clause trie
+//!   ([`NodeStore::fold`]: shared prefixes built once, `apply` only where
+//!   levels interleave),
 //!   negation and concatenation on explicit stacks, and the ascending
 //!   `probUnder` sweep ([`annotate`]). The MV-index's query kernel owns one
 //!   and empties it per lineage.

@@ -218,8 +218,9 @@ impl ObddManager {
     }
 
     /// The diagram of a whole DNF, folded under **one** lock acquisition by
-    /// the store's level-ordered fold ([`NodeStore::fold`]): deepest top
-    /// level first, whatever order the clauses arrive in.
+    /// the store's trie fold ([`NodeStore::fold`]): the clauses sorted by
+    /// their level sequences, whatever order they arrive in, shared prefixes
+    /// built once and `apply` run only where levels interleave.
     pub fn dnf<C: AsRef<[TupleId]>>(&self, clauses: &[C]) -> Result<Obdd> {
         let clauses = clauses.iter().map(AsRef::as_ref);
         let root = self.write().fold(&self.shared.order, clauses)?;

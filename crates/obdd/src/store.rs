@@ -21,8 +21,11 @@
 //! apply-per-clause baseline and of the tests), and the MV-index's query
 //! kernel owns one directly and empties it for every lineage. Every
 //! traversal runs on an explicit stack, so 100 000-level chains do not
-//! overflow the thread stack. A fold polls its cooperative [`EvalBudget`]
-//! between clauses and every 1024 apply frames, and refuses past a node cap
+//! overflow the thread stack. The DNF fold ([`NodeStore::fold`]) walks the
+//! clauses sorted into a trie: a shared prefix is built once, level-disjoint
+//! parts are concatenated, and `apply` runs only where levels interleave.
+//! It polls its cooperative [`EvalBudget`] between top-level runs and every
+//! 1024 steps or apply frames, and refuses past a node cap
 //! ([`ObddError::NodeBudgetExceeded`]).
 
 use fxhash::FxHashMap;
@@ -127,6 +130,21 @@ enum Frame {
     Combine(NodeId, NodeId, u32),
 }
 
+/// A range of the fold's sorted clauses that share their first `depth`
+/// levels, with its runs from `end` on folded into `acc`.
+#[derive(Debug, Clone, Copy)]
+struct TrieFrame {
+    start: u32,
+    end: u32,
+    depth: u32,
+    acc: NodeId,
+    /// The level of the run being built as a nested range.
+    level: u32,
+    /// Whether that run's tails interleave with `acc`, so that the nested
+    /// range was built on the `0`-sink and is joined to `acc` by `apply`.
+    apply: bool,
+}
+
 /// The counters of a store that holds nothing: the two sinks.
 fn fresh_stats() -> ManagerStats {
     ManagerStats {
@@ -151,10 +169,12 @@ pub struct NodeStore {
     memo: StampedMap<NodeId>,
     /// The levels of every clause being folded, flat.
     levels: Vec<u32>,
-    /// `(sort key, start, end)` of each clause in `levels`, in fold order.
+    /// `(sort key, start, end)` of each clause in `levels`, sorted by the
+    /// fold.
     spans: Vec<(u64, u32, u32)>,
     frames: Vec<Frame>,
     results: Vec<NodeId>,
+    trie: Vec<TrieFrame>,
     budget: Option<EvalBudget>,
     node_cap: usize,
     tick: u32,
@@ -179,6 +199,7 @@ impl NodeStore {
             spans: Vec::new(),
             frames: Vec::new(),
             results: Vec::new(),
+            trie: Vec::new(),
             budget: None,
             node_cap: MAX_NODES,
             tick: 0,
@@ -232,6 +253,7 @@ impl NodeStore {
             + vec_bytes(&self.spans)
             + vec_bytes(&self.frames)
             + vec_bytes(&self.results)
+            + vec_bytes(&self.trie)
     }
 
     /// The nodes, children before parents.
@@ -354,17 +376,24 @@ impl NodeStore {
         Ok(self.results.pop().expect("apply produces a root"))
     }
 
-    /// The diagram of a DNF, as one operation: the OR-fold of its clauses
-    /// (a clause is a conjunction of positive literals; repeats allowed).
+    /// The diagram of a DNF, as one operation: the OR of its clauses (a
+    /// clause is a conjunction of positive literals; repeats allowed).
     ///
-    /// The clauses' levels land in one flat buffer, the clauses are sorted
-    /// by their level sequences (a key of the first two levels, the rest
-    /// breaking ties) and folded deepest top level first, whatever order
-    /// they arrive in. Canonicity makes the root the one any other order
-    /// reaches; the order decides the cost: each `apply` rebuilds only the
-    /// part of the accumulator above the incoming clause's last level, so a
-    /// lineage whose diagram has width `w` costs `O(w · Σ|clause span|)`
-    /// nodes — linear for the width-1 diagrams of inversion-free queries.
+    /// Each clause's levels land sorted, a repeated literal once, in one
+    /// flat buffer, and the clauses are sorted ascending by their level
+    /// sequences (a key of the first two levels, the rest breaking ties),
+    /// whatever order they arrive in. The sorted clauses are a trie: the
+    /// clauses of a range that share a prefix share their next level `x` in
+    /// runs. The fold walks it bottom-up, each range's runs deepest `x`
+    /// first, one node per run: `acc = mk(x, acc, hi)`, where `hi` is the
+    /// run's tails OR `acc`. A clause that ends at `x` makes `hi` the
+    /// `1`-sink (absorbing the run's longer clauses and duplicates). Tails
+    /// whose levels all lie above `acc`'s top level are built on top of
+    /// `acc` as their `0`-sink, a concatenation (Section 4.2); only tails
+    /// that interleave with `acc` are built on the `0`-sink alone and
+    /// joined to it by one `apply`. So a shared prefix is built once, and a
+    /// lineage whose clauses occupy disjoint level ranges runs no `apply`.
+    /// Canonicity makes the root the one any clause-by-clause fold reaches.
     pub fn fold<'c>(
         &mut self,
         order: &VarOrder,
@@ -385,47 +414,127 @@ impl NodeStore {
             }
             let levels = &mut self.levels[start..];
             levels.sort_unstable();
+            // A tuple repeated in a clause tests its level once.
+            let mut kept = usize::from(!levels.is_empty());
+            for i in 1..levels.len() {
+                if levels[i] != levels[kept - 1] {
+                    levels[kept] = levels[i];
+                    kept += 1;
+                }
+            }
+            let levels = &levels[..kept];
             // The first two levels, each one up so that a missing second
             // level sorts first: the key orders spans as their level
             // sequences do, up to ties the sequences' tails break.
             let key = |i: usize| levels.get(i).map_or(0, |&l| u64::from(l) + 1);
             let key = key(0) << 32 | key(1);
+            self.levels.truncate(start + kept);
             self.spans
                 .push((key, start as u32, self.levels.len() as u32));
         }
-        self.fold_spans()
+        self.fold_trie()
     }
 
     /// The fold proper, over the clauses `fold` collected (apart from it,
     /// so that only the collection is compiled per clause source).
-    fn fold_spans(&mut self) -> Result<NodeId> {
+    fn fold_trie(&mut self) -> Result<NodeId> {
         self.begin();
         let levels = &self.levels;
         let of = |&(_, start, end): &(u64, u32, u32)| &levels[start as usize..end as usize];
         self.spans
-            .sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| of(b).cmp(of(a))));
+            .sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| of(a).cmp(of(b))));
+        match self.spans.first() {
+            None => return Ok(FALSE),
+            // The empty clause sorts first, and absorbs every other.
+            Some(&(_, start, end)) if start == end => return Ok(TRUE),
+            Some(_) => {}
+        }
 
-        let mut acc = FALSE;
-        for i in 0..self.spans.len() {
-            let (_, first, end) = self.spans[i];
-            let mut clause = TRUE;
-            for j in (first..end).rev() {
-                let level = self.levels[j as usize];
-                // A tuple repeated in a clause tests its level once.
-                if j + 1 < end && self.levels[j as usize + 1] == level {
-                    continue;
+        self.trie.clear();
+        self.trie.push(TrieFrame {
+            start: 0,
+            end: self.spans.len() as u32,
+            depth: 0,
+            acc: FALSE,
+            level: 0,
+            apply: false,
+        });
+        // The root a finished range hands to the range it is a run of.
+        let mut returned = None;
+        loop {
+            let last = self.trie.len() - 1;
+            let mut top = self.trie[last];
+            if let Some(tails) = returned.take() {
+                let hi = if top.apply {
+                    self.apply(BoolOp::Or, tails, top.acc)?
+                } else {
+                    tails
+                };
+                top.acc = self.mk(top.level, top.acc, hi);
+                self.poll(top.depth == 0)?;
+            }
+            if top.start == top.end {
+                self.trie.pop();
+                if self.trie.is_empty() {
+                    return Ok(top.acc);
                 }
-                clause = self.mk(level, FALSE, clause);
+                returned = Some(top.acc);
+                continue;
             }
-            acc = self.apply(BoolOp::Or, acc, clause)?;
-            if self.nodes.len() > self.node_cap {
-                return Err(self.refusal());
+            // The range's last run: the clauses whose level at `depth` is
+            // the range's deepest, found by scanning back from its end.
+            let d = top.depth;
+            let at = |&(_, start, _): &(u64, u32, u32)| self.levels[(start + d) as usize];
+            let run_end = top.end;
+            let x = at(&self.spans[run_end as usize - 1]);
+            let mut run = run_end - 1;
+            let mut deepest = 0;
+            loop {
+                let (_, _, end) = self.spans[run as usize];
+                deepest = deepest.max(self.levels[end as usize - 1]);
+                if run == top.start || at(&self.spans[run as usize - 1]) != x {
+                    break;
+                }
+                run -= 1;
             }
+            top.end = run;
+            let (_, start, end) = self.spans[run as usize];
+            if end - start == d + 1 {
+                // The run's first clause ends at `x`.
+                top.acc = self.mk(x, top.acc, TRUE);
+                self.trie[last] = top;
+                self.poll(d == 0)?;
+                continue;
+            }
+            top.level = x;
+            top.apply = deepest >= self.level(top.acc);
+            let base = if top.apply { FALSE } else { top.acc };
+            self.trie[last] = top;
+            self.trie.push(TrieFrame {
+                start: run,
+                end: run_end,
+                depth: d + 1,
+                acc: base,
+                level: 0,
+                apply: false,
+            });
+        }
+    }
+
+    /// After a `mk` of the fold: refuses past the node cap, and polls the
+    /// budget after every top-level run (`every_time`) and otherwise every
+    /// 1024 calls.
+    fn poll(&mut self, every_time: bool) -> Result<()> {
+        if self.nodes.len() > self.node_cap {
+            return Err(self.refusal());
+        }
+        self.tick = self.tick.wrapping_add(1);
+        if every_time || self.tick & POLL_MASK == 0 {
             if let Some(budget) = &self.budget {
                 budget.check()?;
             }
         }
-        Ok(acc)
+        Ok(())
     }
 
     /// Copies the nodes reachable from `root` — read by `node` — children
@@ -703,7 +812,129 @@ impl<V: Copy + Default> StampedMap<V> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use proptest::collection;
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::RefManager;
+
+    const VARS: u32 = 12;
+
+    /// Distinct weights, so that a structural disagreement cannot hide
+    /// behind symmetric ones.
+    fn prob_of(t: TupleId) -> f64 {
+        0.03 + 0.07 * f64::from(t.0)
+    }
+
+    /// A random variable order (the variables sorted by random keys) and a
+    /// random DNF under it: short clauses over a few variables share
+    /// prefixes and repeat literals, and each case adds repeats of some
+    /// clauses, level prefixes of others (which absorb them) and, now and
+    /// then, the empty clause.
+    fn ordered_dnf() -> impl Strategy<Value = (Vec<TupleId>, Vec<Vec<u32>>)> {
+        let keys = collection::vec(0..u32::MAX, VARS as usize);
+        let clauses = collection::vec(collection::vec(0..VARS, 1..6), 0..24);
+        let picks = collection::vec((0..usize::MAX, 0..4usize), 0..6);
+        (keys, clauses, picks, 0..20u32).prop_map(|(keys, mut clauses, picks, empty)| {
+            let mut vars: Vec<u32> = (0..VARS).collect();
+            vars.sort_by_key(|&v| keys[v as usize]);
+            for (pick, cut) in picks {
+                if clauses.is_empty() {
+                    break;
+                }
+                let mut clause = clauses[pick % clauses.len()].clone();
+                if cut > 0 {
+                    clause.sort_by_key(|&v| keys[v as usize]);
+                    clause.truncate(cut);
+                }
+                clauses.push(clause);
+            }
+            if empty == 0 {
+                clauses.push(Vec::new());
+            }
+            (vars.into_iter().map(TupleId).collect(), clauses)
+        })
+    }
+
+    fn tuples(clause: &[u32]) -> Vec<TupleId> {
+        clause.iter().copied().map(TupleId).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The trie fold builds the diagram the reference's clause-by-clause
+        /// `apply_or` builds, under any variable order and clause order, and
+        /// a node-cap or deadline trip in the middle of a fold leaves the
+        /// store canonical and the next fold right.
+        #[test]
+        fn trie_fold_agrees_with_clause_by_clause_reference(
+            dnf in ordered_dnf(),
+            cap in 0..64usize,
+            deadline_ns in 0..20_000u64,
+        ) {
+            let (permutation, clauses) = &dnf;
+            let order = Arc::new(VarOrder::from_tuples(permutation.iter().copied()));
+            let mut reference = RefManager::new(Arc::clone(&order));
+            let mut expected = RefManager::constant(false);
+            for clause in clauses {
+                let c = reference.clause(&tuples(clause)).unwrap();
+                expected = reference.apply_or(expected, c);
+            }
+            let clauses: Vec<Vec<TupleId>> = clauses.iter().map(|c| tuples(c)).collect();
+            let slices = || clauses.iter().map(Vec::as_slice);
+
+            let mut store = NodeStore::new();
+            store.set_node_cap(cap);
+            match store.fold(&order, slices()) {
+                Err(ObddError::NodeBudgetExceeded { allocated, budget }) => {
+                    prop_assert_eq!(budget, cap);
+                    prop_assert!(allocated > cap);
+                }
+                other => prop_assert!(other.is_ok(), "{other:?}"),
+            }
+            prop_assert_eq!(store.canonicity_violation(), None);
+            store.set_node_cap(usize::MAX);
+            store.set_budget(Some(EvalBudget::with_deadline(Duration::from_nanos(deadline_ns))));
+            match store.fold(&order, slices()) {
+                Err(ObddError::Budget(_)) | Ok(_) => {}
+                Err(other) => prop_assert!(false, "{other:?}"),
+            }
+            prop_assert_eq!(store.canonicity_violation(), None);
+            store.set_budget(None);
+
+            let root = store.fold(&order, slices()).unwrap();
+            prop_assert_eq!(store.canonicity_violation(), None);
+            prop_assert_eq!(store.reachable(root).len(), reference.size(expected));
+            annotate(store.nodes_mut(), &order, prob_of);
+            let p = prob_at(store.nodes(), root);
+            let rp = reference.probability(expected, &prob_of);
+            prop_assert_eq!(p.to_bits(), rp.to_bits(), "{} vs {}", p, rp);
+        }
+    }
+
+    /// `(A1 ∨ A2) ∧ (B1 ∨ … ∨ B6)` as its twelve clauses, every `A` ordered
+    /// before every `B`: the fold allocates the diagram's 8 nodes and no
+    /// other. The `B` run of `A2` is built once; `A1`'s run, the same
+    /// tails, is found in the unique table, and its one `apply` with `A2`'s
+    /// node reduces to that run without allocating.
+    #[test]
+    fn a_shared_run_is_built_once() {
+        let order = VarOrder::from_tuples((0..8).map(TupleId));
+        let clauses: Vec<[TupleId; 2]> = (0..2)
+            .flat_map(|a| (2..8).map(move |b| [TupleId(b), TupleId(a)]))
+            .collect();
+        let mut store = NodeStore::new();
+        let root = store.fold(&order, clauses.iter().map(|c| &c[..])).unwrap();
+        assert_eq!(store.reachable(root).len(), 8);
+        let stats = store.stats();
+        assert_eq!(stats.nodes_allocated, 8);
+        assert_eq!(stats.apply_cache_misses, 1);
+        assert_eq!(store.canonicity_violation(), None);
+    }
 
     #[test]
     fn stamped_map_resets_in_place_and_decays() {

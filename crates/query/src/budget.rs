@@ -3,7 +3,7 @@
 //! An [`EvalBudget`] is a `Copy` wall-clock deadline handed to every layer
 //! of one evaluation: the vectorized executor polls it before each batch
 //! ([`crate::vec_exec`]), OBDD synthesis polls it every 1 024 apply frames
-//! and between clause folds (`mv-obdd`), and the Monte Carlo sampler polls
+//! or fold steps and between the DNF fold's top-level runs (`mv-obdd`), and the Monte Carlo sampler polls
 //! it between sample batches ([`crate::approx`]). Work never stops
 //! preemptively: each layer polls at its natural quantum, so a trip
 //! surfaces as a typed [`BudgetError`] through the ordinary `Result`

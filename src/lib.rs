@@ -12,8 +12,9 @@
 //! * [`obdd`] — an Ordered Binary Decision Diagram engine built around a
 //!   hash-consed `ObddManager` arena (diagrams are cheap `{manager, root}`
 //!   handles), with the paper's concatenation-based `ConOBDD` construction,
-//!   per-clause `apply` synthesis (the CUDD-style baseline) and a
-//!   level-ordered DNF fold.
+//!   per-clause `apply` synthesis (the CUDD-style baseline) and a DNF fold
+//!   over the sorted clause trie (shared prefixes built once, `apply` only
+//!   where levels interleave).
 //! * [`mvindex`] — the MV-index: augmented OBDDs plus the `MVIntersect` and
 //!   cache-conscious `CC-MVIntersect` algorithms.
 //! * [`mln`] — a Markov Logic Network engine with exact enumeration inference
